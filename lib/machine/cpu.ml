@@ -56,6 +56,9 @@ type callgraph = {
 type t = {
   mem : Mem.t;
   mutable code : Isa.instr array;
+  mutable ops : (t -> unit) array;
+      (* [code] decoded lazily, one closure per slot; see "Decoded
+         execution" below *)
   mutable code_len : int;
   regs : int array;
   mutable pc : int;
@@ -63,7 +66,6 @@ type t = {
   stats : stats;
   mutable service : t -> int -> unit;
   mutable bad_function_svc : int;
-  mutable trace : bool;
   mutable profile : profile option;
   mutable callgraph : callgraph option;
   mutable symbols : (int * int * string) list;
@@ -132,58 +134,6 @@ let fresh_stats () =
     stack_high = 0; bind_high = 0 }
 
 let halt_addr = 0
-
-let create ?mem () =
-  let mem = match mem with Some m -> m | None -> Mem.create () in
-  let cpu =
-    {
-      mem;
-      code = Array.make 1024 Isa.Halt;
-      code_len = 0;
-      regs = Array.make Isa.nregs 0;
-      pc = 0;
-      halted = false;
-      stats = fresh_stats ();
-      service = (fun _ _ -> ());
-      bad_function_svc = -1;
-      trace = false;
-      profile = None;
-      callgraph = None;
-      symbols = [];
-      mark_segments = [];
-      deadline = None;
-    }
-  in
-  (* Code address 0 is the universal halt used as the host's return
-     continuation. *)
-  cpu.code.(0) <- Isa.Halt;
-  cpu.code_len <- 1;
-  cpu.regs.(Isa.sp) <- Mem.stack_base mem;
-  cpu.regs.(Isa.fp) <- Mem.stack_base mem;
-  cpu.regs.(Isa.tp) <- Mem.stack_base mem;
-  cpu.regs.(Isa.sb) <- Mem.bind_base mem;
-  cpu
-
-let ensure_capacity cpu n =
-  if cpu.code_len + n > Array.length cpu.code then begin
-    let cap = max (2 * Array.length cpu.code) (cpu.code_len + n) in
-    let fresh = Array.make cap Isa.Halt in
-    Array.blit cpu.code 0 fresh 0 cpu.code_len;
-    cpu.code <- fresh
-  end
-
-let load cpu prog =
-  let org = cpu.code_len in
-  let image = Asm.assemble cpu.mem ~org prog in
-  let n = Array.length image.instrs in
-  ensure_capacity cpu n;
-  Array.blit image.instrs 0 cpu.code cpu.code_len n;
-  cpu.code_len <- cpu.code_len + n;
-  (match image.Asm.marks with
-  | [] -> ()
-  | marks ->
-      cpu.mark_segments <- (org, org + n, Array.of_list marks) :: cpu.mark_segments);
-  image
 
 let label_addr (image : Asm.image) l =
   match List.assoc_opt l image.labels with
@@ -969,188 +919,372 @@ let float_unop cpu (op : Isa.unop) x =
   | FLOG -> Float.log x
   | _ -> trap cpu Wrong_type "non-float unop dispatched as float"
 
-(* Execution ------------------------------------------------------------- *)
+(* Decoded execution ------------------------------------------------------ *)
 
-let step cpu =
-  if cpu.pc < 0 || cpu.pc >= cpu.code_len then trap cpu Bad_address "pc out of code range";
-  let i = cpu.code.(cpu.pc) in
-  if cpu.trace then
-    Format.eprintf "@[<h>%6d  %a@]@." cpu.pc Isa.pp_instr i;
-  let s = cpu.stats in
-  (* profile attribution: every cycle this dispatch adds (base plus
-     vector per-element costs) charges to the fetched PC *)
-  let prof_pc = cpu.pc in
-  let prof_cycles0 = s.cycles in
-  (* call-path attribution: capture the current path's counter before
-     dispatch, so a CALL's own cycles charge to the caller's path *)
-  let cg_cell0 = match cpu.callgraph with Some cg -> cg.cg_cell | None -> cg_dummy_cell in
-  s.instructions <- s.instructions + 1;
-  s.cycles <- s.cycles + Isa.base_cycles i;
-  let next = cpu.pc + 1 in
-  let jump_target = function Isa.Abs n -> n | Isa.L l -> trap cpu Illegal_instruction "unresolved target %s" l in
-  (match i with
-  | Mov (d, src) ->
-      s.movs <- s.movs + 1;
-      store cpu d (value cpu src);
-      cpu.pc <- next
+(* Each code slot runs through [ops], a closure decoded from its
+   instruction on first fetch (Feeley & Lapalme's closure generation,
+   applied to the machine).  Decoding resolves the opcode, base cycles,
+   jump targets, immediates and operand shapes; register, immediate and
+   register+displacement operands of the hot instructions get closures of
+   their own, the rest use the generic [value]/[store].  Every closure
+   charges in one order, the instruction and its base cycles first, then
+   each operand's traffic as it is accessed, so a trap part-way through
+   leaves exactly what was charged up to the fault.  On entry [cpu.pc] is
+   the closure's own address, so no closure captures it.
+
+   Invariants: [ops] is never longer than [code] and grows, with room to
+   spare, when a fetch runs past its end; slots at or past [code_len]
+   hold [undecoded]; [code_release] resets the slots it drops and a load
+   only writes fresh ones.  Nothing else writes [code]. *)
+
+type shape = Sreg of int | Simm of int | Sind of int * int | Sgen
+
+(* [Sgen] covers malformed operands too: they trap in the generic path. *)
+let shape : Isa.operand -> shape = function
+  | Reg r when r >= 0 && r < Isa.nregs -> Sreg r
+  | Imm v -> Simm (v land Word.mask)
+  | Ind (r, d) when r >= 0 && r < Isa.nregs -> Sind (r, d)
+  | _ -> Sgen
+
+let[@inline] tick cpu k =
+  cpu.stats.instructions <- cpu.stats.instructions + 1;
+  cpu.stats.cycles <- cpu.stats.cycles + k
+
+let[@inline] count_mov cpu = cpu.stats.movs <- cpu.stats.movs + 1
+let[@inline] traffic cpu = cpu.stats.mem_traffic <- cpu.stats.mem_traffic + 1
+let[@inline] reg cpu r = Array.unsafe_get cpu.regs r
+let[@inline] set cpu r v = Array.unsafe_set cpu.regs r (v land Word.mask)
+let[@inline] next cpu = cpu.pc <- cpu.pc + 1
+let[@inline] read_ind cpu r d = traffic cpu; Mem.read cpu.mem (reg cpu r + d)
+let[@inline] write_ind cpu r d v = traffic cpu; Mem.write cpu.mem (reg cpu r + d) v
+let[@inline] holds c x y = Isa.cond_holds c (Int.compare x y)
+let code_ptr addr = Word.make_ptr ~tag:(Tags.to_int Tags.Code) ~addr
+
+let jump_target cpu = function
+  | Isa.Abs n -> n
+  | Isa.L l -> trap cpu Illegal_instruction "unresolved target %s" l
+
+let decode_mov d src : t -> unit =
+  match (shape d, shape src) with
+  | Sreg d, Sreg r -> fun cpu -> tick cpu 1; count_mov cpu; set cpu d (reg cpu r); next cpu
+  | Sreg d, Simm v -> fun cpu -> tick cpu 1; count_mov cpu; set cpu d v; next cpu
+  | Sreg d, Sind (r, k) -> fun cpu -> tick cpu 1; count_mov cpu; set cpu d (read_ind cpu r k); next cpu
+  | Sind (r, k), Sreg x -> fun cpu -> tick cpu 1; count_mov cpu; write_ind cpu r k (reg cpu x); next cpu
+  | Sind (r, k), Simm v -> fun cpu -> tick cpu 1; count_mov cpu; write_ind cpu r k v; next cpu
+  | Sind (r, k), Sind (r2, k2) ->
+      fun cpu ->
+        tick cpu 1;
+        count_mov cpu;
+        let v = read_ind cpu r2 k2 in
+        write_ind cpu r k v;
+        next cpu
+  | _ -> fun cpu -> tick cpu 1; count_mov cpu; store cpu d (value cpu src); next cpu
+
+let decode_jmp c s1 s2 t : t -> unit =
+  match (shape s1, shape s2, t) with
+  | Sreg a, Simm b, Isa.Abs n ->
+      let b = Word.to_signed b in
+      fun cpu ->
+        tick cpu 2;
+        cpu.pc <- (if holds c (Word.to_signed (reg cpu a)) b then n else cpu.pc + 1)
+  | Sreg a, Sreg b, Isa.Abs n ->
+      fun cpu ->
+        tick cpu 2;
+        let x = Word.to_signed (reg cpu a) and y = Word.to_signed (reg cpu b) in
+        cpu.pc <- (if holds c x y then n else cpu.pc + 1)
+  | _ ->
+      fun cpu ->
+        tick cpu 2;
+        let x = Word.to_signed (value cpu s1) in
+        let y = Word.to_signed (value cpu s2) in
+        cpu.pc <- (if holds c x y then jump_target cpu t else cpu.pc + 1)
+
+let decode (i : Isa.instr) : t -> unit =
+  let k = Isa.base_cycles i in
+  match i with
+  | Mov (d, src) -> decode_mov d src
   | Movp (tag, d, src) ->
-      let addr = eff_addr cpu src in
-      store cpu d (Word.make_ptr ~tag:(Tags.to_int tag) ~addr);
-      cpu.pc <- next
-  | Gettag (d, src) ->
-      store cpu d (Word.tag_of (value cpu src));
-      cpu.pc <- next
-  | Getaddr (d, src) ->
-      store cpu d (Word.addr_of (value cpu src));
-      cpu.pc <- next
+      let tag = Tags.to_int tag in
+      fun cpu ->
+        tick cpu k;
+        let addr = eff_addr cpu src in
+        store cpu d (Word.make_ptr ~tag ~addr);
+        next cpu
+  | Gettag (d, src) -> fun cpu -> tick cpu k; store cpu d (Word.tag_of (value cpu src)); next cpu
+  | Getaddr (d, src) -> fun cpu -> tick cpu k; store cpu d (Word.addr_of (value cpu src)); next cpu
   | Settag (tag, d) ->
-      let v = value cpu d in
-      store cpu d (Word.make_ptr ~tag:(Tags.to_int tag) ~addr:(Word.addr_of v));
-      cpu.pc <- next
-  | Bin (op, S, d, s1, s2) ->
-      let x = value cpu s1 and y = value cpu s2 in
-      let r =
-        if is_float_binop op then
-          Float36.encode_single
-            (float_binop cpu op (Float36.decode_single x) (Float36.decode_single y))
-        else int_binop cpu op x y
-      in
-      store cpu d r;
-      cpu.pc <- next
-  | Bin (op, D, d, s1, s2) ->
-      let x = value2 cpu s1 and y = value2 cpu s2 in
-      if is_float_binop op then begin
-        let r = float_binop cpu op (Float36.decode_double x) (Float36.decode_double y) in
-        store2 cpu d (Float36.encode_double r)
-      end
-      else fail cpu "double-width integer arithmetic unsupported";
-      cpu.pc <- next
-  | Un (op, S, d, src) ->
-      let x = value cpu src in
-      let r =
-        match op with
-        | NEG -> Word.neg x
-        | NOT -> Word.lognot x
-        | DATUM -> Word.of_int (Word.datum_signed x)
-        | FLOAT -> Float36.encode_single (float_of_int (Word.to_signed x))
-        | FIX rounding ->
-            let f = Float36.decode_single x in
-            let v =
-              match rounding with
-              | Floor -> Float.floor f
-              | Ceiling -> Float.ceil f
-              | Truncate -> Float.trunc f
-              | Round ->
-                  (* ties to even, as the Lisp-level ROUND requires *)
-                  if Float.abs (f -. Float.trunc f) = 0.5 then begin
-                    let fl = Float.floor f in
-                    if Float.rem fl 2.0 = 0.0 then fl else fl +. 1.0
-                  end
-                  else Float.round f
+      let tag = Tags.to_int tag in
+      fun cpu ->
+        tick cpu k;
+        let v = value cpu d in
+        store cpu d (Word.make_ptr ~tag ~addr:(Word.addr_of v));
+        next cpu
+  | Bin (op, S, d, s1, s2) -> (
+      match (op, shape d, shape s1, shape s2) with
+      | ADD, Sreg d, Sreg a, Simm b -> fun cpu -> tick cpu 1; set cpu d (Word.add (reg cpu a) b); next cpu
+      | _ ->
+          fun cpu ->
+            tick cpu k;
+            let x = value cpu s1 in
+            let y = value cpu s2 in
+            let r =
+              if is_float_binop op then
+                Float36.encode_single
+                  (float_binop cpu op (Float36.decode_single x) (Float36.decode_single y))
+              else int_binop cpu op x y
             in
-            if Float.is_nan v || Float.abs v > 3.4e10 then fail cpu "FIX out of range"
-            else Word.of_int (int_of_float v)
-        | _ -> Float36.encode_single (float_unop cpu op (Float36.decode_single x))
-      in
-      store cpu d r;
-      cpu.pc <- next
-  | Un (op, D, d, src) ->
-      let x = Float36.decode_double (value2 cpu src) in
-      (match op with
-      | FNEG | FABS | FSQRT | FSIN | FCOS | FEXP | FLOG ->
-          store2 cpu d (Float36.encode_double (float_unop cpu op x))
-      | _ -> fail cpu "unsupported double-width unop");
-      cpu.pc <- next
-  | Jmp (c, s1, s2, t) ->
-      let x = Word.to_signed (value cpu s1) and y = Word.to_signed (value cpu s2) in
-      cpu.pc <- (if Isa.cond_holds c (compare x y) then jump_target t else next)
-  | Fjmp (c, s1, s2, t) ->
-      let x = Float36.decode_single (value cpu s1)
-      and y = Float36.decode_single (value cpu s2) in
-      cpu.pc <- (if Isa.cond_holds c (compare x y) then jump_target t else next)
-  | Jmpz (c, src, t) ->
-      let x = Word.to_signed (value cpu src) in
-      cpu.pc <- (if Isa.cond_holds c (compare x 0) then jump_target t else next)
-  | Jmptag (c, src, tag, t) ->
-      let x = Word.tag_of (value cpu src) in
-      cpu.pc <- (if Isa.cond_holds c (compare x (Tags.to_int tag)) then jump_target t else next)
-  | Jmpa t -> cpu.pc <- jump_target t
-  | Jmpi src -> cpu.pc <- Word.addr_of (value cpu src)
-  | Jsp (r, t) ->
-      cpu.regs.(r) <- Word.make_ptr ~tag:(Tags.to_int Tags.Code) ~addr:next;
-      cpu.pc <- jump_target t
-  | Push src ->
-      push cpu (value cpu src);
-      cpu.pc <- next
-  | Pop d ->
-      let v = pop cpu in
-      store cpu d v;
-      cpu.pc <- next
-  | Allocs (fill, n) ->
-      let v = value cpu fill in
-      for _ = 1 to n do
-        push cpu v
-      done;
-      cpu.pc <- next
-  | Call (f, n) ->
-      let fobj = value cpu f in
-      do_call cpu fobj n ~ret:(Word.make_ptr ~tag:(Tags.to_int Tags.Code) ~addr:next)
-  | Tcall (f, n) ->
-      let fobj = value cpu f in
-      do_tcall cpu fobj n
-  | Ret -> do_ret cpu
-  | Svc id ->
-      s.svcs <- s.svcs + 1;
-      cpu.pc <- next;
-      cpu.service cpu id
-  | Vdot (d, x, y, n) ->
-      let xa = Word.addr_of (value cpu x)
-      and ya = Word.addr_of (value cpu y)
-      and len = Word.to_signed (value cpu n) in
-      let acc = ref 0.0 in
-      for i = 0 to len - 1 do
-        acc :=
-          !acc
-          +. Float36.decode_single (Mem.read cpu.mem (xa + i))
-             *. Float36.decode_single (Mem.read cpu.mem (ya + i))
-      done;
-      s.cycles <- s.cycles + (2 * max 0 len);
-      store cpu d (Float36.encode_single !acc);
-      cpu.pc <- next
-  | Vadd (d, x, y, n) ->
-      let da = Word.addr_of (value cpu d)
-      and xa = Word.addr_of (value cpu x)
-      and ya = Word.addr_of (value cpu y)
-      and len = Word.to_signed (value cpu n) in
-      for i = 0 to len - 1 do
-        let v =
-          Float36.decode_single (Mem.read cpu.mem (xa + i))
-          +. Float36.decode_single (Mem.read cpu.mem (ya + i))
+            store cpu d r;
+            next cpu)
+  | Bin (op, D, d, s1, s2) ->
+      fun cpu ->
+        tick cpu k;
+        let x = value2 cpu s1 in
+        let y = value2 cpu s2 in
+        if is_float_binop op then
+          store2 cpu d
+            (Float36.encode_double
+               (float_binop cpu op (Float36.decode_double x) (Float36.decode_double y)))
+        else fail cpu "double-width integer arithmetic unsupported";
+        next cpu
+  | Un (op, S, d, src) ->
+      fun cpu ->
+        tick cpu k;
+        let x = value cpu src in
+        let r =
+          match op with
+          | NEG -> Word.neg x
+          | NOT -> Word.lognot x
+          | DATUM -> Word.of_int (Word.datum_signed x)
+          | FLOAT -> Float36.encode_single (float_of_int (Word.to_signed x))
+          | FIX rounding ->
+              let f = Float36.decode_single x in
+              let v =
+                match rounding with
+                | Floor -> Float.floor f
+                | Ceiling -> Float.ceil f
+                | Truncate -> Float.trunc f
+                | Round ->
+                    (* ties to even, as the Lisp-level ROUND requires *)
+                    if Float.abs (f -. Float.trunc f) = 0.5 then begin
+                      let fl = Float.floor f in
+                      if Float.rem fl 2.0 = 0.0 then fl else fl +. 1.0
+                    end
+                    else Float.round f
+              in
+              if Float.is_nan v || Float.abs v > 3.4e10 then fail cpu "FIX out of range"
+              else Word.of_int (int_of_float v)
+          | _ -> Float36.encode_single (float_unop cpu op (Float36.decode_single x))
         in
-        Mem.write cpu.mem (da + i) (Float36.encode_single v)
-      done;
-      s.cycles <- s.cycles + (2 * max 0 len);
-      cpu.pc <- next
-  | Halt -> cpu.halted <- true
-  | Nop -> cpu.pc <- next);
-  (* Charge the cycles this dispatch added, minus anything a nested
-     simulator run (service handler re-entering compiled code) already
-     attributed, to the path that was current at fetch time. *)
-  (match cpu.callgraph with
-  | Some cg ->
-      cg_cell0 := !cg_cell0 + (s.cycles - cg.cg_charged);
-      cg.cg_charged <- s.cycles
-  | None -> ());
-  match cpu.profile with
-  | None -> ()
-  | Some p ->
-      ensure_profile_capacity p prof_pc;
-      p.p_cycles.(prof_pc) <- p.p_cycles.(prof_pc) + (s.cycles - prof_cycles0);
-      p.p_instrs.(prof_pc) <- p.p_instrs.(prof_pc) + 1;
-      if Isa.is_mov i then p.p_movs.(prof_pc) <- p.p_movs.(prof_pc) + 1;
-      let m = Isa.mnemonic i in
-      Hashtbl.replace p.p_opcodes m
-        (1 + Option.value ~default:0 (Hashtbl.find_opt p.p_opcodes m))
+        store cpu d r;
+        next cpu
+  | Un (op, D, d, src) ->
+      fun cpu ->
+        tick cpu k;
+        let x = Float36.decode_double (value2 cpu src) in
+        (match op with
+        | FNEG | FABS | FSQRT | FSIN | FCOS | FEXP | FLOG ->
+            store2 cpu d (Float36.encode_double (float_unop cpu op x))
+        | _ -> fail cpu "unsupported double-width unop");
+        next cpu
+  | Jmp (c, s1, s2, t) -> decode_jmp c s1 s2 t
+  | Fjmp (c, s1, s2, t) ->
+      fun cpu ->
+        tick cpu k;
+        let x = Float36.decode_single (value cpu s1) in
+        let y = Float36.decode_single (value cpu s2) in
+        cpu.pc <- (if Isa.cond_holds c (compare x y) then jump_target cpu t else cpu.pc + 1)
+  | Jmpz (c, src, t) ->
+      fun cpu ->
+        tick cpu k;
+        let x = Word.to_signed (value cpu src) in
+        cpu.pc <- (if holds c x 0 then jump_target cpu t else cpu.pc + 1)
+  | Jmptag (c, src, tag, t) -> (
+      let tag = Tags.to_int tag in
+      match (shape src, t) with
+      | Sreg r, Abs n ->
+          fun cpu ->
+            tick cpu 2;
+            cpu.pc <- (if holds c (Word.tag_of (reg cpu r)) tag then n else cpu.pc + 1)
+      | _ ->
+          fun cpu ->
+            tick cpu k;
+            let x = Word.tag_of (value cpu src) in
+            cpu.pc <- (if holds c x tag then jump_target cpu t else cpu.pc + 1))
+  | Jmpa (Abs n) -> fun cpu -> tick cpu 1; cpu.pc <- n
+  | Jmpa t -> fun cpu -> tick cpu k; cpu.pc <- jump_target cpu t
+  | Jmpi src -> fun cpu -> tick cpu k; cpu.pc <- Word.addr_of (value cpu src)
+  | Jsp (r, t) ->
+      fun cpu ->
+        tick cpu k;
+        cpu.regs.(r) <- code_ptr (cpu.pc + 1);
+        cpu.pc <- jump_target cpu t
+  | Push src -> (
+      match shape src with
+      | Sreg r -> fun cpu -> tick cpu 2; push cpu (reg cpu r); next cpu
+      | Simm v -> fun cpu -> tick cpu 2; push cpu v; next cpu
+      | Sind (r, d) -> fun cpu -> tick cpu 2; push cpu (read_ind cpu r d); next cpu
+      | Sgen -> fun cpu -> tick cpu 2; push cpu (value cpu src); next cpu)
+  | Pop d -> fun cpu -> tick cpu k; let v = pop cpu in store cpu d v; next cpu
+  | Allocs (fill, n) ->
+      fun cpu ->
+        tick cpu k;
+        let v = value cpu fill in
+        for _ = 1 to n do
+          push cpu v
+        done;
+        next cpu
+  | Call (f, n) -> (
+      match shape f with
+      | Sreg r -> fun cpu -> tick cpu 8; do_call cpu (reg cpu r) n ~ret:(code_ptr (cpu.pc + 1))
+      | _ -> fun cpu -> tick cpu 8; do_call cpu (value cpu f) n ~ret:(code_ptr (cpu.pc + 1)))
+  | Tcall (f, n) -> (
+      match shape f with
+      | Sreg r -> fun cpu -> tick cpu 6; do_tcall cpu (reg cpu r) n
+      | _ -> fun cpu -> tick cpu 6; do_tcall cpu (value cpu f) n)
+  | Ret -> fun cpu -> tick cpu 6; do_ret cpu
+  | Svc id -> fun cpu -> tick cpu 12; cpu.stats.svcs <- cpu.stats.svcs + 1; next cpu; cpu.service cpu id
+  | Vdot (d, x, y, n) ->
+      fun cpu ->
+        tick cpu k;
+        let xa = Word.addr_of (value cpu x) in
+        let ya = Word.addr_of (value cpu y) in
+        let len = Word.to_signed (value cpu n) in
+        let acc = ref 0.0 in
+        for i = 0 to len - 1 do
+          acc :=
+            !acc
+            +. Float36.decode_single (Mem.read cpu.mem (xa + i))
+               *. Float36.decode_single (Mem.read cpu.mem (ya + i))
+        done;
+        cpu.stats.cycles <- cpu.stats.cycles + (2 * max 0 len);
+        store cpu d (Float36.encode_single !acc);
+        next cpu
+  | Vadd (d, x, y, n) ->
+      fun cpu ->
+        tick cpu k;
+        let da = Word.addr_of (value cpu d) in
+        let xa = Word.addr_of (value cpu x) in
+        let ya = Word.addr_of (value cpu y) in
+        let len = Word.to_signed (value cpu n) in
+        for i = 0 to len - 1 do
+          let v =
+            Float36.decode_single (Mem.read cpu.mem (xa + i))
+            +. Float36.decode_single (Mem.read cpu.mem (ya + i))
+          in
+          Mem.write cpu.mem (da + i) (Float36.encode_single v)
+        done;
+        cpu.stats.cycles <- cpu.stats.cycles + (2 * max 0 len);
+        next cpu
+  | Halt -> fun cpu -> tick cpu 1; cpu.halted <- true
+  | Nop -> fun cpu -> tick cpu 1; next cpu
+
+(* The filler of every slot not yet run: decode, install, execute. *)
+let undecoded cpu =
+  let pc = cpu.pc in
+  let op = decode cpu.code.(pc) in
+  cpu.ops.(pc) <- op;
+  op cpu
+
+let create ?mem () =
+  let mem = match mem with Some m -> m | None -> Mem.create () in
+  let cpu =
+    {
+      mem;
+      code = Array.make 1024 Isa.Halt;
+      ops = [||];
+      code_len = 0;
+      regs = Array.make Isa.nregs 0;
+      pc = 0;
+      halted = false;
+      stats = fresh_stats ();
+      service = (fun _ _ -> ());
+      bad_function_svc = -1;
+      profile = None;
+      callgraph = None;
+      symbols = [];
+      mark_segments = [];
+      deadline = None;
+    }
+  in
+  (* Code address 0 is the universal halt used as the host's return
+     continuation. *)
+  cpu.code.(0) <- Isa.Halt;
+  cpu.code_len <- 1;
+  cpu.regs.(Isa.sp) <- Mem.stack_base mem;
+  cpu.regs.(Isa.fp) <- Mem.stack_base mem;
+  cpu.regs.(Isa.tp) <- Mem.stack_base mem;
+  cpu.regs.(Isa.sb) <- Mem.bind_base mem;
+  cpu
+
+let ensure_capacity cpu n =
+  if cpu.code_len + n > Array.length cpu.code then begin
+    let cap = max (2 * Array.length cpu.code) (cpu.code_len + n) in
+    let fresh = Array.make cap Isa.Halt in
+    Array.blit cpu.code 0 fresh 0 cpu.code_len;
+    cpu.code <- fresh
+  end
+
+let load cpu prog =
+  let org = cpu.code_len in
+  let image = Asm.assemble cpu.mem ~org prog in
+  let n = Array.length image.instrs in
+  ensure_capacity cpu n;
+  Array.blit image.instrs 0 cpu.code cpu.code_len n;
+  cpu.code_len <- cpu.code_len + n;
+  (match image.Asm.marks with
+  | [] -> ()
+  | marks ->
+      cpu.mark_segments <- (org, org + n, Array.of_list marks) :: cpu.mark_segments);
+  image
+
+(* The fetch loops re-read [cpu.ops] on every fetch: a service can load
+   code, growing the store, during a nested run.  [run] picks one loop
+   per run; the instrumented one wraps the same closures. *)
+let grow_ops cpu =
+  let n = min (Array.length cpu.code) (cpu.code_len + (cpu.code_len / 4)) in
+  let ops = Array.make n undecoded in
+  Array.blit cpu.ops 0 ops 0 (Array.length cpu.ops);
+  cpu.ops <- ops
+
+let[@inline] fetch cpu =
+  let pc = cpu.pc in
+  if pc < 0 || pc >= cpu.code_len then trap cpu Bad_address "pc out of code range";
+  if pc >= Array.length cpu.ops then grow_ops cpu;
+  Array.unsafe_get cpu.ops pc
+
+let run_plain cpu limit =
+  let s = cpu.stats in
+  while (not cpu.halted) && s.cycles < limit do
+    (fetch cpu) cpu
+  done
+
+(* Every cycle an instruction adds charges to its PC and to the call path
+   current at fetch time (so a CALL's own cycles charge to the caller),
+   minus what a nested run already attributed. *)
+let run_instrumented cpu limit =
+  let s = cpu.stats in
+  while (not cpu.halted) && s.cycles < limit do
+    let op = fetch cpu in
+    let pc = cpu.pc in
+    let i = cpu.code.(pc) in
+    let cycles0 = s.cycles in
+    let cell0 = match cpu.callgraph with Some cg -> cg.cg_cell | None -> cg_dummy_cell in
+    op cpu;
+    (match cpu.callgraph with
+    | Some cg ->
+        cell0 := !cell0 + (s.cycles - cg.cg_charged);
+        cg.cg_charged <- s.cycles
+    | None -> ());
+    match cpu.profile with
+    | None -> ()
+    | Some p ->
+        ensure_profile_capacity p pc;
+        p.p_cycles.(pc) <- p.p_cycles.(pc) + (s.cycles - cycles0);
+        p.p_instrs.(pc) <- p.p_instrs.(pc) + 1;
+        if Isa.is_mov i then p.p_movs.(pc) <- p.p_movs.(pc) + 1;
+        let m = Isa.mnemonic i in
+        Hashtbl.replace p.p_opcodes m (1 + Option.value ~default:0 (Hashtbl.find_opt p.p_opcodes m))
+  done
 
 let run ?(fuel = 500_000_000) cpu ~at =
   cpu.pc <- at;
@@ -1160,13 +1294,13 @@ let run ?(fuel = 500_000_000) cpu ~at =
   let limit =
     match cpu.deadline with Some d -> min d fuel_limit | None -> fuel_limit
   in
-  while (not cpu.halted) && cpu.stats.cycles < limit do
-    (* Mem raises Failure on out-of-range addresses; a wild pointer in a
-       miscompiled program must surface as a structured trap, not as an
-       untyped host exception. *)
-    try step cpu
-    with Failure m -> trap cpu Bad_address "%s" m
-  done;
+  (* Mem raises Failure on out-of-range addresses; a wild pointer in a
+     miscompiled program must surface as a structured trap, not as an
+     untyped host exception. *)
+  (try
+     if cpu.profile = None && cpu.callgraph = None then run_plain cpu limit
+     else run_instrumented cpu limit
+   with Failure m -> trap cpu Bad_address "%s" m);
   if not cpu.halted then
     match cpu.deadline with
     | Some d when cpu.stats.cycles >= d ->
@@ -1178,12 +1312,15 @@ let run ?(fuel = 500_000_000) cpu ~at =
 
 (* Rollback support for transactional loads: a mark taken before a load
    and released after a failure truncates the code store and drops the
-   symbol ranges and PC line maps of everything loaded past the mark, so
-   a re-load lands at the same addresses with the same provenance. *)
+   symbol ranges, PC line maps and decoded closures of everything loaded
+   past the mark, so a re-load lands at the same addresses with the same
+   provenance. *)
 let code_mark cpu = cpu.code_len
 
 let code_release cpu mark =
   if mark >= 0 && mark <= cpu.code_len then begin
+    if mark < Array.length cpu.ops then
+      Array.fill cpu.ops mark (min cpu.code_len (Array.length cpu.ops) - mark) undecoded;
     cpu.code_len <- mark;
     cpu.symbols <- List.filter (fun (lo, _, _) -> lo < mark) cpu.symbols;
     cpu.mark_segments <- List.filter (fun (lo, _, _) -> lo < mark) cpu.mark_segments

@@ -1,9 +1,12 @@
-(** The S-1 simulator: decoded-instruction interpreter with a cycle cost
+(** The S-1 simulator: a closure-threaded interpreter with a cycle cost
     model and execution statistics.
 
     Code lives in a growable instruction store indexed by "code address"
     (one slot per instruction; {!Isa.words} models the fetch-width cost).
-    Data, stacks and the Lisp heap live in a {!Mem.t}.
+    The first fetch of a slot decodes its instruction into an OCaml
+    closure with its operands, jump target and cycle charge resolved;
+    later fetches run the closure.  Data, stacks and the Lisp heap live
+    in a {!Mem.t}.
 
     The Lisp function-call convention is microcoded in [CALL]/[TCALL]/
     [RET] (standing in for the paper's [%SETUP]/[%CALL] macro expansions):
@@ -69,6 +72,10 @@ type callgraph = {
 type t = {
   mem : Mem.t;
   mutable code : Isa.instr array;
+      (** written only by {!load}; a slot's decoded closure in [ops] is
+          valid until {!code_release} drops it *)
+  mutable ops : (t -> unit) array;
+      (** decoded [code]; grows on demand, never past [code]'s length *)
   mutable code_len : int;
   regs : int array;
   mutable pc : int;
@@ -76,7 +83,6 @@ type t = {
   stats : stats;
   mutable service : t -> int -> unit;  (** runtime service trap handler *)
   mutable bad_function_svc : int;  (** service invoked by CALL on a non-function *)
-  mutable trace : bool;
   mutable profile : profile option;  (** per-PC attribution; None = off (zero cost) *)
   mutable callgraph : callgraph option;  (** call-path attribution; None = off *)
   mutable symbols : (int * int * string) list;
@@ -144,23 +150,22 @@ val push : t -> int -> unit
 val pop : t -> int
 (** The stack operations CALL uses, exposed for runtime services. *)
 
-val step : t -> unit
-(** Execute one instruction. @raise Trap on machine faults. *)
-
 val run : ?fuel:int -> t -> at:int -> unit
-(** Start execution at a code address and run to [Halt].
-    @raise Trap when fuel (default 500M cycles) is exhausted, or with
-    kind {!Deadline_expired} when the cumulative watchdog ({!t.deadline})
-    fires first. *)
+(** Start execution at a code address and run to [Halt].  Whether the
+    run attributes cycles to the profiler and call graph is decided once,
+    at entry, from {!profiling} and {!callgraph_on}.
+    @raise Trap on machine faults, when fuel (default 500M cycles) is
+    exhausted, or with kind {!Deadline_expired} when the cumulative
+    watchdog ({!t.deadline}) fires first. *)
 
 val code_mark : t -> int
 (** Current end of the code store; pass to {!code_release} to roll a
     failed load back. *)
 
 val code_release : t -> int -> unit
-(** Truncate the code store to a {!code_mark}, dropping symbol ranges
-    and PC line maps loaded past it, so a re-load lands at the same
-    addresses with the same provenance. *)
+(** Truncate the code store to a {!code_mark}, dropping symbol ranges,
+    PC line maps and decoded closures past it, so a re-load lands at the
+    same addresses with the same provenance. *)
 
 val call_function : ?fuel:int -> t -> fobj:int -> args:int list -> int
 (** Host-side entry: push [args], [CALL] the function object, run until
@@ -171,7 +176,7 @@ val pp_stats : Format.formatter -> stats -> unit
 
 (** {1 Profiling}
 
-    With profiling enabled, {!step} attributes every cycle and
+    With profiling enabled, {!run} attributes every cycle and
     instruction to the fetched PC, and [CALL]/[TCALL] count arrivals per
     entry address.  {!add_symbol} names loaded code ranges (the compiler
     driver and the runtime's native stubs register every function they
@@ -202,7 +207,7 @@ val profile_by_function : t -> func_profile list
 (** {1 Call-path profiling}
 
     With the callgraph enabled, the CALL/TCALL/RET microcode maintains a
-    shadow call stack and {!step} attributes every cycle to the full
+    shadow call stack and {!run} attributes every cycle to the full
     call path current at fetch time (so a CALL's own cycles charge to
     the caller).  Invariants:
 

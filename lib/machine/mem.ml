@@ -10,7 +10,14 @@ let default_config =
   { sq_words = 64; static_words = 1 lsl 16; heap_words = 1 lsl 18; stack_words = 1 lsl 15;
     bind_words = 1 lsl 13 }
 
-type t = { id : int; cfg : config; words : int array; mutable static_next : int }
+type t = {
+  id : int;
+  cfg : config;
+  words : int array;
+  mutable static_next : int;
+  stack_lo : int;  (* stack region bounds, precomputed for PUSH *)
+  stack_hi : int;
+}
 
 (* Atomic: memories are created from concurrent batch worker domains,
    and the id only needs to be unique, not dense. *)
@@ -22,20 +29,24 @@ let create ?(config = default_config) () =
     + config.bind_words
   in
   let id = Atomic.fetch_and_add next_id 1 + 1 in
-  { id; cfg = config; words = Array.make total 0; static_next = config.sq_words }
+  let stack_lo = config.sq_words + config.static_words + config.heap_words in
+  { id; cfg = config; words = Array.make total 0; static_next = config.sq_words; stack_lo;
+    stack_hi = stack_lo + config.stack_words }
 
 let config m = m.cfg
 let id m = m.id
 let size m = Array.length m.words
 
-let read m addr =
-  if addr < 0 || addr >= Array.length m.words then
-    failwith (Printf.sprintf "memory read out of range: %d" addr)
+(* The range failures live out of line so [read] and [write] stay small
+   enough to inline into the simulator. *)
+let out_of_range what addr = failwith (Printf.sprintf "memory %s out of range: %d" what addr)
+
+let[@inline] read m addr =
+  if addr < 0 || addr >= Array.length m.words then out_of_range "read" addr
   else Array.unsafe_get m.words addr
 
-let write m addr v =
-  if addr < 0 || addr >= Array.length m.words then
-    failwith (Printf.sprintf "memory write out of range: %d" addr)
+let[@inline] write m addr v =
+  if addr < 0 || addr >= Array.length m.words then out_of_range "write" addr
   else Array.unsafe_set m.words addr (v land Word.mask)
 
 let sq_base _ = 0
@@ -43,8 +54,8 @@ let static_base m = m.cfg.sq_words
 let static_limit m = m.cfg.sq_words + m.cfg.static_words
 let heap_base m = static_limit m
 let heap_limit m = heap_base m + m.cfg.heap_words
-let stack_base m = heap_limit m
-let stack_limit m = stack_base m + m.cfg.stack_words
+let stack_base m = m.stack_lo
+let stack_limit m = m.stack_hi
 let bind_base m = stack_limit m
 let bind_limit m = bind_base m + m.cfg.bind_words
 let is_stack_addr m addr = addr >= stack_base m && addr < stack_limit m

@@ -68,6 +68,9 @@ let kind_counter_name = function
   | Closure_obj -> "closure"
   | Code_obj -> "code"
 
+let alloc_counter =
+  Array.init (max_kind + 1) (fun i -> "heap.alloc." ^ kind_counter_name (kind_of_int i))
+
 (* Header: [35: mark][34..30: kind][29..0: payload size]. *)
 let header ~mark ~kind ~size =
   ((if mark then 1 else 0) lsl 35) lor (kind_to_int kind lsl 30) lor (size land 0x3FFFFFFF)
@@ -305,7 +308,7 @@ let alloc h kind nwords =
     done;
     h.stats.allocations <- h.stats.allocations + 1;
     h.stats.words_allocated <- h.stats.words_allocated + span + 1;
-    Obs.incr ("heap.alloc." ^ kind_counter_name kind);
+    Obs.incr alloc_counter.(kind_to_int kind);
     Obs.incr ~n:(span + 1) "heap.alloc.words";
     h.alloc_hook (span + 1);
     hdr_addr + 1

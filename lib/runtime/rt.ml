@@ -43,8 +43,25 @@ exception Thrown of int * int
 
 let err fmt_str = Printf.ksprintf (fun s -> raise (Lisp_error s)) fmt_str
 
-(* Service handler table: id -> handler. *)
-let handlers : (int, t -> unit) Hashtbl.t = Hashtbl.create 64
+(* Service handler table, indexed by service id.  Registration (module
+   initialisation, natives at boot) is serialised; dispatch reads the
+   current array without a lock.  A world registers about 190 services;
+   starting at 256 keeps the table out of the small-object pools. *)
+let handlers : (t -> unit) option array Atomic.t = Atomic.make (Array.make 256 None)
+let handlers_lock = Mutex.create ()
+
+let set_handler id f =
+  Mutex.protect handlers_lock (fun () ->
+      let old = Atomic.get handlers in
+      let n = Array.length old in
+      let grow i = if i < n then old.(i) else None in
+      let tbl = if id < n then old else Array.init (max (id + 1) (2 * n)) grow in
+      tbl.(id) <- Some f;
+      Atomic.set handlers tbl)
+
+let handler id =
+  let tbl = Atomic.get handlers in
+  if id >= 0 && id < Array.length tbl then Array.unsafe_get tbl id else None
 
 (* Symbols -------------------------------------------------------------------- *)
 
@@ -264,7 +281,7 @@ let certify_word rt w =
 
 let register_native rt ~name ~min_args ~max_args impl =
   let id = Isa.register_svc (Printf.sprintf "*:SQ-NATIVE-%s" name) in
-  Hashtbl.replace handlers id (fun rt ->
+  set_handler id (fun rt ->
       (* Natives may store arguments into heap structure, so certify any
          pdl numbers on the way in. *)
       let args = List.map (certify_word rt) (frame_args rt) in
@@ -433,7 +450,7 @@ let r1 rt = Cpu.get_reg rt.cpu 1
 let set_r0 rt v = Cpu.set_reg rt.cpu 0 v
 
 let install_handlers () =
-  let h id f = Hashtbl.replace handlers id f in
+  let h = set_handler in
   let num1 rt = Numerics.decode rt.obj (r0 rt) in
   let num2 rt = (Numerics.decode rt.obj (r0 rt), Numerics.decode rt.obj (r1 rt)) in
   let enc rt n = Numerics.encode rt.obj n in
@@ -457,29 +474,51 @@ let install_handlers () =
   h Svc.vector_cons (fun rt ->
       let n = Word.to_signed (r0 rt) in
       set_r0 rt (Obj.vector rt.obj (Array.make n rt.nil)));
-  (* Generic arithmetic *)
-  h Svc.generic_add (arith Numerics.add);
-  h Svc.generic_sub (arith Numerics.sub);
+  (* Generic arithmetic.  When both operands are fixnums and so is the
+     result, compute directly: the general path would box both operands
+     as bignums and unbox the result, to the same word and without heap
+     allocation.  Every other case (overflow included) takes it. *)
+  let fixnum_tag = Tags.to_int Tags.Fixnum in
+  let[@inline] fixnums2 op general rt =
+    let a = r0 rt and b = r1 rt in
+    if Word.tag_of a = fixnum_tag && Word.tag_of b = fixnum_tag then
+      op rt (Obj.fixnum_value a) (Obj.fixnum_value b)
+    else general rt
+  in
+  let fixnum_arith op general =
+    fixnums2
+      (fun rt a b ->
+        let v = op a b in
+        if v >= Word.fixnum_min && v <= Word.fixnum_max then set_r0 rt (Obj.fixnum v) else general rt)
+      general
+  in
+  let fixnum_cmp rel general = fixnums2 (fun rt a b -> set_r0 rt (bool_word rt (rel a b))) general in
+  h Svc.generic_add (fixnum_arith ( + ) (arith Numerics.add));
+  h Svc.generic_sub (fixnum_arith ( - ) (arith Numerics.sub));
   h Svc.generic_mul (arith Numerics.mul);
   h Svc.generic_div (fun rt ->
       let a, b = num2 rt in
       (try set_r0 rt (enc rt (Numerics.div a b))
        with Division_by_zero -> err "division by zero"));
   h Svc.generic_neg (arith1 Numerics.neg);
-  h Svc.generic_lss (cmp ( < ));
-  h Svc.generic_leq (cmp ( <= ));
-  h Svc.generic_gtr (cmp ( > ));
-  h Svc.generic_geq (cmp ( >= ));
-  h Svc.generic_num_eq (fun rt ->
-      let a, b = num2 rt in
-      set_r0 rt (bool_word rt (Numerics.equal_value a b)));
+  h Svc.generic_lss (fixnum_cmp ( < ) (cmp ( < )));
+  h Svc.generic_leq (fixnum_cmp ( <= ) (cmp ( <= )));
+  h Svc.generic_gtr (fixnum_cmp ( > ) (cmp ( > )));
+  h Svc.generic_geq (fixnum_cmp ( >= ) (cmp ( >= )));
+  h Svc.generic_num_eq
+    (fixnum_cmp Int.equal (fun rt ->
+         let a, b = num2 rt in
+         set_r0 rt (bool_word rt (Numerics.equal_value a b))));
   h Svc.generic_max (fun rt ->
       let a, b = num2 rt in
       set_r0 rt (enc rt (if Numerics.compare_ a b >= 0 then a else b)));
   h Svc.generic_min (fun rt ->
       let a, b = num2 rt in
       set_r0 rt (enc rt (if Numerics.compare_ a b <= 0 then a else b)));
-  h Svc.generic_zerop (pred1 Numerics.zerop);
+  h Svc.generic_zerop (fun rt ->
+      let a = r0 rt in
+      if Word.tag_of a = fixnum_tag then set_r0 rt (bool_word rt (Obj.fixnum_value a = 0))
+      else pred1 Numerics.zerop rt);
   h Svc.generic_oddp (pred1 Numerics.oddp);
   h Svc.generic_evenp (pred1 Numerics.evenp);
   let rounding f rt =
@@ -561,6 +600,25 @@ let install_handlers () =
 
 let () = install_handlers ()
 
+(* Run a service handler, surfacing runtime-level faults as Lisp error
+   conditions; resource exhaustion becomes a machine trap carrying the
+   pc and source provenance of the faulting instruction. *)
+let dispatch rt cpu f =
+  try f rt with
+  | Numerics.Not_a_number what -> err "not a number: %s" what
+  | Division_by_zero -> err "division by zero"
+  | Heap.Heap_exhausted { requested } ->
+      Cpu.trap cpu Cpu.Heap_exhaustion "heap exhausted (requested %d words after GC)" requested
+  | Failure msg -> err "%s" msg
+
+(* Services that allocate, indexed by service id. *)
+let allocating_svcs =
+  let ids =
+    [ Svc.cons; Svc.single_flonum_cons; Svc.double_flonum_cons; Svc.closure_cons;
+      Svc.vector_cons; Svc.make_rest; Svc.box_integer ]
+  in
+  Array.init (max 256 (1 + List.fold_left max 0 ids)) (fun id -> List.mem id ids)
+
 (* Boot -------------------------------------------------------------------- *)
 
 let create ?config () =
@@ -605,37 +663,35 @@ let create ?config () =
   S1_obs.Timeline.set_clock (fun () -> cpu.Cpu.stats.Cpu.cycles);
   S1_obs.Timeline.set_path_provider (fun () -> Cpu.shadow_path cpu);
   Heap.set_alloc_hook heap (fun words -> Cpu.shadow_charge_alloc cpu words);
-  (* Service dispatch *)
-  let allocating_svcs =
-    [
-      Svc.cons; Svc.single_flonum_cons; Svc.double_flonum_cons; Svc.closure_cons;
-      Svc.vector_cons; Svc.make_rest; Svc.box_integer;
-    ]
+  (* Service dispatch.  Allocating services count a heap.site.* key for
+     the source line of the trapping SVC, cached per PC.  The key depends
+     only on the PC line maps, so the cache lives as long as the map list
+     it was computed from; loading mapped code or a code_release replaces
+     the list. *)
+  let site_keys = Hashtbl.create 16 and site_maps = ref cpu.Cpu.mark_segments in
+  let site_key pc =
+    if !site_maps != cpu.Cpu.mark_segments then begin
+      Hashtbl.reset site_keys;
+      site_maps := cpu.Cpu.mark_segments
+    end;
+    match Hashtbl.find_opt site_keys pc with
+    | Some key -> key
+    | None ->
+        let key =
+          match Cpu.provenance_at cpu pc with
+          | Some { S1_machine.Asm.m_loc = Some l; _ } ->
+              Printf.sprintf "heap.site.%s:%d" l.S1_loc.Loc.file l.S1_loc.Loc.line
+          | _ -> "heap.site.unattributed"
+        in
+        Hashtbl.add site_keys pc key;
+        key
   in
   cpu.Cpu.service <-
     (fun _cpu id ->
-      (* per-site allocation attribution: the provenance mark covering
-         the trapping SVC names the source line that allocated *)
-      if List.mem id allocating_svcs then
-        S1_obs.Obs.incr
-          (match Cpu.provenance_at cpu cpu.Cpu.pc with
-          | Some { S1_machine.Asm.m_loc = Some l; _ } ->
-              Printf.sprintf "heap.site.%s:%d" l.S1_loc.Loc.file l.S1_loc.Loc.line
-          | _ -> "heap.site.unattributed");
-      match Hashtbl.find_opt handlers id with
+      if id < Array.length allocating_svcs && Array.unsafe_get allocating_svcs id then
+        S1_obs.Obs.incr (site_key cpu.Cpu.pc);
+      match handler id with
       | Some f ->
-          (* surface runtime-level faults as Lisp error conditions;
-             resource exhaustion becomes a machine trap carrying the pc
-             and source provenance of the faulting instruction *)
-          let dispatch () =
-            try f rt with
-            | Numerics.Not_a_number what -> err "not a number: %s" what
-            | Division_by_zero -> err "division by zero"
-            | Heap.Heap_exhausted { requested } ->
-                Cpu.trap cpu Cpu.Heap_exhaustion
-                  "heap exhausted (requested %d words after GC)" requested
-            | Failure msg -> err "%s" msg
-          in
           if Cpu.callgraph_on cpu then begin
             (* a synthetic shadow frame per service, so host-side work
                (allocation, generic arithmetic, THROW) carries call-path
@@ -643,9 +699,9 @@ let create ?config () =
                even when the handler THROWs to a shallower frame *)
             let depth = Cpu.shadow_depth cpu in
             Cpu.shadow_push cpu (svc_frame_name id);
-            Fun.protect ~finally:(fun () -> Cpu.shadow_truncate cpu depth) dispatch
+            Fun.protect ~finally:(fun () -> Cpu.shadow_truncate cpu depth) (fun () -> dispatch rt cpu f)
           end
-          else dispatch ()
+          else dispatch rt cpu f
       | None -> err "unknown service %s" (Isa.svc_name id));
   cpu.Cpu.bad_function_svc <- Svc.wrong_type_of_function;
   rt

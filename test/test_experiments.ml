@@ -255,7 +255,8 @@ let test_e6a_paper_sequence () =
   let expected = (get arr_a i_ j_ *. get arr_b j_ k_) +. get arr_c i_ k_ +. d in
   Alcotest.(check (float 1e-4)) "Z[I,K] computed" expected (get arr_z i_ k_);
   (* the paper's claim: no MOV instructions needed *)
-  Alcotest.(check int) "zero MOVs" 0 cpu.Cpu.stats.Cpu.movs
+  Alcotest.(check int) "zero MOVs" 0 cpu.Cpu.stats.Cpu.movs;
+  Alcotest.(check int) "cycles, as EXPERIMENTS.md quotes" 32 cpu.Cpu.stats.Cpu.cycles
 
 (* E6b: the harder variant without +D needs one temporary but still no
    MOVs: "computing it ahead allows the subscript computation to dance
@@ -415,6 +416,116 @@ let test_x7_special_caching () =
     (Printf.sprintf "caching reduces lookups (%d vs %d services)" cached uncached)
     true (cached < uncached)
 
+(* Recorded figures ---------------------------------------------------------- *)
+
+(* Every bench figure EXPERIMENTS.md quotes, pinned.  Each must equal its
+   row in BENCH_RESULTS.json (the committed bench output, which CI's
+   exact-cycle gate ties to a fresh run) and appear, in the document's
+   digit grouping, in that experiment's section of EXPERIMENTS.md. *)
+let figures =
+  [
+    ("X1", "(loop-sum 10 0)", "cycles", 767);
+    ("X1", "(loop-sum 10 0)", "tcalls", 11);
+    ("X1", "(loop-sum 10 0)", "stack_high", 11);
+    ("X1", "(loop-sum 1000 0)", "cycles", 70_067);
+    ("X1", "(loop-sum 1000 0)", "tcalls", 1_001);
+    ("X1", "(loop-sum 100000 0)", "cycles", 7_000_067);
+    ("X1", "(loop-sum 100000 0)", "tcalls", 100_001);
+    ("X1", "(loop-sum 100000 0)", "stack_high", 11);
+    ("X3", "compiled, declared", "cycles", 124);
+    ("X3", "compiled, generic (no decls)", "cycles", 166);
+    ("X3", "compiled, no inline prims", "cycles", 460);
+    ("X3", "declared float loop", "cycles", 89_084);
+    ("X3", "declared float loop", "heap_words", 2_002);
+    ("X3", "generic float loop", "cycles", 112_067);
+    ("X3", "generic float loop", "heap_words", 8_000);
+    ("X4", "pdl numbers on", "cycles", 82_567);
+    ("X4", "pdl numbers on", "heap_words", 0);
+    ("X4", "pdl numbers off", "cycles", 88_067);
+    ("X4", "pdl numbers off", "heap_words", 1_000);
+    ("X5", "declared: ops specialize to $F", "cycles", 133);
+    ("X5", "declared: ops specialize to $F", "svcs", 2);
+    ("X5", "undeclared: generic arithmetic", "cycles", 177);
+    ("X5", "undeclared: generic arithmetic", "svcs", 9);
+    ("X6", "TNBIND packing", "cycles", 124);
+    ("X6", "TNBIND packing", "mem_traffic", 13);
+    ("X6", "naive (all frame slots)", "cycles", 131);
+    ("X6", "naive (all frame slots)", "mem_traffic", 28);
+    ("X7", "entry caching", "cycles", 67_313);
+    ("X7", "entry caching", "svcs", 3_305);
+    ("X7", "lookup every access", "cycles", 75_067);
+    ("X7", "lookup every access", "svcs", 4_202);
+    ("X8", "optimizer on", "cycles", 27_477);
+    ("X8", "optimizer off", "cycles", 35_276);
+    ("X9", "closure per iteration", "cycles", 37_067);
+    ("X9", "closure per iteration", "heap_words", 1_200);
+    ("X9", "open-coded equivalent", "cycles", 16_867);
+    ("X10", "no peephole (as shipped)", "cycles", 37_571);
+    ("X10", "with peephole", "cycles", 37_271);
+    ("X11", "no CSE (as shipped)", "cycles", 18_775);
+    ("X11", "no CSE (as shipped)", "svcs", 1_002);
+    ("X11", "with CSE", "cycles", 12_375);
+    ("X11", "with CSE", "svcs", 602);
+    ("X12", "(tak 18 12 6)", "cycles", 4_707_065);
+    ("X12", "(tak 18 12 6)", "calls", 47_707);
+    ("X12", "(tak 18 12 6)", "tcalls", 15_903);
+    ("X12", "(tak 18 12 6)", "stack_high", 204);
+    ("X12", "(ctak 12 8 4)", "cycles", 138_243);
+    ("X12", "(ctak 12 8 4)", "calls", 1_734);
+  ]
+
+(* under `dune runtest` the cwd is the test sandbox, one below the root *)
+let root_file name = if Sys.file_exists ("../" ^ name) then "../" ^ name else name
+let read_file name = In_channel.with_open_text (root_file name) In_channel.input_all
+
+(* 4707065 -> "4 707 065", the grouping EXPERIMENTS.md uses *)
+let grouped n =
+  let s = string_of_int n in
+  let len = String.length s in
+  String.concat ""
+    (List.init len (fun i ->
+         let c = String.make 1 s.[i] in
+         if i > 0 && (len - i) mod 3 = 0 then " " ^ c else c))
+
+(* From the "### ID " heading to the next heading. *)
+let doc_section doc id =
+  let start = Str.search_forward (Str.regexp_string ("\n### " ^ id ^ " ")) doc 0 in
+  let stop =
+    try Str.search_forward (Str.regexp "\n##") doc (start + 1)
+    with Not_found -> String.length doc
+  in
+  String.sub doc start (stop - start)
+
+let test_recorded_figures () =
+  let module Json = S1_obs.Json in
+  let rows =
+    match Json.member "rows" (Json.parse (read_file "BENCH_RESULTS.json")) with
+    | Some (Json.Arr rows) -> rows
+    | _ -> Alcotest.fail "BENCH_RESULTS.json has no rows"
+  in
+  let doc = read_file "EXPERIMENTS.md" in
+  List.iter
+    (fun (id, name, field, want) ->
+      let what = Printf.sprintf "%s %s %s" id name field in
+      let row =
+        List.find_opt
+          (fun r ->
+            let str k = Option.bind (Json.member k r) Json.to_str in
+            str "name" = Some name
+            && Option.fold ~none:false
+                 ~some:(String.starts_with ~prefix:(id ^ ":"))
+                 (str "experiment"))
+          rows
+      in
+      (match Option.bind row (fun r -> Option.bind (Json.member field r) Json.to_int) with
+      | Some got -> Alcotest.(check int) (what ^ " in BENCH_RESULTS.json") want got
+      | None -> Alcotest.failf "%s: no such figure in BENCH_RESULTS.json" what);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s = %s quoted in EXPERIMENTS.md" what (grouped want))
+        true
+        (contains (doc_section doc id) (grouped want)))
+    figures
+
 let () =
   Alcotest.run "experiments"
     [
@@ -434,4 +545,5 @@ let () =
           Alcotest.test_case "E7 optimizer transcript" `Quick test_e7_transcript;
           Alcotest.test_case "X7 special caching" `Quick test_x7_special_caching;
         ] );
+      ("figures", [ Alcotest.test_case "recorded figures" `Quick test_recorded_figures ]);
     ]

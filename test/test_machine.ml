@@ -573,6 +573,363 @@ let test_asm_listing_format () =
     (string_contains text "((MOVP *:DTP-SINGLE-FLONUM) A (TP 1))");
   Alcotest.(check bool) "comment rendered" true (string_contains text ";a comment")
 
+(* Simulator parity ------------------------------------------------------------ *)
+
+(* The expected values below were pinned on the per-instruction
+   interpreter that the decoded simulator replaced.  Every statistics
+   field, result and trap must stay identical, with and without the
+   per-PC profiler and the call-path profiler attached. *)
+
+module C = S1_core.Compiler
+module Rt = S1_runtime.Rt
+module Prng = S1_fuzz.Prng
+
+let stats_line (s : Cpu.stats) =
+  Printf.sprintf "cyc=%d ins=%d mov=%d mem=%d call=%d tcall=%d svc=%d stk=%d bind=%d" s.cycles
+    s.instructions s.movs s.mem_traffic s.calls s.tcalls s.svcs s.stack_high s.bind_high
+
+let trap_line = function
+  | Cpu.Trap { kind; pc; message; _ } ->
+      Some (Printf.sprintf "trap %s pc %d: %s" (Cpu.trap_kind_name kind) pc message)
+  | _ -> None
+
+let instrument cpu =
+  Cpu.enable_profile cpu;
+  Cpu.enable_callgraph cpu
+
+(* One fresh world evaluating [src]: statistics since boot, then the
+   printed value or the failure; instrumented, also the profile report
+   and the folded call-path stacks. *)
+let world_run ~instrumented ?file src =
+  let c = C.create () in
+  let cpu = c.C.rt.Rt.cpu in
+  if instrumented then instrument cpu;
+  c.C.rt.Rt.fuel <- Some S1_fuzz.Oracle.fuzz_fuel;
+  let result =
+    match C.eval_string ?file c src with
+    | w -> Rt.print_value c.C.rt w
+    | exception e -> (
+        match (trap_line e, e) with
+        | Some t, _ -> t
+        | None, Rt.Lisp_error m -> "error: " ^ m
+        | None, e -> "exception: " ^ Printexc.to_string e)
+  in
+  ( stats_line cpu.Cpu.stats ^ " => " ^ result,
+    Format.asprintf "%a" Cpu.pp_profile cpu ^ Cpu.render_folded cpu )
+
+let world_outcome ~instrumented ?file src = fst (world_run ~instrumented ?file src)
+
+let corpus_dir = if Sys.file_exists "corpus" then "corpus" else "test/corpus"
+
+let corpus_pins =
+  [
+    ( "assoc-reorder-setq.lisp",
+      "cyc=121 ins=41 mov=17 mem=10 call=2 tcall=1 svc=4 stk=17 bind=0 => 997003000" );
+    ( "catch-fixnum-decl.lisp",
+      "cyc=74 ins=21 mov=9 mem=2 call=1 tcall=0 svc=4 stk=6 bind=0 => -50" );
+    ( "catch-throw-typed.lisp",
+      "cyc=366 ins=95 mov=41 mem=14 call=3 tcall=0 svc=20 stk=14 bind=0 => 24" );
+    ( "catch-unwind.lisp",
+      "cyc=357 ins=113 mov=46 mem=20 call=7 tcall=0 svc=13 stk=26 bind=0 => 109" );
+    ( "chaos-bind-depth.lisp",
+      "cyc=19380 ins=5360 mov=2021 mem=1011 call=204 tcall=0 svc=906 stk=819 bind=200 => 5051" );
+    ( "chaos-heap-churn.lisp",
+      "cyc=1595483 ins=514629 mov=205409 mem=184407 call=401 tcall=20201 svc=71803 stk=21 bind=0 => 10000" );
+    ( "chaos-rollback-equivalence.lisp",
+      "cyc=312 ins=85 mov=36 mem=4 call=3 tcall=0 svc=16 stk=13 bind=0 => 0" );
+    ( "closure-capture.lisp",
+      "cyc=135 ins=43 mov=23 mem=12 call=2 tcall=0 svc=6 stk=14 bind=0 => 53" );
+    ( "defmacro-warm-expand.lisp",
+      "cyc=160 ins=55 mov=17 mem=10 call=3 tcall=3 svc=5 stk=10 bind=0 => 42" );
+    ( "float-reassociation.lisp",
+      "cyc=111 ins=27 mov=15 mem=0 call=1 tcall=0 svc=7 stk=5 bind=0 => -41769299.5" );
+    ( "float-zero-sign.lisp",
+      "cyc=87 ins=22 mov=9 mem=1 call=2 tcall=0 svc=4 stk=11 bind=0 => 0.0" );
+    ( "flonum-contagion.lisp",
+      "cyc=266 ins=75 mov=29 mem=16 call=3 tcall=0 svc=12 stk=24 bind=0 => 100.875" );
+    ( "funcall-loop-counter.lisp",
+      "cyc=458 ins=155 mov=87 mem=60 call=4 tcall=0 svc=21 stk=17 bind=0 => 8" );
+    ( "if-of-if.lisp",
+      "cyc=71 ins=26 mov=12 mem=7 call=1 tcall=0 svc=3 stk=8 bind=0 => 10" );
+    ( "lambda-beta.lisp",
+      "cyc=14 ins=7 mov=2 mem=0 call=1 tcall=0 svc=0 stk=5 bind=0 => -4.5" );
+    ( "noinline-float-prim.lisp",
+      "cyc=48 ins=16 mov=6 mem=1 call=1 tcall=0 svc=2 stk=6 bind=0 => -21.5" );
+    ( "nontail-recursion.lisp",
+      "cyc=1288 ins=356 mov=161 mem=46 call=7 tcall=1 svc=70 stk=49 bind=0 => 36" );
+    ( "remarks-demo.lisp",
+      "cyc=311 ins=104 mov=48 mem=36 call=4 tcall=1 svc=11 stk=22 bind=0 => (4.0 8 . 4)" );
+    ( "special-rebind.lisp",
+      "cyc=199 ins=65 mov=27 mem=10 call=3 tcall=1 svc=8 stk=11 bind=2 => 111" );
+    ( "tail-recursion.lisp",
+      "cyc=13199 ins=3733 mov=1411 mem=907 call=1 tcall=101 svc=704 stk=11 bind=0 => 5050" );
+  ]
+
+let test_parity_corpus () =
+  let files =
+    Sys.readdir corpus_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".lisp")
+    |> List.sort compare
+  in
+  Alcotest.(check (list string)) "corpus files pinned" (List.map fst corpus_pins) files;
+  let profiles =
+    List.map
+      (fun (file, want) ->
+        let src = In_channel.with_open_text (Filename.concat corpus_dir file) In_channel.input_all in
+        (* located by bare file name: the profile's source-line table
+           must not depend on the working directory *)
+        Alcotest.(check string) (file ^ " plain") want (world_outcome ~instrumented:false ~file src);
+        let profiled, profile = world_run ~instrumented:true ~file src in
+        Alcotest.(check string) (file ^ " profiled") want profiled;
+        profile)
+      corpus_pins
+  in
+  Alcotest.(check string) "corpus profiles and folded stacks digest"
+    "ba9385029cc7fed644d898cf56d4afaf"
+    (Digest.to_hex (Digest.string (String.concat "\n" profiles)))
+
+let test_parity_genprog () =
+  let lines =
+    List.init 200 (fun i ->
+        let p = S1_fuzz.Genprog.generate ~seed:(1000 + i) in
+        let src = S1_fuzz.Genprog.render p in
+        let plain = world_outcome ~instrumented:false src in
+        Alcotest.(check string)
+          (Printf.sprintf "genprog seed %d profiled" p.S1_fuzz.Genprog.pr_seed)
+          plain
+          (world_outcome ~instrumented:true src);
+        plain)
+  in
+  let total_cycles =
+    List.fold_left
+      (fun acc l -> acc + Scanf.sscanf l "cyc=%d" Fun.id)
+      0 lines
+  in
+  check_int "genprog total cycles" 118170 total_cycles;
+  Alcotest.(check string) "genprog outcome digest" "9d174e1e606363e56329e1888836696c"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
+(* Hand-assembled straight-line programs over every instruction and
+   operand shape, with forward jumps only so each terminates.  Memory
+   operands address a small static block (some wander outside it and
+   trap), so partial-instruction traps are exercised too. *)
+let isa_fuzz_program r ~block ~svc =
+  let open Isa in
+  let n = Prng.range r 4 24 in
+  let scratch = [ 0; 1; 2; 3; 5; 7; rta; rtb ] in
+  let reg () = Prng.choose r scratch in
+  let tag () = Prng.choose r Tags.[ Fixnum; Single_flonum; List; Symbol; Code; Char ] in
+  let mem_operand () =
+    match Prng.int r 6 with
+    | 0 -> Mabs (block + Prng.int r 16)
+    | 1 -> Ind (8, Prng.range r (-2) 18)
+    | 2 -> Idx { base = 8; disp = Prng.int r 8; index = 9; shift = Prng.int r 2 }
+    | 3 -> Defind (8, Prng.int r 16, Prng.range r (-1) 3)
+    | 4 -> Defreg (10, Prng.int r 8)
+    | _ -> Ind (8, if Prng.chance r 1 8 then 1_000_000_000 else Prng.int r 16)
+  in
+  let src () =
+    match Prng.int r 5 with
+    | 0 | 1 -> Reg (reg ())
+    | 2 -> Imm (Word.of_int (Prng.range r (-3000) 3000))
+    | 3 -> Imm (Float36.encode_single (float_of_int (Prng.range r (-40) 40) /. 4.0))
+    | _ -> mem_operand ()
+  in
+  let dst () = if Prng.bool r then Reg (reg ()) else mem_operand () in
+  let target i = L (Printf.sprintf "T%d" (Prng.range r (i + 1) n)) in
+  let cond () = Prng.choose r [ EQ; NEQ; LSS; LEQ; GTR; GEQ ] in
+  let rounding () = Prng.choose r [ Floor; Ceiling; Truncate; Round ] in
+  let binop () =
+    Prng.choose r
+      [ ADD; SUB; MULT; DIV (rounding ()); MOD; REM; AND; OR; XOR; ASH; FADD; FSUB; FMULT;
+        FDIV; FMAX; FMIN; FATAN ]
+  in
+  let unop () =
+    Prng.choose r [ NEG; NOT; FNEG; FABS; FSQRT; FSIN; FCOS; FEXP; FLOG; FLOAT; FIX (rounding ()); DATUM ]
+  in
+  let width () = if Prng.chance r 1 6 then D else S in
+  let instr i =
+    match Prng.int r 22 with
+    | 0 | 1 -> Mov (dst (), src ())
+    | 2 -> Movp (tag (), dst (), mem_operand ())
+    | 3 -> Gettag (dst (), src ())
+    | 4 -> Getaddr (dst (), src ())
+    | 5 -> Settag (tag (), dst ())
+    | 6 | 7 ->
+        let d = dst () in
+        if Prng.bool r then Bin (binop (), width (), d, d, src ())
+        else Bin (binop (), width (), Reg (if Prng.bool r then rta else rtb), src (), src ())
+    | 8 -> Un (unop (), width (), dst (), src ())
+    | 9 -> Jmp (cond (), src (), src (), target i)
+    | 10 -> Fjmp (cond (), src (), src (), target i)
+    | 11 -> Jmpz (cond (), src (), target i)
+    | 12 -> Jmptag (cond (), src (), tag (), target i)
+    | 13 -> Jmpa (target i)
+    | 14 -> Jsp (reg (), target i)
+    | 15 -> Push (src ())
+    | 16 -> Pop (dst ())
+    | 17 -> Allocs (src (), Prng.int r 3)
+    | 18 -> Svc svc
+    | 19 -> Vdot (dst (), Imm block, Imm (block + 4), Imm (Prng.int r 4))
+    | 20 -> Vadd (Imm (block + 8), Imm block, Imm (block + 4), Imm (Prng.int r 4))
+    | _ -> Nop
+  in
+  List.concat
+    (List.init n (fun i -> Asm.[ Label (Printf.sprintf "T%d" i); Instr (instr i) ]))
+  @ Asm.[ Label (Printf.sprintf "T%d" n); Instr Halt ]
+
+let isa_fuzz_outcome ~instrumented seed =
+  let r = Prng.create seed in
+  let cpu = Cpu.create () in
+  if instrumented then instrument cpu;
+  let mem = cpu.Cpu.mem in
+  let block = Mem.alloc_static mem 24 in
+  for i = 0 to 23 do
+    Mem.write mem (block + i)
+      (if i < 12 then Float36.encode_single (float_of_int (i + 1) /. 2.0) else block + (i mod 8))
+  done;
+  let svc = Isa.register_svc "*:SQ-PARITY-PROBE" in
+  cpu.Cpu.service <- (fun c _ -> Cpu.set_reg c 0 (Cpu.get_reg c 0 + 1));
+  let outcome =
+    match Cpu.load cpu (isa_fuzz_program r ~block ~svc) with
+    | exception Asm.Asm_error _ -> "rejected by the assembler"
+    | image -> (
+        List.iteri (fun i r -> Cpu.set_reg cpu r (Prng.range (Prng.create (seed + i)) (-50) 50))
+          [ 0; 1; 2; 3; 5; 7; Isa.rta; Isa.rtb ];
+        Cpu.set_reg cpu 8 block;
+        Cpu.set_reg cpu 9 (Prng.int r 4);
+        Cpu.set_reg cpu 10 (Word.make_ptr ~tag:(Tags.to_int Tags.List) ~addr:block);
+        match Cpu.run cpu ~at:image.Asm.org with
+        | () -> "halted"
+        | exception e -> Option.value ~default:(Printexc.to_string e) (trap_line e))
+  in
+  let regs = String.concat " " (List.init Isa.nregs (fun i -> string_of_int (Cpu.get_reg cpu i))) in
+  let words = String.concat " " (List.init 24 (fun i -> string_of_int (Mem.read mem (block + i)))) in
+  String.concat " | " [ stats_line cpu.Cpu.stats; outcome; regs; words ]
+
+let test_parity_isa_fuzz () =
+  let lines =
+    List.init 600 (fun seed ->
+        let plain = isa_fuzz_outcome ~instrumented:false seed in
+        Alcotest.(check string)
+          (Printf.sprintf "isa program %d profiled" seed)
+          plain
+          (isa_fuzz_outcome ~instrumented:true seed);
+        plain)
+  in
+  let count p = List.length (List.filter p lines) in
+  let has s l = string_contains l s in
+  check_int "halted" 294 (count (has "| halted |"));
+  check_int "trapped" 306 (count (has "| trap "));
+  Alcotest.(check string) "isa outcome digest" "5a685a8f7cc31ddaff1812781efcfeb5"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
+(* Releasing code to a mark must drop what was decoded past it: B,
+   loaded where A was, runs as B. *)
+let test_parity_code_release () =
+  let open Isa in
+  let cpu = Cpu.create () in
+  let mark = Cpu.code_mark cpu in
+  let img_a =
+    Cpu.load cpu Asm.[ Instr (Mov (Reg a, Imm 1)); Instr (Mov (Reg 1, Imm 10)); Instr Halt ]
+  in
+  Cpu.run cpu ~at:img_a.Asm.org;
+  check_int "A's result" 1 (Cpu.get_reg cpu a);
+  Cpu.code_release cpu mark;
+  let img_b = Cpu.load cpu Asm.[ Instr (Mov (Reg a, Imm 2)); Instr Halt ] in
+  check_int "B loads at A's origin" img_a.Asm.org img_b.Asm.org;
+  Cpu.run cpu ~at:img_b.Asm.org;
+  check_int "B's result" 2 (Cpu.get_reg cpu a);
+  check_int "A's second instruction did not run" 10 (Cpu.get_reg cpu 1);
+  match Cpu.run cpu ~at:(img_a.Asm.org + 2) with
+  | () -> Alcotest.fail "expected a trap past the released mark"
+  | exception e ->
+      Alcotest.(check (option string)) "released pc traps"
+        (Some (Printf.sprintf "trap bad-address pc %d: pc out of code range" (img_a.Asm.org + 2)))
+        (trap_line e)
+
+(* A service that loads and runs more code than the store holds, in a
+   nested run, while the outer run is mid-program: the outer run
+   continues with the grown store. *)
+let test_parity_nested_load () =
+  let open Isa in
+  let cpu = Cpu.create () in
+  let svc = Isa.register_svc "*:SQ-PARITY-NESTED-LOAD" in
+  cpu.Cpu.service <-
+    (fun c _ ->
+      let saved = c.Cpu.pc in
+      let body = List.init 3000 (fun _ -> Asm.Instr (Bin (ADD, S, Reg 1, Reg 1, Imm 1))) in
+      let img = Cpu.load c (body @ [ Asm.Instr Halt ]) in
+      Cpu.run c ~at:img.Asm.org;
+      c.Cpu.pc <- saved;
+      c.Cpu.halted <- false);
+  let img =
+    Cpu.load cpu
+      Asm.[ Instr (Mov (Reg 1, Imm 0)); Instr (Svc svc); Instr (Bin (ADD, S, Reg 1, Reg 1, Imm 5)); Instr Halt ]
+  in
+  Cpu.run cpu ~at:img.Asm.org;
+  check_int "nested and outer code both ran" 3005 (Cpu.get_reg cpu 1);
+  Alcotest.(check string) "stats" "cyc=3016 ins=3005 mov=1 mem=0 call=0 tcall=0 svc=1 stk=0 bind=0"
+    (stats_line cpu.Cpu.stats)
+
+(* Traps part-way through an instruction keep the statistics the
+   instruction had charged when it faulted. *)
+let test_parity_partial_traps () =
+  let open Isa in
+  let far = 1_000_000_000 in
+  let run_one instr =
+    let cpu = Cpu.create () in
+    let block = Mem.alloc_static cpu.Cpu.mem 4 in
+    Cpu.set_reg cpu 8 block;
+    (* planted after assembly, which would reject the malformed ones *)
+    let img = Cpu.load cpu Asm.[ Instr Nop; Instr Halt ] in
+    cpu.Cpu.code.(img.Asm.org) <- instr;
+    let outcome =
+      match Cpu.run cpu ~at:img.Asm.org with
+      | () -> "halted"
+      | exception e -> Option.value ~default:(Printexc.to_string e) (trap_line e)
+    in
+    stats_line cpu.Cpu.stats ^ " => " ^ outcome
+  in
+  List.iter
+    (fun (what, instr, want) -> Alcotest.(check string) what want (run_one instr))
+    [
+      ("second source", Bin (ADD, S, Reg rta, Ind (8, 0), Ind (8, far)),
+        "cyc=1 ins=1 mov=0 mem=2 call=0 tcall=0 svc=0 stk=0 bind=0 => trap bad-address pc 1: memory read out of range: 1000000064" );
+      ("destination", Mov (Ind (8, far), Ind (8, 0)),
+        "cyc=1 ins=1 mov=1 mem=2 call=0 tcall=0 svc=0 stk=0 bind=0 => trap bad-address pc 1: memory write out of range: 1000000064" );
+      ("unwritable destination", Mov (Imm 3, Ind (8, 0)),
+        "cyc=1 ins=1 mov=1 mem=1 call=0 tcall=0 svc=0 stk=0 bind=0 => trap illegal-instruction pc 1: store to non-writable operand" );
+      ("push", Push (Ind (8, far)),
+        "cyc=2 ins=1 mov=0 mem=1 call=0 tcall=0 svc=0 stk=0 bind=0 => trap bad-address pc 1: memory read out of range: 1000000064" );
+      ("unresolved data label", Mov (Reg 0, Dlab ("D", 1)),
+        "cyc=1 ins=1 mov=1 mem=1 call=0 tcall=0 svc=0 stk=0 bind=0 => trap illegal-instruction pc 1: unresolved label operand" );
+      ("store to a label", Gettag (Lab "L", Reg 0),
+        "cyc=1 ins=1 mov=0 mem=0 call=0 tcall=0 svc=0 stk=0 bind=0 => trap illegal-instruction pc 1: store to non-writable operand" );
+      ("no effective address", Movp (Tags.List, Reg 0, Reg 1),
+        "cyc=1 ins=1 mov=0 mem=0 call=0 tcall=0 svc=0 stk=0 bind=0 => trap illegal-instruction pc 1: operand has no effective address" );
+    ];
+  (* the assembler resolves every label, so plant an unresolved one *)
+  let cpu = Cpu.create () in
+  let img = Cpu.load cpu Asm.[ Instr Nop; Instr Nop; Instr Halt ] in
+  cpu.Cpu.code.(img.Asm.org + 1) <- Jmpz (EQ, Reg 0, L "NOWHERE");
+  let outcome =
+    match Cpu.run cpu ~at:img.Asm.org with
+    | () -> "halted"
+    | exception e -> Option.value ~default:(Printexc.to_string e) (trap_line e)
+  in
+  Alcotest.(check string) "unresolved label"
+    "cyc=3 ins=2 mov=0 mem=0 call=0 tcall=0 svc=0 stk=0 bind=0 => trap illegal-instruction pc 2: unresolved target NOWHERE"
+    (stats_line cpu.Cpu.stats ^ " => " ^ outcome);
+  let before = stats_line cpu.Cpu.stats in
+  (match Cpu.run cpu ~at:cpu.Cpu.code_len with
+  | () -> Alcotest.fail "expected a trap"
+  | exception e ->
+      Alcotest.(check (option string)) "pc out of range"
+        (Some (Printf.sprintf "trap bad-address pc %d: pc out of code range" cpu.Cpu.code_len))
+        (trap_line e));
+  Alcotest.(check string) "pc out of range charges nothing" before (stats_line cpu.Cpu.stats)
+
 let () =
   Alcotest.run "machine"
     [
@@ -621,5 +978,14 @@ let () =
           Alcotest.test_case "stack overflow fault" `Quick test_cpu_stack_overflow_fault;
           Alcotest.test_case "instruction metrics" `Quick test_instruction_metrics;
           Alcotest.test_case "listing format" `Quick test_asm_listing_format;
+        ] );
+      ( "parity",
+        [
+          Alcotest.test_case "corpus" `Quick test_parity_corpus;
+          Alcotest.test_case "genprog" `Quick test_parity_genprog;
+          Alcotest.test_case "isa fuzz" `Quick test_parity_isa_fuzz;
+          Alcotest.test_case "code release" `Quick test_parity_code_release;
+          Alcotest.test_case "nested load" `Quick test_parity_nested_load;
+          Alcotest.test_case "partial traps" `Quick test_parity_partial_traps;
         ] );
     ]

@@ -353,6 +353,90 @@ let test_rt_gc_under_pressure_with_simulated_stack () =
   let popped = S1_machine.Cpu.pop rt.Rt.cpu in
   check_int "stack-held value survived" 77 (Obj.fixnum_value (Obj.car o popped))
 
+(* The generic-arithmetic services compute fixnum-only cases directly.
+   Every printed result and heap allocation counter must match the
+   general numeric tower, at the fixnum range's edges (where results
+   overflow into bignums) and with floats, ratios and bignums mixed in. *)
+let test_rt_generic_fixnum_fast_path () =
+  let module Cpu = S1_machine.Cpu in
+  let rt = Builtins.boot () in
+  let cpu = rt.Rt.cpu and obj = rt.Rt.obj in
+  let alloc_counters () =
+    List.filter
+      (fun (k, _) -> String.starts_with ~prefix:"heap.alloc" k)
+      (S1_obs.Obs.counters ())
+  in
+  let measured f =
+    let before = alloc_counters () in
+    let printed = f () in
+    let after = alloc_counters () in
+    (printed, List.map (fun (k, n) -> (k, n - Option.value ~default:0 (List.assoc_opt k before))) after)
+  in
+  let service id args () =
+    List.iteri (fun i w -> Cpu.set_reg cpu i w) args;
+    cpu.Cpu.service cpu id;
+    Rt.print_value rt (Cpu.get_reg cpu 0)
+  in
+  let tower f args () =
+    let nums = List.map (Numerics.decode obj) args in
+    match f nums with
+    | `Num n -> Rt.print_value rt (Numerics.encode obj n)
+    | `Bool b -> Rt.print_value rt (Rt.bool_word rt b)
+  in
+  let two f = function [ a; b ] -> f a b | _ -> assert false in
+  let rel r = two (fun a b -> `Bool (r (Numerics.compare_ a b) 0)) in
+  let ops =
+    [
+      ("add", Svc.generic_add, two (fun a b -> `Num (Numerics.add a b)));
+      ("sub", Svc.generic_sub, two (fun a b -> `Num (Numerics.sub a b)));
+      ("lss", Svc.generic_lss, rel ( < ));
+      ("leq", Svc.generic_leq, rel ( <= ));
+      ("gtr", Svc.generic_gtr, rel ( > ));
+      ("geq", Svc.generic_geq, rel ( >= ));
+      ("num-eq", Svc.generic_num_eq, two (fun a b -> `Bool (Numerics.equal_value a b)));
+    ]
+  in
+  let operands =
+    List.map
+      (fun src -> (src, Rt.sexp_to_value rt (Reader.parse_one src)))
+      [ "1073741823"; "-1073741824"; "1"; "-1"; "0"; "1073741824"; "-1073741825"; "2.5"; "1/3";
+        "-7" ]
+  in
+  List.iter
+    (fun (name, id, f) ->
+      List.iter
+        (fun (sa, a) ->
+          List.iter
+            (fun (sb, b) ->
+              let what = Printf.sprintf "%s %s %s" name sa sb in
+              let want = measured (tower f [ a; b ]) in
+              Alcotest.(check (pair string (list (pair string int)))) what want
+                (measured (service id [ a; b ])))
+            operands)
+        operands)
+    ops;
+  List.iter
+    (fun (sa, a) ->
+      Alcotest.(check (pair string (list (pair string int))))
+        ("zerop " ^ sa)
+        (measured (tower (function [ n ] -> `Bool (Numerics.zerop n) | _ -> assert false) [ a ]))
+        (measured (service Svc.generic_zerop [ a ])))
+    operands;
+  let fixnum_max = Obj.fixnum S1_machine.Word.fixnum_max
+  and fixnum_min = Obj.fixnum S1_machine.Word.fixnum_min in
+  let bignums f =
+    let _, deltas = measured f in
+    Option.value ~default:0 (List.assoc_opt "heap.alloc.bignum" deltas)
+  in
+  check_str "fixnum_max + 1" "1073741824" (service Svc.generic_add [ fixnum_max; Obj.fixnum 1 ] ());
+  check_int "fixnum_max + 1 allocates a bignum" 1
+    (bignums (service Svc.generic_add [ fixnum_max; Obj.fixnum 1 ]));
+  check_str "fixnum_min - 1" "-1073741825" (service Svc.generic_sub [ fixnum_min; Obj.fixnum 1 ] ());
+  check_int "fixnum_min - 1 allocates a bignum" 1
+    (bignums (service Svc.generic_sub [ fixnum_min; Obj.fixnum 1 ]));
+  check_int "a fixnum sum allocates nothing" 0
+    (bignums (service Svc.generic_add [ fixnum_max; Obj.fixnum (-1) ]))
+
 let () =
   Alcotest.run "runtime"
     [
@@ -397,6 +481,8 @@ let () =
           Alcotest.test_case "arity errors" `Quick test_rt_arity_errors;
           Alcotest.test_case "deep binding" `Quick test_rt_deep_binding;
           Alcotest.test_case "equality" `Quick test_rt_equal;
+          Alcotest.test_case "generic arithmetic fixnum fast path" `Quick
+            test_rt_generic_fixnum_fast_path;
           Alcotest.test_case "gc with simulated stack roots" `Quick
             test_rt_gc_under_pressure_with_simulated_stack;
         ] );
