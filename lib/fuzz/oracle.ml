@@ -75,18 +75,15 @@ let interp_fuel = 2_000_000 (* interpreter evaluation steps per program *)
 let run_interp (forms : Sexp.t list) : outcome =
   let it = I.boot () in
   it.I.fuel <- interp_fuel;
-  Fun.protect
-    ~finally:(fun () -> I.release it)
-    (fun () ->
-      match List.fold_left (fun _ f -> I.eval_sexp it f) it.I.rt.Rt.nil forms with
-      | w -> Value (Rt.print_value it.I.rt w)
-      | exception Rt.Lisp_error m -> Error m
-      | exception Rt.Thrown _ -> Error "uncaught throw"
-      | exception S1_frontend.Convert.Convert_error { message; _ } -> Error ("convert: " ^ message)
-      | exception S1_frontend.Macroexp.Expansion_error { message; _ } -> Error ("macro: " ^ message)
-      | exception I.Fuel_exhausted -> Error "interpreter fuel exhausted"
-      | exception S1_runtime.Heap.Heap_exhausted _ -> Error "heap exhausted"
-      | exception Stack_overflow -> Crash "interpreter stack overflow")
+  match List.fold_left (fun _ f -> I.eval_sexp it f) it.I.rt.Rt.nil forms with
+  | w -> Value (Rt.print_value it.I.rt w)
+  | exception Rt.Lisp_error m -> Error m
+  | exception Rt.Thrown _ -> Error "uncaught throw"
+  | exception S1_frontend.Convert.Convert_error { message; _ } -> Error ("convert: " ^ message)
+  | exception S1_frontend.Macroexp.Expansion_error { message; _ } -> Error ("macro: " ^ message)
+  | exception I.Fuel_exhausted -> Error "interpreter fuel exhausted"
+  | exception S1_runtime.Heap.Heap_exhausted _ -> Error "heap exhausted"
+  | exception Stack_overflow -> Crash "interpreter stack overflow"
 
 let run_compiled (cfg : config) (forms : Sexp.t list) : outcome =
   let c = C.create ~options:cfg.cfg_options ~rules:cfg.cfg_rules ~cse:cfg.cfg_cse () in

@@ -5,16 +5,21 @@
       service linkage constants) — the paper's [(SQ *:SQ-...)] operands.
     - {b static}: assembler data blocks and load-time (quoted) constants;
       scanned but never moved by the collector.
-    - {b heap}: the garbage-collected region (two semispaces, managed by
-      the runtime).
+    - {b heap}: the garbage-collected region, a non-moving mark–sweep
+      heap with bump allocation and a free list, managed by the runtime.
     - {b stack}: the control stack, growing upward.  Pointer
       {e certification} (paper §6.3) is exactly [is_stack_addr].
-    - {b bind}: the deep-binding special-variable stack. *)
+    - {b bind}: the deep-binding special-variable stack.
+
+    The address space is demand-paged in 1K-word pages: every page reads
+    as zero until its first write gives it its own storage, so a memory
+    costs the pages written, not its {!size}.  Addresses, region bounds
+    and range failures do not depend on paging. *)
 
 type config = {
   sq_words : int;
   static_words : int;
-  heap_words : int;  (** total for both semispaces *)
+  heap_words : int;
   stack_words : int;
   bind_words : int;
 }

@@ -1,9 +1,10 @@
 (** The standard library: Lisp primitives implemented as native code
     objects.
 
-    Each builtin is an OCaml function wrapped by {!Rt.register_native}
-    into a callable code object (a [SVC]+[RET] stub), installed in the
-    symbol's function cell.  Compiled code and the interpreter reach the
+    Each builtin is an OCaml function registered once per process as a
+    native service ({!Rt.register_native}); each boot loads a callable
+    code object (a [SVC]+[RET] stub) for it into the symbol's function
+    cell ({!Rt.install_native}).  Compiled code and the interpreter reach the
     same implementations, so the two agree bit-for-bit on library
     semantics.
 
@@ -16,9 +17,6 @@
 val boot : ?config:S1_machine.Mem.config -> unit -> Rt.t
 (** Create a runtime with all builtins installed. *)
 
-val install : Rt.t -> unit
-(** Install into an existing runtime (idempotent). *)
-
 val names : unit -> string list
-(** All builtin function names (upper case); populated once a runtime has
-    been booted. *)
+(** All builtin function names (upper case); populated by the first
+    boot. *)

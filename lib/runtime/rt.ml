@@ -44,8 +44,8 @@ exception Thrown of int * int
 let err fmt_str = Printf.ksprintf (fun s -> raise (Lisp_error s)) fmt_str
 
 (* Service handler table, indexed by service id.  Registration (module
-   initialisation, natives at boot) is serialised; dispatch reads the
-   current array without a lock.  A world registers about 190 services;
+   initialisation, natives at first boot) is serialised; dispatch reads the
+   current array without a lock.  A process registers about 190 services;
    starting at 256 keeps the table out of the small-object pools. *)
 let handlers : (t -> unit) option array Atomic.t = Atomic.make (Array.make 256 None)
 let handlers_lock = Mutex.create ()
@@ -279,7 +279,7 @@ let certify_word rt w =
     | _ -> err "certify: unexpected stack pointer of type %s" (Tags.name tag)
   else w
 
-let register_native rt ~name ~min_args ~max_args impl =
+let register_native ~name ~min_args ~max_args impl =
   let id = Isa.register_svc (Printf.sprintf "*:SQ-NATIVE-%s" name) in
   set_handler id (fun rt ->
       (* Natives may store arguments into heap structure, so certify any
@@ -291,14 +291,16 @@ let register_native rt ~name ~min_args ~max_args impl =
       else
         let result = with_protected rt args (fun () -> impl rt args) in
         Cpu.set_reg rt.cpu Isa.a result);
-  let image = Cpu.load rt.cpu S1_machine.Asm.[ Instr (Isa.Svc id); Instr Isa.Ret ] in
+  id
+
+let install_native rt ~name ~svc ~min_args ~max_args =
+  let image = Cpu.load rt.cpu S1_machine.Asm.[ Instr (Isa.Svc svc); Instr Isa.Ret ] in
   Cpu.add_symbol rt.cpu ~lo:image.S1_machine.Asm.org ~hi:(image.S1_machine.Asm.org + 2) ~name;
   let sym = intern rt name in
   let fobj =
     Obj.code ~where:`Static rt.obj ~entry:image.S1_machine.Asm.org ~name:sym ~min_args ~max_args
   in
-  set_function rt sym fobj;
-  fobj
+  set_function rt sym fobj
 
 (* Conversion -------------------------------------------------------------------- *)
 

@@ -115,11 +115,15 @@ val set_function : t -> int -> int -> unit
 val function_of : t -> int -> int
 (** Contents of a symbol's function cell. @raise Lisp_error if undefined. *)
 
-val register_native : t -> name:string -> min_args:int -> max_args:int ->
+val register_native : name:string -> min_args:int -> max_args:int ->
   (t -> int list -> int) -> int
-(** Wrap an OCaml function as a callable code object (a [SVC]+[RET] stub
-    with arity checking), install it in the symbol's function cell, and
-    return the function word. *)
+(** Register an OCaml function as a native service with arity checking,
+    for every world, and return its service id.  Handlers receive their
+    world, so one registration per process serves all of them. *)
+
+val install_native : t -> name:string -> svc:int -> min_args:int -> max_args:int -> unit
+(** Load a [SVC]+[RET] stub for a registered native into this world and
+    install it in the symbol's function cell. *)
 
 val call : t -> int -> int list -> int
 (** Invoke a Lisp function object on argument words, running the

@@ -89,32 +89,29 @@ let interp_stub ?fuel ~key ~file (src : string) : Serve.result =
     | forms -> (
         let it = I.boot () in
         it.I.fuel <- Option.value ~default:Oracle.interp_fuel fuel;
-        Fun.protect
-          ~finally:(fun () -> I.release it)
-          (fun () ->
-            match
-              List.fold_left (fun _ f -> I.eval_sexp it f) it.I.rt.Rt.nil forms
-            with
-            | w ->
-                let e =
-                  {
-                    Serve.e_value = Rt.print_value it.I.rt w;
-                    e_output = Rt.output it.I.rt;
-                    e_cycles = it.I.rt.Rt.cpu.Cpu.stats.Cpu.cycles;
-                  }
-                in
-                (Oracle.Value e.Serve.e_value, Some e)
-            | exception Rt.Lisp_error m -> (Oracle.Error m, None)
-            | exception Rt.Thrown _ -> (Oracle.Error "uncaught throw", None)
-            | exception S1_frontend.Convert.Convert_error { message; _ } ->
-                (Oracle.Error ("convert: " ^ message), None)
-            | exception S1_frontend.Macroexp.Expansion_error { message; _ } ->
-                (Oracle.Error ("macro: " ^ message), None)
-            | exception I.Fuel_exhausted ->
-                (Oracle.Error "interpreter fuel exhausted", None)
-            | exception Stack_overflow ->
-                (Oracle.Crash "interpreter stack overflow", None)
-            | exception e -> (Oracle.Crash (Printexc.to_string e), None)))
+        match
+          List.fold_left (fun _ f -> I.eval_sexp it f) it.I.rt.Rt.nil forms
+        with
+        | w ->
+            let e =
+              {
+                Serve.e_value = Rt.print_value it.I.rt w;
+                e_output = Rt.output it.I.rt;
+                e_cycles = it.I.rt.Rt.cpu.Cpu.stats.Cpu.cycles;
+              }
+            in
+            (Oracle.Value e.Serve.e_value, Some e)
+        | exception Rt.Lisp_error m -> (Oracle.Error m, None)
+        | exception Rt.Thrown _ -> (Oracle.Error "uncaught throw", None)
+        | exception S1_frontend.Convert.Convert_error { message; _ } ->
+            (Oracle.Error ("convert: " ^ message), None)
+        | exception S1_frontend.Macroexp.Expansion_error { message; _ } ->
+            (Oracle.Error ("macro: " ^ message), None)
+        | exception I.Fuel_exhausted ->
+            (Oracle.Error "interpreter fuel exhausted", None)
+        | exception Stack_overflow ->
+            (Oracle.Crash "interpreter stack overflow", None)
+        | exception e -> (Oracle.Crash (Printexc.to_string e), None))
   in
   {
     Serve.r_file = file;

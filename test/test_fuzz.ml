@@ -13,6 +13,32 @@ module Oracle = S1_fuzz.Oracle
 module Shrink = S1_fuzz.Shrink
 module Fuzz = S1_fuzz.Fuzz
 
+(* Bounded memory ---------------------------------------------------------------- *)
+
+(* A world's lifetime ends with its last reference: compiling and running
+   4N programs across the lattice must not need a bigger OCaml heap than
+   N did, as it would if worlds stayed reachable.  The 4N are the same N
+   programs four times over, so the heap's high-water mark is not raised
+   by a costlier program met later.  It runs first in this executable so
+   that the mark is this test's own. *)
+let test_bounded_memory () =
+  let n = 16 in
+  let programs = List.init n (fun seed -> (Genprog.generate ~seed).Genprog.pr_forms) in
+  let run_programs () =
+    List.iter
+      (fun forms -> List.iter (fun cfg -> ignore (Oracle.run_compiled cfg forms)) Oracle.lattice)
+      programs
+  in
+  run_programs ();
+  let top_n = (Gc.quick_stat ()).Gc.top_heap_words in
+  for _ = 1 to 3 do
+    run_programs ()
+  done;
+  let top_4n = (Gc.quick_stat ()).Gc.top_heap_words in
+  if float_of_int top_4n > 1.25 *. float_of_int top_n then
+    Alcotest.failf "top heap grew from %d words after %d programs to %d after %d" top_n n top_4n
+      (4 * n)
+
 (* Generator ------------------------------------------------------------------ *)
 
 let test_generator_determinism () =
@@ -185,6 +211,7 @@ let test_peephole_canonical () =
 let () =
   Alcotest.run "fuzz"
     [
+      ("memory", [ Alcotest.test_case "bounded over 4N programs" `Quick test_bounded_memory ]);
       ( "generator",
         [
           Alcotest.test_case "determinism" `Quick test_generator_determinism;

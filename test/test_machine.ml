@@ -153,6 +153,97 @@ let test_asm_data_blocks () =
   Cpu.run cpu ~at:(Cpu.label_addr image "GO");
   check_int "indexed read of data block" 30 (Cpu.get_reg cpu 0)
 
+(* Paged memory ------------------------------------------------------------ *)
+
+(* Memory is demand-paged in 1K-word pages; nothing about it may show
+   through the interface: sizes, zeros, masking and range failures read
+   exactly as they did over one flat array. *)
+let page = 1024
+
+let test_mem_size_and_zeros () =
+  let m = Mem.create () in
+  let c = Mem.default_config in
+  check_int "size is the sum of the regions"
+    (c.Mem.sq_words + c.Mem.static_words + c.Mem.heap_words + c.Mem.stack_words + c.Mem.bind_words)
+    (Mem.size m);
+  check_int "bind region ends the address space" (Mem.size m) (Mem.bind_limit m);
+  let nonzero = ref 0 in
+  for a = 0 to Mem.size m - 1 do
+    if Mem.read m a <> 0 then incr nonzero
+  done;
+  check_int "every region reads 0 before its first write" 0 !nonzero
+
+let test_mem_write_zero_untouched () =
+  let m = Mem.create () in
+  let a = Mem.heap_base m + (3 * page) + 7 in
+  Mem.write m a 0;
+  check_int "zero written to an untouched page" 0 (Mem.read m a);
+  check_int "its neighbour" 0 (Mem.read m (a + 1));
+  Mem.write m (a + 1) 99;
+  check_int "then a nonzero neighbour" 99 (Mem.read m (a + 1));
+  check_int "the zero stays" 0 (Mem.read m a)
+
+let test_mem_mask_across_pages () =
+  let m = Mem.create () in
+  let boundary = 5 * page in
+  Mem.write m (boundary - 1) (-1);
+  Mem.write m boundary ((1 lsl 36) + 5);
+  check_int "last word of a page masks to 36 bits" Word.mask (Mem.read m (boundary - 1));
+  check_int "first word of the next page masks too" 5 (Mem.read m boundary);
+  check_int "the word before is untouched" 0 (Mem.read m (boundary - 2));
+  check_int "the word after is untouched" 0 (Mem.read m (boundary + 1))
+
+let test_mem_out_of_range () =
+  let m = Mem.create () in
+  let n = Mem.size m in
+  Alcotest.check_raises "read -1" (Failure "memory read out of range: -1") (fun () ->
+      ignore (Mem.read m (-1)));
+  Alcotest.check_raises "read size" (Failure (Printf.sprintf "memory read out of range: %d" n))
+    (fun () -> ignore (Mem.read m n));
+  Alcotest.check_raises "write -1" (Failure "memory write out of range: -1") (fun () ->
+      Mem.write m (-1) 1);
+  Alcotest.check_raises "write size" (Failure (Printf.sprintf "memory write out of range: %d" n))
+    (fun () -> Mem.write m n 1);
+  check_int "last word is in range" 0 (Mem.read m (n - 1))
+
+let test_mem_static_snapshot_across_pages () =
+  let m = Mem.create () in
+  let n = (2 * page) + 10 in
+  let base = Mem.alloc_static m n in
+  Alcotest.(check bool) "spans a page boundary" true ((base + n) / page > base / page);
+  for i = 0 to n - 1 do
+    Mem.write m (base + i) (i * 7)
+  done;
+  let mark = Mem.static_mark m in
+  let snap = Mem.static_snapshot m in
+  check_int "snapshot holds the live words" (Mem.static_used m) (Array.length snap);
+  for i = 0 to n - 1 do
+    Mem.write m (base + i) 1
+  done;
+  ignore (Mem.alloc_static m page);
+  Mem.static_release m mark;
+  Mem.static_restore m snap;
+  check_int "allocation pointer restored" mark (Mem.static_mark m);
+  for i = 0 to n - 1 do
+    if Mem.read m (base + i) <> i * 7 then Alcotest.failf "word %d not restored" (base + i)
+  done;
+  (* restoring into a memory that never wrote those pages *)
+  let fresh = Mem.create () in
+  Mem.static_restore fresh snap;
+  check_int "fresh allocation pointer" mark (Mem.static_mark fresh);
+  check_int "fresh last word" ((n - 1) * 7) (Mem.read fresh (base + n - 1));
+  check_int "fresh word past the snapshot" 0 (Mem.read fresh (base + n))
+
+let test_mem_no_shared_pages () =
+  let m1 = Mem.create () and m2 = Mem.create () in
+  let a = Mem.stack_base m1 + 17 in
+  Mem.write m1 a 42;
+  check_int "the other memory still reads 0" 0 (Mem.read m2 a);
+  Mem.write m2 a 43;
+  check_int "first memory keeps its word" 42 (Mem.read m1 a);
+  check_int "second memory has its own" 43 (Mem.read m2 a);
+  check_int "a new memory starts clean" 0 (Mem.read (Mem.create ()) a)
+
 (* CPU execution ------------------------------------------------------------ *)
 
 let run_program ?(setup = fun _ -> ()) prog =
@@ -955,6 +1046,16 @@ let () =
           Alcotest.test_case "undefined label" `Quick test_asm_undefined_label;
           Alcotest.test_case "2.5-address discipline" `Quick test_asm_validates_25_address;
           Alcotest.test_case "data blocks" `Quick test_asm_data_blocks;
+        ] );
+      ( "mem",
+        [
+          Alcotest.test_case "size and zeros" `Quick test_mem_size_and_zeros;
+          Alcotest.test_case "write zero to untouched page" `Quick test_mem_write_zero_untouched;
+          Alcotest.test_case "masking across pages" `Quick test_mem_mask_across_pages;
+          Alcotest.test_case "out of range" `Quick test_mem_out_of_range;
+          Alcotest.test_case "static snapshot across pages" `Quick
+            test_mem_static_snapshot_across_pages;
+          Alcotest.test_case "no shared pages" `Quick test_mem_no_shared_pages;
         ] );
       ( "cpu",
         [
