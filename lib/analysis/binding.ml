@@ -33,82 +33,71 @@ let call_args_match (l : lam) (args : node list) =
   List.length args = List.length l.l_params
   && List.for_all (fun p -> p.p_kind = Required) l.l_params
 
-let mark_open_lambdas root =
-  iter
-    (fun n ->
-      match n.kind with
-      | Call ({ kind = Lambda l; _ }, args)
-        when l.l_strategy <> Toplevel && call_args_match l args ->
-          l.l_strategy <- Open
-      | _ -> ())
-    root
-
-(* Function-position classification: the set of Var nodes used as the
-   function of a call, with the call node itself. *)
-let fn_position_calls root =
-  let tbl = Hashtbl.create 32 in
-  iter
-    (fun n ->
-      match n.kind with
-      | Call (({ kind = Var _; _ } as f), _) -> Hashtbl.replace tbl f.n_id n
-      | _ -> ())
-    root;
-  tbl
+(* First walk: reset every lambda's strategy, mark the Open ones, and
+   collect the Var nodes used as the function of a call, with the call
+   node itself.  Returns each lambda with its strategy before the reset,
+   and that table. *)
+let prepare root =
+  let lambdas = ref [] and fnpos = Hashtbl.create 32 in
+  let rec go ?args n =
+    (match n.kind with
+    | Lambda l ->
+        lambdas := (n, l, l.l_strategy) :: !lambdas;
+        (if l.l_strategy <> Toplevel then
+           l.l_strategy <-
+             (match args with Some args when call_args_match l args -> Open | _ -> Unknown));
+        l.l_captures <- []
+    | Call (({ kind = Var _; _ } as f), _) -> Hashtbl.replace fnpos f.n_id n
+    | _ -> ());
+    match n.kind with
+    | Call (f, args) ->
+        go ~args f;
+        List.iter (fun a -> go a) args
+    | _ -> iter_children (fun c -> go c) n
+  in
+  go root;
+  (!lambdas, fnpos)
 
 (* Jump/Fast detection: parameters of Open lambdas whose initializer is a
    manifest lambda and whose every use is a call. *)
-let mark_local_functions root =
-  let fnpos = fn_position_calls root in
-  iter
-    (fun n ->
-      match n.kind with
-      | Call ({ kind = Lambda l; _ }, args) when l.l_strategy = Open ->
-          let rec pair ps args =
-            match (ps, args) with
-            | p :: ps', arg :: args' ->
-                (match (p.p_kind, arg.kind) with
-                | Required, Lambda inner
-                  when inner.l_strategy = Unknown && p.p_var.v_setqs = []
-                       && List.length p.p_var.v_refs > 0
-                       && List.for_all
-                            (fun r -> Hashtbl.mem fnpos r.n_id)
-                            p.p_var.v_refs ->
-                    let calls = List.map (fun r -> Hashtbl.find fnpos r.n_id) p.p_var.v_refs in
-                    let arities_ok =
-                      List.for_all
-                        (fun c ->
-                          match c.kind with
-                          | Call (_, cargs) ->
-                              List.length cargs = List.length inner.l_params
-                              && List.for_all (fun p -> p.p_kind = Required) inner.l_params
-                          | _ -> false)
-                        calls
-                    in
-                    if arities_ok then
-                      if List.for_all (fun c -> c.n_tail) calls then
-                        inner.l_strategy <- Jump
-                      else inner.l_strategy <- Fast
-                | _ -> ());
-                pair ps' args'
-            | _ -> ()
-          in
-          pair l.l_params args
-      | _ -> ())
-    root
+let mark_local_functions fnpos (l : lam) args =
+  let rec pair ps args =
+    match (ps, args) with
+    | p :: ps', arg :: args' ->
+        (match (p.p_kind, arg.kind) with
+        | Required, Lambda inner
+          when inner.l_strategy = Unknown && p.p_var.v_setqs = []
+               && List.length p.p_var.v_refs > 0
+               && List.for_all (fun r -> Hashtbl.mem fnpos r.n_id) p.p_var.v_refs ->
+            let calls = List.map (fun r -> Hashtbl.find fnpos r.n_id) p.p_var.v_refs in
+            let arities_ok =
+              List.for_all
+                (fun c ->
+                  match c.kind with
+                  | Call (_, cargs) ->
+                      List.length cargs = List.length inner.l_params
+                      && List.for_all (fun p -> p.p_kind = Required) inner.l_params
+                  | _ -> false)
+                calls
+            in
+            if arities_ok then
+              if List.for_all (fun c -> c.n_tail) calls then inner.l_strategy <- Jump
+              else inner.l_strategy <- Fast
+        | _ -> ());
+        pair ps' args'
+    | _ -> ()
+  in
+  pair l.l_params args
 
-(* Everything still Unknown is a real closure. *)
-let mark_closures root =
-  iter
-    (fun n ->
-      match n.kind with
-      | Lambda l when l.l_strategy = Unknown -> l.l_strategy <- Full_closure
-      | _ -> ())
-    root
-
-(* Capture analysis: walk with the stack of open lambdas; a reference that
-   crosses a Full_closure boundary on the way up to its binder captures
-   the variable into every boundary crossed. *)
-let capture_analysis root =
+(* Second walk, preorder with the stack of enclosing lambdas: local
+   functions, closures, and capture analysis.  A call is visited before
+   the lambdas it binds and a lambda before its body, so every strategy
+   a step reads is final by then.  Everything still Unknown is a real
+   closure.  A reference that crosses a Full_closure boundary on the way
+   up to its binder captures the variable into every boundary crossed.
+   Returns the uses of newly captured variables. *)
+let annotate fnpos root =
+  let newly = ref [] in
   let rec go n (stack : (node * lam) list) =
     let note_var v =
       if not v.v_special then
@@ -120,6 +109,7 @@ let capture_analysis root =
               | (ln, l) :: rest ->
                   if ln == binder then begin
                     if acc <> [] then begin
+                      if not v.v_captured then newly := v.v_refs @ v.v_setqs @ !newly;
                       v.v_captured <- true;
                       List.iter
                         (fun bl ->
@@ -134,27 +124,27 @@ let capture_analysis root =
             scan [] stack
     in
     (match n.kind with
-    | Var v -> note_var v
-    | Setq (v, _) -> note_var v
+    | Call ({ kind = Lambda l; _ }, args) when l.l_strategy = Open ->
+        mark_local_functions fnpos l args
+    | Lambda l when l.l_strategy = Unknown -> l.l_strategy <- Full_closure
+    | Var v | Setq (v, _) -> note_var v
     | _ -> ());
     match n.kind with
     | Lambda l ->
         List.iter (fun p -> Option.iter (fun d -> go d stack) p.p_default) l.l_params;
         go l.l_body ((n, l) :: stack)
-    | _ -> List.iter (fun c -> go c stack) (children n)
+    | _ -> iter_children (fun c -> go c stack) n
   in
-  go root []
+  go root [];
+  !newly
 
-let run (root : node) : unit =
-  iter
-    (fun n ->
-      match n.kind with
-      | Lambda l ->
-          if l.l_strategy <> Toplevel then l.l_strategy <- Unknown;
-          l.l_captures <- []
-      | _ -> ())
-    root;
-  mark_open_lambdas root;
-  mark_local_functions root;
-  mark_closures root;
-  capture_analysis root
+(* Annotate the whole tree.  Returns the nodes whose analysis inputs
+   this run changed: every lambda whose strategy moved (complexity
+   analysis, which runs before this pass, priced it by the old one) and
+   the uses of every newly captured variable. *)
+let run (root : node) : node list =
+  let lambdas, fnpos = prepare root in
+  let captured = annotate fnpos root in
+  List.fold_left
+    (fun acc (n, l, before) -> if l.l_strategy <> before then n :: acc else acc)
+    captured lambdas

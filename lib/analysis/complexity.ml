@@ -8,8 +8,13 @@
 open S1_ir
 open Node
 
-let rec analyze (n : node) : int =
-  let kids = List.fold_left (fun acc c -> acc + analyze c) 0 (children n) in
+(* One node's estimate from its children's.  A lambda is priced by the
+   strategy binding annotation gave it on the previous refresh (binding
+   annotation runs after this pass). *)
+let node (n : node) : unit =
+  let kids = ref 0 in
+  iter_children (fun c -> kids := !kids + c.n_complexity) n;
+  let kids = !kids in
   let own =
     match n.kind with
     | Term _ -> 1
@@ -35,7 +40,4 @@ let rec analyze (n : node) : int =
     | Go _ -> 1
     | Return _ -> 1
   in
-  n.n_complexity <- kids + own;
-  n.n_complexity
-
-let run (root : node) : unit = ignore (analyze root)
+  n.n_complexity <- kids + own

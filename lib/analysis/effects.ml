@@ -5,8 +5,9 @@
     execution."
 
     The classification is the {!Node.effects} record, computed bottom-up
-    from the primitive table.  A call to an unknown (user-defined)
-    function is assumed to do anything; a call to a known primitive gets
+    from the primitive table, one node at a time from its children's
+    ({!node}).  A call to an unknown (user-defined) function is assumed
+    to do anything; a call to a known primitive gets
     the table's classification.  A [lambda] {e expression} itself has
     only an allocation effect (closure creation) — its body's effects
     happen at call time, not at evaluation time. *)
@@ -19,9 +20,11 @@ let unknown_effects =
   { eff_alloc = true; eff_write = true; eff_unknown_call = true; eff_control = true;
     eff_special = true }
 
-let rec analyze (n : node) : effects =
-  let kids = children n in
-  let merged = List.fold_left (fun acc c -> join_effects acc (analyze c)) no_effects kids in
+(* One node's classification from its children's. *)
+let node (n : node) : unit =
+  let merged = ref no_effects in
+  iter_children (fun c -> merged := join_effects !merged c.n_effects) n;
+  let merged = !merged in
   let eff =
     match n.kind with
     | Term _ -> no_effects
@@ -60,7 +63,7 @@ let rec analyze (n : node) : effects =
             | None -> join_effects merged unknown_effects)
         | Lambda l ->
             (* Manifest lambda call: the body executes now. *)
-            join_effects merged (analyze_body_effects l)
+            join_effects merged l.l_body.n_effects
         | _ -> join_effects merged unknown_effects)
     | Go _ | Return _ -> join_effects merged { no_effects with eff_control = true }
     | Catcher _ ->
@@ -71,15 +74,7 @@ let rec analyze (n : node) : effects =
         { merged with eff_control = false }
     | If _ | Progn _ | Caseq _ -> merged
   in
-  n.n_effects <- eff;
-  eff
-
-and analyze_body_effects l =
-  (* body effects already computed by the recursive walk (children of the
-     lambda include the body) *)
-  l.l_body.n_effects
-
-let run (root : node) : unit = ignore (analyze root)
+  n.n_effects <- eff
 
 (* Convenience judgements used by the optimizer ------------------------------ *)
 

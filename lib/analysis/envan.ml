@@ -5,8 +5,9 @@
     referent nodes."
 
     Fills [n_free] (variables read) and [n_written] (variables assigned)
-    bottom-up, and rebuilds every variable's back-pointer lists
-    ([v_refs], [v_setqs], [v_binder]). *)
+    one node at a time from its children's sets ({!node}), and rebuilds
+    every variable's back-pointer lists ([v_refs], [v_setqs],
+    [v_binder]) over the whole tree ({!backrefs}). *)
 
 open S1_ir
 open Node
@@ -14,12 +15,15 @@ open Node
 let union a b = List.fold_left (fun acc v -> if List.memq v acc then acc else v :: acc) a b
 let remove vs a = List.filter (fun v -> not (List.memq v vs)) a
 
-let rec analyze (n : node) : unit =
-  List.iter analyze (children n);
-  let free_of c = c.n_free and written_of c = c.n_written in
-  let merge f = List.fold_left (fun acc c -> union acc (f c)) [] (children n) in
-  let free = merge free_of and written = merge written_of in
-  (match n.kind with
+let node (n : node) : unit =
+  let free = ref [] and written = ref [] in
+  iter_children
+    (fun c ->
+      free := union !free c.n_free;
+      written := union !written c.n_written)
+    n;
+  let free = !free and written = !written in
+  match n.kind with
   | Var v ->
       n.n_free <- [ v ];
       n.n_written <- []
@@ -32,9 +36,46 @@ let rec analyze (n : node) : unit =
       n.n_written <- remove bound written
   | _ ->
       n.n_free <- free;
-      n.n_written <- written);
-  n.n_dirty <- false
+      n.n_written <- written
 
-let run (root : node) : unit =
-  record_var_backrefs root;
-  analyze root
+(* Rebuild the back-pointers of every variable the tree mentions.  The
+   optimizer reads a variable's facts at its references ([timeless]
+   asks whether it is bound and never assigned), so when a variable's
+   assignments or binder change, its references and assignments are
+   marked changed: the next refresh re-derives the subtrees above them
+   and the next sweep revisits them. *)
+let backrefs (root : node) : unit =
+  let before : (int, var * node list * node option) Hashtbl.t = Hashtbl.create 16 in
+  (* a variable's lists restart at its first occurrence in the walk *)
+  let restart v =
+    if not (List.exists (fun (v', _, _) -> v' == v) (Hashtbl.find_all before v.v_id)) then begin
+      Hashtbl.add before v.v_id (v, v.v_setqs, v.v_binder);
+      v.v_refs <- [];
+      v.v_setqs <- []
+    end
+  in
+  iter
+    (fun n ->
+      match n.kind with
+      | Var v ->
+          restart v;
+          add_ref v n
+      | Setq (v, _) ->
+          restart v;
+          add_setq v n
+      | Lambda l ->
+          List.iter
+            (fun p ->
+              restart p.p_var;
+              p.p_var.v_binder <- Some n)
+            l.l_params
+      | _ -> ())
+    root;
+  let same_binder a b =
+    match (a, b) with Some x, Some y -> x == y | None, None -> true | _ -> false
+  in
+  Hashtbl.iter
+    (fun _ (v, setqs, binder) ->
+      if not (List.equal ( == ) setqs v.v_setqs && same_binder binder v.v_binder) then
+        mark_uses v)
+    before

@@ -1464,6 +1464,16 @@ let annotate ctx (fn_lam : lam) (body_root : node) =
     | _ -> List.iter (fun c -> walk c ~top:false) (children n)
   in
   walk body_root ~top:true;
+  (* A Jump local's calls are parameter-passing gotos that leave this
+     frame, legal only while the frame may tail-call; pdl slots forbid
+     that (see [compile_body]), and whether the frame holds one is known
+     only now that the walk is done.  Such locals link as Fast instead. *)
+  if Hashtbl.length ctx.pdl_slot > 0 then
+    Hashtbl.fold (fun id j acc -> if j.j_fast then acc else (id, j) :: acc) ctx.jumps []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.iter (fun (id, j) ->
+           Hashtbl.replace ctx.jumps id
+             { j with j_fast = true; j_link_slot = Tn.alloc_scratch_slot ctx.pool 1 });
   fn_unwinds
 
 (* ----------------------------------------------------------------------- *)

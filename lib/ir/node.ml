@@ -107,7 +107,11 @@ and node = {
   mutable n_effects : effects;
   mutable n_complexity : int;  (** object-code size estimate *)
   mutable n_tail : bool;  (** evaluated in tail position of its function *)
-  mutable n_dirty : bool;  (** needs re-analysis (incremental re-analysis flags, §4.2) *)
+  mutable n_dirty : bool;
+      (** changed since the last analysis refresh (rewritten, created, or a
+          variable it uses changed); after a refresh, set on every node
+          whose subtree held a change: the region the next optimizer
+          sweep revisits (§4.2's incremental re-analysis flags) *)
   (* --- machine-dependent decorations --- *)
   mutable n_wantrep : rep;  (** representation desired by context (top-down pass) *)
   mutable n_isrep : rep;  (** representation delivered (bottom-up pass) *)
@@ -304,9 +308,35 @@ let children n =
       List.filter_map (function Ptag _ -> None | Pstmt s -> Some s) pb.pb_items
   | Return e -> [ e ]
 
+(* [List.iter f (children n)] without building the list: the tree walks
+   run on every optimizer sweep. *)
+let iter_children f n =
+  match n.kind with
+  | Term _ | Go _ | Var _ -> ()
+  | If (p, x, y) ->
+      f p;
+      f x;
+      f y
+  | Lambda l ->
+      List.iter (fun p -> Option.iter f p.p_default) l.l_params;
+      f l.l_body
+  | Call (fn, args) ->
+      f fn;
+      List.iter f args
+  | Progn xs -> List.iter f xs
+  | Setq (_, e) | Return e -> f e
+  | Caseq (key, clauses, default) ->
+      f key;
+      List.iter (fun (_, body) -> f body) clauses;
+      Option.iter f default
+  | Catcher (tag, body) ->
+      f tag;
+      f body
+  | Progbody pb -> List.iter (function Ptag _ -> () | Pstmt s -> f s) pb.pb_items
+
 let rec iter f n =
   f n;
-  List.iter (iter f) (children n)
+  iter_children (iter f) n
 
 (* Fill missing provenance from the nearest located ancestor, so that by
    code-generation time every node maps to {e some} source line (nodes
@@ -356,27 +386,8 @@ let restore (dst : node) (src : node) : unit =
 let add_ref v n = if not (List.memq n v.v_refs) then v.v_refs <- n :: v.v_refs
 let add_setq v n = if not (List.memq n v.v_setqs) then v.v_setqs <- n :: v.v_setqs
 
-let clear_var_backrefs root =
-  iter
-    (fun n ->
-      match n.kind with
-      | Var v ->
-          v.v_refs <- [];
-          v.v_setqs <- []
-      | Setq (v, _) ->
-          v.v_refs <- [];
-          v.v_setqs <- []
-      | Lambda l -> List.iter (fun p -> p.p_var.v_refs <- []; p.p_var.v_setqs <- []) l.l_params
-      | _ -> ())
-    root
-
-let record_var_backrefs root =
-  clear_var_backrefs root;
-  iter
-    (fun n ->
-      match n.kind with
-      | Var v -> add_ref v n
-      | Setq (v, _) -> add_setq v n
-      | Lambda l -> List.iter (fun p -> p.p_var.v_binder <- Some n) l.l_params
-      | _ -> ())
-    root
+(* A variable's facts changed: its references and assignments are
+   marked for re-analysis and re-examination by the optimizer. *)
+let mark_uses v =
+  List.iter (fun n -> n.n_dirty <- true) v.v_refs;
+  List.iter (fun n -> n.n_dirty <- true) v.v_setqs

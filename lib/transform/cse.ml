@@ -108,7 +108,8 @@ let eliminate_one (ts : Transcript.t) (root : node) : bool =
   | Some (template, entries) ->
       let nodes = List.map fst entries and paths = List.map snd entries in
       let home = lca_of paths root in
-      let before = Backtrans.to_string home in
+      let journaling = Rules.journaling ts in
+      let before = if journaling then Backtrans.to_string home else "" in
       let ctr = S1_par.Dls.get counter in
       incr ctr;
       let v = mkvar (Printf.sprintf "CSE-%d" !ctr) in
@@ -128,14 +129,16 @@ let eliminate_one (ts : Transcript.t) (root : node) : bool =
       (match home.n_loc with
       | Some l -> S1_obs.Obs.incr ("rule_at." ^ S1_loc.Loc.line_key l)
       | None -> ());
-      S1_obs.Remark.passed ~pass:"cse" ~rule:"COMMON-SUBEXPRESSION-ELIMINATION"
-        ~node:home.n_id ?loc:home.n_loc
-        ~args:[ ("occurrences", S1_obs.Remark.Int (List.length nodes)) ]
-        (Printf.sprintf "bound %s once for %d occurrences"
-           (Rules.short (Backtrans.to_string template))
-           (List.length nodes));
-      Transcript.record ts ~pass:"cse" ~node:home.n_id ?loc:home.n_loc ~before
-        ~after:(Backtrans.to_string home) ~rule:"COMMON-SUBEXPRESSION-ELIMINATION" ();
+      if journaling then begin
+        S1_obs.Remark.passed ~pass:"cse" ~rule:"COMMON-SUBEXPRESSION-ELIMINATION"
+          ~node:home.n_id ?loc:home.n_loc
+          ~args:[ ("occurrences", S1_obs.Remark.Int (List.length nodes)) ]
+          (Printf.sprintf "bound %s once for %d occurrences"
+             (Rules.short (Backtrans.to_string template))
+             (List.length nodes));
+        Transcript.record ts ~pass:"cse" ~node:home.n_id ?loc:home.n_loc ~before
+          ~after:(Backtrans.to_string home) ~rule:"COMMON-SUBEXPRESSION-ELIMINATION" ()
+      end;
       true
 
 (* The negative space: expressions that hash to the same fingerprint at

@@ -64,15 +64,23 @@ let count_fire rule (n : node) =
   | Some l -> S1_obs.Obs.incr ("rule_at." ^ S1_loc.Loc.line_key l)
   | None -> ()
 
+(* Someone reads the rewrite journals: the remarks registry or the §7
+   transcript.  Back-translating a tree costs more than most rewrites,
+   so the before/after text is built only then. *)
+let journaling ts = Remark.enabled () || Transcript.enabled ts
+
 let fire ctx rule (n : node) (new_kind : kind) =
-  let before = Backtrans.to_string n in
+  let before = if journaling ctx.ts then Some (Backtrans.to_string n) else None in
   n.kind <- new_kind;
   n.n_dirty <- true;
   count_fire rule n;
-  Remark.passed ~pass:"simplify" ~rule ~node:n.n_id ?loc:n.n_loc
-    (Printf.sprintf "optimized %s" (short before));
-  Transcript.record ctx.ts ~node:n.n_id ?loc:n.n_loc ~before
-    ~after:(Backtrans.to_string n) ~rule ();
+  Option.iter
+    (fun before ->
+      Remark.passed ~pass:"simplify" ~rule ~node:n.n_id ?loc:n.n_loc
+        (Printf.sprintf "optimized %s" (short before));
+      Transcript.record ctx.ts ~node:n.n_id ?loc:n.n_loc ~before
+        ~after:(Backtrans.to_string n) ~rule ())
+    before;
   true
 
 (* Constant truthiness of a quoted term. *)
@@ -119,22 +127,25 @@ let plain_let (l : lam) (args : node list) =
   List.length l.l_params = List.length args
   && List.for_all (fun p -> p.p_kind = Required) l.l_params
 
-(* Reference counts are recomputed by scanning the actual tree: rules
-   earlier in the same sweep may have created or destroyed references,
-   and the cached back-pointer lists only refresh between sweeps. *)
+(* Reference counts and assignments are recomputed by scanning the
+   actual tree: rules earlier in the same sweep may have created or
+   destroyed references, and the cached back-pointer lists only refresh
+   between sweeps.  Returns the number of references and whether any
+   SETQ assigns [v]. *)
 let occurrences root v =
-  let c = ref 0 in
-  iter (fun n -> match n.kind with Var v' when v' == v -> incr c | _ -> ()) root;
-  !c
-
-let assigned root v =
-  let c = ref false in
-  iter (fun n -> match n.kind with Setq (v', _) when v' == v -> c := true | _ -> ()) root;
-  !c
+  let refs = ref 0 and assigned = ref false in
+  iter
+    (fun n ->
+      match n.kind with
+      | Var v' when v' == v -> incr refs
+      | Setq (v', _) when v' == v -> assigned := true
+      | _ -> ())
+    root;
+  (!refs, !assigned)
 
 let substitutable ctx root (p : param) (arg : node) =
   let v = p.p_var in
-  let refs = occurrences root v in
+  let refs, assigned = occurrences root v in
   (* every `No carries its reason out as a Missed remark at the binding
      call: the negative space of beta-conversion *)
   let declined why extra =
@@ -144,7 +155,7 @@ let substitutable ctx root (p : param) (arg : node) =
     `No
   in
   if v.v_special then declined "cannot substitute: variable is special (dynamic binding)" []
-  else if assigned root v then declined "cannot substitute: variable is assigned (SETQ)" []
+  else if assigned then declined "cannot substitute: variable is assigned (SETQ)" []
   else if refs = 0 then `Unused
   else if timeless arg && (refs = 1 || arg.n_complexity <= 2) then
     (* multi-reference substitution only for trivially cheap expressions,
@@ -183,9 +194,9 @@ let substitutable ctx root (p : param) (arg : node) =
               (fun p -> Option.iter (fun d -> scan d inside) p.p_default)
               l.l_params;
             scan l.l_body true
-        | _ -> List.iter (fun c -> scan c inside) (children n)
+        | _ -> iter_children (fun c -> scan c inside) n
       in
-      List.iter (fun c -> scan c false) (children root);
+      iter_children (fun c -> scan c false) root;
       if !under_lambda then
         declined "the reference sits under an inner lambda (evaluation count would change)"
           []
@@ -220,7 +231,6 @@ let rule_beta ctx (n : node) =
         (* Try substitution (rule 3) and unused-parameter elimination
            (rule 2) pairwise. *)
         let changed = ref false in
-        let subst_notes = ref [] in
         let keep =
           List.map2
             (fun p arg ->
@@ -233,15 +243,7 @@ let rule_beta ctx (n : node) =
                   end
                   else Some (p, arg)
               | `Everywhere ->
-                  let c = subst_refs p.p_var arg l.l_body in
-                  if c > 0 then begin
-                    changed := true;
-                    subst_notes :=
-                      Printf.sprintf ";%d substitution%s for the variable %s" c
-                        (if c = 1 then "" else "s")
-                        p.p_var.v_name
-                      :: !subst_notes
-                  end;
+                  if subst_refs p.p_var arg l.l_body > 0 then changed := true;
                   p.p_var.v_refs <- [];
                   if Effects.deletable arg then begin
                     changed := true;
@@ -252,16 +254,21 @@ let rule_beta ctx (n : node) =
         in
         if not !changed then false
         else begin
-          let before = Backtrans.to_string n in
+          let before = if journaling ctx.ts then Some (Backtrans.to_string n) else None in
           let kept = List.filter_map Fun.id keep in
           let params = List.map fst kept and args' = List.map snd kept in
           l.l_params <- params;
+          (* the let's lambda lost parameters: it changed too *)
+          f.n_dirty <- true;
           (if params = [] && args' = [] then n.kind <- l.l_body.kind
            else n.kind <- Call (f, args'));
           n.n_dirty <- true;
           count_fire "META-SUBSTITUTE" n;
-          Transcript.record ctx.ts ~node:n.n_id ?loc:n.n_loc ~before
-            ~after:(Backtrans.to_string n) ~rule:"META-SUBSTITUTE" ();
+          Option.iter
+            (fun before ->
+              Transcript.record ctx.ts ~node:n.n_id ?loc:n.n_loc ~before
+                ~after:(Backtrans.to_string n) ~rule:"META-SUBSTITUTE" ())
+            before;
           true
         end
     | _ -> false
@@ -617,19 +624,33 @@ let transcript_rule_names =
     "DEAD-CODE-ELIMINATION";
   ]
 
-let all_rules : (string * (ctx -> node -> bool)) list =
+(* The node kind a rule's pattern matches at the top.  A rule returns
+   false, and does nothing else, on a node of any other kind, so the
+   simplifier tries it only on nodes of its shape. *)
+type shape = On_call | On_if | On_progn | On_caseq
+
+let shape_of (k : kind) =
+  match k with
+  | Call _ -> Some On_call
+  | If _ -> Some On_if
+  | Progn _ -> Some On_progn
+  | Caseq _ -> Some On_caseq
+  | _ -> None
+
+(* The order rules are tried at a node. *)
+let all_rules : (string * shape * (ctx -> node -> bool)) list =
   [
-    ("beta", rule_beta);
-    ("fold", rule_fold);
-    ("if-constant", rule_if_constant);
-    ("if-simplify", rule_if_simplify);
-    ("if-of-if", rule_if_of_if);
-    ("if-hoist", rule_if_hoist);
-    ("assoc", rule_assoc);
-    ("reverse-args", rule_reverse_args);
-    ("identity", rule_identity);
-    ("progn", rule_progn);
-    ("caseq-constant", rule_caseq_constant);
-    ("sinc", rule_sinc);
-    ("type-specialize", rule_type_specialize);
+    ("beta", On_call, rule_beta);
+    ("fold", On_call, rule_fold);
+    ("if-constant", On_if, rule_if_constant);
+    ("if-simplify", On_if, rule_if_simplify);
+    ("if-of-if", On_if, rule_if_of_if);
+    ("if-hoist", On_if, rule_if_hoist);
+    ("assoc", On_call, rule_assoc);
+    ("reverse-args", On_call, rule_reverse_args);
+    ("identity", On_call, rule_identity);
+    ("progn", On_progn, rule_progn);
+    ("caseq-constant", On_caseq, rule_caseq_constant);
+    ("sinc", On_call, rule_sinc);
+    ("type-specialize", On_call, rule_type_specialize);
   ]

@@ -117,6 +117,27 @@ let test_oracle_detects_miscompilation () =
   (* and an unsabotaged check is clean *)
   Alcotest.(check int) "honest compile agrees" 0 (List.length (Oracle.check forms))
 
+(* The if-of-if rule wraps arms in F-/G-THUNK lambdas that binding
+   annotation makes Jump locals; once a frame holding pdl-number slots
+   lost its tail calls, the thunk call had no legal encoding and code
+   generation failed at the 5 lattice points with pdl numbers and
+   inline primitives on (fuzz seeds 1076, 1461 and 2562). *)
+let test_pdl_frame_jump_local () =
+  let forms =
+    Reader.parse_string
+      "(DEFUN F0 (P0 P2) (DECLARE (FLONUM P0) (FIXNUM P2))\n\
+      \  (IF (AND (OR () ()) (IF T T ())) 1.0 (- (- P0 P0) (* P0 P2) (FLOAT -64))))\n\
+       (F0 2.5 3)"
+  in
+  List.iter
+    (fun cfg ->
+      match Oracle.run_compiled cfg forms with
+      | Oracle.Value v -> Alcotest.(check string) ("value at " ^ cfg.Oracle.cfg_name) "56.5" v
+      | _ -> Alcotest.failf "no value at %s" cfg.Oracle.cfg_name)
+    Oracle.lattice;
+  Alcotest.(check int) "agrees with the interpreter everywhere" 0
+    (List.length (Oracle.check forms))
+
 let test_shrinker_reduces () =
   (* run the real pipeline with the sabotage injected; the finding's
      shrunk program must still fail and be no larger than the source *)
@@ -223,6 +244,7 @@ let () =
           Alcotest.test_case "report determinism" `Slow test_report_determinism;
           Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "detects miscompilation" `Quick test_oracle_detects_miscompilation;
+          Alcotest.test_case "pdl frame with a jump local" `Quick test_pdl_frame_jump_local;
         ] );
       ( "shrinker",
         [

@@ -796,8 +796,10 @@ let test_parity_genprog () =
       (fun acc l -> acc + Scanf.sscanf l "cyc=%d" Fun.id)
       0 lines
   in
-  check_int "genprog total cycles" 118170 total_cycles;
-  Alcotest.(check string) "genprog outcome digest" "9d174e1e606363e56329e1888836696c"
+  (* seed 1076 once stopped after 14 cycles on the pdl-number /
+     JUMP-local codegen crash; it now runs to its value in 423 *)
+  check_int "genprog total cycles" 118579 total_cycles;
+  Alcotest.(check string) "genprog outcome digest" "be8c7e7ace6b600ce4749fdbebab9ac5"
     (Digest.to_hex (Digest.string (String.concat "\n" lines)))
 
 (* Hand-assembled straight-line programs over every instruction and

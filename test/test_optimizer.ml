@@ -1,0 +1,185 @@
+(* Optimizer parity: the source-level optimizer (Simplify) and CSE must
+   keep firing every rule at the same node, in the same order, with the
+   same result.  The digests below were pinned on the whole-tree,
+   every-rule-at-every-node optimizer that the incremental one
+   replaced; they cover the §7 rewrite journal, the remarks journal,
+   the back-translated tree after Simplify and after CSE, the
+   simplify.sweeps and rule counters, and the generated code, for every
+   corpus file and 200 generated programs at each of the 8 lattice
+   points.  A second pass compiles everything again with remarks and
+   the journal off: the trees, code and counters must not depend on
+   whether anyone reads the journals. *)
+
+module C = S1_core.Compiler
+module Rt = S1_runtime.Rt
+module Obs = S1_obs.Obs
+module Remark = S1_obs.Remark
+module Oracle = S1_fuzz.Oracle
+module Genprog = S1_fuzz.Genprog
+open S1_ir
+open S1_transform
+
+let corpus_dir = if Sys.file_exists "corpus" then "corpus" else "test/corpus"
+
+let corpus_sources () =
+  Sys.readdir corpus_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".lisp")
+  |> List.sort compare
+  |> List.map (fun f ->
+         (f, In_channel.with_open_text (Filename.concat corpus_dir f) In_channel.input_all))
+
+let genprog_sources () =
+  List.init 200 (fun i ->
+      let p = Genprog.generate ~seed:(5000 + i) in
+      (Printf.sprintf "genprog %d" p.Genprog.pr_seed, Genprog.render p))
+
+(* What one compilation leaves behind.  [journals] is empty when the
+   run had remarks and the rewrite journal switched off. *)
+type observed = {
+  trees : string;  (** back-translated tree after each simplify and cse pass *)
+  code : string;  (** listings of every program loaded *)
+  counters : string;  (** simplify.sweeps and the rule./rule_at. counters *)
+  journals : string;  (** rewrite journal and remarks, JSONL *)
+  outcome : string;
+}
+
+let optimizer_counter (k, _) =
+  k = "simplify.sweeps"
+  || String.starts_with ~prefix:"rule." k
+  || String.starts_with ~prefix:"rule_at." k
+
+let observe ~journals (cfg : Oracle.config) ~file src =
+  S1_serve.Serve.reset_compile_state ();
+  Obs.reset ();
+  Remark.reset ();
+  Remark.set_enabled journals;
+  let c =
+    C.create ~options:cfg.Oracle.cfg_options ~rules:cfg.Oracle.cfg_rules
+      ~cse:cfg.Oracle.cfg_cse ()
+  in
+  Transcript.set_enabled c.C.journal journals;
+  c.C.record_code <- true;
+  c.C.rt.Rt.fuel <- Some Oracle.fuzz_fuel;
+  let trees = Buffer.create 1024 in
+  c.C.pass_hook <-
+    (fun pass root ->
+      if pass = "simplify" || pass = "cse" then begin
+        Buffer.add_string trees (pass ^ ": " ^ Backtrans.to_string root);
+        Buffer.add_char trees '\n'
+      end);
+  let outcome =
+    match C.eval_string ~file c src with
+    | w -> Rt.print_value c.C.rt w
+    | exception e -> "exception: " ^ Printexc.to_string e
+  in
+  Remark.set_enabled false;
+  let code =
+    List.rev_map (fun (name, prog, _) -> name ^ "\n" ^ S1_machine.Asm.listing prog) c.C.code_log
+    |> String.concat "\n"
+  in
+  let counters =
+    Obs.counters ()
+    |> List.filter optimizer_counter
+    |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
+    |> String.concat " "
+  in
+  let journals =
+    if journals then Transcript.to_jsonl c.C.journal ^ Remark.to_jsonl (Remark.remarks ())
+    else ""
+  in
+  { trees = Buffer.contents trees; code; counters; journals; outcome }
+
+let digest_lines lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+(* Compile every source at every lattice point twice (journals on, then
+   off), check the off run against the on run, and digest the on runs
+   field by field. *)
+let parity sources =
+  let runs =
+    List.concat_map
+      (fun (name, src) ->
+        List.map
+          (fun (cfg : Oracle.config) ->
+            let label = name ^ " @ " ^ cfg.Oracle.cfg_name in
+            let on = observe ~journals:true cfg ~file:name src in
+            let off = observe ~journals:false cfg ~file:name src in
+            Alcotest.(check string) (label ^ ": tree without journals") on.trees off.trees;
+            Alcotest.(check string) (label ^ ": code without journals") on.code off.code;
+            Alcotest.(check string)
+              (label ^ ": counters without journals")
+              on.counters off.counters;
+            Alcotest.(check string) (label ^ ": outcome without journals") on.outcome off.outcome;
+            Alcotest.(check bool)
+              (label ^ ": compiles and runs") false
+              (String.starts_with ~prefix:"exception" on.outcome);
+            on)
+          Oracle.lattice)
+      sources
+  in
+  let field f = digest_lines (List.map f runs) in
+  [
+    ("trees", field (fun r -> r.trees));
+    ("journals", field (fun r -> r.journals));
+    ("counters", field (fun r -> r.counters));
+    ("code", field (fun r -> r.code ^ "\n=> " ^ r.outcome));
+  ]
+
+let check_pins what pins got =
+  List.iter
+    (fun (field, want) ->
+      Alcotest.(check string) (what ^ " " ^ field ^ " digest") want (List.assoc field got))
+    pins
+
+let test_corpus () =
+  check_pins "corpus"
+    [
+      ("trees", "310631c623a07fb557b76f45880ad95e");
+      ("journals", "9c7537f2eb7d2079fefec813cf1eed54");
+      ("counters", "c4398f70a5e304a1a7de18399435ce42");
+      ("code", "76defbaf628f31d58eea58644dbf6e42");
+    ]
+    (parity (corpus_sources ()))
+
+let test_genprog () =
+  let sources = genprog_sources () in
+  check_pins "genprog"
+    [
+      ("trees", "7ca3ab11c6d29edd10b2063e7be79bde");
+      ("journals", "e9648598db458843f3103205cf8876b0");
+      ("counters", "6edc9d1781c8ac0ce8427b6cd092e26d");
+      ("code", "ca761709e6c4ff83727eac2fc8669e54");
+    ]
+    (parity sources)
+
+(* A firing rewrites the node's kind in place, and the rules after it in
+   the table see the new kind during the same visit: beta turns this
+   call into an IF, which if-constant then folds on the same node before
+   the sweep moves on. *)
+let test_kind_change_mid_visit () =
+  let n =
+    S1_frontend.Convert.expression
+      (S1_sexp.Reader.parse_one "(f ((lambda (x) (if x 'yes 'no)) 't))")
+  in
+  let target =
+    match n.Node.kind with Node.Call (_, [ a ]) -> a.Node.n_id | _ -> assert false
+  in
+  Obs.reset ();
+  let ts = Transcript.create () in
+  ignore (Simplify.run ~transcript:ts n);
+  Alcotest.(check string) "result" "(F 'YES)" (Backtrans.to_string n);
+  Alcotest.(check (list (pair string int)))
+    "both rules fire on the call node, beta first"
+    [ ("META-SUBSTITUTE", target); ("DEAD-CODE-ELIMINATION", target) ]
+    (List.map (fun e -> (e.Transcript.ev_rule, e.Transcript.ev_node)) (Transcript.events ts));
+  Alcotest.(check int) "one firing sweep and one quiet one" 2 (Obs.count "simplify.sweeps")
+
+let () =
+  Alcotest.run "optimizer"
+    [
+      ( "parity",
+        [
+          Alcotest.test_case "corpus" `Quick test_corpus;
+          Alcotest.test_case "genprog" `Quick test_genprog;
+          Alcotest.test_case "kind change mid-visit" `Quick test_kind_change_mid_visit;
+        ] );
+    ]
