@@ -42,7 +42,6 @@ type measurement = {
   m_svcs : int;
   m_stack_high : int;
   m_heap_words : int;
-  m_wall_ns : int;
   m_result : string;
 }
 
@@ -65,7 +64,6 @@ let record ~label (m : measurement) =
         ("svcs", Json.Int m.m_svcs);
         ("stack_high", Json.Int m.m_stack_high);
         ("heap_words", Json.Int m.m_heap_words);
-        ("wall_ns", Json.Int m.m_wall_ns);
         ("result", Json.Str m.m_result);
       ]
     :: !records
@@ -153,9 +151,7 @@ let measure ?(options = Gen.default_options) ?(rules = Rules.default_config) ?(c
   Cpu.reset_stats c.C.rt.Rt.cpu;
   if !folded_dir <> None then Cpu.enable_callgraph c.C.rt.Rt.cpu;
   let before_heap = (Heap.stats c.C.rt.Rt.heap).Heap.words_allocated in
-  let t0 = Unix.gettimeofday () in
   let r = C.eval_string c call in
-  let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
   let s = c.C.rt.Rt.cpu.Cpu.stats in
   let m =
     {
@@ -168,7 +164,6 @@ let measure ?(options = Gen.default_options) ?(rules = Rules.default_config) ?(c
       m_svcs = s.Cpu.svcs;
       m_stack_high = s.Cpu.stack_high;
       m_heap_words = (Heap.stats c.C.rt.Rt.heap).Heap.words_allocated - before_heap;
-      m_wall_ns = wall_ns;
       m_result = C.print_value c r;
     }
   in

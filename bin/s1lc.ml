@@ -69,6 +69,7 @@
                                            (reproduce a fuzz-reported config) *)
 
 module C = S1_core.Compiler
+module Lattice = S1_core.Lattice
 module Rt = S1_runtime.Rt
 module Reader = S1_sexp.Reader
 module Cpu = S1_machine.Cpu
@@ -185,8 +186,8 @@ let metrics_json ~(cpu : Cpu.t) ~(file_deltas : (string * (string * int) list) l
 
 let run phases listing transcript tns interpret repl stats timings profile metrics trace
     annotate folded trace_events remarks remarks_json diff_runs diff_threshold
-    (rules, options) cse strict fuzz chaos seed fuzz_report serve_batch jobs cache_dir
-    cache_capacity serve_out serve_fuzz deadline_cycles max_retries degrade incidents
+    (lattice : Lattice.point) strict fuzz chaos seed fuzz_report serve_batch jobs
+    cache_dir cache_capacity serve_out serve_fuzz deadline_cycles max_retries degrade incidents
     serve_chaos evals files =
   let module Remark = S1_obs.Remark in
   (* --diff-runs is a separate mode: compare two exported runs, compile
@@ -256,13 +257,9 @@ let run phases listing transcript tns interpret repl stats timings profile metri
       exit 2
     end;
     Obs.reset ();
-    List.iter (Obs.incr ~n:0)
-      [ "serve.hits"; "serve.misses"; "serve.evictions"; "serve.stale";
-        "serve.quarantined"; "serve.readmitted"; "serve.breaker_open";
-        "serve.retries"; "serve.degraded"; "serve.deadline";
-        "serve.worker_crashes"; "image.bytes_written"; "image.bytes_read" ];
+    Obs.preseed ~prefixes:[ "serve."; "image." ] ();
     let cache = Cache.create ?dir:cache_dir ~capacity:cache_capacity () in
-    let cfg = { Serve.sv_rules = rules; sv_options = options; sv_cse = cse } in
+    let cfg = Serve.cfg_of_point lattice in
     let policy =
       {
         Sup.p_deadline = deadline_cycles;
@@ -368,7 +365,9 @@ let run phases listing transcript tns interpret repl stats timings profile metri
                    exit 2)
              (String.split_on_char ',' spec))
   in
-  let c = C.create ~options ~rules ~cse ~strict () in
+  let c =
+    C.create ~options:lattice.Lattice.options ~rules:lattice.rules ~cse:lattice.cse ~strict ()
+  in
   Remark.reset ();
   if remark_kinds <> None || remarks_json <> None then Remark.set_enabled true;
   (* measure only the user's forms: boot noise (builtin stubs, prelude)
@@ -380,20 +379,7 @@ let run phases listing transcript tns interpret repl stats timings profile metri
   List.iter
     (fun r -> Obs.incr ~n:0 ("rule." ^ r))
     S1_transform.Rules.transcript_rule_names;
-  List.iter (Obs.incr ~n:0)
-    [ "rule.COMMON-SUBEXPRESSION-ELIMINATION"; "cse.eliminated"; "pdl.candidates";
-      "pdl.stack_boxes"; "pdl.heap_boxes"; "tn.total"; "tn.in_registers"; "tn.pointer_slots";
-      "tn.scratch_slots"; "tn.across_call"; "fuzz.programs"; "fuzz.divergences";
-      "fuzz.shrink_steps"; "fuzz.interp_errors"; "robust.pass_rollback";
-      "robust.verify_fail"; "chaos.programs"; "chaos.faults"; "chaos.failures";
-      "heap.alloc.cons"; "heap.alloc.single_flonum"; "heap.alloc.double_flonum";
-      "heap.alloc.bignum"; "heap.alloc.closure"; "heap.alloc.vector"; "heap.alloc.words";
-      "heap.gc.collections"; "heap.gc.words_swept"; "heap.gc.pause_cycles";
-      "heap.certified_escapes"; "machine.calls"; "machine.tcalls"; "machine.stack_high";
-      "machine.bind_high"; "serve.hits"; "serve.misses"; "serve.evictions";
-      "serve.stale"; "serve.quarantined"; "serve.readmitted"; "serve.breaker_open";
-      "serve.retries"; "serve.degraded"; "serve.deadline"; "serve.worker_crashes";
-      "image.bytes_written"; "image.bytes_read" ];
+  Obs.preseed ();
   Cpu.reset_stats c.C.rt.Rt.cpu;
   (* --annotate needs per-PC cycle counts and the loaded programs *)
   if profile || annotate then Cpu.enable_profile c.C.rt.Rt.cpu;
@@ -724,76 +710,21 @@ let diff_threshold =
         ~doc:"Regression threshold for $(b,--diff-runs): cycle counts may grow by up to \
               $(docv) percent before the diff exits non-zero.")
 
-let unchecked =
-  Arg.(value & flag & info [ "unchecked" ] ~doc:"Compile without run-time type checks.")
-
-let no_opt =
-  Arg.(value & flag & info [ "no-opt"; "O0" ] ~doc:"Disable the source-level optimizer.")
-
-let cse =
-  Arg.(value & flag & info [ "cse" ] ~doc:"Enable common-subexpression elimination (§4.3).")
-
-let peephole =
-  Arg.(value & flag & info [ "peephole" ] ~doc:"Enable branch tensioning and dead-code peephole (§4.5).")
-
-(* The optimization lattice, flag by flag: each Rules.config rule family
-   and each Gen.options ablation is individually addressable, so any
-   configuration the fuzzer reports is reproducible by hand. *)
-let rule_flag name doc = Arg.(value & flag & info [ name ] ~doc)
-let no_beta = rule_flag "no-beta" "Disable the three beta-conversion rules."
-let no_fold = rule_flag "no-fold" "Disable compile-time expression evaluation."
-let no_ifopt = rule_flag "no-ifopt" "Disable conditional simplification and distribution."
-let no_assoc = rule_flag "no-assoc" "Disable associative/commutative canonicalization."
-let no_identities = rule_flag "no-identities" "Disable identity-operand elimination."
-let no_deadcode = rule_flag "no-deadcode" "Disable dead-code elimination."
-let no_sinc = rule_flag "no-sinc" "Disable the sin\\$f -> sinc\\$f strength reduction."
-let no_integrate = rule_flag "no-integrate" "Disable procedure integration."
-let no_specialize = rule_flag "no-specialize" "Disable declared-type specialization."
-let no_tnbind = rule_flag "no-tnbind" "Disable TNBIND packing: every TN to a frame slot."
-let no_pdl = rule_flag "no-pdl" "Disable pdl numbers: heap-allocate all number boxes."
-
-let no_cache_specials =
-  rule_flag "no-cache-specials" "Disable the special-variable lookup cache."
-
-let no_inline_prims =
-  rule_flag "no-inline-prims" "Compile every primitive as a call to its native."
-
-let config_term =
-  let mk unchecked no_opt peephole no_beta no_fold no_ifopt no_assoc no_identities
-      no_deadcode no_sinc no_integrate no_specialize no_tnbind no_pdl no_cache_specials
-      no_inline_prims =
-    let module R = S1_transform.Rules in
-    let r = if no_opt then R.nothing else R.default_config in
-    let r =
-      {
-        r with
-        R.beta = r.R.beta && not no_beta;
-        R.fold = r.R.fold && not no_fold;
-        R.ifopt = r.R.ifopt && not no_ifopt;
-        R.assoc = r.R.assoc && not no_assoc;
-        R.identities = r.R.identities && not no_identities;
-        R.deadcode = r.R.deadcode && not no_deadcode;
-        R.sinc = r.R.sinc && not no_sinc;
-        R.integrate = r.R.integrate && not no_integrate;
-        R.typed_specialize = r.R.typed_specialize && not no_specialize;
-      }
-    in
-    let o =
-      {
-        S1_codegen.Gen.checked = not unchecked;
-        S1_codegen.Gen.use_tnbind = not no_tnbind;
-        S1_codegen.Gen.pdl_numbers = not no_pdl;
-        S1_codegen.Gen.cache_specials = not no_cache_specials;
-        S1_codegen.Gen.inline_prims = not no_inline_prims;
-        S1_codegen.Gen.peephole = peephole;
-      }
-    in
-    (r, o)
-  in
+(* The optimization lattice, flag by flag, generated from the one table
+   in Lattice: every rule family and every Gen.options ablation is
+   individually addressable, so any configuration the fuzzer reports is
+   reproducible by hand.  The term collects the flags given and parses
+   them with Lattice.of_flags, the parser the fuzz oracle's points and
+   the degradation rungs go through too. *)
+let lattice_term =
   Term.(
-    const mk $ unchecked $ no_opt $ peephole $ no_beta $ no_fold $ no_ifopt $ no_assoc
-    $ no_identities $ no_deadcode $ no_sinc $ no_integrate $ no_specialize $ no_tnbind
-    $ no_pdl $ no_cache_specials $ no_inline_prims)
+    const (fun flags -> Lattice.of_flags flags)
+    $ List.fold_left
+        (fun acc (s : Lattice.switch) ->
+          const (fun flags on -> if on then ("--" ^ List.hd s.names) :: flags else flags)
+          $ acc
+          $ Arg.(value & flag & info s.names ~doc:s.doc))
+        (const []) Lattice.switches)
 
 let strict =
   Arg.(
@@ -965,7 +896,7 @@ let cmd =
     Term.(
       const run $ phases $ listing $ transcript $ tns $ interpret $ repl $ stats $ timings
       $ profile $ metrics $ trace $ annotate $ folded $ trace_events $ remarks
-      $ remarks_json $ diff_runs $ diff_threshold $ config_term $ cse $ strict $ fuzz
+      $ remarks_json $ diff_runs $ diff_threshold $ lattice_term $ strict $ fuzz
       $ chaos $ seed $ fuzz_report $ serve_batch $ jobs $ cache_dir $ cache_capacity
       $ serve_out $ serve_fuzz $ deadline_cycles $ max_retries $ degrade $ incidents
       $ serve_chaos $ evals $ files)

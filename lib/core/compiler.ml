@@ -194,27 +194,33 @@ let degrade_name = function
   | Boxed -> "boxed"
   | Interp_stub -> "interp"
 
-(** The lattice point a ladder rung compiles at, as (rules, options,
-    cse) over the caller's requested configuration; [None] for the
-    interpreter floor. *)
-let degrade_config level ((rules : Rules.config), (options : Gen.options), cse) =
+(** The lattice point a ladder rung compiles at, over the caller's
+    requested point; [None] for the interpreter floor.  The two
+    compiled fallbacks are s1lc flag lists: [Safe_opt] adds its flags to
+    the caller's, [Boxed] starts from the default point. *)
+let degrade_config level (p : Lattice.point) : Lattice.point option =
   match level with
-  | Full_opt -> Some (rules, options, cse)
-  | Safe_opt ->
-      Some (rules, { options with Gen.use_tnbind = false; pdl_numbers = false }, cse)
+  | Full_opt -> Some p
+  | Safe_opt -> Some (Lattice.of_flags ~base:p [ "--no-tnbind"; "--no-pdl" ])
   | Boxed ->
       Some
-        ( Rules.nothing,
-          {
-            Gen.checked = true;
-            use_tnbind = false;
-            pdl_numbers = false;
-            cache_specials = false;
-            inline_prims = false;
-            peephole = false;
-          },
-          false )
+        (Lattice.of_flags
+           [ "--no-opt"; "--no-tnbind"; "--no-pdl"; "--no-cache-specials"; "--no-inline-prims" ])
   | Interp_stub -> None
+
+(** The rungs a unit descends from [p].  A rung whose lattice point
+    equals the previous rung's would retry an identical compile, and
+    compilation and the simulator are deterministic, so it would fail
+    the same way: such a rung is skipped (a caller already at
+    [--no-tnbind --no-pdl] goes straight from [Full_opt] to [Boxed]). *)
+let degrade_rungs (p : Lattice.point) : degrade_level list =
+  let rec go prev = function
+    | [] -> []
+    | rung :: rest ->
+        let cfg = degrade_config rung p in
+        if cfg <> None && cfg = prev then go prev rest else rung :: go cfg rest
+  in
+  go None degrade_ladder
 
 (* Transactional loads --------------------------------------------------------- *)
 

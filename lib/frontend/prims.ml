@@ -376,8 +376,6 @@ let by_name : (string, t) Hashtbl.t =
 let find name = Hashtbl.find_opt by_name name
 let is_primitive name = Hashtbl.mem by_name name
 
-let is_pure name = match find name with Some p -> p.pure | None -> false
-
 (* Which prim calls the code generator compiles inline, by name and
    arity.  Everything else goes through the runtime as a native call
    whose result arrives as a tagged POINTER in A.  Representation

@@ -263,12 +263,6 @@ type batch_fault =
   | Bdeadline  (** starvation-sized cycle deadline on the first attempt *)
   | Bcorrupt  (** flip bytes in the unit's cached blob before lookup *)
 
-let batch_fault_name = function
-  | Bnone -> "none"
-  | Bkill -> "worker-kill"
-  | Bdeadline -> "deadline-overrun"
-  | Bcorrupt -> "blob-corrupt"
-
 (** The fault unit [index] draws under master [seed].  Roughly half the
     units run fault-free so the smoke can also assert non-interference:
     unfaulted units must come out byte-identical to a fault-free run. *)

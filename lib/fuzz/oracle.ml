@@ -15,6 +15,7 @@
 
 module Sexp = S1_sexp.Sexp
 module C = S1_core.Compiler
+module Lattice = S1_core.Lattice
 module Rt = S1_runtime.Rt
 module I = S1_interp.Interp
 module Rules = S1_transform.Rules
@@ -36,30 +37,26 @@ type config = {
 
 (* The lattice: full optimization, no optimization, each Gen.options
    ablation flipped individually, the §4.5 peephole extension, and the
-   §4.3 CSE extension.  Every future perf toggle belongs in this list —
-   membership is what certifies it. *)
+   §4.3 CSE extension.  Each point is its s1lc flag string, parsed by
+   the CLI's own parser, so the repro line is right by construction.
+   Every future perf toggle belongs in this list — membership is what
+   certifies it. *)
 let lattice : config list =
-  let d = GenO.default_options in
-  [
-    { cfg_name = "default"; cfg_flags = ""; cfg_rules = Rules.default_config;
-      cfg_options = d; cfg_cse = false };
-    { cfg_name = "no-opt"; cfg_flags = "--no-opt"; cfg_rules = Rules.nothing;
-      cfg_options = d; cfg_cse = false };
-    { cfg_name = "no-tnbind"; cfg_flags = "--no-tnbind"; cfg_rules = Rules.default_config;
-      cfg_options = { d with GenO.use_tnbind = false }; cfg_cse = false };
-    { cfg_name = "no-pdl"; cfg_flags = "--no-pdl"; cfg_rules = Rules.default_config;
-      cfg_options = { d with GenO.pdl_numbers = false }; cfg_cse = false };
-    { cfg_name = "no-cache-specials"; cfg_flags = "--no-cache-specials";
-      cfg_rules = Rules.default_config;
-      cfg_options = { d with GenO.cache_specials = false }; cfg_cse = false };
-    { cfg_name = "no-inline-prims"; cfg_flags = "--no-inline-prims";
-      cfg_rules = Rules.default_config;
-      cfg_options = { d with GenO.inline_prims = false }; cfg_cse = false };
-    { cfg_name = "peephole"; cfg_flags = "--peephole"; cfg_rules = Rules.default_config;
-      cfg_options = { d with GenO.peephole = true }; cfg_cse = false };
-    { cfg_name = "cse"; cfg_flags = "--cse"; cfg_rules = Rules.default_config;
-      cfg_options = d; cfg_cse = true };
-  ]
+  List.map
+    (fun cfg_flags ->
+      let p = Lattice.of_string cfg_flags in
+      {
+        cfg_name =
+          (match cfg_flags with
+          | "" -> "default"
+          | f -> String.sub f 2 (String.length f - 2));
+        cfg_flags;
+        cfg_rules = p.Lattice.rules;
+        cfg_options = p.Lattice.options;
+        cfg_cse = p.Lattice.cse;
+      })
+    [ ""; "--no-opt"; "--no-tnbind"; "--no-pdl"; "--no-cache-specials"; "--no-inline-prims";
+      "--peephole"; "--cse" ]
 
 let find_config name = List.find_opt (fun c -> c.cfg_name = name) lattice
 

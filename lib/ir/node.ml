@@ -74,13 +74,6 @@ let join_effects a b =
     eff_special = a.eff_special || b.eff_special;
   }
 
-(* Observable side effects: would executing this twice (or not at all, or
-   at a different time) change program behaviour?  Allocation alone is the
-   paper's "side effect that may be eliminated but must not be
-   duplicated". *)
-let effects_pure e =
-  (not e.eff_write) && (not e.eff_unknown_call) && (not e.eff_control) && not e.eff_special
-
 type var = {
   v_name : string;
   v_id : int;
@@ -280,16 +273,11 @@ let lambda ?(name = "LAMBDA") params body =
 
 let required v = { p_var = v; p_default = None; p_kind = Required }
 
-let nil_term = fun () -> term Sexp.nil
-let t_term = fun () -> term (Sexp.Sym "T")
-
 (* Queries ---------------------------------------------------------------- *)
 
 let is_constant n = match n.kind with Term _ -> true | _ -> false
 
 let constant_value n = match n.kind with Term s -> Some s | _ -> None
-
-let is_var n = match n.kind with Var _ -> true | _ -> false
 
 let children n =
   match n.kind with
@@ -352,11 +340,6 @@ let propagate_locs root =
   go None root
 
 let rec size n = 1 + List.fold_left (fun acc c -> acc + size c) 0 (children n)
-
-let count_nodes pred root =
-  let c = ref 0 in
-  iter (fun n -> if pred n then incr c) root;
-  !c
 
 (* Checkpoint restore: make [dst] structurally identical to [src] by
    overwriting every mutable field.  Used by the pass guard to roll a

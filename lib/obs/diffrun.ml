@@ -23,6 +23,12 @@
     - events: per-(category, name) event counts and accumulated
       durations; duration growth past the threshold is a regression.
 
+    Every report but remarks is one mechanism: a list of gated
+    families, each an extractor of [(key, int)] rows plus an
+    {!Obs.gate} ({!gated}), run through {!run_families}.  Counter gates
+    come from {!Obs.fixed_counters}.  Only the bench result-mismatch and
+    row-presence rules compare something other than two ints.
+
     The report is deterministic (sorted keys) so it can itself be
     diffed. *)
 
@@ -53,9 +59,6 @@ let read_file path =
       s
   | exception Sys_error m -> raise (Diff_error m)
 
-let starts_with prefix s =
-  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
-
 (* A folded-stack export is the one schemaless format we accept: every
    non-empty line must be "call;path count". *)
 let parse_folded (src : string) : (string * int) list option =
@@ -66,20 +69,14 @@ let parse_folded (src : string) : (string * int) list option =
   else
     let parse_line l =
       match String.rindex_opt l ' ' with
-      | None -> None
-      | Some i -> (
-          let path = String.sub l 0 i in
-          let count = String.sub l (i + 1) (String.length l - i - 1) in
-          if path = "" then None
-          else match int_of_string_opt count with
-               | Some n -> Some (path, n)
-               | None -> None)
+      | Some i when i > 0 ->
+          Option.map
+            (fun n -> (String.sub l 0 i, n))
+            (int_of_string_opt (String.sub l (i + 1) (String.length l - i - 1)))
+      | _ -> None
     in
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | l :: rest -> ( match parse_line l with Some r -> go (r :: acc) rest | None -> None)
-    in
-    go [] lines
+    let rows = List.filter_map parse_line lines in
+    if List.compare_lengths rows lines = 0 then Some rows else None
 
 let classify ~path (src : string) : doc =
   (* a remarks journal is JSONL: its first line is a self-contained
@@ -100,9 +97,9 @@ let classify ~path (src : string) : doc =
       match Json.parse (String.trim src) with
       | j -> (
           match Option.bind (Json.member "schema" j) Json.to_str with
-          | Some s when starts_with "s1lisp.metrics/" s -> Metrics j
-          | Some s when starts_with "s1lisp.events/" s -> Events j
-          | Some s when starts_with "s1lisp.bench/" s -> Bench j
+          | Some s when String.starts_with ~prefix:"s1lisp.metrics/" s -> Metrics j
+          | Some s when String.starts_with ~prefix:"s1lisp.events/" s -> Events j
+          | Some s when String.starts_with ~prefix:"s1lisp.bench/" s -> Bench j
           | Some s -> raise (Diff_error (Printf.sprintf "%s: unsupported schema %S" path s))
           | None -> raise (Diff_error (path ^ ": document has no schema field")))
       | exception Json.Parse_error m -> (
@@ -175,15 +172,61 @@ let diff_remarks (a : Remark.t list) (b : Remark.t list) : report =
   in
   make_report "remarks" lines
 
-(* ---- metrics ---- *)
+(* ---- gated families ---- *)
 
-let int_member path j =
-  let rec go names j =
-    match names with
-    | [] -> Json.to_int j
-    | n :: rest -> ( match Json.member n j with Some j' -> go rest j' | None -> None)
-  in
-  go path j
+(** One family of a report: the keyed lines it contributes for two
+    documents at a percent [threshold].  The key orders a report whose
+    families interleave per key (bench). *)
+type 'd family = threshold:float -> 'd -> 'd -> (string * line) list
+
+(** The numeric family every report but remarks is built from: [rows]
+    extracts [(key, int)] rows from a document, [name] renders a key
+    ("counter k:"), and [gate] decides which growth regresses.  Keys
+    missing on one side count as 0, unless [both]: then a key must be
+    present in both runs to be compared at all. *)
+let gated ?(both = false) ~name ~(gate : Obs.gate) (rows : 'd -> (string * int) list) :
+    'd family =
+ fun ~threshold a b ->
+  let ra = rows a and rb = rows b in
+  List.sort_uniq compare (List.map fst ra @ List.map fst rb)
+  |> List.filter_map (fun k ->
+         match (List.assoc_opt k ra, List.assoc_opt k rb) with
+         | (None, _ | _, None) when both -> None
+         | va, vb ->
+             let va = Option.value ~default:0 va and vb = Option.value ~default:0 vb in
+             if va = vb then None
+             else
+               let pct = pct_delta va vb in
+               let regressed =
+                 vb > va
+                 &&
+                 match gate with
+                 | Obs.Info -> false
+                 | Obs.Pct_floor floor -> pct > threshold && vb - va >= floor
+                 | Obs.Floor floor -> vb - va >= floor
+               in
+               Some
+                 ( k,
+                   (if regressed then regression else info)
+                     (Printf.sprintf "%s %d -> %d (%+d, %+.1f%%)" (name k) va vb (vb - va)
+                        pct) ))
+
+let labelled label k = label ^ " " ^ k ^ ":"
+
+(* below this many cycles of growth a per-line, per-edge, per-path or
+   per-event delta is reported but never fails the diff: tiny entries
+   flip across code-layout changes *)
+let cycle_floor = Obs.Pct_floor 32
+
+let member_rows field ~key j =
+  match field j with
+  | Some (Json.Arr rows) -> List.filter_map key rows
+  | _ -> []
+
+let str_field f row = Option.bind (Json.member f row) Json.to_str
+let int_field f row = Option.bind (Json.member f row) Json.to_int
+
+(* ---- metrics ---- *)
 
 let counters_of j =
   match Json.member "counters" j with
@@ -191,193 +234,87 @@ let counters_of j =
       List.filter_map (fun (k, v) -> Option.map (fun n -> (k, n)) (Json.to_int v)) kvs
   | _ -> []
 
-let profile_lines_of j =
-  match Option.bind (Json.member "profile" j) (Json.member "lines") with
-  | Some (Json.Arr rows) ->
-      List.filter_map
-        (fun row ->
-          match
-            ( Option.bind (Json.member "file" row) Json.to_str,
-              Option.bind (Json.member "line" row) Json.to_int,
-              Option.bind (Json.member "cycles" row) Json.to_int )
-          with
-          | Some f, Some l, Some c -> Some (Printf.sprintf "%s:%d" f l, c)
-          | _ -> None)
-        rows
-  | _ -> []
+(* One counter family per gate, in order of first appearance in
+   Obs.fixed_counters (after [Info], which also takes every counter
+   outside the table). *)
+let counter_families : Json.t family list =
+  let gate_of k = Option.value ~default:Obs.Info (List.assoc_opt k Obs.fixed_counters) in
+  List.fold_left
+    (fun gates (_, g) -> if List.mem g gates then gates else gates @ [ g ])
+    [ Obs.Info ] Obs.fixed_counters
+  |> List.map (fun gate ->
+         gated ~name:(labelled "counter") ~gate (fun j ->
+             List.filter (fun (k, _) -> gate_of k = gate) (counters_of j)))
 
-(* below this many cycles of growth a per-line delta is reported but
-   never fails the diff: tiny lines flip across code-layout changes *)
-let line_cycle_floor = 32
-
-let diff_int_maps ~label ~threshold ~floor (a : (string * int) list) (b : (string * int) list)
-    : line list =
-  let keys = List.sort_uniq compare (List.map fst a @ List.map fst b) in
-  List.concat_map
-    (fun k ->
-      let va = Option.value ~default:0 (List.assoc_opt k a) in
-      let vb = Option.value ~default:0 (List.assoc_opt k b) in
-      if va = vb then []
-      else
-        let pct = pct_delta va vb in
-        let regressed = vb > va && pct > threshold && vb - va >= floor in
-        [
-          (if regressed then regression else info)
-            (Printf.sprintf "%s %s: %d -> %d (%+d, %+.1f%%)" label k va vb (vb - va) pct);
-        ])
-    keys
-
-(* Stack high-water counters gate the diff like cycles do — a deeper
-   control or binding stack is a real regression (lost tail call,
-   runaway rebinding) — with an absolute floor so tiny fluctuation in
-   shallow programs cannot fail a run. *)
-let gated_counters = [ "machine.stack_high"; "machine.bind_high" ]
-let stack_word_floor = 16
-
-(* Compile-service counters gate too: between comparable runs, new
-   cache misses or any stale blob mean content addressing stopped
-   holding, and serialized-image growth past the threshold means the
-   compiled programs themselves got bigger.  The supervision incident
-   family (quarantined blobs, open breakers, degraded or deadline-hit
-   units, dead workers, retries) gates the same way: a healthy baseline
-   has zero of each, so any appearance is a regression regardless of
-   percentage. *)
-let serve_gated_counters =
-  [ "serve.misses"; "serve.stale"; "serve.quarantined"; "serve.readmitted";
-    "serve.breaker_open"; "serve.retries"; "serve.degraded"; "serve.deadline";
-    "serve.worker_crashes" ]
-let serve_miss_floor = 1
-let image_gated_counters = [ "image.bytes_written" ]
-let image_byte_floor = 4096
-
-let callgraph_edges_of j =
-  match Option.bind (Json.member "callgraph" j) (Json.member "edges") with
-  | Some (Json.Arr rows) ->
-      List.filter_map
-        (fun row ->
-          match
-            ( Option.bind (Json.member "caller" row) Json.to_str,
-              Option.bind (Json.member "callee" row) Json.to_str,
-              Option.bind (Json.member "excl_cycles" row) Json.to_int )
-          with
-          | Some caller, Some callee, Some c -> Some (caller ^ " -> " ^ callee, c)
-          | _ -> None)
-        rows
-  | _ -> []
-
-let diff_metrics ~threshold (a : Json.t) (b : Json.t) : report =
-  let split cs =
-    let stack, rest = List.partition (fun (k, _) -> List.mem k gated_counters) cs in
-    let serve, rest =
-      List.partition (fun (k, _) -> List.mem k serve_gated_counters) rest
-    in
-    let image, plain =
-      List.partition (fun (k, _) -> List.mem k image_gated_counters) rest
-    in
-    (stack, serve, image, plain)
-  in
-  let sa, va, ia, pa = split (counters_of a) in
-  let sb, vb, ib, pb = split (counters_of b) in
-  let counter_lines =
-    (* counters are exact by construction; report every delta but let
-       only cycle-bearing, stack-growth, and cache-effectiveness
-       comparisons fail the run *)
-    diff_int_maps ~label:"counter" ~threshold:infinity ~floor:max_int pa pb
-    @ diff_int_maps ~label:"counter" ~threshold ~floor:stack_word_floor sa sb
-    (* a healthy warm run has zero misses and zero stale blobs, and
-       growth from a zero baseline never clears a percentage threshold,
-       so the cache-effectiveness family gates on the absolute floor
-       alone *)
-    @ diff_int_maps ~label:"counter" ~threshold:neg_infinity
-        ~floor:serve_miss_floor va vb
-    @ diff_int_maps ~label:"counter" ~threshold ~floor:image_byte_floor ia ib
-  in
-  let cycle_lines =
-    match (int_member [ "cpu"; "cycles" ] a, int_member [ "cpu"; "cycles" ] b) with
-    | Some ca, Some cb when ca <> cb ->
-        let pct = pct_delta ca cb in
-        let regressed = cb > ca && pct > threshold in
-        [
-          (if regressed then regression else info)
-            (Printf.sprintf "cpu.cycles: %d -> %d (%+d, %+.1f%%)" ca cb (cb - ca) pct);
-        ]
-    | _ -> []
-  in
-  let line_lines =
-    diff_int_maps ~label:"line-cycles" ~threshold ~floor:line_cycle_floor
-      (profile_lines_of a) (profile_lines_of b)
-  in
-  let edge_lines =
-    (* a regressed edge: this caller->callee's exclusive cycles grew
-       past the threshold — the call-path profiler's version of a
-       hotter source line *)
-    diff_int_maps ~label:"edge-excl-cycles" ~threshold ~floor:line_cycle_floor
-      (callgraph_edges_of a) (callgraph_edges_of b)
-  in
-  make_report "metrics" (counter_lines @ cycle_lines @ line_lines @ edge_lines)
+let metrics_families : Json.t family list =
+  counter_families
+  @ [
+      gated ~both:true ~name:(fun k -> k ^ ":") ~gate:(Obs.Pct_floor 0) (fun j ->
+          match Option.bind (Json.member "cpu" j) (int_field "cycles") with
+          | Some c -> [ ("cpu.cycles", c) ]
+          | None -> []);
+      gated ~name:(labelled "line-cycles") ~gate:cycle_floor
+        (member_rows
+           (fun j -> Option.bind (Json.member "profile" j) (Json.member "lines"))
+           ~key:(fun row ->
+             match (str_field "file" row, int_field "line" row, int_field "cycles" row) with
+             | Some f, Some l, Some c -> Some (Printf.sprintf "%s:%d" f l, c)
+             | _ -> None));
+      (* a regressed edge: this caller->callee's exclusive cycles grew
+         past the threshold — the call-path profiler's version of a
+         hotter source line *)
+      gated ~name:(labelled "edge-excl-cycles") ~gate:cycle_floor
+        (member_rows
+           (fun j -> Option.bind (Json.member "callgraph" j) (Json.member "edges"))
+           ~key:(fun row ->
+             match
+               (str_field "caller" row, str_field "callee" row, int_field "excl_cycles" row)
+             with
+             | Some caller, Some callee, Some c -> Some (caller ^ " -> " ^ callee, c)
+             | _ -> None));
+    ]
 
 (* ---- bench ---- *)
 
+(* rows keyed "experiment / name"; the first of duplicate keys wins *)
 let bench_rows j =
-  match Json.member "rows" j with
-  | Some (Json.Arr rows) ->
+  member_rows (Json.member "rows") j ~key:(fun row ->
+      match (str_field "experiment" row, str_field "name" row) with
+      | Some e, Some n -> Some (Printf.sprintf "%s / %s" e n, row)
+      | _ -> None)
+  |> List.fold_left (fun acc (k, r) -> if List.mem_assoc k acc then acc else (k, r) :: acc) []
+  |> List.rev
+
+let bench_field field j =
+  List.filter_map
+    (fun (k, row) -> Option.map (fun v -> (k, v)) (field row))
+    (bench_rows j)
+
+(* Rows only one run has are news, not regressions; a changed
+   observable result is never within tolerance, at any threshold. *)
+let bench_families : Json.t family list =
+  [
+    (fun ~threshold:_ a b ->
+      let ra = bench_rows a and rb = bench_rows b in
       List.filter_map
-        (fun row ->
-          match
-            ( Option.bind (Json.member "experiment" row) Json.to_str,
-              Option.bind (Json.member "name" row) Json.to_str )
-          with
-          | Some e, Some n -> Some (Printf.sprintf "%s / %s" e n, row)
+        (fun (k, _) -> if List.mem_assoc k rb then None else Some (k, info ("row vanished: " ^ k)))
+        ra
+      @ List.filter_map
+          (fun (k, _) ->
+            if List.mem_assoc k ra then None else Some (k, info ("row appeared: " ^ k)))
+          rb);
+    gated ~both:true ~name:(fun k -> k ^ ": cycles") ~gate:(Obs.Pct_floor 0)
+      (bench_field (int_field "cycles"));
+    (fun ~threshold:_ a b ->
+      let ra = bench_field (str_field "result") a in
+      List.filter_map
+        (fun (k, vb) ->
+          match List.assoc_opt k ra with
+          | Some va when va <> vb ->
+              Some (k, regression (Printf.sprintf "%s: result %S -> %S" k va vb))
           | _ -> None)
-        rows
-  | _ -> []
-
-let diff_bench ~threshold (a : Json.t) (b : Json.t) : report =
-  let ra = bench_rows a and rb = bench_rows b in
-  let keys = List.sort_uniq compare (List.map fst ra @ List.map fst rb) in
-  let lines =
-    List.concat_map
-      (fun k ->
-        match (List.assoc_opt k ra, List.assoc_opt k rb) with
-        | Some _, None -> [ info (Printf.sprintf "row vanished: %s" k) ]
-        | None, Some _ -> [ info (Printf.sprintf "row appeared: %s" k) ]
-        | None, None -> []
-        | Some rowa, Some rowb ->
-            let cyc =
-              match
-                ( Option.bind (Json.member "cycles" rowa) Json.to_int,
-                  Option.bind (Json.member "cycles" rowb) Json.to_int )
-              with
-              | Some ca, Some cb when ca <> cb ->
-                  let pct = pct_delta ca cb in
-                  let regressed = cb > ca && pct > threshold in
-                  [
-                    (if regressed then regression else info)
-                      (Printf.sprintf "%s: cycles %d -> %d (%+d, %+.1f%%)" k ca cb (cb - ca)
-                         pct);
-                  ]
-              | _ -> []
-            in
-            let res =
-              match
-                ( Option.bind (Json.member "result" rowa) Json.to_str,
-                  Option.bind (Json.member "result" rowb) Json.to_str )
-              with
-              | Some va, Some vb when va <> vb ->
-                  (* a changed observable result is never within tolerance *)
-                  [ regression (Printf.sprintf "%s: result %S -> %S" k va vb) ]
-              | _ -> []
-            in
-            cyc @ res)
-      keys
-  in
-  make_report "bench" lines
-
-(* ---- folded stacks ---- *)
-
-let diff_folded ~threshold (a : (string * int) list) (b : (string * int) list) : report =
-  make_report "folded"
-    (diff_int_maps ~label:"path-cycles" ~threshold ~floor:line_cycle_floor a b)
+        (bench_field (str_field "result") b));
+  ]
 
 (* ---- trace events ---- *)
 
@@ -393,43 +330,46 @@ let event_rollup j =
   | Some (Json.Arr evs) ->
       List.iter
         (fun ev ->
-          match
-            ( Option.bind (Json.member "cat" ev) Json.to_str,
-              Option.bind (Json.member "name" ev) Json.to_str )
-          with
+          match (str_field "cat" ev, str_field "name" ev) with
           | Some cat, Some name ->
               let k = cat ^ "/" ^ name in
               bump counts k 1;
-              (match Option.bind (Json.member "dur" ev) Json.to_int with
-              | Some d -> bump durs k d
-              | None -> ())
+              Option.iter (bump durs k) (int_field "dur" ev)
           | _ -> ())
         evs
   | _ -> ());
   let to_list tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
   (to_list counts, to_list durs)
 
-let diff_events ~threshold (a : Json.t) (b : Json.t) : report =
-  let ca, da = event_rollup a and cb, db = event_rollup b in
-  let count_lines =
-    (* occurrence counts are informational: a new GC or an extra bind is
-       visible, but only accumulated duration growth fails the run *)
-    diff_int_maps ~label:"events" ~threshold:infinity ~floor:max_int ca cb
-  in
-  let dur_lines =
-    diff_int_maps ~label:"event-cycles" ~threshold ~floor:line_cycle_floor da db
-  in
-  make_report "events" (count_lines @ dur_lines)
+(* occurrence counts are informational: a new GC or an extra bind is
+   visible, but only accumulated duration growth fails the run *)
+let events_families : Json.t family list =
+  [
+    gated ~name:(labelled "events") ~gate:Obs.Info (fun j -> fst (event_rollup j));
+    gated ~name:(labelled "event-cycles") ~gate:cycle_floor (fun j -> snd (event_rollup j));
+  ]
 
 (* ---- driver ---- *)
+
+(* Families run in order; [by_key] regroups their lines per key (stable,
+   so a key's lines keep family order). *)
+let run_families ?(by_key = false) kind (families : 'd family list) ~threshold a b =
+  let lines = List.concat_map (fun f -> f ~threshold a b) families in
+  let lines =
+    if by_key then List.stable_sort (fun (x, _) (y, _) -> compare x y) lines else lines
+  in
+  make_report kind (List.map snd lines)
 
 let diff ?(threshold = 2.0) (a : doc) (b : doc) : report =
   match (a, b) with
   | Remarks ra, Remarks rb -> diff_remarks ra rb
-  | Metrics ma, Metrics mb -> diff_metrics ~threshold ma mb
-  | Bench ba, Bench bb -> diff_bench ~threshold ba bb
-  | Events ea, Events eb -> diff_events ~threshold ea eb
-  | Folded fa, Folded fb -> diff_folded ~threshold fa fb
+  | Metrics ma, Metrics mb -> run_families "metrics" metrics_families ~threshold ma mb
+  | Bench ba, Bench bb -> run_families ~by_key:true "bench" bench_families ~threshold ba bb
+  | Events ea, Events eb -> run_families "events" events_families ~threshold ea eb
+  | Folded fa, Folded fb ->
+      run_families "folded"
+        [ gated ~name:(labelled "path-cycles") ~gate:cycle_floor Fun.id ]
+        ~threshold fa fb
   | _ ->
       raise
         (Diff_error

@@ -165,6 +165,49 @@ let pp_counters fmt ?(t = default ()) () =
    serve.breaker_open, serve.worker_crashes). *)
 let schema_version = "s1lisp.metrics/6"
 
+(** How [s1lc --diff-runs] judges a counter's growth between two runs. *)
+type gate =
+  | Info  (** reported, never a regression *)
+  | Pct_floor of int  (** past the percent threshold and by at least this much *)
+  | Floor of int  (** by at least this much, whatever the percentage *)
+
+(** The schema's fixed counters with their gates; s1lc pre-seeds them at
+    zero ({!preseed}) so every one appears in [--timings]/[--metrics].
+    Counters outside the table are [Info].  A deeper control or binding
+    stack is a real regression (lost tail call, runaway rebinding), so
+    high-water marks gate like cycles, with a floor for shallow
+    programs.  A healthy warm batch has zero misses, stale blobs and
+    supervision incidents, and growth from zero never clears a
+    percentage, so any appearance regresses.  Image growth past the
+    threshold means the compiled programs got bigger. *)
+let fixed_counters : (string * gate) list =
+  let all gate = List.map (fun k -> (k, gate)) in
+  all Info
+    [ "rule.COMMON-SUBEXPRESSION-ELIMINATION"; "cse.eliminated"; "pdl.candidates";
+      "pdl.stack_boxes"; "pdl.heap_boxes"; "tn.total"; "tn.in_registers"; "tn.pointer_slots";
+      "tn.scratch_slots"; "tn.across_call"; "fuzz.programs"; "fuzz.divergences";
+      "fuzz.shrink_steps"; "fuzz.interp_errors"; "robust.pass_rollback";
+      "robust.verify_fail"; "chaos.programs"; "chaos.faults"; "chaos.failures";
+      "heap.alloc.cons"; "heap.alloc.single_flonum"; "heap.alloc.double_flonum";
+      "heap.alloc.bignum"; "heap.alloc.closure"; "heap.alloc.vector"; "heap.alloc.words";
+      "heap.gc.collections"; "heap.gc.words_swept"; "heap.gc.pause_cycles";
+      "heap.certified_escapes"; "machine.calls"; "machine.tcalls" ]
+  @ all (Pct_floor 16) [ "machine.stack_high"; "machine.bind_high" ]
+  @ all Info [ "serve.hits"; "serve.evictions" ]
+  @ all (Floor 1)
+      [ "serve.misses"; "serve.stale"; "serve.quarantined"; "serve.readmitted";
+        "serve.breaker_open"; "serve.retries"; "serve.degraded"; "serve.deadline";
+        "serve.worker_crashes" ]
+  @ [ ("image.bytes_written", Pct_floor 4096); ("image.bytes_read", Info) ]
+
+(** Seed the fixed counters whose names start with one of [prefixes]
+    (default: all of them) at zero. *)
+let preseed ?(prefixes = [ "" ]) () =
+  List.iter
+    (fun (k, _) ->
+      if List.exists (fun prefix -> String.starts_with ~prefix k) prefixes then incr ~n:0 k)
+    fixed_counters
+
 let json ?(t = default ()) () : Json.t =
   Json.Obj
     [

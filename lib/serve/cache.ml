@@ -37,46 +37,8 @@
     - [image.bytes_written] / [image.bytes_read] — disk traffic. *)
 
 module Obs = S1_obs.Obs
-module Rules = S1_transform.Rules
-module Gen = S1_codegen.Gen
 
-(* Canonical flag string: one field per optimization-lattice axis, in a
-   fixed order.  Exhaustive record patterns make adding a lattice axis
-   without extending the key a compile error — silently serving images
-   compiled under a different meaning of "default" is the exact bug a
-   content address exists to prevent. *)
-let canonical_flags (rules : Rules.config) (options : Gen.options) ~(cse : bool)
-    : string =
-  let {
-    Rules.beta;
-    fold;
-    ifopt;
-    assoc;
-    identities;
-    deadcode;
-    sinc;
-    integrate;
-    typed_specialize;
-    max_integrate_size;
-    max_duplicate_size;
-  } =
-    rules
-  in
-  let { Gen.checked; use_tnbind; pdl_numbers; cache_specials; inline_prims; peephole }
-      =
-    options
-  in
-  let b v = if v then '1' else '0' in
-  Printf.sprintf
-    "beta=%c fold=%c ifopt=%c assoc=%c identities=%c deadcode=%c sinc=%c \
-     integrate=%c typed_specialize=%c max_integrate=%d max_duplicate=%d \
-     checked=%c tnbind=%c pdl=%c cache_specials=%c inline_prims=%c \
-     peephole=%c cse=%c"
-    (b beta) (b fold) (b ifopt) (b assoc) (b identities) (b deadcode) (b sinc)
-    (b integrate) (b typed_specialize) max_integrate_size max_duplicate_size
-    (b checked) (b use_tnbind) (b pdl_numbers) (b cache_specials)
-    (b inline_prims) (b peephole) (b cse)
-
+(** [flags] is the compile's {!S1_core.Lattice.canonical} string. *)
 let key ?(schema = Image.schema_version) ~(flags : string) (source : string) :
     string =
   Digest.to_hex (Digest.string (String.concat "\x00" [ schema; flags; source ]))
@@ -329,8 +291,6 @@ let store (t : t) (k : string) (bytes : string) : unit =
   | Some dir ->
       write_file dir k bytes;
       Obs.incr ~n:(String.length bytes) "image.bytes_written"
-
-let in_memory (t : t) : int = locked t (fun () -> List.length t.lru)
 
 (** On-disk location of a key's blob, when the cache has a disk store.
     Exposed for fault injection (chaos corrupts blobs in place) and for

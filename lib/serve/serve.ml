@@ -35,6 +35,7 @@ module Macroexp = S1_frontend.Macroexp
 module Rules = S1_transform.Rules
 module Gen = S1_codegen.Gen
 module C = S1_core.Compiler
+module Lattice = S1_core.Lattice
 module Obs = S1_obs.Obs
 module Remark = S1_obs.Remark
 module Oracle = S1_fuzz.Oracle
@@ -46,11 +47,17 @@ type cfg = {
   sv_cse : bool;
 }
 
-let default_cfg =
-  { sv_rules = Rules.default_config; sv_options = Gen.default_options; sv_cse = false }
+let point (cfg : cfg) : Lattice.point =
+  { Lattice.rules = cfg.sv_rules; options = cfg.sv_options; cse = cfg.sv_cse }
 
-let flags_of (cfg : cfg) : string =
-  Cache.canonical_flags cfg.sv_rules cfg.sv_options ~cse:cfg.sv_cse
+let cfg_of_point (p : Lattice.point) : cfg =
+  { sv_rules = p.Lattice.rules; sv_options = p.Lattice.options; sv_cse = p.Lattice.cse }
+
+let default_cfg = cfg_of_point Lattice.default
+
+(** The canonical lattice string of [cfg]: part of every cache key,
+    stored in every image and in every incident's repro. *)
+let flags_of (cfg : cfg) : string = Lattice.canonical (point cfg)
 
 let key_of (cfg : cfg) (src : string) : string =
   Cache.key ~flags:(flags_of cfg) src

@@ -144,12 +144,12 @@ let chaos_deadline_cycles = 1
 let run_unit ?cache ?(policy = default_policy) ?(fault = Chaos.Bnone) ?seed
     (cfg : Serve.cfg) ~file (src : string) : sup_result =
   let before = Obs.snapshot () in
-  let lattice = (cfg.Serve.sv_rules, cfg.Serve.sv_options, cfg.Serve.sv_cse) in
+  let point = Serve.point cfg in
   let run_rung (rung : C.degrade_level) ~(deadline : int option) : Serve.result
       =
-    match C.degrade_config rung lattice with
-    | Some (rules, options, cse) ->
-        let cfg' = { Serve.sv_rules = rules; sv_options = options; sv_cse = cse } in
+    match C.degrade_config rung point with
+    | Some p ->
+        let cfg' = Serve.cfg_of_point p in
         let degraded = if rung = C.Full_opt then "" else C.degrade_name rung in
         Serve.compile_file ?cache ?fuel:policy.p_fuel ?deadline ~degraded cfg'
           ~file src
@@ -194,7 +194,7 @@ let run_unit ?cache ?(policy = default_policy) ?(fault = Chaos.Bnone) ?seed
               end
               else (rung, n + 1, r)
         in
-        let rungs = if policy.p_degrade then C.degrade_ladder else [ C.Full_opt ] in
+        let rungs = if policy.p_degrade then C.degrade_rungs point else [ C.Full_opt ] in
         attempt rungs 0)
   in
   let disposition =

@@ -58,10 +58,6 @@ type pool = {
 let create_pool () =
   { tns = []; next_id = 0; clock = 0; n_pointer_slots = 0; n_scratch_slots = 0 }
 
-let tick pool =
-  pool.clock <- pool.clock + 1;
-  pool.clock
-
 let fresh pool ?(width = 1) ?(must_frame = false) ?loc ~pointer ~rep name =
   pool.next_id <- pool.next_id + 1;
   let tn =
@@ -86,17 +82,6 @@ let fresh pool ?(width = 1) ?(must_frame = false) ?loc ~pointer ~rep name =
 let touch pool tn =
   tn.tn_uses <- tn.tn_uses + 1;
   tn.tn_last <- max tn.tn_last pool.clock
-
-(* Mark every TN whose lifetime spans the current clock as crossing a
-   call (records a "call event" at the current time). *)
-let call_event pool =
-  let t = tick pool in
-  List.iter (fun tn -> if tn.tn_first < t then tn.tn_across_call <- true) pool.tns
-
-(* After lifetimes are final, close every TN at the current clock when it
-   may be re-entered (loop bodies): the caller extends [tn_last]
-   explicitly for loop-carried variables. *)
-let extend_to pool tn = tn.tn_last <- max tn.tn_last pool.clock
 
 let overlap a b = a.tn_first <= b.tn_last && b.tn_first <= a.tn_last
 

@@ -87,11 +87,6 @@ let fire ctx rule (n : node) (new_kind : kind) =
 let term_truth (s : Sexp.t) =
   match s with Sexp.Sym "NIL" | Sexp.List [] -> Some false | _ -> Some true
 
-let is_nil_term n =
-  match n.kind with
-  | Term (Sexp.Sym "NIL" | Sexp.List []) -> true
-  | _ -> false
-
 (* A "timeless" expression can be evaluated at any time with the same
    result: constants, never-assigned lexical variables, and applications
    of pure primitives that read no mutable storage. *)

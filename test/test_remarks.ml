@@ -272,6 +272,166 @@ let test_diff_mixed_kinds_rejected () =
   | _ -> Alcotest.fail "diffed a metrics export against a remarks export"
   | exception Diffrun.Diff_error _ -> ()
 
+(* Golden reports, one per document kind the differ reads besides
+   remarks, pinned byte for byte.  Between them they hold a regression
+   line and an info line for every gate family: counters with the stack
+   floor (16), the serve absolute floor (1) and the image floor (4096),
+   cpu.cycles, profile lines and callgraph edges (floor 32), bench cycles
+   and result mismatches, folded paths, event counts and durations. *)
+let metrics_a =
+  {|{"schema": "s1lisp.metrics/6",
+ "counters": {"cse.eliminated": 2, "rule.META-EVALUATE": 3, "tn.total": 7,
+              "machine.stack_high": 100, "machine.bind_high": 10,
+              "serve.hits": 5, "serve.misses": 0, "serve.retries": 2,
+              "image.bytes_written": 100000, "image.bytes_read": 10},
+ "cpu": {"cycles": 1000},
+ "profile": {"lines": [{"file": "t.lisp", "line": 3, "cycles": 1000},
+                       {"file": "t.lisp", "line": 4, "cycles": 10},
+                       {"file": "t.lisp", "line": 9, "cycles": 70}]},
+ "callgraph": {"edges": [{"caller": "f", "callee": "g", "excl_cycles": 500},
+                         {"caller": "g", "callee": "h", "excl_cycles": 100}]}}|}
+let metrics_b =
+  {|{"schema": "s1lisp.metrics/6",
+ "counters": {"cse.eliminated": 1, "rule.META-EVALUATE": 5, "pdl.candidates": 4,
+              "machine.stack_high": 120, "machine.bind_high": 20,
+              "serve.hits": 3, "serve.misses": 1, "serve.retries": 1,
+              "image.bytes_written": 110000, "image.bytes_read": 99999},
+ "cpu": {"cycles": 1100},
+ "profile": {"lines": [{"file": "t.lisp", "line": 3, "cycles": 1100},
+                       {"file": "t.lisp", "line": 4, "cycles": 40},
+                       {"file": "u.lisp", "line": 1, "cycles": 64}]},
+ "callgraph": {"edges": [{"caller": "f", "callee": "g", "excl_cycles": 600},
+                         {"caller": "g", "callee": "h", "excl_cycles": 90},
+                         {"caller": "h", "callee": "f", "excl_cycles": 33}]}}|}
+(* small growth: every gate stays quiet; b has no cpu section *)
+let metrics_c =
+  {|{"schema": "s1lisp.metrics/6",
+ "counters": {"machine.stack_high": 100, "serve.degraded": 1, "image.bytes_written": 5000},
+ "cpu": {"cycles": 1000}}|}
+let metrics_d =
+  {|{"schema": "s1lisp.metrics/6",
+ "counters": {"machine.stack_high": 115, "serve.degraded": 0, "image.bytes_written": 8000}}|}
+let metrics_e =
+  {|{"schema": "s1lisp.metrics/6", "counters": {"image.bytes_written": 100000}, "cpu": {"cycles": 1000}}|}
+let metrics_f =
+  {|{"schema": "s1lisp.metrics/6", "counters": {"image.bytes_written": 101000}, "cpu": {"cycles": 1010}}|}
+let bench_a =
+  {|{"schema": "s1lisp.bench/1", "rows": [
+  {"experiment": "X1", "name": "a", "cycles": 1000, "result": "1"},
+  {"experiment": "X1", "name": "b", "cycles": 1000, "result": "ok"},
+  {"experiment": "X1", "name": "e", "cycles": 50, "result": "(1 2)"},
+  {"experiment": "X1", "name": "f", "result": "t"},
+  {"experiment": "X2", "name": "c", "cycles": 7, "result": "nil"}]}|}
+let bench_b =
+  {|{"schema": "s1lisp.bench/1", "rows": [
+  {"experiment": "X0", "name": "d", "cycles": 9, "result": "9"},
+  {"experiment": "X1", "name": "a", "cycles": 1100, "result": "2"},
+  {"experiment": "X1", "name": "b", "cycles": 1010, "result": "ok"},
+  {"experiment": "X1", "name": "e", "cycles": 50, "result": "(2 1)"},
+  {"experiment": "X1", "name": "f", "cycles": 80, "result": "t"}]}|}
+let folded_a = "main;f 100\nmain;g 10\nmain;h 50\nmain;f;k 500\n"
+let folded_b = "main;f 200\nmain;g 20\nmain;f;k 490\nmain;z 40\n"
+let events_a =
+  {|{"schema": "s1lisp.events/1", "traceEvents": [
+  {"cat": "gc", "name": "collect", "ph": "X", "ts": 0, "dur": 500},
+  {"cat": "gc", "name": "collect", "ph": "X", "ts": 900, "dur": 500},
+  {"cat": "bind", "name": "*x*", "ph": "i", "ts": 10},
+  {"cat": "phase", "name": "simplify", "ph": "X", "ts": 0, "dur": 100},
+  {"cat": "trap", "name": "wrong-type", "ph": "i", "ts": 5}]}|}
+let events_b =
+  {|{"schema": "s1lisp.events/1", "traceEvents": [
+  {"cat": "gc", "name": "collect", "ph": "X", "ts": 0, "dur": 1200},
+  {"cat": "bind", "name": "*x*", "ph": "i", "ts": 10},
+  {"cat": "bind", "name": "*x*", "ph": "i", "ts": 20},
+  {"cat": "phase", "name": "simplify", "ph": "X", "ts": 0, "dur": 120}]}|}
+let golden_reports : (string * string * string * float * string) list =
+  [
+    ( "metrics", metrics_a, metrics_b, 2.0,
+      {|  change   counter cse.eliminated: 2 -> 1 (-1, -50.0%)
+  change   counter image.bytes_read: 10 -> 99999 (+99989, +999890.0%)
+  change   counter pdl.candidates: 0 -> 4 (+4, +0.0%)
+  change   counter rule.META-EVALUATE: 3 -> 5 (+2, +66.7%)
+  change   counter serve.hits: 5 -> 3 (-2, -40.0%)
+  change   counter tn.total: 7 -> 0 (-7, -100.0%)
+  change   counter machine.bind_high: 10 -> 20 (+10, +100.0%)
+REGRESSION counter machine.stack_high: 100 -> 120 (+20, +20.0%)
+REGRESSION counter serve.misses: 0 -> 1 (+1, +0.0%)
+  change   counter serve.retries: 2 -> 1 (-1, -50.0%)
+REGRESSION counter image.bytes_written: 100000 -> 110000 (+10000, +10.0%)
+REGRESSION cpu.cycles: 1000 -> 1100 (+100, +10.0%)
+REGRESSION line-cycles t.lisp:3: 1000 -> 1100 (+100, +10.0%)
+  change   line-cycles t.lisp:4: 10 -> 40 (+30, +300.0%)
+  change   line-cycles t.lisp:9: 70 -> 0 (-70, -100.0%)
+  change   line-cycles u.lisp:1: 0 -> 64 (+64, +0.0%)
+REGRESSION edge-excl-cycles f -> g: 500 -> 600 (+100, +20.0%)
+  change   edge-excl-cycles g -> h: 100 -> 90 (-10, -10.0%)
+  change   edge-excl-cycles h -> f: 0 -> 33 (+33, +0.0%)
+diff-runs (metrics): 19 differences, 6 regressions
+|} );
+    ( "metrics-quiet", metrics_c, metrics_d, 2.0,
+      {|  change   counter machine.stack_high: 100 -> 115 (+15, +15.0%)
+  change   counter serve.degraded: 1 -> 0 (-1, -100.0%)
+  change   counter image.bytes_written: 5000 -> 8000 (+3000, +60.0%)
+diff-runs (metrics): 3 differences, 0 regressions
+|} );
+    ( "metrics-small", metrics_e, metrics_f, 2.0,
+      {|  change   counter image.bytes_written: 100000 -> 101000 (+1000, +1.0%)
+  change   cpu.cycles: 1000 -> 1010 (+10, +1.0%)
+diff-runs (metrics): 2 differences, 0 regressions
+|} );
+    ( "bench", bench_a, bench_b, 2.0,
+      {|  change   row appeared: X0 / d
+REGRESSION X1 / a: cycles 1000 -> 1100 (+100, +10.0%)
+REGRESSION X1 / a: result "1" -> "2"
+  change   X1 / b: cycles 1000 -> 1010 (+10, +1.0%)
+REGRESSION X1 / e: result "(1 2)" -> "(2 1)"
+  change   row vanished: X2 / c
+diff-runs (bench): 6 differences, 3 regressions
+|} );
+    ( "bench-exact", bench_a, bench_b, 0.0,
+      {|  change   row appeared: X0 / d
+REGRESSION X1 / a: cycles 1000 -> 1100 (+100, +10.0%)
+REGRESSION X1 / a: result "1" -> "2"
+REGRESSION X1 / b: cycles 1000 -> 1010 (+10, +1.0%)
+REGRESSION X1 / e: result "(1 2)" -> "(2 1)"
+  change   row vanished: X2 / c
+diff-runs (bench): 6 differences, 4 regressions
+|} );
+    ( "folded", folded_a, folded_b, 2.0,
+      {|REGRESSION path-cycles main;f: 100 -> 200 (+100, +100.0%)
+  change   path-cycles main;f;k: 500 -> 490 (-10, -2.0%)
+  change   path-cycles main;g: 10 -> 20 (+10, +100.0%)
+  change   path-cycles main;h: 50 -> 0 (-50, -100.0%)
+  change   path-cycles main;z: 0 -> 40 (+40, +0.0%)
+diff-runs (folded): 5 differences, 1 regressions
+|} );
+    ( "events", events_a, events_b, 2.0,
+      {|  change   events bind/*x*: 1 -> 2 (+1, +100.0%)
+  change   events gc/collect: 2 -> 1 (-1, -50.0%)
+  change   events trap/wrong-type: 1 -> 0 (-1, -100.0%)
+REGRESSION event-cycles gc/collect: 1000 -> 1200 (+200, +20.0%)
+  change   event-cycles phase/simplify: 100 -> 120 (+20, +20.0%)
+diff-runs (events): 5 differences, 1 regressions
+|} );
+    ( "events-loose", events_a, events_b, 50.0,
+      {|  change   events bind/*x*: 1 -> 2 (+1, +100.0%)
+  change   events gc/collect: 2 -> 1 (-1, -50.0%)
+  change   events trap/wrong-type: 1 -> 0 (-1, -100.0%)
+  change   event-cycles gc/collect: 1000 -> 1200 (+200, +20.0%)
+  change   event-cycles phase/simplify: 100 -> 120 (+20, +20.0%)
+diff-runs (events): 5 differences, 0 regressions
+|} );
+  ]
+
+let test_diff_golden_reports () =
+  List.iter
+    (fun (name, a, b, threshold, expected) ->
+      let report =
+        Diffrun.diff ~threshold (Diffrun.classify ~path:"a" a) (Diffrun.classify ~path:"b" b)
+      in
+      check_str (name ^ " report") expected (Diffrun.render report))
+    golden_reports
+
 (* Per-unit scoping of the global registry ------------------------------- *)
 
 let test_counter_scoping () =
@@ -326,6 +486,7 @@ let () =
           Alcotest.test_case "vanished passed" `Quick test_diff_vanished_passed_regresses;
           Alcotest.test_case "metrics threshold" `Quick test_diff_metrics_threshold;
           Alcotest.test_case "mixed kinds" `Quick test_diff_mixed_kinds_rejected;
+          Alcotest.test_case "golden reports" `Quick test_diff_golden_reports;
         ] );
       ( "scoping",
         [

@@ -18,6 +18,8 @@ module Obs = S1_obs.Obs
 module Image = S1_serve.Image
 module Cache = S1_serve.Cache
 module Serve = S1_serve.Serve
+module Oracle = S1_fuzz.Oracle
+module Lattice = S1_core.Lattice
 
 let corpus_dir = if Sys.file_exists "corpus" then "corpus" else "test/corpus"
 
@@ -333,6 +335,95 @@ let test_key_stable () =
     (Serve.key_of Serve.default_cfg sample_src)
     (Serve.key_of Serve.default_cfg sample_src)
 
+(* Content addresses are pinned: each fuzz-oracle lattice point and
+   both compiled degradation rungs keep the canonical string and the
+   key of "(+ 1 2)" they had when each of them was spelled out by hand.
+   Any change here invalidates every cached image, image envelope and
+   incident repro. *)
+let pinned_points : (string * string * string) list =
+  let rules r = "beta=" ^ r ^ " fold=" ^ r ^ " ifopt=" ^ r ^ " assoc=" ^ r
+    ^ " identities=" ^ r ^ " deadcode=" ^ r ^ " sinc=" ^ r ^ " integrate=" ^ r
+    ^ " typed_specialize=" ^ r
+  in
+  let on = rules "1" ^ " max_integrate=40 max_duplicate=8" in
+  [
+    ( "default",
+      "beta=1 fold=1 ifopt=1 assoc=1 identities=1 deadcode=1 sinc=1 integrate=1 \
+       typed_specialize=1 max_integrate=40 max_duplicate=8 checked=1 tnbind=1 pdl=1 \
+       cache_specials=1 inline_prims=1 peephole=0 cse=0",
+      "9187cc580d2cb5bad235bcf7592621ab" );
+    ( "no-opt",
+      rules "0" ^ " max_integrate=0 max_duplicate=0 checked=1 tnbind=1 pdl=1 \
+       cache_specials=1 inline_prims=1 peephole=0 cse=0",
+      "05a50d31db53a751a8825f70b10e2a67" );
+    ( "no-tnbind",
+      on ^ " checked=1 tnbind=0 pdl=1 cache_specials=1 inline_prims=1 peephole=0 cse=0",
+      "988dadafa1b5e5fab00e4034a105c4b2" );
+    ( "no-pdl",
+      on ^ " checked=1 tnbind=1 pdl=0 cache_specials=1 inline_prims=1 peephole=0 cse=0",
+      "ab6dd01f7e8626eb05c24c4b64b4f3e0" );
+    ( "no-cache-specials",
+      on ^ " checked=1 tnbind=1 pdl=1 cache_specials=0 inline_prims=1 peephole=0 cse=0",
+      "bd8263f3f84cb656440219f30d188224" );
+    ( "no-inline-prims",
+      on ^ " checked=1 tnbind=1 pdl=1 cache_specials=1 inline_prims=0 peephole=0 cse=0",
+      "b55b4c1eb24a24b87ef976a83a5c0bb1" );
+    ( "peephole",
+      on ^ " checked=1 tnbind=1 pdl=1 cache_specials=1 inline_prims=1 peephole=1 cse=0",
+      "921273c0f6036e2fd768a5c1adf6cfab" );
+    ( "cse",
+      on ^ " checked=1 tnbind=1 pdl=1 cache_specials=1 inline_prims=1 peephole=0 cse=1",
+      "92f39976a6fc7f1a3477a5f579dc43e6" );
+    ( "no-tnbind-pdl",
+      on ^ " checked=1 tnbind=0 pdl=0 cache_specials=1 inline_prims=1 peephole=0 cse=0",
+      "1f322c3937f5eb04a98cb05e17322bfb" );
+    ( "boxed",
+      rules "0" ^ " max_integrate=0 max_duplicate=0 checked=1 tnbind=0 pdl=0 \
+       cache_specials=0 inline_prims=0 peephole=0 cse=0",
+      "8edd991a6585686fe384dbc1c80e1ebb" );
+  ]
+
+let test_keys_pinned () =
+  let oracle_cfgs =
+    List.map
+      (fun (c : Oracle.config) ->
+        ( c.Oracle.cfg_name,
+          { Serve.sv_rules = c.Oracle.cfg_rules; sv_options = c.Oracle.cfg_options;
+            sv_cse = c.Oracle.cfg_cse } ))
+      Oracle.lattice
+  in
+  let rung_cfgs =
+    List.filter_map
+      (fun rung ->
+        Option.map
+          (fun p -> (C.degrade_name rung, Serve.cfg_of_point p))
+          (C.degrade_config rung Lattice.default))
+      [ C.Safe_opt; C.Boxed ]
+  in
+  Alcotest.(check (list string))
+    "every pinned point is checked"
+    (List.map (fun (n, _, _) -> n) pinned_points)
+    (List.map fst (oracle_cfgs @ rung_cfgs));
+  List.iter2
+    (fun (name, flags, key) (_, cfg) ->
+      Alcotest.(check string) (name ^ " canonical flags") flags (Serve.flags_of cfg);
+      Alcotest.(check string) (name ^ " key") key (Serve.key_of cfg "(+ 1 2)"))
+    pinned_points (oracle_cfgs @ rung_cfgs)
+
+(* A fuzz repro line is only as good as its flags: each oracle point's
+   cfg_flags, read back by the CLI's parser, is exactly that point. *)
+let test_oracle_flags_round_trip () =
+  List.iter
+    (fun (c : Oracle.config) ->
+      let p = Lattice.of_string c.Oracle.cfg_flags in
+      Alcotest.(check bool)
+        (c.Oracle.cfg_name ^ ": " ^ c.Oracle.cfg_flags ^ " parses to the point")
+        true
+        (p.Lattice.rules = c.Oracle.cfg_rules
+        && p.Lattice.options = c.Oracle.cfg_options
+        && p.Lattice.cse = c.Oracle.cfg_cse))
+    Oracle.lattice
+
 (* Warm hits run no passes ---------------------------------------------------- *)
 
 let pass_span_count () =
@@ -546,6 +637,9 @@ let () =
           Alcotest.test_case "sensitive to schema" `Quick
             test_key_sensitive_to_schema;
           Alcotest.test_case "stable on identical input" `Quick test_key_stable;
+          Alcotest.test_case "pinned per lattice point" `Quick test_keys_pinned;
+          Alcotest.test_case "oracle flags round-trip" `Quick
+            test_oracle_flags_round_trip;
         ] );
       ( "cache",
         [

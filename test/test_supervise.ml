@@ -212,22 +212,43 @@ let test_ladder_descends_and_stamps_image () =
         (t.Incident.n_flags <> "")
   | ts -> Alcotest.failf "expected 1 terminal incident, got %d" (List.length ts)
 
+(* A caller already at --no-tnbind --no-pdl has no distinct Safe_opt
+   rung: retrying the identical, deterministic compile could only fail
+   the same way, so the ladder goes straight from full to boxed. *)
+let test_ladder_skips_identical_rung () =
+  let point = S1_core.Lattice.of_flags [ "--no-tnbind"; "--no-pdl" ] in
+  Alcotest.(check (list string))
+    "no-tnbind-pdl rung skipped"
+    [ "full"; "boxed"; "interp" ]
+    (List.map C.degrade_name (C.degrade_rungs point));
+  Alcotest.(check (list string))
+    "default caller keeps every rung"
+    [ "full"; "no-tnbind-pdl"; "boxed"; "interp" ]
+    (List.map C.degrade_name (C.degrade_rungs S1_core.Lattice.default));
+  Obs.reset ();
+  let policy = { Sup.default_policy with Sup.p_degrade = true } in
+  let s =
+    Sup.run_unit ~policy ~fault:Chaos.Bdeadline (Serve.cfg_of_point point)
+      ~file:"<ladder>" "(+ 1 2)"
+  in
+  Alcotest.(check string) "disposition" "degraded:boxed" s.Sup.s_disposition;
+  Alcotest.(check int) "two attempts" 2 s.Sup.s_attempts;
+  Alcotest.(check int) "one retry counted" 1 (Obs.count "serve.retries");
+  Alcotest.(check string) "value survives degradation" "3"
+    (Oracle.outcome_string s.Sup.s_result.Serve.r_outcome)
+
 (* A degraded image lives under its own content address: it can never be
    served to a full-strength request. *)
 let test_degraded_image_has_distinct_key () =
-  let lattice =
-    ( Serve.default_cfg.Serve.sv_rules,
-      Serve.default_cfg.Serve.sv_options,
-      Serve.default_cfg.Serve.sv_cse )
-  in
+  let point = Serve.point Serve.default_cfg in
   let src = "(+ 1 2)" in
   let full_key = Serve.key_of Serve.default_cfg src in
   List.iter
     (fun rung ->
-      match C.degrade_config rung lattice with
+      match C.degrade_config rung point with
       | None -> ()
-      | Some (rules, options, cse) ->
-          let cfg = { Serve.sv_rules = rules; sv_options = options; sv_cse = cse } in
+      | Some p ->
+          let cfg = Serve.cfg_of_point p in
           if rung <> C.Full_opt then
             Alcotest.(check bool)
               (C.degrade_name rung ^ " rung keys apart from full")
@@ -483,6 +504,8 @@ let () =
         [
           Alcotest.test_case "descends and stamps the image" `Quick
             test_ladder_descends_and_stamps_image;
+          Alcotest.test_case "identical rung skipped" `Quick
+            test_ladder_skips_identical_rung;
           Alcotest.test_case "degraded rungs key apart" `Quick
             test_degraded_image_has_distinct_key;
         ] );
