@@ -529,7 +529,7 @@ let run phases listing transcript tns interpret repl stats timings profile metri
        done
      with Exit | End_of_file -> ())
   end;
-  (* machine-level counters join the metrics schema (s1lisp.metrics/6)
+  (* machine-level counters join the metrics schema (s1lisp.metrics/7)
      after execution, so --timings/--metrics/--diff-runs see them *)
   let () =
     let s = c.C.rt.Rt.cpu.Cpu.stats in

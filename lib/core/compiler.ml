@@ -225,49 +225,24 @@ let degrade_rungs (p : Lattice.point) : degrade_level list =
 (* Transactional loads --------------------------------------------------------- *)
 
 (* Everything a warm-image replay (or any toplevel load) can write into
-   the world's symbol/cell state: the static region (symbol objects,
-   value/function/plist cells, special flags, interned constants), the
-   code store with its symbol ranges and PC line maps, the obarray, the
-   macro table, and the runtime gensym counter.  Restoring makes a
-   failed load a clean no-op {e byte-for-byte}: re-interning the same
-   names afterwards lands at the same static addresses and the same code
-   origins, so determinism survives the rollback.  Heap effects of the
-   aborted prefix are not undone — objects it allocated become
-   unreachable garbage once the static roots are rewound. *)
-type world_snapshot = {
-  ws_static : int array;
-  ws_code_mark : int;
-  ws_symbols : (int * int * string) list;
-  ws_segments : (int * int * Asm.mark array) list;
-  ws_obarray : (string * int) list;
-  ws_macros : (string * int) list;
-  ws_gensym : int;
-}
+   the world's symbol/cell state: the runtime's frozen state ({!Rt.freeze}:
+   the static region, the code store with its symbol ranges and PC line
+   maps, the obarray, the gensym counter) plus the macro table.
+   Restoring makes a failed load a clean no-op {e byte-for-byte}:
+   re-interning the same names afterwards lands at the same static
+   addresses and the same code origins, so determinism survives the
+   rollback.  Heap effects of the aborted prefix are not undone — objects
+   it allocated become unreachable garbage once the static roots are
+   rewound. *)
+type world_snapshot = { ws_world : Rt.frozen; ws_macros : (string * int) list }
 
 let snapshot_world (c : t) : world_snapshot =
-  let cpu = c.rt.Rt.cpu in
-  {
-    ws_static = Mem.static_snapshot c.rt.Rt.mem;
-    ws_code_mark = Cpu.code_mark cpu;
-    ws_symbols = cpu.Cpu.symbols;
-    ws_segments = cpu.Cpu.mark_segments;
-    ws_obarray = Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.rt.Rt.obarray [];
-    ws_macros = Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.macros [];
-    ws_gensym = c.rt.Rt.gensym_counter;
-  }
+  { ws_world = Rt.freeze c.rt; ws_macros = Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.macros [] }
 
 let restore_world (c : t) (ws : world_snapshot) : unit =
-  let rt = c.rt in
-  let cpu = rt.Rt.cpu in
-  Mem.static_restore rt.Rt.mem ws.ws_static;
-  Cpu.code_release cpu ws.ws_code_mark;
-  cpu.Cpu.symbols <- ws.ws_symbols;
-  cpu.Cpu.mark_segments <- ws.ws_segments;
-  Hashtbl.reset rt.Rt.obarray;
-  List.iter (fun (k, v) -> Hashtbl.replace rt.Rt.obarray k v) ws.ws_obarray;
+  Rt.thaw c.rt ws.ws_world;
   Hashtbl.reset c.macros;
-  List.iter (fun (k, v) -> Hashtbl.replace c.macros k v) ws.ws_macros;
-  rt.Rt.gensym_counter <- ws.ws_gensym
+  List.iter (fun (k, v) -> Hashtbl.replace c.macros k v) ws.ws_macros
 
 (* Pass isolation ------------------------------------------------------------- *)
 
@@ -311,9 +286,9 @@ let record_incident (c : t) ~pass ~reason ~loc =
 let guarded (c : t) ~pass ~stage (root : Node.node) (body : unit -> unit) : unit =
   if List.mem pass c.unit_disabled then ()
   else begin
-    let snap = Freshen.snapshot root in
+    let snap, size = Freshen.snapshot root in
     let remark_mark = S1_obs.Remark.mark () in
-    let budget = 200_000 + (1_000 * Node.size root) in
+    let budget = 200_000 + (1_000 * size) in
     let rollback ~verify_fail ~reason ~loc =
       if verify_fail then Obs.incr "robust.verify_fail";
       Node.restore root snap;

@@ -61,15 +61,7 @@ type t = {
 
 let svc_interp = Isa.register_svc "*:SQ-INTERP-TRAMPOLINE"
 
-let create rt =
-  let image =
-    Cpu.load rt.Rt.cpu S1_machine.Asm.[ Instr (Isa.Svc svc_interp); Instr Isa.Ret ]
-  in
-  let name = Rt.intern rt "%INTERPRETED-FUNCTION" in
-  let trampoline =
-    Obj.code ~where:`Static rt.Rt.obj ~entry:image.S1_machine.Asm.org ~name ~min_args:0
-      ~max_args:(-1)
-  in
+let with_trampoline rt trampoline =
   let it =
     { rt; consts = Hashtbl.create 64; closures = [||]; n_closures = 0; trampoline;
       macros = Hashtbl.create 8; fuel = -1 }
@@ -86,6 +78,16 @@ let create rt =
       List.iter (fun f -> acc := f.Rt.c_tag :: !acc) rt.Rt.catches;
       !acc);
   it
+
+(* Load the trampoline stub into a world booted from scratch. *)
+let create rt =
+  let image =
+    Cpu.load rt.Rt.cpu S1_machine.Asm.[ Instr (Isa.Svc svc_interp); Instr Isa.Ret ]
+  in
+  let name = Rt.intern rt "%INTERPRETED-FUNCTION" in
+  with_trampoline rt
+    (Obj.code ~where:`Static rt.Rt.obj ~entry:image.S1_machine.Asm.org ~name ~min_args:0
+       ~max_args:(-1))
 
 let constant it node_id sexp =
   match Hashtbl.find_opt it.consts node_id with
@@ -310,11 +312,36 @@ let install_trampoline rt it =
 
 (* Public API -------------------------------------------------------------------- *)
 
+(* Boot images: booting from scratch ([Builtins.boot], then [create])
+   writes the same words into every world of one memory configuration,
+   so the first boot of a configuration freezes a template world and
+   every boot thaws that image into a fresh [Rt.create]d world. *)
+type image = { im_world : Rt.frozen; im_trampoline : int }
+
+let images : (Mem.config * image) list Atomic.t = Atomic.make []
+let images_lock = Mutex.create ()
+
+let boot_image config =
+  match List.assoc_opt config (Atomic.get images) with
+  | Some im -> im
+  | None ->
+      Mutex.protect images_lock (fun () ->
+          match List.assoc_opt config (Atomic.get images) with
+          | Some im -> im
+          | None ->
+              let rt = Builtins.boot ~config () in
+              let it = create rt in
+              let im = { im_world = Rt.freeze rt; im_trampoline = it.trampoline } in
+              Atomic.set images ((config, im) :: Atomic.get images);
+              im)
+
 (* The interpreter lives in its world's service closure and heap roots,
    so the GC ends a world's lifetime along with the runtime's. *)
-let boot ?config () =
-  let rt = Builtins.boot ?config () in
-  let it = create rt in
+let boot ?(config = Mem.default_config) () =
+  let im = boot_image config in
+  let rt = Rt.create ~config () in
+  Rt.thaw rt im.im_world;
+  let it = with_trampoline rt im.im_trampoline in
   install_trampoline rt it;
   it
 

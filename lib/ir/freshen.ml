@@ -91,7 +91,11 @@ let rec copy_with env n =
 
 let copy n = copy_with { vars = Hashtbl.create 16; tags = [] } n
 
+(* The copy and its node count: one [mk] per node copied, so the count is
+   [Node.size n] without a walk of its own. *)
 let snapshot n =
-  let mode = S1_par.Dls.get snapshot_mode in
+  let mode = S1_par.Dls.get snapshot_mode and ids = ctrs () in
+  let first = ids.ct_node in
   mode := true;
-  Fun.protect ~finally:(fun () -> mode := false) (fun () -> copy n)
+  let snap = Fun.protect ~finally:(fun () -> mode := false) (fun () -> copy n) in
+  (snap, ids.ct_node - first)

@@ -18,12 +18,6 @@ open Node
 
 type stage = After_simplify | After_cse | After_repan | After_pdlnum
 
-let stage_name = function
-  | After_simplify -> "simplify"
-  | After_cse -> "cse"
-  | After_repan -> "repan"
-  | After_pdlnum -> "pdlnum"
-
 (* Which cumulative check groups apply at a stage. *)
 let reps_annotated = function After_repan | After_pdlnum -> true | _ -> false
 let pdl_annotated = function After_pdlnum -> true | _ -> false
@@ -57,7 +51,6 @@ let convertible ~from_ ~to_ =
   | _ -> false
 
 let run ~(stage : stage) (root : node) : diag list =
-  ignore (stage_name stage);
   let diags = ref [] in
   let add rule (n : node) fmt =
     Printf.ksprintf
@@ -165,8 +158,7 @@ let run ~(stage : stage) (root : node) : diag list =
     let rec nest (path : int list) n =
       if n.n_pdlokp >= 0 && not (List.mem n.n_pdlokp path) then
         add "pdl-nesting" n "pdl authorizer %d is not an ancestor" n.n_pdlokp;
-      let path' = n.n_id :: path in
-      List.iter (nest path') (children n)
+      iter_children (nest (n.n_id :: path)) n
     in
     nest [] root
   end;

@@ -934,8 +934,9 @@ let float_unop cpu (op : Isa.unop) x =
 
    Invariants: [ops] is never longer than [code] and grows, with room to
    spare, when a fetch runs past its end; slots at or past [code_len]
-   hold [undecoded]; [code_release] resets the slots it drops and a load
-   only writes fresh ones.  Nothing else writes [code]. *)
+   hold [undecoded]; [code_release] resets the slots it drops, a load
+   only writes fresh ones and [restore_code] releases every slot before
+   it writes.  Nothing else writes [code]. *)
 
 type shape = Sreg of int | Simm of int | Sind of int * int | Sgen
 
@@ -1325,6 +1326,13 @@ let code_release cpu mark =
     cpu.symbols <- List.filter (fun (lo, _, _) -> lo < mark) cpu.symbols;
     cpu.mark_segments <- List.filter (fun (lo, _, _) -> lo < mark) cpu.mark_segments
   end
+
+let restore_code cpu prefix =
+  let n = Array.length prefix in
+  code_release cpu 0;
+  ensure_capacity cpu n;
+  Array.blit prefix 0 cpu.code 0 n;
+  cpu.code_len <- n
 
 let call_function ?fuel cpu ~fobj ~args =
   List.iter (fun v -> push cpu v) args;

@@ -72,8 +72,8 @@ type callgraph = {
 type t = {
   mem : Mem.t;
   mutable code : Isa.instr array;
-      (** written only by {!load}; a slot's decoded closure in [ops] is
-          valid until {!code_release} drops it *)
+      (** written only by {!load} and {!restore_code}; a slot's decoded
+          closure in [ops] is valid until {!code_release} drops it *)
   mutable ops : (t -> unit) array;
       (** decoded [code]; grows on demand, never past [code]'s length *)
   mutable code_len : int;
@@ -166,6 +166,10 @@ val code_release : t -> int -> unit
 (** Truncate the code store to a {!code_mark}, dropping symbol ranges,
     PC line maps and decoded closures past it, so a re-load lands at the
     same addresses with the same provenance. *)
+
+val restore_code : t -> Isa.instr array -> unit
+(** Make the code store exactly the given instructions, every slot
+    undecoded and no symbol ranges or PC line maps left. *)
 
 val call_function : ?fuel:int -> t -> fobj:int -> args:int list -> int
 (** Host-side entry: push [args], [CALL] the function object, run until

@@ -104,15 +104,34 @@ let static_mark m = m.static_next
 let static_release m mark =
   if mark >= static_base m && mark <= m.static_next then m.static_next <- mark
 
+(* [f page offset_in_page offset_in_span count] for each page that
+   [addr, addr + len) crosses, in order: snapshot and restore blit pages. *)
+let iter_span addr len f =
+  let rec go addr off len =
+    if len > 0 then begin
+      let i = addr land page_mask in
+      let k = min len (page_words - i) in
+      f (addr lsr page_bits) i off k;
+      go (addr + k) (off + k) (len - k)
+    end
+  in
+  go addr 0 len
+
 let static_snapshot m =
   let base = static_base m in
-  Array.init (m.static_next - base) (fun i -> read m (base + i))
+  let snap = Array.make (m.static_next - base) 0 in
+  iter_span base (Array.length snap) (fun p i off k -> Array.blit m.pages.(p) i snap off k);
+  snap
 
 let static_restore m snap =
   let base = static_base m in
-  if base + Array.length snap > static_limit m then
-    failwith "static restore larger than region"
+  let next = base + Array.length snap in
+  if next > static_limit m then failwith "static restore larger than region"
   else begin
-    Array.iteri (fun i w -> write m (base + i) w) snap;
-    m.static_next <- base + Array.length snap
+    iter_span base (Array.length snap) (fun p i off k ->
+        if m.pages.(p) == zero_page then m.pages.(p) <- Array.make page_words 0;
+        Array.blit snap off m.pages.(p) i k);
+    iter_span next (m.static_next - next) (fun p i _ k ->
+        if m.pages.(p) != zero_page then Array.fill m.pages.(p) i k 0);
+    m.static_next <- next
   end

@@ -87,4 +87,5 @@ val static_snapshot : t -> int array
 
 val static_restore : t -> int array -> unit
 (** Rewrite the live static words and allocation pointer from a
-    {!static_snapshot}. @raise Failure if larger than the region. *)
+    {!static_snapshot}, zeroing the words it rolls back above the
+    snapshot's end.  @raise Failure if larger than the region. *)

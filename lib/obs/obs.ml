@@ -12,9 +12,11 @@
 
     Spans nest: [with_span "compile" (fun () -> with_span "tnbind" f)]
     records both ["compile"] and ["compile/tnbind"], keyed by path, each
-    with an invocation count and accumulated wall nanoseconds.  Counters
-    are flat names, conventionally dotted ("rule.META-SUBSTITUTE",
-    "tn.registers"). *)
+    with an invocation count, accumulated wall nanoseconds and OCaml
+    minor-heap words allocated (per domain in OCaml 5).  Both are host
+    figures, outside every byte-identity check and regression gate.
+    Counters are flat names, conventionally dotted
+    ("rule.META-SUBSTITUTE", "tn.registers"). *)
 
 (** The JSON tree lives in its own unit ({!Json}) so lower layers can
     build documents without the counter registry; the alias keeps every
@@ -26,6 +28,7 @@ type span = {
   sp_depth : int;
   mutable sp_count : int;
   mutable sp_ns : int;  (** accumulated wall nanoseconds *)
+  mutable sp_alloc : int;  (** accumulated minor-heap words allocated *)
 }
 
 type t = {
@@ -96,12 +99,13 @@ let with_span ?(t = default ()) name f =
     match Hashtbl.find_opt t.spans path with
     | Some sp -> sp
     | None ->
-        let sp = { sp_path = path; sp_depth = List.length t.stack - 1; sp_count = 0; sp_ns = 0 } in
+        let depth = List.length t.stack - 1 in
+        let sp = { sp_path = path; sp_depth = depth; sp_count = 0; sp_ns = 0; sp_alloc = 0 } in
         Hashtbl.replace t.spans path sp;
         t.span_order <- path :: t.span_order;
         sp
   in
-  let t0 = now_ns () in
+  let t0 = now_ns () and w0 = Gc.minor_words () in
   (* Only the global registry's spans feed the runtime event timeline;
      private registries (tests, ad-hoc measurement) stay silent. *)
   if t == default () then Timeline.span_begin path;
@@ -110,6 +114,7 @@ let with_span ?(t = default ()) name f =
       if t == default () then Timeline.span_end path;
       sp.sp_count <- sp.sp_count + 1;
       sp.sp_ns <- sp.sp_ns + (now_ns () - t0);
+      sp.sp_alloc <- sp.sp_alloc + int_of_float (Gc.minor_words () -. w0);
       t.stack <- List.tl t.stack)
     f
 
@@ -125,7 +130,7 @@ let pp_timings fmt ?(t = default ()) () =
   let sps = spans ~t () in
   if sps = [] then Format.fprintf fmt "(no phase timings recorded)@."
   else begin
-    Format.fprintf fmt "@[<v>%-46s %8s %14s@," "phase" "count" "wall ns";
+    Format.fprintf fmt "@[<v>%-46s %8s %14s %14s@," "phase" "count" "wall ns" "alloc words";
     List.iter
       (fun sp ->
         let leaf =
@@ -133,9 +138,9 @@ let pp_timings fmt ?(t = default ()) () =
           | Some i -> String.sub sp.sp_path (i + 1) (String.length sp.sp_path - i - 1)
           | None -> sp.sp_path
         in
-        Format.fprintf fmt "%-46s %8d %14d@,"
+        Format.fprintf fmt "%-46s %8d %14d %14d@,"
           (String.make (2 * sp.sp_depth) ' ' ^ leaf)
-          sp.sp_count sp.sp_ns)
+          sp.sp_count sp.sp_ns sp.sp_alloc)
       sps;
     Format.fprintf fmt "@]"
   end
@@ -162,8 +167,9 @@ let pp_counters fmt ?(t = default ()) () =
    serve.evictions, serve.stale, image.bytes_written, image.bytes_read)
    to the fixed set.  /6 adds the supervision counters (serve.retries,
    serve.degraded, serve.deadline, serve.quarantined, serve.readmitted,
-   serve.breaker_open, serve.worker_crashes). *)
-let schema_version = "s1lisp.metrics/6"
+   serve.breaker_open, serve.worker_crashes).  /7 adds "alloc_words" to
+   every span row beside "wall_ns"; neither is gated. *)
+let schema_version = "s1lisp.metrics/7"
 
 (** How [s1lc --diff-runs] judges a counter's growth between two runs. *)
 type gate =
@@ -221,6 +227,7 @@ let json ?(t = default ()) () : Json.t =
                    ("path", Json.Str sp.sp_path);
                    ("count", Json.Int sp.sp_count);
                    ("wall_ns", Json.Int sp.sp_ns);
+                   ("alloc_words", Json.Int sp.sp_alloc);
                  ])
              (spans ~t ())) );
       ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters ~t ())));

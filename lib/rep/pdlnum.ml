@@ -38,14 +38,17 @@ let unsafe_prims =
 
 let authorizes_args fname = not (List.mem fname unsafe_prims)
 
-(* node id -> why its PDLOKP is -1: the escaping consumer, for remarks *)
-let escape_reason : (int, string) Hashtbl.t = Hashtbl.create 64
+(* node id -> why its PDLOKP is -1: the escaping consumer, for remarks.
+   Domain-local like the node-id wells it is keyed by: batch workers
+   compiling on other domains reuse the same ids. *)
+let escape_reason : (int, string) Hashtbl.t S1_par.Dls.t =
+  S1_par.Dls.create (fun () -> Hashtbl.create 64)
 
 (* Top-down: [auth] is the id of the authorizing node, or -1; [why]
    names the consumer responsible whenever [auth] is -1. *)
 let rec okp (n : node) (auth : int) (why : string) : unit =
   n.n_pdlokp <- auth;
-  if auth < 0 then Hashtbl.replace escape_reason n.n_id why;
+  if auth < 0 then Hashtbl.replace (S1_par.Dls.get escape_reason) n.n_id why;
   match n.kind with
   | Term _ | Var _ | Go _ -> ()
   | Setq (v, e) ->
@@ -172,7 +175,7 @@ let boxes_a_float (n : node) =
 
 let run (root : node) : unit =
   S1_obs.Obs.with_span "pdlnum" (fun () ->
-      Hashtbl.reset escape_reason;
+      Hashtbl.reset (S1_par.Dls.get escape_reason);
       okp root (-1) "returned from the function";
       ignore (nump root);
       (* nodes where both analyses agree a stack box would be legal: the
@@ -188,7 +191,7 @@ let run (root : node) : unit =
           (fun n ->
             if boxes_a_float n && n.n_pdlokp < 0 then
               let why =
-                match Hashtbl.find_opt escape_reason n.n_id with
+                match Hashtbl.find_opt (S1_par.Dls.get escape_reason) n.n_id with
                 | Some w -> w
                 | None -> "lifetime not bounded by a safe consumer"
               in

@@ -50,7 +50,7 @@ let list_of rt items =
 (* Native handlers are world-independent (each receives its world, and
    NIL is the same word in every world), so they are registered on the
    first boot only, which fixes their service ids in definition order.
-   Every boot then loads one stub per native.  Entries are
+   Every boot from scratch then loads one stub per native.  Entries are
    [(name, svc, min_args, max_args)]. *)
 let natives : (string * int * int * int) list option Atomic.t = Atomic.make None
 let natives_lock = Mutex.create ()

@@ -2,9 +2,10 @@
     objects.
 
     Each builtin is an OCaml function registered once per process as a
-    native service ({!Rt.register_native}); each boot loads a callable
-    code object (a [SVC]+[RET] stub) for it into the symbol's function
-    cell ({!Rt.install_native}).  Compiled code and the interpreter reach the
+    native service ({!Rt.register_native}); each boot from scratch loads
+    a callable code object (a [SVC]+[RET] stub) for it into the symbol's
+    function cell ({!Rt.install_native}); [Interp.boot] clones the rest.
+    Compiled code and the interpreter reach the
     same implementations, so the two agree bit-for-bit on library
     semantics.
 
@@ -15,7 +16,7 @@
     and printing. *)
 
 val boot : ?config:S1_machine.Mem.config -> unit -> Rt.t
-(** Create a runtime with all builtins installed. *)
+(** Create a runtime with all builtins installed, from scratch. *)
 
 val names : unit -> string list
 (** All builtin function names (upper case); populated by the first

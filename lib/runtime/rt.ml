@@ -13,7 +13,7 @@ type t = {
   obj : Obj.t;
   nil : int;
   t_ : int;
-  obarray : (string, int) Hashtbl.t;
+  mutable obarray : (string, int) Hashtbl.t;
   mutable catches : catch_frame list;
   mutable protected : int list;
   out : Buffer.t;
@@ -432,6 +432,37 @@ let do_throw rt tag value =
        RETs: drop the shadow frames of the abandoned machine frames *)
     Cpu.shadow_unwind_to cpu ~fp:f.c_fp
   end
+
+(* Freeze and thaw ---------------------------------------------------------------- *)
+
+type frozen = {
+  f_static : int array;
+  f_code : Isa.instr array;
+  f_symbols : (int * int * string) list;
+  f_segments : (int * int * S1_machine.Asm.mark array) list;
+  f_obarray : (string, int) Hashtbl.t;
+  f_gensym : int;
+}
+
+let freeze rt =
+  let cpu = rt.cpu in
+  {
+    f_static = Mem.static_snapshot rt.mem;
+    f_code = Array.sub cpu.Cpu.code 0 cpu.Cpu.code_len;
+    f_symbols = cpu.Cpu.symbols;
+    f_segments = cpu.Cpu.mark_segments;
+    f_obarray = Hashtbl.copy rt.obarray;
+    f_gensym = rt.gensym_counter;
+  }
+
+let thaw rt f =
+  let cpu = rt.cpu in
+  Mem.static_restore rt.mem f.f_static;
+  Cpu.restore_code cpu f.f_code;
+  cpu.Cpu.symbols <- f.f_symbols;
+  cpu.Cpu.mark_segments <- f.f_segments;
+  rt.obarray <- Hashtbl.copy f.f_obarray;
+  rt.gensym_counter <- f.f_gensym
 
 (* Service handlers -------------------------------------------------------------- *)
 

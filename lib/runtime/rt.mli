@@ -14,7 +14,7 @@ type t = {
   obj : Obj.t;
   nil : int;
   t_ : int;  (** the symbol T, whose global value is itself *)
-  obarray : (string, int) Hashtbl.t;
+  mutable obarray : (string, int) Hashtbl.t;
   mutable catches : catch_frame list;
   mutable protected : int list;  (** extra GC roots held by OCaml-side code *)
   out : Buffer.t;  (** sink for PRINT and friends *)
@@ -63,6 +63,28 @@ val certify_word : t -> int -> int
 val create : ?config:S1_machine.Mem.config -> unit -> t
 (** Boot a fresh world: NIL and T, service handlers, GC root hooks.
     (Standard-library functions are installed by {!Builtins.boot}.) *)
+
+(** {1 Freeze and thaw}
+
+    An immutable copy of what loading code and interning names write
+    into a world.  Boot images ([Interp.boot]) and transactional loads
+    ([Compiler.restore_world]) are both this pair. *)
+
+type frozen = {
+  f_static : int array;  (** static words, base to allocation pointer *)
+  f_code : S1_machine.Isa.instr array;  (** the code store up to its end *)
+  f_symbols : (int * int * string) list;
+  f_segments : (int * int * S1_machine.Asm.mark array) list;
+  f_obarray : (string, int) Hashtbl.t;  (** a private copy, never mutated *)
+  f_gensym : int;
+}
+
+val freeze : t -> frozen
+
+val thaw : t -> frozen -> unit
+(** Rewrite the world a state was frozen from, or a fresh {!create}d
+    world of the same memory configuration, to that state, leaving heap,
+    stacks and registers alone.  The obarray keeps its iteration order. *)
 
 (** {1 Symbols} *)
 

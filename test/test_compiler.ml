@@ -453,6 +453,20 @@ let prop_optimizer_off_matches =
       let c = C.create ~rules:S1_transform.Rules.nothing () in
       agree c (fun () -> C.eval c prog) (fun () -> I.eval_sexp c.C.it prog))
 
+(* A warm boot clones the per-configuration boot image; measured through
+   the span allocation figure --metrics reports. *)
+let test_boot_allocation () =
+  ignore (C.create ());
+  let t = S1_obs.Obs.create () in
+  S1_obs.Obs.with_span ~t "boot" (fun () ->
+      for _ = 1 to 100 do
+        ignore (Sys.opaque_identity (C.create ()))
+      done);
+  let per_boot = (List.hd (S1_obs.Obs.spans ~t ())).S1_obs.Obs.sp_alloc / 100 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d minor words per warm boot, at most 4000" per_boot)
+    true (per_boot <= 4000)
+
 let () =
   Alcotest.run "compiler"
     [
@@ -477,6 +491,7 @@ let () =
           Alcotest.test_case "ablations preserve semantics" `Quick
             test_ablation_options_preserve_semantics;
           Alcotest.test_case "metacircular soak" `Quick test_metacircular_soak;
+          Alcotest.test_case "warm boot allocation" `Quick test_boot_allocation;
         ] );
       ( "differential",
         [

@@ -195,6 +195,118 @@ let test_output () =
   let it, _ = run_str "(progn (princ 'hello) (terpri) (princ 42))" in
   Alcotest.(check string) "output" "HELLO\n42" (Rt.output it.I.rt)
 
+(* Boot images ------------------------------------------------------------------ *)
+
+module Mem = S1_machine.Mem
+module Cpu = S1_machine.Cpu
+
+(* Everything a boot leaves in a world, field by field: every memory word,
+   the static allocation pointer, the code store with its symbol ranges
+   and line maps, the obarray's bindings in iteration order, NIL and T,
+   heap statistics, the gensym counter, registers and the trampoline. *)
+type fingerprint = {
+  fp_words : int array;
+  fp_static_next : int;
+  fp_code : S1_machine.Isa.instr array;
+  fp_symbols : (int * int * string) list;
+  fp_segments : (int * int) list;
+  fp_obarray : (string * int) list;
+  fp_nil_t : int * int;
+  fp_heap : int * int * int * int;
+  fp_gensym : int;
+  fp_regs : int array;
+  fp_trampoline : int;
+}
+
+let fingerprint (it : I.t) =
+  let rt = it.I.rt in
+  let cpu = rt.Rt.cpu and mem = rt.Rt.mem in
+  let h = Heap.stats rt.Rt.heap in
+  {
+    fp_words = Array.init (Mem.size mem) (Mem.read mem);
+    fp_static_next = Mem.static_mark mem;
+    fp_code = Array.sub cpu.Cpu.code 0 cpu.Cpu.code_len;
+    fp_symbols = cpu.Cpu.symbols;
+    fp_segments = List.map (fun (lo, hi, _) -> (lo, hi)) cpu.Cpu.mark_segments;
+    fp_obarray = Hashtbl.fold (fun k v acc -> (k, v) :: acc) rt.Rt.obarray [];
+    fp_nil_t = (rt.Rt.nil, rt.Rt.t_);
+    fp_heap = Heap.(h.allocations, h.words_allocated, h.collections, h.live_after_last_gc);
+    fp_gensym = rt.Rt.gensym_counter;
+    fp_regs = Array.copy cpu.Cpu.regs;
+    fp_trampoline = it.I.trampoline;
+  }
+
+let scratch_boot config =
+  let rt = Builtins.boot ~config () in
+  I.create rt
+
+let tiny_heap = { Mem.default_config with Mem.heap_words = 4096 }
+
+let test_clone_equals_scratch () =
+  List.iter
+    (fun (name, config) ->
+      let clone = fingerprint (I.boot ~config ()) in
+      let scratch = fingerprint (scratch_boot config) in
+      let check what f = Alcotest.(check bool) (name ^ ": " ^ what) true (f clone = f scratch) in
+      check "memory words" (fun f -> f.fp_words);
+      check "static_next" (fun f -> f.fp_static_next);
+      check "code prefix" (fun f -> f.fp_code);
+      check "symbol ranges" (fun f -> f.fp_symbols);
+      check "line maps" (fun f -> f.fp_segments);
+      check "obarray bindings and order" (fun f -> f.fp_obarray);
+      check "NIL and T" (fun f -> f.fp_nil_t);
+      check "heap stats" (fun f -> f.fp_heap);
+      check "gensym counter" (fun f -> f.fp_gensym);
+      check "registers" (fun f -> f.fp_regs);
+      check "trampoline" (fun f -> f.fp_trampoline);
+      Alcotest.(check bool) (name ^ ": non-vacuous") true (List.length clone.fp_obarray > 100))
+    [ ("default", Mem.default_config); ("tiny heap", tiny_heap) ]
+
+let test_clones_isolated () =
+  let im = I.boot_image Mem.default_config in
+  let frozen (f : Rt.frozen) =
+    ( Array.copy f.Rt.f_static,
+      Array.copy f.Rt.f_code,
+      f.Rt.f_symbols,
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) f.Rt.f_obarray [] )
+  in
+  let image_before = frozen im.I.im_world in
+  let a = I.boot () and b = I.boot () in
+  let b_before = fingerprint b in
+  ignore (Rt.intern a.I.rt "ONLY-IN-A");
+  ignore (I.eval_string a "(defun only-in-a (x) (cons x x))");
+  ignore
+    (Cpu.load a.I.rt.Rt.cpu S1_machine.Asm.[ Instr S1_machine.Isa.Nop; Instr S1_machine.Isa.Ret ]);
+  Rt.set_function a.I.rt (Rt.intern a.I.rt "CAR") a.I.rt.Rt.nil;
+  Alcotest.(check bool) "the writes landed in a" true (fingerprint a <> b_before);
+  Alcotest.(check bool) "second clone unchanged" true (fingerprint b = b_before);
+  Alcotest.(check bool) "image unchanged" true (frozen im.I.im_world = image_before);
+  Alcotest.(check bool) "a third clone sees none of it" true
+    (fingerprint (I.boot ()) = b_before)
+
+let test_concurrent_cold_boot () =
+  (* a configuration no other test boots, so its image memo starts cold *)
+  let config = { Mem.default_config with Mem.stack_words = 1 lsl 14 } in
+  let ready = Atomic.make 0 in
+  let worker () =
+    Atomic.incr ready;
+    while Atomic.get ready < 4 do
+      Domain.cpu_relax ()
+    done;
+    let it = I.boot ~config () in
+    (fingerprint it, I.boot_image config)
+  in
+  let results = List.map Domain.join (List.init 4 (fun _ -> Domain.spawn worker)) in
+  let fp0, im0 = List.hd results in
+  List.iter
+    (fun (fp, im) ->
+      Alcotest.(check bool) "equal worlds" true (fp = fp0);
+      Alcotest.(check bool) "one image" true (im == im0))
+    results;
+  Alcotest.(check int) "built once" 1
+    (List.length (List.filter (fun (c, _) -> c = config) (Atomic.get I.images)));
+  Alcotest.(check bool) "equal to a scratch boot" true (fp0 = fingerprint (scratch_boot config))
+
 (* Differential property: random arithmetic expressions evaluate equal to
    an OCaml-side evaluator over exact rationals. *)
 let gen_arith_expr =
@@ -253,6 +365,12 @@ let () =
           Alcotest.test_case "setq through closure" `Quick test_setq_through_closure;
           Alcotest.test_case "numeric parity" `Quick test_numeric_parity_with_spec;
           Alcotest.test_case "output" `Quick test_output;
+        ] );
+      ( "boot image",
+        [
+          Alcotest.test_case "clone = scratch boot" `Quick test_clone_equals_scratch;
+          Alcotest.test_case "clones isolated" `Quick test_clones_isolated;
+          Alcotest.test_case "concurrent cold boot" `Quick test_concurrent_cold_boot;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_interp_matches_fold ]);
     ]

@@ -234,6 +234,25 @@ let test_mem_static_snapshot_across_pages () =
   check_int "fresh last word" ((n - 1) * 7) (Mem.read fresh (base + n - 1));
   check_int "fresh word past the snapshot" 0 (Mem.read fresh (base + n))
 
+(* A restore without a release rolls the allocation pointer back past
+   words a later load wrote: they must read zero again, as they did when
+   the snapshot was taken. *)
+let test_mem_static_restore_zeroes_rollback () =
+  let m = Mem.create () in
+  ignore (Mem.alloc_static m 5);
+  let snap = Mem.static_snapshot m in
+  let mark = Mem.static_mark m in
+  let n = (2 * page) + 3 in
+  let base = Mem.alloc_static m n in
+  for i = 0 to n - 1 do
+    Mem.write m (base + i) (i + 1)
+  done;
+  Mem.static_restore m snap;
+  check_int "allocation pointer rolled back" mark (Mem.static_mark m);
+  for i = 0 to n - 1 do
+    if Mem.read m (base + i) <> 0 then Alcotest.failf "word %d not cleared" (base + i)
+  done
+
 let test_mem_no_shared_pages () =
   let m1 = Mem.create () and m2 = Mem.create () in
   let a = Mem.stack_base m1 + 17 in
@@ -1057,6 +1076,8 @@ let () =
           Alcotest.test_case "out of range" `Quick test_mem_out_of_range;
           Alcotest.test_case "static snapshot across pages" `Quick
             test_mem_static_snapshot_across_pages;
+          Alcotest.test_case "static restore zeroes rollback" `Quick
+            test_mem_static_restore_zeroes_rollback;
           Alcotest.test_case "no shared pages" `Quick test_mem_no_shared_pages;
         ] );
       ( "cpu",

@@ -76,7 +76,10 @@ let test_spans_nest () =
   let inner = List.nth (Obs.spans ~t ()) 1 in
   check_int "nested span counted per entry" 2 inner.Obs.sp_count;
   check_int "depth from path" 1 inner.Obs.sp_depth;
-  check_bool "wall time accumulated" true (Obs.span_ns ~t "outer" >= 0)
+  check_bool "wall time accumulated" true (Obs.span_ns ~t "outer" >= 0);
+  Obs.with_span ~t "alloc" (fun () -> ignore (Sys.opaque_identity (List.init 1000 Fun.id)));
+  check_bool "1000 conses are at least 3000 words" true
+    ((List.nth (Obs.spans ~t ()) 2).Obs.sp_alloc >= 3000)
 
 let test_spans_exception_safe () =
   let t = Obs.create () in
@@ -97,8 +100,14 @@ let test_obs_json_schema () =
       check_str "schema version" Obs.schema_version v;
       check_bool "span row shape" true
         (match sp with
-        | Json.Obj [ ("path", Json.Str "s"); ("count", Json.Int 1); ("wall_ns", Json.Int _) ]
-          -> true
+        | Json.Obj
+            [
+              ("path", Json.Str "s");
+              ("count", Json.Int 1);
+              ("wall_ns", Json.Int _);
+              ("alloc_words", Json.Int _);
+            ] ->
+            true
         | _ -> false);
       Alcotest.(check (list (pair string bool)))
         "counter row" [ ("k", true) ]

@@ -182,6 +182,27 @@ let test_node_budget () =
     ignore (Node.mk (Node.Progn []))
   done
 
+(* The guard sizes its budget from the node count of its snapshot
+   instead of walking the tree again: the count must be [Node.size] of
+   every tree a guarded pass sees, over the whole corpus. *)
+let test_snapshot_counts_nodes () =
+  let dir = if Sys.file_exists "corpus" then "corpus" else "test/corpus" in
+  let trees = ref 0 in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".lisp")
+  |> List.sort compare
+  |> List.iter (fun f ->
+         let src = In_channel.with_open_text (Filename.concat dir f) In_channel.input_all in
+         let c = C.create () in
+         with_pass_hook c
+           (fun pass root ->
+             let snap, count = S1_ir.Freshen.snapshot root in
+             incr trees;
+             Alcotest.(check int) (f ^ " " ^ pass ^ ": count = size") (Node.size root) count;
+             Alcotest.(check int) (f ^ " " ^ pass ^ ": snapshot size") count (Node.size snap))
+           (fun () -> ignore (C.eval_string ~file:f c src)));
+  Alcotest.(check bool) "saw corpus trees" true (!trees > 100)
+
 let () =
   Alcotest.run "robust"
     [
@@ -205,5 +226,9 @@ let () =
           Alcotest.test_case "records incident" `Quick test_rollback_records_incident;
           Alcotest.test_case "strict escalates" `Quick test_strict_mode_escalates;
         ] );
-      ("budget", [ Alcotest.test_case "node budget" `Quick test_node_budget ]);
+      ( "budget",
+        [
+          Alcotest.test_case "node budget" `Quick test_node_budget;
+          Alcotest.test_case "snapshot counts nodes" `Quick test_snapshot_counts_nodes;
+        ] );
     ]

@@ -104,12 +104,13 @@ let test_torn_blob_quarantined_not_deleted () =
 (* Comparable rendering of a world snapshot: field-by-field, with the
    hashtable-derived lists canonically ordered. *)
 let canon (ws : C.world_snapshot) =
-  ( ws.C.ws_static,
-    ws.C.ws_code_mark,
-    ws.C.ws_symbols,
-    List.sort compare ws.C.ws_obarray,
+  let w = ws.C.ws_world in
+  ( w.Rt.f_static,
+    w.Rt.f_code,
+    w.Rt.f_symbols,
+    List.sort compare (List.of_seq (Hashtbl.to_seq w.Rt.f_obarray)),
     List.sort compare ws.C.ws_macros,
-    ws.C.ws_gensym )
+    w.Rt.f_gensym )
 
 let test_failed_replay_is_clean_noop () =
   let img0, _ = cold_image () in
