@@ -308,6 +308,10 @@ let run phases listing transcript tns interpret repl stats timings profile metri
             Printf.eprintf "s1lc: %s: %s\n" r.Serve.r_file
               (S1_fuzz.Oracle.outcome_string r.Serve.r_outcome))
       report.Sup.b_results;
+    (* stderr, like the hit/miss markers: stdout is the programs' own *)
+    if timings then
+      Format.eprintf "%t@.@.%t@." (fun fmt -> Obs.pp_timings fmt ()) (fun fmt ->
+          Obs.pp_counters fmt ());
     (match metrics with
     | None -> ()
     | Some file ->

@@ -92,19 +92,19 @@ let diff ~(before : snapshot) ?(t = default ()) () : snapshot =
 
 let current_path t = String.concat "/" (List.rev t.stack)
 
+let span_at t path depth =
+  match Hashtbl.find_opt t.spans path with
+  | Some sp -> sp
+  | None ->
+      let sp = { sp_path = path; sp_depth = depth; sp_count = 0; sp_ns = 0; sp_alloc = 0 } in
+      Hashtbl.replace t.spans path sp;
+      t.span_order <- path :: t.span_order;
+      sp
+
 let with_span ?(t = default ()) name f =
   t.stack <- name :: t.stack;
   let path = current_path t in
-  let sp =
-    match Hashtbl.find_opt t.spans path with
-    | Some sp -> sp
-    | None ->
-        let depth = List.length t.stack - 1 in
-        let sp = { sp_path = path; sp_depth = depth; sp_count = 0; sp_ns = 0; sp_alloc = 0 } in
-        Hashtbl.replace t.spans path sp;
-        t.span_order <- path :: t.span_order;
-        sp
-  in
+  let sp = span_at t path (List.length t.stack - 1) in
   let t0 = now_ns () and w0 = Gc.minor_words () in
   (* Only the global registry's spans feed the runtime event timeline;
      private registries (tests, ad-hoc measurement) stay silent. *)
@@ -120,6 +120,17 @@ let with_span ?(t = default ()) name f =
 
 let spans ?(t = default ()) () =
   List.rev_map (fun path -> Hashtbl.find t.spans path) t.span_order
+
+(** Fold spans recorded elsewhere (a finished batch worker domain's
+    registry) into [t], path by path. *)
+let add_spans ?(t = default ()) (sps : span list) =
+  List.iter
+    (fun o ->
+      let sp = span_at t o.sp_path o.sp_depth in
+      sp.sp_count <- sp.sp_count + o.sp_count;
+      sp.sp_ns <- sp.sp_ns + o.sp_ns;
+      sp.sp_alloc <- sp.sp_alloc + o.sp_alloc)
+    sps
 
 let span_ns ?(t = default ()) path =
   match Hashtbl.find_opt t.spans path with Some sp -> sp.sp_ns | None -> 0

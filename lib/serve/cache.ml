@@ -115,20 +115,22 @@ let read_file path =
 
 (* Atomic publish: a reader sees either nothing or complete bytes, even
    against concurrent writers of the same key (same bytes — the format
-   is deterministic — so last rename winning is harmless). *)
+   is deterministic — so last rename winning is harmless).  Every writer,
+   in any process, gets a fresh temp file, so no writer can truncate
+   another's half-written bytes. *)
 let write_file dir k bytes =
   ensure_dir dir;
-  let final = entry_path dir k in
-  let tmp =
-    Printf.sprintf "%s.tmp.%d" final (Domain.self () :> int)
+  let tmp, oc =
+    Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o666 ~temp_dir:dir
+      (k ^ ".image.") ".tmp"
   in
-  let oc = open_out_bin tmp in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc bytes);
-  Sys.rename tmp final
+  Sys.rename tmp (entry_path dir k)
 
-(* Verification verdict for disk bytes claiming to be key [k]. *)
+(* Verification verdict for disk bytes claiming to be key [k].  The full
+   decode primes [Image.load]'s memo, so loading what [find] returns is free. *)
 type verdict = Good | Stale of string | Corrupt of string
 
 let verify k bytes : verdict =

@@ -408,13 +408,18 @@ let compile_file ?cache ?prepare ?fuel ?deadline ?degraded (cfg : cfg) ~file
         (false, bytes, outcome, exec, trap)
     | None -> (false, "", outcome, exec, trap)
   in
+  (* host-time spans (no counters) for where a hit's time goes *)
   let hit, bytes, outcome, exec, trap =
-    match Option.bind cache (fun t -> Cache.find ~file t k) with
+    match
+      Option.bind cache (fun t -> Obs.with_span "serve.find" (fun () -> Cache.find ~file t k))
+    with
     | Some bytes -> (
-        match Image.load bytes with
+        match Obs.with_span "serve.decode" (fun () -> Image.load bytes) with
         | Ok img ->
             let outcome, exec, trap =
-              structured (fun () -> execute cfg ?prepare ?fuel ?deadline img)
+              structured (fun () ->
+                  Obs.with_span "serve.execute" (fun () ->
+                      execute cfg ?prepare ?fuel ?deadline img))
             in
             (true, bytes, outcome, exec, trap)
         | Error _ ->

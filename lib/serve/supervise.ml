@@ -246,7 +246,8 @@ let all_ok_some_degraded (r : batch_report) : bool =
     domains, crash isolation, optional seeded chaos.  Results come back
     in input order and every worker's counter deltas are merged into the
     calling domain's registry in input order, exactly like
-    {!Serve.batch}. *)
+    {!Serve.batch}.  Each finished worker's host-time spans are folded
+    into that registry too, for [--timings]. *)
 let batch_sources ?cache ?(policy = default_policy) ?(jobs = 1) ?chaos
     (cfg : Serve.cfg) (units : (string * string) list) : batch_report =
   let units = Array.of_list units in
@@ -274,7 +275,8 @@ let batch_sources ?cache ?(policy = default_policy) ?(jobs = 1) ?chaos
         loop ()
       end
     in
-    loop ()
+    loop ();
+    Obs.spans ()
   in
   (* mark the unit a dead worker was holding as failed, with the batch's
      one worker-crash incident for it *)
@@ -311,7 +313,9 @@ let batch_sources ?cache ?(policy = default_policy) ?(jobs = 1) ?chaos
     | [] -> ()
     | (wid, d) :: rest -> (
         match Domain.join d with
-        | () -> supervise rest
+        | spans ->
+            Obs.add_spans spans;
+            supervise rest
         | exception e ->
             let victim = inflight.(wid) in
             if victim >= 0 && results.(victim) = None then

@@ -42,6 +42,101 @@ let test_json_escapes () =
   check_str "escaped keys" {|{"k\"1":[]}|}
     (Json.to_string ~pretty:false (Json.Obj [ ("k\"1", Json.Arr []) ]))
 
+(* JSON parser ------------------------------------------------------------ *)
+
+(* Seeded random trees over everything the printer can emit: strings
+   from every escape class (quote, backslash, \n \r \t, other control
+   bytes as \u00XX, raw bytes >= 0x80, empty), integers around every
+   width the parser's inline path switches on, and floats.  Integral
+   floats stay below 1e15: from there to 1e17 the printer writes them
+   with neither '.' nor exponent, so they would come back as [Int]. *)
+let random_tree st =
+  let pick xs = List.nth xs (Random.State.int st (List.length xs)) in
+  let rand_char () =
+    match Random.State.int st 7 with
+    | 0 -> pick [ '"'; '\\'; '\n'; '\r'; '\t'; '/' ]
+    | 1 -> Char.chr (Random.State.int st 0x20)
+    | 2 -> Char.chr (0x80 + Random.State.int st 0x80)
+    | _ -> Char.chr (0x20 + Random.State.int st 0x5f)
+  in
+  let rand_string () =
+    if Random.State.int st 6 = 0 then ""
+    else String.init (Random.State.int st 24) (fun _ -> rand_char ())
+  in
+  let rand_int () =
+    let digits d = Int64.to_int (Int64.of_string ("1" ^ String.make (d - 1) '0')) in
+    let n =
+      match Random.State.int st 6 with
+      | 0 -> pick [ 0; 1; -1; max_int; min_int; max_int - 1; min_int + 1 ]
+      | 1 -> Random.State.int st 1000
+      | 2 -> digits (17 + Random.State.int st 3) + Random.State.bits st
+      | 3 -> digits (17 + Random.State.int st 2) - 1
+      | _ -> Int64.to_int (Random.State.int64 st Int64.max_int)
+    in
+    if Random.State.bool st then n else -n
+  in
+  let rand_float () =
+    match Random.State.int st 3 with
+    | 0 -> Float.of_int (Random.State.int st 100000 - 50000)
+    | 1 -> Random.State.float st 1.0 -. 0.5
+    | _ -> Random.State.float st 1e300 *. if Random.State.bool st then 1e-200 else 1.0
+  in
+  let rec tree depth =
+    match Random.State.int st (if depth = 0 then 5 else 7) with
+    | 0 -> Json.Null
+    | 1 -> Json.Bool (Random.State.bool st)
+    | 2 -> Json.Int (rand_int ())
+    | 3 -> Json.Float (rand_float ())
+    | 4 -> Json.Str (rand_string ())
+    | 5 -> Json.Arr (List.init (Random.State.int st 5) (fun _ -> tree (depth - 1)))
+    | _ ->
+        Json.Obj
+          (List.init (Random.State.int st 5) (fun _ -> (rand_string (), tree (depth - 1))))
+  in
+  tree 4
+
+let test_json_round_trip () =
+  let st = Random.State.make [| 20 |] in
+  for i = 1 to 2000 do
+    let t = random_tree st in
+    List.iter
+      (fun pretty ->
+        let text = Json.to_string ~pretty t in
+        match Json.parse text with
+        | t' -> if t' <> t then Alcotest.failf "tree %d (pretty %b) reparsed differently: %s" i pretty text
+        | exception Json.Parse_error m -> Alcotest.failf "tree %d (pretty %b): %s in %s" i pretty m text)
+      [ true; false ]
+  done
+
+(* The exact error text, offsets included, for each way a document can
+   be malformed: image loading reports these verbatim. *)
+let test_json_parse_errors () =
+  List.iter
+    (fun (input, expected) ->
+      match Json.parse input with
+      | _ -> Alcotest.failf "%S parsed" input
+      | exception Json.Parse_error m -> check_str (Printf.sprintf "%S" input) expected m)
+    [
+      ({|"abc|}, "unterminated string at offset 4");
+      ({|"a\nb|}, "unterminated string at offset 5");
+      ({|["a\"b", "c|}, "unterminated string at offset 11");
+      ({|"x\u0041|}, "unterminated string at offset 8");
+      ({|"ab\|}, "unterminated escape at offset 4");
+      ({|"\u00"|}, "truncated \\u escape at offset 2");
+      ({|"\u00zz"|}, "bad \\u escape at offset 2");
+      ({|"a\qb"|}, "bad escape '\\q' at offset 3");
+      ("-", "bad number at offset 1");
+      ("-x", "bad number at offset 1");
+      ("1.2.3", "bad number at offset 5");
+      ("99999999999999999999", "bad number at offset 20");
+      ("4611686018427387904", "bad number at offset 19");
+      ("[1] x", "trailing garbage at offset 4");
+      ({|{"a" 1}|}, "expected ':' at offset 5");
+      ("[1 2]", "expected ']' at offset 3");
+      ("tru", "expected true at offset 0");
+      ("", "unexpected character at offset 0");
+    ]
+
 (* Counters and spans ---------------------------------------------------- *)
 
 let test_counters () =
@@ -284,6 +379,8 @@ let () =
         [
           Alcotest.test_case "compact" `Quick test_json_compact;
           Alcotest.test_case "escapes" `Quick test_json_escapes;
+          Alcotest.test_case "parse round trip" `Quick test_json_round_trip;
+          Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
         ] );
       ( "registry",
         [

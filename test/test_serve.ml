@@ -520,6 +520,74 @@ let test_defmacro_warm_cycle_delta () =
   Alcotest.(check int) "warm cycles deterministic" warm_obs.cycles
     warm2_obs.cycles
 
+(* Writers never share a temp file.  Another writer's temp file at the
+   old fixed per-domain name is modelled as a directory, which nothing
+   can open for writing: [store] must still publish verifiable bytes and
+   leave it alone. *)
+let test_store_ignores_foreign_temp_file () =
+  let dir = fresh_dir "tmp-collision" in
+  let img, _ = cold_image () in
+  let k = img.Image.i_key and bytes = Image.save img in
+  Cache.ensure_dir dir;
+  let foreign = Filename.concat dir (k ^ ".image.tmp.0") in
+  Sys.mkdir foreign 0o755;
+  Cache.store (Cache.create ~dir ()) k bytes;
+  (match Cache.find (Cache.create ~dir ()) k with
+  | Some served -> Alcotest.(check string) "published bytes verify" bytes served
+  | None -> Alcotest.fail "store published nothing servable");
+  Alcotest.(check bool) "foreign temp file untouched" true (Sys.is_directory foreign);
+  Alcotest.(check (list string))
+    "no temp file of ours left behind"
+    [ k ^ ".image"; k ^ ".image.tmp.0" ]
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+
+(* Decode once ---------------------------------------------------------------- *)
+
+(* A warm disk hit decodes its image once: [Cache.find] verifies the
+   blob with a full decode, and the caller's [Image.load] of the very
+   string it returned is served from the loader's memo.  Only physical
+   identity hits: an equal copy and a corrupted copy are verified in
+   full. *)
+let test_warm_hit_decodes_once () =
+  let dir = fresh_dir "decode-once" in
+  let cold =
+    Serve.compile_file ~cache:(Cache.create ~dir ()) Serve.default_cfg ~file:"<d>"
+      sample_src
+  in
+  let k = cold.Serve.r_key in
+  let bytes =
+    match Cache.find (Cache.create ~dir ()) k with
+    | Some b -> b
+    | None -> Alcotest.fail "stored image not served from disk"
+  in
+  let alloc f =
+    let w0 = Gc.minor_words () in
+    let v = f () in
+    (v, int_of_float (Gc.minor_words () -. w0))
+  in
+  let served, words = alloc (fun () -> Image.load bytes) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d minor words to load the served bytes, under 1000" words)
+    true (words < 1000);
+  Alcotest.(check bool) "physically the same result" true (served == Image.load bytes);
+  (match served with
+  | Ok img -> Alcotest.(check string) "the image stored under the key" k img.Image.i_key
+  | Error e -> Alcotest.fail (Image.load_error_to_string e));
+  let copy, copy_words =
+    alloc (fun () -> Image.load (String.init (String.length bytes) (String.get bytes)))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "an equal copy decodes in full (%d minor words)" copy_words)
+    true (copy_words > 10_000);
+  Alcotest.(check bool) "to an equal image" true (copy = served && copy != served);
+  let flipped = Bytes.of_string bytes in
+  let i = Bytes.length flipped * 3 / 4 in
+  Bytes.set flipped i (if Bytes.get flipped i = 'A' then 'B' else 'A');
+  match Image.load (Bytes.to_string flipped) with
+  | Error (Image.Corrupted _) -> ()
+  | Ok _ -> Alcotest.fail "a flipped payload byte was accepted"
+  | Error e -> Alcotest.failf "unexpected error class: %s" (Image.load_error_to_string e)
+
 (* Instance scoping ----------------------------------------------------------- *)
 
 let test_pass_hook_instance_scoped () =
@@ -650,6 +718,9 @@ let () =
           Alcotest.test_case "stale disk entry" `Quick test_stale_disk_entry;
           Alcotest.test_case "defmacro warm cycle delta" `Quick
             test_defmacro_warm_cycle_delta;
+          Alcotest.test_case "store ignores a foreign temp file" `Quick
+            test_store_ignores_foreign_temp_file;
+          Alcotest.test_case "warm hit decodes once" `Quick test_warm_hit_decodes_once;
         ] );
       ( "scoping",
         [
