@@ -156,6 +156,8 @@ let reset_stats cpu =
 
 (* Profiling ------------------------------------------------------------- *)
 
+let profiling cpu = match cpu.profile with Some _ -> true | None -> false
+
 let fresh_profile n =
   {
     p_cycles = Array.make (max n 1) 0;
@@ -166,10 +168,10 @@ let fresh_profile n =
   }
 
 let enable_profile cpu =
-  if cpu.profile = None then cpu.profile <- Some (fresh_profile (Array.length cpu.code))
+  if not (profiling cpu) then cpu.profile <- Some (fresh_profile (Array.length cpu.code))
 
-let profiling cpu = cpu.profile <> None
-let reset_profile cpu = if cpu.profile <> None then cpu.profile <- Some (fresh_profile (Array.length cpu.code))
+let reset_profile cpu =
+  if profiling cpu then cpu.profile <- Some (fresh_profile (Array.length cpu.code))
 
 let ensure_profile_capacity p pc =
   if pc >= Array.length p.p_cycles then begin
@@ -262,14 +264,14 @@ let fresh_callgraph ~charged () =
     cg_depth_high = 1;
   }
 
+let callgraph_on cpu = match cpu.callgraph with Some _ -> true | None -> false
+
 let enable_callgraph cpu =
-  if cpu.callgraph = None then
+  if not (callgraph_on cpu) then
     cpu.callgraph <- Some (fresh_callgraph ~charged:cpu.stats.cycles ())
 
-let callgraph_on cpu = cpu.callgraph <> None
-
 let reset_callgraph cpu =
-  if cpu.callgraph <> None then
+  if callgraph_on cpu then
     cpu.callgraph <- Some (fresh_callgraph ~charged:cpu.stats.cycles ())
 
 let cg_cell_for cg path =
@@ -758,87 +760,99 @@ let pop cpu =
 
 (* Call convention ------------------------------------------------------- *)
 
-(* Decode a function object to (entry, env option).  A Code-tagged word
-   points at a code object whose payload word 0 is the raw entry address;
-   a closure pairs a code word with an environment. *)
-let decode_function cpu fobj =
-  match Tags.of_int (Word.tag_of fobj) with
-  | Tags.Code -> Some (Word.addr_of (Mem.read cpu.mem (Word.addr_of fobj)), None)
-  | Tags.Closure ->
-      let addr = Word.addr_of fobj in
-      let code_word = Mem.read cpu.mem addr in
-      let env_word = Mem.read cpu.mem (addr + 1) in
-      if Tags.of_int (Word.tag_of code_word) = Tags.Code then
-        Some (Word.addr_of (Mem.read cpu.mem (Word.addr_of code_word)), Some env_word)
-      else None
-  | _ -> None
+let code_tag = Tags.to_int Tags.Code
+let closure_tag = Tags.to_int Tags.Closure
+
+(* The entry address of a function object, or -1 for a non-function.  A
+   Code-tagged word points at a code object whose payload word 0 is the
+   raw entry address; a closure's payload pairs a code word with an
+   environment word, which the call loads into ENV ([closure_env]). *)
+let function_entry cpu fobj =
+  let tag = Word.tag_of fobj in
+  if tag = code_tag then Word.addr_of (Mem.read cpu.mem (Word.addr_of fobj))
+  else if tag = closure_tag then
+    let code_word = Mem.read cpu.mem (Word.addr_of fobj) in
+    if Word.tag_of code_word = code_tag then Word.addr_of (Mem.read cpu.mem (Word.addr_of code_word))
+    else -1
+  else -1
+
+(* A closure's environment word, or -1 (never a word) for a code object:
+   read before the call rewrites any frame. *)
+let closure_env cpu fobj =
+  if Word.tag_of fobj = closure_tag then Mem.read cpu.mem (Word.addr_of fobj + 1) else -1
 
 let do_call cpu fobj nargs ~ret =
-  match decode_function cpu fobj with
-  | None ->
-      if cpu.bad_function_svc >= 0 then begin
-        cpu.regs.(0) <- fobj;
-        cpu.service cpu cpu.bad_function_svc
-      end
-      else fail cpu "call to non-function word %#x" fobj
-  | Some (entry, envw) ->
-      cpu.stats.calls <- cpu.stats.calls + 1;
-      (match cpu.profile with
-      | Some p ->
-          Hashtbl.replace p.p_entry_calls entry
-            (1 + Option.value ~default:0 (Hashtbl.find_opt p.p_entry_calls entry))
-      | None -> ());
-      cpu.regs.(Isa.rta) <- nargs;
-      push cpu ret;
-      push cpu cpu.regs.(Isa.fp);
-      push cpu cpu.regs.(Isa.tp);
-      push cpu cpu.regs.(Isa.env);
-      push cpu nargs;
-      cpu.regs.(Isa.fp) <- cpu.regs.(Isa.sp);
-      (match envw with Some e -> cpu.regs.(Isa.env) <- e | None -> ());
-      cpu.pc <- entry;
-      cg_enter cpu ~entry ~tail:false
+  let entry = function_entry cpu fobj in
+  if entry < 0 then begin
+    if cpu.bad_function_svc >= 0 then begin
+      cpu.regs.(0) <- fobj;
+      cpu.service cpu cpu.bad_function_svc
+    end
+    else fail cpu "call to non-function word %#x" fobj
+  end
+  else begin
+    let env = closure_env cpu fobj in
+    cpu.stats.calls <- cpu.stats.calls + 1;
+    (match cpu.profile with
+    | Some p ->
+        Hashtbl.replace p.p_entry_calls entry
+          (1 + Option.value ~default:0 (Hashtbl.find_opt p.p_entry_calls entry))
+    | None -> ());
+    cpu.regs.(Isa.rta) <- nargs;
+    push cpu ret;
+    push cpu cpu.regs.(Isa.fp);
+    push cpu cpu.regs.(Isa.tp);
+    push cpu cpu.regs.(Isa.env);
+    push cpu nargs;
+    cpu.regs.(Isa.fp) <- cpu.regs.(Isa.sp);
+    if env >= 0 then cpu.regs.(Isa.env) <- env;
+    cpu.pc <- entry;
+    cg_enter cpu ~entry ~tail:false
+  end
 
 let do_tcall cpu fobj nargs =
-  match decode_function cpu fobj with
-  | None ->
-      if cpu.bad_function_svc >= 0 then begin
-        cpu.regs.(0) <- fobj;
-        cpu.service cpu cpu.bad_function_svc
-      end
-      else fail cpu "tail call to non-function word %#x" fobj
-  | Some (entry, envw) ->
-      cpu.stats.tcalls <- cpu.stats.tcalls + 1;
-      (match cpu.profile with
-      | Some p ->
-          Hashtbl.replace p.p_entry_calls entry
-            (1 + Option.value ~default:0 (Hashtbl.find_opt p.p_entry_calls entry))
-      | None -> ());
-      let fp = cpu.regs.(Isa.fp) in
-      let old_argc = Word.addr_of (Mem.read cpu.mem fp) in
-      let ret = Mem.read cpu.mem (fp - 4) in
-      let saved_fp = Mem.read cpu.mem (fp - 3) in
-      let saved_tp = Mem.read cpu.mem (fp - 2) in
-      let saved_env = Mem.read cpu.mem (fp - 1) in
-      (* New args currently sit on top of the stack. *)
-      let sp = cpu.regs.(Isa.sp) in
-      let src = sp - nargs + 1 in
-      let dst = fp - 4 - old_argc in
-      for i = 0 to nargs - 1 do
-        Mem.write cpu.mem (dst + i) (Mem.read cpu.mem (src + i))
-      done;
-      let lk = dst + nargs in
-      Mem.write cpu.mem lk ret;
-      Mem.write cpu.mem (lk + 1) saved_fp;
-      Mem.write cpu.mem (lk + 2) saved_tp;
-      Mem.write cpu.mem (lk + 3) saved_env;
-      Mem.write cpu.mem (lk + 4) nargs;
-      cpu.regs.(Isa.fp) <- lk + 4;
-      cpu.regs.(Isa.sp) <- lk + 4;
-      cpu.regs.(Isa.rta) <- nargs;
-      (match envw with Some e -> cpu.regs.(Isa.env) <- e | None -> ());
-      cpu.pc <- entry;
-      cg_enter cpu ~entry ~tail:true
+  let entry = function_entry cpu fobj in
+  if entry < 0 then begin
+    if cpu.bad_function_svc >= 0 then begin
+      cpu.regs.(0) <- fobj;
+      cpu.service cpu cpu.bad_function_svc
+    end
+    else fail cpu "tail call to non-function word %#x" fobj
+  end
+  else begin
+    let env = closure_env cpu fobj in
+    cpu.stats.tcalls <- cpu.stats.tcalls + 1;
+    (match cpu.profile with
+    | Some p ->
+        Hashtbl.replace p.p_entry_calls entry
+          (1 + Option.value ~default:0 (Hashtbl.find_opt p.p_entry_calls entry))
+    | None -> ());
+    let fp = cpu.regs.(Isa.fp) in
+    let old_argc = Word.addr_of (Mem.read cpu.mem fp) in
+    let ret = Mem.read cpu.mem (fp - 4) in
+    let saved_fp = Mem.read cpu.mem (fp - 3) in
+    let saved_tp = Mem.read cpu.mem (fp - 2) in
+    let saved_env = Mem.read cpu.mem (fp - 1) in
+    (* New args currently sit on top of the stack. *)
+    let sp = cpu.regs.(Isa.sp) in
+    let src = sp - nargs + 1 in
+    let dst = fp - 4 - old_argc in
+    for i = 0 to nargs - 1 do
+      Mem.write cpu.mem (dst + i) (Mem.read cpu.mem (src + i))
+    done;
+    let lk = dst + nargs in
+    Mem.write cpu.mem lk ret;
+    Mem.write cpu.mem (lk + 1) saved_fp;
+    Mem.write cpu.mem (lk + 2) saved_tp;
+    Mem.write cpu.mem (lk + 3) saved_env;
+    Mem.write cpu.mem (lk + 4) nargs;
+    cpu.regs.(Isa.fp) <- lk + 4;
+    cpu.regs.(Isa.sp) <- lk + 4;
+    cpu.regs.(Isa.rta) <- nargs;
+    if env >= 0 then cpu.regs.(Isa.env) <- env;
+    cpu.pc <- entry;
+    cg_enter cpu ~entry ~tail:true
+  end
 
 let do_ret cpu =
   let fp = cpu.regs.(Isa.fp) in
@@ -1000,6 +1014,41 @@ let decode_jmp c s1 s2 t : t -> unit =
         let y = Word.to_signed (value cpu s2) in
         cpu.pc <- (if holds c x y then jump_target cpu t else cpu.pc + 1)
 
+(* Single-float arithmetic, one closure per operator, so the operands
+   and the result stay in registers instead of host boxes.  FMAX, FMIN
+   and FATAN take the generic path. *)
+let decode_fbin (op : Isa.binop) k d s1 s2 : t -> unit =
+  let open Float36 in
+  match op with
+  | FADD ->
+      fun cpu ->
+        tick cpu k;
+        let x = value cpu s1 in
+        let y = value cpu s2 in
+        store cpu d (encode_single (decode_single x +. decode_single y));
+        next cpu
+  | FSUB ->
+      fun cpu ->
+        tick cpu k;
+        let x = value cpu s1 in
+        let y = value cpu s2 in
+        store cpu d (encode_single (decode_single x -. decode_single y));
+        next cpu
+  | FMULT ->
+      fun cpu ->
+        tick cpu k;
+        let x = value cpu s1 in
+        let y = value cpu s2 in
+        store cpu d (encode_single (decode_single x *. decode_single y));
+        next cpu
+  | _ (* FDIV *) ->
+      fun cpu ->
+        tick cpu k;
+        let x = value cpu s1 in
+        let y = value cpu s2 in
+        store cpu d (encode_single (decode_single x /. decode_single y));
+        next cpu
+
 let decode (i : Isa.instr) : t -> unit =
   let k = Isa.base_cycles i in
   match i with
@@ -1023,6 +1072,7 @@ let decode (i : Isa.instr) : t -> unit =
   | Bin (op, S, d, s1, s2) -> (
       match (op, shape d, shape s1, shape s2) with
       | ADD, Sreg d, Sreg a, Simm b -> fun cpu -> tick cpu 1; set cpu d (Word.add (reg cpu a) b); next cpu
+      | ((FADD | FSUB | FMULT | FDIV) as op), _, _, _ -> decode_fbin op k d s1 s2
       | _ ->
           fun cpu ->
             tick cpu k;
@@ -1299,7 +1349,7 @@ let run ?(fuel = 500_000_000) cpu ~at =
      miscompiled program must surface as a structured trap, not as an
      untyped host exception. *)
   (try
-     if cpu.profile = None && cpu.callgraph = None then run_plain cpu limit
+     if not (profiling cpu || callgraph_on cpu) then run_plain cpu limit
      else run_instrumented cpu limit
    with Failure m -> trap cpu Bad_address "%s" m);
   if not cpu.halted then

@@ -10,6 +10,12 @@ let half = { ebits = 5; fbits = 12 }
 let bias f = (1 lsl (f.ebits - 1)) - 1
 let emax f = (1 lsl f.ebits) - 1
 
+(* [Float.round] would send ties away from zero. *)
+let round_half_even x =
+  let fl = Float.floor x in
+  let rem = x -. fl in
+  if rem > 0.5 || (rem = 0.5 && Float.rem fl 2.0 <> 0.0) then fl +. 1.0 else fl
+
 let encode fmt_ f =
   let sign = if Float.sign_bit f then 1 else 0 in
   let put ~e ~frac = (sign lsl (fmt_.ebits + fmt_.fbits)) lor (e lsl fmt_.fbits) lor frac in
@@ -31,7 +37,7 @@ let encode fmt_ f =
       else if e_biased <= 0 then begin
         (* subnormal: value = frac * 2^(1 - bias - fbits) *)
         let scale = Float.ldexp 1.0 (1 - bias fmt_ - fmt_.fbits) in
-        let frac = Float.round (af /. scale) in
+        let frac = round_half_even (af /. scale) in
         let maxfrac = float_of_int ((1 lsl fmt_.fbits) - 1) in
         if frac > maxfrac then put ~e:1 ~frac:0 (* rounded up into normal range *)
         else if frac <= 0.0 then 0 (* underflow to the single zero *)
@@ -62,8 +68,48 @@ let decode fmt_ w =
   else if e = 0 then sign *. Float.ldexp (float_of_int frac) (1 - bias fmt_ - fmt_.fbits)
   else sign *. Float.ldexp (1.0 +. Float.ldexp (float_of_int frac) (-fmt_.fbits)) (e - bias fmt_)
 
-let encode_single = encode single
-let decode_single = decode single
+(* The single format on the host's IEEE bits.  A normal single whose
+   biased exponent is at most 509 is the double's exponent rebiased
+   (1023 -> 255) with the double's 52-bit fraction rounded to 26 bits,
+   nearest-even, a carry moving into the exponent.  Everything else --
+   zero, NaN, infinities, singles that are subnormal or at the overflow
+   edge -- goes to the generic codec, which stays the reference the tests
+   check this one against.  Both directions allocate nothing once
+   inlined. *)
+let rebias = 1023 - 255
+let frac_drop = 52 - 26
+let frac_half = 1 lsl (frac_drop - 1)
+let[@inline never] encode_single_slow f = encode single f
+let[@inline never] decode_single_slow w = decode single w
+
+let[@inline] encode_single f =
+  let b = Int64.bits_of_float f in
+  let bits = Int64.to_int b in
+  (* [bits] lost the sign, bit 63; the double's exponent is bits 52-62 *)
+  let e = ((bits lsr 52) land 0x7FF) - rebias in
+  if e < 1 || e > 509 then encode_single_slow f
+  else
+    let dropped = bits land ((1 lsl frac_drop) - 1) in
+    (* exponent and fraction as one field, so rounding up carries *)
+    let ef = (e lsl 26) lor ((bits lsr frac_drop) land ((1 lsl 26) - 1)) in
+    let ef =
+      if dropped > frac_half || (dropped = frac_half && ef land 1 = 1) then ef + 1 else ef
+    in
+    (Int64.to_int (Int64.shift_right_logical b 63) lsl 35) lor ef
+
+(* One [float_of_bits] over both paths, so a caller can keep the result
+   in a register whichever path produced it. *)
+let[@inline] decode_single w =
+  let e = (w lsr 26) land 0x1FF in
+  Int64.float_of_bits
+    (if e = 0 || e = 0x1FF then Int64.bits_of_float (decode_single_slow w)
+     else
+       Int64.logor
+         (Int64.shift_left (Int64.of_int ((w lsr 35) land 1)) 63)
+         (Int64.logor
+            (Int64.shift_left (Int64.of_int (e + rebias)) 52)
+            (Int64.of_int ((w land ((1 lsl 26) - 1)) lsl frac_drop))))
+
 let single_of_float f = decode_single (encode_single f)
 let encode_half = encode half
 let decode_half = decode half

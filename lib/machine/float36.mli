@@ -39,6 +39,19 @@ val encode_double : float -> int * int
 
 val decode_double : int * int -> float
 
+(** {1 The generic codec}
+
+    Any [{ebits; fbits}] format, on [Float.frexp]/[Float.ldexp]: it is
+    the half-word codec, and the reference the single-word fast path
+    (which works on the IEEE bits) must match bit for bit. *)
+
+type fmt = { ebits : int; fbits : int }
+
+val single : fmt
+val half : fmt
+val encode : fmt -> float -> int
+val decode : fmt -> int -> float
+
 (** {1 Predicates} *)
 
 val single_is_nan : int -> bool

@@ -33,13 +33,19 @@ type span = {
 
 type t = {
   counters : (string, int ref) Hashtbl.t;
+  mutable cells : int ref array;
+      (* interned counter id -> its cell in [counters], or [no_cell];
+         filled by {!add} *)
   spans : (string, span) Hashtbl.t;
   mutable span_order : string list;  (* reversed first-open order *)
   mutable stack : string list;  (* current path components, innermost first *)
 }
 
+let no_cell = ref 0
+
 let create () =
-  { counters = Hashtbl.create 64; spans = Hashtbl.create 32; span_order = []; stack = [] }
+  { counters = Hashtbl.create 64; cells = [||]; spans = Hashtbl.create 32; span_order = [];
+    stack = [] }
 
 (* The registry all instrumentation points use: one per domain, so batch
    workers ([lib/serve]) measure their own compilations without
@@ -50,6 +56,7 @@ let default () = S1_par.Dls.get default_key
 
 let reset ?(t = default ()) () =
   Hashtbl.reset t.counters;
+  t.cells <- [||];
   Hashtbl.reset t.spans;
   t.span_order <- [];
   t.stack <- []
@@ -64,6 +71,43 @@ let incr ?(t = default ()) ?(n = 1) name =
   match Hashtbl.find_opt t.counters name with
   | Some r -> r := !r + n
   | None -> Hashtbl.replace t.counters name (ref n)
+
+(** {1 Interned counters} — for hot sites.
+
+    [counter name] hands out a process-wide id once; [add c n] then bumps
+    the same cell [incr ~n name] would, found by id in the current
+    domain's registry instead of by hashing the name.  The id-to-cell
+    cache belongs to the registry, never to the handle, so a handle
+    shared by batch domains still counts into each domain's own
+    registry; [reset] drops the cache with the cells. *)
+
+type counter = { id : int; name : string }
+
+let counter_lock = Mutex.create ()
+let counter_ids : (string, int) Hashtbl.t = Hashtbl.create 64
+
+let counter name =
+  Mutex.protect counter_lock (fun () ->
+      match Hashtbl.find_opt counter_ids name with
+      | Some id -> { id; name }
+      | None ->
+          let id = Hashtbl.length counter_ids in
+          Hashtbl.replace counter_ids name id;
+          { id; name })
+
+let[@inline never] add_slow t c n =
+  incr ~t ~n c.name;
+  let have = Array.length t.cells in
+  if c.id >= have then t.cells <- Array.append t.cells (Array.make (max (c.id + 1) have) no_cell);
+  t.cells.(c.id) <- Hashtbl.find t.counters c.name
+
+let add c n =
+  let t = default () in
+  let cells = t.cells in
+  if c.id < Array.length cells && Array.unsafe_get cells c.id != no_cell then
+    let r = Array.unsafe_get cells c.id in
+    r := !r + n
+  else add_slow t c n
 
 let count ?(t = default ()) name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0

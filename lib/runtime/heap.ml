@@ -69,7 +69,10 @@ let kind_counter_name = function
   | Code_obj -> "code"
 
 let alloc_counter =
-  Array.init (max_kind + 1) (fun i -> "heap.alloc." ^ kind_counter_name (kind_of_int i))
+  Array.init (max_kind + 1) (fun i ->
+      Obs.counter ("heap.alloc." ^ kind_counter_name (kind_of_int i)))
+
+let words_counter = Obs.counter "heap.alloc.words"
 
 (* Header: [35: mark][34..30: kind][29..0: payload size]. *)
 let header ~mark ~kind ~size =
@@ -86,12 +89,26 @@ type stats = {
   mutable live_after_last_gc : int;
 }
 
+(* The free list, rebuilt by each sweep: block [i] has its header at
+   [free_hdr.(i)] and [free_size.(i)] payload words, -1 once allocation
+   has used it up; headers ascend.  Between sweeps a block only shrinks,
+   so once it is too small for a request size it stays too small, and
+   [cursor.(n)] -- the first block that may hold [n] words -- only
+   advances.  Requests of [ncursors] words or more start from the last
+   cursor and scan on.  The block first fit picks, and the split, are
+   those of a plain first-fit scan from the start.  A world that never
+   collects never allocates the cursors. *)
+let ncursors = 64
+
 type t = {
   mem : Mem.t;
   base : int;
   limit : int;
   mutable bump : int;
-  mutable free : (int * int) list;  (* (header addr, payload size), address-ordered *)
+  mutable free_hdr : int array;
+  mutable free_size : int array;
+  mutable free_len : int;
+  mutable cursor : int array;
   stats : stats;
   mutable extra_roots : unit -> int list;
   mutable register_roots : unit -> int array;
@@ -107,7 +124,10 @@ let create mem =
     base = Mem.heap_base mem;
     limit = Mem.heap_limit mem;
     bump = Mem.heap_base mem;
-    free = [];
+    free_hdr = [||];
+    free_size = [||];
+    free_len = 0;
+    cursor = [||];
     stats = { allocations = 0; words_allocated = 0; collections = 0; live_after_last_gc = 0 };
     extra_roots = (fun () -> []);
     register_roots = (fun () -> [||]);
@@ -217,41 +237,43 @@ let gather_roots h =
 
 (* Sweep ------------------------------------------------------------------ *)
 
+let push_free h hdr size =
+  if h.free_len = Array.length h.free_hdr then begin
+    let cap = max 16 (2 * h.free_len) in
+    let grow a = Array.append a (Array.make (cap - h.free_len) 0) in
+    h.free_hdr <- grow h.free_hdr;
+    h.free_size <- grow h.free_size
+  end;
+  h.free_hdr.(h.free_len) <- hdr;
+  h.free_size.(h.free_len) <- size;
+  h.free_len <- h.free_len + 1
+
+(* Each run of dead objects becomes one free block; a trailing run
+   shrinks the bump frontier instead. *)
 let sweep h =
   let mem = h.mem in
-  let free = ref [] in
+  h.free_len <- 0;
+  if Array.length h.cursor = 0 then h.cursor <- Array.make ncursors 0
+  else Array.fill h.cursor 0 ncursors 0;
   let live = ref 0 in
   let a = ref h.base in
-  let pending_free = ref None in  (* (start header addr, total words incl header) *)
-  let flush () =
-    match !pending_free with
-    | None -> ()
-    | Some (start, words) ->
-        Mem.write mem start (header ~mark:false ~kind:Free ~size:(words - 1));
-        free := (start, words - 1) :: !free;
-        pending_free := None
-  in
+  let run = ref (-1) in  (* header address of the current dead run, or -1 *)
   while !a < h.bump do
     let hw = Mem.read mem !a in
-    let size = h_size hw in
-    let span = size + 1 in
+    let span = h_size hw + 1 in
     if h_mark hw then begin
-      flush ();
+      if !run >= 0 then begin
+        Mem.write mem !run (header ~mark:false ~kind:Free ~size:(!a - !run - 1));
+        push_free h !run (!a - !run - 1);
+        run := -1
+      end;
       Mem.write mem !a (hw land lnot (1 lsl 35));
       live := !live + span
     end
-    else begin
-      (match !pending_free with
-      | None -> pending_free := Some (!a, span)
-      | Some (start, words) -> pending_free := Some (start, words + span))
-    end;
+    else if !run < 0 then run := !a;
     a := !a + span
   done;
-  (* A trailing free run shrinks the bump frontier instead. *)
-  (match !pending_free with
-  | Some (start, _) -> h.bump <- start
-  | None -> ());
-  h.free <- List.rev !free;
+  if !run >= 0 then h.bump <- !run;
   h.stats.live_after_last_gc <- !live
 
 let collect h =
@@ -279,62 +301,78 @@ let collect h =
 
 (* Allocation --------------------------------------------------------------- *)
 
+(* First fit: the header address of the block chosen, or -1.  A block
+   larger than the request splits, the allocated part first, the
+   remainder keeping a Free header. *)
 let take_free h nwords =
-  let rec go acc = function
-    | [] -> None
-    | (addr, size) :: rest when size >= nwords ->
-        let remaining = size - nwords in
-        if remaining >= 1 then begin
-          (* Split: allocated part first, remainder keeps a Free header. *)
-          let rem_hdr = addr + 1 + nwords in
-          S1_machine.Mem.write h.mem rem_hdr (header ~mark:false ~kind:Free ~size:(remaining - 1));
-          h.free <- List.rev_append acc ((rem_hdr, remaining - 1) :: rest);
-          Some addr
-        end
-        else begin
-          h.free <- List.rev_append acc rest;
-          Some addr
-        end
-    | entry :: rest -> go (entry :: acc) rest
-  in
-  go [] h.free
+  if h.free_len = 0 then -1 (* before the first sweep there are no cursors *)
+  else begin
+    let c = if nwords < ncursors then nwords else ncursors - 1 in
+    let sizes = h.free_size and len = h.free_len in
+    let i = ref h.cursor.(c) in
+    while !i < len && Array.unsafe_get sizes !i < nwords do
+      incr i
+    done;
+    if nwords < ncursors then h.cursor.(nwords) <- !i;
+    if !i >= len then -1
+    else begin
+      let i = !i in
+      let hdr = h.free_hdr.(i) in
+      let remaining = sizes.(i) - nwords in
+      if remaining >= 1 then begin
+        let rem_hdr = hdr + 1 + nwords in
+        Mem.write h.mem rem_hdr (header ~mark:false ~kind:Free ~size:(remaining - 1));
+        h.free_hdr.(i) <- rem_hdr;
+        sizes.(i) <- remaining - 1
+      end
+      else sizes.(i) <- -1;
+      hdr
+    end
+  end
+
+let finish h kind hdr nwords =
+  Mem.write h.mem hdr (header ~mark:false ~kind ~size:nwords);
+  for i = 1 to nwords do
+    Mem.write h.mem (hdr + i) 0
+  done;
+  let stats = h.stats in
+  stats.allocations <- stats.allocations + 1;
+  stats.words_allocated <- stats.words_allocated + nwords + 1;
+  Obs.add (Array.unsafe_get alloc_counter (kind_to_int kind)) 1;
+  Obs.add words_counter (nwords + 1);
+  h.alloc_hook (nwords + 1);
+  hdr + 1
+
+(* Past the bump frontier: the free list, then a collection and both
+   again. *)
+let[@inline never] alloc_slow h kind nwords =
+  let hdr = take_free h nwords in
+  if hdr >= 0 then finish h kind hdr nwords
+  else begin
+    collect h;
+    let hdr = h.bump in
+    if hdr + nwords + 1 <= h.limit then begin
+      h.bump <- hdr + nwords + 1;
+      finish h kind hdr nwords
+    end
+    else
+      let hdr = take_free h nwords in
+      if hdr >= 0 then finish h kind hdr nwords
+      else raise (Heap_exhausted { requested = nwords })
+  end
 
 let alloc h kind nwords =
   if nwords < 1 then invalid_arg "Heap.alloc: empty payload";
-  let finish hdr_addr span =
-    Mem.write h.mem hdr_addr (header ~mark:false ~kind ~size:span);
-    for i = 1 to span do
-      Mem.write h.mem (hdr_addr + i) 0
-    done;
-    h.stats.allocations <- h.stats.allocations + 1;
-    h.stats.words_allocated <- h.stats.words_allocated + span + 1;
-    Obs.incr alloc_counter.(kind_to_int kind);
-    Obs.incr ~n:(span + 1) "heap.alloc.words";
-    h.alloc_hook (span + 1);
-    hdr_addr + 1
-  in
-  let try_bump () =
-    if h.bump + nwords + 1 <= h.limit then begin
-      let hdr = h.bump in
-      h.bump <- h.bump + nwords + 1;
-      Some hdr
-    end
-    else None
-  in
-  match try_bump () with
-  | Some hdr -> finish hdr nwords
-  | None -> (
-      match take_free h nwords with
-      | Some hdr -> finish hdr nwords
-      | None -> (
-          collect h;
-          match try_bump () with
-          | Some hdr -> finish hdr nwords
-          | None -> (
-              match take_free h nwords with
-              | Some hdr -> finish hdr nwords
-              | None -> raise (Heap_exhausted { requested = nwords }))))
+  let hdr = h.bump in
+  if hdr + nwords + 1 <= h.limit then begin
+    h.bump <- hdr + nwords + 1;
+    finish h kind hdr nwords
+  end
+  else alloc_slow h kind nwords
 
 let live_words h =
-  let rec free_total = function [] -> 0 | (_, s) :: rest -> s + 1 + free_total rest in
-  h.bump - h.base - free_total h.free
+  let free = ref 0 in
+  for i = 0 to h.free_len - 1 do
+    if h.free_size.(i) >= 0 then free := !free + h.free_size.(i) + 1
+  done;
+  h.bump - h.base - !free

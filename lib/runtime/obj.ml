@@ -84,10 +84,12 @@ let to_list t w =
 
 (* Numbers ------------------------------------------------------------------ *)
 
-let single ?where t f =
+let single_word ?where t w =
   let a = alloc ?where t Heap.Single 1 in
-  Mem.write t.mem a (S1_machine.Float36.encode_single f);
+  Mem.write t.mem a w;
   mk Tags.Single_flonum a
+
+let single ?where t f = single_word ?where t (S1_machine.Float36.encode_single f)
 
 let single_value t w = S1_machine.Float36.decode_single (Mem.read t.mem (Word.addr_of w))
 

@@ -63,6 +63,8 @@ val to_list : t -> int -> int list
 (** {1 Numbers} *)
 
 val single : ?where:where -> t -> float -> int
+val single_word : ?where:where -> t -> int -> int  (** a single flonum holding this SWFLO word *)
+
 val single_value : t -> int -> float
 val double : ?where:where -> t -> float -> int
 val double_value : t -> int -> float

@@ -43,25 +43,27 @@ exception Thrown of int * int
 
 let err fmt_str = Printf.ksprintf (fun s -> raise (Lisp_error s)) fmt_str
 
-(* Service handler table, indexed by service id.  Registration (module
-   initialisation, natives at first boot) is serialised; dispatch reads the
-   current array without a lock.  A process registers about 190 services;
-   starting at 256 keeps the table out of the small-object pools. *)
-let handlers : (t -> unit) option array Atomic.t = Atomic.make (Array.make 256 None)
+(* Service handler table, indexed by service id; [no_handler] marks an
+   unregistered slot.  Registration (module initialisation, natives at
+   first boot) is serialised; dispatch reads the current array without a
+   lock.  A process registers about 190 services; starting at 256 keeps
+   the table out of the small-object pools. *)
+let no_handler : t -> unit = fun _ -> ()
+let handlers : (t -> unit) array Atomic.t = Atomic.make (Array.make 256 no_handler)
 let handlers_lock = Mutex.create ()
 
 let set_handler id f =
   Mutex.protect handlers_lock (fun () ->
       let old = Atomic.get handlers in
       let n = Array.length old in
-      let grow i = if i < n then old.(i) else None in
+      let grow i = if i < n then old.(i) else no_handler in
       let tbl = if id < n then old else Array.init (max (id + 1) (2 * n)) grow in
-      tbl.(id) <- Some f;
+      tbl.(id) <- f;
       Atomic.set handlers tbl)
 
 let handler id =
   let tbl = Atomic.get handlers in
-  if id >= 0 && id < Array.length tbl then Array.unsafe_get tbl id else None
+  if id >= 0 && id < Array.length tbl then Array.unsafe_get tbl id else no_handler
 
 (* Symbols -------------------------------------------------------------------- *)
 
@@ -165,12 +167,11 @@ let unbind_specials rt n =
 
 let lookup_special_cell rt sym =
   let base = Mem.bind_base rt.mem in
-  let rec scan i =
-    if i < base then Obj.symbol_value_cell rt.obj sym
-    else if Mem.read rt.mem i = sym then i + 1
-    else scan (i - 2)
-  in
-  scan (Cpu.get_reg rt.cpu Isa.sb - 2)
+  let i = ref (Cpu.get_reg rt.cpu Isa.sb - 2) in
+  while !i >= base && Mem.read rt.mem !i <> sym do
+    i := !i - 2
+  done;
+  if !i < base then Obj.symbol_value_cell rt.obj sym else !i + 1
 
 let symbol_name rt w = Obj.symbol_name rt.obj w
 
@@ -482,6 +483,15 @@ let r0 rt = Cpu.get_reg rt.cpu 0
 let r1 rt = Cpu.get_reg rt.cpu 1
 let set_r0 rt v = Cpu.set_reg rt.cpu 0 v
 
+(* The fixnum fast paths of generic arithmetic work on raw words: when
+   both operands are fixnums and so is the result, the general path
+   would box both operands as bignums and unbox the result, to the same
+   word and without heap allocation. *)
+let fixnum_tag = Tags.to_int Tags.Fixnum
+let[@inline] both_fixnums a b = Word.tag_of a = fixnum_tag && Word.tag_of b = fixnum_tag
+let[@inline] fixnum_in_range v = v >= Word.fixnum_min && v <= Word.fixnum_max
+let[@inline] fixnum_word v = Word.make_ptr ~tag:fixnum_tag ~addr:v
+
 let install_handlers () =
   let h = set_handler in
   let num1 rt = Numerics.decode rt.obj (r0 rt) in
@@ -500,58 +510,68 @@ let install_handlers () =
   (* Allocation *)
   h Svc.cons (fun rt -> set_r0 rt (Obj.cons rt.obj (r0 rt) (r1 rt)));
   h Svc.single_flonum_cons (fun rt ->
-      set_r0 rt (Obj.single rt.obj (F36.decode_single (r0 rt))));
+      (* the word a round trip through the host float gives: NaNs and
+         the negative zero canonicalise *)
+      set_r0 rt (Obj.single_word rt.obj (F36.encode_single (F36.decode_single (r0 rt)))));
   h Svc.double_flonum_cons (fun rt ->
       set_r0 rt (Obj.double rt.obj (F36.decode_double (r0 rt, r1 rt))));
   h Svc.closure_cons (fun rt -> set_r0 rt (Obj.closure rt.obj ~code:(r0 rt) ~env:(r1 rt)));
   h Svc.vector_cons (fun rt ->
       let n = Word.to_signed (r0 rt) in
       set_r0 rt (Obj.vector rt.obj (Array.make n rt.nil)));
-  (* Generic arithmetic.  When both operands are fixnums and so is the
-     result, compute directly: the general path would box both operands
-     as bignums and unbox the result, to the same word and without heap
-     allocation.  Every other case (overflow included) takes it. *)
-  let fixnum_tag = Tags.to_int Tags.Fixnum in
-  let[@inline] fixnums2 op general rt =
-    let a = r0 rt and b = r1 rt in
-    if Word.tag_of a = fixnum_tag && Word.tag_of b = fixnum_tag then
-      op rt (Obj.fixnum_value a) (Obj.fixnum_value b)
-    else general rt
-  in
-  let fixnum_arith op general =
-    fixnums2
-      (fun rt a b ->
-        let v = op a b in
-        if v >= Word.fixnum_min && v <= Word.fixnum_max then set_r0 rt (Obj.fixnum v) else general rt)
-      general
-  in
-  let fixnum_cmp rel general = fixnums2 (fun rt a b -> set_r0 rt (bool_word rt (rel a b))) general in
-  h Svc.generic_add (fixnum_arith ( + ) (arith Numerics.add));
-  h Svc.generic_sub (fixnum_arith ( - ) (arith Numerics.sub));
+  (* Generic arithmetic, with the fixnum fast paths written out flat;
+     every other case (overflow included) takes the general path. *)
+  let add = arith Numerics.add and sub = arith Numerics.sub in
+  h Svc.generic_add (fun rt ->
+      let a = r0 rt and b = r1 rt in
+      let v = Word.datum_signed a + Word.datum_signed b in
+      if both_fixnums a b && fixnum_in_range v then set_r0 rt (fixnum_word v) else add rt);
+  h Svc.generic_sub (fun rt ->
+      let a = r0 rt and b = r1 rt in
+      let v = Word.datum_signed a - Word.datum_signed b in
+      if both_fixnums a b && fixnum_in_range v then set_r0 rt (fixnum_word v) else sub rt);
   h Svc.generic_mul (arith Numerics.mul);
   h Svc.generic_div (fun rt ->
       let a, b = num2 rt in
       (try set_r0 rt (enc rt (Numerics.div a b))
        with Division_by_zero -> err "division by zero"));
   h Svc.generic_neg (arith1 Numerics.neg);
-  h Svc.generic_lss (fixnum_cmp ( < ) (cmp ( < )));
-  h Svc.generic_leq (fixnum_cmp ( <= ) (cmp ( <= )));
-  h Svc.generic_gtr (fixnum_cmp ( > ) (cmp ( > )));
-  h Svc.generic_geq (fixnum_cmp ( >= ) (cmp ( >= )));
-  h Svc.generic_num_eq
-    (fixnum_cmp Int.equal (fun rt ->
-         let a, b = num2 rt in
-         set_r0 rt (bool_word rt (Numerics.equal_value a b))));
+  let lss = cmp ( < ) and leq = cmp ( <= ) and gtr = cmp ( > ) and geq = cmp ( >= ) in
+  let num_eq rt =
+    let a, b = num2 rt in
+    set_r0 rt (bool_word rt (Numerics.equal_value a b))
+  in
+  h Svc.generic_lss (fun rt ->
+      let a = r0 rt and b = r1 rt in
+      if both_fixnums a b then set_r0 rt (bool_word rt (Word.datum_signed a < Word.datum_signed b))
+      else lss rt);
+  h Svc.generic_leq (fun rt ->
+      let a = r0 rt and b = r1 rt in
+      if both_fixnums a b then set_r0 rt (bool_word rt (Word.datum_signed a <= Word.datum_signed b))
+      else leq rt);
+  h Svc.generic_gtr (fun rt ->
+      let a = r0 rt and b = r1 rt in
+      if both_fixnums a b then set_r0 rt (bool_word rt (Word.datum_signed a > Word.datum_signed b))
+      else gtr rt);
+  h Svc.generic_geq (fun rt ->
+      let a = r0 rt and b = r1 rt in
+      if both_fixnums a b then set_r0 rt (bool_word rt (Word.datum_signed a >= Word.datum_signed b))
+      else geq rt);
+  h Svc.generic_num_eq (fun rt ->
+      let a = r0 rt and b = r1 rt in
+      if both_fixnums a b then set_r0 rt (bool_word rt (Word.datum_signed a = Word.datum_signed b))
+      else num_eq rt);
   h Svc.generic_max (fun rt ->
       let a, b = num2 rt in
       set_r0 rt (enc rt (if Numerics.compare_ a b >= 0 then a else b)));
   h Svc.generic_min (fun rt ->
       let a, b = num2 rt in
       set_r0 rt (enc rt (if Numerics.compare_ a b <= 0 then a else b)));
+  let zerop = pred1 Numerics.zerop in
   h Svc.generic_zerop (fun rt ->
       let a = r0 rt in
-      if Word.tag_of a = fixnum_tag then set_r0 rt (bool_word rt (Obj.fixnum_value a = 0))
-      else pred1 Numerics.zerop rt);
+      if Word.tag_of a = fixnum_tag then set_r0 rt (bool_word rt (Word.datum_signed a = 0))
+      else zerop rt);
   h Svc.generic_oddp (pred1 Numerics.oddp);
   h Svc.generic_evenp (pred1 Numerics.evenp);
   let rounding f rt =
@@ -652,6 +672,13 @@ let allocating_svcs =
   in
   Array.init (max 256 (1 + List.fold_left max 0 ids)) (fun id -> List.mem id ids)
 
+module Pc_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash pc = pc
+end)
+
 (* Boot -------------------------------------------------------------------- *)
 
 let create ?config () =
@@ -697,44 +724,44 @@ let create ?config () =
   S1_obs.Timeline.set_path_provider (fun () -> Cpu.shadow_path cpu);
   Heap.set_alloc_hook heap (fun words -> Cpu.shadow_charge_alloc cpu words);
   (* Service dispatch.  Allocating services count a heap.site.* key for
-     the source line of the trapping SVC, cached per PC.  The key depends
-     only on the PC line maps, so the cache lives as long as the map list
-     it was computed from; loading mapped code or a code_release replaces
-     the list. *)
-  let site_keys = Hashtbl.create 16 and site_maps = ref cpu.Cpu.mark_segments in
-  let site_key pc =
+     the source line of the trapping SVC, interned and cached per PC.  The
+     key depends only on the PC line maps, so the cache lives as long as
+     the map list it was computed from; loading mapped code or a
+     code_release replaces the list. *)
+  let site_counters = Pc_table.create 16 and site_maps = ref cpu.Cpu.mark_segments in
+  let site_counter pc =
     if !site_maps != cpu.Cpu.mark_segments then begin
-      Hashtbl.reset site_keys;
+      Pc_table.reset site_counters;
       site_maps := cpu.Cpu.mark_segments
     end;
-    match Hashtbl.find_opt site_keys pc with
-    | Some key -> key
-    | None ->
+    match Pc_table.find site_counters pc with
+    | c -> c
+    | exception Not_found ->
         let key =
           match Cpu.provenance_at cpu pc with
           | Some { S1_machine.Asm.m_loc = Some l; _ } ->
               Printf.sprintf "heap.site.%s:%d" l.S1_loc.Loc.file l.S1_loc.Loc.line
           | _ -> "heap.site.unattributed"
         in
-        Hashtbl.add site_keys pc key;
-        key
+        let c = S1_obs.Obs.counter key in
+        Pc_table.add site_counters pc c;
+        c
   in
   cpu.Cpu.service <-
     (fun _cpu id ->
       if id < Array.length allocating_svcs && Array.unsafe_get allocating_svcs id then
-        S1_obs.Obs.incr (site_key cpu.Cpu.pc);
-      match handler id with
-      | Some f ->
-          if Cpu.callgraph_on cpu then begin
-            (* a synthetic shadow frame per service, so host-side work
-               (allocation, generic arithmetic, THROW) carries call-path
-               context; truncation (not a blind pop) keeps this correct
-               even when the handler THROWs to a shallower frame *)
-            let depth = Cpu.shadow_depth cpu in
-            Cpu.shadow_push cpu (svc_frame_name id);
-            Fun.protect ~finally:(fun () -> Cpu.shadow_truncate cpu depth) (fun () -> dispatch rt cpu f)
-          end
-          else dispatch rt cpu f
-      | None -> err "unknown service %s" (Isa.svc_name id));
+        S1_obs.Obs.add (site_counter cpu.Cpu.pc) 1;
+      let f = handler id in
+      if f == no_handler then err "unknown service %s" (Isa.svc_name id)
+      else if Cpu.callgraph_on cpu then begin
+        (* a synthetic shadow frame per service, so host-side work
+           (allocation, generic arithmetic, THROW) carries call-path
+           context; truncation (not a blind pop) keeps this correct
+           even when the handler THROWs to a shallower frame *)
+        let depth = Cpu.shadow_depth cpu in
+        Cpu.shadow_push cpu (svc_frame_name id);
+        Fun.protect ~finally:(fun () -> Cpu.shadow_truncate cpu depth) (fun () -> dispatch rt cpu f)
+      end
+      else dispatch rt cpu f);
   cpu.Cpu.bad_function_svc <- Svc.wrong_type_of_function;
   rt

@@ -467,6 +467,55 @@ let test_boot_allocation () =
     (Printf.sprintf "%d minor words per warm boot, at most 4000" per_boot)
     true (per_boot <= 4000)
 
+(* Simulated instructions allocate nothing on the host: the float codec
+   keeps floats unboxed, calls resolve without options, heap counters are
+   interned and the free list is arrays.  Minor words per simulated
+   instruction, measured through an Obs span.  The fsum bound is loose
+   because the dev profile does not inline the codec across modules. *)
+let words_per_instruction c call =
+  let rt = c.C.rt in
+  let f = Rt.function_of rt (Rt.intern rt call) in
+  ignore (Rt.call rt f []);
+  let stats = rt.Rt.cpu.Cpu.stats in
+  let i0 = stats.Cpu.instructions in
+  let t = S1_obs.Obs.create () in
+  S1_obs.Obs.with_span ~t "run" (fun () ->
+      for _ = 1 to 3 do
+        ignore (Sys.opaque_identity (Rt.call rt f []))
+      done);
+  let words = (List.hd (S1_obs.Obs.spans ~t ())).S1_obs.Obs.sp_alloc in
+  float_of_int words /. float_of_int (stats.Cpu.instructions - i0)
+
+let test_sim_allocation () =
+  let c = C.create () in
+  ignore
+    (C.eval_string c
+       "(defun tak (x y z)\n\
+       \  (if (not (< y x)) z (tak (tak (1- x) y z) (tak (1- y) z x) (tak (1- z) x y))))\n\
+        (defun run-tak () (tak 13 4 1))");
+  let tak = words_per_instruction c "RUN-TAK" in
+  Alcotest.(check bool) (Printf.sprintf "tak: %.3f words per instruction, at most 0.02" tak) true
+    (tak <= 0.02);
+  let c = C.create ~config:{ S1_machine.Mem.default_config with heap_words = 1 lsl 15 } () in
+  ignore
+    (C.eval_string c
+       "(defun fsum (n acc) (declare (single-float acc))\n\
+       \  (if (zerop n) acc (fsum (1- n) (+$f 0.25 (*$f 0.5 (+$f 0.125 (*$f acc 0.99)))))))\n\
+        (defun run-fsum () (fsum 6718 0.0))");
+  (* a kept cons between every two dead ones: the collection leaves a
+     free block per dead pair, and fsum's flonums fill them first fit *)
+  let rt = c.C.rt in
+  let keep = ref rt.Rt.nil in
+  for i = 1 to 3000 do
+    ignore (Obj.cons rt.Rt.obj (Obj.fixnum i) (Obj.cons rt.Rt.obj (Obj.fixnum i) rt.Rt.nil));
+    keep := Obj.cons rt.Rt.obj (Obj.fixnum i) !keep
+  done;
+  Rt.protect rt !keep;
+  S1_runtime.Heap.collect rt.Rt.heap;
+  let fsum = words_per_instruction c "RUN-FSUM" in
+  Alcotest.(check bool) (Printf.sprintf "fsum: %.3f words per instruction, at most 1.5" fsum) true
+    (fsum <= 1.5)
+
 let () =
   Alcotest.run "compiler"
     [
@@ -492,6 +541,7 @@ let () =
             test_ablation_options_preserve_semantics;
           Alcotest.test_case "metacircular soak" `Quick test_metacircular_soak;
           Alcotest.test_case "warm boot allocation" `Quick test_boot_allocation;
+          Alcotest.test_case "simulator host allocation" `Quick test_sim_allocation;
         ] );
       ( "differential",
         [

@@ -74,6 +74,96 @@ let test_float36_double () =
         (Float36.decode_double (Float36.encode_double f)))
     [ 0.0; 1.0; -1.5; 3.14159265358979; 1e100; -2.2e-200 ]
 
+(* Subnormals round half to even like the normal range: 2.5 and 4.5
+   units of the smallest subnormal go down, 3.5 goes up. *)
+let test_float36_subnormal_ties () =
+  let unit_single = Float.ldexp 1.0 (-280) and unit_half = Float.ldexp 1.0 (-26) in
+  List.iter
+    (fun (units, frac) ->
+      check_int (Printf.sprintf "single %g units" units) frac
+        (Float36.encode_single (units *. unit_single));
+      check_int (Printf.sprintf "half %g units" units) frac
+        (Float36.encode_half (units *. unit_half)))
+    [ (2.5, 2); (3.5, 4); (4.5, 4); (0.5, 0); (1.5, 2); (2.25, 2); (2.75, 3) ];
+  check_int "negative tie" ((1 lsl 35) lor 2) (Float36.encode_single (-2.5 *. unit_single))
+
+(* The single codec works on the IEEE bits; the generic codec is its
+   reference, bit for bit (NaNs compare as NaN). *)
+let same_float a b =
+  (Float.is_nan a && Float.is_nan b) || Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let check_encode what f =
+  let want = Float36.encode Float36.single f and got = Float36.encode_single f in
+  if want <> got then
+    Alcotest.failf "%s: encode %h (bits %Lx) = %#x, generic %#x" what f (Int64.bits_of_float f)
+      got want
+
+let test_float36_decode_parity () =
+  let st = Random.State.make [| 36 |] in
+  for e = 0 to 511 do
+    for sign = 0 to 1 do
+      let fracs =
+        [ 0; 1; 1 lsl 25; (1 lsl 26) - 1 ]
+        @ List.init 8 (fun _ -> Random.State.bits st land ((1 lsl 26) - 1))
+      in
+      List.iter
+        (fun frac ->
+          let w = (sign lsl 35) lor (e lsl 26) lor frac in
+          let want = Float36.decode Float36.single w and got = Float36.decode_single w in
+          if not (same_float want got) then
+            Alcotest.failf "decode %#x = %h, generic %h" w got want)
+        fracs
+    done
+  done
+
+let test_float36_encode_parity () =
+  let st = Random.State.make [| 26 |] in
+  let of_bits = Int64.float_of_bits in
+  for i = 1 to 1_000_000 do
+    let b =
+      if i land 1 = 0 then Random.State.int64 st Int64.max_int
+      else
+        (* exponents a single can hold, fractions anywhere *)
+        Int64.logor
+          (Int64.shift_left (Int64.of_int (700 + Random.State.int st 700)) 52)
+          (Random.State.int64 st (Int64.shift_left 1L 52))
+    in
+    let b = if Random.State.bool st then Int64.logor b Int64.min_int else b in
+    check_encode "random" (of_bits b)
+  done;
+  (* every exponent around the single range, low 26 bits at the rounding
+     boundaries, on an even and an odd kept fraction *)
+  let half = 1 lsl 25 and low = (1 lsl 26) - 1 in
+  for e = 700 to 1400 do
+    List.iter
+      (fun kept ->
+        List.iter
+          (fun dropped ->
+            List.iter
+              (fun sign ->
+                let b = (e lsl 52) lor (kept lsl 26) lor dropped in
+                let b = Int64.logor (Int64.of_int b) sign in
+                check_encode (Printf.sprintf "exponent %d" e) (of_bits b))
+              [ 0L; Int64.min_int ])
+          [ 0; half - 1; half; half + 1; low ])
+      [ 0; 1; 2; low - 1; low ]
+  done;
+  (* rounding carries into the overflow edge and past it *)
+  List.iter
+    (fun e ->
+      let top = Int64.of_int ((e lsl 52) lor (low lsl 26)) in
+      List.iter
+        (fun dropped ->
+          check_encode (Printf.sprintf "carry into %d" (e - 767))
+            (of_bits (Int64.logor top (Int64.of_int dropped))))
+        [ half; half + 1; low ])
+    [ 1276; 1277; 1278 ];
+  List.iter
+    (fun f -> check_encode (Printf.sprintf "%h" f) f)
+    [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; Float.max_float; -.Float.max_float;
+      Float.min_float; 5e-324; -5e-324; Float.ldexp 1.0 (-254); Float.ldexp 1.0 (-255);
+      Float.ldexp 1.0 (-280); Float.ldexp 1.0 255; Float.ldexp 1.0 256 ]
+
 let prop_float36_monotone =
   (* encode/decode is monotone over moderate floats *)
   QCheck2.Test.make ~count:500 ~name:"float36 ordering preserved"
@@ -1058,6 +1148,9 @@ let () =
           Alcotest.test_case "rounding" `Quick test_float36_rounding;
           Alcotest.test_case "specials" `Quick test_float36_specials;
           Alcotest.test_case "double" `Quick test_float36_double;
+          Alcotest.test_case "subnormal ties to even" `Quick test_float36_subnormal_ties;
+          Alcotest.test_case "single decode parity" `Quick test_float36_decode_parity;
+          Alcotest.test_case "single encode parity" `Quick test_float36_encode_parity;
           QCheck_alcotest.to_alcotest prop_float36_monotone;
           QCheck_alcotest.to_alcotest prop_float36_relative_error;
         ] );

@@ -157,6 +157,45 @@ let test_counters () =
   check_int "reset clears" 0 (Obs.count ~t "a.one");
   check_int "reset empties listing" 0 (List.length (Obs.counters ~t ()))
 
+(* Interned counters count into the current domain's registry, in the
+   same cells [incr] uses. *)
+let test_interned_counters () =
+  Obs.reset ();
+  let a = Obs.counter "interned.a" and b = Obs.counter "interned.b" in
+  check_bool "one id per name" true (a = Obs.counter "interned.a");
+  Obs.incr ~n:2 "interned.b";
+  Obs.add b 3;
+  Obs.add a 5;
+  Obs.incr "interned.a";
+  check_int "add after incr" 5 (Obs.count "interned.b");
+  check_int "incr after add" 6 (Obs.count "interned.a");
+  let before = Obs.snapshot () in
+  Obs.add a 4;
+  Obs.add b 0;
+  Alcotest.(check (list (pair string int)))
+    "diff sees add" [ ("interned.a", 4) ] (Obs.diff ~before ());
+  Alcotest.(check (list (pair string int)))
+    "listing" [ ("interned.a", 10); ("interned.b", 5) ] (Obs.counters ());
+  Obs.reset ();
+  Obs.add a 7;
+  Alcotest.(check (list (pair string int)))
+    "reset drops the cached cell" [ ("interned.a", 7) ] (Obs.counters ());
+  Obs.incr "interned.a";
+  check_int "the recreated cell is the registry's" 8 (Obs.count "interned.a");
+  let worker n () =
+    for _ = 1 to n do
+      Obs.add a 1
+    done;
+    Obs.counters ()
+  in
+  let d1 = Domain.spawn (worker 1000) and d2 = Domain.spawn (worker 3) in
+  Alcotest.(check (list (pair string int)))
+    "first domain" [ ("interned.a", 1000) ] (Domain.join d1);
+  Alcotest.(check (list (pair string int)))
+    "second domain" [ ("interned.a", 3) ] (Domain.join d2);
+  check_int "the main domain's own" 8 (Obs.count "interned.a");
+  Obs.reset ()
+
 let test_spans_nest () =
   let t = Obs.create () in
   let r =
@@ -385,6 +424,7 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "counters" `Quick test_counters;
+          Alcotest.test_case "interned counters" `Quick test_interned_counters;
           Alcotest.test_case "spans nest" `Quick test_spans_nest;
           Alcotest.test_case "spans exception-safe" `Quick test_spans_exception_safe;
           Alcotest.test_case "json schema" `Quick test_obs_json_schema;

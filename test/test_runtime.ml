@@ -124,6 +124,160 @@ let test_heap_reuse () =
   done;
   check_bool "many collections" true ((Heap.stats rt.Rt.heap).Heap.collections > 10)
 
+(* The list-based first fit the heap ran before its free list became
+   arrays with per-size cursors, over a model that keeps only each
+   block's payload size: the reference the real heap must match address
+   for address. *)
+module Ref_heap = struct
+  type t = {
+    base : int;
+    limit : int;
+    mutable bump : int;
+    mutable free : (int * int) list;  (* (header addr, payload size), address-ordered *)
+    sizes : (int, int) Hashtbl.t;  (* header addr -> payload size *)
+    stats : Heap.stats;
+  }
+
+  let create ~base ~limit =
+    { base; limit; bump = base; free = []; sizes = Hashtbl.create 64;
+      stats = { allocations = 0; words_allocated = 0; collections = 0; live_after_last_gc = 0 } }
+
+  let take_free h nwords =
+    let rec go acc = function
+      | [] -> None
+      | (addr, size) :: rest when size >= nwords ->
+          let remaining = size - nwords in
+          if remaining >= 1 then begin
+            let rem_hdr = addr + 1 + nwords in
+            Hashtbl.replace h.sizes rem_hdr (remaining - 1);
+            h.free <- List.rev_append acc ((rem_hdr, remaining - 1) :: rest);
+            Some addr
+          end
+          else begin
+            h.free <- List.rev_append acc rest;
+            Some addr
+          end
+      | entry :: rest -> go (entry :: acc) rest
+    in
+    go [] h.free
+
+  (* mark is "is a root"; runs of dead blocks coalesce, a trailing run
+     moves the bump frontier back *)
+  let collect h roots =
+    h.stats.collections <- h.stats.collections + 1;
+    let free = ref [] and live = ref 0 and pending = ref None in
+    let flush () =
+      match !pending with
+      | None -> ()
+      | Some (start, words) ->
+          Hashtbl.replace h.sizes start (words - 1);
+          free := (start, words - 1) :: !free;
+          pending := None
+    in
+    let a = ref h.base in
+    while !a < h.bump do
+      let span = Hashtbl.find h.sizes !a + 1 in
+      if List.mem (!a + 1) roots then begin
+        flush ();
+        live := !live + span
+      end
+      else
+        pending :=
+          Some
+            (match !pending with
+            | None -> (!a, span)
+            | Some (start, words) -> (start, words + span));
+      a := !a + span
+    done;
+    (match !pending with Some (start, _) -> h.bump <- start | None -> ());
+    h.free <- List.rev !free;
+    h.stats.live_after_last_gc <- !live
+
+  let alloc h roots nwords =
+    let finish hdr =
+      Hashtbl.replace h.sizes hdr nwords;
+      h.stats.allocations <- h.stats.allocations + 1;
+      h.stats.words_allocated <- h.stats.words_allocated + nwords + 1;
+      Some (hdr + 1)
+    in
+    let try_bump () =
+      if h.bump + nwords + 1 <= h.limit then begin
+        let hdr = h.bump in
+        h.bump <- h.bump + nwords + 1;
+        Some hdr
+      end
+      else None
+    in
+    match try_bump () with
+    | Some hdr -> finish hdr
+    | None -> (
+        match take_free h nwords with
+        | Some hdr -> finish hdr
+        | None -> (
+            collect h roots;
+            match try_bump () with
+            | Some hdr -> finish hdr
+            | None -> ( match take_free h nwords with Some hdr -> finish hdr | None -> None)))
+
+  let live_words h = h.bump - h.base - List.fold_left (fun acc (_, s) -> acc + s + 1) 0 h.free
+end
+
+let test_heap_first_fit_parity () =
+  let config = { S1_machine.Mem.default_config with heap_words = 600 } in
+  let string_tag = S1_machine.Tags.(to_int String) in
+  for seed = 1 to 12 do
+    let mem = S1_machine.Mem.create ~config () in
+    let heap = Heap.create mem in
+    let model =
+      Ref_heap.create ~base:(S1_machine.Mem.heap_base mem) ~limit:(S1_machine.Mem.heap_limit mem)
+    in
+    let roots = ref [] in
+    Heap.set_extra_roots heap (fun () ->
+        List.map (fun p -> S1_machine.Word.make_ptr ~tag:string_tag ~addr:p) !roots);
+    let st = Random.State.make [| seed |] in
+    let drop () =
+      match !roots with
+      | [] -> ()
+      | l ->
+          let victim = List.nth l (Random.State.int st (List.length l)) in
+          roots := List.filter (( <> ) victim) l
+    in
+    for step = 1 to 4000 do
+      let what = Printf.sprintf "seed %d step %d" seed step in
+      (match Random.State.int st 10 with
+      | 0 | 1 | 2 | 3 | 4 | 5 -> (
+          (* now and then past the last per-size cursor *)
+          let n =
+            if Random.State.int st 25 = 0 then 60 + Random.State.int st 20
+            else 1 + Random.State.int st 12
+          in
+          let want = Ref_heap.alloc model !roots n in
+          let got =
+            match Heap.alloc heap Heap.String_obj n with
+            | p -> Some p
+            | exception Heap.Heap_exhausted _ -> None
+          in
+          Alcotest.(check (option int)) (what ^ " address") want got;
+          (* raw payload, so a stale word read as a header shows *)
+          Option.iter
+            (fun p ->
+              for i = 0 to n - 1 do
+                S1_machine.Mem.write mem (p + i) (step + i)
+              done)
+            got;
+          match got with
+          | Some p when Random.State.bool st -> roots := p :: !roots
+          | Some _ -> ()
+          | None -> List.iter (fun _ -> drop ()) !roots)
+      | 6 | 7 | 8 -> drop ()
+      | _ ->
+          Ref_heap.collect model !roots;
+          Heap.collect heap);
+      check_int (what ^ " live words") (Ref_heap.live_words model) (Heap.live_words heap);
+      Alcotest.(check bool) (what ^ " stats") true (model.Ref_heap.stats = Heap.stats heap)
+    done
+  done
+
 let test_heap_deep_structure () =
   let rt = Rt.create () in
   let o = rt.Rt.obj in
@@ -455,6 +609,7 @@ let () =
         [
           Alcotest.test_case "alloc and collect" `Quick test_heap_alloc_and_collect;
           Alcotest.test_case "reuse small heap" `Quick test_heap_reuse;
+          Alcotest.test_case "first-fit parity" `Quick test_heap_first_fit_parity;
           Alcotest.test_case "deep structure" `Quick test_heap_deep_structure;
         ] );
       ( "obj",
