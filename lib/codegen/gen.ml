@@ -438,16 +438,6 @@ and gen_into ctx n (dst : Isa.operand) =
   | Some op -> if op <> dst then emit ctx (Isa.Mov (dst, op))
   | None -> gen ctx n (To dst)
 
-(* Evaluate [n] and return an operand for it, possibly emitting code that
-   leaves the value in [preferred].  The returned operand is only valid
-   until the next emitted instruction that could disturb [preferred]. *)
-and gen_operand ctx n (preferred : Isa.operand) : Isa.operand =
-  match simple_operand ctx n with
-  | Some op -> op
-  | None ->
-      gen ctx n (To preferred);
-      preferred
-
 (* Variables ----------------------------------------------------------------- *)
 
 and gen_var ctx n v dest =
@@ -1444,11 +1434,7 @@ let annotate ctx (fn_lam : lam) (body_root : node) =
        slot is actually allocated is the pdl_numbers option — keeping the
        two apart lets --remarks show the same site as Passed under the
        default configuration and Missed under --no-pdl *)
-    (if
-       n.n_pdlokp >= 0 && n.n_pdlnump
-       && n.n_wantrep = POINTER
-       && (match n.n_isrep with SWFLO | HWFLO -> true | _ -> false)
-     then
+    (if n.n_pdlokp >= 0 && S1_rep.Pdlnum.boxes_a_float n then
        if ctx.opt.pdl_numbers then begin
          Hashtbl.replace ctx.pdl_slot n.n_id (Tn.alloc_scratch_slot ctx.pool 1);
          S1_obs.Remark.passed ~pass:"pdlnum" ~rule:"PDL-ALLOCATE" ~node:n.n_id ?loc:n.n_loc

@@ -277,21 +277,36 @@ let record_incident (c : t) ~pass ~reason ~loc =
     (Printf.sprintf "%s rolled back and disabled for this unit: %s" pass reason);
   if c.strict then raise (Strict_failure inc)
 
-(* Run one tree pass under the crash guard: snapshot the tree, run the
+(* Run one tree pass under the crash guard: open an undo trail, run the
    body (then the chaos hook) under a node-construction budget, re-verify
    the result, and on any failure — exception, budget exhaustion, or
-   verifier diagnostics — restore the snapshot, re-analyze, log an
+   verifier diagnostics — undo what the pass wrote, re-analyze, log an
    incident, and carry on with the pass disabled for this unit.  The
-   only exceptions allowed out are host-fatal ones and [Strict_failure]. *)
+   guard costs a census walk, the trail of the pass's writes and the
+   verifier's walk.  The id wells advance by the census as a deep copy
+   of the tree would advance them, which keeps every later node,
+   variable and tag id, and so every image, remark and journal, what it
+   was when the guard copied the tree.  The only exceptions allowed out
+   are host-fatal ones and [Strict_failure]. *)
 let guarded (c : t) ~pass ~stage (root : Node.node) (body : unit -> unit) : unit =
   if List.mem pass c.unit_disabled then ()
   else begin
-    let snap, size = Freshen.snapshot root in
+    let census = Node.census root in
+    Node.reserve census;
+    let trail = Node.open_trail () in
     let remark_mark = S1_obs.Remark.mark () in
-    let budget = 200_000 + (1_000 * size) in
+    let budget = 200_000 + (1_000 * census.Node.cn_nodes) in
     let rollback ~verify_fail ~reason ~loc =
       if verify_fail then Obs.incr "robust.verify_fail";
-      Node.restore root snap;
+      Node.undo trail;
+      (* analysis only ever sets [v_captured]: clear it so the refresh
+         captures what the restored tree needs, not what the pass did *)
+      Node.iter
+        (fun n ->
+          match n.Node.kind with
+          | Node.Lambda l -> List.iter (fun p -> p.Node.p_var.Node.v_captured <- false) l.l_params
+          | _ -> ())
+        root;
       S1_analysis.Analyze.refresh root;
       (* the pass's remarks describe decisions on a tree that no longer
          exists: the rollback takes them too *)
@@ -299,7 +314,7 @@ let guarded (c : t) ~pass ~stage (root : Node.node) (body : unit -> unit) : unit
       record_incident c ~pass ~reason ~loc
     in
     match
-      Node.with_budget ~pass budget (fun () ->
+      Node.with_budget ~trail ~pass budget (fun () ->
           body ();
           c.pass_hook pass root);
       Verify.run ~stage root

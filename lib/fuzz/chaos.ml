@@ -112,7 +112,7 @@ let corrupt pass (root : Node.node) : unit =
       l.Node.l_body.Node.n_wantrep <- Node.POINTER
   | Node.Lambda l ->
       let b = l.Node.l_body in
-      l.Node.l_body <- Node.mk (Node.Progn [ b; b ])
+      Node.set_body l (Node.mk (Node.Progn [ b; b ]))
   | _ -> ()
 
 (* A program guaranteed to exhaust a starved heap without touching the

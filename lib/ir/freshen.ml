@@ -19,25 +19,14 @@ let fresh_var env v =
 
 let lookup_var env v = match Hashtbl.find_opt env.vars v.v_id with Some v' -> v' | None -> v
 
-(* Domain-local like the node-id wells; [reset_counter] re-zeroes it for
-   hermetic per-file compilation (see [Node.reset_counters]). *)
-let tag_counter : int ref S1_par.Dls.t = S1_par.Dls.create (fun () -> ref 0)
-let reset_counter () = S1_par.Dls.get tag_counter := 0
-
 let fresh_tag env t =
-  let tc = S1_par.Dls.get tag_counter in
-  incr tc;
-  let t' = Printf.sprintf "%s~%d" t !tc in
+  let c = ctrs () in
+  c.ct_tag <- c.ct_tag + 1;
+  let t' = Printf.sprintf "%s~%d" t c.ct_tag in
   env.tags <- (t, t') :: env.tags;
   t'
 
 let lookup_tag env t = match List.assoc_opt t env.tags with Some t' -> t' | None -> t
-
-(* In snapshot mode each copied node keeps the original's source
-   position instead of being stamped with the current origin, so a tree
-   restored from a checkpoint reports the same provenance as the one the
-   failed pass destroyed. *)
-let snapshot_mode : bool ref S1_par.Dls.t = S1_par.Dls.create (fun () -> ref false)
 
 let rec copy_with env n =
   let go = copy_with env in
@@ -86,16 +75,6 @@ let rec copy_with env n =
     | Go t -> Go (lookup_tag env t)
     | Return e -> Return (go e)
   in
-  if !(S1_par.Dls.get snapshot_mode) then with_origin n.n_loc (fun () -> mk kind)
-  else mk kind
+  mk kind
 
 let copy n = copy_with { vars = Hashtbl.create 16; tags = [] } n
-
-(* The copy and its node count: one [mk] per node copied, so the count is
-   [Node.size n] without a walk of its own. *)
-let snapshot n =
-  let mode = S1_par.Dls.get snapshot_mode and ids = ctrs () in
-  let first = ids.ct_node in
-  mode := true;
-  let snap = Fun.protect ~finally:(fun () -> mode := false) (fun () -> copy n) in
-  (snap, ids.ct_node - first)

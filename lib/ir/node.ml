@@ -52,6 +52,25 @@ let all_reps =
   [ SWFIX; DWFIX; HWFLO; SWFLO; DWFLO; TWFLO; HWCPLX; SWCPLX; DWCPLX; TWCPLX; POINTER; BIT;
     JUMP; NONE ]
 
+(* Representations a raw machine value can have, and their tags. *)
+let raw_number_rep = function SWFLO | DWFLO | SWFIX | HWFLO -> true | _ -> false
+
+(* Can a value of representation [from_] be converted to [to_] at run
+   time?  POINTER <-> raw numbers convert (deref / allocate); JUMP and
+   NONE are contexts, not values.  Representation analysis chooses only
+   such pairs, the code generator coerces exactly these
+   ([deliver_operand]), and the verifier rejects any other. *)
+let convertible ~from_ ~to_ =
+  match (from_, to_) with
+  | a, b when a = b -> true
+  | POINTER, r when raw_number_rep r -> true
+  | r, POINTER when raw_number_rep r -> true
+  | SWFIX, SWFLO | SWFLO, SWFIX -> true
+  | _, NONE -> true
+  | (POINTER | SWFLO | SWFIX | BIT), JUMP -> true  (* test against NIL / zero *)
+  | BIT, (POINTER | SWFLO | SWFIX) -> to_ = POINTER
+  | _ -> false
+
 (** Side-effect classification (filled by the side-effects analysis). *)
 type effects = {
   eff_alloc : bool;  (** may allocate heap storage *)
@@ -140,7 +159,7 @@ and lam = {
 and param = { p_var : var; p_default : node option; p_kind : param_kind }
 and param_kind = Required | Optional | Rest
 
-and pb = { pb_uid : int; mutable pb_items : pb_item list }
+and pb = { pb_uid : int; pb_items : pb_item list }
 and pb_item = Ptag of string | Pstmt of node
 
 (** How a lambda-expression is compiled (the binding annotation phase):
@@ -154,22 +173,34 @@ and pb_item = Ptag of string | Pstmt of node
     - [Toplevel]: a DEFUN body with the standard checked linkage. *)
 and strategy = Unknown | Open | Jump | Fast | Full_closure | Toplevel
 
-(* The id wells and the dynamically scoped origin/budget are domain-local
-   so concurrent batch compilations ([lib/serve]) draw from independent
-   wells; [reset_counters] re-zeroes the current domain's wells so a
-   hermetic per-file compilation numbers its nodes deterministically
-   regardless of what compiled before it. *)
+(* One structural write made under a pass guard, with the value it
+   overwrote. *)
+type undo = U_kind of node * kind | U_body of lam * node | U_params of lam * param list
+
+(* The undo trail of an open pass guard: the node well's mark when it
+   opened (nodes above it are the pass's own, so their writes need no
+   undoing) and the overwritten values, newest first. *)
+type trail = { tr_mark : int; mutable tr_undo : undo list }
+
+(* The id wells and the dynamically scoped origin/budget/trail are
+   domain-local so concurrent batch compilations ([lib/serve]) draw from
+   independent wells; [reset_counters] re-zeroes the current domain's
+   wells so a hermetic per-file compilation numbers its nodes
+   deterministically regardless of what compiled before it. *)
 type counters = {
   mutable ct_node : int;
   mutable ct_var : int;
   mutable ct_pb : int;
+  mutable ct_tag : int;  (** progbody tag renamings ({!Freshen}) *)
   mutable ct_origin : S1_loc.Loc.t option;
   mutable ct_budget : (string * int * int ref) option;
+  mutable ct_trail : trail option;
 }
 
 let counters_key : counters S1_par.Dls.t =
   S1_par.Dls.create (fun () ->
-      { ct_node = 0; ct_var = 0; ct_pb = 0; ct_origin = None; ct_budget = None })
+      { ct_node = 0; ct_var = 0; ct_pb = 0; ct_tag = 0; ct_origin = None; ct_budget = None;
+        ct_trail = None })
 
 let ctrs () = S1_par.Dls.get counters_key
 
@@ -177,7 +208,8 @@ let reset_counters () =
   let c = ctrs () in
   c.ct_node <- 0;
   c.ct_var <- 0;
-  c.ct_pb <- 0
+  c.ct_pb <- 0;
+  c.ct_tag <- 0
 
 (* The provenance origin in dynamic scope: [mk] stamps every fresh node
    with it, so nodes created during conversion carry the source position
@@ -197,14 +229,20 @@ let with_origin l f =
    the tree instead of reducing it) is stopped by bounding how many nodes
    it may create, the tree-building analogue of simulator fuel.  The
    budget is dynamically scoped so only guarded pass bodies pay for the
-   check's bookkeeping semantics; [None] means unlimited. *)
+   check's bookkeeping semantics; [None] means unlimited.  The pass
+   guard opens its undo trail in the same scope. *)
 exception Budget_exhausted of { pass : string; budget : int }
 
-let with_budget ~pass n f =
+let with_budget ~trail ~pass n f =
   let c = ctrs () in
-  let saved = c.ct_budget in
+  let saved = c.ct_budget and saved_trail = c.ct_trail in
   c.ct_budget <- Some (pass, n, ref n);
-  Fun.protect ~finally:(fun () -> c.ct_budget <- saved) f
+  c.ct_trail <- Some trail;
+  Fun.protect
+    ~finally:(fun () ->
+      c.ct_budget <- saved;
+      c.ct_trail <- saved_trail)
+    f
 
 let charge_budget () =
   match (ctrs ()).ct_budget with
@@ -212,6 +250,39 @@ let charge_budget () =
   | Some (pass, total, left) ->
       decr left;
       if !left < 0 then raise (Budget_exhausted { pass; budget = total })
+
+(* Structural writes ------------------------------------------------------ *)
+
+(* Every write to a node's [kind] or a lambda's body or parameters goes
+   through these setters, so a pass guard can undo exactly what its pass
+   wrote: the walk back from the trail's end restores the tree the pass
+   started from. *)
+let open_trail () = { tr_mark = (ctrs ()).ct_node; tr_undo = [] }
+
+let push_undo u = match (ctrs ()).ct_trail with Some tr -> tr.tr_undo <- u :: tr.tr_undo | None -> ()
+
+let set_kind n k =
+  (match (ctrs ()).ct_trail with
+  | Some tr when n.n_id <= tr.tr_mark -> tr.tr_undo <- U_kind (n, n.kind) :: tr.tr_undo
+  | _ -> ());
+  n.kind <- k
+
+let set_body l b =
+  push_undo (U_body (l, l.l_body));
+  l.l_body <- b
+
+let set_params l ps =
+  push_undo (U_params (l, l.l_params));
+  l.l_params <- ps
+
+let undo tr =
+  List.iter
+    (function
+      | U_kind (n, k) -> n.kind <- k
+      | U_body (l, b) -> l.l_body <- b
+      | U_params (l, ps) -> l.l_params <- ps)
+    tr.tr_undo;
+  tr.tr_undo <- []
 
 let mk kind =
   let c = ctrs () in
@@ -341,28 +412,57 @@ let propagate_locs root =
 
 let rec size n = 1 + List.fold_left (fun acc c -> acc + size c) 0 (children n)
 
-(* Checkpoint restore: make [dst] structurally identical to [src] by
-   overwriting every mutable field.  Used by the pass guard to roll a
-   tree back to a {!Freshen.snapshot} taken before a failed pass; the
-   snapshot's subtree is adopted wholesale (its nodes are private to the
-   snapshot, so sharing is safe).  [n_dirty] is forced so the mandatory
-   re-analysis after a rollback sees the whole tree. *)
-let restore (dst : node) (src : node) : unit =
-  dst.kind <- src.kind;
-  dst.n_loc <- src.n_loc;
-  dst.n_free <- src.n_free;
-  dst.n_written <- src.n_written;
-  dst.n_effects <- src.n_effects;
-  dst.n_complexity <- src.n_complexity;
-  dst.n_tail <- src.n_tail;
-  dst.n_dirty <- true;
-  dst.n_wantrep <- src.n_wantrep;
-  dst.n_isrep <- src.n_isrep;
-  dst.n_pdlokp <- src.n_pdlokp;
-  dst.n_pdlnump <- src.n_pdlnump;
-  dst.n_tn <- src.n_tn;
-  dst.n_wanttn <- src.n_wanttn;
-  dst.n_pdltn <- src.n_pdltn
+(* One walk, allocating only its result: what a deep copy of the tree
+   ({!Freshen.copy}) draws from each id well — a node per node, a
+   variable per lambda parameter, a progbody and a tag per progbody and
+   tag — and the node and parameter id ranges the verifier indexes its
+   stamps by (an empty range when there are no parameters). *)
+type census = {
+  mutable cn_nodes : int;
+  mutable cn_params : int;
+  mutable cn_pbs : int;
+  mutable cn_tags : int;
+  mutable cn_lo : int;
+  mutable cn_hi : int;
+  mutable cn_vlo : int;
+  mutable cn_vhi : int;
+}
+
+let census root =
+  let c =
+    { cn_nodes = 0; cn_params = 0; cn_pbs = 0; cn_tags = 0; cn_lo = max_int; cn_hi = 0;
+      cn_vlo = max_int; cn_vhi = 0 }
+  in
+  let param p =
+    let id = p.p_var.v_id in
+    c.cn_params <- c.cn_params + 1;
+    if id < c.cn_vlo then c.cn_vlo <- id;
+    if id > c.cn_vhi then c.cn_vhi <- id
+  in
+  let item = function Ptag _ -> c.cn_tags <- c.cn_tags + 1 | Pstmt _ -> () in
+  let rec go n =
+    c.cn_nodes <- c.cn_nodes + 1;
+    if n.n_id < c.cn_lo then c.cn_lo <- n.n_id;
+    if n.n_id > c.cn_hi then c.cn_hi <- n.n_id;
+    (match n.kind with
+    | Lambda l -> List.iter param l.l_params
+    | Progbody pb ->
+        c.cn_pbs <- c.cn_pbs + 1;
+        List.iter item pb.pb_items
+    | _ -> ());
+    iter_children go n
+  in
+  go root;
+  c
+
+(* Advance the wells past the ids a deep copy of the counted tree would
+   draw, as if it had been copied. *)
+let reserve k =
+  let c = ctrs () in
+  c.ct_node <- c.ct_node + k.cn_nodes;
+  c.ct_var <- c.ct_var + k.cn_params;
+  c.ct_pb <- c.ct_pb + k.cn_pbs;
+  c.ct_tag <- c.ct_tag + k.cn_tags
 
 (* Variable bookkeeping ---------------------------------------------------- *)
 

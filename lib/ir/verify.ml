@@ -33,134 +33,128 @@ let diag_to_string d =
   let where = match d.d_loc with Some l -> S1_loc.Loc.to_string l ^ ": " | None -> "" in
   Printf.sprintf "%s[%s] node %d: %s" where d.d_rule d.d_node d.d_msg
 
-(* Mirrors {!S1_rep.Repan.convertible} — the code generator can coerce
-   exactly these ISREP/WANTREP pairs ([deliver_operand]).  Duplicated
-   here because [lib/ir] sits below [lib/rep] in the dependency order;
-   keep the two tables in sync. *)
-let raw_number_rep = function SWFLO | DWFLO | SWFIX | HWFLO -> true | _ -> false
+(* Stamp arrays, domain-local and reused from run to run: a slot holds
+   the number of the run that last stamped it, so a run starts clean
+   without clearing anything.  Node slots are indexed from the census's
+   lowest node id, variable slots from its lowest parameter id, so the
+   arrays grow to the largest tree verified, not with the id wells. *)
+type stamps = {
+  mutable run : int;
+  mutable seen : int array;  (** node visited *)
+  mutable path : int array;  (** node is an ancestor of the one visited *)
+  mutable bound : int array;  (** variable bound by some lambda of the tree *)
+  mutable depth : int array;  (** lambdas binding it around the visit, once bound *)
+}
 
-let convertible ~from_ ~to_ =
-  match (from_, to_) with
-  | a, b when a = b -> true
-  | POINTER, r when raw_number_rep r -> true
-  | r, POINTER when raw_number_rep r -> true
-  | SWFIX, SWFLO | SWFLO, SWFIX -> true
-  | _, NONE -> true
-  | (POINTER | SWFLO | SWFIX | BIT), JUMP -> true
-  | BIT, (POINTER | SWFLO | SWFIX) -> to_ = POINTER
-  | _ -> false
+let stamps_key =
+  S1_par.Dls.create (fun () -> { run = 0; seen = [||]; path = [||]; bound = [||]; depth = [||] })
 
-let run ~(stage : stage) (root : node) : diag list =
-  let diags = ref [] in
-  let add rule (n : node) fmt =
-    Printf.ksprintf
-      (fun m -> diags := { d_rule = rule; d_node = n.n_id; d_loc = n.n_loc; d_msg = m } :: !diags)
-      fmt
-  in
+let fit a n = if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
 
-  (* Unique node ids: a pass that splices one node into two positions has
+(* One preorder walk checks every rule; each rule's diagnostics come out
+   in preorder and the groups in the order below, unique ids first.
+
+   - Unique node ids: a pass that splices one node into two positions has
      created accidental sharing — rewrites through one path would
-     silently edit the other. *)
-  let seen : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-  iter
-    (fun n ->
-      if Hashtbl.mem seen n.n_id then add "unique-id" n "node id %d appears twice" n.n_id
-      else Hashtbl.add seen n.n_id ())
-    root;
-
-  (* Lexical scope discipline: every Var/Setq of a lexical variable must
+     silently edit the other.
+   - Lexical scope discipline: every Var/Setq of a lexical variable must
      sit inside the subtree of the Lambda that binds it; every Go must
      name a tag of an enclosing progbody, every Return must have one.
      Tags and progbodies deliberately pass through Lambda boundaries:
      open-coded lambdas legitimately jump into their enclosing function.
-     The root itself may be an open fragment, so variables with no binder
-     anywhere in the tree are only flagged when some Lambda in this tree
-     claims them. *)
-  let bound_here : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  iter
-    (fun n ->
-      match n.kind with
-      | Lambda l -> List.iter (fun p -> Hashtbl.replace bound_here p.p_var.v_id ()) l.l_params
-      | _ -> ())
-    root;
-  let in_scope : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let enter v = Hashtbl.replace in_scope v.v_id (1 + Option.value ~default:0 (Hashtbl.find_opt in_scope v.v_id)) in
-  let leave v =
-    match Hashtbl.find_opt in_scope v.v_id with
-    | Some 1 | None -> Hashtbl.remove in_scope v.v_id
-    | Some k -> Hashtbl.replace in_scope v.v_id (k - 1)
-  in
+     The root itself may be an open fragment, so a variable is only
+     flagged when some Lambda in this tree claims it, which is known
+     once the walk is done: out-of-scope references wait until then.
+   - Representation consistency (after Repan): the generator interposes
+     a coercion wherever ISREP and WANTREP differ, so every annotated
+     pair must be one it knows how to coerce.
+   - Pdl-number lifetimes (after Pdlnum): a node authorized to deliver a
+     stack-allocated number names the ancestor whose extent certifies
+     it; an authorizer that is not an ancestor means the lifetime
+     reasoning is broken and a dangling stack pointer could escape. *)
+let run ~(stage : stage) (root : node) : diag list =
+  let k = census root and st = S1_par.Dls.get stamps_key in
+  let lo = k.cn_lo and vlo = k.cn_vlo in
+  let nn = k.cn_hi - lo + 1 and nv = max 0 (k.cn_vhi - vlo + 1) in
+  st.run <- st.run + 1;
+  st.seen <- fit st.seen nn;
+  st.path <- fit st.path nn;
+  st.bound <- fit st.bound nv;
+  st.depth <- fit st.depth nv;
+  let r = st.run and seen = st.seen and path = st.path and bound = st.bound
+  and depth = st.depth in
+  let reps = reps_annotated stage and pdl = pdl_annotated stage in
+  let diag rule (n : node) m = { d_rule = rule; d_node = n.n_id; d_loc = n.n_loc; d_msg = m } in
+  let uniq = ref [] and rep = ref [] and nest = ref [] in
+  (* each scope diagnostic with the slot of the variable whose binding
+     decides whether it stands, -1 when it stands regardless *)
+  let scope = ref [] in
   let check_var rule n v =
-    if v.v_special || not (Hashtbl.mem bound_here v.v_id) then ()
-    else if not (Hashtbl.mem in_scope v.v_id) then
-      add rule n "variable %s (v%d) referenced outside its binding lambda" v.v_name v.v_id
+    let i = v.v_id - vlo in
+    if (not v.v_special) && i >= 0 && i < nv && not (bound.(i) = r && depth.(i) > 0) then
+      scope :=
+        ( diag rule n
+            (Printf.sprintf "variable %s (v%d) referenced outside its binding lambda" v.v_name
+               v.v_id),
+          i )
+        :: !scope
   in
-  let rec walk tags inprog n =
-    match n.kind with
-    | Term _ -> ()
+  let enter p =
+    let i = p.p_var.v_id - vlo in
+    if bound.(i) <> r then (bound.(i) <- r; depth.(i) <- 0);
+    depth.(i) <- depth.(i) + 1
+  in
+  let leave p =
+    let i = p.p_var.v_id - vlo in
+    depth.(i) <- depth.(i) - 1
+  in
+  let pbs = ref [] in
+  let rec walk n =
+    let i = n.n_id - lo in
+    if seen.(i) = r then
+      uniq := diag "unique-id" n (Printf.sprintf "node id %d appears twice" n.n_id) :: !uniq
+    else seen.(i) <- r;
+    (match n.kind with
     | Var v -> check_var "scope-var" n v
-    | Setq (v, e) ->
-        check_var "scope-setq" n v;
-        walk tags inprog e
+    | Setq (v, _) -> check_var "scope-setq" n v
+    | Go t ->
+        let tagged pb = List.mem (Ptag t) pb.pb_items in
+        if not (List.exists tagged !pbs) then
+          scope :=
+            (diag "scope-go" n (Printf.sprintf "GO to tag %s with no enclosing progbody tag" t), -1)
+            :: !scope
+    | Return _ when !pbs = [] ->
+        scope := (diag "scope-return" n "RETURN outside any progbody", -1) :: !scope
+    | _ -> ());
+    if reps && not (convertible ~from_:n.n_isrep ~to_:n.n_wantrep) then
+      rep :=
+        diag "rep-convertible" n
+          (Printf.sprintf "ISREP %s is not coercible to WANTREP %s" (rep_name n.n_isrep)
+             (rep_name n.n_wantrep))
+        :: !rep;
+    (let a = n.n_pdlokp - lo in
+     if pdl && n.n_pdlokp >= 0 && not (a >= 0 && a < nn && path.(a) = r) then
+       nest :=
+         diag "pdl-nesting" n (Printf.sprintf "pdl authorizer %d is not an ancestor" n.n_pdlokp)
+         :: !nest);
+    let on_path = path.(i) in
+    path.(i) <- r;
+    (match n.kind with
     | Lambda l ->
         (* params scope over the defaults and the body; defaults of later
            params may reference earlier ones, checked permissively by
            bringing all params into scope first *)
-        List.iter (fun p -> enter p.p_var) l.l_params;
-        List.iter (fun p -> Option.iter (walk tags inprog) p.p_default) l.l_params;
-        walk tags inprog l.l_body;
-        List.iter (fun p -> leave p.p_var) l.l_params
-    | Call (f, args) ->
-        walk tags inprog f;
-        List.iter (walk tags inprog) args
-    | If (p, x, y) ->
-        walk tags inprog p;
-        walk tags inprog x;
-        walk tags inprog y
-    | Progn xs -> List.iter (walk tags inprog) xs
-    | Caseq (key, clauses, default) ->
-        walk tags inprog key;
-        List.iter (fun (_, b) -> walk tags inprog b) clauses;
-        Option.iter (walk tags inprog) default
-    | Catcher (tag, body) ->
-        walk tags inprog tag;
-        walk tags inprog body
+        List.iter enter l.l_params;
+        iter_children walk n;
+        List.iter leave l.l_params
     | Progbody pb ->
-        let tags' =
-          List.filter_map (function Ptag t -> Some t | Pstmt _ -> None) pb.pb_items @ tags
-        in
-        List.iter (function Ptag _ -> () | Pstmt s -> walk tags' (inprog + 1) s) pb.pb_items
-    | Go t ->
-        if not (List.mem t tags) then add "scope-go" n "GO to tag %s with no enclosing progbody tag" t
-    | Return e ->
-        if inprog = 0 then add "scope-return" n "RETURN outside any progbody";
-        walk tags inprog e
+        let outer = !pbs in
+        pbs := pb :: outer;
+        iter_children walk n;
+        pbs := outer
+    | _ -> iter_children walk n);
+    path.(i) <- on_path
   in
-  walk [] 0 root;
-
-  (* Representation consistency (after Repan): the generator interposes a
-     coercion wherever ISREP and WANTREP differ, so every annotated pair
-     must be one it knows how to coerce. *)
-  if reps_annotated stage then
-    iter
-      (fun n ->
-        let from_ = n.n_isrep and to_ = n.n_wantrep in
-        if not (convertible ~from_ ~to_) then
-          add "rep-convertible" n "ISREP %s is not coercible to WANTREP %s" (rep_name from_)
-            (rep_name to_))
-      root;
-
-  (* Pdl-number lifetimes (after Pdlnum): a node authorized to deliver a
-     stack-allocated number names the ancestor whose extent certifies it;
-     an authorizer that is not an ancestor means the lifetime reasoning
-     is broken and a dangling stack pointer could escape. *)
-  if pdl_annotated stage then begin
-    let rec nest (path : int list) n =
-      if n.n_pdlokp >= 0 && not (List.mem n.n_pdlokp path) then
-        add "pdl-nesting" n "pdl authorizer %d is not an ancestor" n.n_pdlokp;
-      iter_children (nest (n.n_id :: path)) n
-    in
-    nest [] root
-  end;
-
-  List.rev !diags
+  walk root;
+  let scope = List.filter_map (fun (d, i) -> if i < 0 || bound.(i) = r then Some d else None) !scope in
+  List.rev_append !uniq (List.rev_append scope (List.rev_append !rep (List.rev !nest)))

@@ -270,10 +270,6 @@ let enable_callgraph cpu =
   if not (callgraph_on cpu) then
     cpu.callgraph <- Some (fresh_callgraph ~charged:cpu.stats.cycles ())
 
-let reset_callgraph cpu =
-  if callgraph_on cpu then
-    cpu.callgraph <- Some (fresh_callgraph ~charged:cpu.stats.cycles ())
-
 let cg_cell_for cg path =
   match Hashtbl.find_opt cg.cg_paths path with
   | Some c -> c
@@ -678,11 +674,6 @@ let pp_profile fmt cpu =
       Format.fprintf fmt "@,%-28s %12s@," "opcode" "executed";
       List.iter (fun (op, n) -> Format.fprintf fmt "%-28s %12d@," op n) ops);
   Format.fprintf fmt "@]"
-
-let reset_stack cpu =
-  cpu.regs.(Isa.sp) <- Mem.stack_base cpu.mem;
-  cpu.regs.(Isa.fp) <- Mem.stack_base cpu.mem;
-  cpu.regs.(Isa.tp) <- Mem.stack_base cpu.mem
 
 let get_reg cpu r = cpu.regs.(r)
 let set_reg cpu r v = cpu.regs.(r) <- v land Word.mask

@@ -140,8 +140,6 @@ val load : t -> Asm.program -> Asm.image
 val label_addr : Asm.image -> string -> int
 
 val reset_stats : t -> unit
-val reset_stack : t -> unit
-(** Reset SP/FP/TP to the stack base (fresh activation). *)
 
 val get_reg : t -> Isa.reg -> int
 val set_reg : t -> Isa.reg -> int -> unit
@@ -226,9 +224,6 @@ val profile_by_function : t -> func_profile list
 val enable_callgraph : t -> unit
 val callgraph_on : t -> bool
 
-val reset_callgraph : t -> unit
-(** Fresh attribution tables and a root-only shadow stack (keeps the
-    callgraph enabled).  Only meaningful between toplevel calls. *)
 
 val shadow_path : t -> string
 (** The current call path (";"-joined, root first); [""] when off. *)

@@ -114,10 +114,6 @@ let single_of_float f = decode_single (encode_single f)
 let encode_half = encode half
 let decode_half = decode half
 
-let single_is_nan w =
-  let e = (w lsr single.fbits) land emax single in
-  e = emax single && w land ((1 lsl single.fbits) - 1) <> 0
-
 let single_is_inf w =
   let e = (w lsr single.fbits) land emax single in
   e = emax single && w land ((1 lsl single.fbits) - 1) = 0

@@ -54,5 +54,4 @@ val decode : fmt -> int -> float
 
 (** {1 Predicates} *)
 
-val single_is_nan : int -> bool
 val single_is_inf : int -> bool

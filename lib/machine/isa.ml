@@ -28,11 +28,6 @@ let reg_name r =
   | 31 -> "CP"
   | n -> Printf.sprintf "R%d" n
 
-let allocatable =
-  (* rta/rtb participate in allocation (they are the point of TNBIND's RT
-     handling); the dedicated conventional registers do not. *)
-  [ 4; 6; 0; 1; 2; 3; 5; 7; 8; 9; 10; 11; 12; 13; 14; 15; 16; 17; 18; 19 ]
-
 type operand =
   | Reg of reg
   | Imm of int

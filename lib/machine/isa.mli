@@ -53,8 +53,6 @@ val tp : reg   (** temporaries pointer (scratch area of the frame) *)
 val cp : reg   (** code/linkage pointer *)
 
 val reg_name : reg -> string
-val allocatable : reg list
-(** Registers TNBIND may hand out (excludes sp/fp/tp/cp/env/sb/a/t1/t2). *)
 
 (** {1 Operands} *)
 

@@ -71,7 +71,6 @@ let[@inline] write m addr v =
     if page == zero_page then write_fresh m addr v
     else Array.unsafe_set page (addr land page_mask) (v land Word.mask)
 
-let sq_base _ = 0
 let static_base m = m.cfg.sq_words
 let static_limit m = m.cfg.sq_words + m.cfg.static_words
 let heap_base m = static_limit m
@@ -81,8 +80,6 @@ let stack_limit m = m.stack_hi
 let bind_base m = stack_limit m
 let bind_limit m = bind_base m + m.cfg.bind_words
 let is_stack_addr m addr = addr >= stack_base m && addr < stack_limit m
-let is_heap_addr m addr = addr >= heap_base m && addr < heap_limit m
-let is_static_addr m addr = addr >= static_base m && addr < static_limit m
 
 let alloc_static m n =
   let base = m.static_next in

@@ -42,7 +42,6 @@ val size : t -> int
 
 (** {1 Region geometry} *)
 
-val sq_base : t -> int
 val static_base : t -> int
 val static_limit : t -> int
 val heap_base : t -> int
@@ -56,8 +55,6 @@ val is_stack_addr : t -> int -> bool
 (** True when the address lies in the control-stack region — an "unsafe"
     (pdl) pointer target. *)
 
-val is_heap_addr : t -> int -> bool
-val is_static_addr : t -> int -> bool
 
 (** {1 Static allocation}
 

@@ -1,6 +1,5 @@
 let bits = 36
 let mask = (1 lsl 36) - 1
-let addr_bits = 31
 let addr_mask = (1 lsl 31) - 1
 let sign_bit = 1 lsl 35
 

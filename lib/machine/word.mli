@@ -10,8 +10,6 @@ val bits : int            (** 36 *)
 
 val mask : int            (** 2^36 - 1 *)
 
-val addr_bits : int       (** 31 *)
-
 val addr_mask : int       (** 2^31 - 1 *)
 
 val of_int : int -> int

@@ -167,9 +167,9 @@ let rec nump (n : node) : bool =
   n.n_pdlnump <- v;
   v
 
-(* Would the code generator box this node's value?  Mirrors the slot
-   condition in Gen.annotate: a fresh raw float delivered where a
-   POINTER is wanted. *)
+(* Would the code generator box this node's value?  A fresh raw float
+   delivered where a POINTER is wanted; Gen.annotate gives exactly such
+   a node a pdl slot when its [n_pdlokp] authorizes one. *)
 let boxes_a_float (n : node) =
   n.n_pdlnump && n.n_wantrep = POINTER && (n.n_isrep = SWFLO || n.n_isrep = HWFLO)
 

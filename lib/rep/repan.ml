@@ -27,25 +27,6 @@ open S1_ir
 open Node
 module Prims = S1_frontend.Prims
 
-(* Representations a raw machine value can have, and their tags. *)
-let raw_number_rep = function
-  | SWFLO | DWFLO | SWFIX | HWFLO -> true
-  | _ -> false
-
-(* Can a value of representation [from_] be converted to [to_] at run
-   time?  POINTER <-> raw numbers convert (deref / allocate); JUMP and
-   NONE are contexts, not values. *)
-let convertible ~from_ ~to_ =
-  match (from_, to_) with
-  | a, b when a = b -> true
-  | POINTER, r when raw_number_rep r -> true
-  | r, POINTER when raw_number_rep r -> true
-  | SWFIX, SWFLO | SWFLO, SWFIX -> true
-  | _, NONE -> true
-  | (POINTER | SWFLO | SWFIX | BIT), JUMP -> true  (* test against NIL / zero *)
-  | BIT, (POINTER | SWFLO | SWFIX) -> to_ = POINTER
-  | _ -> false
-
 (* Whether the code generator will compile prims inline (Gen.options
    inline_prims, threaded in by {!run}).  When it won't, every prim is a
    native call through the runtime: arguments go through the calling

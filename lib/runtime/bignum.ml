@@ -31,7 +31,6 @@ let of_int n =
     { sign; mag = Array.of_list (digits_of m []) }
 
 let one = of_int 1
-let minus_one = of_int (-1)
 let sign t = t.sign
 let is_zero t = t.sign = 0
 let is_even t = t.sign = 0 || t.mag.(0) land 1 = 0

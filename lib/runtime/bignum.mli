@@ -14,7 +14,6 @@ type t
 
 val zero : t
 val one : t
-val minus_one : t
 
 val of_int : int -> t
 val to_int_opt : t -> int option

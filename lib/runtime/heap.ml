@@ -143,7 +143,6 @@ let set_stack_tops h f = h.stack_tops <- f
 let set_alloc_hook h f = h.alloc_hook <- f
 
 let header_kind h p = kind_of_int (h_kind_int (Mem.read h.mem (p - 1)))
-let payload_size h p = h_size (Mem.read h.mem (p - 1))
 
 (* Is [p] the payload address of a live-looking object? *)
 let is_valid_object h p =

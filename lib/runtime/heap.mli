@@ -80,8 +80,6 @@ val alloc : t -> kind -> int -> int
 val header_kind : t -> int -> kind
 (** Kind of the object whose payload starts at the given address. *)
 
-val payload_size : t -> int -> int
-
 val collect : t -> unit
 (** Force a full collection. *)
 

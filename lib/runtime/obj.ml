@@ -235,10 +235,7 @@ let code ?where t ~entry ~name ~min_args ~max_args =
 (* The CALL microcode reads the entry through the code object's payload
    (word 0), so a Code-tagged word always denotes one of these objects. *)
 
-let code_entry t w = Mem.read t.mem (Word.addr_of w)
 let code_name t w = Mem.read t.mem (Word.addr_of w + 1)
-let code_min_args t w = Mem.read t.mem (Word.addr_of w + 2)
-let code_max_args t w = Word.to_signed (Mem.read t.mem (Word.addr_of w + 3))
 
 let closure ?where t ~code ~env =
   let a = alloc ?where t Heap.Closure_obj 2 in

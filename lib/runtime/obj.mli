@@ -109,10 +109,7 @@ val symbol_set_special : t -> int -> unit
 val code : ?where:where -> t -> entry:int -> name:int -> min_args:int -> max_args:int -> int
 (** [max_args = -1] means &rest. *)
 
-val code_entry : t -> int -> int
 val code_name : t -> int -> int
-val code_min_args : t -> int -> int
-val code_max_args : t -> int -> int
 val closure : ?where:where -> t -> code:int -> env:int -> int
 val closure_code : t -> int -> int
 val closure_env : t -> int -> int

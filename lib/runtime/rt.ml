@@ -196,10 +196,6 @@ let function_of rt sym =
 
 let protect rt w = rt.protected <- w :: rt.protected
 
-let pop_protect rt n =
-  let rec drop n l = if n = 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl in
-  rt.protected <- drop n rt.protected
-
 let with_protected rt ws f =
   let saved = rt.protected in
   rt.protected <- ws @ saved;

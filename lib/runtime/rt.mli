@@ -163,7 +163,6 @@ val with_deadline : t -> cycles:int -> (unit -> 'a) -> 'a
 (** {1 GC protection} *)
 
 val protect : t -> int -> unit
-val pop_protect : t -> int -> unit
 val with_protected : t -> int list -> (unit -> 'a) -> 'a
 (** Roots for values a native holds across allocations. *)
 

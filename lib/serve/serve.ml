@@ -70,7 +70,6 @@ let key_of (cfg : cfg) (src : string) : string =
    what the domain compiled before it. *)
 let reset_compile_state () =
   Node.reset_counters ();
-  Freshen.reset_counter ();
   S1_transform.Cse.reset_counter ();
   Macroexp.reset_gensym ();
   Gen.reset_label_counter ()

@@ -4,9 +4,6 @@ type error = { line : int; col : int; message : string }
 
 exception Parse_error of error
 
-let pp_error fmt { line; col; message } =
-  Format.fprintf fmt "parse error at %d:%d: %s" line col message
-
 let fixnum_min = -(1 lsl 35)
 let fixnum_max = (1 lsl 35) - 1
 
@@ -18,8 +15,6 @@ let fixnum_max = (1 lsl 35) - 1
 type loctab = { lt_file : string; lt_tbl : (int, (Sexp.t * Loc.t) list) Hashtbl.t }
 
 let create_loctab ?(file = "<string>") () = { lt_file = file; lt_tbl = Hashtbl.create 64 }
-
-let loctab_file t = t.lt_file
 
 let find_loc t (s : Sexp.t) : Loc.t option =
   let rec search = function

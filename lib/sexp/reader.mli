@@ -18,8 +18,6 @@ type error = { line : int; col : int; message : string }
 
 exception Parse_error of error
 
-val pp_error : Format.formatter -> error -> unit
-
 val parse_string : string -> Sexp.t list
 (** Parse every form in the string. Raises {!Parse_error}. *)
 
@@ -35,7 +33,6 @@ val parse_string : string -> Sexp.t list
 type loctab
 
 val create_loctab : ?file:string -> unit -> loctab
-val loctab_file : loctab -> string
 val find_loc : loctab -> Sexp.t -> S1_loc.Loc.t option
 
 val add_loc : loctab -> Sexp.t -> S1_loc.Loc.t -> unit

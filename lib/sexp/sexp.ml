@@ -66,9 +66,6 @@ let quote x = List [ Sym "QUOTE"; x ]
 let nil = List []
 let t_bool b = if b then Sym "T" else nil
 let is_nil = function List [] -> true | _ -> false
-let as_sym = function Sym s -> Some s | _ -> None
-let as_int = function Int n -> Some n | _ -> None
-let as_list = function List xs -> Some xs | _ -> None
 
 let uncons = function
   | List (x :: xs) -> Some (x, List xs)
@@ -76,7 +73,6 @@ let uncons = function
   | Dotted (x :: xs, tl) -> Some (x, Dotted (xs, tl))
   | _ -> None
 
-let of_pairs prs = List (List.map (fun (k, v) -> Dotted ([ k ], v)) prs)
 
 (* Printing ------------------------------------------------------------- *)
 

@@ -45,15 +45,9 @@ val is_nil : t -> bool
 
 (** {1 Accessors} *)
 
-val as_sym : t -> string option
-val as_int : t -> int option
-val as_list : t -> t list option
-
 val uncons : t -> (t * t) option
 (** [uncons s] views a (proper or dotted) nonempty list as car/cdr. *)
 
-val of_pairs : (t * t) list -> t
-(** Build an association list. *)
 
 val pp : Format.formatter -> t -> unit
 (** Pretty-print with standard Lisp conventions: quote sugar, upcased

@@ -116,14 +116,14 @@ let eliminate_one (ts : Transcript.t) (root : node) : bool =
       let init = Freshen.copy template in
       List.iter
         (fun n ->
-          n.kind <- Var v;
+          set_kind n (Var v);
           n.n_dirty <- true)
         nodes;
       (* ((lambda (v) <home>) init) *)
       let inner = mk home.kind in
       let lam = lambda ~name:"CSE" [ required v ] inner in
       v.v_binder <- Some lam;
-      home.kind <- Call (lam, [ init ]);
+      set_kind home (Call (lam, [ init ]));
       home.n_dirty <- true;
       S1_obs.Obs.incr "rule.COMMON-SUBEXPRESSION-ELIMINATION";
       (match home.n_loc with

@@ -71,7 +71,7 @@ let journaling ts = Remark.enabled () || Transcript.enabled ts
 
 let fire ctx rule (n : node) (new_kind : kind) =
   let before = if journaling ctx.ts then Some (Backtrans.to_string n) else None in
-  n.kind <- new_kind;
+  set_kind n new_kind;
   n.n_dirty <- true;
   count_fire rule n;
   Option.iter
@@ -205,11 +205,11 @@ let subst_refs v arg body =
       match n.kind with
       | Var v' when v' == v ->
           incr count;
-          (n.kind <-
+          set_kind n
             (match arg.kind with
             | Term t -> Term t
             | Var v2 -> Var v2
-            | _ -> (Freshen.copy arg).kind));
+            | _ -> (Freshen.copy arg).kind);
           n.n_dirty <- true
       | _ -> ())
     body;
@@ -252,11 +252,10 @@ let rule_beta ctx (n : node) =
           let before = if journaling ctx.ts then Some (Backtrans.to_string n) else None in
           let kept = List.filter_map Fun.id keep in
           let params = List.map fst kept and args' = List.map snd kept in
-          l.l_params <- params;
+          set_params l params;
           (* the let's lambda lost parameters: it changed too *)
           f.n_dirty <- true;
-          (if params = [] && args' = [] then n.kind <- l.l_body.kind
-           else n.kind <- Call (f, args'));
+          set_kind n (if params = [] && args' = [] then l.l_body.kind else Call (f, args'));
           n.n_dirty <- true;
           count_fire "META-SUBSTITUTE" n;
           Option.iter
@@ -394,7 +393,7 @@ let rule_if_hoist ctx (n : node) =
     | If ({ kind = Call (({ kind = Lambda l; _ } as f), args); _ }, x, y)
       when plain_let l args ->
         let inner = mk (If (l.l_body, x, y)) in
-        l.l_body <- inner;
+        set_body l inner;
         fire ctx "META-HOIST-PREDICATE" n (Call (f, args))
     | _ -> false
 

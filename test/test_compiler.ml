@@ -467,6 +467,46 @@ let test_boot_allocation () =
     (Printf.sprintf "%d minor words per warm boot, at most 4000" per_boot)
     true (per_boot <= 4000)
 
+(* The pass guard costs what its pass changed, not the size of the
+   tree: with an empty body it takes a census, opens a trail and verifies
+   in one walk, allocating per guarded call rather than per node.  Minor
+   words per tree node over every corpus unit, measured through an Obs
+   span after one warm-up round. *)
+let test_guard_allocation () =
+  let dir = if Sys.file_exists "corpus" then "corpus" else "test/corpus" in
+  let units = ref [] in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".lisp")
+  |> List.iter (fun f ->
+         let c = C.create () in
+         let specials = C.specials_pred c and macros = C.macros_pred c in
+         In_channel.with_open_text (Filename.concat dir f) In_channel.input_all
+         |> Reader.parse_string
+         |> List.iter (fun form ->
+                (match form with
+                | Sexp.List (Sexp.Sym "DEFUN" :: _) ->
+                    units := (c, snd (S1_frontend.Convert.defun ~specials ~macros form)) :: !units
+                | Sexp.List (Sexp.Sym ("DEFMACRO" | "DEFVAR" | "PROCLAIM") :: _) -> ()
+                | _ ->
+                    let e = S1_frontend.Convert.expression ~specials ~macros form in
+                    units := (c, S1_ir.Node.lambda [] e) :: !units);
+                ignore (C.eval c form)));
+  let guard_all () =
+    List.iter
+      (fun (c, root) -> C.guarded c ~pass:"simplify" ~stage:S1_ir.Verify.After_pdlnum root ignore)
+      !units
+  in
+  guard_all ();
+  let t = S1_obs.Obs.create () in
+  S1_obs.Obs.with_span ~t "guard" guard_all;
+  let words = (List.hd (S1_obs.Obs.spans ~t ())).S1_obs.Obs.sp_alloc in
+  let nodes = List.fold_left (fun acc (_, root) -> acc + S1_ir.Node.size root) 0 !units in
+  let per_node = float_of_int words /. float_of_int nodes in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per node over %d units, at most 20" per_node
+       (List.length !units))
+    true (per_node <= 20.0)
+
 (* Simulated instructions allocate nothing on the host: the float codec
    keeps floats unboxed, calls resolve without options, heap counters are
    interned and the free list is arrays.  Minor words per simulated
@@ -542,6 +582,7 @@ let () =
           Alcotest.test_case "metacircular soak" `Quick test_metacircular_soak;
           Alcotest.test_case "warm boot allocation" `Quick test_boot_allocation;
           Alcotest.test_case "simulator host allocation" `Quick test_sim_allocation;
+          Alcotest.test_case "pass guard allocation" `Quick test_guard_allocation;
         ] );
       ( "differential",
         [
