@@ -682,7 +682,8 @@ let serve_cache_bench dir =
   let run () =
     let cache = Cache.create ~dir () in
     let t0 = Unix.gettimeofday () in
-    let rs = Serve.batch ~cache Serve.default_cfg files in
+    let report = S1_serve.Supervise.batch ~cache Serve.default_cfg files in
+    let rs = List.map (fun s -> s.S1_serve.Supervise.s_result) report.S1_serve.Supervise.b_results in
     (rs, Unix.gettimeofday () -. t0)
   in
   let cold, cold_wall = run () in

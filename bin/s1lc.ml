@@ -410,8 +410,8 @@ let run phases listing transcript tns interpret repl stats timings profile metri
         (match c.C.last_tn_report with Some r -> print_string r | None -> ());
       if listing then print_endline l;
       (* also actually evaluate, for defuns and effects *)
-      match form with
-      | S1_sexp.Sexp.List (S1_sexp.Sexp.Sym "DEFUN" :: _) -> ()
+      match S1_frontend.Convert.toplevel form with
+      | S1_frontend.Convert.Defun _ -> ()
       | _ -> ignore (C.eval c form)
     end
     else

@@ -102,14 +102,6 @@ type t = {
           rollback machinery a real pass bug would.  Instance-scoped so
           concurrent compiler instances (batch workers) cannot bleed
           hooks into each other. *)
-  mutable world_wrap : Gen.world -> Gen.world;
-      (** interposed on the world handed to the code generator; the
-          compile service wraps it with a recording world that captures
-          the world-reference recipe of each unit for serialization *)
-  mutable unit_filter : name:string -> Gen.compiled -> Gen.compiled;
-      (** interposed on each compiled unit before it is installed; the
-          compile service captures the unit here and returns it with
-          world references resolved against the live world *)
 }
 
 let create ?config ?(options = Gen.default_options) ?(rules = Rules.default_config)
@@ -134,8 +126,6 @@ let create ?config ?(options = Gen.default_options) ?(rules = Rules.default_conf
     record_code = false;
     code_log = [];
     pass_hook = (fun _ _ -> ());
-    world_wrap = Fun.id;
-    unit_filter = (fun ~name:_ compiled -> compiled);
   }
 
 let world_of (c : t) : Gen.world =
@@ -375,8 +365,13 @@ let run_phases (c : t) (lam_node : Node.node) : Transcript.t =
    build the function object, and patch nested-closure cells.  Returns
    the function word.  The program must contain only live-world operands
    (label operands aside) — the compile service resolves its serialized
-   world references before calling this. *)
+   world references before calling this.  With [keep_transcript] set it
+   keeps the unit's listing and TN report for [--listing]/[--tns]. *)
 let install_compiled (c : t) ~name (compiled : Gen.compiled) : int =
+  if c.keep_transcript then begin
+    c.last_listing <- Some (Asm.listing compiled.Gen.c_prog);
+    c.last_tn_report <- Some compiled.Gen.c_tn_report
+  end;
   let code_lo = c.rt.Rt.cpu.Cpu.code_len in
   let image = Obs.with_span "load" (fun () -> Cpu.load c.rt.Rt.cpu compiled.Gen.c_prog) in
   if c.record_code then c.code_log <- (name, compiled.Gen.c_prog, code_lo) :: c.code_log;
@@ -402,9 +397,12 @@ let install_compiled (c : t) ~name (compiled : Gen.compiled) : int =
     compiled.Gen.c_fixups;
   fobj
 
-(* Compile a lambda node and install it into the world.  Returns the
-   function word. *)
-let load_lambda (c : t) ~name (lam_node : Node.node) : int =
+(* Compile a lambda node against [world] and hand the unit to [install]
+   ({!install_compiled} over {!world_of} for a from-source compile; the
+   compile service records the world requests and installs the unit
+   resolved).  Returns the function word. *)
+let load_lambda (c : t) ~world ~(install : name:string -> Gen.compiled -> int) ~name
+    (lam_node : Node.node) : int =
   Obs.with_span "compile" (fun () ->
   (* fill unlocated nodes from their nearest located ancestor so every
      emitted instruction can resolve to a source line *)
@@ -427,73 +425,69 @@ let load_lambda (c : t) ~name (lam_node : Node.node) : int =
   let compiled =
     Fun.protect
       ~finally:(fun () -> fallback := saved_fallback)
-      (fun () -> Gen.compile_function (c.world_wrap (world_of c)) ~options ~name lam_node)
+      (fun () -> Gen.compile_function world ~options ~name lam_node)
   in
-  let compiled = c.unit_filter ~name compiled in
-  if c.keep_transcript then begin
-    c.last_listing <- Some (Asm.listing compiled.Gen.c_prog);
-    c.last_tn_report <- Some compiled.Gen.c_tn_report
-  end;
-  install_compiled c ~name compiled)
+  install ~name compiled)
 
 (* Top-level form processing -------------------------------------------------- *)
 
-let compile_defun (c : t) (form : Sexp.t) : string =
+(* The two loaders of a from-source compile: a DEFUN form to its name and
+   function word, an expression to the function word of its nullary
+   [name] wrapper, not yet called. *)
+let compile_defun (c : t) ~world ~install (form : Sexp.t) : string * int =
   let name, lam_node =
     Obs.with_span "convert" (fun () ->
         Convert.defun ~specials:(specials_pred c) ~macros:(macros_pred c) ?locs:c.locs form)
   in
-  let fobj = load_lambda c ~name lam_node in
-  Rt.set_function c.rt (Rt.intern c.rt name) fobj;
-  name
+  (name, load_lambda c ~world ~install ~name lam_node)
 
-let compile_expression (c : t) (form : Sexp.t) : int =
-  (* wrap in a nullary function, compile, call *)
+let compile_expression ?(name = "%TOPLEVEL") (c : t) ~world ~install (form : Sexp.t) : int =
   let expr =
     Obs.with_span "convert" (fun () ->
         Convert.expression ~specials:(specials_pred c) ~macros:(macros_pred c) ?locs:c.locs
           form)
   in
-  let lam_node = Node.lambda ~name:"%TOPLEVEL" [] expr in
+  let lam_node = Node.lambda ~name [] expr in
   (* the synthetic wrapper carries the form's own position *)
   lam_node.Node.n_loc <- expr.Node.n_loc;
   (match lam_node.Node.kind with
   | Node.Lambda l -> l.Node.l_strategy <- Node.Toplevel
   | _ -> ());
-  let fobj = load_lambda c ~name:"%TOPLEVEL" lam_node in
-  Rt.call c.rt fobj []
+  load_lambda c ~world ~install ~name lam_node
 
-let eval (c : t) (form : Sexp.t) : int =
+(** The world effects of one top-level form, in evaluation order: intern,
+    set the function cell, register the macro, proclaim, run, set the
+    special.  [fn] loads a function unit (to its name and function word)
+    and [expr] an expression unit (to the function word of its nullary
+    wrapper).  A from-source compile and a warm image replay differ only
+    in these loaders. *)
+let perform (c : t) ~(fn : 'u -> string * int) ~(expr : 'u -> int) (form : 'u Convert.toplevel)
+    : int =
   match form with
-  | Sexp.List (Sexp.Sym "DEFUN" :: Sexp.Sym _ :: _) ->
-      Rt.intern c.rt (compile_defun c form)
-  | Sexp.List (Sexp.Sym "DEFMACRO" :: Sexp.Sym name :: Sexp.List params :: body) ->
-      (* compile the expander as an anonymous function over the raw forms *)
-      let expander_form =
-        Sexp.List
-          (Sexp.Sym "DEFUN" :: Sexp.Sym ("%MACRO-" ^ name) :: Sexp.List params :: body)
-      in
-      let mname, lam_node =
-        Convert.defun ~specials:(specials_pred c) ~macros:(macros_pred c) ?locs:c.locs
-          expander_form
-      in
-      let fobj = load_lambda c ~name:mname lam_node in
-      Hashtbl.replace c.macros name fobj;
+  | Convert.Defun u ->
+      let name, fobj = fn u in
+      let sym = Rt.intern c.rt name in
+      Rt.set_function c.rt sym fobj;
+      sym
+  | Convert.Defmacro (name, u) ->
+      Hashtbl.replace c.macros name (snd (fn u));
       Rt.intern c.rt name
-  | Sexp.List [ Sexp.Sym "DEFVAR"; Sexp.Sym name; init ] ->
+  | Convert.Defvar (name, u) ->
       let sym = Rt.intern c.rt name in
       Rt.proclaim_special c.rt sym;
-      let v = compile_expression c init in
+      let v = Rt.call c.rt (expr u) [] in
       Rt.set_symbol_value_dynamic c.rt sym v;
       sym
-  | Sexp.List [ Sexp.Sym "PROCLAIM"; Sexp.List [ Sexp.Sym "QUOTE"; Sexp.List (Sexp.Sym "SPECIAL" :: names) ] ] ->
-      List.iter
-        (function
-          | Sexp.Sym n -> Rt.proclaim_special c.rt (Rt.intern c.rt n)
-          | _ -> ())
-        names;
+  | Convert.Proclaim names ->
+      List.iter (fun n -> Rt.proclaim_special c.rt (Rt.intern c.rt n)) names;
       c.rt.Rt.nil
-  | _ -> compile_expression c form
+  | Convert.Toplevel u -> Rt.call c.rt (expr u) []
+
+let eval (c : t) (form : Sexp.t) : int =
+  let world = world_of c and install = install_compiled c in
+  perform c ~fn:(compile_defun c ~world ~install)
+    ~expr:(compile_expression c ~world ~install)
+    (Convert.toplevel form)
 
 let eval_string ?(file = "<eval>") (c : t) (src : string) : int =
   let forms, tab = S1_sexp.Reader.parse_string_located ~file src in
@@ -521,19 +515,12 @@ let listing_of (c : t) (form : Sexp.t) : string * Transcript.t =
   Fun.protect
     ~finally:(fun () -> c.keep_transcript <- saved)
     (fun () ->
-      (match form with
-      | Sexp.List (Sexp.Sym "DEFUN" :: _) -> ignore (compile_defun c form)
+      (match Convert.toplevel form with
+      | Convert.Defun _ -> ignore (eval c form)
       | _ ->
-          let expr =
-            Convert.expression ~specials:(specials_pred c) ~macros:(macros_pred c)
-              ?locs:c.locs form
-          in
-          let lam_node = Node.lambda ~name:"%LISTING" [] expr in
-          lam_node.Node.n_loc <- expr.Node.n_loc;
-          (match lam_node.Node.kind with
-          | Node.Lambda l -> l.Node.l_strategy <- Node.Toplevel
-          | _ -> ());
-          ignore (load_lambda c ~name:"%LISTING" lam_node));
+          ignore
+            (compile_expression ~name:"%LISTING" c ~world:(world_of c)
+               ~install:(install_compiled c) form));
       ( (match c.last_listing with Some l -> l | None -> ""),
         match c.last_transcript with Some t -> t | None -> Transcript.create () ))
 

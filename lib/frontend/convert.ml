@@ -298,3 +298,38 @@ let defun ?specials ?(macros = fun _ -> None) ?locs (s : Sexp.t) : string * Node
               | _ -> err "DEFUN %s did not convert to a lambda" name);
               (name, lam)))
   | _ -> err "not a DEFUN: %s" (Sexp.to_string s)
+
+(* Top-level forms ---------------------------------------------------------- *)
+
+(** What a top-level form does to the world.  This is the one reading of
+    a form that the interpreter, the compiler and image replay all
+    dispatch on; ['u] is what an engine loads for it (the source form
+    here, a compiled unit in a serialized image). *)
+type 'u toplevel =
+  | Defun of 'u  (** sets the function cell of the DEFUN's name *)
+  | Defmacro of string * 'u
+      (** macro name; the expander, a [%MACRO-name] DEFUN over the raw
+          argument forms *)
+  | Defvar of string * 'u  (** variable name; the init form *)
+  | Proclaim of string list  (** names proclaimed SPECIAL *)
+  | Toplevel of 'u  (** any other form, evaluated for its value *)
+
+let toplevel (s : Sexp.t) : Sexp.t toplevel =
+  match s with
+  | Sexp.List (Sexp.Sym "DEFUN" :: Sexp.Sym _ :: _) -> Defun s
+  | Sexp.List (Sexp.Sym "DEFMACRO" :: Sexp.Sym name :: (Sexp.List _ as params) :: body) ->
+      Defmacro
+        (name, Sexp.List (Sexp.Sym "DEFUN" :: Sexp.Sym ("%MACRO-" ^ name) :: params :: body))
+  | Sexp.List [ Sexp.Sym "DEFVAR"; Sexp.Sym name; init ] -> Defvar (name, init)
+  | Sexp.List
+      [ Sexp.Sym "PROCLAIM";
+        Sexp.List [ Sexp.Sym "QUOTE"; Sexp.List (Sexp.Sym "SPECIAL" :: names) ] ] ->
+      Proclaim (List.filter_map (function Sexp.Sym n -> Some n | _ -> None) names)
+  | _ -> Toplevel s
+
+let map_toplevel (f : 'a -> 'b) : 'a toplevel -> 'b toplevel = function
+  | Defun u -> Defun (f u)
+  | Defmacro (n, u) -> Defmacro (n, f u)
+  | Defvar (n, u) -> Defvar (n, f u)
+  | Proclaim ns -> Proclaim ns
+  | Toplevel u -> Toplevel (f u)

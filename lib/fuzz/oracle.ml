@@ -69,35 +69,51 @@ let find_config name = List.find_opt (fun c -> c.cfg_name = name) lattice
 let fuzz_fuel = 20_000_000 (* simulator cycles per top-level call *)
 let interp_fuel = 2_000_000 (* interpreter evaluation steps per program *)
 
+(* How a run that raised ends, by exception: the one table both engines'
+   failures are read through, here and in the compile service.  A Lisp
+   condition is an [Error], an engine failure a [Crash]; [engine] names
+   whose stack overflowed.  [None] for an exception no engine raises by
+   design. *)
+let failure ~engine (e : exn) : outcome option =
+  match e with
+  | Rt.Lisp_error m -> Some (Error m)
+  | Rt.Thrown _ -> Some (Error "uncaught throw")
+  | S1_frontend.Convert.Convert_error { message; _ } -> Some (Error ("convert: " ^ message))
+  | S1_frontend.Macroexp.Expansion_error { message; _ } -> Some (Error ("macro: " ^ message))
+  | I.Fuel_exhausted -> Some (Error "interpreter fuel exhausted")
+  | S1_codegen.Gen.Codegen_error m -> Some (Crash ("codegen: " ^ m))
+  | S1_machine.Cpu.Trap { kind; pc; message; _ } ->
+      Some
+        (Crash
+           (Printf.sprintf "%s trap at pc %d: %s" (S1_machine.Cpu.trap_kind_name kind) pc
+              message))
+  | C.Strict_failure i -> Some (Crash ("strict: " ^ C.incident_to_string i))
+  | Stack_overflow -> Some (Crash (engine ^ " stack overflow"))
+  | _ -> None
+
+(** An interpreter failure's outcome.  The interpreter is the reference,
+    so an exception outside {!failure}'s table is re-raised. *)
+let interp_failure (e : exn) : outcome =
+  match failure ~engine:"interpreter" e with Some o -> o | None -> raise e
+
+(** A compiled failure's outcome; an exception outside the table is a
+    crash. *)
+let compiled_failure (e : exn) : outcome =
+  match failure ~engine:"compiler" e with
+  | Some o -> o
+  | None -> Crash (Printexc.to_string e)
+
 let run_interp (forms : Sexp.t list) : outcome =
   let it = I.boot () in
   it.I.fuel <- interp_fuel;
   match List.fold_left (fun _ f -> I.eval_sexp it f) it.I.rt.Rt.nil forms with
   | w -> Value (Rt.print_value it.I.rt w)
-  | exception Rt.Lisp_error m -> Error m
-  | exception Rt.Thrown _ -> Error "uncaught throw"
-  | exception S1_frontend.Convert.Convert_error { message; _ } -> Error ("convert: " ^ message)
-  | exception S1_frontend.Macroexp.Expansion_error { message; _ } -> Error ("macro: " ^ message)
-  | exception I.Fuel_exhausted -> Error "interpreter fuel exhausted"
-  | exception S1_runtime.Heap.Heap_exhausted _ -> Error "heap exhausted"
-  | exception Stack_overflow -> Crash "interpreter stack overflow"
+  | exception e -> interp_failure e
 
 let run_compiled (cfg : config) (forms : Sexp.t list) : outcome =
   let c = C.create ~options:cfg.cfg_options ~rules:cfg.cfg_rules ~cse:cfg.cfg_cse () in
   c.C.rt.Rt.fuel <- Some fuzz_fuel;
-  match C.eval_print c forms with
-  | s -> Value s
-  | exception Rt.Lisp_error m -> Error m
-  | exception Rt.Thrown _ -> Error "uncaught throw"
-  | exception S1_frontend.Convert.Convert_error { message; _ } -> Error ("convert: " ^ message)
-  | exception S1_frontend.Macroexp.Expansion_error { message; _ } -> Error ("macro: " ^ message)
-  | exception S1_codegen.Gen.Codegen_error m -> Crash ("codegen: " ^ m)
-  | exception S1_machine.Cpu.Trap { kind; pc; message; _ } ->
-      Crash
-        (Printf.sprintf "%s trap at pc %d: %s"
-           (S1_machine.Cpu.trap_kind_name kind) pc message)
-  | exception Stack_overflow -> Crash "compiler stack overflow"
-  | exception e -> Crash (Printexc.to_string e)
+  match C.eval_print c forms with s -> Value s | exception e -> compiled_failure e
 
 (* Printed-value agreement.  Exact string equality, with one carve-out:
    this dialect's meta-evaluation canonicalizes associative float

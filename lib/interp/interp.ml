@@ -21,6 +21,7 @@ module Cpu = S1_machine.Cpu
 module Isa = S1_machine.Isa
 module Mem = S1_machine.Mem
 module Sexp = S1_sexp.Sexp
+module Convert = S1_frontend.Convert
 open S1_runtime
 open S1_ir
 
@@ -386,51 +387,27 @@ let macros_pred it name =
           Rt.value_to_sexp it.rt result)
 
 let eval_sexp it sexp =
-  match sexp with
-  | Sexp.List (Sexp.Sym "DEFUN" :: Sexp.Sym name :: _) ->
-      let _, lam_node =
-        S1_frontend.Convert.defun ~specials:(specials_pred it)
-          ~macros:(macros_pred it) sexp
-      in
+  let specials = specials_pred it and macros = macros_pred it in
+  match Convert.toplevel sexp with
+  | Convert.Defun form ->
+      let name, lam_node = Convert.defun ~specials ~macros form in
       define_function it name lam_node
-  | Sexp.List (Sexp.Sym "DEFMACRO" :: Sexp.Sym name :: Sexp.List params :: body)
-    ->
+  | Convert.Defmacro (name, expander) ->
       (* the expander is an ordinary interpreted closure over the raw
          argument forms, exactly as the compiler builds a compiled one *)
-      let expander_form =
-        Sexp.List
-          (Sexp.Sym "DEFUN" :: Sexp.Sym ("%MACRO-" ^ name) :: Sexp.List params :: body)
-      in
-      let _, lam_node =
-        S1_frontend.Convert.defun ~specials:(specials_pred it)
-          ~macros:(macros_pred it) expander_form
-      in
-      let fobj = eval it [] lam_node in
-      Hashtbl.replace it.macros name fobj;
+      let _, lam_node = Convert.defun ~specials ~macros expander in
+      Hashtbl.replace it.macros name (eval it [] lam_node);
       Rt.intern it.rt name
-  | Sexp.List [ Sexp.Sym "DEFVAR"; Sexp.Sym name; init ] ->
+  | Convert.Defvar (name, init) ->
       let sym = Rt.intern it.rt name in
       Rt.proclaim_special it.rt sym;
-      let v =
-        eval it []
-          (S1_frontend.Convert.expression ~specials:(specials_pred it)
-             ~macros:(macros_pred it) init)
-      in
+      let v = eval it [] (Convert.expression ~specials ~macros init) in
       Rt.set_symbol_value_dynamic it.rt sym v;
       sym
-  | Sexp.List
-      [ Sexp.Sym "PROCLAIM";
-        Sexp.List [ Sexp.Sym "QUOTE"; Sexp.List (Sexp.Sym "SPECIAL" :: names) ] ] ->
-      List.iter
-        (function
-          | Sexp.Sym n -> Rt.proclaim_special it.rt (Rt.intern it.rt n)
-          | _ -> ())
-        names;
+  | Convert.Proclaim names ->
+      List.iter (fun n -> Rt.proclaim_special it.rt (Rt.intern it.rt n)) names;
       it.rt.Rt.nil
-  | _ ->
-      eval_node it
-        (S1_frontend.Convert.expression ~specials:(specials_pred it)
-           ~macros:(macros_pred it) sexp)
+  | Convert.Toplevel form -> eval_node it (Convert.expression ~specials ~macros form)
 
 let eval_string it src =
   let forms = S1_sexp.Reader.parse_string src in

@@ -2,8 +2,10 @@
 
     An image is everything the compile service needs to reinstate a
     compiled file into a {e different} live world than the one it was
-    compiled against: per top-level form, the pre-assembly program with
-    every world-dependent word replaced by a {e sentinel}, plus the
+    compiled against: per top-level form, its reading
+    ({!S1_frontend.Convert.toplevel}) with a compiled unit in place of
+    each source form.  A unit is the pre-assembly program with every
+    world-dependent word replaced by a {e sentinel}, plus the
     ordered recipe of world requests ("intern this symbol", "intern this
     constant", "allocate a fresh static cell") whose replay against the
     target world yields the words to substitute back.  Replaying the
@@ -33,6 +35,7 @@ module Asm = S1_machine.Asm
 module Tags = S1_machine.Tags
 module Sexp = S1_sexp.Sexp
 module Loc = S1_loc.Loc
+module Convert = S1_frontend.Convert
 
 let schema_version = "s1lisp.image/2"
 
@@ -80,16 +83,13 @@ type unit_img = {
   u_tn_report : string;
 }
 
-(** What the unit was {e for}: replay mirrors the driver's top-level
-    form dispatch so a loaded image has the same world effects (function
-    cells set, specials proclaimed, macros registered, top-level forms
-    run) as evaluating the source. *)
-type action =
-  | Defun of unit_img
-  | Defmacro of string * unit_img  (** macro name; the unit is its expander *)
-  | Defvar of string * unit_img  (** variable name; the unit computes the init *)
-  | Proclaim of string list  (** names proclaimed SPECIAL; no code *)
-  | Toplevel of unit_img
+(** What the unit was {e for}: the top-level form's reading
+    ({!S1_frontend.Convert.toplevel}) with its compiled unit in place of
+    the source, so replay runs the compiler's own form dispatch and a
+    loaded image has the same world effects (function cells set,
+    specials proclaimed, macros registered, top-level forms run) as
+    evaluating the source. *)
+type action = unit_img Convert.toplevel
 
 type t = {
   i_file : string;  (** source path, informative only *)
@@ -311,11 +311,11 @@ let json_of_unit (u : unit_img) : Json.t =
 
 let json_of_action (a : action) : Json.t =
   match a with
-  | Defun u -> Json.Arr [ jstr "defun"; json_of_unit u ]
-  | Defmacro (n, u) -> Json.Arr [ jstr "defmacro"; jstr n; json_of_unit u ]
-  | Defvar (n, u) -> Json.Arr [ jstr "defvar"; jstr n; json_of_unit u ]
-  | Proclaim ns -> Json.Arr (jstr "proclaim" :: List.map jstr ns)
-  | Toplevel u -> Json.Arr [ jstr "toplevel"; json_of_unit u ]
+  | Convert.Defun u -> Json.Arr [ jstr "defun"; json_of_unit u ]
+  | Convert.Defmacro (n, u) -> Json.Arr [ jstr "defmacro"; jstr n; json_of_unit u ]
+  | Convert.Defvar (n, u) -> Json.Arr [ jstr "defvar"; jstr n; json_of_unit u ]
+  | Convert.Proclaim ns -> Json.Arr (jstr "proclaim" :: List.map jstr ns)
+  | Convert.Toplevel u -> Json.Arr [ jstr "toplevel"; json_of_unit u ]
 
 let json_of_image (i : t) : Json.t =
   Json.Obj
@@ -533,11 +533,11 @@ let unit_of_json (j : Json.t) : unit_img =
 
 let action_of_json (j : Json.t) : action =
   match darr j with
-  | [ Json.Str "defun"; u ] -> Defun (unit_of_json u)
-  | [ Json.Str "defmacro"; n; u ] -> Defmacro (dstr n, unit_of_json u)
-  | [ Json.Str "defvar"; n; u ] -> Defvar (dstr n, unit_of_json u)
-  | Json.Str "proclaim" :: ns -> Proclaim (List.map dstr ns)
-  | [ Json.Str "toplevel"; u ] -> Toplevel (unit_of_json u)
+  | [ Json.Str "defun"; u ] -> Convert.Defun (unit_of_json u)
+  | [ Json.Str "defmacro"; n; u ] -> Convert.Defmacro (dstr n, unit_of_json u)
+  | [ Json.Str "defvar"; n; u ] -> Convert.Defvar (dstr n, unit_of_json u)
+  | Json.Str "proclaim" :: ns -> Convert.Proclaim (List.map dstr ns)
+  | [ Json.Str "toplevel"; u ] -> Convert.Toplevel (unit_of_json u)
   | _ -> fail "bad action encoding"
 
 let image_of_json (j : Json.t) : t =

@@ -1,28 +1,28 @@
-(** The compile service: content-addressed caching and parallel batch
-    compilation in front of {!S1_core.Compiler}.
+(** The compile service: content-addressed caching in front of
+    {!S1_core.Compiler}, one file at a time ({!Supervise} runs batches).
 
-    Cold path: compile each top-level form with a {e recording world} —
-    the generator sees sentinels instead of live-world words, and every
+    Every path reads a top-level form through
+    {!S1_frontend.Convert.toplevel} and does its world effects through
+    {!S1_core.Compiler.perform}; only the loaders that turn a form's unit
+    into a function word differ.
+
+    Cold path: compile each unit against a {e recording world} — the
+    generator sees sentinels instead of live-world words, and every
     world request (constant intern, symbol intern, cell address, fresh
-    static cell) is appended to the unit's recipe.  The captured
-    sentinel program plus recipe serializes as an {!Image}; the recipe
-    then resolves against the live world and the resolved unit installs
-    through the same {!S1_core.Compiler.install_compiled} a warm load
-    uses, so cold and warm executions share one code path.
+    static cell) is appended to the unit's recipe.  The sentinel program
+    plus recipe is kept for the {!Image}, and the unit installs through
+    {!install_unit}, the warm path's own installer.
 
-    Warm path: verify and decode the image, replay each action's recipe
-    against a fresh world, substitute, install, run.  Because the recipe
-    replays the exact world-effect sequence of a from-source compile,
-    the loaded code is byte-identical — same words, same addresses, same
-    cycle counts, same annotate listing — without running a single
-    optimization pass.
+    Warm path: verify and decode the image, then [perform] each action
+    with loaders that replay the unit's recipe against a fresh world,
+    substitute and install.  Because the recipe replays the exact
+    world-effect sequence of a from-source compile, the loaded code is
+    byte-identical — same words, same addresses, same cycle counts, same
+    annotate listing — without running a single optimization pass.
 
-    Batch mode fans files out over a Domain pool.  All compiler state is
-    either per-instance ({!S1_core.Compiler.t}) or domain-local
-    ({!S1_par.Dls}), so workers are hermetic; each file's counter delta
-    is carried in its {!result} and merged into the calling domain's
-    registry in input order, making `-j N` output and metrics
-    independent of scheduling. *)
+    All compiler state is either per-instance ({!S1_core.Compiler.t}) or
+    domain-local ({!S1_par.Dls}), so concurrent batch workers are
+    hermetic; each file's counter delta is carried in its {!result}. *)
 
 module Sexp = S1_sexp.Sexp
 module Reader = S1_sexp.Reader
@@ -32,6 +32,7 @@ module Rt = S1_runtime.Rt
 module Node = S1_ir.Node
 module Freshen = S1_ir.Freshen
 module Macroexp = S1_frontend.Macroexp
+module Convert = S1_frontend.Convert
 module Rules = S1_transform.Rules
 module Gen = S1_codegen.Gen
 module C = S1_core.Compiler
@@ -123,68 +124,68 @@ let resolve_refs (w : Gen.world) (refs : Image.worldref list) : int array =
     refs;
   arr
 
+(* The one install path of a unit image, warm replay and cold compile
+   alike: replay its recipe against the live world, substitute the
+   resolved words, install.  Returns the resolved unit (the cold capture
+   keeps its listing) and the function word. *)
+let install_unit (c : C.t) (u : Image.unit_img) : Gen.compiled * int =
+  let arr = resolve_refs (C.world_of c) u.Image.u_refs in
+  let compiled =
+    {
+      Gen.c_name = u.Image.u_name;
+      c_prog = Image.subst_program arr u.Image.u_prog;
+      c_entry = u.Image.u_entry;
+      c_min_args = u.Image.u_min_args;
+      c_max_args = u.Image.u_max_args;
+      c_fixups = Image.subst_fixups arr u.Image.u_fixups;
+      c_tn_report = u.Image.u_tn_report;
+    }
+  in
+  (compiled, C.install_compiled c ~name:u.Image.u_name compiled)
+
 (* Cold capture --------------------------------------------------------- *)
 
-(* Arm a compiler instance so each compiled unit is captured in sentinel
-   form (plus recipe) and handed back resolved for normal installation.
-   Returns the list that accumulates captured units, newest first. *)
-let arm_capture (c : C.t) : Image.unit_img list ref =
-  let captured = ref [] in
-  let pending = ref None in
-  c.C.world_wrap <-
-    (fun _real ->
-      let rc = { rc_refs = []; rc_n = 0 } in
-      pending := Some rc;
-      recording_world rc);
-  c.C.unit_filter <-
-    (fun ~name compiled ->
-      match !pending with
-      | None -> compiled
-      | Some rc ->
-          pending := None;
-          let refs = List.rev rc.rc_refs in
-          let arr = resolve_refs (C.world_of c) refs in
-          let prog = Image.subst_program arr compiled.Gen.c_prog in
-          let fixups = Image.subst_fixups arr compiled.Gen.c_fixups in
-          let u =
-            {
-              Image.u_name = name;
-              u_prog = compiled.Gen.c_prog;
-              u_entry = compiled.Gen.c_entry;
-              u_min_args = compiled.Gen.c_min_args;
-              u_max_args = compiled.Gen.c_max_args;
-              u_fixups = compiled.Gen.c_fixups;
-              u_refs = refs;
-              u_listing = Asm.listing prog;
-              u_tn_report = compiled.Gen.c_tn_report;
-            }
-          in
-          captured := u :: !captured;
-          { compiled with Gen.c_prog = prog; c_fixups = fixups });
-  captured
-
-(* Mirror of {!S1_core.Compiler.eval}'s top-level dispatch: which action
-   a form was, given the units its evaluation compiled. *)
-let classify (form : Sexp.t) (units : Image.unit_img list) : Image.action =
-  match (form, units) with
-  | Sexp.List (Sexp.Sym "DEFUN" :: Sexp.Sym _ :: _), [ u ] -> Image.Defun u
-  | Sexp.List (Sexp.Sym "DEFMACRO" :: Sexp.Sym name :: Sexp.List _ :: _), [ u ]
-    ->
-      Image.Defmacro (name, u)
-  | Sexp.List [ Sexp.Sym "DEFVAR"; Sexp.Sym name; _ ], [ u ] ->
-      Image.Defvar (name, u)
-  | ( Sexp.List
-        [
-          Sexp.Sym "PROCLAIM";
-          Sexp.List [ Sexp.Sym "QUOTE"; Sexp.List (Sexp.Sym "SPECIAL" :: names) ];
-        ],
-      [] ) ->
-      Image.Proclaim
-        (List.filter_map (function Sexp.Sym n -> Some n | _ -> None) names)
-  | _, [ u ] -> Image.Toplevel u
-  | _, us ->
-      failwith
-        (Printf.sprintf "serve: top-level form compiled to %d units" (List.length us))
+(* Compile-evaluate one top-level form, each of its units compiled
+   against a recording world, kept in sentinel form with its recipe, and
+   installed through {!install_unit}.  Returns the form's value and its
+   image action. *)
+let capture_form (c : C.t) (form : Sexp.t) : int * Image.action =
+  let parsed = Convert.toplevel form in
+  let captured = ref None in
+  (* a fresh recording world and its installer, for one unit *)
+  let recorder () =
+    let rc = { rc_refs = []; rc_n = 0 } in
+    let install ~name (compiled : Gen.compiled) =
+      let u =
+        {
+          Image.u_name = name;
+          u_prog = compiled.Gen.c_prog;
+          u_entry = compiled.Gen.c_entry;
+          u_min_args = compiled.Gen.c_min_args;
+          u_max_args = compiled.Gen.c_max_args;
+          u_fixups = compiled.Gen.c_fixups;
+          u_refs = List.rev rc.rc_refs;
+          u_listing = "";
+          u_tn_report = compiled.Gen.c_tn_report;
+        }
+      in
+      let resolved, fobj = install_unit c u in
+      captured := Some { u with Image.u_listing = Asm.listing resolved.Gen.c_prog };
+      fobj
+    in
+    (recording_world rc, install)
+  in
+  let v =
+    C.perform c
+      ~fn:(fun f ->
+        let world, install = recorder () in
+        C.compile_defun c ~world ~install f)
+      ~expr:(fun e ->
+        let world, install = recorder () in
+        C.compile_expression c ~world ~install e)
+      parsed
+  in
+  (v, Convert.map_toplevel (fun _ -> Option.get !captured) parsed)
 
 type exec = { e_value : string; e_output : string; e_cycles : int }
 
@@ -211,7 +212,6 @@ let compile_cold (cfg : cfg) ?(prepare = fun (_ : C.t) -> ()) ?fuel ?deadline
   let c = compiler_of cfg in
   c.C.rt.Rt.fuel <- fuel;
   prepare c;
-  let captured = arm_capture c in
   let forms, tab = Reader.parse_string_located ~file src in
   c.C.locs <- Some tab;
   let remark_was = Remark.enabled () in
@@ -229,10 +229,8 @@ let compile_cold (cfg : cfg) ?(prepare = fun (_ : C.t) -> ()) ?fuel ?deadline
         under_deadline c deadline (fun () ->
             List.fold_left
               (fun _ form ->
-                let v = C.eval c form in
-                let units = List.rev !captured in
-                captured := [];
-                actions := classify form units :: !actions;
+                let v, action = capture_form c form in
+                actions := action :: !actions;
                 v)
               c.C.rt.Rt.nil forms)
       in
@@ -258,54 +256,6 @@ let compile_cold (cfg : cfg) ?(prepare = fun (_ : C.t) -> ()) ?fuel ?deadline
 
 (* Warm replay ---------------------------------------------------------- *)
 
-let replay_unit (c : C.t) (u : Image.unit_img) : int =
-  let arr = resolve_refs (C.world_of c) u.Image.u_refs in
-  let compiled =
-    {
-      Gen.c_name = u.Image.u_name;
-      c_prog = Image.subst_program arr u.Image.u_prog;
-      c_entry = u.Image.u_entry;
-      c_min_args = u.Image.u_min_args;
-      c_max_args = u.Image.u_max_args;
-      c_fixups = Image.subst_fixups arr u.Image.u_fixups;
-      c_tn_report = u.Image.u_tn_report;
-    }
-  in
-  (* mirror load_lambda's introspection bookkeeping so --annotate and
-     --tn-report work identically on cache-loaded units *)
-  if c.C.keep_transcript then begin
-    c.C.last_listing <- Some u.Image.u_listing;
-    c.C.last_tn_report <- Some u.Image.u_tn_report
-  end;
-  C.install_compiled c ~name:u.Image.u_name compiled
-
-(* Each arm reproduces the world effects of {!S1_core.Compiler.eval} on
-   the original form, in the same order. *)
-let replay_action (c : C.t) (a : Image.action) : int =
-  match a with
-  | Image.Defun u ->
-      let fobj = replay_unit c u in
-      let sym = Rt.intern c.C.rt u.Image.u_name in
-      Rt.set_function c.C.rt sym fobj;
-      sym
-  | Image.Defmacro (name, u) ->
-      let fobj = replay_unit c u in
-      Hashtbl.replace c.C.macros name fobj;
-      Rt.intern c.C.rt name
-  | Image.Defvar (name, u) ->
-      let sym = Rt.intern c.C.rt name in
-      Rt.proclaim_special c.C.rt sym;
-      let fobj = replay_unit c u in
-      let v = Rt.call c.C.rt fobj [] in
-      Rt.set_symbol_value_dynamic c.C.rt sym v;
-      sym
-  | Image.Proclaim names ->
-      List.iter (fun n -> Rt.proclaim_special c.C.rt (Rt.intern c.C.rt n)) names;
-      c.C.rt.Rt.nil
-  | Image.Toplevel u ->
-      let fobj = replay_unit c u in
-      Rt.call c.C.rt fobj []
-
 (** Replay a loaded image into an existing compiler's world and return
     the final value word.  Transactional: if any action traps or raises
     mid-replay, the world's symbol and cell state is rewound to the
@@ -316,9 +266,10 @@ let replay_action (c : C.t) (a : Image.action) : int =
     unreachable garbage once the static roots are restored. *)
 let execute_in (c : C.t) (img : Image.t) : int =
   let ws = C.snapshot_world c in
+  let install u = snd (install_unit c u) in
   try
     List.fold_left
-      (fun _ a -> replay_action c a)
+      (fun _ a -> C.perform c ~fn:(fun u -> (u.Image.u_name, install u)) ~expr:install a)
       c.C.rt.Rt.nil img.Image.i_actions
   with e ->
     C.restore_world c ws;
@@ -353,34 +304,20 @@ type result = {
   r_loc : S1_loc.Loc.t option;  (** provenance of the faulting instruction *)
 }
 
-(* Same structured-outcome discipline as the differential oracle: a Lisp
-   condition is an [Error], an engine failure is a [Crash], and nothing
-   escapes as a bare exception.  Machine traps additionally surface
-   their kind and provenance loc so the supervisor can classify the
-   fault (deadline vs. corruption vs. engine bug) without string
-   matching. *)
+(* The differential oracle's compiled outcome table
+   ({!Oracle.compiled_failure}): nothing escapes as a bare exception.
+   Machine traps additionally surface their kind and provenance loc so
+   the supervisor can tell the fault apart (deadline vs. corruption vs.
+   engine bug) without string matching. *)
 let structured (f : unit -> exec) :
     Oracle.outcome * exec option * (Cpu.trap_kind * S1_loc.Loc.t option) option
     =
   match f () with
   | e -> (Oracle.Value e.e_value, Some e, None)
-  | exception Rt.Lisp_error m -> (Oracle.Error m, None, None)
-  | exception Rt.Thrown _ -> (Oracle.Error "uncaught throw", None, None)
-  | exception S1_frontend.Convert.Convert_error { message; _ } ->
-      (Oracle.Error ("convert: " ^ message), None, None)
-  | exception Macroexp.Expansion_error { message; _ } ->
-      (Oracle.Error ("macro: " ^ message), None, None)
-  | exception Gen.Codegen_error m -> (Oracle.Crash ("codegen: " ^ m), None, None)
-  | exception Cpu.Trap { kind; pc; message; loc } ->
-      ( Oracle.Crash
-          (Printf.sprintf "%s trap at pc %d: %s" (Cpu.trap_kind_name kind) pc
-             message),
+  | exception e ->
+      ( Oracle.compiled_failure e,
         None,
-        Some (kind, loc) )
-  | exception C.Strict_failure i ->
-      (Oracle.Crash ("strict: " ^ C.incident_to_string i), None, None)
-  | exception Stack_overflow -> (Oracle.Crash "compiler stack overflow", None, None)
-  | exception e -> (Oracle.Crash (Printexc.to_string e), None, None)
+        match e with Cpu.Trap { kind; loc; _ } -> Some (kind, loc) | _ -> None )
 
 (** Compile-or-load one file through the service: cache lookup by
     content address, cold compile + capture + store on miss, verified
@@ -438,59 +375,6 @@ let compile_file ?cache ?prepare ?fuel ?deadline ?degraded (cfg : cfg) ~file
     r_trap = Option.map fst trap;
     r_loc = Option.bind trap snd;
   }
-
-(* Batch ---------------------------------------------------------------- *)
-
-(** Compile many files, [jobs] domains wide.  Results come back in input
-    order regardless of scheduling, and each worker's counter deltas are
-    merged into the calling domain's registry in input order, so every
-    observable output is identical for any [jobs]. *)
-let batch ?cache ?fuel ?(jobs = 1) (cfg : cfg) (files : string list) :
-    result list =
-  let files = Array.of_list files in
-  let n = Array.length files in
-  let results : result option array = Array.make n None in
-  let next = Atomic.make 0 in
-  let worker () =
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        let file = files.(i) in
-        let r =
-          match Cache.read_file file with
-          | src -> compile_file ?cache ?fuel cfg ~file src
-          | exception Sys_error m ->
-              {
-                r_file = file;
-                r_key = "";
-                r_hit = false;
-                r_image = "";
-                r_outcome = Oracle.Crash ("cannot read file: " ^ m);
-                r_exec = None;
-                r_counters = [];
-                r_trap = None;
-                r_loc = None;
-              }
-        in
-        results.(i) <- Some r;
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let jobs = max 1 (min jobs (max 1 n)) in
-  let domains = List.init jobs (fun _ -> Domain.spawn worker) in
-  List.iter Domain.join domains;
-  let rs =
-    Array.to_list
-      (Array.map
-         (function Some r -> r | None -> failwith "serve: unprocessed file")
-         results)
-  in
-  List.iter
-    (fun r -> List.iter (fun (k, v) -> Obs.incr ~n:v k) r.r_counters)
-    rs;
-  rs
 
 (* Fuzzing the cache path ----------------------------------------------- *)
 

@@ -101,17 +101,9 @@ let interp_stub ?fuel ~key ~file (src : string) : Serve.result =
               }
             in
             (Oracle.Value e.Serve.e_value, Some e)
-        | exception Rt.Lisp_error m -> (Oracle.Error m, None)
-        | exception Rt.Thrown _ -> (Oracle.Error "uncaught throw", None)
-        | exception S1_frontend.Convert.Convert_error { message; _ } ->
-            (Oracle.Error ("convert: " ^ message), None)
-        | exception S1_frontend.Macroexp.Expansion_error { message; _ } ->
-            (Oracle.Error ("macro: " ^ message), None)
-        | exception I.Fuel_exhausted ->
-            (Oracle.Error "interpreter fuel exhausted", None)
-        | exception Stack_overflow ->
-            (Oracle.Crash "interpreter stack overflow", None)
-        | exception e -> (Oracle.Crash (Printexc.to_string e), None))
+        | exception e ->
+            ( (try Oracle.interp_failure e with e -> Oracle.Crash (Printexc.to_string e)),
+              None ))
   in
   {
     Serve.r_file = file;
@@ -245,9 +237,9 @@ let all_ok_some_degraded (r : batch_report) : bool =
 (** Supervised batch over in-memory (file, source) units: [jobs] worker
     domains, crash isolation, optional seeded chaos.  Results come back
     in input order and every worker's counter deltas are merged into the
-    calling domain's registry in input order, exactly like
-    {!Serve.batch}.  Each finished worker's host-time spans are folded
-    into that registry too, for [--timings]. *)
+    calling domain's registry in input order, so every observable output
+    is identical for any [jobs].  Each finished worker's host-time spans
+    are folded into that registry too, for [--timings]. *)
 let batch_sources ?cache ?(policy = default_policy) ?(jobs = 1) ?chaos
     (cfg : Serve.cfg) (units : (string * string) list) : batch_report =
   let units = Array.of_list units in

@@ -12,24 +12,22 @@ let fixnum_max = (1 lsl 35) - 1
    the key; buckets are indexed by structural hash and searched with
    [==].  [add_loc] is also open to later pipeline stages (the macro
    expander propagates an original form's location onto its expansion). *)
-type loctab = { lt_file : string; lt_tbl : (int, (Sexp.t * Loc.t) list) Hashtbl.t }
-
-let create_loctab ?(file = "<string>") () = { lt_file = file; lt_tbl = Hashtbl.create 64 }
+type loctab = (int, (Sexp.t * Loc.t) list) Hashtbl.t
 
 let find_loc t (s : Sexp.t) : Loc.t option =
   let rec search = function
     | [] -> None
     | (s', l) :: rest -> if s' == s then Some l else search rest
   in
-  match Hashtbl.find_opt t.lt_tbl (Hashtbl.hash s) with
+  match Hashtbl.find_opt t (Hashtbl.hash s) with
   | None -> None
   | Some bucket -> search bucket
 
 let add_loc t (s : Sexp.t) (l : Loc.t) =
   if find_loc t s = None then
     let h = Hashtbl.hash s in
-    let bucket = match Hashtbl.find_opt t.lt_tbl h with Some b -> b | None -> [] in
-    Hashtbl.replace t.lt_tbl h ((s, l) :: bucket)
+    let bucket = match Hashtbl.find_opt t h with Some b -> b | None -> [] in
+    Hashtbl.replace t h ((s, l) :: bucket)
 
 type state = {
   src : string;
@@ -286,7 +284,7 @@ let parse_string src =
 
 let parse_string_located ?(file = "<string>") src =
   let st = make src in
-  let tab = create_loctab ~file () in
+  let tab = Hashtbl.create 64 in
   st.on_form <- (fun form ~line ~col -> add_loc tab form (Loc.make ~file ~line ~col));
   let rec loop acc =
     skip_ws st;

@@ -32,7 +32,6 @@ val parse_string : string -> Sexp.t list
 
 type loctab
 
-val create_loctab : ?file:string -> unit -> loctab
 val find_loc : loctab -> Sexp.t -> S1_loc.Loc.t option
 
 val add_loc : loctab -> Sexp.t -> S1_loc.Loc.t -> unit

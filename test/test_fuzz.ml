@@ -117,6 +117,26 @@ let test_oracle_detects_miscompilation () =
   (* and an unsabotaged check is clean *)
   Alcotest.(check int) "honest compile agrees" 0 (List.length (Oracle.check forms))
 
+(* Heap exhaustion reaches the interpreter as a machine trap (the
+   runtime's allocator turns it into one); the oracle and the service's
+   interpreter floor must both report it as a crash in the compiled
+   side's words, not let the trap escape. *)
+let test_interp_heap_exhaustion () =
+  let src = "(MAKE-VECTOR 100000000)" in
+  let forms = Reader.parse_string src in
+  let reference = Oracle.run_interp forms in
+  (match reference with
+  | Oracle.Crash m ->
+      Alcotest.(check bool) ("trap text: " ^ m) true
+        (String.starts_with ~prefix:"heap-exhausted trap at pc " m)
+  | o -> Alcotest.failf "expected a crash, got %s" (Oracle.outcome_string o));
+  Alcotest.(check int) "no divergence on an interpreter crash" 0
+    (List.length (Oracle.check ~configs:[ List.hd Oracle.lattice ] forms));
+  let stub = S1_serve.Supervise.interp_stub ~key:"" ~file:"<heap>" src in
+  Alcotest.(check string) "interpreter floor: same outcome"
+    (Oracle.outcome_string reference)
+    (Oracle.outcome_string stub.S1_serve.Serve.r_outcome)
+
 (* The if-of-if rule wraps arms in F-/G-THUNK lambdas that binding
    annotation makes Jump locals; once a frame holding pdl-number slots
    lost its tail calls, the thunk call had no legal encoding and code
@@ -244,6 +264,7 @@ let () =
           Alcotest.test_case "report determinism" `Slow test_report_determinism;
           Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "detects miscompilation" `Quick test_oracle_detects_miscompilation;
+          Alcotest.test_case "interpreter heap exhaustion" `Quick test_interp_heap_exhaustion;
           Alcotest.test_case "pdl frame with a jump local" `Quick test_pdl_frame_jump_local;
         ] );
       ( "shrinker",

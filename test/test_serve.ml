@@ -206,17 +206,113 @@ let test_actions_cover_form_kinds () =
   let kinds =
     List.map
       (function
-        | Image.Defun _ -> "defun"
-        | Image.Defmacro _ -> "defmacro"
-        | Image.Defvar _ -> "defvar"
-        | Image.Proclaim _ -> "proclaim"
-        | Image.Toplevel _ -> "toplevel")
+        | S1_frontend.Convert.Defun _ -> "defun"
+        | S1_frontend.Convert.Defmacro _ -> "defmacro"
+        | S1_frontend.Convert.Defvar _ -> "defvar"
+        | S1_frontend.Convert.Proclaim _ -> "proclaim"
+        | S1_frontend.Convert.Toplevel _ -> "toplevel")
       img.Image.i_actions
   in
   Alcotest.(check (list string))
     "one action per top-level form, in order"
     [ "proclaim"; "defvar"; "defun"; "defmacro"; "toplevel" ]
     kinds
+
+(* Top-level parity ------------------------------------------------------------- *)
+
+(* Every engine dispatches on [Convert.toplevel]: pin its reading of each
+   form kind and of the irregular shapes that fall through to an
+   ordinary expression (or, for PROCLAIM, drop a non-symbol name). *)
+let toplevel_reading (src : string) : string =
+  let module Cv = S1_frontend.Convert in
+  let str = Sexp.to_string in
+  match Cv.toplevel (Reader.parse_one src) with
+  | Cv.Defun f -> "defun " ^ str f
+  | Cv.Defmacro (n, f) -> Printf.sprintf "defmacro %s %s" n (str f)
+  | Cv.Defvar (n, init) -> Printf.sprintf "defvar %s %s" n (str init)
+  | Cv.Proclaim ns -> "proclaim " ^ String.concat " " ns
+  | Cv.Toplevel f -> "toplevel " ^ str f
+
+let test_toplevel_reading () =
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.(check string) src expected (toplevel_reading src))
+    [
+      ("(DEFUN SQ (N) (* N N))", "defun (DEFUN SQ (N) (* N N))");
+      ("(DEFMACRO TWICE (X) (LIST '* 2 X))",
+       "defmacro TWICE (DEFUN %MACRO-TWICE (X) (LIST '* 2 X))");
+      ("(DEFVAR *V* (+ 1 2))", "defvar *V* (+ 1 2)");
+      ("(PROCLAIM '(SPECIAL *A* *B*))", "proclaim *A* *B*");
+      ("(+ 1 2)", "toplevel (+ 1 2)");
+      (* irregular shapes *)
+      ("(DEFVAR *W*)", "toplevel (DEFVAR *W*)");
+      ("(DEFMACRO M X X)", "toplevel (DEFMACRO M X X)");
+      ("(PROCLAIM '(SPECIAL 3 *B*))", "proclaim *B*");
+      ("(DEFUN \"F\" (X) X)", "toplevel (DEFUN \"F\" (X) X)");
+    ]
+
+(* The interpreter (the service's interpreter floor), a from-source
+   compile and a warm image replay agree on value and output for each
+   well-formed form kind, alone and together. *)
+let test_toplevel_parity () =
+  let dir = fresh_dir "parity" in
+  let programs =
+    [
+      "(PROCLAIM '(SPECIAL *D*))";
+      "(DEFVAR *V* (PROGN (PRINT 'INIT) 2))";
+      "(DEFMACRO TWICE (X) (LIST '* 2 X))";
+      "(DEFUN SQ (N) (* N N))";
+      "(PRINT (+ 1 2))";
+      "(PROCLAIM '(SPECIAL *D*))\n(DEFVAR *V* 3)\n(DEFMACRO TWICE (X) (LIST '* 2 X))\n\
+       (DEFUN SCALED (N) (TWICE (* N *V*)))\n(DEFUN PROBE () *D*)\n\
+       (PRINT (SCALED 7))\n(LIST (SCALED 2) (LET ((*D* 'DYN)) (PROBE)))";
+    ]
+  in
+  List.iteri
+    (fun i src ->
+      let file = Printf.sprintf "parity-%d.lisp" i in
+      let interp = S1_serve.Supervise.interp_stub ~key:"" ~file src in
+      let plain = run_plain src ~file in
+      let cache = Cache.create ~dir () in
+      let _ = run_serve ~cache src ~file in
+      let warm, replayed = run_serve ~cache src ~file in
+      Alcotest.(check bool) (src ^ ": warm hit") true warm.Serve.r_hit;
+      (match interp.Serve.r_exec with
+      | Some e ->
+          Alcotest.(check (pair string string))
+            (src ^ ": interpreter = compiled")
+            (plain.value, plain.output) (e.Serve.e_value, e.Serve.e_output)
+      | None ->
+          Alcotest.failf "%s: interpreter: %s" src
+            (S1_fuzz.Oracle.outcome_string interp.Serve.r_outcome));
+      check_observed ~exact:false ~what:(src ^ ": compiled = warm replay") plain replayed)
+    programs
+
+(* Irregular forms read as ordinary expressions by every engine: the
+   cold and warm service outcomes are the same string, and the
+   interpreter agrees with them. *)
+let test_toplevel_irregular () =
+  let dir = fresh_dir "irregular" in
+  List.iteri
+    (fun i src ->
+      let file = Printf.sprintf "irregular-%d.lisp" i in
+      let cache = Cache.create ~dir () in
+      let cold = Serve.compile_file ~cache Serve.default_cfg ~file src in
+      let warm = Serve.compile_file ~cache Serve.default_cfg ~file src in
+      let outcome r = S1_fuzz.Oracle.outcome_string r.Serve.r_outcome in
+      Alcotest.(check string) (src ^ ": cold = warm") (outcome cold) (outcome warm);
+      let reference = S1_fuzz.Oracle.run_interp (Reader.parse_string src) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: interpreter %s agrees with %s" src
+           (S1_fuzz.Oracle.outcome_string reference) (outcome warm))
+        true
+        (S1_fuzz.Oracle.agree reference warm.Serve.r_outcome))
+    [
+      "(DEFVAR *W*)";
+      "(DEFMACRO M X X)";
+      "(PROCLAIM '(SPECIAL 3 *B*))\n(DEFUN PROBE () *B*)\n(LET ((*B* 4)) (PROBE))";
+      "(DEFUN \"F\" (X) X)";
+    ]
 
 (* Loader --------------------------------------------------------------------- *)
 
@@ -622,12 +718,18 @@ let batch_fingerprint (rs : Serve.result list) : (string * string * string) list
       (r.Serve.r_file, r.Serve.r_key, Digest.string r.Serve.r_image))
     rs
 
+(* the supervised batch at its default policy: no deadline, no ladder *)
+let supervised_batch ?cache ~jobs files : Serve.result list =
+  List.map
+    (fun s -> s.S1_serve.Supervise.s_result)
+    (S1_serve.Supervise.batch ?cache ~jobs Serve.default_cfg files).S1_serve.Supervise.b_results
+
 let test_batch_parallel_matches_sequential () =
   let files =
     List.map (Filename.concat corpus_dir) (corpus_files ())
   in
-  let seq = Serve.batch ~jobs:1 Serve.default_cfg files in
-  let par = Serve.batch ~jobs:4 Serve.default_cfg files in
+  let seq = supervised_batch ~jobs:1 files in
+  let par = supervised_batch ~jobs:4 files in
   Alcotest.(check (list (triple string string string)))
     "-j 4 produces byte-identical images in input order"
     (batch_fingerprint seq) (batch_fingerprint par);
@@ -647,14 +749,14 @@ let test_batch_warm_over_shared_cache () =
   let dir = fresh_dir "batchcache" in
   let files = List.map (Filename.concat corpus_dir) (corpus_files ()) in
   let cache = Cache.create ~dir ~capacity:4 () in
-  let cold = Serve.batch ~cache ~jobs:4 Serve.default_cfg files in
+  let cold = supervised_batch ~cache ~jobs:4 files in
   List.iter
     (fun (r : Serve.result) ->
       Alcotest.(check bool) (r.Serve.r_file ^ ": cold miss") false r.Serve.r_hit)
     cold;
   (* tiny memory capacity forces the warm run through the disk store *)
   let cache2 = Cache.create ~dir ~capacity:4 () in
-  let warm = Serve.batch ~cache:cache2 ~jobs:4 Serve.default_cfg files in
+  let warm = supervised_batch ~cache:cache2 ~jobs:4 files in
   List.iter2
     (fun (c : Serve.result) (w : Serve.result) ->
       Alcotest.(check bool) (w.Serve.r_file ^ ": warm hit") true w.Serve.r_hit;
@@ -695,6 +797,14 @@ let () =
             test_loader_rejects_wrong_schema;
           Alcotest.test_case "rejects corruption" `Quick
             test_loader_rejects_corruption;
+        ] );
+      ( "toplevel",
+        [
+          Alcotest.test_case "one reading per form kind" `Quick test_toplevel_reading;
+          Alcotest.test_case "interpreter = compiled = warm replay" `Quick
+            test_toplevel_parity;
+          Alcotest.test_case "irregular forms agree cold, warm and interpreted" `Quick
+            test_toplevel_irregular;
         ] );
       ( "keys",
         [
