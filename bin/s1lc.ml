@@ -819,7 +819,7 @@ let serve_out =
     & opt (some string) None
     & info [ "serve-out" ] ~docv:"DIR"
         ~doc:"With $(b,--serve-batch): write each input's serialized image (schema \
-              s1lisp.image/2) to $(docv)/<basename>.image.  Images are \
+              s1lisp.image/3) to $(docv)/<basename>.image.  Images are \
               byte-deterministic, so two runs over the same sources and flags produce \
               byte-identical trees — $(b,cmp) them in CI.")
 

@@ -33,24 +33,11 @@ exception Codegen_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Codegen_error s)) fmt
 
-(* Robustness hooks (wired by the driver; see lib/core/compiler.ml).
-   [on_fallback] fires when an in-generator pass (TN packing, peephole)
-   fails and code generation proceeds on the degraded strategy — the
-   driver logs an incident, and raises in strict mode.  [pass_hook] is
-   the chaos fault-injection point for those same passes, called inside
-   each guard so injected exceptions exercise the real fallback path. *)
-(* Both hooks are domain-local ([S1_par.Dls]): the driver installs them
-   around a compilation on its own domain, and batch worker domains each
-   start with the inert defaults. *)
-let on_fallback_key : (pass:string -> reason:string -> unit) ref S1_par.Dls.t =
-  S1_par.Dls.create (fun () -> ref (fun ~pass:_ ~reason:_ -> ()))
-
-let on_fallback () = S1_par.Dls.get on_fallback_key
-
-let pass_hook_key : (string -> unit) ref S1_par.Dls.t =
-  S1_par.Dls.create (fun () -> ref (fun _ -> ()))
-
-let pass_hook () = S1_par.Dls.get pass_hook_key
+(* The crash guard of the generator's two guarded passes, TN packing and
+   peephole, handed in by the driver (see lib/core/compiler.ml):
+   [guard ~pass ~fallback body] runs [body], and answers [fallback ()]
+   instead when the pass fails or is already disabled for the unit. *)
+type guard = { guard : 'a. pass:string -> fallback:(unit -> 'a) -> (unit -> 'a) -> 'a }
 
 (* The compile-time view of the live Lisp world. *)
 type world = {
@@ -1568,35 +1555,27 @@ let bind_default ctx (p : param) : int =
   end;
   if v.v_special then 1 else 0
 
-let tn_report_key : Buffer.t S1_par.Dls.t = S1_par.Dls.create (fun () -> Buffer.create 256)
-let tn_report_buf () = S1_par.Dls.get tn_report_key
-
-let compile_body w opt ~prefix ~name ~env_layout ~fixups ~pending ~counter
-    ~origin:(origin_id, origin_loc) (l : lam) : Asm.item list =
+let compile_body w opt (guard : guard) ~report ~prefix ~name ~env_layout ~fixups ~pending
+    ~counter ~origin:(origin_id, origin_loc) (l : lam) : Asm.item list =
   let ctx = make_fctx w opt ~prefix ~env_layout ~fixups ~pending ~counter in
   let fn_unwinds = annotate ctx l l.l_body in
   (* defaults can reference earlier parameters, so their code is part of
      the body for TN purposes; conservatively extend with defaults *)
   let packing =
     Obs.with_span "tnbind" (fun () ->
-        let naive = not opt.use_tnbind in
-        try
-          let p = Tn.pack ~naive ctx.pool in
-          !(pass_hook ()) "tnbind";
-          p
-        with e when not naive ->
-          (* greedy packing failed: fall back to frame slots for every TN
-             still unassigned (pack skips TNs that already have storage,
-             so a partial greedy result stays valid) *)
-          !(on_fallback ()) ~pass:"tnbind" ~reason:(Printexc.to_string e);
-          Tn.pack ~naive:true ctx.pool)
+        (* greedy packing falls back to frame slots for every TN still
+           unassigned (pack skips TNs that already have storage, so a
+           partial greedy result stays valid) *)
+        let naive () = Tn.pack ~naive:true ctx.pool in
+        if opt.use_tnbind then
+          guard.guard ~pass:"tnbind" ~fallback:naive (fun () -> Tn.pack ctx.pool)
+        else naive ())
   in
-  Buffer.add_string (tn_report_buf ()) (Printf.sprintf ";;; TN packing for %s:\n" name);
+  Buffer.add_string report (Printf.sprintf ";;; TN packing for %s:\n" name);
   List.iter
-    (fun tn ->
-      Buffer.add_string (tn_report_buf ()) (Format.asprintf ";;;   %a\n" Tn.pp_tn tn))
+    (fun tn -> Buffer.add_string report (Format.asprintf ";;;   %a\n" Tn.pp_tn tn))
     (List.sort (fun a b -> compare a.Tn.tn_id b.Tn.tn_id) ctx.pool.Tn.tns);
-  Buffer.add_string (tn_report_buf ())
+  Buffer.add_string report
     (Printf.sprintf ";;;   => %d in registers, %d pointer slots, %d scratch slots\n"
        packing.Tn.r_in_registers packing.Tn.r_pointer_slots packing.Tn.r_scratch_slots);
   Hashtbl.iter
@@ -1763,19 +1742,19 @@ let compile_body w opt ~prefix ~name ~env_layout ~fixups ~pending ~counter
   else gen ctx l.l_body Ret;
   List.rev !(ctx.buf)
 
-let compile_function (w : world) ?(options = default_options) ~(name : string) (lam_node : node)
-    : compiled =
+let compile_function (w : world) ?(options = default_options) (guard : guard) ~(name : string)
+    (lam_node : node) : compiled =
   Obs.with_span "codegen" (fun () ->
   match lam_node.kind with
   | Lambda l ->
       let cg = S1_par.Dls.get counter_global in
       incr cg;
-      Buffer.clear (tn_report_buf ());
+      let report = Buffer.create 256 in
       let prefix = Printf.sprintf "%s~%d" name !cg in
       let fixups = ref [] and pending = ref [] and counter = ref 0 in
       let main =
-        compile_body w options ~prefix ~name ~env_layout:[] ~fixups ~pending ~counter
-          ~origin:(lam_node.n_id, lam_node.n_loc) l
+        compile_body w options guard ~report ~prefix ~name ~env_layout:[] ~fixups ~pending
+          ~counter ~origin:(lam_node.n_id, lam_node.n_loc) l
       in
       (* compile nested closures breadth-first; more may appear *)
       let chunks = ref [ main ] in
@@ -1787,8 +1766,8 @@ let compile_function (w : world) ?(options = default_options) ~(name : string) (
             incr cg;
             let cprefix = Printf.sprintf "%s~C%d" name !cg in
             let body =
-              compile_body w options ~prefix:cprefix ~name:cl.l_name ~env_layout ~fixups
-                ~pending ~counter ~origin cl
+              compile_body w options guard ~report ~prefix:cprefix ~name:cl.l_name
+                ~env_layout ~fixups ~pending ~counter ~origin cl
             in
             (* the closure's entry label is referenced by fixups: alias it *)
             chunks := (Asm.Label entry :: body) :: !chunks;
@@ -1801,14 +1780,9 @@ let compile_function (w : world) ?(options = default_options) ~(name : string) (
       let prog = List.concat (List.rev !chunks) in
       let prog =
         if options.peephole then
-          try
-            let p = fst (Peephole.run prog) in
-            !(pass_hook ()) "peephole";
-            p
-          with e ->
-            (* the unpeepholed program is always a correct fallback *)
-            !(on_fallback ()) ~pass:"peephole" ~reason:(Printexc.to_string e);
-            prog
+          (* the unpeepholed program is always a correct fallback *)
+          guard.guard ~pass:"peephole" ~fallback:(fun () -> prog) (fun () ->
+              fst (Peephole.run prog))
         else begin
           S1_obs.Remark.missed ~pass:"peephole" ~rule:"BRANCH-TENSION"
             ~node:lam_node.n_id ?loc:lam_node.n_loc
@@ -1831,6 +1805,6 @@ let compile_function (w : world) ?(options = default_options) ~(name : string) (
         c_min_args = nreq;
         c_max_args = nmax;
         c_fixups = !fixups;
-        c_tn_report = Buffer.contents (tn_report_buf ());
+        c_tn_report = Buffer.contents report;
       }
   | _ -> err "compile_function: not a lambda")

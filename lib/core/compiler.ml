@@ -97,7 +97,8 @@ type t = {
       (** (name, program, org) per loaded unit, newest first *)
   mutable pass_hook : string -> Node.node -> unit;
       (** chaos fault-injection point: called with (pass name, tree)
-          after each guarded pass body runs, {e inside} the guard, so
+          after each of the six guarded pass bodies runs (the unit's
+          tree for TN packing and peephole), {e inside} the guard, so
           injected exceptions and deliberate corruption exercise the same
           rollback machinery a real pass bug would.  Instance-scoped so
           concurrent compiler instances (batch workers) cannot bleed
@@ -267,27 +268,52 @@ let record_incident (c : t) ~pass ~reason ~loc =
     (Printf.sprintf "%s rolled back and disabled for this unit: %s" pass reason);
   if c.strict then raise (Strict_failure inc)
 
-(* Run one tree pass under the crash guard: open an undo trail, run the
-   body (then the chaos hook) under a node-construction budget, re-verify
-   the result, and on any failure — exception, budget exhaustion, or
-   verifier diagnostics — undo what the pass wrote, re-analyze, log an
-   incident, and carry on with the pass disabled for this unit.  The
-   guard costs a census walk, the trail of the pass's writes and the
-   verifier's walk.  The id wells advance by the census as a deep copy
-   of the tree would advance them, which keeps every later node,
-   variable and tag id, and so every image, remark and journal, what it
-   was when the guard copied the tree.  The only exceptions allowed out
-   are host-fatal ones and [Strict_failure]. *)
+(* A failure a pass body reports itself, with its own reason and place. *)
+exception Pass_failed of { reason : string; loc : S1_loc.Loc.t option }
+
+(* The one crash guard of all six guarded passes.  A pass already
+   disabled for this unit goes straight to [fallback].  Otherwise [enter]
+   opens the pass and [body] runs it; [Out_of_memory] escapes, and any
+   other exception is a pass failure: [recover] puts back what the pass
+   wrote, [fallback] supplies its result, and only then is the incident
+   logged (so the ROLLBACK remark survives the recovery's remark drop),
+   disabling the pass for the rest of the unit. *)
+let guard_pass (c : t) ~pass ~loc ~(fallback : unit -> 'a) ~(enter : unit -> 's)
+    ~(recover : 's -> unit) (body : 's -> 'a) : 'a =
+  if List.mem pass c.unit_disabled then fallback ()
+  else
+    let s = enter () in
+    match body s with
+    | v -> v
+    | exception (Out_of_memory as e) -> raise e
+    | exception e ->
+        recover s;
+        let v = fallback () in
+        let reason, loc =
+          match e with
+          | Pass_failed f -> (f.reason, f.loc)
+          | Node.Budget_exhausted { budget; _ } ->
+              (Printf.sprintf "node budget exhausted (%d nodes)" budget, loc)
+          | e -> (Printexc.to_string e, loc)
+        in
+        record_incident c ~pass ~reason ~loc;
+        v
+
+(* A tree pass under the guard: run the body (then the chaos hook) on an
+   undo trail under a node-construction budget and re-verify the result;
+   recovery undoes what the pass wrote and re-analyzes.  The guard costs
+   a census walk, the trail of the pass's writes and the verifier's walk.
+   The id wells advance by the census as a deep copy of the tree would
+   advance them, which keeps every later node, variable and tag id, and
+   so every image, remark and journal, what it was when the guard copied
+   the tree. *)
 let guarded (c : t) ~pass ~stage (root : Node.node) (body : unit -> unit) : unit =
-  if List.mem pass c.unit_disabled then ()
-  else begin
-    let census = Node.census root in
-    Node.reserve census;
-    let trail = Node.open_trail () in
-    let remark_mark = S1_obs.Remark.mark () in
-    let budget = 200_000 + (1_000 * census.Node.cn_nodes) in
-    let rollback ~verify_fail ~reason ~loc =
-      if verify_fail then Obs.incr "robust.verify_fail";
+  guard_pass c ~pass ~loc:root.Node.n_loc ~fallback:ignore
+    ~enter:(fun () ->
+      let census = Node.census root in
+      Node.reserve census;
+      (census, Node.open_trail (), S1_obs.Remark.mark ()))
+    ~recover:(fun (_, trail, remark_mark) ->
       Node.undo trail;
       (* analysis only ever sets [v_captured]: clear it so the refresh
          captures what the restored tree needs, not what the pass did *)
@@ -300,31 +326,31 @@ let guarded (c : t) ~pass ~stage (root : Node.node) (body : unit -> unit) : unit
       S1_analysis.Analyze.refresh root;
       (* the pass's remarks describe decisions on a tree that no longer
          exists: the rollback takes them too *)
-      S1_obs.Remark.drop_since remark_mark;
-      record_incident c ~pass ~reason ~loc
-    in
-    match
-      Node.with_budget ~trail ~pass budget (fun () ->
+      S1_obs.Remark.drop_since remark_mark)
+    (fun (census, trail, _) ->
+      Node.with_budget ~trail ~pass (200_000 + (1_000 * census.Node.cn_nodes)) (fun () ->
           body ();
           c.pass_hook pass root);
-      Verify.run ~stage root
-    with
-    | [] -> ()
-    | d :: _ as ds ->
-        rollback ~verify_fail:true
-          ~reason:
-            (Printf.sprintf "verifier: %s (%d diagnostic%s)" (Verify.diag_to_string d)
-               (List.length ds)
-               (if List.length ds = 1 then "" else "s"))
-          ~loc:d.Verify.d_loc
-    | exception Node.Budget_exhausted { budget; _ } ->
-        rollback ~verify_fail:false
-          ~reason:(Printf.sprintf "node budget exhausted (%d nodes)" budget)
-          ~loc:root.Node.n_loc
-    | exception (Out_of_memory as e) -> raise e
-    | exception e ->
-        rollback ~verify_fail:false ~reason:(Printexc.to_string e) ~loc:root.Node.n_loc
-  end
+      match Verify.run ~stage root with
+      | [] -> ()
+      | d :: _ as ds ->
+          Obs.incr "robust.verify_fail";
+          let n = List.length ds in
+          let why = Verify.diag_to_string d and s = if n = 1 then "" else "s" in
+          let reason = Printf.sprintf "verifier: %s (%d diagnostic%s)" why n s in
+          raise (Pass_failed { reason; loc = d.Verify.d_loc }))
+
+(* TN packing and peephole under the guard, handed to the code
+   generator: nothing to restore, and the chaos hook sees the unit. *)
+let gen_guard (c : t) (lam_node : Node.node) : Gen.guard =
+  let guard ~pass ~fallback body =
+    guard_pass c ~pass ~loc:lam_node.Node.n_loc ~fallback ~enter:ignore ~recover:ignore
+      (fun () ->
+        let v = body () in
+        c.pass_hook pass lam_node;
+        v)
+  in
+  { Gen.guard }
 
 (* Run the full machine-independent and machine-dependent pipeline on a
    converted lambda node. *)
@@ -352,12 +378,6 @@ let run_phases (c : t) (lam_node : Node.node) : Transcript.t =
       if not (List.mem "repan" c.unit_disabled) then
         guarded c ~pass:"pdlnum" ~stage:Verify.After_pdlnum lam_node (fun () ->
             S1_rep.Pdlnum.run lam_node);
-      (* A representation or pdl-number rollback restored a snapshot whose
-         decorations are defaults again: compile fully boxed (load_lambda
-         also turns off inline prims and pdl numbers for this unit, the
-         certified all-POINTER configuration). *)
-      if List.mem "repan" c.unit_disabled || List.mem "pdlnum" c.unit_disabled then
-        pointerize lam_node;
       Transcript.set_enabled ts was_enabled;
       Transcript.since ts m)
 
@@ -366,7 +386,8 @@ let run_phases (c : t) (lam_node : Node.node) : Transcript.t =
    the function word.  The program must contain only live-world operands
    (label operands aside) — the compile service resolves its serialized
    world references before calling this.  With [keep_transcript] set it
-   keeps the unit's listing and TN report for [--listing]/[--tns]. *)
+   keeps the unit's listing and (from source only) its TN report for
+   [--listing]/[--tns]. *)
 let install_compiled (c : t) ~name (compiled : Gen.compiled) : int =
   if c.keep_transcript then begin
     c.last_listing <- Some (Asm.listing compiled.Gen.c_prog);
@@ -409,24 +430,17 @@ let load_lambda (c : t) ~world ~(install : name:string -> Gen.compiled -> int) ~
   Node.propagate_locs lam_node;
   let ts = run_phases c lam_node in
   if c.keep_transcript then c.last_transcript <- Some ts;
-  (* after a representation-level rollback the tree is fully boxed; the
-     generator must not open-code prims or stack-allocate numbers on it *)
+  (* a representation or pdl-number rollback leaves default decorations:
+     compile the unit fully boxed, with no open-coded prims and no stack
+     numbers, the certified all-POINTER configuration *)
   let options =
-    if List.mem "repan" c.unit_disabled || List.mem "pdlnum" c.unit_disabled then
+    if List.mem "repan" c.unit_disabled || List.mem "pdlnum" c.unit_disabled then begin
+      pointerize lam_node;
       { c.options with Gen.inline_prims = false; Gen.pdl_numbers = false }
+    end
     else c.options
   in
-  (* route in-generator fallbacks (TN packing, peephole) into the same
-     incident log as the tree passes *)
-  let fallback = Gen.on_fallback () in
-  let saved_fallback = !fallback in
-  fallback :=
-    (fun ~pass ~reason -> record_incident c ~pass ~reason ~loc:lam_node.Node.n_loc);
-  let compiled =
-    Fun.protect
-      ~finally:(fun () -> fallback := saved_fallback)
-      (fun () -> Gen.compile_function world ~options ~name lam_node)
-  in
+  let compiled = Gen.compile_function world ~options (gen_guard c lam_node) ~name lam_node in
   install ~name compiled)
 
 (* Top-level form processing -------------------------------------------------- *)

@@ -297,6 +297,9 @@ let defun ?specials ?(macros = fun _ -> None) ?locs (s : Sexp.t) : string * Node
               | Node.Lambda l -> l.Node.l_strategy <- Node.Toplevel
               | _ -> err "DEFUN %s did not convert to a lambda" name);
               (name, lam)))
+  | Sexp.List [ Sexp.Sym "DEFUN"; Sexp.Sym name ] -> err "DEFUN %s has no parameter list" name
+  | Sexp.List (Sexp.Sym "DEFUN" :: Sexp.Sym name :: params :: _) ->
+      err "DEFUN %s: parameter list %s is not a proper list" name (Sexp.to_string params)
   | _ -> err "not a DEFUN: %s" (Sexp.to_string s)
 
 (* Top-level forms ---------------------------------------------------------- *)

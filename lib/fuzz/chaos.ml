@@ -44,13 +44,12 @@ let fault_name = function
   | Tiny_heap -> "tiny-heap"
   | Tiny_fuel -> "tiny-fuel"
 
-(* Every guarded pass is a target: the four tree passes through the
-   driver's hook, the two in-generator passes through the generator's. *)
+(* Every guarded pass is a target, through the compiler's one pass hook;
+   only the four tree passes leave a tree to corrupt. *)
 let tree_passes = [ "simplify"; "cse"; "repan"; "pdlnum" ]
-let gen_passes = [ "tnbind"; "peephole" ]
 
 let all_faults =
-  List.map (fun p -> Pass_raise p) (tree_passes @ gen_passes)
+  List.map (fun p -> Pass_raise p) (tree_passes @ [ "tnbind"; "peephole" ])
   @ List.map (fun p -> Corrupt p) tree_passes
   @ [ Tiny_heap; Tiny_fuel ]
 
@@ -93,15 +92,6 @@ let eval_structured (c : C.t) (forms : Sexp.t list) : Oracle.outcome * string op
       let what = Printexc.to_string e in
       (Oracle.Crash what, Some what)
 
-(* The tree hook is instance-scoped (set on the compiler under test);
-   only the generator's domain-local hook needs dynamic-extent scoping
-   here. *)
-let with_gen_hook ~gen f =
-  let h = GenO.pass_hook () in
-  let saved_gen = !h in
-  h := gen;
-  Fun.protect ~finally:(fun () -> h := saved_gen) f
-
 (* Verifier-detectable damage: a duplicated subtree (unique-id violation)
    for the structural stages, an uncoercible ISREP/WANTREP pair for the
    representation stages. *)
@@ -133,36 +123,22 @@ let check_one ~(fault : fault) (forms : Sexp.t list) : string list =
       let cfg = config_for fault in
       let reference = Oracle.run_interp forms in
       let armed = ref true in
-      let inject p =
+      let hook p root =
         if !armed && p = pass then begin
           armed := false;
           Obs.incr "chaos.faults";
-          raise (Injected pass)
+          match fault with Corrupt _ -> corrupt pass root | _ -> raise (Injected pass)
         end
-      in
-      let tree, gen =
-        match fault with
-        | Pass_raise _ -> ((fun p _ -> inject p), fun p -> inject p)
-        | Corrupt _ ->
-            ( (fun p root ->
-                if !armed && p = pass then begin
-                  armed := false;
-                  Obs.incr "chaos.faults";
-                  corrupt pass root
-                end),
-              fun _ -> () )
-        | _ -> assert false
       in
       let before = Obs.count "robust.pass_rollback" in
       let compiled, unstructured =
-        with_gen_hook ~gen (fun () ->
-            let c =
-              C.create ~options:cfg.Oracle.cfg_options ~rules:cfg.Oracle.cfg_rules
-                ~cse:cfg.Oracle.cfg_cse ()
-            in
-            c.C.pass_hook <- tree;
-            c.C.rt.Rt.fuel <- Some Oracle.fuzz_fuel;
-            eval_structured c forms)
+        let c =
+          C.create ~options:cfg.Oracle.cfg_options ~rules:cfg.Oracle.cfg_rules
+            ~cse:cfg.Oracle.cfg_cse ()
+        in
+        c.C.pass_hook <- hook;
+        c.C.rt.Rt.fuel <- Some Oracle.fuzz_fuel;
+        eval_structured c forms
       in
       let fired = not !armed in
       let rollbacks = Obs.count "robust.pass_rollback" - before in

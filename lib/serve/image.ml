@@ -1,4 +1,4 @@
-(** Serialized compiled units: the [s1lisp.image/2] on-disk format.
+(** Serialized compiled units: the [s1lisp.image/3] on-disk format.
 
     An image is everything the compile service needs to reinstate a
     compiled file into a {e different} live world than the one it was
@@ -27,7 +27,11 @@
     [/2] over [/1]: the envelope payload records the degradation rung
     ([degraded]) the supervised service compiled the unit at ("" for a
     full-strength compile), so a warm load can surface that the cached
-    code is a fallback artifact. *)
+    code is a fallback artifact.
+
+    [/3] over [/2]: a unit no longer carries its listing or TN report
+    text.  Nothing read them back: a warm unit's [--listing] comes from
+    its installed program. *)
 
 module Json = S1_obs.Json
 module Isa = S1_machine.Isa
@@ -37,7 +41,7 @@ module Sexp = S1_sexp.Sexp
 module Loc = S1_loc.Loc
 module Convert = S1_frontend.Convert
 
-let schema_version = "s1lisp.image/2"
+let schema_version = "s1lisp.image/3"
 
 (* Every envelope this module has ever written starts with this byte
    sequence (compact printing, fixed field order).  A blob that starts
@@ -79,8 +83,6 @@ type unit_img = {
   u_fixups : (string * int * string * int * int) list;
       (** closure fixups; the cell component is a sentinel *)
   u_refs : worldref list;  (** the recipe, in recording order *)
-  u_listing : string;  (** resolved listing, as [--annotate] shows it *)
-  u_tn_report : string;
 }
 
 (** What the unit was {e for}: the top-level form's reading
@@ -305,8 +307,6 @@ let json_of_unit (u : unit_img) : Json.t =
                Json.Arr [ jstr e; jint cell; jstr n; jint mn; jint mx ])
              u.u_fixups) );
       ("refs", Json.Arr (List.map json_of_worldref u.u_refs));
-      ("listing", jstr u.u_listing);
-      ("tn_report", jstr u.u_tn_report);
     ]
 
 let json_of_action (a : action) : Json.t =
@@ -527,8 +527,6 @@ let unit_of_json (j : Json.t) : unit_img =
           | _ -> fail "bad fixup encoding")
         (darr (dfield j "fixups"));
     u_refs = List.map worldref_of_json (darr (dfield j "refs"));
-    u_listing = dstr (dfield j "listing");
-    u_tn_report = dstr (dfield j "tn_report");
   }
 
 let action_of_json (j : Json.t) : action =

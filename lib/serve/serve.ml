@@ -18,7 +18,8 @@
     substitute and install.  Because the recipe replays the exact
     world-effect sequence of a from-source compile, the loaded code is
     byte-identical — same words, same addresses, same cycle counts, same
-    annotate listing — without running a single optimization pass.
+    annotate listing (rendered from the installed program: an image
+    carries no listing text) — without running a single optimization pass.
 
     All compiler state is either per-instance ({!S1_core.Compiler.t}) or
     domain-local ({!S1_par.Dls}), so concurrent batch workers are
@@ -26,7 +27,6 @@
 
 module Sexp = S1_sexp.Sexp
 module Reader = S1_sexp.Reader
-module Asm = S1_machine.Asm
 module Cpu = S1_machine.Cpu
 module Rt = S1_runtime.Rt
 module Node = S1_ir.Node
@@ -126,9 +126,8 @@ let resolve_refs (w : Gen.world) (refs : Image.worldref list) : int array =
 
 (* The one install path of a unit image, warm replay and cold compile
    alike: replay its recipe against the live world, substitute the
-   resolved words, install.  Returns the resolved unit (the cold capture
-   keeps its listing) and the function word. *)
-let install_unit (c : C.t) (u : Image.unit_img) : Gen.compiled * int =
+   resolved words, install.  Returns the function word. *)
+let install_unit (c : C.t) (u : Image.unit_img) : int =
   let arr = resolve_refs (C.world_of c) u.Image.u_refs in
   let compiled =
     {
@@ -138,10 +137,10 @@ let install_unit (c : C.t) (u : Image.unit_img) : Gen.compiled * int =
       c_min_args = u.Image.u_min_args;
       c_max_args = u.Image.u_max_args;
       c_fixups = Image.subst_fixups arr u.Image.u_fixups;
-      c_tn_report = u.Image.u_tn_report;
+      c_tn_report = "" (* images carry no TN report *);
     }
   in
-  (compiled, C.install_compiled c ~name:u.Image.u_name compiled)
+  C.install_compiled c ~name:u.Image.u_name compiled
 
 (* Cold capture --------------------------------------------------------- *)
 
@@ -165,13 +164,10 @@ let capture_form (c : C.t) (form : Sexp.t) : int * Image.action =
           u_max_args = compiled.Gen.c_max_args;
           u_fixups = compiled.Gen.c_fixups;
           u_refs = List.rev rc.rc_refs;
-          u_listing = "";
-          u_tn_report = compiled.Gen.c_tn_report;
         }
       in
-      let resolved, fobj = install_unit c u in
-      captured := Some { u with Image.u_listing = Asm.listing resolved.Gen.c_prog };
-      fobj
+      captured := Some u;
+      install_unit c u
     in
     (recording_world rc, install)
   in
@@ -266,10 +262,10 @@ let compile_cold (cfg : cfg) ?(prepare = fun (_ : C.t) -> ()) ?fuel ?deadline
     unreachable garbage once the static roots are restored. *)
 let execute_in (c : C.t) (img : Image.t) : int =
   let ws = C.snapshot_world c in
-  let install u = snd (install_unit c u) in
   try
     List.fold_left
-      (fun _ a -> C.perform c ~fn:(fun u -> (u.Image.u_name, install u)) ~expr:install a)
+      (fun _ a ->
+        C.perform c ~fn:(fun u -> (u.Image.u_name, install_unit c u)) ~expr:(install_unit c) a)
       c.C.rt.Rt.nil img.Image.i_actions
   with e ->
     C.restore_world c ws;

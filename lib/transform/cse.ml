@@ -125,10 +125,7 @@ let eliminate_one (ts : Transcript.t) (root : node) : bool =
       v.v_binder <- Some lam;
       set_kind home (Call (lam, [ init ]));
       home.n_dirty <- true;
-      S1_obs.Obs.incr "rule.COMMON-SUBEXPRESSION-ELIMINATION";
-      (match home.n_loc with
-      | Some l -> S1_obs.Obs.incr ("rule_at." ^ S1_loc.Loc.line_key l)
-      | None -> ());
+      Rules.count_fire "COMMON-SUBEXPRESSION-ELIMINATION" home;
       if journaling then begin
         S1_obs.Remark.passed ~pass:"cse" ~rule:"COMMON-SUBEXPRESSION-ELIMINATION"
           ~node:home.n_id ?loc:home.n_loc

@@ -164,6 +164,38 @@ let test_strict_mode_escalates () =
   | exception C.Strict_failure i ->
       Alcotest.(check string) "failing pass" "simplify" i.C.i_pass
 
+(* The generator's two guarded passes fail through the same hook and the
+   same guard as the tree passes.  MK compiles a closure body after its
+   main body, and a failed pass stays disabled for the rest of its unit:
+   one rollback per unit, not one per body. *)
+let closure_src = "(DEFUN MK (N) (LAMBDA (X) (+ X N)))\n(FUNCALL (MK 3) 4)"
+
+let test_generator_pass_faults () =
+  List.iter
+    (fun (pass, point) ->
+      let cfg = Option.get (S1_fuzz.Oracle.find_config point) in
+      let create ?strict () =
+        C.create ?strict ~options:cfg.S1_fuzz.Oracle.cfg_options
+          ~rules:cfg.S1_fuzz.Oracle.cfg_rules ~cse:cfg.S1_fuzz.Oracle.cfg_cse ()
+      in
+      let fault p _ = if p = pass then failwith ("injected " ^ p) in
+      let plain = eval (create ()) closure_src in
+      let c = create () in
+      let before = Obs.count "robust.pass_rollback" in
+      let faulted = with_pass_hook c fault (fun () -> eval c closure_src) in
+      Alcotest.(check int)
+        (pass ^ ": one rollback per compiled unit") 2
+        (Obs.count "robust.pass_rollback" - before);
+      Alcotest.(check (list string))
+        (pass ^ ": incidents") [ pass; pass ]
+        (List.map (fun i -> i.C.i_pass) c.C.incidents);
+      Alcotest.(check string) (pass ^ ": same value as the fault-free compile") plain faulted;
+      let strict = create ~strict:true () in
+      match with_pass_hook strict fault (fun () -> eval strict closure_src) with
+      | v -> Alcotest.failf "%s: expected Strict_failure, got value %s" pass v
+      | exception C.Strict_failure i -> Alcotest.(check string) "failing pass" pass i.C.i_pass)
+    [ ("tnbind", "default"); ("peephole", "peephole") ]
+
 (* Budget --------------------------------------------------------------------- *)
 
 let test_node_budget () =
@@ -191,13 +223,18 @@ let corpus_files () =
   |> List.map (fun f ->
          (f, In_channel.with_open_text (Filename.concat corpus_dir f) In_channel.input_all))
 
-(* Compile every corpus file (CSE on, so all four guarded passes run)
-   with [hook] called on each tree a guarded pass leaves. *)
+(* Compile every corpus file (CSE on, so all four guarded tree passes
+   run) with [hook] called on each tree a guarded tree pass leaves.  TN
+   packing and peephole leave no tree of their own: the hook sees the
+   unit's tree again there, and damage to it would break code
+   generation rather than exercise a guard. *)
 let iter_corpus_trees hook =
   List.iter
     (fun (f, src) ->
       let c = C.create ~cse:true () in
-      with_pass_hook c (hook f) (fun () -> ignore (C.eval_string ~file:f c src)))
+      with_pass_hook c
+        (fun pass root -> if List.mem pass S1_fuzz.Chaos.tree_passes then hook f pass root)
+        (fun () -> ignore (C.eval_string ~file:f c src)))
     (corpus_files ())
 
 let wells () =
@@ -535,6 +572,7 @@ let () =
           Alcotest.test_case "records incident" `Quick test_rollback_records_incident;
           Alcotest.test_case "strict escalates" `Quick test_strict_mode_escalates;
           Alcotest.test_case "restores the pre-pass tree" `Quick test_rollback_parity;
+          Alcotest.test_case "generator pass faults" `Quick test_generator_pass_faults;
         ] );
       ( "budget",
         [

@@ -288,9 +288,10 @@ let test_toplevel_parity () =
       check_observed ~exact:false ~what:(src ^ ": compiled = warm replay") plain replayed)
     programs
 
-(* Irregular forms read as ordinary expressions by every engine: the
-   cold and warm service outcomes are the same string, and the
-   interpreter agrees with them. *)
+(* Irregular forms read the same way by every engine (mostly as
+   ordinary expressions; a malformed DEFUN fails to convert): the cold
+   and warm service outcomes are the same string, and the interpreter
+   agrees with them. *)
 let test_toplevel_irregular () =
   let dir = fresh_dir "irregular" in
   List.iteri
@@ -312,7 +313,19 @@ let test_toplevel_irregular () =
       "(DEFMACRO M X X)";
       "(PROCLAIM '(SPECIAL 3 *B*))\n(DEFUN PROBE () *B*)\n(LET ((*B* 4)) (PROBE))";
       "(DEFUN \"F\" (X) X)";
+      "(DEFUN F X)";
     ]
+
+(* A DEFUN whose parameter list is not a list is a definition all the
+   same: both engines name the parameter list as the fault. *)
+let test_malformed_defun_message () =
+  let src = "(DEFUN F X)" in
+  let expected = "<error: convert: DEFUN F: parameter list X is not a proper list>" in
+  let cold = Serve.compile_file Serve.default_cfg ~file:"malformed.lisp" src in
+  Alcotest.(check string) "compiled" expected
+    (S1_fuzz.Oracle.outcome_string cold.Serve.r_outcome);
+  Alcotest.(check string) "interpreted" expected
+    (S1_fuzz.Oracle.outcome_string (S1_fuzz.Oracle.run_interp (Reader.parse_string src)))
 
 (* Loader --------------------------------------------------------------------- *)
 
@@ -432,9 +445,10 @@ let test_key_stable () =
     (Serve.key_of Serve.default_cfg sample_src)
 
 (* Content addresses are pinned: each fuzz-oracle lattice point and
-   both compiled degradation rungs keep the canonical string and the
-   key of "(+ 1 2)" they had when each of them was spelled out by hand.
-   Any change here invalidates every cached image, image envelope and
+   both compiled degradation rungs keep the canonical string they had
+   when each of them was spelled out by hand, and the key of "(+ 1 2)"
+   under the current image schema (re-pinned at s1lisp.image/3).  Any
+   change here invalidates every cached image, image envelope and
    incident repro. *)
 let pinned_points : (string * string * string) list =
   let rules r = "beta=" ^ r ^ " fold=" ^ r ^ " ifopt=" ^ r ^ " assoc=" ^ r
@@ -447,36 +461,36 @@ let pinned_points : (string * string * string) list =
       "beta=1 fold=1 ifopt=1 assoc=1 identities=1 deadcode=1 sinc=1 integrate=1 \
        typed_specialize=1 max_integrate=40 max_duplicate=8 checked=1 tnbind=1 pdl=1 \
        cache_specials=1 inline_prims=1 peephole=0 cse=0",
-      "9187cc580d2cb5bad235bcf7592621ab" );
+      "6c028a46bb68cba6d7f5dd789c6fa60a" );
     ( "no-opt",
       rules "0" ^ " max_integrate=0 max_duplicate=0 checked=1 tnbind=1 pdl=1 \
        cache_specials=1 inline_prims=1 peephole=0 cse=0",
-      "05a50d31db53a751a8825f70b10e2a67" );
+      "ef7919da88cff47c4753a1ff2d4f9695" );
     ( "no-tnbind",
       on ^ " checked=1 tnbind=0 pdl=1 cache_specials=1 inline_prims=1 peephole=0 cse=0",
-      "988dadafa1b5e5fab00e4034a105c4b2" );
+      "a0b1b297fa07d4dad65f3d534c7db8e2" );
     ( "no-pdl",
       on ^ " checked=1 tnbind=1 pdl=0 cache_specials=1 inline_prims=1 peephole=0 cse=0",
-      "ab6dd01f7e8626eb05c24c4b64b4f3e0" );
+      "4f84009258fe9010b074508729dc2d08" );
     ( "no-cache-specials",
       on ^ " checked=1 tnbind=1 pdl=1 cache_specials=0 inline_prims=1 peephole=0 cse=0",
-      "bd8263f3f84cb656440219f30d188224" );
+      "bc26eba1bd6530b04abda7afa182c68e" );
     ( "no-inline-prims",
       on ^ " checked=1 tnbind=1 pdl=1 cache_specials=1 inline_prims=0 peephole=0 cse=0",
-      "b55b4c1eb24a24b87ef976a83a5c0bb1" );
+      "97f3329a462ad8bc05cf0f06f3595cbf" );
     ( "peephole",
       on ^ " checked=1 tnbind=1 pdl=1 cache_specials=1 inline_prims=1 peephole=1 cse=0",
-      "921273c0f6036e2fd768a5c1adf6cfab" );
+      "6237b9dbb81c8a205336f778dae01a20" );
     ( "cse",
       on ^ " checked=1 tnbind=1 pdl=1 cache_specials=1 inline_prims=1 peephole=0 cse=1",
-      "92f39976a6fc7f1a3477a5f579dc43e6" );
+      "25b83a55a51ed11c40974df09b57050d" );
     ( "no-tnbind-pdl",
       on ^ " checked=1 tnbind=0 pdl=0 cache_specials=1 inline_prims=1 peephole=0 cse=0",
-      "1f322c3937f5eb04a98cb05e17322bfb" );
+      "ee528fc1e02c753ecd3d1c0fa88feef4" );
     ( "boxed",
       rules "0" ^ " max_integrate=0 max_duplicate=0 checked=1 tnbind=0 pdl=0 \
        cache_specials=0 inline_prims=0 peephole=0 cse=0",
-      "8edd991a6585686fe384dbc1c80e1ebb" );
+      "d8b439e5ead6ee9cda235067b6ec3838" );
   ]
 
 let test_keys_pinned () =
@@ -805,6 +819,8 @@ let () =
             test_toplevel_parity;
           Alcotest.test_case "irregular forms agree cold, warm and interpreted" `Quick
             test_toplevel_irregular;
+          Alcotest.test_case "malformed DEFUN names its parameter list" `Quick
+            test_malformed_defun_message;
         ] );
       ( "keys",
         [
