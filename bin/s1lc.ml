@@ -394,8 +394,9 @@ let run phases listing transcript tns interpret repl stats timings profile metri
     S1_obs.Timeline.reset ();
     S1_obs.Timeline.set_enabled true
   end;
-  if annotate then c.C.record_code <- true;
-  if trace <> None then S1_transform.Transcript.set_enabled c.C.journal true;
+  (* the unit log (and with it the journal) feeds every view of a
+     compiled unit *)
+  if listing || transcript || tns || annotate || trace <> None then c.C.log <- Some [];
   (* source text per input (pseudo-)file, for annotated listings *)
   let sources : (string, string array) Hashtbl.t = Hashtbl.create 4 in
   if phases then begin
@@ -406,8 +407,9 @@ let run phases listing transcript tns interpret repl stats timings profile metri
     if listing || transcript || tns then begin
       let l, t = C.listing_of c form in
       if transcript then print_string (S1_transform.Transcript.to_string t);
-      if tns then
-        (match c.C.last_tn_report with Some r -> print_string r | None -> ());
+      (match c.C.log with
+      | Some (u :: _) when tns -> print_string (S1_codegen.Gen.tn_report u.C.l_unit.c_packing)
+      | _ -> ());
       if listing then print_endline l;
       (* also actually evaluate, for defuns and effects *)
       match S1_frontend.Convert.toplevel form with
@@ -552,10 +554,12 @@ let run phases listing transcript tns interpret repl stats timings profile metri
   if annotate then begin
     let source f = Hashtbl.find_opt sources f in
     List.iter
-      (fun (name, prog, org) ->
-        print_string (S1_machine.Annotate.render c.C.rt.Rt.cpu ~source ~name ~org prog);
+      (fun { C.l_unit = u; l_org = org; _ } ->
+        print_string
+          (S1_machine.Annotate.render c.C.rt.Rt.cpu ~source ~name:u.S1_codegen.Gen.c_name ~org
+             u.c_prog);
         print_newline ())
-      (List.rev c.C.code_log)
+      (List.rev (Option.value c.C.log ~default:[]))
   end;
   if profile then Format.printf "%a@." Cpu.pp_profile c.C.rt.Rt.cpu;
   (match trace with

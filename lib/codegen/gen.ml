@@ -66,6 +66,10 @@ let default_options =
   { checked = true; use_tnbind = true; pdl_numbers = true; cache_specials = true;
     inline_prims = true; peephole = false }
 
+(* One body's TNBIND decisions: its TNs (none is written after packing)
+   and the packing's totals. *)
+type packing = { pk_body : string; pk_tns : Tn.tn list; pk_result : Tn.result }
+
 type compiled = {
   c_name : string;
   c_prog : Asm.program;
@@ -75,11 +79,26 @@ type compiled = {
   c_fixups : (string * int * string * int * int) list;
       (** (entry label, static cell, name, min, max) of nested closures:
           the loader builds their code objects and fills the cells *)
-  c_tn_report : string;
-      (** "the compiler offers to print several pages of information
-          about how it performed the register allocation" (§7): the TN
-          table with lifetimes, use counts, and packed locations *)
+  c_packing : packing list;
+      (** per body, in compilation order; [] for a unit loaded from an
+          image, which carries no packing *)
 }
+
+(** "The compiler offers to print several pages of information about how
+    it performed the register allocation" (§7): the TN table of each body,
+    with lifetimes, use counts and packed locations. *)
+let tn_report (packing : packing list) : string =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun { pk_body; pk_tns; pk_result = r } ->
+      Printf.bprintf b ";;; TN packing for %s:\n" pk_body;
+      List.iter
+        (fun tn -> Buffer.add_string b (Format.asprintf ";;;   %a\n" Tn.pp_tn tn))
+        (List.sort (fun a b -> compare a.Tn.tn_id b.Tn.tn_id) pk_tns);
+      Printf.bprintf b ";;;   => %d in registers, %d pointer slots, %d scratch slots\n"
+        r.Tn.r_in_registers r.Tn.r_pointer_slots r.Tn.r_scratch_slots)
+    packing;
+  Buffer.contents b
 
 (* Variable access paths. *)
 type loc =
@@ -1555,29 +1574,30 @@ let bind_default ctx (p : param) : int =
   end;
   if v.v_special then 1 else 0
 
-let compile_body w opt (guard : guard) ~report ~prefix ~name ~env_layout ~fixups ~pending
+let compile_body w opt (guard : guard) ~packings ~prefix ~name ~env_layout ~fixups ~pending
     ~counter ~origin:(origin_id, origin_loc) (l : lam) : Asm.item list =
   let ctx = make_fctx w opt ~prefix ~env_layout ~fixups ~pending ~counter in
   let fn_unwinds = annotate ctx l l.l_body in
   (* defaults can reference earlier parameters, so their code is part of
-     the body for TN purposes; conservatively extend with defaults *)
+     the body for TN packing; conservatively extend with defaults *)
   let packing =
     Obs.with_span "tnbind" (fun () ->
-        (* greedy packing falls back to frame slots for every TN still
-           unassigned (pack skips TNs that already have storage, so a
-           partial greedy result stays valid) *)
         let naive () = Tn.pack ~naive:true ctx.pool in
-        if opt.use_tnbind then
-          guard.guard ~pass:"tnbind" ~fallback:naive (fun () -> Tn.pack ctx.pool)
+        if opt.use_tnbind then begin
+          (* a failed greedy packing is undone, its remarks with it, so
+             the body packs exactly as under --no-tnbind *)
+          let slots = Tn.slots ctx.pool and remarks = S1_obs.Remark.mark () in
+          let fallback () =
+            Tn.unpack ctx.pool slots;
+            S1_obs.Remark.drop_since remarks;
+            naive ()
+          in
+          guard.guard ~pass:"tnbind" ~fallback (fun () -> Tn.pack ctx.pool)
+        end
         else naive ())
   in
-  Buffer.add_string report (Printf.sprintf ";;; TN packing for %s:\n" name);
-  List.iter
-    (fun tn -> Buffer.add_string report (Format.asprintf ";;;   %a\n" Tn.pp_tn tn))
-    (List.sort (fun a b -> compare a.Tn.tn_id b.Tn.tn_id) ctx.pool.Tn.tns);
-  Buffer.add_string report
-    (Printf.sprintf ";;;   => %d in registers, %d pointer slots, %d scratch slots\n"
-       packing.Tn.r_in_registers packing.Tn.r_pointer_slots packing.Tn.r_scratch_slots);
+  Tn.count ctx.pool packing;
+  packings := { pk_body = name; pk_tns = ctx.pool.Tn.tns; pk_result = packing } :: !packings;
   Hashtbl.iter
     (fun vid tn ->
       let base = loc_of_storage (Tn.storage tn) in
@@ -1749,11 +1769,10 @@ let compile_function (w : world) ?(options = default_options) (guard : guard) ~(
   | Lambda l ->
       let cg = S1_par.Dls.get counter_global in
       incr cg;
-      let report = Buffer.create 256 in
       let prefix = Printf.sprintf "%s~%d" name !cg in
-      let fixups = ref [] and pending = ref [] and counter = ref 0 in
+      let fixups = ref [] and pending = ref [] and counter = ref 0 and packings = ref [] in
       let main =
-        compile_body w options guard ~report ~prefix ~name ~env_layout:[] ~fixups ~pending
+        compile_body w options guard ~packings ~prefix ~name ~env_layout:[] ~fixups ~pending
           ~counter ~origin:(lam_node.n_id, lam_node.n_loc) l
       in
       (* compile nested closures breadth-first; more may appear *)
@@ -1766,7 +1785,7 @@ let compile_function (w : world) ?(options = default_options) (guard : guard) ~(
             incr cg;
             let cprefix = Printf.sprintf "%s~C%d" name !cg in
             let body =
-              compile_body w options guard ~report ~prefix:cprefix ~name:cl.l_name
+              compile_body w options guard ~packings ~prefix:cprefix ~name:cl.l_name
                 ~env_layout ~fixups ~pending ~counter ~origin cl
             in
             (* the closure's entry label is referenced by fixups: alias it *)
@@ -1805,6 +1824,6 @@ let compile_function (w : world) ?(options = default_options) (guard : guard) ~(
         c_min_args = nreq;
         c_max_args = nmax;
         c_fixups = !fixups;
-        c_tn_report = Buffer.contents report;
+        c_packing = List.rev !packings;
       }
   | _ -> err "compile_function: not a lambda")

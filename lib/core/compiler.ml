@@ -64,6 +64,15 @@ exception Strict_failure of incident
 (** Raised instead of degrading when {!t.strict} is set: CI wants pass
     failures loud, production worlds want them survived. *)
 
+(** One installed unit, as the unit log keeps it. *)
+type logged = {
+  l_unit : Gen.compiled;  (** as installed: name, program, packing *)
+  l_org : int;  (** code address the program loaded at *)
+  l_rewrites : Transcript.t;
+      (** the unit's slice of the session journal; empty for a unit
+          loaded from an image *)
+}
+
 type t = {
   rt : Rt.t;
   it : S1_interp.Interp.t;  (** interpreter sharing the same world *)
@@ -79,22 +88,18 @@ type t = {
   mutable cse : bool;
       (** run the optional common-subexpression-elimination phase (the
           paper's §4.3, off in the shipped compiler) *)
-  mutable keep_transcript : bool;
-  mutable last_transcript : Transcript.t option;
-  mutable last_listing : string option;
-  mutable last_tn_report : string option;
   macros : (string, int) Hashtbl.t;
       (** DEFMACRO expanders: macro name -> compiled function word *)
+  mutable log : logged list option;
+      (** the unit log, newest first: every installed unit, for
+          [s1lc --listing/--tns/--transcript/--annotate].  [None] (the
+          default) keeps nothing; [Some _] also records the journal. *)
   journal : Transcript.t;
-      (** persistent whole-session rewrite journal ([s1lc --trace]); each
-          compilation unit is a {!Transcript.since} slice of it.  Disabled
-          by default; [keep_transcript] enables recording per-unit. *)
+      (** persistent whole-session rewrite journal ([s1lc --trace]),
+          recording while the unit log is on; each compilation unit is a
+          {!Transcript.since} slice of it *)
   mutable locs : S1_sexp.Reader.loctab option;
       (** source positions for forms about to be compiled *)
-  mutable record_code : bool;
-      (** keep every loaded program for [s1lc --annotate] *)
-  mutable code_log : (string * Asm.program * int) list;
-      (** (name, program, org) per loaded unit, newest first *)
   mutable pass_hook : string -> Node.node -> unit;
       (** chaos fault-injection point: called with (pass name, tree)
           after each of the six guarded pass bodies runs (the unit's
@@ -117,15 +122,10 @@ let create ?config ?(options = Gen.default_options) ?(rules = Rules.default_conf
     unit_disabled = [];
     rules;
     cse;
-    keep_transcript = false;
-    last_transcript = None;
-    last_listing = None;
-    last_tn_report = None;
     macros = Hashtbl.create 8;
+    log = None;
     journal = Transcript.create ~enabled:false ();
     locs = None;
-    record_code = false;
-    code_log = [];
     pass_hook = (fun _ _ -> ());
   }
 
@@ -356,11 +356,10 @@ let gen_guard (c : t) (lam_node : Node.node) : Gen.guard =
    converted lambda node. *)
 let run_phases (c : t) (lam_node : Node.node) : Transcript.t =
   Obs.with_span "phases" (fun () ->
-      (* record into the session journal; the per-unit transcript is the
-         slice of events this compilation appends *)
+      (* record into the session journal while the unit log is on; the
+         unit's rewrites are the slice of events this compilation appends *)
       let ts = c.journal in
-      let was_enabled = Transcript.enabled ts in
-      Transcript.set_enabled ts (was_enabled || c.keep_transcript);
+      Transcript.set_enabled ts (Option.is_some c.log);
       let m = Transcript.mark ts in
       c.unit_disabled <- [];
       guarded c ~pass:"simplify" ~stage:Verify.After_simplify lam_node (fun () ->
@@ -378,24 +377,23 @@ let run_phases (c : t) (lam_node : Node.node) : Transcript.t =
       if not (List.mem "repan" c.unit_disabled) then
         guarded c ~pass:"pdlnum" ~stage:Verify.After_pdlnum lam_node (fun () ->
             S1_rep.Pdlnum.run lam_node);
-      Transcript.set_enabled ts was_enabled;
       Transcript.since ts m)
 
 (* Install an already-generated unit into the live world: load the code,
    build the function object, and patch nested-closure cells.  Returns
    the function word.  The program must contain only live-world operands
    (label operands aside) — the compile service resolves its serialized
-   world references before calling this.  With [keep_transcript] set it
-   keeps the unit's listing and (from source only) its TN report for
-   [--listing]/[--tns]. *)
-let install_compiled (c : t) ~name (compiled : Gen.compiled) : int =
-  if c.keep_transcript then begin
-    c.last_listing <- Some (Asm.listing compiled.Gen.c_prog);
-    c.last_tn_report <- Some compiled.Gen.c_tn_report
-  end;
+   world references before calling this.  With the unit log on, the unit
+   and [rewrites], its slice of the journal, go into the log. *)
+let install_compiled (c : t) ?(rewrites = Transcript.create ~enabled:false ())
+    (compiled : Gen.compiled) : int =
+  let name = compiled.Gen.c_name in
   let code_lo = c.rt.Rt.cpu.Cpu.code_len in
   let image = Obs.with_span "load" (fun () -> Cpu.load c.rt.Rt.cpu compiled.Gen.c_prog) in
-  if c.record_code then c.code_log <- (name, compiled.Gen.c_prog, code_lo) :: c.code_log;
+  Option.iter
+    (fun log ->
+      c.log <- Some ({ l_unit = compiled; l_org = code_lo; l_rewrites = rewrites } :: log))
+    c.log;
   (* symbolize the loaded range (closures compiled into the same program
      fold under the outer function's name) for the cycle profiler *)
   Cpu.add_symbol c.rt.Rt.cpu ~lo:code_lo ~hi:c.rt.Rt.cpu.Cpu.code_len ~name;
@@ -418,18 +416,17 @@ let install_compiled (c : t) ~name (compiled : Gen.compiled) : int =
     compiled.Gen.c_fixups;
   fobj
 
-(* Compile a lambda node against [world] and hand the unit to [install]
-   ({!install_compiled} over {!world_of} for a from-source compile; the
-   compile service records the world requests and installs the unit
-   resolved).  Returns the function word. *)
-let load_lambda (c : t) ~world ~(install : name:string -> Gen.compiled -> int) ~name
-    (lam_node : Node.node) : int =
+(* Compile a lambda node against [world] and hand the unit, with its
+   rewrites, to [install] ({!install_compiled} over {!world_of} for a
+   from-source compile; the compile service records the world requests
+   and installs the unit resolved).  Returns the function word. *)
+let load_lambda (c : t) ~world ~(install : ?rewrites:Transcript.t -> Gen.compiled -> int)
+    ~name (lam_node : Node.node) : int =
   Obs.with_span "compile" (fun () ->
   (* fill unlocated nodes from their nearest located ancestor so every
      emitted instruction can resolve to a source line *)
   Node.propagate_locs lam_node;
-  let ts = run_phases c lam_node in
-  if c.keep_transcript then c.last_transcript <- Some ts;
+  let rewrites = run_phases c lam_node in
   (* a representation or pdl-number rollback leaves default decorations:
      compile the unit fully boxed, with no open-coded prims and no stack
      numbers, the certified all-POINTER configuration *)
@@ -441,7 +438,7 @@ let load_lambda (c : t) ~world ~(install : name:string -> Gen.compiled -> int) ~
     else c.options
   in
   let compiled = Gen.compile_function world ~options (gen_guard c lam_node) ~name lam_node in
-  install ~name compiled)
+  install ~rewrites compiled)
 
 (* Top-level form processing -------------------------------------------------- *)
 
@@ -523,11 +520,14 @@ let eval_print (c : t) (forms : Sexp.t list) : string =
 
 (* Introspection --------------------------------------------------------------- *)
 
+(** Compile [form] (a DEFUN is also installed, anything else only
+    compiled) with the unit log on, and read its unit back: the unit's
+    listing and rewrites. *)
 let listing_of (c : t) (form : Sexp.t) : string * Transcript.t =
-  let saved = c.keep_transcript in
-  c.keep_transcript <- true;
+  let was_off = Option.is_none c.log in
+  if was_off then c.log <- Some [];
   Fun.protect
-    ~finally:(fun () -> c.keep_transcript <- saved)
+    ~finally:(fun () -> if was_off then c.log <- None)
     (fun () ->
       (match Convert.toplevel form with
       | Convert.Defun _ -> ignore (eval c form)
@@ -535,7 +535,8 @@ let listing_of (c : t) (form : Sexp.t) : string * Transcript.t =
           ignore
             (compile_expression ~name:"%LISTING" c ~world:(world_of c)
                ~install:(install_compiled c) form));
-      ( (match c.last_listing with Some l -> l | None -> ""),
-        match c.last_transcript with Some t -> t | None -> Transcript.create () ))
+      match c.log with
+      | Some (u :: _) -> (Asm.listing u.l_unit.Gen.c_prog, u.l_rewrites)
+      | _ -> ("", Transcript.create ()))
 
 let print_value (c : t) w = Rt.print_value c.rt w

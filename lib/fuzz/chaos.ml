@@ -20,12 +20,9 @@
 module Sexp = S1_sexp.Sexp
 module Reader = S1_sexp.Reader
 module Mem = S1_machine.Mem
-module Cpu = S1_machine.Cpu
 module Rt = S1_runtime.Rt
-module Heap = S1_runtime.Heap
 module Node = S1_ir.Node
 module C = S1_core.Compiler
-module GenO = S1_codegen.Gen
 module Obs = S1_obs.Obs
 
 (* The injected pass fault; carrying the pass name makes an escaped
@@ -70,27 +67,18 @@ type failure = {
 
 type report = { c_seed : int; c_count : int; c_faults : int; c_failures : failure list }
 
-(* Structured evaluation: like {!Oracle.run_compiled} but distinguishing
-   "typed condition" from "untyped OCaml exception" — the latter is
+(* Structured evaluation: like {!Oracle.run_compiled}, but an exception
+   outside {!Oracle.failure}'s table is reported as an untyped escape,
    precisely what crash-proofing promises cannot happen. *)
 let eval_structured (c : C.t) (forms : Sexp.t list) : Oracle.outcome * string option =
   match C.eval_print c forms with
   | s -> (Oracle.Value s, None)
-  | exception Rt.Lisp_error m -> (Oracle.Error m, None)
-  | exception Rt.Thrown _ -> (Oracle.Error "uncaught throw", None)
-  | exception S1_frontend.Convert.Convert_error { message; _ } ->
-      (Oracle.Error ("convert: " ^ message), None)
-  | exception S1_frontend.Macroexp.Expansion_error { message; _ } ->
-      (Oracle.Error ("macro: " ^ message), None)
-  | exception GenO.Codegen_error m -> (Oracle.Crash ("codegen: " ^ m), None)
-  | exception (Cpu.Trap _ as e) ->
-      (Oracle.Crash (Option.value ~default:"trap" (Cpu.trap_message e)), None)
-  | exception Heap.Heap_exhausted { requested } ->
-      (Oracle.Crash (Printf.sprintf "host-side heap exhaustion (%d words)" requested), None)
-  | exception C.Strict_failure i -> (Oracle.Crash ("strict: " ^ C.incident_to_string i), None)
-  | exception e ->
-      let what = Printexc.to_string e in
-      (Oracle.Crash what, Some what)
+  | exception e -> (
+      match Oracle.failure ~engine:"compiler" e with
+      | Some o -> (o, None)
+      | None ->
+          let what = Printexc.to_string e in
+          (Oracle.Crash what, Some what))
 
 (* Verifier-detectable damage: a duplicated subtree (unique-id violation)
    for the structural stages, an uncoercible ISREP/WANTREP pair for the

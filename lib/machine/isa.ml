@@ -283,22 +283,27 @@ let width_name = function S -> "S" | D -> "D"
 
 (* Service-name registry ------------------------------------------------ *)
 
+(* Process-global and shared by every domain: image decoding on batch
+   workers registers names while another domain's boot registers the
+   natives, so both directions go through one lock. *)
 let svc_names : (int, string) Hashtbl.t = Hashtbl.create 32
 let svc_by_name : (string, int) Hashtbl.t = Hashtbl.create 32
 let svc_next = ref 0
+let svc_lock = Mutex.create ()
 
 let register_svc name =
-  match Hashtbl.find_opt svc_by_name name with
-  | Some id -> id
-  | None ->
-      let id = !svc_next in
-      incr svc_next;
-      Hashtbl.replace svc_names id name;
-      Hashtbl.replace svc_by_name name id;
-      id
+  Mutex.protect svc_lock (fun () ->
+      match Hashtbl.find_opt svc_by_name name with
+      | Some id -> id
+      | None ->
+          let id = !svc_next in
+          incr svc_next;
+          Hashtbl.replace svc_names id name;
+          Hashtbl.replace svc_by_name name id;
+          id)
 
 let svc_name id =
-  match Hashtbl.find_opt svc_names id with
+  match Mutex.protect svc_lock (fun () -> Hashtbl.find_opt svc_names id) with
   | Some n -> n
   | None -> Printf.sprintf "*:SQ-SERVICE-%d" id
 

@@ -176,4 +176,5 @@ val pp_instr : Format.formatter -> instr -> unit
 val svc_name : int -> string
 val register_svc : string -> int
 (** Allocate a service id with a symbolic [*:SQ-...] name (used by the
-    runtime at setup; the table is global and append-only). *)
+    runtime at setup and by image decoding; the table is global,
+    append-only and shared safely by all domains). *)

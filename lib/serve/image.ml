@@ -40,6 +40,7 @@ module Tags = S1_machine.Tags
 module Sexp = S1_sexp.Sexp
 module Loc = S1_loc.Loc
 module Convert = S1_frontend.Convert
+module Gen = S1_codegen.Gen
 
 let schema_version = "s1lisp.image/3"
 
@@ -74,14 +75,11 @@ type worldref =
   | Rval_cell of string  (** address of a symbol's value cell *)
   | Rfresh_cell  (** allocate one fresh static cell (closure fixups) *)
 
+(** A compiled unit in sentinel form, with its recipe.  World words in
+    the program and the closure fixups' cells are sentinels; an image
+    keeps no TN packing. *)
 type unit_img = {
-  u_name : string;
-  u_prog : Asm.program;  (** pre-assembly, world words as sentinels *)
-  u_entry : string;
-  u_min_args : int;
-  u_max_args : int;
-  u_fixups : (string * int * string * int * int) list;
-      (** closure fixups; the cell component is a sentinel *)
+  u_unit : Gen.compiled;
   u_refs : worldref list;  (** the recipe, in recording order *)
 }
 
@@ -292,21 +290,21 @@ let json_of_worldref (r : worldref) : Json.t =
   | Rval_cell n -> Json.Arr [ jstr "val"; jstr n ]
   | Rfresh_cell -> Json.Arr [ jstr "cell" ]
 
-let json_of_unit (u : unit_img) : Json.t =
+let json_of_unit ({ u_unit = u; u_refs } : unit_img) : Json.t =
   Json.Obj
     [
-      ("name", jstr u.u_name);
-      ("entry", jstr u.u_entry);
-      ("min", jint u.u_min_args);
-      ("max", jint u.u_max_args);
-      ("prog", Json.Arr (List.map json_of_item u.u_prog));
+      ("name", jstr u.Gen.c_name);
+      ("entry", jstr u.Gen.c_entry);
+      ("min", jint u.Gen.c_min_args);
+      ("max", jint u.Gen.c_max_args);
+      ("prog", Json.Arr (List.map json_of_item u.Gen.c_prog));
       ( "fixups",
         Json.Arr
           (List.map
              (fun (e, cell, n, mn, mx) ->
                Json.Arr [ jstr e; jint cell; jstr n; jint mn; jint mx ])
-             u.u_fixups) );
-      ("refs", Json.Arr (List.map json_of_worldref u.u_refs));
+             u.Gen.c_fixups) );
+      ("refs", Json.Arr (List.map json_of_worldref u_refs));
     ]
 
 let json_of_action (a : action) : Json.t =
@@ -512,22 +510,24 @@ let worldref_of_json (j : Json.t) : worldref =
   | _ -> fail "bad world reference encoding"
 
 let unit_of_json (j : Json.t) : unit_img =
-  {
-    u_name = dstr (dfield j "name");
-    u_entry = dstr (dfield j "entry");
-    u_min_args = dint (dfield j "min");
-    u_max_args = dint (dfield j "max");
-    u_prog = List.map item_of_json (darr (dfield j "prog"));
-    u_fixups =
-      List.map
-        (fun f ->
-          match darr f with
-          | [ e; cell; n; mn; mx ] ->
-              (dstr e, dint cell, dstr n, dint mn, dint mx)
-          | _ -> fail "bad fixup encoding")
-        (darr (dfield j "fixups"));
-    u_refs = List.map worldref_of_json (darr (dfield j "refs"));
-  }
+  let u_unit =
+    {
+      Gen.c_name = dstr (dfield j "name");
+      c_entry = dstr (dfield j "entry");
+      c_min_args = dint (dfield j "min");
+      c_max_args = dint (dfield j "max");
+      c_prog = List.map item_of_json (darr (dfield j "prog"));
+      c_fixups =
+        List.map
+          (fun f ->
+            match darr f with
+            | [ e; cell; n; mn; mx ] -> (dstr e, dint cell, dstr n, dint mn, dint mx)
+            | _ -> fail "bad fixup encoding")
+          (darr (dfield j "fixups"));
+      c_packing = [];
+    }
+  in
+  { u_unit; u_refs = List.map worldref_of_json (darr (dfield j "refs")) }
 
 let action_of_json (j : Json.t) : action =
   match darr j with

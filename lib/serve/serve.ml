@@ -127,20 +127,14 @@ let resolve_refs (w : Gen.world) (refs : Image.worldref list) : int array =
 (* The one install path of a unit image, warm replay and cold compile
    alike: replay its recipe against the live world, substitute the
    resolved words, install.  Returns the function word. *)
-let install_unit (c : C.t) (u : Image.unit_img) : int =
-  let arr = resolve_refs (C.world_of c) u.Image.u_refs in
-  let compiled =
+let install_unit (c : C.t) ?rewrites ({ Image.u_unit = u; u_refs } : Image.unit_img) : int =
+  let arr = resolve_refs (C.world_of c) u_refs in
+  C.install_compiled c ?rewrites
     {
-      Gen.c_name = u.Image.u_name;
-      c_prog = Image.subst_program arr u.Image.u_prog;
-      c_entry = u.Image.u_entry;
-      c_min_args = u.Image.u_min_args;
-      c_max_args = u.Image.u_max_args;
-      c_fixups = Image.subst_fixups arr u.Image.u_fixups;
-      c_tn_report = "" (* images carry no TN report *);
+      u with
+      Gen.c_prog = Image.subst_program arr u.Gen.c_prog;
+      c_fixups = Image.subst_fixups arr u.Gen.c_fixups;
     }
-  in
-  C.install_compiled c ~name:u.Image.u_name compiled
 
 (* Cold capture --------------------------------------------------------- *)
 
@@ -154,20 +148,10 @@ let capture_form (c : C.t) (form : Sexp.t) : int * Image.action =
   (* a fresh recording world and its installer, for one unit *)
   let recorder () =
     let rc = { rc_refs = []; rc_n = 0 } in
-    let install ~name (compiled : Gen.compiled) =
-      let u =
-        {
-          Image.u_name = name;
-          u_prog = compiled.Gen.c_prog;
-          u_entry = compiled.Gen.c_entry;
-          u_min_args = compiled.Gen.c_min_args;
-          u_max_args = compiled.Gen.c_max_args;
-          u_fixups = compiled.Gen.c_fixups;
-          u_refs = List.rev rc.rc_refs;
-        }
-      in
+    let install ?rewrites compiled =
+      let u = { Image.u_unit = compiled; u_refs = List.rev rc.rc_refs } in
       captured := Some u;
-      install_unit c u
+      install_unit c ?rewrites u
     in
     (recording_world rc, install)
   in
@@ -265,7 +249,9 @@ let execute_in (c : C.t) (img : Image.t) : int =
   try
     List.fold_left
       (fun _ a ->
-        C.perform c ~fn:(fun u -> (u.Image.u_name, install_unit c u)) ~expr:(install_unit c) a)
+        C.perform c
+          ~fn:(fun u -> (u.Image.u_unit.Gen.c_name, install_unit c u))
+          ~expr:(install_unit c) a)
       c.C.rt.Rt.nil img.Image.i_actions
   with e ->
     C.restore_world c ws;

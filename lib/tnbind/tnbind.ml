@@ -187,18 +187,31 @@ let pack ?(naive = false) ?(registers = [ 14; 15; 16; 17; 18; 19; 8; 9; 10; 11 ]
         end
       end)
     order;
-  let module Obs = S1_obs.Obs in
-  Obs.incr ~n:(List.length pool.tns) "tn.total";
-  Obs.incr ~n:!in_regs "tn.in_registers";
-  Obs.incr ~n:pool.n_pointer_slots "tn.pointer_slots";
-  Obs.incr ~n:pool.n_scratch_slots "tn.scratch_slots";
-  Obs.incr ~n:(List.length (List.filter (fun tn -> tn.tn_across_call) pool.tns))
-    "tn.across_call";
   {
     r_pointer_slots = pool.n_pointer_slots;
     r_scratch_slots = pool.n_scratch_slots;
     r_in_registers = !in_regs;
   }
+
+(* Undoing a failed [pack]: it writes the TNs' storage, all unassigned
+   before packing ([pack] is their only writer), and the two slot
+   counters, which annotation may already have advanced. *)
+let slots pool = (pool.n_pointer_slots, pool.n_scratch_slots)
+
+let unpack pool (pointer_slots, scratch_slots) =
+  List.iter (fun tn -> tn.tn_storage <- None) pool.tns;
+  pool.n_pointer_slots <- pointer_slots;
+  pool.n_scratch_slots <- scratch_slots
+
+(** Count a body's final packing into the [tn.*] counters, once. *)
+let count pool r =
+  let module Obs = S1_obs.Obs in
+  Obs.incr ~n:(List.length pool.tns) "tn.total";
+  Obs.incr ~n:r.r_in_registers "tn.in_registers";
+  Obs.incr ~n:r.r_pointer_slots "tn.pointer_slots";
+  Obs.incr ~n:r.r_scratch_slots "tn.scratch_slots";
+  Obs.incr ~n:(List.length (List.filter (fun tn -> tn.tn_across_call) pool.tns))
+    "tn.across_call"
 
 let storage tn =
   match tn.tn_storage with

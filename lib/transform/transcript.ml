@@ -13,7 +13,7 @@
     ;**** courtesy of META-EVALUATE-ASSOC-COMMUT-CALL
     v}
 
-    - {!to_jsonl} / {!of_jsonl}: a machine-readable journal (schema
+    - {!to_jsonl}: a machine-readable journal (schema
       {!schema_version}) of one JSON object per line, behind
       [s1lc --trace FILE.jsonl].
 
@@ -54,10 +54,7 @@ let record t ?(pass = "simplify") ?(node = -1) ?loc ~before ~after ~rule () =
   end
 
 let events t = List.rev t.events
-let entries = events
 let rules_fired t = List.map (fun e -> e.ev_rule) t.events
-
-let clear t = t.events <- []
 
 (** {1 Slicing} — per-unit views over a persistent journal *)
 
@@ -118,63 +115,3 @@ let to_jsonl t =
       Buffer.add_char b '\n')
     (events t);
   Buffer.contents b
-
-exception Journal_error of string
-
-let event_of_json (j : Json.t) : event =
-  let get name = Json.member name j in
-  let int name ~default =
-    match Option.bind (get name) Json.to_int with Some n -> n | None -> default
-  in
-  let str name =
-    match Option.bind (get name) Json.to_str with
-    | Some s -> s
-    | None -> raise (Journal_error (Printf.sprintf "event missing field %S" name))
-  in
-  let loc =
-    match get "loc" with
-    | Some (Json.Obj _ as l) -> (
-        match
-          ( Option.bind (Json.member "file" l) Json.to_str,
-            Option.bind (Json.member "line" l) Json.to_int,
-            Option.bind (Json.member "col" l) Json.to_int )
-        with
-        | Some file, Some line, Some col -> Some (Loc.make ~file ~line ~col)
-        | _ -> raise (Journal_error "malformed loc object"))
-    | _ -> None
-  in
-  {
-    ev_seq = int "seq" ~default:0;
-    ev_pass = str "pass";
-    ev_rule = str "rule";
-    ev_node = int "node_id" ~default:(-1);
-    ev_loc = loc;
-    ev_before = str "before";
-    ev_after = str "after";
-  }
-
-let of_jsonl (src : string) : t =
-  let lines =
-    String.split_on_char '\n' src |> List.filter (fun l -> String.trim l <> "")
-  in
-  match lines with
-  | [] -> raise (Journal_error "empty journal")
-  | header :: rest ->
-      let hj =
-        try Json.parse header
-        with Json.Parse_error m -> raise (Journal_error ("bad header: " ^ m))
-      in
-      (match Option.bind (Json.member "schema" hj) Json.to_str with
-      | Some s when s = schema_version -> ()
-      | Some s -> raise (Journal_error (Printf.sprintf "unsupported schema %S" s))
-      | None -> raise (Journal_error "header lacks a schema field"));
-      let evs =
-        List.map
-          (fun line ->
-            match Json.parse line with
-            | j -> event_of_json j
-            | exception Json.Parse_error m -> raise (Journal_error ("bad event: " ^ m)))
-          rest
-      in
-      let next = List.fold_left (fun acc e -> max acc (e.ev_seq + 1)) 0 evs in
-      { events = List.rev evs; enabled = true; next_seq = next }

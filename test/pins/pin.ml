@@ -1,0 +1,36 @@
+(* Digest s1lc's introspection output: [pin S1LC FILE...] runs
+   [S1LC POINT VIEW FILE] for every lattice point and view below and
+   prints one line per run: the MD5 of its stdout, the view, the point
+   and the file, plus the exit status when it is not 0. *)
+
+let points = [ []; [ "--no-tnbind" ]; [ "--cse"; "--peephole" ] ]
+let views = [ "--tns"; "--listing"; "--transcript" ]
+
+let run prog args =
+  let ic = Unix.open_process_args_in prog (Array.of_list (prog :: args)) in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> (out, "")
+  | Unix.WEXITED n -> (out, Printf.sprintf " exit %d" n)
+  | Unix.WSIGNALED n | Unix.WSTOPPED n -> (out, Printf.sprintf " signal %d" n)
+
+let () =
+  match Array.to_list Sys.argv with
+  | _ :: s1lc :: files ->
+      List.iter
+        (fun view ->
+          List.iter
+            (fun point ->
+              List.iter
+                (fun file ->
+                  let out, status = run s1lc (point @ [ view; file ]) in
+                  let point = if point = [] then "default" else String.concat " " point in
+                  Printf.printf "%s %s [%s] %s%s\n"
+                    (Digest.to_hex (Digest.string out))
+                    view point (Filename.basename file) status)
+                files)
+            points)
+        views
+  | _ ->
+      prerr_endline "usage: pin S1LC FILE...";
+      exit 2

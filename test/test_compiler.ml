@@ -507,6 +507,39 @@ let test_guard_allocation () =
        (List.length !units))
     true (per_node <= 20.0)
 
+(* A compile allocates for the code it makes and nothing for text no one
+   reads: host minor words per compiled unit over every corpus program,
+   read from the "compile" span (phases, code generation and load) over
+   a second round, after a warm-up round.  About 7 600 words today;
+   rendering the TN report for every body cost about 900 more. *)
+let compile_bound = 8000
+
+let test_compile_allocation () =
+  let dir = if Sys.file_exists "corpus" then "corpus" else "test/corpus" in
+  let srcs =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".lisp")
+    |> List.sort compare
+    |> List.map (fun f -> In_channel.with_open_text (Filename.concat dir f) In_channel.input_all)
+  in
+  let compile_span () =
+    match List.find_opt (fun sp -> sp.S1_obs.Obs.sp_path = "compile") (S1_obs.Obs.spans ()) with
+    | Some sp -> (sp.S1_obs.Obs.sp_alloc, sp.S1_obs.Obs.sp_count)
+    | None -> (0, 0)
+  in
+  let round () = List.iter (fun src -> ignore (C.eval_string (C.create ()) src)) srcs in
+  round ();
+  let words0, units0 = compile_span () in
+  round ();
+  let words1, units1 = compile_span () in
+  let units = units1 - units0 in
+  let per_unit = (words1 - words0) / max 1 units in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d minor words per compiled unit over %d units, at most %d" per_unit units
+       compile_bound)
+    true
+    (units > 0 && per_unit <= compile_bound)
+
 (* Simulated instructions allocate nothing on the host: the float codec
    keeps floats unboxed, calls resolve without options, heap counters are
    interned and the free list is arrays.  Minor words per simulated
@@ -583,6 +616,7 @@ let () =
           Alcotest.test_case "warm boot allocation" `Quick test_boot_allocation;
           Alcotest.test_case "simulator host allocation" `Quick test_sim_allocation;
           Alcotest.test_case "pass guard allocation" `Quick test_guard_allocation;
+          Alcotest.test_case "compile allocation" `Quick test_compile_allocation;
         ] );
       ( "differential",
         [

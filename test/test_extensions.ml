@@ -173,7 +173,6 @@ let test_cse_no_thrash_with_optimizer () =
   (* run the full pipeline with CSE enabled: the optimizer must not
      substitute the CSE binding away again (the paper's §4.3 worry) *)
   let c = C.create ~cse:true () in
-  c.C.keep_transcript <- true;
   let listing, ts =
     C.listing_of c (Reader.parse_one "(defun f (a b) (list (* a b) (* a b)))")
   in

@@ -181,6 +181,41 @@ let prop_float36_relative_error =
 
 (* Assembler --------------------------------------------------------------- *)
 
+(* The service registry is process-global and shared by all domains:
+   while worker domains register fresh names, every name registered at
+   module initialisation still reads back its own id, and no two names
+   share an id. *)
+let test_svc_registry_domains () =
+  ignore (Sys.opaque_identity S1_runtime.Svc.cons);
+  let rec known id =
+    let name = Isa.svc_name id in
+    if name = Printf.sprintf "*:SQ-SERVICE-%d" id then [] else (name, id) :: known (id + 1)
+  in
+  let known = known 0 in
+  let workers = 3 and finished = Atomic.make 0 in
+  let minted =
+    List.init workers (fun d ->
+        Domain.spawn (fun () ->
+            let ids =
+              List.init 3000 (fun i -> Isa.register_svc (Printf.sprintf "*:SQ-RACE-%d-%d" d i))
+            in
+            Atomic.incr finished;
+            ids))
+  in
+  (* look up until the workers finish or the first lookup goes wrong *)
+  let wrong = ref None in
+  while Atomic.get finished < workers && !wrong = None do
+    List.iter
+      (fun (name, id) ->
+        let id' = Isa.register_svc name in
+        if id' <> id && !wrong = None then
+          wrong := Some (Printf.sprintf "%s: %d, not %d" name id' id))
+      known
+  done;
+  let ids = List.map snd known @ List.concat_map Domain.join minted in
+  Alcotest.(check (option string)) "lookups during registration" None !wrong;
+  Alcotest.(check int) "unique ids" (List.length ids) (List.length (List.sort_uniq compare ids))
+
 let test_asm_labels () =
   let cpu = Cpu.create () in
   let image =
@@ -1160,6 +1195,7 @@ let () =
           Alcotest.test_case "undefined label" `Quick test_asm_undefined_label;
           Alcotest.test_case "2.5-address discipline" `Quick test_asm_validates_25_address;
           Alcotest.test_case "data blocks" `Quick test_asm_data_blocks;
+          Alcotest.test_case "service registry across domains" `Quick test_svc_registry_domains;
         ] );
       ( "mem",
         [

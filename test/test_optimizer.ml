@@ -57,8 +57,9 @@ let observe ~journals (cfg : Oracle.config) ~file src =
     C.create ~options:cfg.Oracle.cfg_options ~rules:cfg.Oracle.cfg_rules
       ~cse:cfg.Oracle.cfg_cse ()
   in
-  Transcript.set_enabled c.C.journal journals;
-  c.C.record_code <- true;
+  (* the unit log is the journal's switch; the code is read through the
+     installer, so the run without journals keeps the log off *)
+  if journals then c.C.log <- Some [];
   c.C.rt.Rt.fuel <- Some Oracle.fuzz_fuel;
   let trees = Buffer.create 1024 in
   c.C.pass_hook <-
@@ -67,16 +68,29 @@ let observe ~journals (cfg : Oracle.config) ~file src =
         Buffer.add_string trees (pass ^ ": " ^ Backtrans.to_string root);
         Buffer.add_char trees '\n'
       end);
+  let loaded = ref [] in
+  let install ?rewrites (u : S1_codegen.Gen.compiled) =
+    loaded := (u.c_name ^ "\n" ^ S1_machine.Asm.listing u.c_prog) :: !loaded;
+    C.install_compiled c ?rewrites u
+  in
+  let eval form =
+    let world = C.world_of c in
+    C.perform c
+      ~fn:(C.compile_defun c ~world ~install)
+      ~expr:(C.compile_expression c ~world ~install)
+      (S1_frontend.Convert.toplevel form)
+  in
   let outcome =
-    match C.eval_string ~file c src with
+    match
+      let forms, tab = S1_sexp.Reader.parse_string_located ~file src in
+      c.C.locs <- Some tab;
+      List.fold_left (fun _ f -> eval f) c.C.rt.Rt.nil forms
+    with
     | w -> Rt.print_value c.C.rt w
     | exception e -> "exception: " ^ Printexc.to_string e
   in
   Remark.set_enabled false;
-  let code =
-    List.rev_map (fun (name, prog, _) -> name ^ "\n" ^ S1_machine.Asm.listing prog) c.C.code_log
-    |> String.concat "\n"
-  in
+  let code = String.concat "\n" (List.rev !loaded) in
   let counters =
     Obs.counters ()
     |> List.filter optimizer_counter

@@ -14,6 +14,9 @@ module Verify = S1_ir.Verify
 module Rules = S1_transform.Rules
 module C = S1_core.Compiler
 module Obs = S1_obs.Obs
+module Remark = S1_obs.Remark
+module Asm = S1_machine.Asm
+module Gen = S1_codegen.Gen
 
 let eval (c : C.t) (src : string) : string =
   C.eval_print c (Reader.parse_string src)
@@ -222,6 +225,49 @@ let corpus_files () =
   |> List.sort compare
   |> List.map (fun f ->
          (f, In_channel.with_open_text (Filename.concat corpus_dir f) In_channel.input_all))
+
+(* A failed TN packing is undone before the fallback packs: over the
+   corpus, every unit of a compile whose TN packing raises gets the
+   listing and TN report of its --no-tnbind compile, the --no-tnbind
+   remarks plus one ROLLBACK per unit, and the same tn.* counts. *)
+let test_tnbind_fallback_is_no_tnbind () =
+  let compile ~options ~hook src =
+    S1_serve.Serve.reset_compile_state ();
+    Obs.reset ();
+    Remark.reset ();
+    Remark.set_enabled true;
+    let c = C.create ~options () in
+    c.C.log <- Some [];
+    with_pass_hook c hook (fun () -> ignore (C.eval_string c src));
+    Remark.set_enabled false;
+    let units =
+      List.rev_map
+        (fun { C.l_unit = u; _ } -> (Asm.listing u.Gen.c_prog, Gen.tn_report u.Gen.c_packing))
+        (Option.get c.C.log)
+    in
+    let remarks = List.map (fun r -> { r with Remark.r_seq = 0 }) (Remark.remarks ()) in
+    let tn = List.filter (fun (k, _) -> String.starts_with ~prefix:"tn." k) (Obs.counters ()) in
+    (units, remarks, tn)
+  in
+  List.iter
+    (fun (f, src) ->
+      let units, remarks, tn =
+        compile ~options:{ Gen.default_options with Gen.use_tnbind = false }
+          ~hook:(fun _ _ -> ()) src
+      in
+      let units', remarks', tn' =
+        compile ~options:Gen.default_options
+          ~hook:(fun pass _ -> if pass = "tnbind" then failwith "injected")
+          src
+      in
+      let rollback (r : Remark.t) = r.Remark.r_rule = "ROLLBACK" in
+      Alcotest.(check (list (pair string string))) (f ^ ": listings and TN reports") units units';
+      Alcotest.(check int) (f ^ ": one ROLLBACK per unit") (List.length units)
+        (List.length (List.filter rollback remarks'));
+      Alcotest.(check bool) (f ^ ": the --no-tnbind remarks") true
+        (remarks = List.filter (fun r -> not (rollback r)) remarks');
+      Alcotest.(check (list (pair string int))) (f ^ ": tn counters") tn tn')
+    (corpus_files ())
 
 (* Compile every corpus file (CSE on, so all four guarded tree passes
    run) with [hook] called on each tree a guarded tree pass leaves.  TN
@@ -573,6 +619,8 @@ let () =
           Alcotest.test_case "strict escalates" `Quick test_strict_mode_escalates;
           Alcotest.test_case "restores the pre-pass tree" `Quick test_rollback_parity;
           Alcotest.test_case "generator pass faults" `Quick test_generator_pass_faults;
+          Alcotest.test_case "tnbind fallback is --no-tnbind" `Quick
+            test_tnbind_fallback_is_no_tnbind;
         ] );
       ( "budget",
         [

@@ -63,7 +63,12 @@ type observed = {
 
 let arm (c : C.t) =
   Cpu.enable_callgraph c.C.rt.Rt.cpu;
-  c.C.record_code <- true
+  c.C.log <- Some []
+
+let code_of (c : C.t) =
+  List.rev_map
+    (fun { C.l_unit = u; l_org; _ } -> (u.Gen.c_name, Asm.listing u.Gen.c_prog, l_org))
+    (Option.value c.C.log ~default:[])
 
 let observe (c : C.t) (value_word : int) : observed =
   {
@@ -71,10 +76,7 @@ let observe (c : C.t) (value_word : int) : observed =
     output = Rt.output c.C.rt;
     cycles = c.C.rt.Rt.cpu.Cpu.stats.Cpu.cycles;
     folded = Cpu.render_folded c.C.rt.Rt.cpu;
-    code =
-      List.rev_map
-        (fun (name, prog, org) -> (name, Asm.listing prog, org))
-        c.C.code_log;
+    code = code_of c;
   }
 
 (* The reference: plain Compiler.eval with no service involved. *)
@@ -104,10 +106,7 @@ let run_serve ?cache (src : string) ~file : Serve.result * observed =
           output = e.Serve.e_output;
           cycles = e.Serve.e_cycles;
           folded = Cpu.render_folded c.C.rt.Rt.cpu;
-          code =
-            List.rev_map
-              (fun (name, prog, org) -> (name, Asm.listing prog, org))
-              c.C.code_log;
+          code = code_of c;
         } )
   | _ ->
       Alcotest.failf "%s: service run did not complete (%s)" file

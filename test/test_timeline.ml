@@ -211,15 +211,17 @@ let annotate_corpus () =
   let cpu = c.C.rt.Rt.cpu in
   Cpu.reset_stats cpu;
   Cpu.enable_profile cpu;
-  c.C.record_code <- true;
+  c.C.log <- Some [];
   ignore (C.eval_string c ~file:"catch-unwind.lisp" src);
   let lines = Array.of_list (String.split_on_char '\n' src) in
   let source f = if f = "catch-unwind.lisp" then Some lines else None in
   let b = Buffer.create 1024 in
   List.iter
-    (fun (name, prog, org) ->
-      Buffer.add_string b (S1_machine.Annotate.render cpu ~source ~name ~org prog))
-    (List.rev c.C.code_log);
+    (fun { C.l_unit = u; l_org = org; _ } ->
+      Buffer.add_string b
+        (S1_machine.Annotate.render cpu ~source ~name:u.S1_codegen.Gen.c_name ~org
+           u.S1_codegen.Gen.c_prog))
+    (List.rev (Option.value c.C.log ~default:[]));
   (* label gensym counters ("H~21-BODY") are process-global, so two
      compiles in one process differ only there; normalize them *)
   Str.global_replace (Str.regexp "~[0-9]+") "~N" (Buffer.contents b)
