@@ -33,7 +33,9 @@
      s1lc --fuzz 500 --seed 42             differential fuzzing: generated
                                            programs, interpreter vs compiled
                                            across the optimization lattice
-     s1lc --fuzz N --fuzz-report out.json  ... with a structured report
+     s1lc --fuzz N --fuzz-report out.json  ... with a structured report;
+                                           any campaign below writes one
+                                           (schema s1lisp.fuzz/2)
      s1lc --chaos 200 --seed 42            chaos fault injection: seeded pass
                                            faults and resource starvation,
                                            asserting rollback + oracle agreement
@@ -75,6 +77,8 @@ module Reader = S1_sexp.Reader
 module Cpu = S1_machine.Cpu
 module Obs = S1_obs.Obs
 module Json = S1_obs.Obs.Json
+
+let write_file file text = Out_channel.with_open_text file (fun oc -> output_string oc text)
 
 let stats_json (s : Cpu.stats) : Json.t =
   Json.Obj
@@ -208,40 +212,6 @@ let run phases listing transcript tns interpret repl stats timings profile metri
           (List.length files);
         exit 2
   end;
-  (* --serve-fuzz exercises the compile service itself: every generated
-     program is compiled twice through a cache (cold, then warm from its
-     own image) and both runs must agree with the interpreter oracle and
-     with each other. *)
-  (match serve_fuzz with
-  | None -> ()
-  | Some count ->
-      let module Serve = S1_serve.Serve in
-      let report = Serve.fuzz ~seed ~count ?cache_dir () in
-      print_string (Serve.fuzz_summary report);
-      exit (if report.Serve.f_failures <> [] then 1 else 0));
-  (* --serve-chaos is the supervised service's smoke test: a fault-free
-     warm-up batch, then the same units re-batched under seeded worker
-     kills, one-cycle deadlines, and blob corruption; the invariants
-     (completion, byte-identical unfaulted outputs, one terminal
-     incident per fault, deterministic journals) are checked inside. *)
-  (match serve_chaos with
-  | None -> ()
-  | Some count ->
-      let module Sup = S1_serve.Supervise in
-      let dir =
-        match cache_dir with
-        | Some d -> d
-        | None -> Filename.concat (Filename.get_temp_dir_name ()) "s1lc-serve-chaos"
-      in
-      let report = Sup.chaos_smoke ~seed ~count ~jobs ~dir () in
-      (match incidents with
-      | None -> ()
-      | Some file ->
-          let oc = open_out file in
-          output_string oc report.Sup.k_journal;
-          close_out oc);
-      print_string (Sup.smoke_summary report);
-      exit (if report.Sup.k_failures <> [] then 1 else 0));
   (* --serve-batch is the compile-service driver: a content-addressed
      image cache in front of the compiler, -j N domains wide, every unit
      under the supervisor (deadlines, retry ladder, crash isolation).
@@ -476,34 +446,42 @@ let run phases listing transcript tns interpret repl stats timings profile metri
       close_in ic;
       process_string ~file src)
     files;
-  (* differential fuzzing: seeded generation, interpreter-vs-compiled
-     oracle across the optimization lattice, shrunk counterexamples *)
-  let fuzz_failed =
-    match fuzz with
-    | None -> false
-    | Some count ->
-        let report = S1_fuzz.Fuzz.run ~seed ~count () in
-        print_string (S1_fuzz.Fuzz.summary report);
-        (match fuzz_report with
-        | None -> ()
-        | Some file ->
-            let oc = open_out file in
-            output_string oc (Json.to_string (S1_fuzz.Fuzz.json report));
-            output_char oc '\n';
-            close_out oc);
-        report.S1_fuzz.Fuzz.r_findings <> []
+  (* the seeded campaigns, one driver for all four: differential
+     fuzzing across the optimization lattice, chaos fault injection,
+     the compile service's cold/warm cache fuzz and its supervised chaos
+     batch.  Each prints its summary with every finding shrunk and a
+     repro line; --fuzz-report writes each report as JSON *)
+  let reports =
+    List.filter_map
+      (fun (count, campaign) ->
+        Option.map
+          (fun count ->
+            let report = campaign count in
+            print_string (S1_fuzz.Fuzz.summary report);
+            report)
+          count)
+      [
+        (fuzz, fun count -> S1_fuzz.Fuzz.lattice ~seed ~count ());
+        (chaos, fun count -> S1_fuzz.Chaos.run ~seed ~count ());
+        (serve_fuzz, fun count -> S1_serve.Serve.fuzz ~seed ~count ?cache_dir ());
+        ( serve_chaos,
+          fun count ->
+            let dir =
+              match cache_dir with
+              | Some d -> d
+              | None -> Filename.concat (Filename.get_temp_dir_name ()) "s1lc-serve-chaos"
+            in
+            let report, journal = S1_serve.Supervise.chaos_smoke ~seed ~count ~jobs ~dir () in
+            Option.iter (fun file -> write_file file journal) incidents;
+            report );
+      ]
   in
-  (* chaos fault injection: every injected pass fault must roll back
-     exactly once and still agree with the interpreter; resource faults
-     must trap, not crash *)
-  let chaos_failed =
-    match chaos with
-    | None -> false
-    | Some count ->
-        let report = S1_fuzz.Chaos.run ~seed ~count () in
-        print_string (S1_fuzz.Chaos.summary report);
-        report.S1_fuzz.Chaos.c_failures <> []
-  in
+  (match fuzz_report with
+  | Some file when reports <> [] ->
+      write_file file
+        (String.concat ""
+           (List.map (fun r -> Json.to_string (S1_fuzz.Fuzz.json r) ^ "\n") reports))
+  | _ -> ());
   let out = Rt.output c.C.rt in
   if out <> "" then print_string out;
   if repl then begin
@@ -605,7 +583,7 @@ let run phases listing transcript tns interpret repl stats timings profile metri
       output_string oc (S1_obs.Timeline.to_string ());
       close_out oc;
       S1_obs.Timeline.set_enabled false);
-  if fuzz_failed || chaos_failed then exit 1
+  if List.exists (fun r -> r.S1_fuzz.Fuzz.r_findings <> []) reports then exit 1
 
 open Cmdliner
 
@@ -765,17 +743,23 @@ let seed =
   Arg.(
     value & opt int 42
     & info [ "seed" ] ~docv:"S"
-        ~doc:"Master seed for $(b,--fuzz) and $(b,--chaos); program $(i,i) of a run \
-              uses seed S+i, so $(b,--fuzz 1 --seed S+i) (or $(b,--chaos 1)) \
-              reproduces it exactly.")
+        ~doc:"Master seed for $(b,--fuzz), $(b,--chaos), $(b,--serve-fuzz) and \
+              $(b,--serve-chaos); program $(i,i) of a run uses seed S+i, so \
+              $(b,--fuzz 1 --seed S+i) (or $(b,--chaos 1), $(b,--serve-fuzz 1)) \
+              reproduces it exactly.  A $(b,--serve-chaos) finding reproduces with \
+              the whole batch.")
 
 let fuzz_report =
   Arg.(
     value
     & opt (some string) None
     & info [ "fuzz-report" ] ~docv:"FILE"
-        ~doc:"Write the fuzz run's findings as JSON (schema s1lisp.fuzz/1) to $(docv); \
-              deterministic for a fixed seed and lattice.")
+        ~doc:"Write the campaign's report as JSON (schema s1lisp.fuzz/2) to $(docv): \
+              its mode, seed, count and tally, and every finding with its kind, \
+              detail, program, shrunk program and repro line.  Works for \
+              $(b,--fuzz), $(b,--chaos), $(b,--serve-fuzz) and $(b,--serve-chaos); \
+              several campaigns in one run write one document each, in that order.  \
+              Deterministic for a fixed seed and campaign.")
 
 let serve_batch =
   Arg.(

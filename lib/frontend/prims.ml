@@ -38,7 +38,7 @@ let num_of_sexp (s : Sexp.t) : N.num option =
   | Sexp.Float (f, (Sexp.Double | Sexp.Twice)) -> Some (N.Double f)
   | _ -> None
 
-let rec sexp_of_num (n : N.num) : Sexp.t option =
+let sexp_of_num (n : N.num) : Sexp.t option =
   match n with
   | N.Int b -> (
       match B.to_int_opt b with
@@ -50,10 +50,7 @@ let rec sexp_of_num (n : N.num) : Sexp.t option =
       | _ -> None)
   | N.Single f -> Some (Sexp.Float (f, Sexp.Single))
   | N.Double f -> Some (Sexp.Float (f, Sexp.Double))
-  | N.Cpx (re, im) -> (
-      match (sexp_of_num re, sexp_of_num im) with
-      | Some _, Some _ -> None (* no literal syntax for complex; don't fold *)
-      | _ -> None)
+  | N.Cpx _ -> None (* no literal syntax for complex; don't fold *)
 
 let bool_sexp b = if b then Sexp.Sym "T" else Sexp.nil
 
@@ -193,9 +190,6 @@ let prim ?(pure = true) ?(may_alloc = false) ?(commutative = false) ?(associativ
     ?identity ?arg_rep ?res_rep ?fold name min_args max_args =
   { name; min_args; max_args; pure; may_alloc; commutative; associative; identity; arg_rep;
     res_rep; fold }
-
-let flo = Sexp.Float (0.0, Sexp.Single)
-let _ = flo
 
 let table =
   [

@@ -57,16 +57,6 @@ let config_for = function
   | Pass_raise "peephole" -> Option.get (Oracle.find_config "peephole")
   | _ -> Option.get (Oracle.find_config "default")
 
-type failure = {
-  x_index : int;
-  x_seed : int;
-  x_fault : string;
-  x_detail : string;
-  x_program : string;
-}
-
-type report = { c_seed : int; c_count : int; c_faults : int; c_failures : failure list }
-
 (* Structured evaluation: like {!Oracle.run_compiled}, but an exception
    outside {!Oracle.failure}'s table is reported as an untyped escape,
    precisely what crash-proofing promises cannot happen. *)
@@ -181,32 +171,26 @@ let check_one ~(fault : fault) (forms : Sexp.t list) : string list =
             :: !fails);
       List.rev !fails
 
-let run ~seed ~count () : report =
-  let failures = ref [] in
-  let faults = ref 0 in
-  for i = 0 to count - 1 do
-    let pseed = seed + i in
-    let prog = Genprog.generate ~seed:pseed in
-    let r = Prng.create (pseed * 2 + 1) in
-    let fault = Prng.choose r all_faults in
+let mode =
+  { Fuzz.name = "chaos"; units = "programs"; finding = "contract violation"; batch = false }
+
+(** One fault per program, drawn from its seed alone, so a shrunk
+    program keeps the fault the seed drew; a program's violations make
+    one finding whose kind is the fault. *)
+let run ~seed ~count () : Fuzz.report =
+  let check ~seed forms =
+    let fault = Prng.choose (Prng.create ((seed * 2) + 1)) all_faults in
     Obs.incr "chaos.programs";
-    incr faults;
-    let fails = check_one ~fault prog.Genprog.pr_forms in
-    List.iter
-      (fun detail ->
-        Obs.incr "chaos.failures";
-        failures :=
-          {
-            x_index = i;
-            x_seed = pseed;
-            x_fault = fault_name fault;
-            x_detail = detail;
-            x_program = Genprog.render prog;
-          }
-          :: !failures)
-      fails
-  done;
-  { c_seed = seed; c_count = count; c_faults = !faults; c_failures = List.rev !failures }
+    let found = function
+      | [] -> []
+      | fails -> [ (fault_name fault, String.concat "\n" fails) ]
+    in
+    let fails = check_one ~fault forms in
+    if fails <> [] then Obs.incr ~n:(List.length fails) "chaos.failures";
+    Fuzz.issues ~probe:(fun forms -> found (check_one ~fault forms)) (found fails)
+  in
+  Fuzz.run ~mode ~seed ~count ~check ~tally:(fun () ->
+      Printf.sprintf "%d faults injected" count)
 
 (* Batch faults ---------------------------------------------------------- *)
 
@@ -226,6 +210,12 @@ type batch_fault =
   | Bkill  (** raise {!Worker_kill} from inside the unit *)
   | Bdeadline  (** starvation-sized cycle deadline on the first attempt *)
   | Bcorrupt  (** flip bytes in the unit's cached blob before lookup *)
+
+let batch_fault_name = function
+  | Bnone -> "unfaulted"
+  | Bkill -> "worker-kill"
+  | Bdeadline -> "deadline"
+  | Bcorrupt -> "blob-corrupt"
 
 (** The fault unit [index] draws under master [seed].  Roughly half the
     units run fault-free so the smoke can also assert non-interference:
@@ -248,17 +238,3 @@ let corrupt_blob (path : string) : unit =
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5a));
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_bytes oc b)
-
-let summary (r : report) : string =
-  let b = Buffer.create 256 in
-  Printf.bprintf b "chaos: %d programs, seed %d, %d faults injected: %d contract violation%s\n"
-    r.c_count r.c_seed r.c_faults
-    (List.length r.c_failures)
-    (if List.length r.c_failures = 1 then "" else "s");
-  List.iter
-    (fun x ->
-      Printf.bprintf b
-        "\n--- violation: program %d, fault %s\n%s\nprogram:\n%s\nreproduce: s1lc --chaos 1 --seed %d\n"
-        x.x_index x.x_fault x.x_detail x.x_program x.x_seed)
-    r.c_failures;
-  Buffer.contents b

@@ -1,137 +1,187 @@
-(** Fuzz-run driver: generate N seeded programs, oracle each across the
-    optimization lattice, shrink any divergence, and report.
+(** The seeded campaign driver: generate N seeded programs, check each
+    one, shrink every finding, and report — for every campaign s1lc
+    runs ([--fuzz], [--chaos], [--serve-fuzz], [--serve-chaos]).
 
     Seed derivation: program [i] of a run with master seed [S] is
-    generated from seed [S + i], so any finding is reproducible in one
-    command — [s1lc --fuzz 1 --seed (S + i)] regenerates exactly the
-    failing program and re-checks the whole lattice.
+    generated from seed [S + i] ({!programs}), so any finding of a
+    per-program campaign is reproducible in one command —
+    [s1lc --<mode> 1 --seed (S + i)] regenerates exactly the failing
+    program and re-checks it.
 
-    Counters ([fuzz.programs], [fuzz.divergences], [fuzz.shrink_steps],
-    [fuzz.interp_errors]) go through {!Obs}, so [--metrics] and
-    [--timings] cover fuzz runs like any other workload.  The report
-    itself (schema [s1lisp.fuzz/1]) contains no wall-clock fields: same
-    seed and same lattice imply a byte-identical report. *)
+    A campaign is a {!mode} (the words of its summary line) and a
+    check: for one program, the findings it raises, each with a way to
+    re-run that same check on reduced forms.  {!run} shrinks every
+    finding with {!Shrink.shrink}, using that re-check as the predicate,
+    and reports the shrunk program's detail.  The lattice campaign
+    ({!lattice}) is this module's own; {!Chaos}, the compile service's
+    cache fuzz and its chaos batch bring theirs.
+
+    The report (schema [s1lisp.fuzz/2]) names its mode and contains no
+    wall-clock fields: same seed and same campaign imply a
+    byte-identical report. *)
 
 module Sexp = S1_sexp.Sexp
 module Obs = S1_obs.Obs
 module Json = S1_obs.Obs.Json
 
+(** The per-mode words of a campaign's summary line. *)
+type mode = {
+  name : string;  (** the s1lc flag without its dashes: "fuzz" *)
+  units : string;  (** what a run counts: "programs" *)
+  finding : string;  (** what a finding is called: "divergence" *)
+  batch : bool;
+      (** the check runs over the whole batch, so a finding reproduces
+          only with the whole run, not with its program's seed alone *)
+}
+
+(** One thing a check found wrong with one program. *)
+type issue = {
+  kind : string;
+  detail : string;
+  recheck : Sexp.t list -> string option;
+      (** the same check on reduced forms: [Some detail] while they
+          still fail it this way *)
+}
+
 type finding = {
   f_index : int;  (** which program of the run *)
-  f_seed : int;  (** the derived seed: [--fuzz 1 --seed f_seed] reproduces *)
-  f_config : string;  (** lattice point that diverged *)
-  f_flags : string;  (** s1lc flags for that point *)
-  f_kind : string;  (** mismatch | compiled-error | compiled-crash *)
-  f_interp : string;
-  f_compiled : string;
-  f_program : string;  (** full generated program *)
-  f_shrunk : string;  (** delta-debugged local minimum *)
+  f_seed : int;  (** the derived seed: [--<mode> 1 --seed f_seed] reproduces *)
+  f_kind : string;
+  f_detail : string;  (** of the shrunk program, when there is one *)
+  f_program : string;  (** full generated program; "" for a batch-wide finding *)
+  f_shrunk : string;  (** delta-debugged local minimum; "" when not shrunk *)
   f_shrink_steps : int;
 }
 
 type report = {
+  r_mode : mode;
   r_seed : int;
   r_count : int;
-  r_configs : string list;
+  r_tally : string;  (** "8 lattice points", "200 warm hits" *)
   r_findings : finding list;
 }
 
-let schema = "s1lisp.fuzz/1"
+let schema = "s1lisp.fuzz/2"
 
-let run ?(configs = Oracle.lattice) ?(compile_prep = fun forms -> forms) ~seed ~count ()
-    : report =
+(** The programs of a run: index, derived seed, program. *)
+let programs ~seed ~count : (int * int * Genprog.program) Seq.t =
+  Seq.init count (fun i -> (i, seed + i, Genprog.generate ~seed:(seed + i)))
+
+(** Issues from a probe that reports (kind, detail) pairs: each re-runs
+    the probe on reduced forms and holds while its kind recurs. *)
+let issues ~(probe : Sexp.t list -> (string * string) list) found : issue list =
+  List.map
+    (fun (kind, detail) ->
+      { kind; detail; recheck = (fun forms -> List.assoc_opt kind (probe forms)) })
+    found
+
+let run ~mode ~seed ~count ~(tally : unit -> string)
+    ~(check : seed:int -> Sexp.t list -> issue list) : report =
   let findings = ref [] in
-  for i = 0 to count - 1 do
-    let pseed = seed + i in
-    let prog = Genprog.generate ~seed:pseed in
+  Seq.iter
+    (fun (index, pseed, prog) ->
+      let forms = prog.Genprog.pr_forms in
+      List.iter
+        (fun i ->
+          let still_fails forms = i.recheck forms <> None in
+          let shrunk, steps = Shrink.shrink ~still_fails forms in
+          findings :=
+            {
+              f_index = index;
+              f_seed = pseed;
+              f_kind = i.kind;
+              f_detail = Option.value (i.recheck shrunk) ~default:i.detail;
+              f_program = Genprog.render prog;
+              f_shrunk = Genprog.render_forms shrunk;
+              f_shrink_steps = steps;
+            }
+            :: !findings)
+        (check ~seed:pseed forms))
+    (programs ~seed ~count);
+  { r_mode = mode; r_seed = seed; r_count = count; r_tally = tally ();
+    r_findings = List.rev !findings }
+
+(* The lattice campaign ------------------------------------------------------- *)
+
+let lattice_mode = { name = "fuzz"; units = "programs"; finding = "divergence"; batch = false }
+
+(** Differential fuzzing: every program through the interpreter and
+    compiled at each of [configs].  A divergence shrinks against its
+    own lattice point only: the reduced program must still split
+    interpreter and compiled outcomes there. *)
+let lattice ?(configs = Oracle.lattice) ?(compile_prep = fun forms -> forms) ~seed ~count ()
+    : report =
+  let detail cfg (d : Oracle.divergence) =
+    Printf.sprintf "interpreter: %s\ncompiled:    %s%s"
+      (Oracle.outcome_string d.Oracle.d_interp)
+      (Oracle.outcome_string d.Oracle.d_compiled)
+      (if cfg.Oracle.cfg_flags = "" then ""
+       else "\nby hand: s1lc " ^ cfg.Oracle.cfg_flags ^ " ...")
+  in
+  let check ~seed:_ forms =
     Obs.incr "fuzz.programs";
-    let divergences = Oracle.check ~configs ~compile_prep prog.Genprog.pr_forms in
-    List.iter
+    List.map
       (fun (d : Oracle.divergence) ->
         Obs.incr "fuzz.divergences";
-        let cfg =
-          match Oracle.find_config d.Oracle.d_config with
-          | Some c -> c
-          | None -> List.find (fun c -> c.Oracle.cfg_name = d.Oracle.d_config) configs
+        let cfg = List.find (fun c -> c.Oracle.cfg_name = d.Oracle.d_config) configs in
+        let recheck forms =
+          match Oracle.check ~configs:[ cfg ] ~compile_prep forms with
+          | d :: _ -> Some (detail cfg d)
+          | [] -> None
         in
-        (* the shrink predicate re-checks only the diverging lattice
-           point: the reduced program must still split interpreter and
-           compiled outcomes there *)
-        let still_fails forms =
-          Oracle.check ~configs:[ cfg ] ~compile_prep forms <> []
-        in
-        let shrunk, steps = Shrink.shrink ~still_fails prog.Genprog.pr_forms in
-        (* report the outcomes of the *shrunk* program at that point *)
-        let interp = Oracle.run_interp shrunk in
-        let compiled = Oracle.run_compiled cfg (compile_prep shrunk) in
-        findings :=
-          {
-            f_index = i;
-            f_seed = pseed;
-            f_config = d.Oracle.d_config;
-            f_flags = cfg.Oracle.cfg_flags;
-            f_kind = Oracle.kind_of d;
-            f_interp = Oracle.outcome_string interp;
-            f_compiled = Oracle.outcome_string compiled;
-            f_program = Genprog.render prog;
-            f_shrunk = String.concat "\n" (List.map Sexp.to_string shrunk);
-            f_shrink_steps = steps;
-          }
-          :: !findings)
-      divergences
-  done;
-  {
-    r_seed = seed;
-    r_count = count;
-    r_configs = List.map (fun c -> c.Oracle.cfg_name) configs;
-    r_findings = List.rev !findings;
-  }
+        { kind = Oracle.kind_of d ^ " at " ^ d.Oracle.d_config; detail = detail cfg d;
+          recheck })
+      (Oracle.check ~configs ~compile_prep forms)
+  in
+  run ~mode:lattice_mode ~seed ~count ~check ~tally:(fun () ->
+      Printf.sprintf "%d lattice points" (List.length configs))
 
-(* Report rendering ----------------------------------------------------------- *)
+(* Rendering ------------------------------------------------------------------ *)
 
-let finding_json (f : finding) : Json.t =
+let repro (r : report) (f : finding) : string =
+  let count, seed = if r.r_mode.batch then (r.r_count, r.r_seed) else (1, f.f_seed) in
+  Printf.sprintf "s1lc --%s %d --seed %d" r.r_mode.name count seed
+
+let finding_json r (f : finding) : Json.t =
   Json.Obj
     [
       ("index", Json.Int f.f_index);
       ("seed", Json.Int f.f_seed);
-      ("config", Json.Str f.f_config);
-      ("flags", Json.Str f.f_flags);
       ("kind", Json.Str f.f_kind);
-      ("interp", Json.Str f.f_interp);
-      ("compiled", Json.Str f.f_compiled);
+      ("detail", Json.Str f.f_detail);
       ("program", Json.Str f.f_program);
       ("shrunk", Json.Str f.f_shrunk);
       ("shrink_steps", Json.Int f.f_shrink_steps);
-      ("repro", Json.Str (Printf.sprintf "s1lc --fuzz 1 --seed %d" f.f_seed));
+      ("repro", Json.Str (repro r f));
     ]
 
 let json (r : report) : Json.t =
   Json.Obj
     [
       ("schema", Json.Str schema);
+      ("mode", Json.Str r.r_mode.name);
       ("seed", Json.Int r.r_seed);
-      ("programs", Json.Int r.r_count);
-      ("configs", Json.Arr (List.map (fun c -> Json.Str c) r.r_configs));
-      ("divergences", Json.Int (List.length r.r_findings));
-      ("findings", Json.Arr (List.map finding_json r.r_findings));
+      (r.r_mode.units, Json.Int r.r_count);
+      ("tally", Json.Str r.r_tally);
+      ("findings", Json.Arr (List.map (finding_json r) r.r_findings));
     ]
 
 let summary (r : report) : string =
   let b = Buffer.create 256 in
-  Printf.bprintf b "fuzz: %d programs, seed %d, %d lattice points: %d divergence%s\n"
-    r.r_count r.r_seed (List.length r.r_configs)
-    (List.length r.r_findings)
-    (if List.length r.r_findings = 1 then "" else "s");
+  let n = List.length r.r_findings in
+  Printf.bprintf b "%s: %d %s, seed %d, %s: %d %s%s\n" r.r_mode.name r.r_count r.r_mode.units
+    r.r_seed r.r_tally n r.r_mode.finding
+    (if n = 1 then "" else "s");
   List.iter
     (fun f ->
-      Printf.bprintf b
-        "\n--- divergence: program %d, config %s (%s)\n\
-         interpreter: %s\n\
-         compiled:    %s\n\
-         shrunk program (%d shrink steps):\n%s\n\
-         reproduce: s1lc --fuzz 1 --seed %d%s\n"
-        f.f_index f.f_config f.f_kind f.f_interp f.f_compiled f.f_shrink_steps f.f_shrunk
-        f.f_seed
-        (if f.f_flags = "" then "" else "   (by hand: s1lc " ^ f.f_flags ^ " ...)"))
+      if f.f_program = "" then Printf.bprintf b "\n--- %s: %s\n" r.r_mode.finding f.f_kind
+      else
+        Printf.bprintf b "\n--- %s: program %d (seed %d), %s\n" r.r_mode.finding f.f_index
+          f.f_seed f.f_kind;
+      Printf.bprintf b "%s\n" f.f_detail;
+      if f.f_shrunk <> "" then
+        Printf.bprintf b "shrunk program (%d shrink steps):\n%s\n" f.f_shrink_steps f.f_shrunk
+      else if f.f_program <> "" then Printf.bprintf b "program:\n%s\n" f.f_program;
+      Printf.bprintf b "reproduce: %s\n" (repro r f))
     r.r_findings;
   Buffer.contents b

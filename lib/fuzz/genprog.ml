@@ -507,5 +507,7 @@ let generate ~seed : program =
   let top = expr r { env_final with vars = [] } top_ty 4 in
   { pr_seed = seed; pr_forms = defvars @ List.rev defuns_rev @ [ top ] }
 
-let render (p : program) : string =
-  String.concat "\n" (List.map Sexp.to_string p.pr_forms)
+let render_forms (forms : Sexp.t list) : string =
+  String.concat "\n" (List.map Sexp.to_string forms)
+
+let render (p : program) : string = render_forms p.pr_forms

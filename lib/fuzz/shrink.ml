@@ -137,4 +137,5 @@ let shrink ~(still_fails : Sexp.t list -> bool) ?(max_checks = 400)
     let changed, forms' = subterm_pass forms in
     if changed && !checks < max_checks then fix (drop_pass forms') else forms'
   in
-  (fix forms, !steps)
+  let shrunk = fix forms in
+  (shrunk, !steps)

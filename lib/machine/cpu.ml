@@ -911,7 +911,7 @@ let is_float_binop : Isa.binop -> bool = function
   | FADD | FSUB | FMULT | FDIV | FMAX | FMIN | FATAN -> true
   | _ -> false
 
-let two_pi = 4.0 *. Float.pi /. 2.0 |> fun _ -> 2.0 *. Float.pi
+let two_pi = 2.0 *. Float.pi
 
 let float_unop cpu (op : Isa.unop) x =
   match op with

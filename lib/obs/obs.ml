@@ -127,12 +127,17 @@ type snapshot = (string * int) list
 
 let snapshot ?(t = default ()) () : snapshot = counters ~t ()
 
+(* Both lists are sorted by name, so one merge walk pairs them. *)
 let diff ~(before : snapshot) ?(t = default ()) () : snapshot =
-  List.filter_map
-    (fun (name, after) ->
-      let prior = match List.assoc_opt name before with Some v -> v | None -> 0 in
-      if after <> prior then Some (name, after - prior) else None)
-    (counters ~t ())
+  let rec walk before after acc =
+    match (before, after) with
+    | _, [] -> List.rev acc
+    | (b, _) :: before', (a, _) :: _ when String.compare b a < 0 -> walk before' after acc
+    | (b, prior) :: before', (a, v) :: after' when String.equal b a ->
+        walk before' after' (if v <> prior then (a, v - prior) :: acc else acc)
+    | _, (a, v) :: after' -> walk before after' (if v <> 0 then (a, v) :: acc else acc)
+  in
+  walk before (counters ~t ()) []
 
 let current_path t = String.concat "/" (List.rev t.stack)
 
@@ -181,8 +186,28 @@ let span_ns ?(t = default ()) path =
 
 (* Rendering ------------------------------------------------------------------ *)
 
+(* Spans in tree order: each directly after its parent's subtree,
+   siblings in first-open order.  A span whose parent never opened here
+   (folded in from elsewhere) is a root. *)
+let tree_order t (sps : span list) : span list =
+  let children = Hashtbl.create 16 in
+  let roots =
+    List.filter
+      (fun sp ->
+        match String.rindex_opt sp.sp_path '/' with
+        | Some i when Hashtbl.mem t.spans (String.sub sp.sp_path 0 i) ->
+            Hashtbl.add children (String.sub sp.sp_path 0 i) sp;
+            false
+        | _ -> true)
+      sps
+  in
+  let rec subtree sp =
+    sp :: List.concat_map subtree (List.rev (Hashtbl.find_all children sp.sp_path))
+  in
+  List.concat_map subtree roots
+
 let pp_timings fmt ?(t = default ()) () =
-  let sps = spans ~t () in
+  let sps = tree_order t (spans ~t ()) in
   if sps = [] then Format.fprintf fmt "(no phase timings recorded)@."
   else begin
     Format.fprintf fmt "@[<v>%-46s %8s %14s %14s@," "phase" "count" "wall ns" "alloc words";

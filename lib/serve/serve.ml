@@ -40,7 +40,7 @@ module Lattice = S1_core.Lattice
 module Obs = S1_obs.Obs
 module Remark = S1_obs.Remark
 module Oracle = S1_fuzz.Oracle
-module Genprog = S1_fuzz.Genprog
+module Fuzz = S1_fuzz.Fuzz
 
 type cfg = {
   sv_rules : Rules.config;
@@ -360,77 +360,45 @@ let compile_file ?cache ?prepare ?fuel ?deadline ?degraded (cfg : cfg) ~file
 
 (* Fuzzing the cache path ----------------------------------------------- *)
 
-type fuzz_failure = {
-  z_index : int;
-  z_seed : int;
-  z_kind : string;
-  z_detail : string;
-  z_program : string;
-}
-
-type fuzz_report = {
-  f_seed : int;
-  f_count : int;
-  f_hits : int;
-  f_failures : fuzz_failure list;
-}
+let fuzz_mode =
+  { Fuzz.name = "serve-fuzz"; units = "programs"; finding = "failure"; batch = false }
 
 (** Differential testing over the cache: each seeded program is compiled
     cold through the service, then again so the second run must be served
     from the cache and executed from its image in a fresh world; the
     cache-loaded outcome must agree with the reference interpreter and
-    match the cold outcome exactly. *)
-let fuzz ?(seed = 1) ?(count = 100) ?cache_dir () : fuzz_report =
+    match the cold outcome exactly.  A failure shrinks by re-running
+    this cold+warm check on the rendered reduced forms. *)
+let fuzz ?(seed = 1) ?(count = 100) ?cache_dir () : Fuzz.report =
   let cache = Cache.create ?dir:cache_dir ~capacity:(max 16 count) () in
   let cfg = default_cfg in
   let hits = ref 0 in
-  let failures = ref [] in
-  for i = 0 to count - 1 do
-    let pseed = seed + i in
-    let prog = Genprog.generate ~seed:pseed in
-    let src = Genprog.render prog in
-    let file = Printf.sprintf "<fuzz-%d>" pseed in
-    let record kind detail =
-      failures :=
-        { z_index = i; z_seed = pseed; z_kind = kind; z_detail = detail;
-          z_program = src }
-        :: !failures
-    in
-    let reference = Oracle.run_interp prog.Genprog.pr_forms in
+  (* whether the warm run hit, and the failures as (kind, detail) *)
+  let cold_warm ~file forms =
+    let src = S1_fuzz.Genprog.render_forms forms in
+    let reference = Oracle.run_interp forms in
     let r1 = compile_file ~cache ~fuel:Oracle.fuzz_fuel cfg ~file src in
     let r2 = compile_file ~cache ~fuel:Oracle.fuzz_fuel cfg ~file src in
-    if r2.r_hit then incr hits
-    else if r1.r_image <> "" then
-      record "no-hit" "cold run cached an image but the warm run missed";
-    if not (Oracle.agree reference r2.r_outcome) then
-      record "divergence"
-        (Printf.sprintf "interp=%s cached=%s"
-           (Oracle.outcome_string reference)
-           (Oracle.outcome_string r2.r_outcome));
-    if Oracle.outcome_string r1.r_outcome <> Oracle.outcome_string r2.r_outcome
-    then
-      record "cold-warm"
-        (Printf.sprintf "cold=%s warm=%s"
-           (Oracle.outcome_string r1.r_outcome)
-           (Oracle.outcome_string r2.r_outcome))
-  done;
-  {
-    f_seed = seed;
-    f_count = count;
-    f_hits = !hits;
-    f_failures = List.rev !failures;
-  }
-
-let fuzz_summary (r : fuzz_report) : string =
-  let b = Buffer.create 256 in
-  Printf.bprintf b
-    "serve-fuzz: %d programs, seed %d, %d warm hits: %d failure%s\n" r.f_count
-    r.f_seed r.f_hits
-    (List.length r.f_failures)
-    (if List.length r.f_failures = 1 then "" else "s");
-  List.iter
-    (fun z ->
-      Printf.bprintf b "\n--- %s: program %d (seed %d)\n%s\nprogram:\n%s\n"
-        z.z_kind z.z_index z.z_seed z.z_detail z.z_program)
-    r.f_failures;
-  Buffer.contents b
+    let cold = Oracle.outcome_string r1.r_outcome
+    and warm = Oracle.outcome_string r2.r_outcome in
+    ( r2.r_hit,
+      List.concat
+        [
+          (if r2.r_hit || r1.r_image = "" then []
+           else [ ("no-hit", "cold run cached an image but the warm run missed") ]);
+          (if Oracle.agree reference r2.r_outcome then []
+           else
+             [ ("divergence",
+                Printf.sprintf "interp=%s cached=%s" (Oracle.outcome_string reference) warm) ]);
+          (if cold = warm then []
+           else [ ("cold-warm", Printf.sprintf "cold=%s warm=%s" cold warm) ]);
+        ] )
+  in
+  let check ~seed forms =
+    let file = Printf.sprintf "<fuzz-%d>" seed in
+    let hit, found = cold_warm ~file forms in
+    if hit then incr hits;
+    Fuzz.issues ~probe:(fun forms -> snd (cold_warm ~file forms)) found
+  in
+  Fuzz.run ~mode:fuzz_mode ~seed ~count ~check ~tally:(fun () ->
+      Printf.sprintf "%d warm hits" !hits)

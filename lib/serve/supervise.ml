@@ -40,6 +40,7 @@ module I = S1_interp.Interp
 module Obs = S1_obs.Obs
 module Oracle = S1_fuzz.Oracle
 module Genprog = S1_fuzz.Genprog
+module Fuzz = S1_fuzz.Fuzz
 module Chaos = S1_fuzz.Chaos
 
 (* Policy ---------------------------------------------------------------- *)
@@ -394,13 +395,8 @@ let journal (r : batch_report) : string = Incident.render r.b_incidents
 
 (* Chaos smoke ----------------------------------------------------------- *)
 
-type smoke_report = {
-  k_seed : int;
-  k_count : int;
-  k_faulted : int;  (** units with an injected fault *)
-  k_failures : string list;  (** invariant violations; [] = pass *)
-  k_journal : string;  (** the (verified byte-stable) incident journal *)
-}
+let chaos_mode =
+  { Fuzz.name = "serve-chaos"; units = "units"; finding = "invariant violation"; batch = true }
 
 (* The end-to-end acceptance harness for the supervision layer.  From
    one (seed, count):
@@ -414,23 +410,40 @@ type smoke_report = {
       every faulted unit carries exactly one terminal incident with a
       replayable repro; nothing both quarantines and counts stale;
    4. wipe, re-warm, re-run with the same seed, and assert the two
-      journals and the two merged counter deltas are byte-identical. *)
-let chaos_smoke ?(seed = 11) ?(count = 12) ?(jobs = 4) ~dir () : smoke_report =
+      journals and the two merged counter deltas are byte-identical.
+
+   Returns the report and the (verified byte-stable) incident journal.
+   A violation in one unit is that unit's finding, kind its fault; a
+   batch-wide one has no program.  Neither is shrunk: the contract is
+   the whole batch's. *)
+let chaos_smoke ?(seed = 11) ?(count = 12) ?(jobs = 4) ~dir () : Fuzz.report * string =
   let cfg = Serve.default_cfg in
   let policy =
     { default_policy with p_degrade = true; p_fuel = Some Oracle.fuzz_fuel }
   in
   let units =
-    List.init count (fun i ->
-        let pseed = seed + i in
-        ( Printf.sprintf "<chaos-%d>" pseed,
-          Genprog.render (Genprog.generate ~seed:pseed) ))
+    List.of_seq
+      (Seq.map
+         (fun (_, pseed, prog) -> (Printf.sprintf "<chaos-%d>" pseed, Genprog.render prog))
+         (Fuzz.programs ~seed ~count))
   in
   let faults =
     List.init count (fun i -> Chaos.batch_fault_for ~seed ~index:i)
   in
-  let fails = ref [] in
-  let failf fmt = Printf.ksprintf (fun m -> fails := m :: !fails) fmt in
+  let findings = ref [] in
+  let violation ?(index = -1) kind fmt =
+    Printf.ksprintf
+      (fun detail ->
+        let f_seed, f_program =
+          if index < 0 then (seed, "") else (seed + index, snd (List.nth units index))
+        in
+        findings :=
+          { Fuzz.f_index = index; f_seed; f_kind = kind; f_detail = detail; f_program;
+            f_shrunk = ""; f_shrink_steps = 0 }
+          :: !findings)
+      fmt
+  in
+  let failf fmt = violation "batch" fmt in
   let wipe () =
     if Sys.file_exists dir then begin
       let rec rm p =
@@ -461,6 +474,7 @@ let chaos_smoke ?(seed = 11) ?(count = 12) ?(jobs = 4) ~dir () : smoke_report =
       let r = List.nth reference.b_results i
       and c = List.nth chaos.b_results i in
       let file = r.s_result.Serve.r_file in
+      let failf fmt = violation ~index:i (Chaos.batch_fault_name fault) fmt in
       match fault with
       | Chaos.Bnone ->
           if c.s_result.Serve.r_image <> r.s_result.Serve.r_image then
@@ -515,21 +529,7 @@ let chaos_smoke ?(seed = 11) ?(count = 12) ?(jobs = 4) ~dir () : smoke_report =
     failf "two identical chaos runs produced different incident journals";
   if delta1 <> delta2 then
     failf "two identical chaos runs produced different counter deltas";
-  {
-    k_seed = seed;
-    k_count = count;
-    k_faulted =
-      List.length (List.filter (fun f -> f <> Chaos.Bnone) faults);
-    k_failures = List.rev !fails;
-    k_journal = j1;
-  }
-
-let smoke_summary (r : smoke_report) : string =
-  let b = Buffer.create 256 in
-  Printf.bprintf b
-    "serve-chaos: %d units, seed %d, %d faulted: %d invariant violation%s\n"
-    r.k_count r.k_seed r.k_faulted
-    (List.length r.k_failures)
-    (if List.length r.k_failures = 1 then "" else "s");
-  List.iter (fun m -> Printf.bprintf b "\n--- violation: %s\n" m) r.k_failures;
-  Buffer.contents b
+  let faulted = List.length (List.filter (fun f -> f <> Chaos.Bnone) faults) in
+  ( { Fuzz.r_mode = chaos_mode; r_seed = seed; r_count = count;
+      r_tally = Printf.sprintf "%d faulted" faulted; r_findings = List.rev !findings },
+    j1 )

@@ -483,11 +483,11 @@ let test_guard_allocation () =
          In_channel.with_open_text (Filename.concat dir f) In_channel.input_all
          |> Reader.parse_string
          |> List.iter (fun form ->
-                (match form with
-                | Sexp.List (Sexp.Sym "DEFUN" :: _) ->
+                (match S1_frontend.Convert.toplevel form with
+                | S1_frontend.Convert.Defun form ->
                     units := (c, snd (S1_frontend.Convert.defun ~specials ~macros form)) :: !units
-                | Sexp.List (Sexp.Sym ("DEFMACRO" | "DEFVAR" | "PROCLAIM") :: _) -> ()
-                | _ ->
+                | Defmacro _ | Defvar _ | Proclaim _ -> ()
+                | Toplevel form ->
                     let e = S1_frontend.Convert.expression ~specials ~macros form in
                     units := (c, S1_ir.Node.lambda [] e) :: !units);
                 ignore (C.eval c form)));

@@ -73,23 +73,23 @@ let test_fixed_seed_batch () =
   (* the acceptance batch in miniature; CI's smoke step runs 200 via the
      CLI.  Any divergence here is a real compiler bug: fix it and check
      the shrunk reproducer into test/corpus/. *)
-  let r = Fuzz.run ~seed:42 ~count:10 () in
+  let r = Fuzz.lattice ~seed:42 ~count:10 () in
   (match r.Fuzz.r_findings with
   | [] -> ()
   | f :: _ ->
-      Alcotest.failf "divergence at seed %d config %s:\n%s" f.Fuzz.f_seed f.Fuzz.f_config
+      Alcotest.failf "divergence at seed %d, %s:\n%s" f.Fuzz.f_seed f.Fuzz.f_kind
         f.Fuzz.f_shrunk);
   Alcotest.(check int) "programs" 10 r.Fuzz.r_count
 
 let test_report_determinism () =
   let render r = Obs.Json.to_string (Fuzz.json r) in
-  let a = Fuzz.run ~seed:7 ~count:3 () in
-  let b = Fuzz.run ~seed:7 ~count:3 () in
+  let a = Fuzz.lattice ~seed:7 ~count:3 () in
+  let b = Fuzz.lattice ~seed:7 ~count:3 () in
   Alcotest.(check string) "same seed, byte-identical report" (render a) (render b)
 
 let test_counters () =
   Obs.reset ();
-  let _ = Fuzz.run ~seed:11 ~count:2 () in
+  let _ = Fuzz.lattice ~seed:11 ~count:2 () in
   Alcotest.(check int) "fuzz.programs" 2 (Obs.count "fuzz.programs");
   Alcotest.(check bool) "fuzz.divergences present" true (Obs.count "fuzz.divergences" = 0)
 
@@ -161,7 +161,9 @@ let test_pdl_frame_jump_local () =
 let test_shrinker_reduces () =
   (* run the real pipeline with the sabotage injected; the finding's
      shrunk program must still fail and be no larger than the source *)
-  let r = Fuzz.run ~configs:[ List.hd Oracle.lattice ] ~compile_prep:sabotage ~seed:42 ~count:1 () in
+  let r =
+    Fuzz.lattice ~configs:[ List.hd Oracle.lattice ] ~compile_prep:sabotage ~seed:42 ~count:1 ()
+  in
   match r.Fuzz.r_findings with
   | [] -> Alcotest.fail "sabotaged run produced no finding"
   | f :: _ ->
@@ -173,6 +175,47 @@ let test_shrinker_reduces () =
         "shrunk still diverges" true
         (Oracle.check ~configs:[ List.hd Oracle.lattice ] ~compile_prep:sabotage shrunk_forms
         <> [])
+
+(* The campaign driver itself, under a synthetic check that flags any
+   program mentioning IF: every flagged program is a finding with its
+   own index and derived seed, shrunk to forms that still mention IF and
+   are no larger than the program. *)
+let rec mentions sym = function
+  | Sexp.Sym s -> s = sym
+  | Sexp.List xs -> List.exists (mentions sym) xs
+  | _ -> false
+
+let test_driver_shrinks () =
+  let flagged forms = if List.exists (mentions "IF") forms then Some "mentions IF" else None in
+  let check ~seed:_ forms =
+    match flagged forms with
+    | None -> []
+    | Some detail -> [ { Fuzz.kind = "if"; detail; recheck = flagged } ]
+  in
+  let mode =
+    { Fuzz.name = "synthetic"; units = "programs"; finding = "finding"; batch = false }
+  in
+  Obs.reset ();
+  let r = Fuzz.run ~mode ~seed:100 ~count:6 ~check ~tally:(fun () -> "no tally") in
+  Alcotest.(check int) "every accepted step is counted in its finding"
+    (Obs.count "fuzz.shrink_steps")
+    (List.fold_left (fun n f -> n + f.Fuzz.f_shrink_steps) 0 r.Fuzz.r_findings);
+  let expected =
+    List.filter (fun i -> flagged (Genprog.generate ~seed:(100 + i)).Genprog.pr_forms <> None)
+      (List.init 6 Fun.id)
+  in
+  Alcotest.(check bool) "some program is flagged" true (expected <> []);
+  Alcotest.(check (list int)) "one finding per flagged program" expected
+    (List.map (fun f -> f.Fuzz.f_index) r.Fuzz.r_findings);
+  List.iter
+    (fun f ->
+      let program = Reader.parse_string f.Fuzz.f_program
+      and shrunk = Reader.parse_string f.Fuzz.f_shrunk in
+      Alcotest.(check int) "derived seed" (100 + f.Fuzz.f_index) f.Fuzz.f_seed;
+      Alcotest.(check bool) "shrink steps taken" true (f.Fuzz.f_shrink_steps > 0);
+      Alcotest.(check (option string)) "shrunk still fails" (Some "mentions IF") (flagged shrunk);
+      Alcotest.(check bool) "shrunk no larger" true (Shrink.size shrunk <= Shrink.size program))
+    r.Fuzz.r_findings
 
 let test_shrinker_minimizes_known_bug () =
   (* the catch-coercion bug from seed 8, re-injected via compile_prep as
@@ -271,6 +314,7 @@ let () =
         [
           Alcotest.test_case "reduces finding" `Slow test_shrinker_reduces;
           Alcotest.test_case "minimizes known bug" `Quick test_shrinker_minimizes_known_bug;
+          Alcotest.test_case "campaign driver shrinks every finding" `Quick test_driver_shrinks;
         ] );
       ("corpus", [ Alcotest.test_case "replay across lattice" `Slow test_corpus_replay ]);
       ("peephole", [ Alcotest.test_case "canonical programs" `Quick test_peephole_canonical ]);

@@ -196,6 +196,57 @@ let test_interned_counters () =
   check_int "the main domain's own" 8 (Obs.count "interned.a");
   Obs.reset ()
 
+(* The list-scan [Obs.diff] this module once had: the model the merge
+   walk must agree with. *)
+let model_diff ~before after =
+  List.filter_map
+    (fun (name, v) ->
+      let prior = match List.assoc_opt name before with Some p -> p | None -> 0 in
+      if v <> prior then Some (name, v - prior) else None)
+    after
+
+(* Seeded registries: counters created after the snapshot, counters that
+   did not move, counters that moved back to their old value, and (now
+   and then) a reset between snapshot and diff. *)
+let test_diff_parity () =
+  for seed = 0 to 199 do
+    let r = Random.State.make [| seed |] in
+    let t = Obs.create () in
+    let name () = Printf.sprintf "k.%d" (Random.State.int r 60) in
+    for _ = 1 to Random.State.int r 40 do
+      Obs.incr ~t ~n:(Random.State.int r 5) (name ())
+    done;
+    let before = Obs.snapshot ~t () in
+    if Random.State.int r 10 = 0 then Obs.reset ~t ();
+    for _ = 1 to Random.State.int r 40 do
+      let k = name () and n = Random.State.int r 7 - 3 in
+      Obs.incr ~t ~n k;
+      if Random.State.bool r then Obs.incr ~t ~n:(-n) k
+    done;
+    Alcotest.(check (list (pair string int)))
+      (Printf.sprintf "seed %d" seed)
+      (model_diff ~before (Obs.counters ~t ()))
+      (Obs.diff ~before ~t ())
+  done
+
+(* --timings prints each span right after its parent's subtree, so a
+   span opened under [a] after [c] still reads as [a]'s child. *)
+let test_timings_tree_order () =
+  let t = Obs.create () in
+  Obs.with_span ~t "a" (fun () -> Obs.with_span ~t "b" ignore);
+  Obs.with_span ~t "c" ignore;
+  Obs.with_span ~t "a" (fun () -> Obs.with_span ~t "d" ignore);
+  let text = Format.asprintf "%t" (fun fmt -> Obs.pp_timings fmt ~t ()) in
+  let leaves =
+    String.split_on_char '\n' text
+    |> List.tl
+    |> List.filter_map (fun l ->
+           match String.split_on_char ' ' (String.trim l) with
+           | leaf :: _ when leaf <> "" -> Some leaf
+           | _ -> None)
+  in
+  Alcotest.(check (list string)) "tree order" [ "a"; "b"; "d"; "c" ] leaves
+
 let test_spans_nest () =
   let t = Obs.create () in
   let r =
@@ -428,6 +479,8 @@ let () =
           Alcotest.test_case "spans nest" `Quick test_spans_nest;
           Alcotest.test_case "spans exception-safe" `Quick test_spans_exception_safe;
           Alcotest.test_case "json schema" `Quick test_obs_json_schema;
+          Alcotest.test_case "diff matches the list model" `Quick test_diff_parity;
+          Alcotest.test_case "timings in tree order" `Quick test_timings_tree_order;
         ] );
       ( "cpu-stats",
         [

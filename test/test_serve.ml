@@ -785,10 +785,10 @@ let test_batch_warm_over_shared_cache () =
 
 let test_fuzz_smoke () =
   let report = Serve.fuzz ~seed:42 ~count:10 () in
-  (match report.Serve.f_failures with
+  (match report.S1_fuzz.Fuzz.r_findings with
   | [] -> ()
-  | _ -> Alcotest.fail (Serve.fuzz_summary report));
-  Alcotest.(check bool) "some warm hits happened" true (report.Serve.f_hits > 0)
+  | _ -> Alcotest.fail (S1_fuzz.Fuzz.summary report));
+  Alcotest.(check string) "every warm run hit" "10 warm hits" report.S1_fuzz.Fuzz.r_tally
 
 let () =
   Alcotest.run "serve"

@@ -473,13 +473,14 @@ let test_journal_is_deterministic_jsonl () =
 
 let test_chaos_smoke_invariants () =
   let dir = fresh_dir "chaos" in
-  let report = Sup.chaos_smoke ~seed:11 ~count:8 ~jobs:4 ~dir () in
-  (match report.Sup.k_failures with
+  let report, journal = Sup.chaos_smoke ~seed:11 ~count:8 ~jobs:4 ~dir () in
+  (match report.S1_fuzz.Fuzz.r_findings with
   | [] -> ()
-  | _ -> Alcotest.fail (Sup.smoke_summary report));
-  Alcotest.(check bool) "some faults were injected" true (report.Sup.k_faulted > 0);
-  Alcotest.(check bool) "journal non-empty" true
-    (String.length report.Sup.k_journal > 0)
+  | _ -> Alcotest.fail (S1_fuzz.Fuzz.summary report));
+  Alcotest.(check bool) "some faults were injected" true
+    (List.exists (fun index -> Chaos.batch_fault_for ~seed:11 ~index <> Chaos.Bnone)
+       (List.init 8 Fun.id));
+  Alcotest.(check bool) "journal non-empty" true (String.length journal > 0)
 
 let () =
   Alcotest.run "supervise"
