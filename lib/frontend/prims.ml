@@ -395,10 +395,3 @@ let inlinable fname nargs =
   | "FUNCALL" -> nargs >= 1
   | _ -> false
 
-(* "Immutable mathematical functions" (§7): calls to these may be moved
-   past unknown calls because no user code can redefine or observe them
-   mid-flight in this dialect. *)
-let immutable_math name =
-  match find name with
-  | Some p -> p.pure && (p.fold <> None || p.arg_rep <> None)
-  | None -> false

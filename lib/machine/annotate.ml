@@ -12,12 +12,6 @@ let render (cpu : Cpu.t) ~(source : string -> string array option) ~name ~org
     (prog : Asm.program) : string =
   let b = Buffer.create 1024 in
   Printf.bprintf b ";;; %s — annotated listing (org %d)\n%s\n" name org hdr;
-  let profile = cpu.Cpu.profile in
-  let cycles_at pc =
-    match profile with
-    | Some p when pc < Array.length p.Cpu.p_cycles -> (p.Cpu.p_cycles.(pc), p.Cpu.p_instrs.(pc))
-    | _ -> (0, 0)
-  in
   let last_line = ref ("", 0) in
   let idx = ref 0 in
   List.iter
@@ -44,7 +38,7 @@ let render (cpu : Cpu.t) ~(source : string -> string array option) ~name ~org
       | Asm.Instr i ->
           let pc = org + !idx in
           incr idx;
-          let cyc, execs = cycles_at pc in
+          let cyc, execs = Cpu.pc_counts cpu pc in
           Printf.bprintf b "%5d %11d %7d  %s\n" pc cyc execs
             (Format.asprintf "%a" Isa.pp_instr i))
     prog;

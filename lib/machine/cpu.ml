@@ -11,46 +11,52 @@ type stats = {
 }
 
 (* Per-PC execution attribution, maintained only while profiling is
-   enabled (the arrays grow with the code store). *)
+   enabled (the arrays grow with the code store): cycles, executions and
+   CALL/TCALL arrivals.  MOV counts and the opcode histogram are read off
+   [code] when asked for. *)
 type profile = {
   mutable p_cycles : int array;
   mutable p_instrs : int array;
-  mutable p_movs : int array;
-  p_opcodes : (string, int) Hashtbl.t;  (* mnemonic -> executions *)
-  p_entry_calls : (int, int) Hashtbl.t;  (* entry pc -> CALL/TCALL count *)
+  mutable p_calls : int array;  (* CALL/TCALL arrivals at an entry pc *)
 }
 
-(* The shadow call stack (call-path profiler): a host-side mirror of the
-   machine's frame chain, maintained by the CALL/TCALL/RET microcode.  A
-   tail call REPLACES the top frame — the paper's O(1)-stack property of
-   tail calls holds in the shadow stack too.  Each frame remembers the
-   machine FP it mirrors (so CATCH/THROW unwinds, which restore
-   registers without executing RETs, can pop exactly the abandoned
-   frames) and the call path below it (so popping is O(1)).  Cycle
-   attribution is per path: [cg_cell] caches the counter of the current
-   path, and [cg_charged] tracks how much of [stats.cycles] has been
-   attributed so far — nested simulator runs (a native service calling
-   back into Lisp) charge their own cycles as they go, and the enclosing
-   instruction only picks up the remainder, keeping the folded total
-   exactly equal to [stats.cycles]. *)
-type cg_frame = {
-  fr_name : string;
-  fr_fp : int;  (* machine FP of the mirrored frame; min_int for the root *)
-  fr_prev_path : string;
-}
+module Itbl = Hashtbl.Make (Int)
 
 type cg_edge = { mutable e_calls : int; mutable e_tcalls : int }
 
+(* The call-path profiler: a calling-context tree (Ammons, Ball & Larus)
+   whose nodes are ints, node 0 the root, each the child of its parent
+   under one frame name, and a shadow call stack of (node, machine FP)
+   pairs mirroring the machine's frame chain, maintained by the
+   CALL/TCALL/RET microcode.  A tail call REPLACES the top frame, so the
+   paper's O(1)-stack property of tail calls holds in the shadow stack
+   too.  The machine FP lets a CATCH/THROW unwind, which restores
+   registers without executing RETs, pop exactly the abandoned frames.
+   Cycles charge to the node current at fetch; [cg_charged] tracks how
+   much of [stats.cycles] has been attributed so far — nested simulator
+   runs (a native service calling back into Lisp) charge their own
+   cycles as they go, and the enclosing instruction only picks up the
+   remainder, keeping the folded total exactly equal to [stats.cycles].
+   Frame names are interned once; a node's "f;g;h" text is built only
+   when read. *)
 type callgraph = {
-  mutable cg_stack : cg_frame list;  (* top first; the root is never popped *)
-  mutable cg_path : string;
-  mutable cg_cell : int ref;  (* cycle counter of cg_path, cached *)
-  mutable cg_charged : int;  (* stats.cycles already attributed to some path *)
-  cg_paths : (string, int ref) Hashtbl.t;  (* call path -> exclusive cycles *)
-  cg_edges : (string * string, cg_edge) Hashtbl.t;  (* caller, callee *)
-  cg_alloc : (string, int ref) Hashtbl.t;  (* call path -> heap words *)
+  mutable cg_parent : int array;
+  mutable cg_name : int array;  (* frame name id *)
+  mutable cg_cycles : int array;  (* exclusive cycles *)
+  mutable cg_words : int array;  (* heap words *)
+  mutable cg_text : string array;  (* "f;g;h" once read, else "" *)
+  mutable cg_nodes : int;
+  cg_children : int Itbl.t;  (* (parent, name id) -> node *)
+  mutable cg_names : string array;  (* by name id *)
+  cg_name_ids : (string, int) Hashtbl.t;
+  cg_entries : int Itbl.t;  (* entry pc -> name id, valid for [cg_symbols] *)
+  mutable cg_symbols : (int * int * string) list;
+  cg_services : int Itbl.t;  (* service id -> name id *)
+  cg_edges : cg_edge Itbl.t;  (* (caller, callee) name ids *)
+  mutable cg_stack : int array;  (* shadow stack nodes; the root is never popped *)
+  mutable cg_fps : int array;  (* machine FP per frame; min_int for the root *)
   mutable cg_depth : int;
-  mutable cg_depth_high : int;
+  mutable cg_charged : int;  (* stats.cycles already attributed to some node *)
 }
 
 type t = {
@@ -158,33 +164,40 @@ let reset_stats cpu =
 
 let profiling cpu = match cpu.profile with Some _ -> true | None -> false
 
-let fresh_profile n =
-  {
-    p_cycles = Array.make (max n 1) 0;
-    p_instrs = Array.make (max n 1) 0;
-    p_movs = Array.make (max n 1) 0;
-    p_opcodes = Hashtbl.create 32;
-    p_entry_calls = Hashtbl.create 32;
-  }
+(* [a], or a copy filled with [x] past its end, with room for index [i]. *)
+let grow a i x =
+  if i < Array.length a then a
+  else begin
+    let fresh = Array.make (max (2 * Array.length a) (i + 1)) x in
+    Array.blit a 0 fresh 0 (Array.length a);
+    fresh
+  end
 
 let enable_profile cpu =
-  if not (profiling cpu) then cpu.profile <- Some (fresh_profile (Array.length cpu.code))
-
-let reset_profile cpu =
-  if profiling cpu then cpu.profile <- Some (fresh_profile (Array.length cpu.code))
+  if not (profiling cpu) then
+    let n = max (Array.length cpu.code) 1 in
+    cpu.profile <-
+      Some { p_cycles = Array.make n 0; p_instrs = Array.make n 0; p_calls = Array.make n 0 }
 
 let ensure_profile_capacity p pc =
   if pc >= Array.length p.p_cycles then begin
-    let cap = max (2 * Array.length p.p_cycles) (pc + 1) in
-    let grow a =
-      let fresh = Array.make cap 0 in
-      Array.blit a 0 fresh 0 (Array.length a);
-      fresh
-    in
-    p.p_cycles <- grow p.p_cycles;
-    p.p_instrs <- grow p.p_instrs;
-    p.p_movs <- grow p.p_movs
+    p.p_cycles <- grow p.p_cycles pc 0;
+    p.p_instrs <- grow p.p_instrs pc 0;
+    p.p_calls <- grow p.p_calls pc 0
   end
+
+(* A CALL/TCALL arrival at [entry]; an entry past the code store traps
+   at its fetch and counts nothing. *)
+let count_arrival cpu p entry =
+  if entry < cpu.code_len then begin
+    ensure_profile_capacity p entry;
+    p.p_calls.(entry) <- p.p_calls.(entry) + 1
+  end
+
+let pc_counts cpu pc =
+  match cpu.profile with
+  | Some p when pc < Array.length p.p_cycles -> (p.p_cycles.(pc), p.p_instrs.(pc))
+  | _ -> (0, 0)
 
 let add_symbol cpu ~lo ~hi ~name = cpu.symbols <- (lo, hi, name) :: cpu.symbols
 
@@ -234,120 +247,193 @@ let trap cpu kind fmt_str =
 
 let fail cpu fmt_str = trap cpu Machine_check fmt_str
 
+(* The name of the loaded range holding [pc]; "?" outside every range. *)
 let symbol_at cpu pc =
   let rec find = function
-    | [] -> None
-    | (lo, hi, name) :: rest -> if pc >= lo && pc < hi then Some name else find rest
+    | [] -> "?"
+    | (lo, hi, name) :: rest -> if pc >= lo && pc < hi then name else find rest
   in
   find cpu.symbols
 
 (* The call-path profiler ------------------------------------------------ *)
 
-let cg_root_name = "(root)"
+(* Name ids 0 and 1, interned when the tree is made. *)
+let root_name = 0
+let host_name = 1
 
-(* Sink for per-step attribution when the callgraph is off. *)
-let cg_dummy_cell = ref 0
+(* A (parent, name) or (caller, callee) pair of ids as one table key. *)
+let[@inline] pair a b = (a lsl 30) lor b
 
-let fresh_callgraph ~charged () =
-  let paths = Hashtbl.create 64 in
-  let cell = ref 0 in
-  Hashtbl.replace paths cg_root_name cell;
-  {
-    cg_stack = [ { fr_name = cg_root_name; fr_fp = min_int; fr_prev_path = "" } ];
-    cg_path = cg_root_name;
-    cg_cell = cell;
-    cg_charged = charged;
-    cg_paths = paths;
-    cg_edges = Hashtbl.create 64;
-    cg_alloc = Hashtbl.create 32;
-    cg_depth = 1;
-    cg_depth_high = 1;
-  }
+let cg_intern cg name =
+  match Hashtbl.find cg.cg_name_ids name with
+  | id -> id
+  | exception Not_found ->
+      let id = Hashtbl.length cg.cg_name_ids in
+      cg.cg_names <- grow cg.cg_names id "";
+      cg.cg_names.(id) <- name;
+      Hashtbl.add cg.cg_name_ids name id;
+      id
+
+let fresh_callgraph ~charged =
+  let cg =
+    {
+      cg_parent = Array.make 64 (-1);
+      cg_name = Array.make 64 root_name;
+      cg_cycles = Array.make 64 0;
+      cg_words = Array.make 64 0;
+      cg_text = [||];
+      cg_nodes = 1;
+      cg_children = Itbl.create 64;
+      cg_names = [||];
+      cg_name_ids = Hashtbl.create 64;
+      cg_entries = Itbl.create 64;
+      cg_symbols = [];
+      cg_services = Itbl.create 16;
+      cg_edges = Itbl.create 64;
+      cg_stack = Array.make 16 0;
+      cg_fps = Array.make 16 min_int;
+      cg_depth = 1;
+      cg_charged = charged;
+    }
+  in
+  ignore (cg_intern cg "(root)");
+  ignore (cg_intern cg "(host)");
+  cg
 
 let callgraph_on cpu = match cpu.callgraph with Some _ -> true | None -> false
 
 let enable_callgraph cpu =
-  if not (callgraph_on cpu) then
-    cpu.callgraph <- Some (fresh_callgraph ~charged:cpu.stats.cycles ())
+  if not (callgraph_on cpu) then cpu.callgraph <- Some (fresh_callgraph ~charged:cpu.stats.cycles)
 
-let cg_cell_for cg path =
-  match Hashtbl.find_opt cg.cg_paths path with
-  | Some c -> c
-  | None ->
-      let c = ref 0 in
-      Hashtbl.replace cg.cg_paths path c;
-      c
+let cg_child cg parent name =
+  let key = pair parent name in
+  match Itbl.find cg.cg_children key with
+  | node -> node
+  | exception Not_found ->
+      let node = cg.cg_nodes in
+      if node = Array.length cg.cg_parent then begin
+        cg.cg_parent <- grow cg.cg_parent node (-1);
+        cg.cg_name <- grow cg.cg_name node root_name;
+        cg.cg_cycles <- grow cg.cg_cycles node 0;
+        cg.cg_words <- grow cg.cg_words node 0
+      end;
+      cg.cg_parent.(node) <- parent;
+      cg.cg_name.(node) <- name;
+      cg.cg_nodes <- node + 1;
+      Itbl.add cg.cg_children key node;
+      node
+
+let[@inline] cg_top cg = cg.cg_stack.(cg.cg_depth - 1)
 
 let cg_push cg ~name ~fp =
-  cg.cg_stack <- { fr_name = name; fr_fp = fp; fr_prev_path = cg.cg_path } :: cg.cg_stack;
-  cg.cg_depth <- cg.cg_depth + 1;
-  if cg.cg_depth > cg.cg_depth_high then cg.cg_depth_high <- cg.cg_depth;
-  cg.cg_path <- cg.cg_path ^ ";" ^ name;
-  cg.cg_cell <- cg_cell_for cg cg.cg_path
+  let node = cg_child cg (cg_top cg) name in
+  let d = cg.cg_depth in
+  if d = Array.length cg.cg_stack then begin
+    cg.cg_stack <- grow cg.cg_stack d 0;
+    cg.cg_fps <- grow cg.cg_fps d min_int
+  end;
+  cg.cg_stack.(d) <- node;
+  cg.cg_fps.(d) <- fp;
+  cg.cg_depth <- d + 1
 
-let cg_pop cg =
-  match cg.cg_stack with
-  | f :: (_ :: _ as rest) ->
-      cg.cg_stack <- rest;
-      cg.cg_depth <- cg.cg_depth - 1;
-      cg.cg_path <- f.fr_prev_path;
-      cg.cg_cell <- cg_cell_for cg cg.cg_path
-  | _ -> ()  (* the root frame is never popped *)
+(* The root frame is never popped. *)
+let cg_pop cg = if cg.cg_depth > 1 then cg.cg_depth <- cg.cg_depth - 1
 
 (* Tail call: the top frame is REPLACED, not pushed over — shadow depth
    mirrors the machine's O(1)-stack tail calls. *)
 let cg_replace_top cg ~name ~fp =
-  match cg.cg_stack with
-  | f :: (_ :: _ as rest) ->
-      cg.cg_stack <- { fr_name = name; fr_fp = fp; fr_prev_path = f.fr_prev_path } :: rest;
-      cg.cg_path <- f.fr_prev_path ^ ";" ^ name;
-      cg.cg_cell <- cg_cell_for cg cg.cg_path
-  | _ -> cg_push cg ~name ~fp  (* tail call with only the root below: degrade to a push *)
+  let d = cg.cg_depth in
+  if d > 1 then begin
+    cg.cg_stack.(d - 1) <- cg_child cg cg.cg_stack.(d - 2) name;
+    cg.cg_fps.(d - 1) <- fp
+  end
+  else cg_push cg ~name ~fp (* tail call with only the root below: degrade to a push *)
 
-let cg_edge cg ~caller ~callee ~tail =
-  let key = (caller, callee) in
+(* The frame name of a function entry, memoised while the symbol list is
+   physically unchanged ({!add_symbol}, {!code_release} and a thaw
+   replace it). *)
+let cg_entry_name cpu cg entry =
+  if cg.cg_symbols != cpu.symbols then begin
+    Itbl.reset cg.cg_entries;
+    cg.cg_symbols <- cpu.symbols
+  end;
+  match Itbl.find cg.cg_entries entry with
+  | id -> id
+  | exception Not_found ->
+      let id = cg_intern cg (symbol_at cpu entry) in
+      Itbl.add cg.cg_entries entry id;
+      id
+
+(* The caller of a tail call is the frame it replaces. *)
+let cg_enter cpu cg ~entry ~tail =
+  let callee = cg_entry_name cpu cg entry in
+  let key = pair cg.cg_name.(cg_top cg) callee in
   let e =
-    match Hashtbl.find_opt cg.cg_edges key with
-    | Some e -> e
-    | None ->
+    match Itbl.find cg.cg_edges key with
+    | e -> e
+    | exception Not_found ->
         let e = { e_calls = 0; e_tcalls = 0 } in
-        Hashtbl.replace cg.cg_edges key e;
+        Itbl.add cg.cg_edges key e;
         e
   in
-  if tail then e.e_tcalls <- e.e_tcalls + 1 else e.e_calls <- e.e_calls + 1
+  if tail then begin
+    e.e_tcalls <- e.e_tcalls + 1;
+    cg_replace_top cg ~name:callee ~fp:cpu.regs.(Isa.fp)
+  end
+  else begin
+    e.e_calls <- e.e_calls + 1;
+    cg_push cg ~name:callee ~fp:cpu.regs.(Isa.fp)
+  end
 
-let cg_top_name cg = match cg.cg_stack with f :: _ -> f.fr_name | [] -> cg_root_name
+(* A node's call path, ";"-joined names from the root, built when first
+   read. *)
+let rec cg_path cg node =
+  if Array.length cg.cg_text < cg.cg_nodes then cg.cg_text <- grow cg.cg_text (cg.cg_nodes - 1) "";
+  match cg.cg_text.(node) with
+  | "" ->
+      let name = cg.cg_names.(cg.cg_name.(node)) in
+      let text = if node = 0 then name else cg_path cg cg.cg_parent.(node) ^ ";" ^ name in
+      cg.cg_text.(node) <- text;
+      text
+  | text -> text
 
-let cg_enter cpu ~entry ~tail =
-  match cpu.callgraph with
-  | None -> ()
-  | Some cg ->
-      let callee = match symbol_at cpu entry with Some s -> s | None -> "?" in
-      cg_edge cg ~caller:(cg_top_name cg) ~callee ~tail;
-      if tail then cg_replace_top cg ~name:callee ~fp:cpu.regs.(Isa.fp)
-      else cg_push cg ~name:callee ~fp:cpu.regs.(Isa.fp)
-
-let shadow_path cpu = match cpu.callgraph with Some cg -> cg.cg_path | None -> ""
+let shadow_path cpu = match cpu.callgraph with Some cg -> cg_path cg (cg_top cg) | None -> ""
 let shadow_depth cpu = match cpu.callgraph with Some cg -> cg.cg_depth | None -> 0
-
-let shadow_depth_high cpu =
-  match cpu.callgraph with Some cg -> cg.cg_depth_high | None -> 0
 
 (* Synthetic frames for host-side boundaries (Rt.call re-entry, native
    service handlers): they mirror no machine frame of their own, so they
    inherit the current FP and are popped by truncation, not by RET. *)
-let shadow_push cpu name =
+let shadow_push_host cpu =
   match cpu.callgraph with
   | None -> ()
-  | Some cg -> cg_push cg ~name ~fp:cpu.regs.(Isa.fp)
+  | Some cg -> cg_push cg ~name:host_name ~fp:cpu.regs.(Isa.fp)
+
+(* "*:SQ-CONS" -> "svc:CONS" *)
+let svc_frame_name id =
+  let name = Isa.svc_name id and prefix = "*:SQ-" in
+  let n = String.length prefix in
+  if String.length name > n && String.starts_with ~prefix name then
+    "svc:" ^ String.sub name n (String.length name - n)
+  else "svc:" ^ name
+
+let shadow_push_service cpu id =
+  match cpu.callgraph with
+  | None -> ()
+  | Some cg ->
+      let name =
+        match Itbl.find cg.cg_services id with
+        | name -> name
+        | exception Not_found ->
+            let name = cg_intern cg (svc_frame_name id) in
+            Itbl.add cg.cg_services id name;
+            name
+      in
+      cg_push cg ~name ~fp:cpu.regs.(Isa.fp)
 
 let shadow_truncate cpu depth =
   match cpu.callgraph with
   | None -> ()
-  | Some cg ->
-      while cg.cg_depth > depth && (match cg.cg_stack with _ :: _ :: _ -> true | _ -> false) do
-        cg_pop cg
-      done
+  | Some cg -> if cg.cg_depth > depth then cg.cg_depth <- max 1 depth
 
 (* CATCH/THROW unwind: the machine restored SP/FP/TP/ENV directly from
    the catch frame without executing the intervening RETs, so pop every
@@ -357,54 +443,37 @@ let shadow_unwind_to cpu ~fp =
   match cpu.callgraph with
   | None -> ()
   | Some cg ->
-      let rec go () =
-        match cg.cg_stack with
-        | f :: _ :: _ when f.fr_fp > fp ->
-            cg_pop cg;
-            go ()
-        | _ -> ()
-      in
-      go ()
+      while cg.cg_depth > 1 && cg.cg_fps.(cg.cg_depth - 1) > fp do
+        cg_pop cg
+      done
 
 let shadow_charge_alloc cpu words =
   match cpu.callgraph with
   | None -> ()
-  | Some cg -> (
-      match Hashtbl.find_opt cg.cg_alloc cg.cg_path with
-      | Some c -> c := !c + words
-      | None -> Hashtbl.replace cg.cg_alloc cg.cg_path (ref words))
-
-let folded_of tbl =
-  Hashtbl.fold (fun p c acc -> if !c > 0 then (p, !c) :: acc else acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare (a : string) b)
+  | Some cg ->
+      let node = cg_top cg in
+      cg.cg_words.(node) <- cg.cg_words.(node) + words
 
 (* Folded-stack export (flamegraph collapse format): one "path count"
-   line per call path with nonzero exclusive cycles, sorted by path for
+   line per node with a nonzero count, sorted by path for
    byte-determinism. *)
-let folded_stacks cpu =
-  match cpu.callgraph with None -> [] | Some cg -> folded_of cg.cg_paths
+let folded_of cpu counts =
+  match cpu.callgraph with
+  | None -> []
+  | Some cg ->
+      let rows = ref [] in
+      for node = cg.cg_nodes - 1 downto 0 do
+        let c = (counts cg).(node) in
+        if c > 0 then rows := (cg_path cg node, c) :: !rows
+      done;
+      List.sort (fun (a, _) (b, _) -> String.compare a b) !rows
 
-let folded_alloc cpu =
-  match cpu.callgraph with None -> [] | Some cg -> folded_of cg.cg_alloc
+let folded_alloc cpu = folded_of cpu (fun cg -> cg.cg_words)
 
 let render_folded cpu =
   let b = Buffer.create 1024 in
-  List.iter (fun (p, c) -> Buffer.add_string b (Printf.sprintf "%s %d\n" p c)) (folded_stacks cpu);
+  List.iter (fun (p, c) -> Printf.bprintf b "%s %d\n" p c) (folded_of cpu (fun cg -> cg.cg_cycles));
   Buffer.contents b
-
-let cg_segments path = String.split_on_char ';' path
-
-(* Inclusive cycles of a function: every path it appears on, counted
-   once per path (mutual recursion repeats names within a path; that
-   still contributes the path's cycles exactly once). *)
-let inclusive_cycles cpu ~name =
-  match cpu.callgraph with
-  | None -> 0
-  | Some cg ->
-      Hashtbl.fold
-        (fun path cell acc ->
-          if !cell > 0 && List.mem name (cg_segments path) then acc + !cell else acc)
-        cg.cg_paths 0
 
 type edge_profile = {
   ep_caller : string;
@@ -416,44 +485,34 @@ type edge_profile = {
 }
 
 (* The gprof-style caller->callee table.  Exclusive cycles of an edge
-   are the cycles of paths ending in exactly that edge; inclusive
-   cycles count every path the edge appears on (once per path, even if
-   recursion repeats it). *)
+   are the cycles of nodes whose leaf frame it enters; inclusive cycles
+   count every node whose path contains the edge (once per path, even
+   if recursion repeats it). *)
 let call_edges cpu : edge_profile list =
   match cpu.callgraph with
   | None -> []
   | Some cg ->
-      let incl = Hashtbl.create 64 and excl = Hashtbl.create 64 in
-      let add tbl key n =
-        Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-      in
-      Hashtbl.iter
-        (fun path cell ->
-          let c = !cell in
-          if c > 0 then begin
-            let segs = cg_segments path in
-            let rec last2 = function
-              | [ a; b ] -> Some (a, b)
-              | _ :: tl -> last2 tl
-              | [] -> None
-            in
-            (match last2 segs with Some e -> add excl e c | None -> ());
-            let rec pairs acc = function
-              | a :: (b :: _ as tl) -> pairs ((a, b) :: acc) tl
-              | _ -> acc
-            in
-            List.iter (fun e -> add incl e c) (List.sort_uniq compare (pairs [] segs))
-          end)
-        cg.cg_paths;
-      Hashtbl.fold
-        (fun (caller, callee) e acc ->
+      let incl = Itbl.create 64 and excl = Itbl.create 64 in
+      let add tbl key n = Itbl.replace tbl key (n + Option.value ~default:0 (Itbl.find_opt tbl key)) in
+      let edge node = pair cg.cg_name.(cg.cg_parent.(node)) cg.cg_name.(node) in
+      let rec path_edges node acc = if node = 0 then acc else path_edges cg.cg_parent.(node) (edge node :: acc) in
+      for node = 1 to cg.cg_nodes - 1 do
+        let c = cg.cg_cycles.(node) in
+        if c > 0 then begin
+          add excl (edge node) c;
+          List.iter (fun e -> add incl e c) (List.sort_uniq compare (path_edges node []))
+        end
+      done;
+      let get tbl key = Option.value ~default:0 (Itbl.find_opt tbl key) in
+      Itbl.fold
+        (fun key e acc ->
           {
-            ep_caller = caller;
-            ep_callee = callee;
+            ep_caller = cg.cg_names.(key lsr 30);
+            ep_callee = cg.cg_names.(key land ((1 lsl 30) - 1));
             ep_calls = e.e_calls;
             ep_tcalls = e.e_tcalls;
-            ep_incl_cycles = Option.value ~default:0 (Hashtbl.find_opt incl (caller, callee));
-            ep_excl_cycles = Option.value ~default:0 (Hashtbl.find_opt excl (caller, callee));
+            ep_incl_cycles = get incl key;
+            ep_excl_cycles = get excl key;
           }
           :: acc)
         cg.cg_edges []
@@ -461,6 +520,52 @@ let call_edges cpu : edge_profile list =
              match compare b.ep_incl_cycles a.ep_incl_cycles with
              | 0 -> compare (a.ep_caller, a.ep_callee) (b.ep_caller, b.ep_callee)
              | n -> n)
+
+(* Per-PC views ----------------------------------------------------------- *)
+
+type tally = {
+  mutable t_pc : int;  (* lowest PC that executed *)
+  mutable t_cycles : int;
+  mutable t_instrs : int;
+  mutable t_movs : int;
+  mutable t_calls : int;
+}
+
+(* The one per-PC group-by: every PC that executed or was called into
+   folds into the row [key pc] names.  MOV counts come from the
+   instruction now at the PC, exact because {!code_release} zeroes the
+   rows of the slots it drops. *)
+let tally_by cpu key =
+  match cpu.profile with
+  | None -> []
+  | Some p ->
+      let rows = Hashtbl.create 32 in
+      for pc = 0 to min cpu.code_len (Array.length p.p_cycles) - 1 do
+        let n = p.p_instrs.(pc) in
+        if n > 0 || p.p_calls.(pc) > 0 then begin
+          let k = key pc in
+          let t =
+            match Hashtbl.find_opt rows k with
+            | Some t -> t
+            | None ->
+                let t = { t_pc = pc; t_cycles = 0; t_instrs = 0; t_movs = 0; t_calls = 0 } in
+                Hashtbl.add rows k t;
+                t
+          in
+          if t.t_instrs = 0 then t.t_pc <- pc;
+          t.t_cycles <- t.t_cycles + p.p_cycles.(pc);
+          t.t_instrs <- t.t_instrs + n;
+          if Isa.is_mov cpu.code.(pc) then t.t_movs <- t.t_movs + n;
+          t.t_calls <- t.t_calls + p.p_calls.(pc)
+        end
+      done;
+      Hashtbl.fold (fun k t acc -> (k, t) :: acc) rows []
+
+(* Rows of PCs that executed, hottest first, ties broken by key. *)
+let executed rows =
+  List.filter (fun (_, t) -> t.t_instrs > 0) rows
+  |> List.sort (fun (ka, a) (kb, b) ->
+         match compare b.t_cycles a.t_cycles with 0 -> compare ka kb | n -> n)
 
 type func_profile = {
   f_name : string;
@@ -471,53 +576,21 @@ type func_profile = {
   f_calls : int;
 }
 
-(* Aggregate the per-PC tables by containing symbol; PCs outside any
-   loaded symbol range (the halt stub, hand-assembled test code) pool
-   under "?". *)
+(* PCs outside any loaded symbol range (the halt stub, hand-assembled
+   test code) pool under "?"; ties (equal cycles) break on entry PC, then
+   name, so --profile output is byte-deterministic. *)
 let profile_by_function cpu : func_profile list =
-  match cpu.profile with
-  | None -> []
-  | Some p ->
-      let by_name : (string, func_profile) Hashtbl.t = Hashtbl.create 32 in
-      let entry_of name =
-        List.fold_left
-          (fun acc (lo, _, n) -> if n = name && lo < acc then lo else acc)
-          max_int cpu.symbols
-      in
-      let touch name f =
-        let cur =
-          match Hashtbl.find_opt by_name name with
-          | Some fp -> fp
-          | None ->
-              { f_name = name; f_entry = entry_of name; f_cycles = 0; f_instructions = 0;
-                f_movs = 0; f_calls = 0 }
-        in
-        Hashtbl.replace by_name name (f cur)
-      in
-      let n = min cpu.code_len (Array.length p.p_cycles) in
-      for pc = 0 to n - 1 do
-        if p.p_instrs.(pc) > 0 then
-          let name = match symbol_at cpu pc with Some s -> s | None -> "?" in
-          touch name (fun fp ->
-              {
-                fp with
-                f_cycles = fp.f_cycles + p.p_cycles.(pc);
-                f_instructions = fp.f_instructions + p.p_instrs.(pc);
-                f_movs = fp.f_movs + p.p_movs.(pc);
-              })
-      done;
-      Hashtbl.iter
-        (fun entry count ->
-          let name = match symbol_at cpu entry with Some s -> s | None -> "?" in
-          touch name (fun fp -> { fp with f_calls = fp.f_calls + count }))
-        p.p_entry_calls;
-      Hashtbl.fold (fun _ fp acc -> fp :: acc) by_name []
-      (* ties (equal cycles) break on entry PC, then name, so --profile
-         output is byte-deterministic regardless of hash order *)
-      |> List.sort (fun a b ->
-             match compare b.f_cycles a.f_cycles with
-             | 0 -> compare (a.f_entry, a.f_name) (b.f_entry, b.f_name)
-             | n -> n)
+  let entry_of name =
+    List.fold_left (fun acc (lo, _, n) -> if n = name && lo < acc then lo else acc) max_int cpu.symbols
+  in
+  tally_by cpu (symbol_at cpu)
+  |> List.map (fun (name, t) ->
+         { f_name = name; f_entry = entry_of name; f_cycles = t.t_cycles;
+           f_instructions = t.t_instrs; f_movs = t.t_movs; f_calls = t.t_calls })
+  |> List.sort (fun a b ->
+         match compare b.f_cycles a.f_cycles with
+         | 0 -> compare (a.f_entry, a.f_name) (b.f_entry, b.f_name)
+         | n -> n)
 
 type line_profile = {
   ln_file : string;  (** ["(runtime)"] for unmapped code, ["(no-source)"] for unlocated nodes *)
@@ -531,97 +604,31 @@ type line_profile = {
    one of the two synthetic ones), so the cycle column sums to exactly
    [stats.cycles] whenever stats and the profile were reset together. *)
 let profile_by_line cpu : line_profile list =
-  match cpu.profile with
-  | None -> []
-  | Some p ->
-      let by_line : (string * int, line_profile) Hashtbl.t = Hashtbl.create 32 in
-      let n = min cpu.code_len (Array.length p.p_cycles) in
-      for pc = 0 to n - 1 do
-        if p.p_instrs.(pc) > 0 || p.p_cycles.(pc) > 0 then begin
-          let key =
-            match provenance_at cpu pc with
-            | Some { Asm.m_loc = Some l; _ } -> (l.S1_loc.Loc.file, l.S1_loc.Loc.line)
-            | Some { Asm.m_loc = None; _ } -> ("(no-source)", 0)
-            | None -> ("(runtime)", 0)
-          in
-          let cur =
-            match Hashtbl.find_opt by_line key with
-            | Some lp -> lp
-            | None ->
-                { ln_file = fst key; ln_line = snd key; ln_cycles = 0; ln_instructions = 0;
-                  ln_movs = 0 }
-          in
-          Hashtbl.replace by_line key
-            {
-              cur with
-              ln_cycles = cur.ln_cycles + p.p_cycles.(pc);
-              ln_instructions = cur.ln_instructions + p.p_instrs.(pc);
-              ln_movs = cur.ln_movs + p.p_movs.(pc);
-            }
-        end
-      done;
-      Hashtbl.fold (fun _ lp acc -> lp :: acc) by_line []
-      |> List.sort (fun a b ->
-             match compare b.ln_cycles a.ln_cycles with
-             | 0 -> compare (a.ln_file, a.ln_line) (b.ln_file, b.ln_line)
-             | n -> n)
-
-type node_profile = {
-  np_node : int;  (** IR node id; -1 for unmapped code *)
-  np_loc : S1_loc.Loc.t option;
-  np_cycles : int;
-  np_instructions : int;
-}
-
-let profile_by_node cpu : node_profile list =
-  match cpu.profile with
-  | None -> []
-  | Some p ->
-      let by_node : (int, node_profile) Hashtbl.t = Hashtbl.create 64 in
-      let n = min cpu.code_len (Array.length p.p_cycles) in
-      for pc = 0 to n - 1 do
-        if p.p_instrs.(pc) > 0 || p.p_cycles.(pc) > 0 then begin
-          let node, loc =
-            match provenance_at cpu pc with
-            | Some m -> (m.Asm.m_node, m.Asm.m_loc)
-            | None -> (-1, None)
-          in
-          let cur =
-            match Hashtbl.find_opt by_node node with
-            | Some np -> np
-            | None -> { np_node = node; np_loc = loc; np_cycles = 0; np_instructions = 0 }
-          in
-          Hashtbl.replace by_node node
-            {
-              cur with
-              np_cycles = cur.np_cycles + p.p_cycles.(pc);
-              np_instructions = cur.np_instructions + p.p_instrs.(pc);
-            }
-        end
-      done;
-      Hashtbl.fold (fun _ np acc -> np :: acc) by_node []
-      |> List.sort (fun a b ->
-             match compare b.np_cycles a.np_cycles with
-             | 0 -> compare a.np_node b.np_node
-             | n -> n)
+  let line_at pc =
+    match provenance_at cpu pc with
+    | Some { Asm.m_loc = Some l; _ } -> (l.S1_loc.Loc.file, l.S1_loc.Loc.line)
+    | Some { Asm.m_loc = None; _ } -> ("(no-source)", 0)
+    | None -> ("(runtime)", 0)
+  in
+  executed (tally_by cpu line_at)
+  |> List.map (fun ((file, line), t) ->
+         { ln_file = file; ln_line = line; ln_cycles = t.t_cycles;
+           ln_instructions = t.t_instrs; ln_movs = t.t_movs })
 
 let opcode_histogram cpu =
-  match cpu.profile with
-  | None -> []
-  | Some p ->
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) p.p_opcodes []
-      |> List.sort (fun (ka, a) (kb, b) ->
-             match compare b a with 0 -> compare ka kb | n -> n)
+  tally_by cpu (fun pc -> Isa.mnemonic cpu.code.(pc))
+  |> List.filter_map (fun (op, t) -> if t.t_instrs > 0 then Some (op, t.t_instrs) else None)
+  |> List.sort (fun (ka, a) (kb, b) -> match compare b a with 0 -> compare ka kb | n -> n)
 
 let pp_profile fmt cpu =
   let fns = profile_by_function cpu in
   let total = List.fold_left (fun acc f -> acc + f.f_cycles) 0 fns in
+  let pct c = if total = 0 then 0.0 else 100.0 *. float_of_int c /. float_of_int total in
   Format.fprintf fmt "@[<v>%-28s %12s %6s %10s %8s %8s@," "function" "cycles" "%" "instrs"
     "movs" "calls";
   List.iter
     (fun f ->
-      Format.fprintf fmt "%-28s %12d %5.1f%% %10d %8d %8d@," f.f_name f.f_cycles
-        (if total = 0 then 0.0 else 100.0 *. float_of_int f.f_cycles /. float_of_int total)
+      Format.fprintf fmt "%-28s %12d %5.1f%% %10d %8d %8d@," f.f_name f.f_cycles (pct f.f_cycles)
         f.f_instructions f.f_movs f.f_calls)
     fns;
   Format.fprintf fmt "@,%-28s %12d@," "total" total;
@@ -646,27 +653,25 @@ let pp_profile fmt cpu =
           let label =
             if l.ln_line = 0 then l.ln_file else Printf.sprintf "%s:%d" l.ln_file l.ln_line
           in
-          Format.fprintf fmt "%-28s %12d %5.1f%% %10d %8d@," label l.ln_cycles
-            (if total = 0 then 0.0 else 100.0 *. float_of_int l.ln_cycles /. float_of_int total)
+          Format.fprintf fmt "%-28s %12d %5.1f%% %10d %8d@," label l.ln_cycles (pct l.ln_cycles)
             l.ln_instructions l.ln_movs)
         lines);
-  (match profile_by_node cpu with
+  (* by generating IR node; -1 for unmapped code *)
+  let node_at pc = match provenance_at cpu pc with Some m -> m.Asm.m_node | None -> -1 in
+  (match executed (tally_by cpu node_at) with
   | [] -> ()
   | nodes ->
       Format.fprintf fmt "@,%-28s %12s %6s %10s@," "IR node" "cycles" "%" "instrs";
       List.iter
-        (fun np ->
+        (fun (node, t) ->
           let label =
-            if np.np_node < 0 then "(runtime)"
-            else
-              Printf.sprintf "n%d%s" np.np_node
-                (match np.np_loc with
-                | Some l -> " @ " ^ S1_loc.Loc.to_string l
-                | None -> "")
+            match provenance_at cpu t.t_pc with
+            | Some { Asm.m_loc = Some l; _ } when node >= 0 ->
+                Printf.sprintf "n%d @ %s" node (S1_loc.Loc.to_string l)
+            | _ -> if node < 0 then "(runtime)" else Printf.sprintf "n%d" node
           in
-          Format.fprintf fmt "%-28s %12d %5.1f%% %10d@," label np.np_cycles
-            (if total = 0 then 0.0 else 100.0 *. float_of_int np.np_cycles /. float_of_int total)
-            np.np_instructions)
+          Format.fprintf fmt "%-28s %12d %5.1f%% %10d@," label t.t_cycles (pct t.t_cycles)
+            t.t_instrs)
         nodes);
   (match opcode_histogram cpu with
   | [] -> ()
@@ -784,11 +789,7 @@ let do_call cpu fobj nargs ~ret =
   else begin
     let env = closure_env cpu fobj in
     cpu.stats.calls <- cpu.stats.calls + 1;
-    (match cpu.profile with
-    | Some p ->
-        Hashtbl.replace p.p_entry_calls entry
-          (1 + Option.value ~default:0 (Hashtbl.find_opt p.p_entry_calls entry))
-    | None -> ());
+    (match cpu.profile with Some p -> count_arrival cpu p entry | None -> ());
     cpu.regs.(Isa.rta) <- nargs;
     push cpu ret;
     push cpu cpu.regs.(Isa.fp);
@@ -798,7 +799,7 @@ let do_call cpu fobj nargs ~ret =
     cpu.regs.(Isa.fp) <- cpu.regs.(Isa.sp);
     if env >= 0 then cpu.regs.(Isa.env) <- env;
     cpu.pc <- entry;
-    cg_enter cpu ~entry ~tail:false
+    match cpu.callgraph with Some cg -> cg_enter cpu cg ~entry ~tail:false | None -> ()
   end
 
 let do_tcall cpu fobj nargs =
@@ -813,11 +814,7 @@ let do_tcall cpu fobj nargs =
   else begin
     let env = closure_env cpu fobj in
     cpu.stats.tcalls <- cpu.stats.tcalls + 1;
-    (match cpu.profile with
-    | Some p ->
-        Hashtbl.replace p.p_entry_calls entry
-          (1 + Option.value ~default:0 (Hashtbl.find_opt p.p_entry_calls entry))
-    | None -> ());
+    (match cpu.profile with Some p -> count_arrival cpu p entry | None -> ());
     let fp = cpu.regs.(Isa.fp) in
     let old_argc = Word.addr_of (Mem.read cpu.mem fp) in
     let ret = Mem.read cpu.mem (fp - 4) in
@@ -842,7 +839,7 @@ let do_tcall cpu fobj nargs =
     cpu.regs.(Isa.rta) <- nargs;
     if env >= 0 then cpu.regs.(Isa.env) <- env;
     cpu.pc <- entry;
-    cg_enter cpu ~entry ~tail:true
+    match cpu.callgraph with Some cg -> cg_enter cpu cg ~entry ~tail:true | None -> ()
   end
 
 let do_ret cpu =
@@ -1308,13 +1305,12 @@ let run_instrumented cpu limit =
   while (not cpu.halted) && s.cycles < limit do
     let op = fetch cpu in
     let pc = cpu.pc in
-    let i = cpu.code.(pc) in
     let cycles0 = s.cycles in
-    let cell0 = match cpu.callgraph with Some cg -> cg.cg_cell | None -> cg_dummy_cell in
+    let node = match cpu.callgraph with Some cg -> cg_top cg | None -> 0 in
     op cpu;
     (match cpu.callgraph with
     | Some cg ->
-        cell0 := !cell0 + (s.cycles - cg.cg_charged);
+        cg.cg_cycles.(node) <- cg.cg_cycles.(node) + (s.cycles - cg.cg_charged);
         cg.cg_charged <- s.cycles
     | None -> ());
     match cpu.profile with
@@ -1322,10 +1318,7 @@ let run_instrumented cpu limit =
     | Some p ->
         ensure_profile_capacity p pc;
         p.p_cycles.(pc) <- p.p_cycles.(pc) + (s.cycles - cycles0);
-        p.p_instrs.(pc) <- p.p_instrs.(pc) + 1;
-        if Isa.is_mov i then p.p_movs.(pc) <- p.p_movs.(pc) + 1;
-        let m = Isa.mnemonic i in
-        Hashtbl.replace p.p_opcodes m (1 + Option.value ~default:0 (Hashtbl.find_opt p.p_opcodes m))
+        p.p_instrs.(pc) <- p.p_instrs.(pc) + 1
   done
 
 let run ?(fuel = 500_000_000) cpu ~at =
@@ -1354,15 +1347,20 @@ let run ?(fuel = 500_000_000) cpu ~at =
 
 (* Rollback support for transactional loads: a mark taken before a load
    and released after a failure truncates the code store and drops the
-   symbol ranges, PC line maps and decoded closures of everything loaded
-   past the mark, so a re-load lands at the same addresses with the same
-   provenance. *)
+   symbol ranges, PC line maps, decoded closures and per-PC profile rows
+   of everything loaded past the mark, so a re-load lands at the same
+   addresses with the same provenance and no inherited counts. *)
 let code_mark cpu = cpu.code_len
 
 let code_release cpu mark =
   if mark >= 0 && mark <= cpu.code_len then begin
     if mark < Array.length cpu.ops then
       Array.fill cpu.ops mark (min cpu.code_len (Array.length cpu.ops) - mark) undecoded;
+    (match cpu.profile with
+    | Some p when mark < Array.length p.p_cycles ->
+        let n = Array.length p.p_cycles - mark in
+        List.iter (fun a -> Array.fill a mark n 0) [ p.p_cycles; p.p_instrs; p.p_calls ]
+    | _ -> ());
     cpu.code_len <- mark;
     cpu.symbols <- List.filter (fun (lo, _, _) -> lo < mark) cpu.symbols;
     cpu.mark_segments <- List.filter (fun (lo, _, _) -> lo < mark) cpu.mark_segments

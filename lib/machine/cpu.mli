@@ -37,37 +37,13 @@ type stats = {
           [bind_special] *)
 }
 
-type profile = {
-  mutable p_cycles : int array;  (** cycles attributed per code address *)
-  mutable p_instrs : int array;
-  mutable p_movs : int array;
-  p_opcodes : (string, int) Hashtbl.t;  (** mnemonic -> executions *)
-  p_entry_calls : (int, int) Hashtbl.t;  (** entry pc -> CALL/TCALL count *)
-}
+type profile
+(** Per-PC attribution: cycles, executions and CALL/TCALL arrivals. *)
 
-type cg_frame = {
-  fr_name : string;
-  fr_fp : int;  (** machine FP of the mirrored frame; [min_int] for the root *)
-  fr_prev_path : string;  (** call path below this frame (O(1) pop) *)
-}
-
-type cg_edge = { mutable e_calls : int; mutable e_tcalls : int }
-
-(** The call-path profiler's state: a shadow call stack mirroring the
-    machine's frame chain (tail calls {e replace} the top frame), with
-    per-call-path exclusive-cycle counters, a caller→callee edge table,
-    and per-path heap-allocation totals.  See {!enable_callgraph}. *)
-type callgraph = {
-  mutable cg_stack : cg_frame list;  (** top first; the root is never popped *)
-  mutable cg_path : string;  (** ";"-joined frame names, root first *)
-  mutable cg_cell : int ref;  (** cached counter of [cg_path] *)
-  mutable cg_charged : int;  (** [stats.cycles] already attributed to a path *)
-  cg_paths : (string, int ref) Hashtbl.t;
-  cg_edges : (string * string, cg_edge) Hashtbl.t;
-  cg_alloc : (string, int ref) Hashtbl.t;
-  mutable cg_depth : int;
-  mutable cg_depth_high : int;
-}
+type callgraph
+(** The call-path profiler's state: a calling-context tree of integer
+    nodes and the shadow call stack that walks it.  See
+    {!enable_callgraph}. *)
 
 type t = {
   mem : Mem.t;
@@ -162,8 +138,12 @@ val code_mark : t -> int
 
 val code_release : t -> int -> unit
 (** Truncate the code store to a {!code_mark}, dropping symbol ranges,
-    PC line maps and decoded closures past it, so a re-load lands at the
-    same addresses with the same provenance. *)
+    PC line maps, decoded closures and per-PC profile rows past it, so a
+    re-load lands at the same addresses with the same provenance and
+    counts nothing it did not run.  No product path releases code under
+    a live profile ({!restore_code} is reached only by a thaw, on a
+    fresh CPU or in the compile service's world restore), so no export
+    depends on the zeroing. *)
 
 val restore_code : t -> Isa.instr array -> unit
 (** Make the code store exactly the given instructions, every slot
@@ -179,19 +159,22 @@ val pp_stats : Format.formatter -> stats -> unit
 (** {1 Profiling}
 
     With profiling enabled, {!run} attributes every cycle and
-    instruction to the fetched PC, and [CALL]/[TCALL] count arrivals per
-    entry address.  {!add_symbol} names loaded code ranges (the compiler
-    driver and the runtime's native stubs register every function they
-    load) so {!profile_by_function} can fold the PC-level tables into a
-    hottest-functions table. *)
+    execution to the fetched PC, and [CALL]/[TCALL] count arrivals per
+    entry address: three int arrays, nothing else per instruction.  MOV
+    counts and opcode families are read off the instruction at each PC
+    when a view asks, and every view ({!profile_by_function},
+    {!profile_by_line}, {!opcode_histogram} and the IR-node table of
+    {!pp_profile}) is one group-by over the PCs.  {!add_symbol} names
+    loaded code ranges (the compiler driver and the runtime's native
+    stubs register every function they load). *)
 
 val enable_profile : t -> unit
 val profiling : t -> bool
-val reset_profile : t -> unit
-(** Zero the attribution tables (keeps profiling enabled). *)
-
 val add_symbol : t -> lo:int -> hi:int -> name:string -> unit
-val symbol_at : t -> int -> string option
+
+val pc_counts : t -> int -> int * int
+(** (cycles, executions) attributed to a code address; [(0, 0)] when
+    profiling is off. *)
 
 type func_profile = {
   f_name : string;
@@ -209,9 +192,14 @@ val profile_by_function : t -> func_profile list
 (** {1 Call-path profiling}
 
     With the callgraph enabled, the CALL/TCALL/RET microcode maintains a
-    shadow call stack and {!run} attributes every cycle to the full
-    call path current at fetch time (so a CALL's own cycles charge to
-    the caller).  Invariants:
+    shadow call stack over a calling-context tree, and {!run} attributes
+    every cycle to the tree node current at fetch time (so a CALL's own
+    cycles charge to the caller).  A node is an integer, the child of
+    its parent under one frame name; names are interned once (a function
+    entry's name is memoised while the symbol list is unchanged), so no
+    call, return, service call or allocation builds or hashes a string.
+    A node's ";"-joined path is built only when a reader asks for it.
+    Invariants:
 
     - a tail call replaces the top shadow frame: tail recursion adds no
       shadow depth, mirroring the machine's O(1)-stack tail calls;
@@ -224,18 +212,19 @@ val profile_by_function : t -> func_profile list
 val enable_callgraph : t -> unit
 val callgraph_on : t -> bool
 
-
 val shadow_path : t -> string
 (** The current call path (";"-joined, root first); [""] when off. *)
 
 val shadow_depth : t -> int
 (** Current shadow-stack depth (the root counts); [0] when off. *)
 
-val shadow_depth_high : t -> int
+val shadow_push_host : t -> unit
+(** Push the synthetic ["(host)"] frame of an [Rt.call] re-entry; popped
+    by {!shadow_truncate}, not RET. *)
 
-val shadow_push : t -> string -> unit
-(** Push a synthetic frame for a host-side boundary (native service
-    handler, [Rt.call] re-entry); popped by {!shadow_truncate}, not RET. *)
+val shadow_push_service : t -> int -> unit
+(** Push the synthetic frame of a native service handler, named
+    ["svc:CONS"] for service ["*:SQ-CONS"]; popped by {!shadow_truncate}. *)
 
 val shadow_truncate : t -> int -> unit
 (** Pop frames until the depth is back to the given value (the root
@@ -249,18 +238,13 @@ val shadow_charge_alloc : t -> int -> unit
 (** Attribute heap words to the current call path (wired to the heap's
     allocation hook by [Rt.create]). *)
 
-val folded_stacks : t -> (string * int) list
-(** Call paths with nonzero exclusive cycles, sorted by path — the
-    flamegraph folded-stack collapse ("f;g;h 1234"). *)
-
 val folded_alloc : t -> (string * int) list
 (** Heap words allocated per call path, sorted by path. *)
 
 val render_folded : t -> string
-(** {!folded_stacks} as newline-terminated "path count" lines. *)
-
-val inclusive_cycles : t -> name:string -> int
-(** Total cycles of paths the function appears on (once per path). *)
+(** Call paths with nonzero exclusive cycles, sorted by path, as
+    newline-terminated "path count" lines — the flamegraph folded-stack
+    collapse ("f;g;h 1234"). *)
 
 type edge_profile = {
   ep_caller : string;
@@ -273,7 +257,8 @@ type edge_profile = {
 
 val call_edges : t -> edge_profile list
 (** The gprof-style caller→callee table, sorted by inclusive cycles
-    descending, ties by names (byte-deterministic). *)
+    descending, ties by names (byte-deterministic).  The caller of a
+    tail call is the frame it replaced. *)
 
 (** {1 Provenance}
 
@@ -298,16 +283,6 @@ val profile_by_line : t -> line_profile list
 (** Per-PC attribution folded by source line, descending by cycles.
     Every executed PC lands in exactly one bucket, so cycle totals sum
     to [stats.cycles] when stats and profile were reset together. *)
-
-type node_profile = {
-  np_node : int;  (** IR node id; -1 for unmapped code *)
-  np_loc : S1_loc.Loc.t option;
-  np_cycles : int;
-  np_instructions : int;
-}
-
-val profile_by_node : t -> node_profile list
-(** Per-PC attribution folded by generating IR node, descending by cycles. *)
 
 val opcode_histogram : t -> (string * int) list
 (** Executions per opcode family, descending. *)

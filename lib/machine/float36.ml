@@ -114,10 +114,6 @@ let single_of_float f = decode_single (encode_single f)
 let encode_half = encode half
 let decode_half = decode half
 
-let single_is_inf w =
-  let e = (w lsr single.fbits) land emax single in
-  e = emax single && w land ((1 lsl single.fbits) - 1) = 0
-
 let encode_double f =
   (* the same single-zero rule as the 36-bit formats *)
   let f = if f = 0.0 then 0.0 else f in

@@ -51,7 +51,3 @@ val single : fmt
 val half : fmt
 val encode : fmt -> float -> int
 val decode : fmt -> int -> float
-
-(** {1 Predicates} *)
-
-val single_is_inf : int -> bool

@@ -91,15 +91,10 @@ let alloc_static m n =
 
 let static_used m = m.static_next - static_base m
 
-(* Transactional loads: a mark taken before a load and released after a
-   failure rolls the allocation pointer back, and [static_snapshot]/
-   [static_restore] capture and rewrite the live static words, so a
+(* Transactional loads: [static_snapshot]/[static_restore] capture and
+   rewrite the live static words and the allocation pointer, so a
    rolled-back load leaves the region byte-identical — re-interning the
    same symbols then lands at the same addresses. *)
-let static_mark m = m.static_next
-
-let static_release m mark =
-  if mark >= static_base m && mark <= m.static_next then m.static_next <- mark
 
 (* [f page offset_in_page offset_in_span count] for each page that
    [addr, addr + len) crosses, in order: snapshot and restore blit pages. *)

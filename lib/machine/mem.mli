@@ -69,15 +69,11 @@ val static_used : t -> int
 
 (** {1 Transactional loads}
 
-    A failed image load must be a clean no-op on the world: take a mark
-    (and a snapshot) before replaying, release (and restore) after a
-    trap.  Restoring rewrites the live static words and the allocation
-    pointer, so re-interning the same symbols afterwards lands at the
-    same addresses — byte-determinism survives the rollback. *)
-
-val static_mark : t -> int
-val static_release : t -> int -> unit
-(** Roll the static allocation pointer back to a {!static_mark}. *)
+    A failed image load must be a clean no-op on the world: take a
+    snapshot before replaying, restore it after a trap.  Restoring
+    rewrites the live static words and the allocation pointer, so
+    re-interning the same symbols afterwards lands at the same
+    addresses — byte-determinism survives the rollback. *)
 
 val static_snapshot : t -> int array
 (** Copy of the live static words (base up to the allocation pointer). *)

@@ -181,9 +181,6 @@ let add_spans ?(t = default ()) (sps : span list) =
       sp.sp_alloc <- sp.sp_alloc + o.sp_alloc)
     sps
 
-let span_ns ?(t = default ()) path =
-  match Hashtbl.find_opt t.spans path with Some sp -> sp.sp_ns | None -> 0
-
 (* Rendering ------------------------------------------------------------------ *)
 
 (* Spans in tree order: each directly after its parent's subtree,

@@ -222,7 +222,7 @@ let call rt fobj args =
   (* A synthetic shadow frame marks the host re-entry, so cycles of the
      nested run attribute under "(host)" rather than merging into
      whatever compiled frame happened to be current. *)
-  if Cpu.callgraph_on cpu then Cpu.shadow_push cpu "(host)";
+  Cpu.shadow_push_host cpu;
   Fun.protect
     ~finally:(fun () ->
       cpu.Cpu.pc <- saved_pc;
@@ -462,18 +462,6 @@ let thaw rt f =
   rt.gensym_counter <- f.f_gensym
 
 (* Service handlers -------------------------------------------------------------- *)
-
-(* Shadow-frame label for a service trap: "*:SQ-CONS" -> "svc:CONS". *)
-let svc_frame_name id =
-  let name = Isa.svc_name id in
-  let name =
-    let prefix = "*:SQ-" in
-    if String.length name > String.length prefix
-       && String.sub name 0 (String.length prefix) = prefix
-    then String.sub name (String.length prefix) (String.length name - String.length prefix)
-    else name
-  in
-  "svc:" ^ name
 
 let r0 rt = Cpu.get_reg rt.cpu 0
 let r1 rt = Cpu.get_reg rt.cpu 1
@@ -755,8 +743,12 @@ let create ?config () =
            context; truncation (not a blind pop) keeps this correct
            even when the handler THROWs to a shallower frame *)
         let depth = Cpu.shadow_depth cpu in
-        Cpu.shadow_push cpu (svc_frame_name id);
-        Fun.protect ~finally:(fun () -> Cpu.shadow_truncate cpu depth) (fun () -> dispatch rt cpu f)
+        Cpu.shadow_push_service cpu id;
+        match dispatch rt cpu f with
+        | () -> Cpu.shadow_truncate cpu depth
+        | exception e ->
+            Cpu.shadow_truncate cpu depth;
+            raise e
       end
       else dispatch rt cpu f);
   cpu.Cpu.bad_function_svc <- Svc.wrong_type_of_function;

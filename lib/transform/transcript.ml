@@ -54,7 +54,6 @@ let record t ?(pass = "simplify") ?(node = -1) ?loc ~before ~after ~rule () =
   end
 
 let events t = List.rev t.events
-let rules_fired t = List.map (fun e -> e.ev_rule) t.events
 
 (** {1 Slicing} — per-unit views over a persistent journal *)
 

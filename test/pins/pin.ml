@@ -1,10 +1,18 @@
 (* Digest s1lc's introspection output: [pin S1LC FILE...] runs
    [S1LC POINT VIEW FILE] for every lattice point and view below and
    prints one line per run: the MD5 of its stdout, the view, the point
-   and the file, plus the exit status when it is not 0. *)
+   and the file, plus the exit status when it is not 0.
+
+   The profiler views run at two points.  A view naming the file [F]
+   writes an export there (a temporary file); its digest covers stdout
+   followed by that file. *)
 
 let points = [ []; [ "--no-tnbind" ]; [ "--cse"; "--peephole" ] ]
-let views = [ "--tns"; "--listing"; "--transcript" ]
+let views = [ [ "--tns" ]; [ "--listing" ]; [ "--transcript" ] ]
+let profiler_points = [ []; [ "--no-tnbind" ] ]
+
+let profiler_views =
+  [ [ "--profile"; "--folded"; "F" ]; [ "--annotate" ]; [ "--trace-events"; "F" ] ]
 
 let run prog args =
   let ic = Unix.open_process_args_in prog (Array.of_list (prog :: args)) in
@@ -14,23 +22,33 @@ let run prog args =
   | Unix.WEXITED n -> (out, Printf.sprintf " exit %d" n)
   | Unix.WSIGNALED n | Unix.WSTOPPED n -> (out, Printf.sprintf " signal %d" n)
 
+let run_view s1lc point view file =
+  let export = Filename.temp_file "pin" ".out" in
+  let args = List.map (fun a -> if a = "F" then export else a) view in
+  let out, status = run s1lc (point @ args @ [ file ]) in
+  let written = In_channel.with_open_bin export In_channel.input_all in
+  Sys.remove export;
+  (out ^ written, status)
+
+let pin s1lc files (points, views) =
+  List.iter
+    (fun view ->
+      List.iter
+        (fun point ->
+          List.iter
+            (fun file ->
+              let out, status = run_view s1lc point view file in
+              let point = if point = [] then "default" else String.concat " " point in
+              Printf.printf "%s %s [%s] %s%s\n"
+                (Digest.to_hex (Digest.string out))
+                (String.concat " " view) point (Filename.basename file) status)
+            files)
+        points)
+    views
+
 let () =
   match Array.to_list Sys.argv with
-  | _ :: s1lc :: files ->
-      List.iter
-        (fun view ->
-          List.iter
-            (fun point ->
-              List.iter
-                (fun file ->
-                  let out, status = run s1lc (point @ [ view; file ]) in
-                  let point = if point = [] then "default" else String.concat " " point in
-                  Printf.printf "%s %s [%s] %s%s\n"
-                    (Digest.to_hex (Digest.string out))
-                    view point (Filename.basename file) status)
-                files)
-            points)
-        views
+  | _ :: s1lc :: files -> List.iter (pin s1lc files) [ (points, views); (profiler_points, profiler_views) ]
   | _ ->
       prerr_endline "usage: pin S1LC FILE...";
       exit 2

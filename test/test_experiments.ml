@@ -375,7 +375,7 @@ let test_e7_transcript () =
   let c = C.create () in
   ignore (C.eval_string c "(defun frotz (x y z) (list x y z))");
   let _, ts = C.listing_of c (Reader.parse_one testfn_src) in
-  let rules = S1_transform.Transcript.rules_fired ts in
+  let rules = List.map (fun e -> e.S1_transform.Transcript.ev_rule) (S1_transform.Transcript.events ts) in
   let has r = List.mem r rules in
   Alcotest.(check bool) "META-EVALUATE-ASSOC-COMMUT-CALL" true
     (has "META-EVALUATE-ASSOC-COMMUT-CALL");

@@ -177,7 +177,7 @@ let test_cse_no_thrash_with_optimizer () =
     C.listing_of c (Reader.parse_one "(defun f (a b) (list (* a b) (* a b)))")
   in
   ignore listing;
-  let rules = S1_transform.Transcript.rules_fired ts in
+  let rules = List.map (fun e -> e.S1_transform.Transcript.ev_rule) (S1_transform.Transcript.events ts) in
   Alcotest.(check bool) "cse fired" true
     (List.mem "COMMON-SUBEXPRESSION-ELIMINATION" rules);
   Alcotest.(check string) "still correct" "(12 12)"

@@ -227,7 +227,8 @@ let test_prims_metadata () =
   Alcotest.(check bool) "car pure" true (p "CAR").Prims.pure;
   check_sexp "identity of *" (Sexp.Int 1) (Option.get (p "*").Prims.identity);
   Alcotest.(check bool) "+$F wants SWFLO" true ((p "+$F").Prims.arg_rep = Some Node.SWFLO);
-  Alcotest.(check bool) "sin$f immutable math" true (Prims.immutable_math "SIN$F")
+  Alcotest.(check bool) "sin$f pure on SWFLO" true
+    ((p "SIN$F").Prims.pure && (p "SIN$F").Prims.arg_rep = Some Node.SWFLO)
 
 let () =
   Alcotest.run "frontend"

@@ -224,7 +224,7 @@ let fingerprint (it : I.t) =
   let h = Heap.stats rt.Rt.heap in
   {
     fp_words = Array.init (Mem.size mem) (Mem.read mem);
-    fp_static_next = Mem.static_mark mem;
+    fp_static_next = Mem.static_used mem;
     fp_code = Array.sub cpu.Cpu.code 0 cpu.Cpu.code_len;
     fp_symbols = cpu.Cpu.symbols;
     fp_segments = List.map (fun (lo, hi, _) -> (lo, hi)) cpu.Cpu.mark_segments;

@@ -56,7 +56,7 @@ let test_float36_specials () =
   Alcotest.(check bool) "nan" true
     (Float.is_nan (Float36.decode_single (Float36.encode_single Float.nan)));
   Alcotest.(check bool) "overflow to inf" true
-    (Float36.single_is_inf (Float36.encode_single 1e300));
+    (Float36.decode_single (Float36.encode_single 1e300) = Float.infinity);
   (* the format has a single zero: -0.0 encodes to the all-zero pattern,
      so the optimizer's associative/commutative reordering of float
      multiplies cannot change an observable zero sign *)
@@ -339,23 +339,22 @@ let test_mem_static_snapshot_across_pages () =
   for i = 0 to n - 1 do
     Mem.write m (base + i) (i * 7)
   done;
-  let mark = Mem.static_mark m in
+  let used = Mem.static_used m in
   let snap = Mem.static_snapshot m in
-  check_int "snapshot holds the live words" (Mem.static_used m) (Array.length snap);
+  check_int "snapshot holds the live words" used (Array.length snap);
   for i = 0 to n - 1 do
     Mem.write m (base + i) 1
   done;
   ignore (Mem.alloc_static m page);
-  Mem.static_release m mark;
   Mem.static_restore m snap;
-  check_int "allocation pointer restored" mark (Mem.static_mark m);
+  check_int "allocation pointer restored" used (Mem.static_used m);
   for i = 0 to n - 1 do
     if Mem.read m (base + i) <> i * 7 then Alcotest.failf "word %d not restored" (base + i)
   done;
   (* restoring into a memory that never wrote those pages *)
   let fresh = Mem.create () in
   Mem.static_restore fresh snap;
-  check_int "fresh allocation pointer" mark (Mem.static_mark fresh);
+  check_int "fresh allocation pointer" used (Mem.static_used fresh);
   check_int "fresh last word" ((n - 1) * 7) (Mem.read fresh (base + n - 1));
   check_int "fresh word past the snapshot" 0 (Mem.read fresh (base + n))
 
@@ -366,14 +365,14 @@ let test_mem_static_restore_zeroes_rollback () =
   let m = Mem.create () in
   ignore (Mem.alloc_static m 5);
   let snap = Mem.static_snapshot m in
-  let mark = Mem.static_mark m in
+  let used = Mem.static_used m in
   let n = (2 * page) + 3 in
   let base = Mem.alloc_static m n in
   for i = 0 to n - 1 do
     Mem.write m (base + i) (i + 1)
   done;
   Mem.static_restore m snap;
-  check_int "allocation pointer rolled back" mark (Mem.static_mark m);
+  check_int "allocation pointer rolled back" used (Mem.static_used m);
   for i = 0 to n - 1 do
     if Mem.read m (base + i) <> 0 then Alcotest.failf "word %d not cleared" (base + i)
   done
@@ -1085,6 +1084,39 @@ let test_parity_code_release () =
         (Some (Printf.sprintf "trap bad-address pc %d: pc out of code range" (img_a.Asm.org + 2)))
         (trap_line e)
 
+(* Releasing code under a live profile drops the per-PC rows too: B,
+   loaded and run where A ran, profiles exactly as B run alone. *)
+let test_profile_code_release () =
+  let open Isa in
+  let prog_a =
+    Asm.[ Instr (Mov (Reg a, Imm 1)); Instr (Mov (Reg 1, Imm 10)); Instr (Mov (Reg 2, Imm 3));
+          Instr Halt ]
+  in
+  let prog_b = Asm.[ Instr (Mov (Reg a, Imm 2)); Instr (Push (Reg a)); Instr Halt ] in
+  let load_run cpu name prog =
+    let img = Cpu.load cpu prog in
+    Cpu.add_symbol cpu ~lo:img.Asm.org ~hi:cpu.Cpu.code_len ~name;
+    Cpu.run cpu ~at:img.Asm.org;
+    img.Asm.org
+  in
+  let view cpu org =
+    ( List.find (fun f -> f.Cpu.f_name = "B") (Cpu.profile_by_function cpu),
+      Annotate.render cpu ~source:(fun _ -> None) ~name:"B" ~org prog_b )
+  in
+  let cpu = Cpu.create () in
+  Cpu.enable_profile cpu;
+  let mark = Cpu.code_mark cpu in
+  ignore (load_run cpu "A" prog_a);
+  Cpu.code_release cpu mark;
+  let org = load_run cpu "B" prog_b in
+  let fresh = Cpu.create () in
+  Cpu.enable_profile fresh;
+  let fresh_org = load_run fresh "B" prog_b in
+  check_int "B loads where a fresh B does" fresh_org org;
+  let row, listing = view cpu org and fresh_row, fresh_listing = view fresh fresh_org in
+  Alcotest.(check bool) "B's function row equals a fresh run's" true (row = fresh_row);
+  Alcotest.(check string) "B's annotated counts equal a fresh run's" fresh_listing listing
+
 (* A service that loads and runs more code than the store holds, in a
    nested run, while the outer run is mid-program: the outer run
    continues with the grown store. *)
@@ -1230,6 +1262,7 @@ let () =
           Alcotest.test_case "vadd" `Quick test_cpu_vadd;
           Alcotest.test_case "stack overflow fault" `Quick test_cpu_stack_overflow_fault;
           Alcotest.test_case "instruction metrics" `Quick test_instruction_metrics;
+          Alcotest.test_case "profile code release" `Quick test_profile_code_release;
           Alcotest.test_case "listing format" `Quick test_asm_listing_format;
         ] );
       ( "parity",

@@ -261,7 +261,7 @@ let test_spans_nest () =
   let inner = List.nth (Obs.spans ~t ()) 1 in
   check_int "nested span counted per entry" 2 inner.Obs.sp_count;
   check_int "depth from path" 1 inner.Obs.sp_depth;
-  check_bool "wall time accumulated" true (Obs.span_ns ~t "outer" >= 0);
+  check_bool "wall time accumulated" true ((List.hd (Obs.spans ~t ())).Obs.sp_ns >= 0);
   Obs.with_span ~t "alloc" (fun () -> ignore (Sys.opaque_identity (List.init 1000 Fun.id)));
   check_bool "1000 conses are at least 3000 words" true
     ((List.nth (Obs.spans ~t ()) 2).Obs.sp_alloc >= 3000)
@@ -418,19 +418,11 @@ let test_profiler_attribution () =
   check_bool "FIB executes instructions" true (fib.Cpu.f_instructions > 0);
   check_bool "call opcode in histogram" true
     (List.mem_assoc "%CALL" (Cpu.opcode_histogram cpu));
-  check_str "entry pc symbolizes to FIB" "FIB"
-    (match Cpu.symbol_at cpu cpu.Cpu.code_len with
-    | Some _ | None -> (
-        (* symbol_at on a PC inside FIB's loaded range *)
-        match
-          List.find_opt (fun (_, _, n) -> n = "FIB") cpu.Cpu.symbols
-        with
-        | Some (lo, _, _) -> Option.value ~default:"?" (Cpu.symbol_at cpu lo)
-        | None -> "no FIB range"));
-  Cpu.reset_profile cpu;
-  check_bool "reset_profile keeps profiling on" true (Cpu.profiling cpu);
-  check_int "reset_profile zeroes attribution" 0
-    (List.fold_left (fun a f -> a + f.Cpu.f_cycles) 0 (Cpu.profile_by_function cpu))
+  check_int "FIB's row starts at FIB's loaded range"
+    (match List.find_opt (fun (_, _, n) -> n = "FIB") cpu.Cpu.symbols with
+    | Some (lo, _, _) -> lo
+    | None -> -1)
+    fib.Cpu.f_entry
 
 (* Pipeline integration: compiling through the driver populates the
    global registry with the spans and packing statistics the metrics

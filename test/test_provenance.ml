@@ -137,8 +137,19 @@ let test_profile_sums_to_cycles () =
     (List.exists (fun l -> l.Cpu.ln_file = "t.lisp" && l.Cpu.ln_cycles > 0) lines);
   let sum = List.fold_left (fun acc l -> acc + l.Cpu.ln_cycles) 0 lines in
   Alcotest.(check int) "per-line cycles sum to stats.cycles" cpu.Cpu.stats.Cpu.cycles sum;
-  let nodes = Cpu.profile_by_node cpu in
-  let nsum = List.fold_left (fun acc n -> acc + n.Cpu.np_cycles) 0 nodes in
+  (* the IR-node table of the --profile report: label, cycles, %, instrs *)
+  let rec node_rows = function
+    | [] -> []
+    | l :: rest when String.starts_with ~prefix:"IR node" l -> table rest
+    | _ :: rest -> node_rows rest
+  and table = function "" :: _ | [] -> [] | l :: rest -> l :: table rest in
+  let cycles_of row =
+    match List.rev (List.filter (( <> ) "") (String.split_on_char ' ' row)) with
+    | _instrs :: _pct :: cycles :: _ -> int_of_string cycles
+    | _ -> Alcotest.failf "malformed IR node row %S" row
+  in
+  let report = String.split_on_char '\n' (Format.asprintf "%a" Cpu.pp_profile cpu) in
+  let nsum = List.fold_left (fun acc row -> acc + cycles_of row) 0 (node_rows report) in
   Alcotest.(check int) "per-node cycles sum to stats.cycles" cpu.Cpu.stats.Cpu.cycles nsum
 
 (* Per-source-line rule counters ---------------------------------------- *)

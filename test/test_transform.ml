@@ -138,7 +138,7 @@ let test_paper_testfn_transcript () =
   (* NOTE: we drive the body shape directly; the &optional machinery is
      exercised by the codegen tests. *)
   let _, ts = optimize src in
-  let rules = Transcript.rules_fired ts in
+  let rules = List.map (fun e -> e.Transcript.ev_rule) (Transcript.events ts) in
   let has r = List.mem r rules in
   Alcotest.(check bool) "assoc-commut fired" true (has "META-EVALUATE-ASSOC-COMMUT-CALL");
   Alcotest.(check bool) "reversing fired" true (has "CONSIDER-REVERSING-ARGUMENTS");
