@@ -68,57 +68,15 @@ let record ~label (m : measurement) =
       ]
     :: !records
 
-(* Run-to-run history: each write appends a one-line summary of this run
-   to the target file's existing "history" array (append-only), so the
-   committed BENCH_RESULTS.json carries a per-commit trail that
-   [s1lc --diff-runs] and humans can consult without git archaeology. *)
-let history_of file =
-  if not (Sys.file_exists file) then []
-  else
-    let ic = open_in file in
-    let n = in_channel_length ic in
-    let src = really_input_string ic n in
-    close_in ic;
-    match Json.member "history" (Json.parse src) with
-    | Some (Json.Arr entries) -> entries
-    | _ -> []
-    | exception Json.Parse_error _ -> []
-
-let summary_entry () =
-  let total field =
-    List.fold_left
-      (fun acc row ->
-        match Option.bind (Json.member field row) Json.to_int with
-        | Some n -> acc + n
-        | None -> acc)
-      0 !records
-  in
-  let label = match Sys.getenv_opt "GITHUB_SHA" with Some sha -> sha | None -> "local" in
-  Json.Obj
-    [
-      ("label", Json.Str label);
-      ("rows", Json.Int (List.length !records));
-      ("total_cycles", Json.Int (total "cycles"));
-      ("total_instructions", Json.Int (total "instructions"));
-      ("total_heap_words", Json.Int (total "heap_words"));
-    ]
-
 let write_results file =
-  let history = history_of file @ [ summary_entry () ] in
   let doc =
-    Json.Obj
-      [
-        ("schema", Json.Str "s1lisp.bench/1");
-        ("rows", Json.Arr (List.rev !records));
-        ("history", Json.Arr history);
-      ]
+    Json.Obj [ ("schema", Json.Str "s1lisp.bench/1"); ("rows", Json.Arr (List.rev !records)) ]
   in
   let oc = open_out file in
   output_string oc (Json.to_string doc);
   output_char oc '\n';
   close_out oc;
-  Printf.printf "\nWrote %d measurement rows to %s (%d history entries)\n"
-    (List.length !records) file (List.length history)
+  Printf.printf "\nWrote %d measurement rows to %s\n" (List.length !records) file
 
 (* folded=DIR argv option: export each measurement row's call-path
    profile as a flamegraph folded-stack file under DIR, one file per

@@ -392,15 +392,24 @@ let run phases listing transcript tns interpret repl stats timings profile metri
       in
       Printf.printf "%s\n" (C.print_value c w)
   in
-  (* batch-mode failure: every typed condition lands here with its best
-     source position — s1lc exits non-zero with file:line:col, never with
-     an OCaml backtrace *)
-  let fail_at ?(code = 1) ~file loc msg =
-    let where =
-      match loc with Some l -> S1_loc.Loc.to_string l | None -> file
-    in
-    Printf.eprintf "s1lc: %s: %s\n" where msg;
-    exit code
+  (* A top-level form's failure, read through the one outcome table
+     (Oracle.failure): its message, the exception's own source position
+     when it carries one, and the exit status (2 for a pass rollback
+     under --strict).  [None] for an exception outside the table. *)
+  let failure e =
+    Option.map
+      (fun (o : S1_fuzz.Oracle.outcome) ->
+        let loc =
+          match e with
+          | S1_frontend.Convert.Convert_error { loc; _ }
+          | S1_frontend.Macroexp.Expansion_error { loc; _ }
+          | Cpu.Trap { loc; _ } ->
+              loc
+          | _ -> None
+        in
+        let (Value m | Error m | Crash m) = o in
+        (loc, m, match e with C.Strict_failure _ -> 2 | _ -> 1))
+      (S1_fuzz.Oracle.failure ~engine:"compiler" e)
   in
   (* Obs counters are process-global; in batch mode the metrics document
      scopes them back per input by snapshotting around each unit, so one
@@ -418,20 +427,16 @@ let run phases listing transcript tns interpret repl stats timings profile metri
         Fun.protect
           ~finally:(fun () -> c.C.locs <- saved)
           (fun () ->
+            (* batch mode exits non-zero with file:line:col, never with an
+               OCaml backtrace *)
             try List.iter process_form forms with
-            | S1_frontend.Convert.Convert_error { message; loc } ->
-                fail_at ~file loc message
-            | S1_frontend.Macroexp.Expansion_error { message; loc } ->
-                fail_at ~file loc message
-            | Rt.Lisp_error m -> fail_at ~file None m
-            | S1_codegen.Gen.Codegen_error m -> fail_at ~file None ("codegen: " ^ m)
-            | Cpu.Trap { kind; pc; message; loc } ->
-                fail_at ~file loc
-                  (Printf.sprintf "%s trap (pc %d): %s" (Cpu.trap_kind_name kind) pc
-                     message)
-            | C.Strict_failure i ->
-                (* incident_to_string already embeds the location *)
-                fail_at ~code:2 ~file None (C.incident_to_string i))
+            | e -> (
+                match failure e with
+                | Some (loc, msg, code) ->
+                    let where = Option.fold ~none:file ~some:S1_loc.Loc.to_string loc in
+                    Printf.eprintf "s1lc: %s: %s\n" where msg;
+                    exit code
+                | None -> raise e))
     | exception Reader.Parse_error e ->
         Printf.eprintf "s1lc: %s:%d:%d: %s\n" file e.Reader.line e.Reader.col
           e.Reader.message;
@@ -494,18 +499,17 @@ let run phases listing transcript tns interpret repl stats timings profile metri
          if line = ":q" then raise Exit
          else if String.trim line <> "" then begin
            (try List.iter process_form (Reader.parse_string line) with
-           | Rt.Lisp_error m -> Printf.printf ";; error: %s\n" m
            | Reader.Parse_error e ->
                Format.printf ";; <repl>:%d:%d: %s@." e.Reader.line e.Reader.col
                  e.Reader.message
-           | S1_frontend.Macroexp.Expansion_error { message; _ }
-           | S1_frontend.Convert.Convert_error { message; _ } ->
-               Printf.printf ";; error: %s\n" message
-           | S1_codegen.Gen.Codegen_error m ->
-               Printf.printf ";; error: codegen: %s\n" m
-           | S1_machine.Cpu.Trap _ as e ->
-               Printf.printf ";; error: %s\n"
-                 (Option.value ~default:"trap" (S1_machine.Cpu.trap_message e)));
+           | e -> (
+               match failure e with
+               | Some (loc, msg, _) ->
+                   let where =
+                     Option.fold ~none:"" ~some:(fun l -> S1_loc.Loc.to_string l ^ ": ") loc
+                   in
+                   Printf.printf ";; error: %s%s\n" where msg
+               | None -> raise e));
            let out = Rt.output c.C.rt in
            if out <> "" then print_string out;
            Rt.clear_output c.C.rt

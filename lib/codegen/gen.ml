@@ -39,16 +39,17 @@ let err fmt = Printf.ksprintf (fun s -> raise (Codegen_error s)) fmt
    instead when the pass fails or is already disabled for the unit. *)
 type guard = { guard : 'a. pass:string -> fallback:(unit -> 'a) -> (unit -> 'a) -> 'a }
 
-(* The compile-time view of the live Lisp world. *)
-type world = {
-  nil_word : int;
-  t_word : int;
-  const_word : Sexp.t -> int;  (** immortal quoted constant *)
-  symbol_word : string -> int;
-  function_cell : string -> int;  (** absolute address of a global function cell *)
-  value_cell : string -> int;  (** absolute address of a global value cell *)
-  alloc_cell : unit -> int;  (** fresh static cell (closure code-object fixups) *)
-}
+(** One request a unit makes of the world it loads into.  The generator
+    emits a sentinel ({!Asm.sentinel}) for each word it needs from the
+    world and records the request; the unit's recipe replays them, in
+    recording order, when it loads. *)
+type worldref =
+  | Rnil
+  | Rtrue
+  | Rconst of Sexp.t  (** intern a quoted constant in static space *)
+  | Rsym of string  (** intern a symbol *)
+  | Rfun_cell of string  (** address of a symbol's function cell *)
+  | Rfresh_cell  (** allocate one fresh static cell (closure fixups) *)
 
 type options = {
   checked : bool;  (** run-time type and argument checking *)
@@ -82,6 +83,9 @@ type compiled = {
   c_packing : packing list;
       (** per body, in compilation order; [] for a unit loaded from an
           image, which carries no packing *)
+  c_refs : worldref list;
+      (** the world recipe, in recording order: sentinel [i] in the
+          program and the fixup cells stands for the answer to request [i] *)
 }
 
 (** "The compiler offers to print several pages of information about how
@@ -117,8 +121,11 @@ type jump_info = {
   j_link_slot : int;  (** scratch slot for the FAST return linkage; -1 for JUMP *)
 }
 
+(* The unit's recipe as it is recorded, newest request first. *)
+type recipe = { mutable rc_refs : worldref list; mutable rc_n : int }
+
 type fctx = {
-  w : world;
+  recipe : recipe;
   opt : options;
   buf : Asm.item list ref;  (* reversed *)
   prefix : string;
@@ -163,7 +170,19 @@ let fresh_label ctx base =
   incr ctx.counter;
   Printf.sprintf "%s-%s%d" ctx.prefix base !(ctx.counter)
 
-let nil ctx = Isa.Imm ctx.w.nil_word
+(* Ask the world for a word: record the request and answer its sentinel.
+   Sentinels 0 and 1 are NIL and T, recorded up front for every unit. *)
+let request ctx r =
+  let rc = ctx.recipe in
+  let i = rc.rc_n in
+  rc.rc_n <- i + 1;
+  rc.rc_refs <- r :: rc.rc_refs;
+  Asm.sentinel i
+
+let symbol_word ctx name = request ctx (Rsym name)
+let function_cell ctx name = request ctx (Rfun_cell name)
+let nil_operand = Isa.Imm (Asm.sentinel 0)
+let t_operand = Isa.Imm (Asm.sentinel 1)
 let gc_stamp = Word.make_ptr ~tag:(Tags.to_int Tags.Gc) ~addr:12
 
 (* Register conventions inside expressions: RTA/RTB are the arithmetic
@@ -300,9 +319,9 @@ let constant_operand ctx (c : Sexp.t) (rep : rep) : Isa.operand =
       (* integral float literal in raw-fixnum context: convert (the
          type-specific operators are unchecked by definition) *)
       Isa.Imm (Word.of_int (int_of_float f))
-  | _, Sexp.Sym "NIL" | _, Sexp.List [] -> nil ctx
-  | _, Sexp.Sym "T" -> Isa.Imm ctx.w.t_word
-  | _, c -> Isa.Imm (ctx.w.const_word c)
+  | _, Sexp.Sym "NIL" | _, Sexp.List [] -> nil_operand
+  | _, Sexp.Sym "T" -> t_operand
+  | _, c -> Isa.Imm (request ctx (Rconst c))
 
 (* Simple operands: no code, value readable directly with the wanted rep. *)
 let simple_operand ctx (n : node) : Isa.operand option =
@@ -426,7 +445,7 @@ and deliver_operand ctx (n : node) (src : Isa.operand) (dest : dest) : unit =
       (* truthiness of the value *)
       (match n.n_isrep with
       | POINTER ->
-          emit ctx (Isa.Jmp (Isa.NEQ, src, nil ctx, Isa.L lt));
+          emit ctx (Isa.Jmp (Isa.NEQ, src, nil_operand, Isa.L lt));
           emit ctx (Isa.Jmpa (Isa.L lf))
       | SWFIX | SWFLO | HWFLO ->
           (* raw numbers are never NIL *)
@@ -450,7 +469,7 @@ and gen_var ctx n v dest =
   if Hashtbl.mem ctx.jumps v.v_id then err "local function %s used as a value" v.v_name
   else if v.v_special || v.v_binder = None then begin
     (* dynamic reference *)
-    let sym = ctx.w.symbol_word v.v_name in
+    let sym = symbol_word ctx v.v_name in
     (if ctx.opt.cache_specials && Hashtbl.mem ctx.special_cache v.v_id then begin
        let slot = Hashtbl.find ctx.special_cache v.v_id in
        emit ctx (Isa.Mov (r0, Isa.Defind (Isa.tp, slot, 0)))
@@ -483,7 +502,7 @@ and gen_var ctx n v dest =
 and write_var ctx v (src : Isa.operand) =
   (* [src] already carries v_rep *)
   if v.v_special || v.v_binder = None then begin
-    let sym = ctx.w.symbol_word v.v_name in
+    let sym = symbol_word ctx v.v_name in
     if ctx.opt.cache_specials && Hashtbl.mem ctx.special_cache v.v_id then begin
       let slot = Hashtbl.find ctx.special_cache v.v_id in
       emit ctx (Isa.Mov (Isa.Defind (Isa.tp, slot, 0), src))
@@ -586,7 +605,7 @@ and gen_branch ctx (p : node) lt lf =
       (* general truthiness *)
       (match simple_operand ctx p with
       | Some op when p.n_wantrep = POINTER ->
-          emit ctx (Isa.Jmp (Isa.NEQ, op, nil ctx, Isa.L lt));
+          emit ctx (Isa.Jmp (Isa.NEQ, op, nil_operand, Isa.L lt));
           emit ctx (Isa.Jmpa (Isa.L lf))
       | _ ->
           gen ctx p (Branch (lt, lf)))
@@ -604,9 +623,9 @@ and gen_progn ctx xs dest =
 and deliver_nil ctx dest =
   match dest with
   | Ignore -> ()
-  | To dst -> emit ctx (Isa.Mov (dst, nil ctx))
+  | To dst -> emit ctx (Isa.Mov (dst, nil_operand))
   | Ret ->
-      emit ctx (Isa.Mov (a_reg, nil ctx));
+      emit ctx (Isa.Mov (a_reg, nil_operand));
       emit ctx Isa.Ret
   | Branch (_, lf) -> emit ctx (Isa.Jmpa (Isa.L lf))
 
@@ -673,7 +692,7 @@ and gen_call ctx n f args dest =
       gen_prim ctx n fname args dest
   | Term (Sexp.Sym fname) ->
       (* global function via its function cell *)
-      let cell = ctx.w.function_cell fname in
+      let cell = function_cell ctx fname in
       gen_full_call ctx n
         (fun () ->
           emit ctx (Isa.Mov (t1, Isa.Mabs cell));
@@ -681,7 +700,7 @@ and gen_call ctx n f args dest =
             (* report the function's *name* when the cell is unbound *)
             let ok = fresh_label ctx "FBOUND" in
             emit ctx (Isa.Jmptag (Isa.NEQ, t1, Tags.Unbound, Isa.L ok));
-            emit ctx (Isa.Mov (r0, Isa.Imm (ctx.w.symbol_word fname)));
+            emit ctx (Isa.Mov (r0, Isa.Imm (symbol_word ctx fname)));
             emit ctx (Isa.Svc Svc.undefined_function);
             emit_label ctx ok
           end)
@@ -793,7 +812,7 @@ and gen_open_call ctx _n l args dest =
         let celled = v.v_captured && v.v_setqs <> [] in
         if celled then begin
           gen_into ctx arg r0;
-          emit ctx (Isa.Mov (r1, nil ctx));
+          emit ctx (Isa.Mov (r1, nil_operand));
           emit ctx (Isa.Svc Svc.cons);
           (match var_loc ctx v with
           | Lcellframe i -> emit ctx (Isa.Mov (Isa.Ind (Isa.fp, 1 + i), r0))
@@ -812,7 +831,7 @@ and gen_open_call ctx _n l args dest =
   List.iter
     (fun v ->
       emit ctx (Isa.Pop r1);
-      emit ctx (Isa.Mov (r0, Isa.Imm (ctx.w.symbol_word v.v_name)));
+      emit ctx (Isa.Mov (r0, Isa.Imm (symbol_word ctx v.v_name)));
       emit ctx (Isa.Svc Svc.bind_special);
       incr specials_bound;
       ctx.bind_depth <- ctx.bind_depth + 1)
@@ -879,7 +898,7 @@ and gen_open_call ctx _n l args dest =
         emit ctx (Isa.Svc Svc.unbind_special);
         ctx.bind_depth <- ctx.bind_depth - !specials_bound;
         ctx.can_tail <- saved_tail;
-        emit ctx (Isa.Jmp (Isa.NEQ, a_reg, nil ctx, Isa.L lt));
+        emit ctx (Isa.Jmp (Isa.NEQ, a_reg, nil_operand, Isa.L lt));
         emit ctx (Isa.Jmpa (Isa.L lf)))
   end
   else emit_body_and_locals dest
@@ -966,7 +985,7 @@ and gen_closure_call ctx n f l args dest =
 (* Queue a nested closure body for compilation; returns its static cell. *)
 and make_closure_code ctx (n : node) (l : lam) : int =
   let entry = fresh_label ctx "CLOSE" in
-  let cell = ctx.w.alloc_cell () in
+  let cell = request ctx Rfresh_cell in
   let env_layout = List.mapi (fun i v -> (v.v_id, i)) l.l_captures in
   ctx.pending := (entry, l, env_layout, (n.n_id, n.n_loc)) :: !(ctx.pending);
   let nreq = List.length (List.filter (fun p -> p.p_kind = Required) l.l_params) in
@@ -985,7 +1004,7 @@ and gen_caseq ctx key clauses default dest =
     (fun (keys, _) lab ->
       List.iter
         (fun k ->
-          let kw = ctx.w.const_word k in
+          let kw = request ctx (Rconst k) in
           emit ctx (Isa.Jmp (Isa.EQ, rta, Isa.Imm kw, Isa.L lab)))
         keys)
     clauses clause_labels;
@@ -1047,7 +1066,7 @@ and gen_progbody ctx pb dest =
       | Ptag t -> emit_label ctx (lookup t)
       | Pstmt s -> gen ctx s Ignore)
     pb.pb_items;
-  emit ctx (Isa.Mov (a_reg, nil ctx));
+  emit ctx (Isa.Mov (a_reg, nil_operand));
   emit_label ctx lend;
   ctx.pb_env <- List.tl ctx.pb_env;
   match dest with
@@ -1055,7 +1074,7 @@ and gen_progbody ctx pb dest =
   | Ignore -> ()
   | To dst -> if dst <> a_reg then emit ctx (Isa.Mov (dst, a_reg))
   | Branch (lt, lf) ->
-      emit ctx (Isa.Jmp (Isa.NEQ, a_reg, nil ctx, Isa.L lt));
+      emit ctx (Isa.Jmp (Isa.NEQ, a_reg, nil_operand, Isa.L lt));
       emit ctx (Isa.Jmpa (Isa.L lf))
 
 and finish_pb_ret ctx =
@@ -1143,10 +1162,10 @@ and gen_prim ctx n fname args dest =
         let join = fresh_label ctx "BJ" in
         emit_branches lt lf;
         emit_label ctx lt;
-        emit ctx (Isa.Mov (rta, Isa.Imm ctx.w.t_word));
+        emit ctx (Isa.Mov (rta, t_operand));
         emit ctx (Isa.Jmpa (Isa.L join));
         emit_label ctx lf;
-        emit ctx (Isa.Mov (rta, nil ctx));
+        emit ctx (Isa.Mov (rta, nil_operand));
         emit_label ctx join;
         deliver_operand ctx n rta dest
   in
@@ -1277,8 +1296,8 @@ and gen_prim ctx n fname args dest =
         emit ctx (Isa.Jmptag (Isa.EQ, rta, Tags.List, Isa.L ok));
         (* NIL? then the answer is NIL *)
         let notnil = fresh_label ctx "CARNN" in
-        emit ctx (Isa.Jmp (Isa.NEQ, rta, nil ctx, Isa.L notnil));
-        deliver_operand ctx n (nil ctx) dest;
+        emit ctx (Isa.Jmp (Isa.NEQ, rta, nil_operand, Isa.L notnil));
+        deliver_operand ctx n nil_operand dest;
         emit ctx (Isa.Jmpa (Isa.L done_));
         emit_label ctx notnil;
         emit ctx (Isa.Mov (r0, rta));
@@ -1299,14 +1318,14 @@ and gen_prim ctx n fname args dest =
   | _ -> gen_native_call ctx n fname args dest
 
 and gen_native_call ctx n fname args dest =
-  let cell = ctx.w.function_cell fname in
+  let cell = function_cell ctx fname in
   gen_full_call ctx n
     (fun () ->
       emit ctx (Isa.Mov (t1, Isa.Mabs cell));
       if ctx.opt.checked then begin
         let ok = fresh_label ctx "FBOUND" in
         emit ctx (Isa.Jmptag (Isa.NEQ, t1, Tags.Unbound, Isa.L ok));
-        emit ctx (Isa.Mov (r0, Isa.Imm (ctx.w.symbol_word fname)));
+        emit ctx (Isa.Mov (r0, Isa.Imm (symbol_word ctx fname)));
         emit ctx (Isa.Svc Svc.undefined_function);
         emit_label ctx ok
       end)
@@ -1479,9 +1498,9 @@ let annotate ctx (fn_lam : lam) (body_root : node) =
 let counter_global : int ref S1_par.Dls.t = S1_par.Dls.create (fun () -> ref 0)
 let reset_label_counter () = S1_par.Dls.get counter_global := 0
 
-let make_fctx w opt ~prefix ~env_layout ~fixups ~pending ~counter =
+let make_fctx recipe opt ~prefix ~env_layout ~fixups ~pending ~counter =
   {
-    w;
+    recipe;
     opt;
     buf = ref [];
     prefix;
@@ -1509,7 +1528,7 @@ let make_fctx w opt ~prefix ~env_layout ~fixups ~pending ~counter =
 let bind_param ctx (v : var) (src : Isa.operand) : int =
   if v.v_special then begin
     emit ctx (Isa.Mov (r1, src));
-    emit ctx (Isa.Mov (r0, Isa.Imm (ctx.w.symbol_word v.v_name)));
+    emit ctx (Isa.Mov (r0, Isa.Imm (symbol_word ctx v.v_name)));
     emit ctx (Isa.Svc Svc.bind_special);
     ctx.bind_depth <- ctx.bind_depth + 1;
     1
@@ -1518,7 +1537,7 @@ let bind_param ctx (v : var) (src : Isa.operand) : int =
     let celled = v.v_captured && v.v_setqs <> [] in
     if celled then begin
       emit ctx (Isa.Mov (r0, src));
-      emit ctx (Isa.Mov (r1, nil ctx));
+      emit ctx (Isa.Mov (r1, nil_operand));
       emit ctx (Isa.Svc Svc.cons);
       (match var_loc ctx v with
       | Lcellframe i -> emit ctx (Isa.Mov (Isa.Ind (Isa.fp, 1 + i), r0))
@@ -1549,7 +1568,7 @@ let bind_default ctx (p : param) : int =
   in
   if v.v_special then begin
     eval_default (fun d -> gen_into ctx d r1);
-    emit ctx (Isa.Mov (r0, Isa.Imm (ctx.w.symbol_word v.v_name)));
+    emit ctx (Isa.Mov (r0, Isa.Imm (symbol_word ctx v.v_name)));
     emit ctx (Isa.Svc Svc.bind_special);
     ctx.bind_depth <- ctx.bind_depth + 1
   end
@@ -1557,7 +1576,7 @@ let bind_default ctx (p : param) : int =
     let celled = v.v_captured && v.v_setqs <> [] in
     if celled then begin
       eval_default (fun d -> gen_into ctx d r0);
-      emit ctx (Isa.Mov (r1, nil ctx));
+      emit ctx (Isa.Mov (r1, nil_operand));
       emit ctx (Isa.Svc Svc.cons);
       (match var_loc ctx v with
       | Lcellframe i -> emit ctx (Isa.Mov (Isa.Ind (Isa.fp, 1 + i), r0))
@@ -1574,9 +1593,9 @@ let bind_default ctx (p : param) : int =
   end;
   if v.v_special then 1 else 0
 
-let compile_body w opt (guard : guard) ~packings ~prefix ~name ~env_layout ~fixups ~pending
+let compile_body recipe opt (guard : guard) ~packings ~prefix ~name ~env_layout ~fixups ~pending
     ~counter ~origin:(origin_id, origin_loc) (l : lam) : Asm.item list =
-  let ctx = make_fctx w opt ~prefix ~env_layout ~fixups ~pending ~counter in
+  let ctx = make_fctx recipe opt ~prefix ~env_layout ~fixups ~pending ~counter in
   let fn_unwinds = annotate ctx l l.l_body in
   (* defaults can reference earlier parameters, so their code is part of
      the body for TN packing; conservatively extend with defaults *)
@@ -1644,7 +1663,7 @@ let compile_body w opt (guard : guard) ~packings ~prefix ~name ~env_layout ~fixu
   end;
   (* frame allocation *)
   if np > 0 then begin
-    emit ctx (Isa.Allocs (nil ctx, np));
+    emit ctx (Isa.Allocs (nil_operand, np));
     comment ctx (Printf.sprintf "Allocate %d words of pointer memory" np)
   end;
   if ns > 0 then begin
@@ -1740,7 +1759,7 @@ let compile_body w opt (guard : guard) ~packings ~prefix ~name ~env_layout ~fixu
     l.l_body;
   List.iter
     (fun (slot, name) ->
-      emit ctx (Isa.Mov (r0, Isa.Imm (ctx.w.symbol_word name)));
+      emit ctx (Isa.Mov (r0, Isa.Imm (symbol_word ctx name)));
       emit ctx (Isa.Svc Svc.lookup_special);
       emit ctx (Isa.Mov (Isa.Ind (Isa.tp, slot), r0));
       comment ctx (Printf.sprintf "Cache value-cell pointer for special %s" name))
@@ -1762,7 +1781,7 @@ let compile_body w opt (guard : guard) ~packings ~prefix ~name ~env_layout ~fixu
   else gen ctx l.l_body Ret;
   List.rev !(ctx.buf)
 
-let compile_function (w : world) ?(options = default_options) (guard : guard) ~(name : string)
+let compile_function ?(options = default_options) (guard : guard) ~(name : string)
     (lam_node : node) : compiled =
   Obs.with_span "codegen" (fun () ->
   match lam_node.kind with
@@ -1771,8 +1790,9 @@ let compile_function (w : world) ?(options = default_options) (guard : guard) ~(
       incr cg;
       let prefix = Printf.sprintf "%s~%d" name !cg in
       let fixups = ref [] and pending = ref [] and counter = ref 0 and packings = ref [] in
+      let recipe = { rc_refs = [ Rtrue; Rnil ]; rc_n = 2 } in
       let main =
-        compile_body w options guard ~packings ~prefix ~name ~env_layout:[] ~fixups ~pending
+        compile_body recipe options guard ~packings ~prefix ~name ~env_layout:[] ~fixups ~pending
           ~counter ~origin:(lam_node.n_id, lam_node.n_loc) l
       in
       (* compile nested closures breadth-first; more may appear *)
@@ -1785,7 +1805,7 @@ let compile_function (w : world) ?(options = default_options) (guard : guard) ~(
             incr cg;
             let cprefix = Printf.sprintf "%s~C%d" name !cg in
             let body =
-              compile_body w options guard ~packings ~prefix:cprefix ~name:cl.l_name
+              compile_body recipe options guard ~packings ~prefix:cprefix ~name:cl.l_name
                 ~env_layout ~fixups ~pending ~counter ~origin cl
             in
             (* the closure's entry label is referenced by fixups: alias it *)
@@ -1825,5 +1845,6 @@ let compile_function (w : world) ?(options = default_options) (guard : guard) ~(
         c_max_args = nmax;
         c_fixups = !fixups;
         c_packing = List.rev !packings;
+        c_refs = List.rev recipe.rc_refs;
       }
   | _ -> err "compile_function: not a lambda")

@@ -14,9 +14,10 @@
     v}
 
     Compilation happens {e into a live Lisp world} (as on the real
-    system): quoted constants intern immediately, and compiled functions
-    install into symbol function cells, callable from compiled and
-    interpreted code alike. *)
+    system): the generator records what the unit needs of the world, the
+    one installer ({!install}) interns its constants and symbols as it
+    loads it, and compiled functions install into symbol function cells,
+    callable from compiled and interpreted code alike. *)
 
 module Sexp = S1_sexp.Sexp
 module Cpu = S1_machine.Cpu
@@ -66,7 +67,7 @@ exception Strict_failure of incident
 
 (** One installed unit, as the unit log keeps it. *)
 type logged = {
-  l_unit : Gen.compiled;  (** as installed: name, program, packing *)
+  l_unit : Gen.compiled;  (** as installed: name, resolved program, packing *)
   l_org : int;  (** code address the program loaded at *)
   l_rewrites : Transcript.t;
       (** the unit's slice of the session journal; empty for a unit
@@ -127,18 +128,6 @@ let create ?config ?(options = Gen.default_options) ?(rules = Rules.default_conf
     journal = Transcript.create ~enabled:false ();
     locs = None;
     pass_hook = (fun _ _ -> ());
-  }
-
-let world_of (c : t) : Gen.world =
-  let rt = c.rt in
-  {
-    Gen.nil_word = rt.Rt.nil;
-    t_word = rt.Rt.t_;
-    const_word = (fun s -> Rt.sexp_to_value ~where:`Static rt s);
-    symbol_word = (fun name -> Rt.intern rt name);
-    function_cell = (fun name -> Obj.symbol_function_cell rt.Rt.obj (Rt.intern rt name));
-    value_cell = (fun name -> Obj.symbol_value_cell rt.Rt.obj (Rt.intern rt name));
-    alloc_cell = (fun () -> Mem.alloc_static rt.Rt.mem 1);
   }
 
 (* The macro lookup handed to the front end: an expander applies the
@@ -379,20 +368,42 @@ let run_phases (c : t) (lam_node : Node.node) : Transcript.t =
             S1_rep.Pdlnum.run lam_node);
       Transcript.since ts m)
 
-(* Install an already-generated unit into the live world: load the code,
-   build the function object, and patch nested-closure cells.  Returns
-   the function word.  The program must contain only live-world operands
-   (label operands aside) — the compile service resolves its serialized
-   world references before calling this.  With the unit log on, the unit
-   and [rewrites], its slice of the journal, go into the log. *)
-let install_compiled (c : t) ?(rewrites = Transcript.create ~enabled:false ())
-    (compiled : Gen.compiled) : int =
+(* Replay a unit's world recipe against the live world, in recording
+   order: interning and static allocation have world effects, and the
+   recording order is the order the compile asked in, so every unit
+   reaches the same words and addresses whenever it loads. *)
+let resolve (c : t) (refs : Gen.worldref list) : int array =
+  let rt = c.rt in
+  let words = Array.make (List.length refs) 0 in
+  List.iteri
+    (fun i (r : Gen.worldref) ->
+      words.(i) <-
+        (match r with
+        | Rnil -> rt.Rt.nil
+        | Rtrue -> rt.Rt.t_
+        | Rconst s -> Rt.sexp_to_value ~where:`Static rt s
+        | Rsym n -> Rt.intern rt n
+        | Rfun_cell n -> Obj.symbol_function_cell rt.Rt.obj (Rt.intern rt n)
+        | Rfresh_cell -> Mem.alloc_static rt.Rt.mem 1))
+    refs;
+  words
+
+(* The one installer of a compiled unit, just compiled or read from an
+   image: replay its recipe, assemble and load the code with its
+   sentinels resolved, build the function object, and patch the
+   nested-closure cells.  Returns the function word.  With the unit log
+   on, the unit goes into the log with its program resolved, and
+   [rewrites], its slice of the journal, beside it. *)
+let install (c : t) ?(rewrites = Transcript.create ~enabled:false ()) (compiled : Gen.compiled)
+    : int =
   let name = compiled.Gen.c_name in
+  let reloc = Asm.relocation (resolve c compiled.Gen.c_refs) in
   let code_lo = c.rt.Rt.cpu.Cpu.code_len in
-  let image = Obs.with_span "load" (fun () -> Cpu.load c.rt.Rt.cpu compiled.Gen.c_prog) in
+  let image = Obs.with_span "load" (fun () -> Cpu.load ~reloc c.rt.Rt.cpu compiled.Gen.c_prog) in
   Option.iter
     (fun log ->
-      c.log <- Some ({ l_unit = compiled; l_org = code_lo; l_rewrites = rewrites } :: log))
+      let l_unit = { compiled with Gen.c_prog = Asm.relocate reloc compiled.Gen.c_prog } in
+      c.log <- Some ({ l_unit; l_org = code_lo; l_rewrites = rewrites } :: log))
     c.log;
   (* symbolize the loaded range (closures compiled into the same program
      fold under the outer function's name) for the cycle profiler *)
@@ -412,16 +423,13 @@ let install_compiled (c : t) ?(rewrites = Transcript.create ~enabled:false ())
         Obj.code ~where:`Static c.rt.Rt.obj ~entry:centry ~name:csym ~min_args:cmin
           ~max_args:cmax
       in
-      Mem.write c.rt.Rt.mem cell cobj)
+      Mem.write c.rt.Rt.mem (Asm.relocate_word reloc cell) cobj)
     compiled.Gen.c_fixups;
   fobj
 
-(* Compile a lambda node against [world] and hand the unit, with its
-   rewrites, to [install] ({!install_compiled} over {!world_of} for a
-   from-source compile; the compile service records the world requests
-   and installs the unit resolved).  Returns the function word. *)
-let load_lambda (c : t) ~world ~(install : ?rewrites:Transcript.t -> Gen.compiled -> int)
-    ~name (lam_node : Node.node) : int =
+(* Compile a lambda node and install it.  Returns the unit and its
+   function word. *)
+let load_lambda (c : t) ~name (lam_node : Node.node) : Gen.compiled * int =
   Obs.with_span "compile" (fun () ->
   (* fill unlocated nodes from their nearest located ancestor so every
      emitted instruction can resolve to a source line *)
@@ -437,22 +445,22 @@ let load_lambda (c : t) ~world ~(install : ?rewrites:Transcript.t -> Gen.compile
     end
     else c.options
   in
-  let compiled = Gen.compile_function world ~options (gen_guard c lam_node) ~name lam_node in
-  install ~rewrites compiled)
+  let compiled = Gen.compile_function ~options (gen_guard c lam_node) ~name lam_node in
+  (compiled, install c ~rewrites compiled))
 
 (* Top-level form processing -------------------------------------------------- *)
 
-(* The two loaders of a from-source compile: a DEFUN form to its name and
-   function word, an expression to the function word of its nullary
-   [name] wrapper, not yet called. *)
-let compile_defun (c : t) ~world ~install (form : Sexp.t) : string * int =
+(* The two loaders of a from-source compile: a DEFUN form, and an
+   expression as the nullary [name] wrapper, not yet called.  Each
+   returns its unit and function word. *)
+let compile_defun (c : t) (form : Sexp.t) : Gen.compiled * int =
   let name, lam_node =
     Obs.with_span "convert" (fun () ->
         Convert.defun ~specials:(specials_pred c) ~macros:(macros_pred c) ?locs:c.locs form)
   in
-  (name, load_lambda c ~world ~install ~name lam_node)
+  load_lambda c ~name lam_node
 
-let compile_expression ?(name = "%TOPLEVEL") (c : t) ~world ~install (form : Sexp.t) : int =
+let compile_expression ?(name = "%TOPLEVEL") (c : t) (form : Sexp.t) : Gen.compiled * int =
   let expr =
     Obs.with_span "convert" (fun () ->
         Convert.expression ~specials:(specials_pred c) ~macros:(macros_pred c) ?locs:c.locs
@@ -464,41 +472,47 @@ let compile_expression ?(name = "%TOPLEVEL") (c : t) ~world ~install (form : Sex
   (match lam_node.Node.kind with
   | Node.Lambda l -> l.Node.l_strategy <- Node.Toplevel
   | _ -> ());
-  load_lambda c ~world ~install ~name lam_node
+  load_lambda c ~name lam_node
 
 (** The world effects of one top-level form, in evaluation order: intern,
     set the function cell, register the macro, proclaim, run, set the
-    special.  [fn] loads a function unit (to its name and function word)
-    and [expr] an expression unit (to the function word of its nullary
-    wrapper).  A from-source compile and a warm image replay differ only
-    in these loaders. *)
-let perform (c : t) ~(fn : 'u -> string * int) ~(expr : 'u -> int) (form : 'u Convert.toplevel)
-    : int =
+    special.  [fn] loads a function unit and [expr] an expression unit
+    (the nullary wrapper), each to the unit and its function word: a
+    from-source compile compiles the form's source, a warm image replay
+    installs the unit it read.  Returns the form's value and the form
+    with its units in place of its source, which is what an image
+    keeps. *)
+let perform (c : t) ~(fn : 'u -> Gen.compiled * int) ~(expr : 'u -> Gen.compiled * int)
+    (form : 'u Convert.toplevel) : int * Gen.compiled Convert.toplevel =
   match form with
   | Convert.Defun u ->
-      let name, fobj = fn u in
-      let sym = Rt.intern c.rt name in
+      let unit_, fobj = fn u in
+      let sym = Rt.intern c.rt unit_.Gen.c_name in
       Rt.set_function c.rt sym fobj;
-      sym
+      (sym, Convert.Defun unit_)
   | Convert.Defmacro (name, u) ->
-      Hashtbl.replace c.macros name (snd (fn u));
-      Rt.intern c.rt name
+      let unit_, fobj = fn u in
+      Hashtbl.replace c.macros name fobj;
+      (Rt.intern c.rt name, Convert.Defmacro (name, unit_))
   | Convert.Defvar (name, u) ->
       let sym = Rt.intern c.rt name in
       Rt.proclaim_special c.rt sym;
-      let v = Rt.call c.rt (expr u) [] in
-      Rt.set_symbol_value_dynamic c.rt sym v;
-      sym
+      let unit_, fobj = expr u in
+      Rt.set_symbol_value_dynamic c.rt sym (Rt.call c.rt fobj []);
+      (sym, Convert.Defvar (name, unit_))
   | Convert.Proclaim names ->
       List.iter (fun n -> Rt.proclaim_special c.rt (Rt.intern c.rt n)) names;
-      c.rt.Rt.nil
-  | Convert.Toplevel u -> Rt.call c.rt (expr u) []
+      (c.rt.Rt.nil, Convert.Proclaim names)
+  | Convert.Toplevel u ->
+      let unit_, fobj = expr u in
+      (Rt.call c.rt fobj [], Convert.Toplevel unit_)
 
-let eval (c : t) (form : Sexp.t) : int =
-  let world = world_of c and install = install_compiled c in
-  perform c ~fn:(compile_defun c ~world ~install)
-    ~expr:(compile_expression c ~world ~install)
-    (Convert.toplevel form)
+(** Compile-evaluate one top-level form: its value and its compiled
+    units. *)
+let compile_form (c : t) (form : Sexp.t) : int * Gen.compiled Convert.toplevel =
+  perform c ~fn:(compile_defun c) ~expr:(compile_expression c) (Convert.toplevel form)
+
+let eval (c : t) (form : Sexp.t) : int = fst (compile_form c form)
 
 let eval_string ?(file = "<eval>") (c : t) (src : string) : int =
   let forms, tab = S1_sexp.Reader.parse_string_located ~file src in
@@ -531,10 +545,7 @@ let listing_of (c : t) (form : Sexp.t) : string * Transcript.t =
     (fun () ->
       (match Convert.toplevel form with
       | Convert.Defun _ -> ignore (eval c form)
-      | _ ->
-          ignore
-            (compile_expression ~name:"%LISTING" c ~world:(world_of c)
-               ~install:(install_compiled c) form));
+      | _ -> ignore (compile_expression ~name:"%LISTING" c form));
       match c.log with
       | Some (u :: _) -> (Asm.listing u.l_unit.Gen.c_prog, u.l_rewrites)
       | _ -> ("", Transcript.create ()))

@@ -329,10 +329,3 @@ let toplevel (s : Sexp.t) : Sexp.t toplevel =
         Sexp.List [ Sexp.Sym "QUOTE"; Sexp.List (Sexp.Sym "SPECIAL" :: names) ] ] ->
       Proclaim (List.filter_map (function Sexp.Sym n -> Some n | _ -> None) names)
   | _ -> Toplevel s
-
-let map_toplevel (f : 'a -> 'b) : 'a toplevel -> 'b toplevel = function
-  | Defun u -> Defun (f u)
-  | Defmacro (n, u) -> Defmacro (n, f u)
-  | Defvar (n, u) -> Defvar (n, f u)
-  | Proclaim ns -> Proclaim ns
-  | Toplevel u -> Toplevel (f u)

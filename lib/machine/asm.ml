@@ -22,7 +22,48 @@ type image = {
 
 exception Asm_error of string list
 
-let assemble mem ~org prog =
+(* Sentinels ------------------------------------------------------------ *)
+
+(* World words left to the loader are placeholders far above the 36-bit
+   word space: sentinel [i] stands for word [i] of the relocation the
+   program is assembled with.  Nothing between the generator and the
+   assembler inspects immediate values (the peephole rewrites control
+   flow only), and sizes and costs are taken from the resolved
+   instruction, so a sentinel program assembles exactly like its
+   resolved counterpart. *)
+let sentinel_base = 1 lsl 40
+let sentinel i = sentinel_base + i
+
+(* The resolved words with their operands, built once per unit so that
+   resolving an operand allocates nothing. *)
+type relocation = { r_words : int array; r_imm : Isa.operand array; r_mabs : Isa.operand array }
+
+let relocation words =
+  {
+    r_words = words;
+    r_imm = Array.map (fun w -> Isa.Imm w) words;
+    r_mabs = Array.map (fun w -> Isa.Mabs w) words;
+  }
+
+let no_relocation = relocation [||]
+let relocate_word r w = if w >= sentinel_base then r.r_words.(w - sentinel_base) else w
+
+let relocate_operand r (o : Isa.operand) =
+  match o with
+  | Isa.Imm w when w >= sentinel_base -> r.r_imm.(w - sentinel_base)
+  | Isa.Mabs w when w >= sentinel_base -> r.r_mabs.(w - sentinel_base)
+  | o -> o
+
+let relocate r prog =
+  List.map
+    (function
+      | Instr i -> Instr (Isa.map ~operand:(relocate_operand r) ~target:Fun.id i)
+      | Data (l, ds) ->
+          Data (l, List.map (function Word w -> Word (relocate_word r w) | d -> d) ds)
+      | (Label _ | Comment _ | Mark _) as it -> it)
+    prog
+
+let assemble ?(reloc = no_relocation) mem ~org prog =
   let errors = ref [] in
   let err fmt_str = Printf.ksprintf (fun s -> errors := s :: !errors) fmt_str in
   (* Pass 1: lay out code indices and data blocks; collect provenance
@@ -49,7 +90,7 @@ let assemble mem ~org prog =
             idx)
       0 prog
   in
-  let resolve_target = function
+  let target = function
     | Isa.L l -> (
         match Hashtbl.find_opt code_labels l with
         | Some a -> Isa.Abs a
@@ -58,7 +99,7 @@ let assemble mem ~org prog =
             Isa.Abs 0)
     | Isa.Abs a -> Isa.Abs a
   in
-  let resolve_operand (o : Isa.operand) : Isa.operand =
+  let operand (o : Isa.operand) : Isa.operand =
     match o with
     | Isa.Lab l -> (
         match Hashtbl.find_opt code_labels l with
@@ -72,36 +113,7 @@ let assemble mem ~org prog =
         | None ->
             err "undefined data label %s in operand" l;
             Isa.Imm 0)
-    | o -> o
-  in
-  let resolve_instr (i : Isa.instr) : Isa.instr =
-    let op = resolve_operand and tg = resolve_target in
-    match i with
-    | Mov (d, s) -> Mov (op d, op s)
-    | Movp (t, d, s) -> Movp (t, op d, op s)
-    | Gettag (d, s) -> Gettag (op d, op s)
-    | Getaddr (d, s) -> Getaddr (op d, op s)
-    | Settag (t, d) -> Settag (t, op d)
-    | Bin (b, w, d, s1, s2) -> Bin (b, w, op d, op s1, op s2)
-    | Un (u, w, d, s) -> Un (u, w, op d, op s)
-    | Jmp (c, s1, s2, t) -> Jmp (c, op s1, op s2, tg t)
-    | Fjmp (c, s1, s2, t) -> Fjmp (c, op s1, op s2, tg t)
-    | Jmpz (c, s, t) -> Jmpz (c, op s, tg t)
-    | Jmptag (c, s, tag, t) -> Jmptag (c, op s, tag, tg t)
-    | Jmpa t -> Jmpa (tg t)
-    | Jmpi s -> Jmpi (op s)
-    | Jsp (r, t) -> Jsp (r, tg t)
-    | Push s -> Push (op s)
-    | Pop d -> Pop (op d)
-    | Allocs (f, n) -> Allocs (op f, n)
-    | Call (f, n) -> Call (op f, n)
-    | Tcall (f, n) -> Tcall (op f, n)
-    | Ret -> Ret
-    | Svc id -> Svc id
-    | Vdot (d, x, y, n) -> Vdot (op d, op x, op y, op n)
-    | Vadd (d, x, y, n) -> Vadd (op d, op x, op y, op n)
-    | Halt -> Halt
-    | Nop -> Nop
+    | o -> relocate_operand reloc o
   in
   (* Pass 2: resolve, validate, emit. *)
   let instrs = Array.make n_instrs Isa.Nop in
@@ -112,7 +124,7 @@ let assemble mem ~org prog =
       match item with
       | Label _ | Comment _ | Mark _ -> ()
       | Instr i ->
-          let r = resolve_instr i in
+          let r = Isa.map ~operand ~target i in
           (match Isa.validate r with
           | Ok () -> ()
           | Error msg -> err "at %d (%s): %s" (org + !idx) (Format.asprintf "%a" Isa.pp_instr i) msg);
@@ -125,7 +137,7 @@ let assemble mem ~org prog =
             (fun i d ->
               let v =
                 match d with
-                | Word w -> w
+                | Word w -> relocate_word reloc w
                 | Labref lab -> (
                     match Hashtbl.find_opt code_labels lab with
                     | Some a -> a

@@ -44,8 +44,30 @@ type image = {
 
 exception Asm_error of string list
 
-val assemble : Mem.t -> org:int -> program -> image
-(** @raise Asm_error listing every diagnostic. *)
+(** {1 Sentinels}
+
+    A program may leave world words to its loader: sentinel [i], a word
+    above the 36-bit word space, in an [Imm] or [Mabs] operand or a data
+    word stands for word [i] of the {!relocation} the program is
+    assembled with. *)
+
+val sentinel : int -> int
+
+type relocation
+(** The words a unit's sentinels stand for, with their operands built
+    once. *)
+
+val relocation : int array -> relocation
+val relocate_word : relocation -> int -> int
+
+val relocate : relocation -> program -> program
+(** The program with every sentinel resolved, through the operand map
+    assembly resolves them with. *)
+
+val assemble : ?reloc:relocation -> Mem.t -> org:int -> program -> image
+(** Resolves labels and, under [reloc], sentinels while it rebuilds each
+    instruction.
+    @raise Asm_error listing every diagnostic. *)
 
 val pp_program : Format.formatter -> program -> unit
 (** Parenthesized assembly listing in the paper's style: labels at the

@@ -125,16 +125,6 @@ let trap_kind_name = function
 exception
   Trap of { kind : trap_kind; pc : int; message : string; loc : S1_loc.Loc.t option }
 
-let trap_message = function
-  | Trap { kind; pc; message; loc } ->
-      let where =
-        match loc with
-        | Some l -> Printf.sprintf "%s (pc %d)" (S1_loc.Loc.to_string l) pc
-        | None -> Printf.sprintf "pc %d" pc
-      in
-      Some (Printf.sprintf "%s trap at %s: %s" (trap_kind_name kind) where message)
-  | _ -> None
-
 let fresh_stats () =
   { cycles = 0; instructions = 0; movs = 0; mem_traffic = 0; calls = 0; tcalls = 0; svcs = 0;
     stack_high = 0; bind_high = 0 }
@@ -1263,9 +1253,9 @@ let ensure_capacity cpu n =
     cpu.code <- fresh
   end
 
-let load cpu prog =
+let load ?reloc cpu prog =
   let org = cpu.code_len in
-  let image = Asm.assemble cpu.mem ~org prog in
+  let image = Asm.assemble ?reloc cpu.mem ~org prog in
   let n = Array.length image.instrs in
   ensure_capacity cpu n;
   Array.blit image.instrs 0 cpu.code cpu.code_len n;

@@ -105,13 +105,11 @@ val trap : t -> trap_kind -> ('a, unit, string, 'b) format4 -> 'a
     {!provenance_at}.  Exposed so runtime services can signal
     machine-level faults (heap, bind stack) uniformly. *)
 
-val trap_message : exn -> string option
-(** One-line rendering of a {!Trap}, [None] for other exceptions. *)
-
 val create : ?mem:Mem.t -> unit -> t
 
-val load : t -> Asm.program -> Asm.image
-(** Assemble at the current end of the code store and install. *)
+val load : ?reloc:Asm.relocation -> t -> Asm.program -> Asm.image
+(** Assemble at the current end of the code store, resolving sentinels
+    under [reloc], and install. *)
 
 val label_addr : Asm.image -> string -> int
 

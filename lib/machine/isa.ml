@@ -174,6 +174,30 @@ let operands_of = function
   | Call (f, _) | Tcall (f, _) -> [ f ]
   | Vdot (d, x, y, n) | Vadd (d, x, y, n) -> [ d; x; y; n ]
 
+let map ~operand:op ~target:tg = function
+  | Mov (d, s) -> Mov (op d, op s)
+  | Movp (t, d, s) -> Movp (t, op d, op s)
+  | Gettag (d, s) -> Gettag (op d, op s)
+  | Getaddr (d, s) -> Getaddr (op d, op s)
+  | Settag (t, d) -> Settag (t, op d)
+  | Bin (b, w, d, s1, s2) -> Bin (b, w, op d, op s1, op s2)
+  | Un (u, w, d, s) -> Un (u, w, op d, op s)
+  | Jmp (c, s1, s2, t) -> Jmp (c, op s1, op s2, tg t)
+  | Fjmp (c, s1, s2, t) -> Fjmp (c, op s1, op s2, tg t)
+  | Jmpz (c, s, t) -> Jmpz (c, op s, tg t)
+  | Jmptag (c, s, tag, t) -> Jmptag (c, op s, tag, tg t)
+  | Jmpa t -> Jmpa (tg t)
+  | Jmpi s -> Jmpi (op s)
+  | Jsp (r, t) -> Jsp (r, tg t)
+  | Push s -> Push (op s)
+  | Pop d -> Pop (op d)
+  | Allocs (f, n) -> Allocs (op f, n)
+  | Call (f, n) -> Call (op f, n)
+  | Tcall (f, n) -> Tcall (op f, n)
+  | Vdot (d, x, y, n) -> Vdot (op d, op x, op y, op n)
+  | Vadd (d, x, y, n) -> Vadd (op d, op x, op y, op n)
+  | (Ret | Svc _ | Halt | Nop) as i -> i
+
 let words i =
   (* One base word; complex operands take an extension word each, but at
      most two extension words per instruction (the S-1's 1-3 word formats).

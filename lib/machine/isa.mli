@@ -144,6 +144,11 @@ val validate : instr -> (unit, string) result
     destinations, shift ranges.  The code generator must only emit
     instructions that validate; the assembler rejects others. *)
 
+val map : operand:(operand -> operand) -> target:(target -> target) -> instr -> instr
+(** The instruction with every operand and branch target mapped: the one
+    traversal of an instruction's operands, under assembly and the
+    relocation of a unit's program. *)
+
 val words : instr -> int
 (** Instruction size in 36-bit words (1–3), from the operand complexity. *)
 

@@ -38,46 +38,44 @@ let unsafe_prims =
 
 let authorizes_args fname = not (List.mem fname unsafe_prims)
 
-(* node id -> why its PDLOKP is -1: the escaping consumer, for remarks.
-   Domain-local like the node-id wells it is keyed by: batch workers
-   compiling on other domains reuse the same ids. *)
-let escape_reason : (int, string) Hashtbl.t S1_par.Dls.t =
-  S1_par.Dls.create (fun () -> Hashtbl.create 64)
-
 (* Top-down: [auth] is the id of the authorizing node, or -1; [why]
-   names the consumer responsible whenever [auth] is -1. *)
-let rec okp (n : node) (auth : int) (why : string) : unit =
+   names the consumer responsible whenever [auth] is -1, and [reasons],
+   when remarks are on, keeps it by node id for them. *)
+let rec okp reasons (n : node) (auth : int) (why : string) : unit =
   n.n_pdlokp <- auth;
-  if auth < 0 then Hashtbl.replace (S1_par.Dls.get escape_reason) n.n_id why;
+  (match reasons with Some t when auth < 0 -> Hashtbl.replace t n.n_id why | _ -> ());
   match n.kind with
   | Term _ | Var _ | Go _ -> ()
   | Setq (v, e) ->
       (* storing into a captured or special variable lets the pointer
          escape the frame *)
       if v.v_special || v.v_captured then
-        okp e (-1) (Printf.sprintf "stored into the special or captured variable %s" v.v_name)
-      else okp e auth why
+        okp reasons e (-1)
+          (Printf.sprintf "stored into the special or captured variable %s" v.v_name)
+      else okp reasons e auth why
   | If (p, x, y) ->
       (* "it always of itself authorizes the predicate computation to
          produce a pdl number, because the conditional test performed by
          if is a safe operation"; the arms inherit the parent's
          authorization. *)
-      okp p n.n_id why;
-      okp x auth why;
-      okp y auth why
+      okp reasons p n.n_id why;
+      okp reasons x auth why;
+      okp reasons y auth why
   | Progn xs ->
       let rec go = function
         | [] -> ()
-        | [ last ] -> okp last auth why
+        | [ last ] -> okp reasons last auth why
         | x :: rest ->
-            okp x n.n_id why (* value dropped: trivially safe *);
+            okp reasons x n.n_id why (* value dropped: trivially safe *);
             go rest
       in
       go xs
   | Lambda l ->
-      List.iter (fun p -> Option.iter (fun d -> okp d n.n_id why) p.p_default) l.l_params;
+      List.iter
+        (fun p -> Option.iter (fun d -> okp reasons d n.n_id why) p.p_default)
+        l.l_params;
       (* returning from a function is not safe *)
-      okp l.l_body (-1) "returned from the function"
+      okp reasons l.l_body (-1) "returned from the function"
   | Call ({ kind = Lambda l; _ }, args) when l.l_strategy = Open ->
       (* binding a local variable keeps the pointer in this frame: safe,
          authorized by the binding call as long as the variable is not
@@ -85,45 +83,47 @@ let rec okp (n : node) (auth : int) (why : string) : unit =
       List.iter2
         (fun p a ->
           if p.p_var.v_captured || p.p_var.v_special then
-            okp a (-1)
+            okp reasons a (-1)
               (Printf.sprintf "bound to the captured or special variable %s"
                  p.p_var.v_name)
-          else okp a n.n_id why)
+          else okp reasons a n.n_id why)
         l.l_params args;
-      okp l.l_body auth why
+      okp reasons l.l_body auth why
   | Call (f, args) -> (
       match f.kind with
       | Term (Sexp.Sym fname) when S1_frontend.Prims.is_primitive fname ->
-          if authorizes_args fname then List.iter (fun arg -> okp arg n.n_id why) args
+          if authorizes_args fname then List.iter (fun arg -> okp reasons arg n.n_id why) args
           else
             List.iter
               (fun arg ->
-                okp arg (-1)
+                okp reasons arg (-1)
                   (Printf.sprintf "argument to the storing primitive %s" fname))
               args
       | _ ->
-          okp f (-1) "callee position";
+          okp reasons f (-1) "callee position";
           (* "passing a pointer to a procedure is safe": arguments are
              valid for the callee's extent by convention — except for a
              tail call, whose frame (and pdl slots) are reclaimed before
              the callee runs *)
           if n.n_tail then
             List.iter
-              (fun arg -> okp arg (-1) "argument to a tail call (frame reclaimed first)")
+              (fun arg ->
+                okp reasons arg (-1) "argument to a tail call (frame reclaimed first)")
               args
-          else List.iter (fun arg -> okp arg n.n_id why) args)
+          else List.iter (fun arg -> okp reasons arg n.n_id why) args)
   | Caseq (key, clauses, default) ->
-      okp key n.n_id why;
-      List.iter (fun (_, b) -> okp b auth why) clauses;
-      Option.iter (fun d -> okp d auth why) default
+      okp reasons key n.n_id why;
+      List.iter (fun (_, b) -> okp reasons b auth why) clauses;
+      Option.iter (fun d -> okp reasons d auth why) default
   | Catcher (tag, body) ->
-      okp tag (-1) "crosses a CATCH boundary";
-      okp body (-1) "crosses a CATCH boundary"
+      okp reasons tag (-1) "crosses a CATCH boundary";
+      okp reasons body (-1) "crosses a CATCH boundary"
   | Progbody pb ->
       List.iter
-        (function Ptag _ -> () | Pstmt s -> okp s (-1) "PROG statement (control may GO out)")
+        (function
+          | Ptag _ -> () | Pstmt s -> okp reasons s (-1) "PROG statement (control may GO out)")
         pb.pb_items
-  | Return e -> okp e (-1) "returned via RETURN"
+  | Return e -> okp reasons e (-1) "returned via RETURN"
 
 (* Bottom-up PDLNUMP: might this node deliver a freshly created number? *)
 let rec nump (n : node) : bool =
@@ -175,8 +175,9 @@ let boxes_a_float (n : node) =
 
 let run (root : node) : unit =
   S1_obs.Obs.with_span "pdlnum" (fun () ->
-      Hashtbl.reset (S1_par.Dls.get escape_reason);
-      okp root (-1) "returned from the function";
+      (* node id -> why its PDLOKP is -1: the escaping consumer *)
+      let reasons = if Remark.enabled () then Some (Hashtbl.create 64) else None in
+      okp reasons root (-1) "returned from the function";
       ignore (nump root);
       (* nodes where both analyses agree a stack box would be legal: the
          code generator turns the POINTER-wanted numeric ones into pdl
@@ -186,16 +187,18 @@ let run (root : node) : unit =
         root;
       (* the declines: fresh floats whose lifetime escapes the frame must
          take a heap box no matter what the options say *)
-      if Remark.enabled () then
-        iter
-          (fun n ->
-            if boxes_a_float n && n.n_pdlokp < 0 then
-              let why =
-                match Hashtbl.find_opt (S1_par.Dls.get escape_reason) n.n_id with
-                | Some w -> w
-                | None -> "lifetime not bounded by a safe consumer"
-              in
-              Remark.missed ~pass:"pdlnum" ~rule:"PDL-ALLOCATE" ~node:n.n_id ?loc:n.n_loc
-                ~args:[ ("consumer", Remark.Str why) ]
-                "fresh float is heap-boxed: its lifetime escapes the frame")
-          root)
+      Option.iter
+        (fun reasons ->
+          iter
+            (fun n ->
+              if boxes_a_float n && n.n_pdlokp < 0 then
+                let why =
+                  match Hashtbl.find_opt reasons n.n_id with
+                  | Some w -> w
+                  | None -> "lifetime not bounded by a safe consumer"
+                in
+                Remark.missed ~pass:"pdlnum" ~rule:"PDL-ALLOCATE" ~node:n.n_id ?loc:n.n_loc
+                  ~args:[ ("consumer", Remark.Str why) ]
+                  "fresh float is heap-boxed: its lifetime escapes the frame")
+            root)
+        reasons)

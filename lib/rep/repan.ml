@@ -27,30 +27,29 @@ open S1_ir
 open Node
 module Prims = S1_frontend.Prims
 
-(* Whether the code generator will compile prims inline (Gen.options
-   inline_prims, threaded in by {!run}).  When it won't, every prim is a
-   native call through the runtime: arguments go through the calling
-   convention and the result arrives as a tagged POINTER in A, whatever
-   raw rep the prim table declares — claiming SWFLO here made the
-   generator read the tagged word as a raw float (found by the
+(* [inline] is whether the code generator will compile prims inline
+   (Gen.options inline_prims, an argument of {!run}).  When it won't,
+   every prim is a native call through the runtime: arguments go through
+   the calling convention and the result arrives as a tagged POINTER in
+   A, whatever raw rep the prim table declares — claiming SWFLO here made
+   the generator read the tagged word as a raw float (found by the
    differential fuzzer under --no-inline-prims). *)
-let inline_prims : bool ref S1_par.Dls.t = S1_par.Dls.create (fun () -> ref true)
 
 (* The representation a prim's result is delivered in when compiled
    inline (generic prims deliver POINTER via the runtime).  Inline-ness
    depends on arity as well as the global switch — a 3-ary (- a b c) is
    a native call even with inlining on — so both judgements consult the
    shared Prims.inlinable table the generator uses. *)
-let prim_isrep fname ~nargs ~want =
-  if not (!(S1_par.Dls.get inline_prims) && Prims.inlinable fname nargs) then POINTER
+let prim_isrep ~inline fname ~nargs ~want =
+  if not (inline && Prims.inlinable fname nargs) then POINTER
   else
     match Prims.find fname with
     | Some { Prims.res_rep = Some BIT; _ } -> if want = JUMP then JUMP else POINTER
     | Some { Prims.res_rep = Some r; _ } -> r
     | _ -> POINTER
 
-let prim_argrep fname ~nargs =
-  if not (!(S1_par.Dls.get inline_prims) && Prims.inlinable fname nargs) then None
+let prim_argrep ~inline fname ~nargs =
+  if not (inline && Prims.inlinable fname nargs) then None
   else
     match Prims.find fname with
     | Some { Prims.arg_rep = Some r; _ } -> Some r
@@ -58,62 +57,71 @@ let prim_argrep fname ~nargs =
 
 (* Top-down WANTREP --------------------------------------------------------- *)
 
-let rec want (n : node) (w : rep) : unit =
+let rec want ~inline (n : node) (w : rep) : unit =
   n.n_wantrep <- w;
   match n.kind with
   | Term _ | Var _ | Go _ -> ()
-  | Setq (v, e) -> want e v.v_rep
+  | Setq (v, e) -> want ~inline e v.v_rep
   | If (p, x, y) ->
-      want p JUMP;
-      want x w;
-      want y w
+      want ~inline p JUMP;
+      want ~inline x w;
+      want ~inline y w
   | Progn xs ->
       let rec go = function
         | [] -> ()
-        | [ last ] -> want last w
+        | [ last ] -> want ~inline last w
         | x :: rest ->
-            want x NONE;
+            want ~inline x NONE;
             go rest
       in
       go xs
   | Lambda l ->
-      List.iter (fun p -> Option.iter (fun d -> want d p.p_var.v_rep) p.p_default) l.l_params;
+      List.iter
+        (fun p -> Option.iter (fun d -> want ~inline d p.p_var.v_rep) p.p_default)
+        l.l_params;
       (* a separate function returns through the calling convention *)
-      want l.l_body POINTER
+      want ~inline l.l_body POINTER
   | Call ({ kind = Lambda l; _ } as f, args) when l.l_strategy = Open ->
       f.n_wantrep <- NONE;
-      List.iter2 (fun p a -> want a p.p_var.v_rep) l.l_params args;
-      want l.l_body w
+      List.iter2 (fun p a -> want ~inline a p.p_var.v_rep) l.l_params args;
+      want ~inline l.l_body w
   | Call (f, args) -> (
       match f.kind with
       | Term (Sexp.Sym fname) -> (
           f.n_wantrep <- NONE;
-          match prim_argrep fname ~nargs:(List.length args) with
-          | Some r -> List.iter (fun a -> want a r) args
-          | None -> List.iter (fun a -> want a POINTER) args)
+          match prim_argrep ~inline fname ~nargs:(List.length args) with
+          | Some r -> want_args ~inline r args
+          | None -> want_args ~inline POINTER args)
       | Var v when not v.v_special -> (
           (* Jump/Fast local function: parameters keep their var reps *)
           f.n_wantrep <- NONE;
           match local_lambda v with
           | Some l -> (
-              try List.iter2 (fun p a -> want a p.p_var.v_rep) l.l_params args
-              with Invalid_argument _ -> List.iter (fun a -> want a POINTER) args)
+              try List.iter2 (fun p a -> want ~inline a p.p_var.v_rep) l.l_params args
+              with Invalid_argument _ -> want_args ~inline POINTER args)
           | None ->
-              want f POINTER;
-              List.iter (fun a -> want a POINTER) args)
+              want ~inline f POINTER;
+              want_args ~inline POINTER args)
       | _ ->
-          want f POINTER;
-          List.iter (fun a -> want a POINTER) args)
+          want ~inline f POINTER;
+          want_args ~inline POINTER args)
   | Caseq (key, clauses, default) ->
-      want key POINTER;
-      List.iter (fun (_, b) -> want b w) clauses;
-      Option.iter (fun d -> want d w) default
+      want ~inline key POINTER;
+      List.iter (fun (_, b) -> want ~inline b w) clauses;
+      Option.iter (fun d -> want ~inline d w) default
   | Catcher (tag, body) ->
-      want tag POINTER;
-      want body POINTER
+      want ~inline tag POINTER;
+      want ~inline body POINTER
   | Progbody pb ->
-      List.iter (function Ptag _ -> () | Pstmt s -> want s NONE) pb.pb_items
-  | Return e -> want e POINTER
+      List.iter (function Ptag _ -> () | Pstmt s -> want ~inline s NONE) pb.pb_items
+  | Return e -> want ~inline e POINTER
+
+(* [want] over call arguments, without a closure per call *)
+and want_args ~inline w = function
+  | [] -> ()
+  | a :: rest ->
+      want ~inline a w;
+      want_args ~inline w rest
 
 (* The lambda a local-function variable is bound to, when its binder is
    an Open lambda binding it to a manifest Jump/Fast lambda. *)
@@ -132,7 +140,7 @@ and local_lambda (v : var) : lam option =
 
 (* Bottom-up ISREP ------------------------------------------------------------ *)
 
-let rec isrep (n : node) : rep =
+let rec isrep ~inline (n : node) : rep =
   let r =
     match n.kind with
     | Term c -> (
@@ -143,12 +151,12 @@ let rec isrep (n : node) : rep =
         | _ -> POINTER)
     | Var v -> v.v_rep
     | Setq (_, e) ->
-        ignore (isrep e);
+        ignore (isrep ~inline e);
         (* value delivered from what was stored *)
         (match n.kind with Setq (v, _) -> v.v_rep | _ -> POINTER)
     | If (p, x, y) ->
-        ignore (isrep p);
-        let rx = isrep x and ry = isrep y in
+        ignore (isrep ~inline p);
+        let rx = isrep ~inline x and ry = isrep ~inline y in
         if n.n_wantrep = NONE then NONE
         else if rx = ry then rx
         else if rx = n.n_wantrep && convertible ~from_:ry ~to_:n.n_wantrep then rx
@@ -157,46 +165,55 @@ let rec isrep (n : node) : rep =
     | Progn xs ->
         let rec go acc = function
           | [] -> acc
-          | [ last ] -> isrep last
+          | [ last ] -> isrep ~inline last
           | x :: rest ->
-              ignore (isrep x);
+              ignore (isrep ~inline x);
               go acc rest
         in
         go POINTER xs
     | Lambda l ->
-        List.iter (fun p -> Option.iter (fun d -> ignore (isrep d)) p.p_default) l.l_params;
-        ignore (isrep l.l_body);
+        List.iter
+          (fun p -> Option.iter (fun d -> ignore (isrep ~inline d)) p.p_default)
+          l.l_params;
+        ignore (isrep ~inline l.l_body);
         POINTER
     | Call ({ kind = Lambda l; _ }, args) when l.l_strategy = Open ->
-        List.iter (fun a -> ignore (isrep a)) args;
-        isrep l.l_body
+        isrep_args ~inline args;
+        isrep ~inline l.l_body
     | Call (f, args) -> (
-        List.iter (fun a -> ignore (isrep a)) args;
+        isrep_args ~inline args;
         match f.kind with
         | Term (Sexp.Sym fname) ->
-            prim_isrep fname ~nargs:(List.length args) ~want:n.n_wantrep
+            prim_isrep ~inline fname ~nargs:(List.length args) ~want:n.n_wantrep
         | _ ->
-            ignore (isrep f);
+            ignore (isrep ~inline f);
             POINTER)
     | Caseq (key, clauses, default) ->
-        ignore (isrep key);
-        List.iter (fun (_, b) -> ignore (isrep b)) clauses;
-        Option.iter (fun d -> ignore (isrep d)) default;
+        ignore (isrep ~inline key);
+        List.iter (fun (_, b) -> ignore (isrep ~inline b)) clauses;
+        Option.iter (fun d -> ignore (isrep ~inline d)) default;
         POINTER
     | Catcher (tag, body) ->
-        ignore (isrep tag);
-        ignore (isrep body);
+        ignore (isrep ~inline tag);
+        ignore (isrep ~inline body);
         POINTER
     | Progbody pb ->
-        List.iter (function Ptag _ -> () | Pstmt s -> ignore (isrep s)) pb.pb_items;
+        List.iter (function Ptag _ -> () | Pstmt s -> ignore (isrep ~inline s)) pb.pb_items;
         POINTER
     | Go _ -> NONE
     | Return e ->
-        ignore (isrep e);
+        ignore (isrep ~inline e);
         NONE
   in
   n.n_isrep <- r;
   r
+
+(* [isrep] over call arguments, likewise *)
+and isrep_args ~inline = function
+  | [] -> ()
+  | a :: rest ->
+      ignore (isrep ~inline a);
+      isrep_args ~inline rest
 
 (* Variable-representation unification ------------------------------------------ *)
 
@@ -277,7 +294,7 @@ module Remark = S1_obs.Remark
    boxed (and what blocked them), and which If joins forced POINTER
    because the arms disagree.  The walk is preorder, so remark order is
    deterministic for a given tree. *)
-let report (root : node) : unit =
+let report ~inline (root : node) : unit =
   if Remark.enabled () then begin
     (* binding initializers, as unify_variable_reps saw them *)
     let init_rep : (int, rep) Hashtbl.t = Hashtbl.create 16 in
@@ -299,7 +316,7 @@ let report (root : node) : unit =
             let nargs = List.length args in
             match Prims.find fname with
             | Some { Prims.res_rep = Some r; _ } ->
-                if !(S1_par.Dls.get inline_prims) && Prims.inlinable fname nargs then
+                if inline && Prims.inlinable fname nargs then
                   Remark.passed ~pass:"repan" ~rule:"OPEN-CODE" ~node:n.n_id ?loc:n.n_loc
                     ~args:[ ("fn", Remark.Str fname); ("rep", Remark.Str (rep_name r)) ]
                     (Printf.sprintf "%s compiles inline, delivering raw %s" fname
@@ -307,7 +324,7 @@ let report (root : node) : unit =
                 else
                   Remark.missed ~pass:"repan" ~rule:"OPEN-CODE" ~node:n.n_id ?loc:n.n_loc
                     ~args:[ ("fn", Remark.Str fname); ("arity", Remark.Int nargs) ]
-                    (if not !(S1_par.Dls.get inline_prims) then
+                    (if not inline then
                        Printf.sprintf
                          "%s goes out-of-line (prim inlining disabled); result boxed to \
                           POINTER"
@@ -390,17 +407,16 @@ let report (root : node) : unit =
 (* Entry point -------------------------------------------------------------------- *)
 
 let run ?(inline = true) (root : node) : unit =
-  S1_par.Dls.get inline_prims := inline;
   S1_obs.Obs.with_span "repan" (fun () ->
       (* reset *)
       iter (fun n -> n.n_wantrep <- POINTER) root;
       let rec fix k =
-        want root POINTER;
-        ignore (isrep root);
+        want ~inline root POINTER;
+        ignore (isrep ~inline root);
         if k > 0 && unify_variable_reps root then fix (k - 1)
       in
       fix 4;
-      report root;
+      report ~inline root;
       (* representation choices, per kind: one counter per variable rep
          and one per delivered (ISREP) value rep *)
       iter

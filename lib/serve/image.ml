@@ -4,14 +4,15 @@
     compiled file into a {e different} live world than the one it was
     compiled against: per top-level form, its reading
     ({!S1_frontend.Convert.toplevel}) with a compiled unit in place of
-    each source form.  A unit is the pre-assembly program with every
-    world-dependent word replaced by a {e sentinel}, plus the
-    ordered recipe of world requests ("intern this symbol", "intern this
-    constant", "allocate a fresh static cell") whose replay against the
-    target world yields the words to substitute back.  Replaying the
-    recipe in recording order reproduces the exact interning and
-    static-allocation sequence a from-source compile would have
-    performed, which is what makes a warm load byte-identical to a cold
+    each source form.  A unit is a {!S1_codegen.Gen.compiled} as the
+    generator made it, without its TN packing: the pre-assembly program
+    with every world-dependent word a {e sentinel}, plus the ordered
+    recipe of world requests ("intern this symbol", "intern this
+    constant", "allocate a fresh static cell") that
+    {!S1_core.Compiler.install} replays against the target world.
+    Replaying the recipe in recording order reproduces the exact
+    interning and static-allocation sequence a from-source compile
+    performs, which is what makes a warm load byte-identical to a cold
     compile: same words, same addresses, same cycle counts.
 
     The format is byte-deterministic: the same unit under the same
@@ -51,45 +52,13 @@ let schema_version = "s1lisp.image/3"
    with the tail. *)
 let envelope_prefix = "{\"schema\":\"s1lisp.image/"
 
-(* Sentinels ------------------------------------------------------------ *)
-
-(* World-dependent words in a serialized program are placeholders far
-   above the 36-bit machine word space: sentinel [i] stands for the
-   result of the [i]th world request in the unit's recipe.  Nothing
-   downstream of the generator inspects immediate values (the peephole
-   rewrites control flow only, and operand cost classes the sentinel
-   range with every other non-short immediate), so a sentinel program
-   assembles and costs exactly like its resolved counterpart. *)
-let sentinel_base = 1 lsl 40
-let is_sentinel w = w >= sentinel_base
-let sentinel i = sentinel_base + i
-let sentinel_index w = w - sentinel_base
-
-(** One recorded world request.  Replay order is the list order. *)
-type worldref =
-  | Rnil
-  | Rtrue
-  | Rconst of Sexp.t  (** intern a quoted constant in static space *)
-  | Rsym of string  (** intern a symbol *)
-  | Rfun_cell of string  (** address of a symbol's function cell *)
-  | Rval_cell of string  (** address of a symbol's value cell *)
-  | Rfresh_cell  (** allocate one fresh static cell (closure fixups) *)
-
-(** A compiled unit in sentinel form, with its recipe.  World words in
-    the program and the closure fixups' cells are sentinels; an image
-    keeps no TN packing. *)
-type unit_img = {
-  u_unit : Gen.compiled;
-  u_refs : worldref list;  (** the recipe, in recording order *)
-}
-
 (** What the unit was {e for}: the top-level form's reading
     ({!S1_frontend.Convert.toplevel}) with its compiled unit in place of
     the source, so replay runs the compiler's own form dispatch and a
     loaded image has the same world effects (function cells set,
     specials proclaimed, macros registered, top-level forms run) as
     evaluating the source. *)
-type action = unit_img Convert.toplevel
+type action = Gen.compiled Convert.toplevel
 
 type t = {
   i_file : string;  (** source path, informative only *)
@@ -116,64 +85,6 @@ let load_error_to_string = function
       Printf.sprintf "image schema %S is not %S" s schema_version
   | Corrupted m -> "image checksum mismatch: " ^ m
   | Malformed m -> "malformed image: " ^ m
-
-(* Substitution --------------------------------------------------------- *)
-
-(* Replace sentinels with resolved words.  Only [Imm] and [Mabs]
-   operands and [Data] words can carry world words (the generator's
-   world contract); everything else passes through untouched. *)
-
-let subst_word a w = if is_sentinel w then a.(sentinel_index w) else w
-
-let subst_operand a (op : Isa.operand) : Isa.operand =
-  match op with
-  | Isa.Imm v -> Isa.Imm (subst_word a v)
-  | Isa.Mabs v -> Isa.Mabs (subst_word a v)
-  | Isa.Reg _ | Isa.Ind _ | Isa.Idx _ | Isa.Defind _ | Isa.Defreg _ | Isa.Lab _
-  | Isa.Dlab _ ->
-      op
-
-let subst_instr a (i : Isa.instr) : Isa.instr =
-  let s = subst_operand a in
-  match i with
-  | Isa.Mov (d, x) -> Isa.Mov (s d, s x)
-  | Isa.Movp (t, d, x) -> Isa.Movp (t, s d, s x)
-  | Isa.Gettag (d, x) -> Isa.Gettag (s d, s x)
-  | Isa.Getaddr (d, x) -> Isa.Getaddr (s d, s x)
-  | Isa.Settag (t, d) -> Isa.Settag (t, s d)
-  | Isa.Bin (op, w, d, x, y) -> Isa.Bin (op, w, s d, s x, s y)
-  | Isa.Un (op, w, d, x) -> Isa.Un (op, w, s d, s x)
-  | Isa.Jmp (c, x, y, t) -> Isa.Jmp (c, s x, s y, t)
-  | Isa.Fjmp (c, x, y, t) -> Isa.Fjmp (c, s x, s y, t)
-  | Isa.Jmpz (c, x, t) -> Isa.Jmpz (c, s x, t)
-  | Isa.Jmptag (c, x, tag, t) -> Isa.Jmptag (c, s x, tag, t)
-  | Isa.Jmpa _ | Isa.Ret | Isa.Svc _ | Isa.Halt | Isa.Nop -> i
-  | Isa.Jmpi x -> Isa.Jmpi (s x)
-  | Isa.Jsp _ -> i
-  | Isa.Push x -> Isa.Push (s x)
-  | Isa.Pop d -> Isa.Pop (s d)
-  | Isa.Allocs (x, n) -> Isa.Allocs (s x, n)
-  | Isa.Call (f, n) -> Isa.Call (s f, n)
-  | Isa.Tcall (f, n) -> Isa.Tcall (s f, n)
-  | Isa.Vdot (d, x, y, n) -> Isa.Vdot (s d, s x, s y, s n)
-  | Isa.Vadd (d, x, y, n) -> Isa.Vadd (s d, s x, s y, s n)
-
-let subst_item a (it : Asm.item) : Asm.item =
-  match it with
-  | Asm.Instr i -> Asm.Instr (subst_instr a i)
-  | Asm.Data (l, ds) ->
-      Asm.Data
-        ( l,
-          List.map
-            (function Asm.Word w -> Asm.Word (subst_word a w) | d -> d)
-            ds )
-  | Asm.Label _ | Asm.Comment _ | Asm.Mark _ -> it
-
-let subst_program a (prog : Asm.program) : Asm.program =
-  List.map (subst_item a) prog
-
-let subst_fixups a fixups =
-  List.map (fun (e, cell, n, mn, mx) -> (e, subst_word a cell, n, mn, mx)) fixups
 
 (* Encoding ------------------------------------------------------------- *)
 
@@ -280,17 +191,16 @@ let json_of_item (it : Asm.item) : Json.t =
         [ jstr "MK"; jint node;
           (match loc with None -> Json.Null | Some l -> json_of_loc l) ]
 
-let json_of_worldref (r : worldref) : Json.t =
+let json_of_worldref (r : Gen.worldref) : Json.t =
   match r with
   | Rnil -> Json.Arr [ jstr "nil" ]
   | Rtrue -> Json.Arr [ jstr "t" ]
   | Rconst s -> Json.Arr [ jstr "const"; json_of_sexp s ]
   | Rsym n -> Json.Arr [ jstr "sym"; jstr n ]
   | Rfun_cell n -> Json.Arr [ jstr "fun"; jstr n ]
-  | Rval_cell n -> Json.Arr [ jstr "val"; jstr n ]
   | Rfresh_cell -> Json.Arr [ jstr "cell" ]
 
-let json_of_unit ({ u_unit = u; u_refs } : unit_img) : Json.t =
+let json_of_unit (u : Gen.compiled) : Json.t =
   Json.Obj
     [
       ("name", jstr u.Gen.c_name);
@@ -304,7 +214,7 @@ let json_of_unit ({ u_unit = u; u_refs } : unit_img) : Json.t =
              (fun (e, cell, n, mn, mx) ->
                Json.Arr [ jstr e; jint cell; jstr n; jint mn; jint mx ])
              u.Gen.c_fixups) );
-      ("refs", Json.Arr (List.map json_of_worldref u_refs));
+      ("refs", Json.Arr (List.map json_of_worldref u.Gen.c_refs));
     ]
 
 let json_of_action (a : action) : Json.t =
@@ -498,36 +408,33 @@ let item_of_json (j : Json.t) : Asm.item =
         (dint node, match loc with Json.Null -> None | l -> Some (loc_of_json l))
   | _ -> fail "bad program item encoding"
 
-let worldref_of_json (j : Json.t) : worldref =
+let worldref_of_json (j : Json.t) : Gen.worldref =
   match darr j with
   | [ Json.Str "nil" ] -> Rnil
   | [ Json.Str "t" ] -> Rtrue
   | [ Json.Str "const"; s ] -> Rconst (sexp_of_json s)
   | [ Json.Str "sym"; n ] -> Rsym (dstr n)
   | [ Json.Str "fun"; n ] -> Rfun_cell (dstr n)
-  | [ Json.Str "val"; n ] -> Rval_cell (dstr n)
   | [ Json.Str "cell" ] -> Rfresh_cell
   | _ -> fail "bad world reference encoding"
 
-let unit_of_json (j : Json.t) : unit_img =
-  let u_unit =
-    {
-      Gen.c_name = dstr (dfield j "name");
-      c_entry = dstr (dfield j "entry");
-      c_min_args = dint (dfield j "min");
-      c_max_args = dint (dfield j "max");
-      c_prog = List.map item_of_json (darr (dfield j "prog"));
-      c_fixups =
-        List.map
-          (fun f ->
-            match darr f with
-            | [ e; cell; n; mn; mx ] -> (dstr e, dint cell, dstr n, dint mn, dint mx)
-            | _ -> fail "bad fixup encoding")
-          (darr (dfield j "fixups"));
-      c_packing = [];
-    }
-  in
-  { u_unit; u_refs = List.map worldref_of_json (darr (dfield j "refs")) }
+let unit_of_json (j : Json.t) : Gen.compiled =
+  {
+    Gen.c_name = dstr (dfield j "name");
+    c_entry = dstr (dfield j "entry");
+    c_min_args = dint (dfield j "min");
+    c_max_args = dint (dfield j "max");
+    c_prog = List.map item_of_json (darr (dfield j "prog"));
+    c_fixups =
+      List.map
+        (fun f ->
+          match darr f with
+          | [ e; cell; n; mn; mx ] -> (dstr e, dint cell, dstr n, dint mn, dint mx)
+          | _ -> fail "bad fixup encoding")
+        (darr (dfield j "fixups"));
+    c_packing = [];
+    c_refs = List.map worldref_of_json (darr (dfield j "refs"));
+  }
 
 let action_of_json (j : Json.t) : action =
   match darr j with

@@ -2,37 +2,32 @@
     {!S1_core.Compiler}, one file at a time ({!Supervise} runs batches).
 
     Every path reads a top-level form through
-    {!S1_frontend.Convert.toplevel} and does its world effects through
-    {!S1_core.Compiler.perform}; only the loaders that turn a form's unit
-    into a function word differ.
+    {!S1_frontend.Convert.toplevel}, does its world effects through
+    {!S1_core.Compiler.perform} and installs each unit through
+    {!S1_core.Compiler.install}; a compiled unit carries sentinels and
+    its world recipe whichever path made it.
 
-    Cold path: compile each unit against a {e recording world} — the
-    generator sees sentinels instead of live-world words, and every
-    world request (constant intern, symbol intern, cell address, fresh
-    static cell) is appended to the unit's recipe.  The sentinel program
-    plus recipe is kept for the {!Image}, and the unit installs through
-    {!install_unit}, the warm path's own installer.
+    Cold path: {!S1_core.Compiler.compile_form}, the from-source
+    compile, whose returned reading (the form with its units) is the
+    {!Image} action.
 
     Warm path: verify and decode the image, then [perform] each action
-    with loaders that replay the unit's recipe against a fresh world,
-    substitute and install.  Because the recipe replays the exact
-    world-effect sequence of a from-source compile, the loaded code is
-    byte-identical — same words, same addresses, same cycle counts, same
-    annotate listing (rendered from the installed program: an image
-    carries no listing text) — without running a single optimization pass.
+    with loaders that install the unit it holds.  Because the recipe
+    replays the exact world-effect sequence of a from-source compile, the
+    loaded code is byte-identical — same words, same addresses, same
+    cycle counts, same annotate listing (rendered from the installed
+    program: an image carries no listing text) — without running a single
+    optimization pass.
 
     All compiler state is either per-instance ({!S1_core.Compiler.t}) or
     domain-local ({!S1_par.Dls}), so concurrent batch workers are
     hermetic; each file's counter delta is carried in its {!result}. *)
 
-module Sexp = S1_sexp.Sexp
 module Reader = S1_sexp.Reader
 module Cpu = S1_machine.Cpu
 module Rt = S1_runtime.Rt
 module Node = S1_ir.Node
-module Freshen = S1_ir.Freshen
 module Macroexp = S1_frontend.Macroexp
-module Convert = S1_frontend.Convert
 module Rules = S1_transform.Rules
 module Gen = S1_codegen.Gen
 module C = S1_core.Compiler
@@ -78,95 +73,6 @@ let reset_compile_state () =
 let compiler_of (cfg : cfg) : C.t =
   C.create ~options:cfg.sv_options ~rules:cfg.sv_rules ~cse:cfg.sv_cse ()
 
-(* Recording world ------------------------------------------------------ *)
-
-type recorder = { mutable rc_refs : Image.worldref list; mutable rc_n : int }
-
-let recording_world (rc : recorder) : Gen.world =
-  let add r =
-    let i = rc.rc_n in
-    rc.rc_n <- i + 1;
-    rc.rc_refs <- r :: rc.rc_refs;
-    Image.sentinel i
-  in
-  (* nil/t are plain record fields, so they are recorded up front whether
-     or not the unit ends up using them; replay of Rnil/Rtrue is a pure
-     read with no world effect, so unused entries cost nothing *)
-  let nil_word = add Image.Rnil in
-  let t_word = add Image.Rtrue in
-  {
-    Gen.nil_word;
-    t_word;
-    const_word = (fun s -> add (Image.Rconst s));
-    symbol_word = (fun n -> add (Image.Rsym n));
-    function_cell = (fun n -> add (Image.Rfun_cell n));
-    value_cell = (fun n -> add (Image.Rval_cell n));
-    alloc_cell = (fun () -> add Image.Rfresh_cell);
-  }
-
-(* Replay the recipe in recording order.  Order matters: interning and
-   static allocation have world effects, and reproducing the cold
-   compile's exact request sequence is what makes warm worlds
-   word-identical to cold ones. *)
-let resolve_refs (w : Gen.world) (refs : Image.worldref list) : int array =
-  let arr = Array.make (List.length refs) 0 in
-  List.iteri
-    (fun i r ->
-      arr.(i) <-
-        (match r with
-        | Image.Rnil -> w.Gen.nil_word
-        | Image.Rtrue -> w.Gen.t_word
-        | Image.Rconst s -> w.Gen.const_word s
-        | Image.Rsym n -> w.Gen.symbol_word n
-        | Image.Rfun_cell n -> w.Gen.function_cell n
-        | Image.Rval_cell n -> w.Gen.value_cell n
-        | Image.Rfresh_cell -> w.Gen.alloc_cell ()))
-    refs;
-  arr
-
-(* The one install path of a unit image, warm replay and cold compile
-   alike: replay its recipe against the live world, substitute the
-   resolved words, install.  Returns the function word. *)
-let install_unit (c : C.t) ?rewrites ({ Image.u_unit = u; u_refs } : Image.unit_img) : int =
-  let arr = resolve_refs (C.world_of c) u_refs in
-  C.install_compiled c ?rewrites
-    {
-      u with
-      Gen.c_prog = Image.subst_program arr u.Gen.c_prog;
-      c_fixups = Image.subst_fixups arr u.Gen.c_fixups;
-    }
-
-(* Cold capture --------------------------------------------------------- *)
-
-(* Compile-evaluate one top-level form, each of its units compiled
-   against a recording world, kept in sentinel form with its recipe, and
-   installed through {!install_unit}.  Returns the form's value and its
-   image action. *)
-let capture_form (c : C.t) (form : Sexp.t) : int * Image.action =
-  let parsed = Convert.toplevel form in
-  let captured = ref None in
-  (* a fresh recording world and its installer, for one unit *)
-  let recorder () =
-    let rc = { rc_refs = []; rc_n = 0 } in
-    let install ?rewrites compiled =
-      let u = { Image.u_unit = compiled; u_refs = List.rev rc.rc_refs } in
-      captured := Some u;
-      install_unit c ?rewrites u
-    in
-    (recording_world rc, install)
-  in
-  let v =
-    C.perform c
-      ~fn:(fun f ->
-        let world, install = recorder () in
-        C.compile_defun c ~world ~install f)
-      ~expr:(fun e ->
-        let world, install = recorder () in
-        C.compile_expression c ~world ~install e)
-      parsed
-  in
-  (v, Convert.map_toplevel (fun _ -> Option.get !captured) parsed)
-
 type exec = { e_value : string; e_output : string; e_cycles : int }
 
 let cycles_of (c : C.t) : int = c.C.rt.Rt.cpu.Cpu.stats.Cpu.cycles
@@ -209,7 +115,7 @@ let compile_cold (cfg : cfg) ?(prepare = fun (_ : C.t) -> ()) ?fuel ?deadline
         under_deadline c deadline (fun () ->
             List.fold_left
               (fun _ form ->
-                let v, action = capture_form c form in
+                let v, action = C.compile_form c form in
                 actions := action :: !actions;
                 v)
               c.C.rt.Rt.nil forms)
@@ -247,11 +153,9 @@ let compile_cold (cfg : cfg) ?(prepare = fun (_ : C.t) -> ()) ?fuel ?deadline
 let execute_in (c : C.t) (img : Image.t) : int =
   let ws = C.snapshot_world c in
   try
+    let load u = (u, C.install c u) in
     List.fold_left
-      (fun _ a ->
-        C.perform c
-          ~fn:(fun u -> (u.Image.u_unit.Gen.c_name, install_unit c u))
-          ~expr:(install_unit c) a)
+      (fun _ a -> fst (C.perform c ~fn:load ~expr:load a))
       c.C.rt.Rt.nil img.Image.i_actions
   with e ->
     C.restore_world c ws;

@@ -7,8 +7,9 @@
    simplify.sweeps and rule counters, and the generated code, for every
    corpus file and 200 generated programs at each of the 8 lattice
    points.  A second pass compiles everything again with remarks and
-   the journal off: the trees, code and counters must not depend on
-   whether anyone reads the journals. *)
+   the journal off: the trees, the units as generated (program and
+   world recipe), the code each run loaded and the counters must not
+   depend on whether anyone reads the journals. *)
 
 module C = S1_core.Compiler
 module Rt = S1_runtime.Rt
@@ -37,7 +38,9 @@ let genprog_sources () =
    run had remarks and the rewrite journal switched off. *)
 type observed = {
   trees : string;  (** back-translated tree after each simplify and cse pass *)
-  code : string;  (** listings of every program loaded *)
+  code : string;  (** listings of every program loaded, from the unit log; empty without journals *)
+  units : string;  (** every unit as generated: sentinel program and world recipe *)
+  loaded : string;  (** the CPU's code store after the run, sentinels resolved *)
   counters : string;  (** simplify.sweeps and the rule./rule_at. counters *)
   journals : string;  (** rewrite journal and remarks, JSONL *)
   outcome : string;
@@ -57,8 +60,8 @@ let observe ~journals (cfg : Oracle.config) ~file src =
     C.create ~options:cfg.Oracle.cfg_options ~rules:cfg.Oracle.cfg_rules
       ~cse:cfg.Oracle.cfg_cse ()
   in
-  (* the unit log is the journal's switch; the code is read through the
-     installer, so the run without journals keeps the log off *)
+  (* the unit log is the journal's switch, so the run without journals
+     compares the units as generated, before they load *)
   if journals then c.C.log <- Some [];
   c.C.rt.Rt.fuel <- Some Oracle.fuzz_fuel;
   let trees = Buffer.create 1024 in
@@ -68,17 +71,18 @@ let observe ~journals (cfg : Oracle.config) ~file src =
         Buffer.add_string trees (pass ^ ": " ^ Backtrans.to_string root);
         Buffer.add_char trees '\n'
       end);
-  let loaded = ref [] in
-  let install ?rewrites (u : S1_codegen.Gen.compiled) =
-    loaded := (u.c_name ^ "\n" ^ S1_machine.Asm.listing u.c_prog) :: !loaded;
-    C.install_compiled c ?rewrites u
+  let units = Buffer.create 1024 in
+  let generated ((u, _) as loaded) =
+    Buffer.add_string units (S1_obs.Json.to_string ~pretty:false (S1_serve.Image.json_of_unit u));
+    Buffer.add_char units '\n';
+    loaded
   in
   let eval form =
-    let world = C.world_of c in
-    C.perform c
-      ~fn:(C.compile_defun c ~world ~install)
-      ~expr:(C.compile_expression c ~world ~install)
-      (S1_frontend.Convert.toplevel form)
+    fst
+      (C.perform c
+         ~fn:(fun f -> generated (C.compile_defun c f))
+         ~expr:(fun e -> generated (C.compile_expression c e))
+         (S1_frontend.Convert.toplevel form))
   in
   let outcome =
     match
@@ -90,7 +94,12 @@ let observe ~journals (cfg : Oracle.config) ~file src =
     | exception e -> "exception: " ^ Printexc.to_string e
   in
   Remark.set_enabled false;
-  let code = String.concat "\n" (List.rev !loaded) in
+  let code =
+    List.rev_map
+      (fun { C.l_unit = u; _ } -> u.S1_codegen.Gen.c_name ^ "\n" ^ S1_machine.Asm.listing u.c_prog)
+      (Option.value c.C.log ~default:[])
+    |> String.concat "\n"
+  in
   let counters =
     Obs.counters ()
     |> List.filter optimizer_counter
@@ -101,7 +110,21 @@ let observe ~journals (cfg : Oracle.config) ~file src =
     if journals then Transcript.to_jsonl c.C.journal ^ Remark.to_jsonl (Remark.remarks ())
     else ""
   in
-  { trees = Buffer.contents trees; code; counters; journals; outcome }
+  let cpu = c.C.rt.Rt.cpu in
+  let loaded =
+    Array.sub cpu.S1_machine.Cpu.code 0 cpu.code_len
+    |> Array.map (Format.asprintf "%a" S1_machine.Isa.pp_instr)
+    |> Array.to_list |> String.concat "\n"
+  in
+  {
+    trees = Buffer.contents trees;
+    code;
+    units = Buffer.contents units;
+    loaded;
+    counters;
+    journals;
+    outcome;
+  }
 
 let digest_lines lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
 
@@ -118,7 +141,8 @@ let parity sources =
             let on = observe ~journals:true cfg ~file:name src in
             let off = observe ~journals:false cfg ~file:name src in
             Alcotest.(check string) (label ^ ": tree without journals") on.trees off.trees;
-            Alcotest.(check string) (label ^ ": code without journals") on.code off.code;
+            Alcotest.(check string) (label ^ ": units without journals") on.units off.units;
+            Alcotest.(check string) (label ^ ": loaded code without journals") on.loaded off.loaded;
             Alcotest.(check string)
               (label ^ ": counters without journals")
               on.counters off.counters;
