@@ -121,8 +121,13 @@ type jump_info = {
   j_link_slot : int;  (** scratch slot for the FAST return linkage; -1 for JUMP *)
 }
 
-(* The unit's recipe as it is recorded, newest request first. *)
-type recipe = { mutable rc_refs : worldref list; mutable rc_n : int }
+(* The unit's recipe as it is recorded, newest request first, with the
+   sentinel of each symbol and function-cell request already made. *)
+type recipe = {
+  mutable rc_refs : worldref list;
+  mutable rc_n : int;
+  rc_named : (worldref, int) Hashtbl.t;
+}
 
 type fctx = {
   recipe : recipe;
@@ -171,13 +176,21 @@ let fresh_label ctx base =
   Printf.sprintf "%s-%s%d" ctx.prefix base !(ctx.counter)
 
 (* Ask the world for a word: record the request and answer its sentinel.
-   Sentinels 0 and 1 are NIL and T, recorded up front for every unit. *)
+   Sentinels 0 and 1 are NIL and T, recorded up front for every unit.
+   Interning is idempotent, so a repeated symbol or function-cell request
+   answers the sentinel already handed out; a constant or a fresh cell
+   allocates, so each of those is a request of its own. *)
 let request ctx r =
   let rc = ctx.recipe in
-  let i = rc.rc_n in
-  rc.rc_n <- i + 1;
-  rc.rc_refs <- r :: rc.rc_refs;
-  Asm.sentinel i
+  let named = match r with Rsym _ | Rfun_cell _ -> true | _ -> false in
+  match if named then Hashtbl.find_opt rc.rc_named r else None with
+  | Some i -> Asm.sentinel i
+  | None ->
+      let i = rc.rc_n in
+      rc.rc_n <- i + 1;
+      rc.rc_refs <- r :: rc.rc_refs;
+      if named then Hashtbl.add rc.rc_named r i;
+      Asm.sentinel i
 
 let symbol_word ctx name = request ctx (Rsym name)
 let function_cell ctx name = request ctx (Rfun_cell name)
@@ -1790,7 +1803,7 @@ let compile_function ?(options = default_options) (guard : guard) ~(name : strin
       incr cg;
       let prefix = Printf.sprintf "%s~%d" name !cg in
       let fixups = ref [] and pending = ref [] and counter = ref 0 and packings = ref [] in
-      let recipe = { rc_refs = [ Rtrue; Rnil ]; rc_n = 2 } in
+      let recipe = { rc_refs = [ Rtrue; Rnil ]; rc_n = 2; rc_named = Hashtbl.create 16 } in
       let main =
         compile_body recipe options guard ~packings ~prefix ~name ~env_layout:[] ~fixups ~pending
           ~counter ~origin:(lam_node.n_id, lam_node.n_loc) l

@@ -31,6 +31,7 @@ module Rules = S1_transform.Rules
 module Transcript = S1_transform.Transcript
 module Gen = S1_codegen.Gen
 module Obs = S1_obs.Obs
+module I = S1_interp.Interp
 
 (** The paper's Table 1, as data (experiment T1). *)
 let phases =
@@ -76,7 +77,7 @@ type logged = {
 
 type t = {
   rt : Rt.t;
-  it : S1_interp.Interp.t;  (** interpreter sharing the same world *)
+  it : I.t;  (** interpreter sharing the same world *)
   mutable options : Gen.options;
   mutable strict : bool;
       (** escalate pass rollbacks to {!Strict_failure} instead of
@@ -89,8 +90,6 @@ type t = {
   mutable cse : bool;
       (** run the optional common-subexpression-elimination phase (the
           paper's §4.3, off in the shipped compiler) *)
-  macros : (string, int) Hashtbl.t;
-      (** DEFMACRO expanders: macro name -> compiled function word *)
   mutable log : logged list option;
       (** the unit log, newest first: every installed unit, for
           [s1lc --listing/--tns/--transcript/--annotate].  [None] (the
@@ -113,9 +112,9 @@ type t = {
 
 let create ?config ?(options = Gen.default_options) ?(rules = Rules.default_config)
     ?(cse = false) ?(strict = false) () =
-  let it = S1_interp.Interp.boot ?config () in
+  let it = I.boot ?config () in
   {
-    rt = it.S1_interp.Interp.rt;
+    rt = it.I.rt;
     it;
     options;
     strict;
@@ -123,31 +122,11 @@ let create ?config ?(options = Gen.default_options) ?(rules = Rules.default_conf
     unit_disabled = [];
     rules;
     cse;
-    macros = Hashtbl.create 8;
     log = None;
     journal = Transcript.create ~enabled:false ();
     locs = None;
     pass_hook = (fun _ _ -> ());
   }
-
-(* The macro lookup handed to the front end: an expander applies the
-   compiled macro function to the {e unevaluated} argument forms (as
-   values) and reads the resulting form back. *)
-let macros_pred (c : t) name =
-  match Hashtbl.find_opt c.macros name with
-  | None -> None
-  | Some fobj ->
-      Some
-        (fun (args : Sexp.t list) ->
-          let argv = List.map (fun a -> Rt.sexp_to_value c.rt a) args in
-          let result = Rt.with_protected c.rt argv (fun () -> Rt.call c.rt fobj argv) in
-          Rt.value_to_sexp c.rt result)
-
-let specials_pred (c : t) name =
-  match Rt.find_symbol c.rt name with
-  | Some sym when sym <> c.rt.Rt.nil && sym <> c.rt.Rt.t_ ->
-      Obj.symbol_is_special c.rt.Rt.obj sym
-  | _ -> false
 
 (* Graceful degradation -------------------------------------------------------- *)
 
@@ -201,28 +180,6 @@ let degrade_rungs (p : Lattice.point) : degrade_level list =
         if cfg <> None && cfg = prev then go prev rest else rung :: go cfg rest
   in
   go None degrade_ladder
-
-(* Transactional loads --------------------------------------------------------- *)
-
-(* Everything a warm-image replay (or any toplevel load) can write into
-   the world's symbol/cell state: the runtime's frozen state ({!Rt.freeze}:
-   the static region, the code store with its symbol ranges and PC line
-   maps, the obarray, the gensym counter) plus the macro table.
-   Restoring makes a failed load a clean no-op {e byte-for-byte}:
-   re-interning the same names afterwards lands at the same static
-   addresses and the same code origins, so determinism survives the
-   rollback.  Heap effects of the aborted prefix are not undone — objects
-   it allocated become unreachable garbage once the static roots are
-   rewound. *)
-type world_snapshot = { ws_world : Rt.frozen; ws_macros : (string * int) list }
-
-let snapshot_world (c : t) : world_snapshot =
-  { ws_world = Rt.freeze c.rt; ws_macros = Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.macros [] }
-
-let restore_world (c : t) (ws : world_snapshot) : unit =
-  Rt.thaw c.rt ws.ws_world;
-  Hashtbl.reset c.macros;
-  List.iter (fun (k, v) -> Hashtbl.replace c.macros k v) ws.ws_macros
 
 (* Pass isolation ------------------------------------------------------------- *)
 
@@ -456,15 +413,16 @@ let load_lambda (c : t) ~name (lam_node : Node.node) : Gen.compiled * int =
 let compile_defun (c : t) (form : Sexp.t) : Gen.compiled * int =
   let name, lam_node =
     Obs.with_span "convert" (fun () ->
-        Convert.defun ~specials:(specials_pred c) ~macros:(macros_pred c) ?locs:c.locs form)
+        Convert.defun ~specials:(I.specials_pred c.rt) ~macros:(I.macros_pred c.rt) ?locs:c.locs
+          form)
   in
   load_lambda c ~name lam_node
 
 let compile_expression ?(name = "%TOPLEVEL") (c : t) (form : Sexp.t) : Gen.compiled * int =
   let expr =
     Obs.with_span "convert" (fun () ->
-        Convert.expression ~specials:(specials_pred c) ~macros:(macros_pred c) ?locs:c.locs
-          form)
+        Convert.expression ~specials:(I.specials_pred c.rt) ~macros:(I.macros_pred c.rt)
+          ?locs:c.locs form)
   in
   let lam_node = Node.lambda ~name [] expr in
   (* the synthetic wrapper carries the form's own position *)
@@ -474,38 +432,23 @@ let compile_expression ?(name = "%TOPLEVEL") (c : t) (form : Sexp.t) : Gen.compi
   | _ -> ());
   load_lambda c ~name lam_node
 
-(** The world effects of one top-level form, in evaluation order: intern,
-    set the function cell, register the macro, proclaim, run, set the
-    special.  [fn] loads a function unit and [expr] an expression unit
-    (the nullary wrapper), each to the unit and its function word: a
-    from-source compile compiles the form's source, a warm image replay
-    installs the unit it read.  Returns the form's value and the form
-    with its units in place of its source, which is what an image
-    keeps. *)
+(** {!S1_interp.Interp.perform} over compiled units: [fn] loads a
+    function unit and [expr] an expression unit (the nullary wrapper),
+    each to the unit and its function word, and the wrapper is called
+    for its value.  A from-source compile compiles the form's source, a
+    warm image replay installs the unit it read.  Returns the form's
+    value and the form with its units in place of its source, which is
+    what an image keeps. *)
 let perform (c : t) ~(fn : 'u -> Gen.compiled * int) ~(expr : 'u -> Gen.compiled * int)
     (form : 'u Convert.toplevel) : int * Gen.compiled Convert.toplevel =
-  match form with
-  | Convert.Defun u ->
+  I.perform c.rt
+    ~fn:(fun u ->
       let unit_, fobj = fn u in
-      let sym = Rt.intern c.rt unit_.Gen.c_name in
-      Rt.set_function c.rt sym fobj;
-      (sym, Convert.Defun unit_)
-  | Convert.Defmacro (name, u) ->
-      let unit_, fobj = fn u in
-      Hashtbl.replace c.macros name fobj;
-      (Rt.intern c.rt name, Convert.Defmacro (name, unit_))
-  | Convert.Defvar (name, u) ->
-      let sym = Rt.intern c.rt name in
-      Rt.proclaim_special c.rt sym;
+      (unit_.Gen.c_name, unit_, fobj))
+    ~eval:(fun u ->
       let unit_, fobj = expr u in
-      Rt.set_symbol_value_dynamic c.rt sym (Rt.call c.rt fobj []);
-      (sym, Convert.Defvar (name, unit_))
-  | Convert.Proclaim names ->
-      List.iter (fun n -> Rt.proclaim_special c.rt (Rt.intern c.rt n)) names;
-      (c.rt.Rt.nil, Convert.Proclaim names)
-  | Convert.Toplevel u ->
-      let unit_, fobj = expr u in
-      (Rt.call c.rt fobj [], Convert.Toplevel unit_)
+      (unit_, Rt.call c.rt fobj []))
+    form
 
 (** Compile-evaluate one top-level form: its value and its compiled
     units. *)

@@ -12,6 +12,13 @@
     stub that traps back into {!eval}.  Compiled and interpreted code can
     therefore call each other freely through the ordinary CALL microcode.
 
+    Top-level forms: {!perform} carries out the world effects of one
+    reading ({!S1_frontend.Convert.toplevel}) for every engine, and the
+    world ({!Rt.t.macros}) holds the one macro table, so a macro one
+    engine defines expands in the other.  {!eval_sexp} is [perform] with
+    convert-and-evaluate loaders; the compiler and image replay pass
+    compile-or-install ones.
+
     Non-local exits: interpreted [catch] pushes a {e marker} frame on the
     runtime's catch stack (so simulated and interpreted frames stay
     correctly ordered); {!Rt.do_throw} raises {!Rt.Thrown} when the
@@ -49,11 +56,6 @@ type t = {
   mutable closures : closure_entry array;
   mutable n_closures : int;
   trampoline : int;  (** code object word for the interpreter stub *)
-  macros : (string, int) Hashtbl.t;
-      (** DEFMACRO expanders: macro name -> interpreted closure word.
-          Mirrors {!S1_core.Compiler.t.macros} so the differential
-          oracle can replay DEFMACRO-bearing corpus files on both
-          engines. *)
   mutable fuel : int;
       (** remaining evaluation steps; negative means unlimited.  The
           differential fuzzer sets this so that a non-terminating shrink
@@ -64,19 +66,17 @@ let svc_interp = Isa.register_svc "*:SQ-INTERP-TRAMPOLINE"
 
 let with_trampoline rt trampoline =
   let it =
-    { rt; consts = Hashtbl.create 64; closures = [||]; n_closures = 0; trampoline;
-      macros = Hashtbl.create 8; fuel = -1 }
+    { rt; consts = Hashtbl.create 64; closures = [||]; n_closures = 0; trampoline; fuel = -1 }
   in
-  (* Root the constant cache, all captured environments, catch tags,
-     and the runtime's protected list. *)
-  Heap.set_extra_roots rt.Rt.heap (fun () ->
-      let acc = ref rt.Rt.protected in
+  (* the world roots its own tables; the interpreter adds its constant
+     cache and every captured environment *)
+  rt.Rt.engine_roots <-
+    (fun () ->
+      let acc = ref [] in
       Hashtbl.iter (fun _ w -> acc := w :: !acc) it.consts;
-      Hashtbl.iter (fun _ w -> acc := w :: !acc) it.macros;
       for i = 0 to it.n_closures - 1 do
         List.iter (fun (_, cell) -> acc := !cell :: !acc) it.closures.(i).ce_env
       done;
-      List.iter (fun f -> acc := f.Rt.c_tag :: !acc) rt.Rt.catches;
       !acc);
   it
 
@@ -356,58 +356,70 @@ let eval_node it node =
   | Division_by_zero -> raise (Rt.Lisp_error "division by zero")
   | Failure msg -> raise (Rt.Lisp_error msg)
 
-let define_function it name lam_node =
-  let fobj = eval it [] lam_node in
-  let sym = Rt.intern it.rt name in
-  Rt.set_function it.rt sym fobj;
-  sym
-
-(* The conversion must agree with the compiler on which variables are
-   special (so a LET of a DEFVAR'd name dynamically rebinds here too):
-   consult the same runtime symbol flags the compiler's predicate reads. *)
-let specials_pred it name =
-  match Rt.find_symbol it.rt name with
-  | Some sym when sym <> it.rt.Rt.nil && sym <> it.rt.Rt.t_ ->
-      Obj.symbol_is_special it.rt.Rt.obj sym
+(* The predicates a conversion reads the world through, the same for
+   every engine.  A variable is special when its symbol is flagged (so a
+   LET of a DEFVAR'd name rebinds dynamically whichever engine runs it).
+   A macro's expander, compiled or interpreted, is applied to the
+   unevaluated argument forms (as values) and the resulting value is
+   read back as a form. *)
+let specials_pred rt name =
+  match Rt.find_symbol rt name with
+  | Some sym when sym <> rt.Rt.nil && sym <> rt.Rt.t_ -> Obj.symbol_is_special rt.Rt.obj sym
   | _ -> false
 
-(* Same contract as {!S1_core.Compiler.macros_pred}: the expander is
-   applied to the unevaluated argument forms (as values) and the
-   resulting value is read back as a form. *)
-let macros_pred it name =
-  match Hashtbl.find_opt it.macros name with
+let macros_pred rt name =
+  match Hashtbl.find_opt rt.Rt.macros name with
   | None -> None
   | Some fobj ->
       Some
         (fun (args : Sexp.t list) ->
-          let argv = List.map (fun a -> Rt.sexp_to_value it.rt a) args in
-          let result =
-            Rt.with_protected it.rt argv (fun () -> Rt.call it.rt fobj argv)
-          in
-          Rt.value_to_sexp it.rt result)
+          let argv = List.map (fun a -> Rt.sexp_to_value rt a) args in
+          let result = Rt.with_protected rt argv (fun () -> Rt.call rt fobj argv) in
+          Rt.value_to_sexp rt result)
 
-let eval_sexp it sexp =
-  let specials = specials_pred it and macros = macros_pred it in
-  match Convert.toplevel sexp with
-  | Convert.Defun form ->
-      let name, lam_node = Convert.defun ~specials ~macros form in
-      define_function it name lam_node
-  | Convert.Defmacro (name, expander) ->
-      (* the expander is an ordinary interpreted closure over the raw
-         argument forms, exactly as the compiler builds a compiled one *)
-      let _, lam_node = Convert.defun ~specials ~macros expander in
-      Hashtbl.replace it.macros name (eval it [] lam_node);
-      Rt.intern it.rt name
-  | Convert.Defvar (name, init) ->
-      let sym = Rt.intern it.rt name in
-      Rt.proclaim_special it.rt sym;
-      let v = eval it [] (Convert.expression ~specials ~macros init) in
-      Rt.set_symbol_value_dynamic it.rt sym v;
-      sym
+(** The world effects of one top-level form, in evaluation order: intern,
+    set the function cell, register the macro, proclaim, run, set the
+    special.  [fn] loads a definition to its name, what the engine keeps
+    of it and its function word; [eval] runs an expression to what the
+    engine keeps of it and its value.  The interpreter converts and
+    evaluates, a compile compiles and installs, an image replay installs
+    the unit it read.  Returns the form's value and the form with what
+    the engine kept in place of its source. *)
+let perform rt ~(fn : 'u -> string * 'k * int) ~(eval : 'u -> 'k * int)
+    (form : 'u Convert.toplevel) : int * 'k Convert.toplevel =
+  match form with
+  | Convert.Defun u ->
+      let name, k, fobj = fn u in
+      let sym = Rt.intern rt name in
+      Rt.set_function rt sym fobj;
+      (sym, Convert.Defun k)
+  | Convert.Defmacro (name, u) ->
+      let _, k, fobj = fn u in
+      Hashtbl.replace rt.Rt.macros name fobj;
+      (Rt.intern rt name, Convert.Defmacro (name, k))
+  | Convert.Defvar (name, u) ->
+      let sym = Rt.intern rt name in
+      Rt.proclaim_special rt sym;
+      let k, v = eval u in
+      Rt.set_symbol_value_dynamic rt sym v;
+      (sym, Convert.Defvar (name, k))
   | Convert.Proclaim names ->
-      List.iter (fun n -> Rt.proclaim_special it.rt (Rt.intern it.rt n)) names;
-      it.rt.Rt.nil
-  | Convert.Toplevel form -> eval_node it (Convert.expression ~specials ~macros form)
+      List.iter (fun n -> Rt.proclaim_special rt (Rt.intern rt n)) names;
+      (rt.Rt.nil, Convert.Proclaim names)
+  | Convert.Toplevel u ->
+      let k, v = eval u in
+      (v, Convert.Toplevel k)
+
+(* A DEFMACRO's expander is an ordinary interpreted closure over the raw
+   argument forms, exactly as the compiler builds a compiled one. *)
+let eval_sexp it sexp =
+  let specials = specials_pred it.rt and macros = macros_pred it.rt in
+  let fn form =
+    let name, lam_node = Convert.defun ~specials ~macros form in
+    (name, (), eval it [] lam_node)
+  in
+  let run form = ((), eval_node it (Convert.expression ~specials ~macros form)) in
+  fst (perform it.rt ~fn ~eval:run (Convert.toplevel sexp))
 
 let eval_string it src =
   let forms = S1_sexp.Reader.parse_string src in

@@ -14,8 +14,10 @@ type t = {
   nil : int;
   t_ : int;
   mutable obarray : (string, int) Hashtbl.t;
+  mutable macros : (string, int) Hashtbl.t;
   mutable catches : catch_frame list;
   mutable protected : int list;
+  mutable engine_roots : unit -> int list;
   out : Buffer.t;
   mutable gensym_counter : int;
   mutable fuel : int option;
@@ -438,6 +440,7 @@ type frozen = {
   f_symbols : (int * int * string) list;
   f_segments : (int * int * S1_machine.Asm.mark array) list;
   f_obarray : (string, int) Hashtbl.t;
+  f_macros : (string, int) Hashtbl.t;
   f_gensym : int;
 }
 
@@ -449,6 +452,7 @@ let freeze rt =
     f_symbols = cpu.Cpu.symbols;
     f_segments = cpu.Cpu.mark_segments;
     f_obarray = Hashtbl.copy rt.obarray;
+    f_macros = Hashtbl.copy rt.macros;
     f_gensym = rt.gensym_counter;
   }
 
@@ -459,6 +463,7 @@ let thaw rt f =
   cpu.Cpu.symbols <- f.f_symbols;
   cpu.Cpu.mark_segments <- f.f_segments;
   rt.obarray <- Hashtbl.copy f.f_obarray;
+  rt.macros <- Hashtbl.copy f.f_macros;
   rt.gensym_counter <- f.f_gensym
 
 (* Service handlers -------------------------------------------------------------- *)
@@ -679,8 +684,10 @@ let create ?config () =
       nil = obj.Obj.nil;
       t_ = 0;
       obarray = Hashtbl.create 256;
+      macros = Hashtbl.create 8;
       catches = [];
       protected = [];
+      engine_roots = (fun () -> []);
       out = Buffer.create 256;
       gensym_counter = 0;
       fuel = None;
@@ -695,10 +702,9 @@ let create ?config () =
   Heap.set_register_roots heap (fun () -> cpu.Cpu.regs);
   Heap.set_stack_tops heap (fun () -> (Cpu.get_reg cpu Isa.sp, Cpu.get_reg cpu Isa.sb));
   Heap.set_extra_roots heap (fun () ->
-      let catch_words =
-        List.concat_map (fun f -> [ f.c_tag ]) rt.catches
-      in
-      catch_words @ rt.protected);
+      let acc = List.rev_append (rt.engine_roots ()) rt.protected in
+      let acc = Hashtbl.fold (fun _ w acc -> w :: acc) rt.macros acc in
+      List.fold_left (fun acc f -> f.c_tag :: acc) acc rt.catches);
   (* Observability hooks: the runtime event timeline runs on this
      world's deterministic cycle clock and labels events with the
      CPU's current call path; heap allocation volume charges to the

@@ -15,8 +15,14 @@ type t = {
   nil : int;
   t_ : int;  (** the symbol T, whose global value is itself *)
   mutable obarray : (string, int) Hashtbl.t;
+  mutable macros : (string, int) Hashtbl.t;
+      (** DEFMACRO expanders: macro name -> function word, compiled or
+          interpreted; one table for every engine over this world *)
   mutable catches : catch_frame list;
   mutable protected : int list;  (** extra GC roots held by OCaml-side code *)
+  mutable engine_roots : unit -> int list;
+      (** further GC roots an engine over this world holds (the
+          interpreter's constants and closure environments) *)
   out : Buffer.t;  (** sink for PRINT and friends *)
   mutable gensym_counter : int;
   mutable fuel : int option;
@@ -66,9 +72,10 @@ val create : ?config:S1_machine.Mem.config -> unit -> t
 
 (** {1 Freeze and thaw}
 
-    An immutable copy of what loading code and interning names write
-    into a world.  Boot images ([Interp.boot]) and transactional loads
-    ([Compiler.restore_world]) are both this pair. *)
+    An immutable copy of what loading code, interning names and
+    defining macros write into a world.  Boot images ([Interp.boot])
+    and transactional image replay ([Serve.execute_in]) are both this
+    pair. *)
 
 type frozen = {
   f_static : int array;  (** static words, base to allocation pointer *)
@@ -76,6 +83,7 @@ type frozen = {
   f_symbols : (int * int * string) list;
   f_segments : (int * int * S1_machine.Asm.mark array) list;
   f_obarray : (string, int) Hashtbl.t;  (** a private copy, never mutated *)
+  f_macros : (string, int) Hashtbl.t;  (** likewise *)
   f_gensym : int;
 }
 

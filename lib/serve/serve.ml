@@ -144,21 +144,23 @@ let compile_cold (cfg : cfg) ?(prepare = fun (_ : C.t) -> ()) ?fuel ?deadline
 
 (** Replay a loaded image into an existing compiler's world and return
     the final value word.  Transactional: if any action traps or raises
-    mid-replay, the world's symbol and cell state is rewound to the
-    pre-load snapshot (static region, code store, obarray, macro table)
-    so a failed load is a clean no-op and the caller can retry — e.g.
-    fall back to a from-source compile — against an unpolluted world.
-    Heap allocations made by partial replay are not rewound; they become
-    unreachable garbage once the static roots are restored. *)
+    mid-replay, the world is thawed back to its state frozen before the
+    load ({!Rt.freeze}: static region, code store, obarray, macro table,
+    gensym counter), so a failed load is a clean no-op {e byte for byte}
+    and the caller can retry, e.g. fall back to a from-source compile,
+    against an unpolluted world: re-interning the same names lands at
+    the same static addresses and code origins.  Heap allocations made
+    by the partial replay are not rewound; they become unreachable
+    garbage once the static roots are restored. *)
 let execute_in (c : C.t) (img : Image.t) : int =
-  let ws = C.snapshot_world c in
+  let before = Rt.freeze c.C.rt in
   try
     let load u = (u, C.install c u) in
     List.fold_left
       (fun _ a -> fst (C.perform c ~fn:load ~expr:load a))
       c.C.rt.Rt.nil img.Image.i_actions
   with e ->
-    C.restore_world c ws;
+    Rt.thaw c.C.rt before;
     raise e
 
 (** Replay a loaded image into a {e fresh} world. *)

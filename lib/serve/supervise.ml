@@ -214,6 +214,30 @@ let run_unit ?cache ?(policy = default_policy) ?(fault = Chaos.Bnone) ?seed
     s_incidents = incidents;
   }
 
+(* A unit that could not run: its file could not be read ([attempts] 0)
+   or its worker domain died under it ([attempts] 1).  [inc] is its one
+   incident, terminal. *)
+let failed ~attempts (inc : Incident.t) : sup_result =
+  Incident.mark_terminal ~disposition:"failed" [ inc ];
+  {
+    s_result =
+      {
+        Serve.r_file = inc.Incident.n_file;
+        r_key = "";
+        r_hit = false;
+        r_image = "";
+        r_outcome = Oracle.Crash inc.Incident.n_detail;
+        r_exec = None;
+        r_counters = [];
+        r_trap = None;
+        r_loc = None;
+      };
+    s_rung = C.Full_opt;
+    s_attempts = attempts;
+    s_disposition = "failed";
+    s_incidents = [ inc ];
+  }
+
 (* Supervised batch ------------------------------------------------------ *)
 
 type batch_report = {
@@ -235,14 +259,16 @@ let hard_failure (r : batch_report) : bool =
 let all_ok_some_degraded (r : batch_report) : bool =
   (not (hard_failure r)) && List.exists degraded r.b_results
 
-(** Supervised batch over in-memory (file, source) units: [jobs] worker
-    domains, crash isolation, optional seeded chaos.  Results come back
-    in input order and every worker's counter deltas are merged into the
-    calling domain's registry in input order, so every observable output
-    is identical for any [jobs].  Each finished worker's host-time spans
-    are folded into that registry too, for [--timings]. *)
-let batch_sources ?cache ?(policy = default_policy) ?(jobs = 1) ?chaos
-    (cfg : Serve.cfg) (units : (string * string) list) : batch_report =
+(* The supervised batch over units whose source [read] gives, inside
+   the unit: a file that cannot be read fails there, as its own unit.
+   [jobs] worker domains, crash isolation, optional seeded chaos.
+   Results come back in input order and every worker's counter deltas
+   are merged into the calling domain's registry in input order, so
+   every observable output is identical for any [jobs].  Each finished
+   worker's host-time spans are folded into that registry too, for
+   [--timings]. *)
+let batch_units ?cache ?(policy = default_policy) ?(jobs = 1) ?chaos
+    (cfg : Serve.cfg) (units : (string * (unit -> string)) list) : batch_report =
   let units = Array.of_list units in
   let n = Array.length units in
   let results : sup_result option array = Array.make n None in
@@ -256,13 +282,20 @@ let batch_sources ?cache ?(policy = default_policy) ?(jobs = 1) ?chaos
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
         inflight.(wid) <- i;
-        let file, src = units.(i) in
-        let fault =
-          match chaos with
-          | None -> Chaos.Bnone
-          | Some seed -> Chaos.batch_fault_for ~seed ~index:i
+        let file, read = units.(i) in
+        let r =
+          match read () with
+          | src ->
+              let fault =
+                match chaos with
+                | None -> Chaos.Bnone
+                | Some seed -> Chaos.batch_fault_for ~seed ~index:i
+              in
+              run_unit ?cache ~policy ~fault ?seed:chaos cfg ~file src
+          | exception Sys_error m ->
+              failed ~attempts:0
+                (Incident.make ~kind:"io" ~file ~detail:("cannot read file: " ^ m) ())
         in
-        let r = run_unit ?cache ~policy ~fault ?seed:chaos cfg ~file src in
         results.(i) <- Some r;
         inflight.(wid) <- -1;
         loop ()
@@ -274,32 +307,11 @@ let batch_sources ?cache ?(policy = default_policy) ?(jobs = 1) ?chaos
   (* mark the unit a dead worker was holding as failed, with the batch's
      one worker-crash incident for it *)
   let crashed i (e : exn) : sup_result =
-    let file, _ = units.(i) in
-    let detail = "worker domain died: " ^ Printexc.to_string e in
-    let inc =
-      Incident.make ~kind:"worker-crash" ~file ~detail
-        ~flags:(Serve.flags_of cfg) ?seed:chaos ()
-    in
-    Incident.mark_terminal ~disposition:"failed" [ inc ];
     Obs.incr "serve.worker_crashes";
-    {
-      s_result =
-        {
-          Serve.r_file = file;
-          r_key = "";
-          r_hit = false;
-          r_image = "";
-          r_outcome = Oracle.Crash detail;
-          r_exec = None;
-          r_counters = [];
-          r_trap = None;
-          r_loc = None;
-        };
-      s_rung = C.Full_opt;
-      s_attempts = 1;
-      s_disposition = "failed";
-      s_incidents = [ inc ];
-    }
+    failed ~attempts:1
+      (Incident.make ~kind:"worker-crash" ~file:(fst units.(i))
+         ~detail:("worker domain died: " ^ Printexc.to_string e)
+         ~flags:(Serve.flags_of cfg) ?seed:chaos ())
   in
   let rec supervise pool =
     match pool with
@@ -335,61 +347,18 @@ let batch_sources ?cache ?(policy = default_policy) ?(jobs = 1) ?chaos
     rs;
   report_of rs
 
+(** Supervised batch over in-memory (file, source) units. *)
+let batch_sources ?cache ?policy ?jobs ?chaos (cfg : Serve.cfg)
+    (units : (string * string) list) : batch_report =
+  batch_units ?cache ?policy ?jobs ?chaos cfg
+    (List.map (fun (file, src) -> (file, fun () -> src)) units)
+
 (** Supervised batch over source files.  An unreadable file is a failed
     unit (incident kind [io]), not a batch abort. *)
 let batch ?cache ?policy ?jobs ?chaos (cfg : Serve.cfg) (files : string list) :
     batch_report =
-  let units, bad =
-    List.fold_left
-      (fun (units, bad) f ->
-        match Cache.read_file f with
-        | src -> ((f, src) :: units, bad)
-        | exception Sys_error m -> (units, (f, m) :: bad))
-      ([], []) files
-  in
-  let bad = List.rev bad and units = List.rev units in
-  let report = batch_sources ?cache ?policy ?jobs ?chaos cfg units in
-  if bad = [] then report
-  else begin
-    (* splice unreadable files back at their input positions *)
-    let failed (f, m) =
-      let detail = "cannot read file: " ^ m in
-      let inc = Incident.make ~kind:"io" ~file:f ~detail () in
-      Incident.mark_terminal ~disposition:"failed" [ inc ];
-      {
-        s_result =
-          {
-            Serve.r_file = f;
-            r_key = "";
-            r_hit = false;
-            r_image = "";
-            r_outcome = Oracle.Crash detail;
-            r_exec = None;
-            r_counters = [];
-            r_trap = None;
-            r_loc = None;
-          };
-        s_rung = C.Full_opt;
-        s_attempts = 0;
-        s_disposition = "failed";
-        s_incidents = [ inc ];
-      }
-    in
-    let by_file = Hashtbl.create 8 in
-    List.iter (fun s -> Hashtbl.add by_file s.s_result.Serve.r_file s)
-      report.b_results;
-    let results =
-      List.map
-        (fun f ->
-          match Hashtbl.find_opt by_file f with
-          | Some s ->
-              Hashtbl.remove by_file f;
-              s
-          | None -> failed (f, List.assoc f bad))
-        files
-    in
-    report_of results
-  end
+  batch_units ?cache ?policy ?jobs ?chaos cfg
+    (List.map (fun file -> (file, fun () -> Cache.read_file file)) files)
 
 let journal (r : batch_report) : string = Incident.render r.b_incidents
 

@@ -497,7 +497,7 @@ let guard_words span =
   List.iter
     (fun f ->
       let c = C.create () in
-      let specials = C.specials_pred c and macros = C.macros_pred c in
+      let specials = I.specials_pred c.C.rt and macros = I.macros_pred c.C.rt in
       In_channel.with_open_text (Filename.concat corpus_dir f) In_channel.input_all
       |> Reader.parse_string
       |> List.iter (fun form ->

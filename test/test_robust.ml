@@ -359,7 +359,8 @@ let guarded_passes (c : C.t) =
    or a top-level expression wrapped in its %TOPLEVEL function. *)
 let unit_of (c : C.t) (form : S1_sexp.Sexp.t) =
   let module Sexp = S1_sexp.Sexp in
-  let specials = C.specials_pred c and macros = C.macros_pred c in
+  let specials = S1_interp.Interp.specials_pred c.C.rt
+  and macros = S1_interp.Interp.macros_pred c.C.rt in
   match form with
   | Sexp.List (Sexp.Sym "DEFUN" :: Sexp.Sym _ :: _) ->
       Some (S1_frontend.Convert.defun ~specials ~macros form)

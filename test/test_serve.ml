@@ -722,6 +722,18 @@ let test_macro_tables_instance_scoped () =
   | v -> Alcotest.failf "macro leaked across instances: got %s" v
   | exception _ -> ())
 
+(* One world, one macro table: a macro either engine defines expands in
+   the other, compiled or interpreted. *)
+let test_macro_table_per_world () =
+  let module I = S1_interp.Interp in
+  let c = C.create () in
+  ignore (C.eval_string c "(DEFMACRO M (X) (LIST (QUOTE +) X 100))");
+  Alcotest.(check string) "compiled macro expands in the interpreter" "107"
+    (Rt.print_value c.C.rt (I.eval_string c.C.it "(M 7)"));
+  ignore (I.eval_string c.C.it "(DEFMACRO N (X) (LIST (QUOTE *) X 3))");
+  Alcotest.(check string) "interpreted macro expands in the compiler" "21"
+    (Rt.print_value c.C.rt (C.eval_string c "(N 7)"))
+
 (* Batch ---------------------------------------------------------------------- *)
 
 let batch_fingerprint (rs : Serve.result list) : (string * string * string) list
@@ -853,6 +865,7 @@ let () =
             test_pass_hook_instance_scoped;
           Alcotest.test_case "macro tables per instance" `Quick
             test_macro_tables_instance_scoped;
+          Alcotest.test_case "one macro table per world" `Quick test_macro_table_per_world;
         ] );
       ( "batch",
         [

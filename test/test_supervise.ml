@@ -101,19 +101,21 @@ let test_torn_blob_quarantined_not_deleted () =
 
 (* Transactional replay -------------------------------------------------------- *)
 
-(* Comparable rendering of a world snapshot: field-by-field, with the
-   hashtable-derived lists canonically ordered. *)
-let canon (ws : C.world_snapshot) =
-  let w = ws.C.ws_world in
+(* Comparable rendering of a world's frozen state: field by field, with
+   the hashtable-derived lists canonically ordered. *)
+let canon (c : C.t) =
+  let w = Rt.freeze c.C.rt in
   ( w.Rt.f_static,
     w.Rt.f_code,
     w.Rt.f_symbols,
     List.sort compare (List.of_seq (Hashtbl.to_seq w.Rt.f_obarray)),
-    List.sort compare ws.C.ws_macros,
+    List.sort compare (List.of_seq (Hashtbl.to_seq w.Rt.f_macros)),
     w.Rt.f_gensym )
 
 let test_failed_replay_is_clean_noop () =
-  let img0, _ = cold_image () in
+  let img0, _ =
+    cold_image ~src:("(DEFMACRO INC (X) (LIST (QUOTE +) X 1))\n" ^ sample_src) ()
+  in
   let img =
     match Image.load (Image.save img0) with
     | Ok i -> i
@@ -121,15 +123,16 @@ let test_failed_replay_is_clean_noop () =
   in
   Serve.reset_compile_state ();
   let c = C.create () in
-  let before = canon (C.snapshot_world c) in
-  (* a 1-cycle deadline lets the replay install the DEFUN, then traps on
-     the toplevel form's first simulated instruction: a mid-replay
-     failure with world effects already applied *)
+  let before = canon c in
+  (* a 1-cycle deadline lets the replay install the DEFMACRO and the
+     DEFUN, then traps on the toplevel form's first simulated
+     instruction: a mid-replay failure with world effects, the macro
+     table's among them, already applied *)
   (match Rt.with_deadline c.C.rt ~cycles:1 (fun () -> Serve.execute_in c img) with
   | _ -> Alcotest.fail "1-cycle replay unexpectedly completed"
   | exception Cpu.Trap { kind = Cpu.Deadline_expired; _ } -> ()
   | exception e -> Alcotest.failf "unexpected exception: %s" (Printexc.to_string e));
-  let after = canon (C.snapshot_world c) in
+  let after = canon c in
   Alcotest.(check bool) "failed load left the world untouched" true
     (before = after);
   (* the same world retries cleanly and lands at the same value ... *)
@@ -143,10 +146,12 @@ let test_failed_replay_is_clean_noop () =
   let _ = Serve.execute_in control img in
   Alcotest.(check bool)
     "world after rollback+retry = world of an undisturbed replay" true
-    (canon (C.snapshot_world c) = canon (C.snapshot_world control));
+    (canon c = canon control);
   (* non-vacuity: a successful replay really does move the snapshot *)
   Alcotest.(check bool) "successful replay changes the world" true
-    (before <> canon (C.snapshot_world c))
+    (before <> canon c);
+  Alcotest.(check bool) "successful replay defines the macro" true
+    (Hashtbl.mem c.C.rt.Rt.macros "INC")
 
 (* Deadlines ------------------------------------------------------------------- *)
 
