@@ -811,9 +811,9 @@ let serve_out =
     & opt (some string) None
     & info [ "serve-out" ] ~docv:"DIR"
         ~doc:"With $(b,--serve-batch): write each input's serialized image (schema \
-              s1lisp.image/3) to $(docv)/<basename>.image.  Images are \
-              byte-deterministic, so two runs over the same sources and flags produce \
-              byte-identical trees — $(b,cmp) them in CI.")
+              s1lisp.image/4, one JSON document per file) to $(docv)/<basename>.image.  \
+              Images are byte-deterministic, so two runs over the same sources and flags \
+              produce byte-identical trees — $(b,cmp) them in CI.")
 
 let serve_fuzz =
   Arg.(

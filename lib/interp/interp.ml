@@ -316,7 +316,7 @@ let install_trampoline rt it =
 (* Boot images: booting from scratch ([Builtins.boot], then [create])
    writes the same words into every world of one memory configuration,
    so the first boot of a configuration freezes a template world and
-   every boot thaws that image into a fresh [Rt.create]d world. *)
+   every boot creates a world thawed from that image. *)
 type image = { im_world : Rt.frozen; im_trampoline : int }
 
 let images : (Mem.config * image) list Atomic.t = Atomic.make []
@@ -340,8 +340,7 @@ let boot_image config =
    so the GC ends a world's lifetime along with the runtime's. *)
 let boot ?(config = Mem.default_config) () =
   let im = boot_image config in
-  let rt = Rt.create ~config () in
-  Rt.thaw rt im.im_world;
+  let rt = Rt.create ~config ~from:im.im_world () in
   let it = with_trampoline rt im.im_trampoline in
   install_trampoline rt it;
   it

@@ -98,34 +98,35 @@ exception Parse_error of string
 let fail_at pos msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg pos))
 
 (* Decode a literal body from [s.[i]] into [b.[j..]] up to its closing
-   quote; return the offset past that quote and the decoded length. *)
-let rec unescape s b i j =
-  if i >= String.length s then fail_at i "unterminated string"
+   quote, reading no further than [stop]; return the offset past that
+   quote and the decoded length. *)
+let rec unescape s stop b i j =
+  if i >= stop then fail_at i "unterminated string"
   else
     match String.unsafe_get s i with
     | '"' -> (i + 1, j)
-    | '\\' -> unescape_at s b (i + 1) j
+    | '\\' -> unescape_at s stop b (i + 1) j
     | c ->
         Bytes.set b j c;
-        unescape s b (i + 1) (j + 1)
+        unescape s stop b (i + 1) (j + 1)
 
 (* The escape whose letter is [s.[i]]. *)
-and unescape_at s b i j =
-  if i >= String.length s then fail_at i "unterminated escape"
+and unescape_at s stop b i j =
+  if i >= stop then fail_at i "unterminated escape"
   else
     match s.[i] with
     | 'u' -> (
-        if i + 4 >= String.length s then fail_at i "truncated \\u escape";
+        if i + 4 >= stop then fail_at i "truncated \\u escape";
         let hex = String.sub s (i + 1) 4 in
         match int_of_string_opt ("0x" ^ hex) with
         | None -> fail_at i "bad \\u escape"
         (* we only ever emit \u00XX for control characters *)
         | Some code when code < 0x80 ->
             Bytes.set b j (Char.chr code);
-            unescape s b (i + 5) (j + 1)
+            unescape s stop b (i + 5) (j + 1)
         | Some _ ->
             Bytes.blit_string ("\\u" ^ hex) 0 b j 6;
-            unescape s b (i + 5) (j + 6))
+            unescape s stop b (i + 5) (j + 6))
     | c ->
         Bytes.set b j
           (match c with
@@ -136,139 +137,164 @@ and unescape_at s b i j =
           | 'b' -> '\b'
           | 'f' -> '\012'
           | c -> fail_at i (Printf.sprintf "bad escape '\\%c'" c));
-        unescape s b (i + 1) (j + 1)
+        unescape s stop b (i + 1) (j + 1)
 
-let parse (s : string) : t =
-  let pos = ref 0 in
-  let len = String.length s in
-  let fail msg = fail_at !pos msg in
-  let peek () = if !pos < len then s.[!pos] else '\000' in
-  let skip_ws () =
-    while !pos < len && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c =
-    if peek () = c then incr pos else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    if !pos + String.length word <= len && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  (* An escape-free literal is one [String.sub].  Otherwise [unescape]
-     finishes it in a scratch buffer the size of the document: no escape
-     decodes to more bytes than it spans. *)
-  let scratch = ref Bytes.empty in
-  let parse_string_lit () =
-    expect '"';
-    let start = !pos in
-    let i = ref start in
-    while !i < len && (match String.unsafe_get s !i with '"' | '\\' -> false | _ -> true) do
-      incr i
+(* The parser's state: the document, the end of the slice being parsed,
+   the offset of the next unread byte, and the scratch buffer escaped
+   literals decode into (allocated at the first one). *)
+type cursor = { s : string; stop : int; mutable pos : int; mutable scratch : Bytes.t }
+
+let[@inline] peek c = if c.pos < c.stop then String.unsafe_get c.s c.pos else '\000'
+
+let[@inline] skip_ws c =
+  while
+    c.pos < c.stop
+    && (match String.unsafe_get c.s c.pos with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+  do
+    c.pos <- c.pos + 1
+  done
+
+let[@inline] expect c ch =
+  if peek c = ch then c.pos <- c.pos + 1
+  else fail_at c.pos (Printf.sprintf "expected '%c'" ch)
+
+let literal c word v =
+  let n = String.length word in
+  let rec matches k = k = n || (String.unsafe_get c.s (c.pos + k) = word.[k] && matches (k + 1)) in
+  if c.pos + n <= c.stop && matches 0 then begin
+    c.pos <- c.pos + n;
+    v
+  end
+  else fail_at c.pos (Printf.sprintf "expected %s" word)
+
+(* An escape-free literal is one [String.sub].  Otherwise [unescape]
+   finishes it in the scratch buffer, sized to the rest of the slice:
+   no escape decodes to more bytes than it spans, and every later
+   literal is shorter. *)
+let string_lit c =
+  expect c '"';
+  let s = c.s and start = c.pos in
+  let i = ref start in
+  while !i < c.stop && (match String.unsafe_get s !i with '"' | '\\' -> false | _ -> true) do
+    incr i
+  done;
+  if !i < c.stop && String.unsafe_get s !i = '"' then begin
+    c.pos <- !i + 1;
+    String.sub s start (!i - start)
+  end
+  else begin
+    if Bytes.length c.scratch = 0 then c.scratch <- Bytes.create (c.stop - start);
+    Bytes.blit_string s start c.scratch 0 (!i - start);
+    let stop, n = unescape s c.stop c.scratch !i (!i - start) in
+    c.pos <- stop;
+    Bytes.sub_string c.scratch 0 n
+  end
+
+let is_num_char ch =
+  (ch >= '0' && ch <= '9') || ch = '.' || ch = 'e' || ch = 'E' || ch = '+' || ch = '-'
+
+(* An integer of at most 17 digits cannot overflow and is summed in
+   place; any other number goes through [String.sub] and the stdlib. *)
+let number c =
+  let s = c.s and start = c.pos in
+  if peek c = '-' then c.pos <- c.pos + 1;
+  let digits = c.pos and acc = ref 0 in
+  while c.pos < c.stop && String.unsafe_get s c.pos >= '0' && String.unsafe_get s c.pos <= '9' do
+    acc := (10 * !acc) + Char.code (String.unsafe_get s c.pos) - 48;
+    c.pos <- c.pos + 1
+  done;
+  if c.pos > digits && c.pos - digits < 18 && not (c.pos < c.stop && is_num_char s.[c.pos])
+  then Int (if start < digits then - !acc else !acc)
+  else begin
+    while c.pos < c.stop && is_num_char s.[c.pos] do
+      c.pos <- c.pos + 1
     done;
-    if !i < len && s.[!i] = '"' then begin
-      pos := !i + 1;
-      String.sub s start (!i - start)
-    end
-    else begin
-      if Bytes.length !scratch = 0 then scratch := Bytes.create len;
-      Bytes.blit_string s start !scratch 0 (!i - start);
-      let stop, n = unescape s !scratch !i (!i - start) in
-      pos := stop;
-      Bytes.sub_string !scratch 0 n
-    end
-  in
-  (* An integer of at most 17 digits cannot overflow and is summed in
-     place; any other number goes through [String.sub] and the stdlib. *)
-  let parse_number () =
-    let start = !pos in
-    if peek () = '-' then incr pos;
-    let is_num_char c =
-      (c >= '0' && c <= '9') || c = '.' || c = 'e' || c = 'E' || c = '+' || c = '-'
-    in
-    let digits = !pos and acc = ref 0 in
-    while !pos < len && s.[!pos] >= '0' && s.[!pos] <= '9' do
-      acc := (10 * !acc) + Char.code s.[!pos] - 48;
-      incr pos
-    done;
-    if !pos > digits && !pos - digits < 18 && not (!pos < len && is_num_char s.[!pos])
-    then Int (if start < digits then - !acc else !acc)
-    else begin
-      while !pos < len && is_num_char s.[!pos] do
-        incr pos
-      done;
-      let text = String.sub s start (!pos - start) in
-      if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') text then
-        match float_of_string_opt text with
-        | Some f -> Float f
-        | None -> fail "bad number"
+    let text = String.sub s start (c.pos - start) in
+    if String.exists (fun ch -> ch = '.' || ch = 'e' || ch = 'E') text then
+      match float_of_string_opt text with
+      | Some f -> Float f
+      | None -> fail_at c.pos "bad number"
+    else
+      match int_of_string_opt text with
+      | Some n -> Int n
+      | None -> fail_at c.pos "bad number"
+  end
+
+let rec value c =
+  skip_ws c;
+  match peek c with
+  | 'n' -> literal c "null" Null
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | '"' -> Str (string_lit c)
+  | '[' ->
+      c.pos <- c.pos + 1;
+      skip_ws c;
+      if peek c = ']' then begin
+        c.pos <- c.pos + 1;
+        Arr []
+      end
       else
-        match int_of_string_opt text with
-        | Some n -> Int n
-        | None -> fail "bad number"
-    end
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | 'n' -> literal "null" Null
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | '"' -> Str (parse_string_lit ())
-    | '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = ']' then begin
-          incr pos;
-          Arr []
-        end
-        else begin
-          let items = ref [ parse_value () ] in
-          skip_ws ();
-          while peek () = ',' do
-            incr pos;
-            items := parse_value () :: !items;
-            skip_ws ()
-          done;
-          expect ']';
-          Arr (List.rev !items)
-        end
-    | '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = '}' then begin
-          incr pos;
-          Obj []
-        end
-        else begin
-          let field () =
-            skip_ws ();
-            let k = parse_string_lit () in
-            skip_ws ();
-            expect ':';
-            (k, parse_value ())
-          in
-          let fields = ref [ field () ] in
-          skip_ws ();
-          while peek () = ',' do
-            incr pos;
-            fields := field () :: !fields;
-            skip_ws ()
-          done;
-          expect '}';
-          Obj (List.rev !fields)
-        end
-    | c when c = '-' || (c >= '0' && c <= '9') -> parse_number ()
-    | _ -> fail "unexpected character"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> len then fail "trailing garbage";
+        let v = value c in
+        skip_ws c;
+        elements c [ v ]
+  | '{' ->
+      c.pos <- c.pos + 1;
+      skip_ws c;
+      if peek c = '}' then begin
+        c.pos <- c.pos + 1;
+        Obj []
+      end
+      else
+        let kv = field c in
+        skip_ws c;
+        fields c [ kv ]
+  | ch when ch = '-' || (ch >= '0' && ch <= '9') -> number c
+  | _ -> fail_at c.pos "unexpected character"
+
+(* The rest of an array, after its first element: [acc] is newest first. *)
+and elements c acc =
+  if peek c = ',' then begin
+    c.pos <- c.pos + 1;
+    let v = value c in
+    skip_ws c;
+    elements c (v :: acc)
+  end
+  else begin
+    expect c ']';
+    Arr (List.rev acc)
+  end
+
+and field c =
+  skip_ws c;
+  let k = string_lit c in
+  skip_ws c;
+  expect c ':';
+  (k, value c)
+
+and fields c acc =
+  if peek c = ',' then begin
+    c.pos <- c.pos + 1;
+    let kv = field c in
+    skip_ws c;
+    fields c (kv :: acc)
+  end
+  else begin
+    expect c '}';
+    Obj (List.rev acc)
+  end
+
+(** Parse the one document that fills [s.[pos .. pos + len - 1]].  Error
+    offsets count from the start of [s]. *)
+let parse_sub s ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > String.length s then invalid_arg "Json.parse_sub";
+  let c = { s; stop = pos + len; pos; scratch = Bytes.empty } in
+  let v = value c in
+  skip_ws c;
+  if c.pos <> c.stop then fail_at c.pos "trailing garbage";
   v
+
+let parse (s : string) : t = parse_sub s ~pos:0 ~len:(String.length s)
 
 (* Object field access, for consumers of parsed documents. *)
 let member key = function Obj fields -> List.assoc_opt key fields | _ -> None

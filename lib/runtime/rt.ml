@@ -456,15 +456,19 @@ let freeze rt =
     f_gensym = rt.gensym_counter;
   }
 
-let thaw rt f =
+(* Everything [thaw] rewrites but the two tables. *)
+let thaw_machine rt f =
   let cpu = rt.cpu in
   Mem.static_restore rt.mem f.f_static;
   Cpu.restore_code cpu f.f_code;
   cpu.Cpu.symbols <- f.f_symbols;
   cpu.Cpu.mark_segments <- f.f_segments;
-  rt.obarray <- Hashtbl.copy f.f_obarray;
-  rt.macros <- Hashtbl.copy f.f_macros;
   rt.gensym_counter <- f.f_gensym
+
+let thaw rt f =
+  thaw_machine rt f;
+  rt.obarray <- Hashtbl.copy f.f_obarray;
+  rt.macros <- Hashtbl.copy f.f_macros
 
 (* Service handlers -------------------------------------------------------------- *)
 
@@ -670,11 +674,24 @@ end)
 
 (* Boot -------------------------------------------------------------------- *)
 
-let create ?config () =
+let create ?config ?from () =
   let mem = Mem.create ?config () in
   let cpu = Cpu.create ~mem () in
   let heap = Heap.create mem in
   let obj = Obj.create mem heap in
+  (* A thawed world takes its tables and T from the frozen state; only a
+     world booted from scratch builds them. *)
+  let obarray, macros, t_ =
+    match from with
+    | Some f -> (Hashtbl.copy f.f_obarray, Hashtbl.copy f.f_macros, Hashtbl.find f.f_obarray "T")
+    | None ->
+        let obarray = Hashtbl.create 256 in
+        Hashtbl.replace obarray "NIL" obj.Obj.nil;
+        let t_word = Obj.symbol obj "T" in
+        Hashtbl.replace obarray "T" t_word;
+        Mem.write mem (Obj.symbol_value_cell obj t_word) t_word;
+        (obarray, Hashtbl.create 8, t_word)
+  in
   let rt =
     {
       cpu;
@@ -682,9 +699,9 @@ let create ?config () =
       heap;
       obj;
       nil = obj.Obj.nil;
-      t_ = 0;
-      obarray = Hashtbl.create 256;
-      macros = Hashtbl.create 8;
+      t_;
+      obarray;
+      macros;
       catches = [];
       protected = [];
       engine_roots = (fun () -> []);
@@ -693,11 +710,7 @@ let create ?config () =
       fuel = None;
     }
   in
-  Hashtbl.replace rt.obarray "NIL" rt.nil;
-  let t_word = intern rt "T" in
-  Mem.write mem (Obj.symbol_value_cell obj t_word) t_word;
-  let rt = { rt with t_ = t_word } in
-  Hashtbl.replace rt.obarray "T" t_word;
+  Option.iter (thaw_machine rt) from;
   (* GC hooks *)
   Heap.set_register_roots heap (fun () -> cpu.Cpu.regs);
   Heap.set_stack_tops heap (fun () -> (Cpu.get_reg cpu Isa.sp, Cpu.get_reg cpu Isa.sb));

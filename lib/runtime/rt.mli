@@ -66,16 +66,12 @@ val certify_word : t -> int -> int
 (** Pointer certification (§6.3): heap-copy a number box that lives on
     the control stack (a pdl number); all other values pass through. *)
 
-val create : ?config:S1_machine.Mem.config -> unit -> t
-(** Boot a fresh world: NIL and T, service handlers, GC root hooks.
-    (Standard-library functions are installed by {!Builtins.boot}.) *)
-
 (** {1 Freeze and thaw}
 
     An immutable copy of what loading code, interning names and
-    defining macros write into a world.  Boot images ([Interp.boot])
-    and transactional image replay ([Serve.execute_in]) are both this
-    pair. *)
+    defining macros write into a world.  Boot images ([Interp.boot],
+    through [create ~from]) and transactional image replay
+    ([Serve.execute_in]) are both this pair. *)
 
 type frozen = {
   f_static : int array;  (** static words, base to allocation pointer *)
@@ -90,9 +86,16 @@ type frozen = {
 val freeze : t -> frozen
 
 val thaw : t -> frozen -> unit
-(** Rewrite the world a state was frozen from, or a fresh {!create}d
-    world of the same memory configuration, to that state, leaving heap,
+(** Rewrite the world a state was frozen from, or any world of the same
+    memory configuration, to that state, leaving heap,
     stacks and registers alone.  The obarray keeps its iteration order. *)
+
+val create : ?config:S1_machine.Mem.config -> ?from:frozen -> unit -> t
+(** Boot a fresh world: NIL and T, service handlers, GC root hooks.
+    (Standard-library functions are installed by {!Builtins.boot}.)
+    With [from], a state frozen from a world of the same memory
+    configuration, the world starts as {!thaw} would leave it, without
+    first building the tables and T that thawing replaces. *)
 
 (** {1 Symbols} *)
 

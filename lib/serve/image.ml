@@ -1,4 +1,4 @@
-(** Serialized compiled units: the [s1lisp.image/3] on-disk format.
+(** Serialized compiled units: the [s1lisp.image/4] on-disk format.
 
     An image is everything the compile service needs to reinstate a
     compiled file into a {e different} live world than the one it was
@@ -25,14 +25,19 @@
     schema, checksum mismatch, torn write, malformed structure — and
     never lets an exception escape.
 
-    [/2] over [/1]: the envelope payload records the degradation rung
+    [/2] over [/1]: the payload records the degradation rung
     ([degraded]) the supervised service compiled the unit at ("" for a
     full-strength compile), so a warm load can surface that the cached
     code is a fallback artifact.
 
     [/3] over [/2]: a unit no longer carries its listing or TN report
     text.  Nothing read them back: a warm unit's [--listing] comes from
-    its installed program. *)
+    its installed program.
+
+    [/4] over [/3]: the payload is stored as a JSON object, not as an
+    escaped JSON string, so a load parses it once; and it no longer
+    carries the cold compile's remark journal or counter delta, which
+    nothing read back. *)
 
 module Json = S1_obs.Json
 module Isa = S1_machine.Isa
@@ -43,14 +48,24 @@ module Loc = S1_loc.Loc
 module Convert = S1_frontend.Convert
 module Gen = S1_codegen.Gen
 
-let schema_version = "s1lisp.image/3"
+let schema_version = "s1lisp.image/4"
+
+(* The envelope's fixed text, in byte order: [schema_open], the schema
+   token, [checksum_sep], the payload's MD5 in 32 hex digits,
+   [payload_sep], the payload, [envelope_tail]. *)
+let schema_open = "{\"schema\":\""
+let checksum_sep = "\",\"checksum\":\""
+let payload_sep = "\",\"payload\":"
+let envelope_tail = "}\n"
+let envelope_head sum =
+  String.concat "" [ schema_open; schema_version; checksum_sep; sum; payload_sep ]
 
 (* Every envelope this module has ever written starts with this byte
    sequence (compact printing, fixed field order).  A blob that starts
-   like an envelope but no longer parses is a torn or truncated write —
-   corruption the checksum cannot flag because the checksum itself went
-   with the tail. *)
-let envelope_prefix = "{\"schema\":\"s1lisp.image/"
+   like an envelope but does not have the current envelope's layout is a
+   torn or truncated write, unless its schema token names another
+   version. *)
+let envelope_prefix = schema_open ^ "s1lisp.image/"
 
 (** What the unit was {e for}: the top-level form's reading
     ({!S1_frontend.Convert.toplevel}) with its compiled unit in place of
@@ -66,24 +81,24 @@ type t = {
   i_flags : string;  (** canonical optimization-lattice string *)
   i_degraded : string;
       (** degradation rung the supervised service compiled this unit at
-          ("" = full strength): the envelope records that the code is a
+          ("" = full strength): the image records that the code is a
           retry-ladder fallback artifact *)
   i_actions : action list;
-  i_remarks : string;  (** the cold compile's remark journal (JSONL) *)
-  i_counters : (string * int) list;  (** the cold compile's counter delta *)
 }
 
 type load_error =
   | Bad_json of string  (** not parseable as JSON at all *)
   | Wrong_schema of string  (** carries the schema the blob declared *)
-  | Corrupted of string  (** checksum mismatch: expected vs found *)
+  | Corrupted of string
+      (** one of ours that lost bytes: a torn envelope, or a checksum
+          mismatch (expected vs found) *)
   | Malformed of string  (** parsed, right schema, wrong shape *)
 
 let load_error_to_string = function
   | Bad_json m -> "image is not valid JSON: " ^ m
   | Wrong_schema s ->
       Printf.sprintf "image schema %S is not %S" s schema_version
-  | Corrupted m -> "image checksum mismatch: " ^ m
+  | Corrupted m -> "corrupted image: " ^ m
   | Malformed m -> "malformed image: " ^ m
 
 (* Encoding ------------------------------------------------------------- *)
@@ -233,26 +248,16 @@ let json_of_image (i : t) : Json.t =
       ("flags", jstr i.i_flags);
       ("degraded", jstr i.i_degraded);
       ("actions", Json.Arr (List.map json_of_action i.i_actions));
-      ("remarks", jstr i.i_remarks);
-      ( "counters",
-        Json.Arr
-          (List.map (fun (k, n) -> Json.Arr [ jstr k; jint n ]) i.i_counters) );
     ]
 
-(** The canonical byte form: a two-field envelope whose payload is the
-    compact-printed body with its own MD5, so corruption is detected
-    before any structural decoding happens. *)
+(** The canonical byte form: one compact JSON document
+    [{"schema":…,"checksum":…,"payload":{…}}] and a newline, whose
+    checksum is the MD5 of the payload's bytes as stored, so corruption
+    is detected before any structural decoding happens. *)
 let save (i : t) : string =
   let payload = Json.to_string ~pretty:false (json_of_image i) in
-  let doc =
-    Json.Obj
-      [
-        ("schema", jstr schema_version);
-        ("checksum", jstr (Digest.to_hex (Digest.string payload)));
-        ("payload", jstr payload);
-      ]
-  in
-  Json.to_string ~pretty:false doc ^ "\n"
+  String.concat ""
+    [ envelope_head (Digest.to_hex (Digest.string payload)); payload; envelope_tail ]
 
 (* Decoding ------------------------------------------------------------- *)
 
@@ -452,52 +457,59 @@ let image_of_json (j : Json.t) : t =
     i_flags = dstr (dfield j "flags");
     i_degraded = dstr (dfield j "degraded");
     i_actions = List.map action_of_json (darr (dfield j "actions"));
-    i_remarks = dstr (dfield j "remarks");
-    i_counters =
-      List.map
-        (fun kv ->
-          match darr kv with
-          | [ k; n ] -> (dstr k, dint n)
-          | _ -> fail "bad counter encoding")
-        (darr (dfield j "counters"));
   }
 
-let decode (bytes : string) : (t, load_error) result =
-  (* Torn-write detection beyond the checksum: a blob that starts like
-     an envelope but fails to parse was cut mid-write — the checksum
-     field is inside the JSON, so truncation takes the evidence with it.
-     Classified [Corrupted], not [Bad_json]: the cache quarantines
-     corruption but only deletes mere staleness. *)
-  let looks_like_envelope =
-    String.length bytes >= String.length envelope_prefix
-    && String.sub bytes 0 (String.length envelope_prefix) = envelope_prefix
-  in
-  let parse_failure m =
-    if looks_like_envelope then
-      Error (Corrupted ("torn or truncated envelope: " ^ m))
-    else Error (Bad_json m)
-  in
+(* [bytes] holds [lit] at offset [at]. *)
+let holds bytes at lit =
+  let n = String.length lit in
+  let rec from k = k = n || (String.unsafe_get bytes (at + k) = lit.[k] && from (k + 1)) in
+  at >= 0 && at + n <= String.length bytes && from 0
+
+(* A blob that is not an envelope of ours: read as JSON only to say why. *)
+let decode_foreign bytes =
   match Json.parse bytes with
-  | exception Json.Parse_error m -> parse_failure m
-  | exception e -> parse_failure (Printexc.to_string e)
+  | exception Json.Parse_error m -> Error (Bad_json m)
+  | exception e -> Error (Bad_json (Printexc.to_string e))
   | doc -> (
-      match (dfield doc "schema", dfield doc "checksum", dfield doc "payload") with
-      | exception Decode m -> Error (Malformed m)
-      | Json.Str schema, _, _ when schema <> schema_version ->
-          Error (Wrong_schema schema)
-      | _, Json.Str sum, Json.Str payload
-        when sum <> Digest.to_hex (Digest.string payload) ->
-          Error
-            (Corrupted
-               (Printf.sprintf "expected %s, found %s" sum
-                  (Digest.to_hex (Digest.string payload))))
-      | _, _, Json.Str payload -> (
-          match image_of_json (Json.parse payload) with
-          | img -> Ok img
-          | exception Decode m -> Error (Malformed m)
-          | exception Json.Parse_error m -> Error (Bad_json m)
-          | exception e -> Error (Malformed (Printexc.to_string e)))
-      | _ -> Error (Malformed "envelope fields must be strings"))
+      match Json.member "schema" doc with
+      | Some (Json.Str schema) when schema <> schema_version -> Error (Wrong_schema schema)
+      | Some _ -> Error (Malformed "not a canonical image envelope")
+      | None -> Error (Malformed "missing field \"schema\""))
+
+(* The envelope is read by position: the prefix, the schema token, the
+   separators around the checksum and the tail.  A blob that starts like
+   an envelope but breaks this layout was cut or damaged mid-write; like
+   a checksum mismatch it is [Corrupted], not [Bad_json]: the cache
+   quarantines corruption but only deletes mere staleness.  The checksum
+   covers the payload slice, which is then parsed once, in place. *)
+let decode (bytes : string) : (t, load_error) result =
+  let torn m = Error (Corrupted ("torn or truncated envelope: " ^ m)) in
+  let schema_at = String.length schema_open in
+  if not (holds bytes 0 envelope_prefix) then decode_foreign bytes
+  else
+    match String.index_from_opt bytes (String.length envelope_prefix) '"' with
+    | None -> torn "unterminated schema"
+    | Some q ->
+        let schema = String.sub bytes schema_at (q - schema_at) in
+        let sum_at = q + String.length checksum_sep in
+        let payload_at = sum_at + 32 + String.length payload_sep in
+        let payload_len = String.length bytes - payload_at - String.length envelope_tail in
+        if schema <> schema_version then Error (Wrong_schema schema)
+        else if not (holds bytes q checksum_sep && holds bytes (sum_at + 32) payload_sep) then
+          torn "bad header"
+        else if payload_len < 0 || not (holds bytes (payload_at + payload_len) envelope_tail)
+        then torn "bad tail"
+        else
+          let sum = String.sub bytes sum_at 32
+          and found = Digest.to_hex (Digest.substring bytes payload_at payload_len) in
+          if sum <> found then
+            Error (Corrupted (Printf.sprintf "expected %s, found %s" sum found))
+          else
+            match image_of_json (Json.parse_sub bytes ~pos:payload_at ~len:payload_len) with
+            | img -> Ok img
+            | exception Decode m -> Error (Malformed m)
+            | exception Json.Parse_error m -> Error (Bad_json m)
+            | exception e -> Error (Malformed (Printexc.to_string e))
 
 (* This domain's last successful decode.  A warm hit loads the string
    [Cache.find] verified, so its second decode is served from here.  Keyed

@@ -87,11 +87,11 @@ let under_deadline (c : C.t) (deadline : int option) (f : unit -> 'a) : 'a =
   | Some cycles -> Rt.with_deadline c.C.rt ~cycles f
 
 (* Compile and run a whole file cold, capturing the image as evaluation
-   proceeds.  The image embeds the compile's remark journal and counter
-   delta — the observability a warm load would otherwise lose.
-   [degraded] stamps the image as a retry-ladder fallback (see
-   {!Supervise}); it lands both in the envelope and as a remark so
-   --remarks and --diff-runs surface the weakened compile. *)
+   proceeds.  [degraded] stamps the image as a retry-ladder fallback (see
+   {!Supervise}); it lands both in the payload and, as a DEGRADED remark,
+   in the session's remark journal when remarks are on, so --remarks and
+   --diff-runs surface the weakened compile.  An image carries no remarks
+   or counters: a warm load reads neither. *)
 let compile_cold (cfg : cfg) ?(prepare = fun (_ : C.t) -> ()) ?fuel ?deadline
     ?(degraded = "") ~file ~key (src : string) : Image.t * exec =
   reset_compile_state ();
@@ -100,45 +100,36 @@ let compile_cold (cfg : cfg) ?(prepare = fun (_ : C.t) -> ()) ?fuel ?deadline
   prepare c;
   let forms, tab = Reader.parse_string_located ~file src in
   c.C.locs <- Some tab;
-  let remark_was = Remark.enabled () in
-  Remark.reset ();
-  Remark.set_enabled true;
   if degraded <> "" then
     Remark.analysis ~pass:"serve" ~rule:"DEGRADED"
       (Printf.sprintf "compiled at degraded rung %s after retry" degraded);
-  let before = Obs.snapshot () in
-  Fun.protect
-    ~finally:(fun () -> Remark.set_enabled remark_was)
-    (fun () ->
-      let actions = ref [] in
-      let last =
-        under_deadline c deadline (fun () ->
-            List.fold_left
-              (fun _ form ->
-                let v, action = C.compile_form c form in
-                actions := action :: !actions;
-                v)
-              c.C.rt.Rt.nil forms)
-      in
-      let exec =
-        {
-          e_value = Rt.print_value c.C.rt last;
-          e_output = Rt.output c.C.rt;
-          e_cycles = cycles_of c;
-        }
-      in
-      let img =
-        {
-          Image.i_file = file;
-          i_key = key;
-          i_flags = flags_of cfg;
-          i_degraded = degraded;
-          i_actions = List.rev !actions;
-          i_remarks = Remark.to_jsonl (Remark.remarks ());
-          i_counters = Obs.diff ~before ();
-        }
-      in
-      (img, exec))
+  let actions = ref [] in
+  let last =
+    under_deadline c deadline (fun () ->
+        List.fold_left
+          (fun _ form ->
+            let v, action = C.compile_form c form in
+            actions := action :: !actions;
+            v)
+          c.C.rt.Rt.nil forms)
+  in
+  let exec =
+    {
+      e_value = Rt.print_value c.C.rt last;
+      e_output = Rt.output c.C.rt;
+      e_cycles = cycles_of c;
+    }
+  in
+  let img =
+    {
+      Image.i_file = file;
+      i_key = key;
+      i_flags = flags_of cfg;
+      i_degraded = degraded;
+      i_actions = List.rev !actions;
+    }
+  in
+  (img, exec)
 
 (* Warm replay ---------------------------------------------------------- *)
 

@@ -15,6 +15,7 @@ module Rules = S1_transform.Rules
 module Gen = S1_codegen.Gen
 module C = S1_core.Compiler
 module Obs = S1_obs.Obs
+module Json = S1_obs.Json
 module Image = S1_serve.Image
 module Cache = S1_serve.Cache
 module Serve = S1_serve.Serve
@@ -355,6 +356,30 @@ let test_loader_rejects_wrong_schema () =
     | Image.Wrong_schema "s1lisp.image/999" -> true
     | _ -> false)
 
+(* An image is one plain JSON document whose payload is an object and
+   whose checksum is the MD5 of the payload's bytes as stored; an older
+   schema in the same envelope reads as stale, not as corruption. *)
+let test_envelope_is_plain_json () =
+  let img, _ = cold_image () in
+  let bytes = Image.save img in
+  let doc = Json.parse bytes in
+  Alcotest.(check (option string))
+    "schema" (Some Image.schema_version)
+    (Option.bind (Json.member "schema" doc) Json.to_str);
+  (match (Json.member "payload" doc, Option.bind (Json.member "checksum" doc) Json.to_str) with
+  | Some (Json.Obj _ as payload), Some sum ->
+      Alcotest.(check string)
+        "checksum of the payload as stored"
+        (Digest.to_hex (Digest.string (Json.to_string ~pretty:false payload)))
+        sum
+  | _ -> Alcotest.fail "payload is not an object, or checksum is not a string");
+  let older =
+    Str.global_replace (Str.regexp_string Image.schema_version) "s1lisp.image/3" bytes
+  in
+  expect_error "older schema" older (function
+    | Image.Wrong_schema "s1lisp.image/3" -> true
+    | _ -> false)
+
 let test_loader_rejects_corruption () =
   let img, _ = cold_image () in
   let bytes = Bytes.of_string (Image.save img) in
@@ -446,7 +471,7 @@ let test_key_stable () =
 (* Content addresses are pinned: each fuzz-oracle lattice point and
    both compiled degradation rungs keep the canonical string they had
    when each of them was spelled out by hand, and the key of "(+ 1 2)"
-   under the current image schema (re-pinned at s1lisp.image/3).  Any
+   under the current image schema (re-pinned at s1lisp.image/4).  Any
    change here invalidates every cached image, image envelope and
    incident repro. *)
 let pinned_points : (string * string * string) list =
@@ -460,36 +485,36 @@ let pinned_points : (string * string * string) list =
       "beta=1 fold=1 ifopt=1 assoc=1 identities=1 deadcode=1 sinc=1 integrate=1 \
        typed_specialize=1 max_integrate=40 max_duplicate=8 checked=1 tnbind=1 pdl=1 \
        cache_specials=1 inline_prims=1 peephole=0 cse=0",
-      "6c028a46bb68cba6d7f5dd789c6fa60a" );
+      "33c1b3c7626d60fbae2ede0f0628167c" );
     ( "no-opt",
       rules "0" ^ " max_integrate=0 max_duplicate=0 checked=1 tnbind=1 pdl=1 \
        cache_specials=1 inline_prims=1 peephole=0 cse=0",
-      "ef7919da88cff47c4753a1ff2d4f9695" );
+      "dab2b5bf36d9113559e4a8bc0b2010ce" );
     ( "no-tnbind",
       on ^ " checked=1 tnbind=0 pdl=1 cache_specials=1 inline_prims=1 peephole=0 cse=0",
-      "a0b1b297fa07d4dad65f3d534c7db8e2" );
+      "0fb739a2b05a03027089025b6af09298" );
     ( "no-pdl",
       on ^ " checked=1 tnbind=1 pdl=0 cache_specials=1 inline_prims=1 peephole=0 cse=0",
-      "4f84009258fe9010b074508729dc2d08" );
+      "16825e90c8d680eedc7f07f919dec42a" );
     ( "no-cache-specials",
       on ^ " checked=1 tnbind=1 pdl=1 cache_specials=0 inline_prims=1 peephole=0 cse=0",
-      "bc26eba1bd6530b04abda7afa182c68e" );
+      "9aec694267839e390a2737fb84587f39" );
     ( "no-inline-prims",
       on ^ " checked=1 tnbind=1 pdl=1 cache_specials=1 inline_prims=0 peephole=0 cse=0",
-      "97f3329a462ad8bc05cf0f06f3595cbf" );
+      "10ae2985d5b34acb8e1eeacee8091a7d" );
     ( "peephole",
       on ^ " checked=1 tnbind=1 pdl=1 cache_specials=1 inline_prims=1 peephole=1 cse=0",
-      "6237b9dbb81c8a205336f778dae01a20" );
+      "0b8a338613c2483bf5858ed14df7287a" );
     ( "cse",
       on ^ " checked=1 tnbind=1 pdl=1 cache_specials=1 inline_prims=1 peephole=0 cse=1",
-      "25b83a55a51ed11c40974df09b57050d" );
+      "fe3963012fafb95a79fa629d3d21fff1" );
     ( "no-tnbind-pdl",
       on ^ " checked=1 tnbind=0 pdl=0 cache_specials=1 inline_prims=1 peephole=0 cse=0",
-      "ee528fc1e02c753ecd3d1c0fa88feef4" );
+      "27bf3b24be24159db0c92bb61138aef5" );
     ( "boxed",
       rules "0" ^ " max_integrate=0 max_duplicate=0 checked=1 tnbind=0 pdl=0 \
        cache_specials=0 inline_prims=0 peephole=0 cse=0",
-      "d8b439e5ead6ee9cda235067b6ec3838" );
+      "f1f8141912c76727147e583ccd063011" );
   ]
 
 let test_keys_pinned () =
@@ -656,7 +681,8 @@ let test_store_ignores_foreign_temp_file () =
    blob with a full decode, and the caller's [Image.load] of the very
    string it returned is served from the loader's memo.  Only physical
    identity hits: an equal copy and a corrupted copy are verified in
-   full. *)
+   full.  A full decode of the sample allocates about 9 600 minor words
+   and a memo hit none, so a floor of 5 000 tells them apart either way. *)
 let test_warm_hit_decodes_once () =
   let dir = fresh_dir "decode-once" in
   let cold =
@@ -687,7 +713,7 @@ let test_warm_hit_decodes_once () =
   in
   Alcotest.(check bool)
     (Printf.sprintf "an equal copy decodes in full (%d minor words)" copy_words)
-    true (copy_words > 10_000);
+    true (copy_words > 5_000);
   Alcotest.(check bool) "to an equal image" true (copy = served && copy != served);
   let flipped = Bytes.of_string bytes in
   let i = Bytes.length flipped * 3 / 4 in
@@ -822,6 +848,7 @@ let () =
             test_loader_rejects_wrong_schema;
           Alcotest.test_case "rejects corruption" `Quick
             test_loader_rejects_corruption;
+          Alcotest.test_case "envelope is plain JSON" `Quick test_envelope_is_plain_json;
         ] );
       ( "toplevel",
         [

@@ -9,6 +9,7 @@ module Cpu = S1_machine.Cpu
 module Rt = S1_runtime.Rt
 module C = S1_core.Compiler
 module Obs = S1_obs.Obs
+module Remark = S1_obs.Remark
 module Oracle = S1_fuzz.Oracle
 module Chaos = S1_fuzz.Chaos
 module Image = S1_serve.Image
@@ -46,25 +47,31 @@ let cold_image ?(src = sample_src) () : Image.t * Serve.exec =
 
 (* Torn blobs ----------------------------------------------------------------- *)
 
-(* Truncation at every 1/8 boundary must classify as Corrupted — the
-   torn-write detection beyond the checksum (the checksum field itself
-   goes with the tail), not Bad_json (which would count as staleness). *)
+(* A blob that starts like an envelope but breaks its layout must
+   classify as Corrupted: every truncation from the envelope prefix on, a
+   byte appended after the final '}', a schema token that never closes.
+   This is the torn-write detection beyond the checksum (the checksum
+   field itself may go with the tail), not Bad_json (which would count
+   as staleness). *)
 let test_torn_blob_classified_corrupt () =
   let img, _ = cold_image () in
   let bytes = Image.save img in
-  let len = String.length bytes in
-  Alcotest.(check bool)
-    "image long enough to carry the envelope prefix in each slice" true
-    (len / 8 > String.length Image.envelope_prefix);
-  for i = 1 to 7 do
-    let cut = len * i / 8 in
-    match Image.load (String.sub bytes 0 cut) with
+  let len = String.length bytes and prefix = String.length Image.envelope_prefix in
+  let corrupted what blob =
+    match Image.load blob with
     | Error (Image.Corrupted _) -> ()
     | Error e ->
-        Alcotest.failf "cut at %d/8 (%d bytes): expected Corrupted, got %s" i
-          cut (Image.load_error_to_string e)
-    | Ok _ -> Alcotest.failf "cut at %d/8: loader accepted a torn blob" i
-  done
+        Alcotest.failf "%s: expected Corrupted, got %s" what (Image.load_error_to_string e)
+    | Ok _ -> Alcotest.failf "%s: loader accepted a torn blob" what
+  in
+  for cut = prefix to len - 1 do
+    corrupted (Printf.sprintf "cut at %d of %d bytes" cut len) (String.sub bytes 0 cut)
+  done;
+  corrupted "a byte appended after the final '}'" (bytes ^ "x");
+  corrupted "a byte inserted after the final '}'"
+    (String.sub bytes 0 (len - 1) ^ "x\n");
+  corrupted "a schema token that never closes"
+    (String.mapi (fun i c -> if i >= prefix && c = '"' then '_' else c) bytes)
 
 let test_torn_blob_quarantined_not_deleted () =
   Obs.reset ();
@@ -178,10 +185,15 @@ let test_deadline_expires_and_fails_fast () =
 
 let test_ladder_descends_and_stamps_image () =
   Obs.reset ();
+  Remark.reset ();
+  Remark.set_enabled true;
   let policy = { Sup.default_policy with Sup.p_degrade = true } in
   let s =
-    Sup.run_unit ~policy ~fault:Chaos.Bdeadline ~seed:7 Serve.default_cfg
-      ~file:"<ladder>" "(+ 1 2)"
+    Fun.protect
+      ~finally:(fun () -> Remark.set_enabled false)
+      (fun () ->
+        Sup.run_unit ~policy ~fault:Chaos.Bdeadline ~seed:7 Serve.default_cfg
+          ~file:"<ladder>" "(+ 1 2)")
   in
   Alcotest.(check string) "disposition" "degraded:no-tnbind-pdl"
     s.Sup.s_disposition;
@@ -192,21 +204,15 @@ let test_ladder_descends_and_stamps_image () =
     (Oracle.outcome_string s.Sup.s_result.Serve.r_outcome);
   Alcotest.(check int) "retry counted" 1 (Obs.count "serve.retries");
   Alcotest.(check int) "degradation counted" 1 (Obs.count "serve.degraded");
-  (* the degraded image is stamped, and carries the DEGRADED remark *)
+  (* the degraded image is stamped, and the session journal carries the
+     DEGRADED remark *)
   (match Image.load s.Sup.s_result.Serve.r_image with
   | Error e -> Alcotest.fail (Image.load_error_to_string e)
   | Ok img ->
       Alcotest.(check string) "image stamped with the rung" "no-tnbind-pdl"
-        img.Image.i_degraded;
-      let has_remark =
-        try
-          ignore
-            (Str.search_forward (Str.regexp_string "DEGRADED")
-               img.Image.i_remarks 0);
-          true
-        with Not_found -> false
-      in
-      Alcotest.(check bool) "DEGRADED remark journaled" true has_remark);
+        img.Image.i_degraded);
+  Alcotest.(check bool) "DEGRADED remark journaled" true
+    (List.exists (fun r -> r.Remark.r_rule = "DEGRADED") (Remark.remarks ()));
   (* exactly one terminal incident, carrying the repro seed *)
   match List.filter (fun i -> i.Incident.n_final) s.Sup.s_incidents with
   | [ t ] ->
