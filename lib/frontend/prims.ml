@@ -184,8 +184,6 @@ let fold_null = fold_not
 
 (* The table ------------------------------------------------------------- *)
 
-let ar = Some Node.SWFLO (* shorthand *)
-
 let prim ?(pure = true) ?(may_alloc = false) ?(commutative = false) ?(associative = false)
     ?identity ?arg_rep ?res_rep ?fold name min_args max_args =
   { name; min_args; max_args; pure; may_alloc; commutative; associative; identity; arg_rep;

@@ -103,8 +103,6 @@ type var = {
   mutable v_captured : bool;  (** referenced from an inner closure: heap-allocate *)
   mutable v_decl : rep option;  (** user type declaration, treated as advice (§2) *)
   mutable v_rep : rep;  (** chosen representation (representation analysis) *)
-  mutable v_tn : int;  (** TN id (target annotation); -1 before *)
-  mutable v_env_slot : int;  (** slot in the heap environment when captured; -1 otherwise *)
 }
 
 and node = {
@@ -129,9 +127,6 @@ and node = {
   mutable n_isrep : rep;  (** representation delivered (bottom-up pass) *)
   mutable n_pdlokp : int;  (** node id that authorized a pdl number, or -1 *)
   mutable n_pdlnump : bool;  (** might deliver a pdl number *)
-  mutable n_tn : int;  (** ISTN id; -1 before target annotation *)
-  mutable n_wanttn : int;  (** WANTTN id when a coercion interposes; -1 otherwise *)
-  mutable n_pdltn : int;  (** pdl-number stack slot TN; -1 unless annotated *)
 }
 
 and kind =
@@ -302,9 +297,6 @@ let mk kind =
     n_isrep = POINTER;
     n_pdlokp = -1;
     n_pdlnump = false;
-    n_tn = -1;
-    n_wanttn = -1;
-    n_pdltn = -1;
   }
 
 let mkvar ?(special = false) name =
@@ -320,8 +312,6 @@ let mkvar ?(special = false) name =
     v_captured = false;
     v_decl = None;
     v_rep = POINTER;
-    v_tn = -1;
-    v_env_slot = -1;
   }
 
 let mk_pb items =

@@ -158,14 +158,24 @@ let[@inline] expect c ch =
   if peek c = ch then c.pos <- c.pos + 1
   else fail_at c.pos (Printf.sprintf "expected '%c'" ch)
 
+(* [s] holds [word.[k ..]] at offset [i + k]; the caller checks bounds. *)
+let rec holds s i word k =
+  k = String.length word
+  || (String.unsafe_get s (i + k) = String.unsafe_get word k && holds s i word (k + 1))
+
 let literal c word v =
   let n = String.length word in
-  let rec matches k = k = n || (String.unsafe_get c.s (c.pos + k) = word.[k] && matches (k + 1)) in
-  if c.pos + n <= c.stop && matches 0 then begin
+  if c.pos + n <= c.stop && holds c.s c.pos word 0 then begin
     c.pos <- c.pos + n;
     v
   end
   else fail_at c.pos (Printf.sprintf "expected %s" word)
+
+(* The offset of the first quote or backslash at or after [i]. *)
+let rec plain_end c i =
+  if i < c.stop && (match String.unsafe_get c.s i with '"' | '\\' -> false | _ -> true)
+  then plain_end c (i + 1)
+  else i
 
 (* An escape-free literal is one [String.sub].  Otherwise [unescape]
    finishes it in the scratch buffer, sized to the rest of the slice:
@@ -174,18 +184,15 @@ let literal c word v =
 let string_lit c =
   expect c '"';
   let s = c.s and start = c.pos in
-  let i = ref start in
-  while !i < c.stop && (match String.unsafe_get s !i with '"' | '\\' -> false | _ -> true) do
-    incr i
-  done;
-  if !i < c.stop && String.unsafe_get s !i = '"' then begin
-    c.pos <- !i + 1;
-    String.sub s start (!i - start)
+  let i = plain_end c start in
+  if i < c.stop && String.unsafe_get s i = '"' then begin
+    c.pos <- i + 1;
+    String.sub s start (i - start)
   end
   else begin
     if Bytes.length c.scratch = 0 then c.scratch <- Bytes.create (c.stop - start);
-    Bytes.blit_string s start c.scratch 0 (!i - start);
-    let stop, n = unescape s c.stop c.scratch !i (!i - start) in
+    Bytes.blit_string s start c.scratch 0 (i - start);
+    let stop, n = unescape s c.stop c.scratch i (i - start) in
     c.pos <- stop;
     Bytes.sub_string c.scratch 0 n
   end
@@ -193,9 +200,10 @@ let string_lit c =
 let is_num_char ch =
   (ch >= '0' && ch <= '9') || ch = '.' || ch = 'e' || ch = 'E' || ch = '+' || ch = '-'
 
-(* An integer of at most 17 digits cannot overflow and is summed in
-   place; any other number goes through [String.sub] and the stdlib. *)
-let number c =
+(* An integer of at most 17 digits, with nothing numeric after it,
+   cannot overflow and is summed in place: [c.pos] moves past it.  Any
+   other text leaves [c.pos] where it was, and the result is 0. *)
+let small_int c =
   let s = c.s and start = c.pos in
   if peek c = '-' then c.pos <- c.pos + 1;
   let digits = c.pos and acc = ref 0 in
@@ -204,12 +212,22 @@ let number c =
     c.pos <- c.pos + 1
   done;
   if c.pos > digits && c.pos - digits < 18 && not (c.pos < c.stop && is_num_char s.[c.pos])
-  then Int (if start < digits then - !acc else !acc)
+  then if start < digits then - !acc else !acc
   else begin
-    while c.pos < c.stop && is_num_char s.[c.pos] do
+    c.pos <- start;
+    0
+  end
+
+(* Any other number goes through [String.sub] and the stdlib. *)
+let number c =
+  let start = c.pos in
+  let n = small_int c in
+  if c.pos > start then Int n
+  else begin
+    while c.pos < c.stop && is_num_char c.s.[c.pos] do
       c.pos <- c.pos + 1
     done;
-    let text = String.sub s start (c.pos - start) in
+    let text = String.sub c.s start (c.pos - start) in
     if String.exists (fun ch -> ch = '.' || ch = 'e' || ch = 'E') text then
       match float_of_string_opt text with
       | Some f -> Float f
@@ -220,6 +238,32 @@ let number c =
       | None -> fail_at c.pos "bad number"
   end
 
+(** The elements after an array's first: [,x] repeated, up to the
+    closing bracket, which is left unread. *)
+let[@tail_mod_cons] rec rest c f =
+  if peek c = ',' then begin
+    c.pos <- c.pos + 1;
+    let x = f c in
+    skip_ws c;
+    x :: rest c f
+  end
+  else []
+
+(** The [f]-read elements of an array or fields of an object whose
+    opening bracket is read, through its [close] bracket. *)
+let elements c close f =
+  skip_ws c;
+  if peek c = close then begin
+    c.pos <- c.pos + 1;
+    []
+  end
+  else
+    let x = f c in
+    skip_ws c;
+    let xs = x :: rest c f in
+    expect c close;
+    xs
+
 let rec value c =
   skip_ws c;
   match peek c with
@@ -229,41 +273,12 @@ let rec value c =
   | '"' -> Str (string_lit c)
   | '[' ->
       c.pos <- c.pos + 1;
-      skip_ws c;
-      if peek c = ']' then begin
-        c.pos <- c.pos + 1;
-        Arr []
-      end
-      else
-        let v = value c in
-        skip_ws c;
-        elements c [ v ]
+      Arr (elements c ']' value)
   | '{' ->
       c.pos <- c.pos + 1;
-      skip_ws c;
-      if peek c = '}' then begin
-        c.pos <- c.pos + 1;
-        Obj []
-      end
-      else
-        let kv = field c in
-        skip_ws c;
-        fields c [ kv ]
+      Obj (elements c '}' field)
   | ch when ch = '-' || (ch >= '0' && ch <= '9') -> number c
   | _ -> fail_at c.pos "unexpected character"
-
-(* The rest of an array, after its first element: [acc] is newest first. *)
-and elements c acc =
-  if peek c = ',' then begin
-    c.pos <- c.pos + 1;
-    let v = value c in
-    skip_ws c;
-    elements c (v :: acc)
-  end
-  else begin
-    expect c ']';
-    Arr (List.rev acc)
-  end
 
 and field c =
   skip_ws c;
@@ -272,23 +287,15 @@ and field c =
   expect c ':';
   (k, value c)
 
-and fields c acc =
-  if peek c = ',' then begin
-    c.pos <- c.pos + 1;
-    let kv = field c in
-    skip_ws c;
-    fields c (kv :: acc)
-  end
-  else begin
-    expect c '}';
-    Obj (List.rev acc)
-  end
+(** A cursor over [s.[pos .. pos + len - 1]]. *)
+let cursor s ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > String.length s then invalid_arg "Json.cursor";
+  { s; stop = pos + len; pos; scratch = Bytes.empty }
 
 (** Parse the one document that fills [s.[pos .. pos + len - 1]].  Error
     offsets count from the start of [s]. *)
 let parse_sub s ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > String.length s then invalid_arg "Json.parse_sub";
-  let c = { s; stop = pos + len; pos; scratch = Bytes.empty } in
+  let c = cursor s ~pos ~len in
   let v = value c in
   skip_ws c;
   if c.pos <> c.stop then fail_at c.pos "trailing garbage";
@@ -300,3 +307,60 @@ let parse (s : string) : t = parse_sub s ~pos:0 ~len:(String.length s)
 let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
 let to_int = function Int n -> Some n | _ -> None
 let to_str = function Str s -> Some s | _ -> None
+
+(* Typed readers ----------------------------------------------------------
+
+   A reader of one fixed document layout walks the cursor itself and
+   builds its own values, with no [t] in between, using the primitives
+   above and these.  Arrays skip whitespace where [value]'s do; every
+   other literal, field names included, is matched exactly.  Each raises
+   [Parse_error] with the cursor's offset on anything else. *)
+
+(** The integer at the cursor, unboxed. *)
+let int_lit c =
+  let start = c.pos in
+  let n = small_int c in
+  if c.pos > start then n
+  else match number c with Int n -> n | _ -> fail_at start "expected integer"
+
+(** A whole array of [f]-read elements. *)
+let list c f =
+  expect c '[';
+  elements c ']' f
+
+(** A fixed set of names, matched in place against an escape-free string
+    literal: open addressing over a hash of the literal's bytes, so a
+    lookup allocates nothing.  A slot holds its name and value. *)
+type 'a names = (string * 'a) option array
+
+let hash_span s i j =
+  let h = ref 0 in
+  for k = i to j - 1 do
+    h := (!h * 31) + Char.code (String.unsafe_get s k)
+  done;
+  !h land max_int
+
+let names (bindings : (string * 'a) list) : 'a names =
+  let rec size n = if n >= 4 * List.length bindings then n else size (2 * n) in
+  let t = Array.make (size 8) None in
+  let mask = Array.length t - 1 in
+  let rec put i b = if Option.is_some t.(i) then put ((i + 1) land mask) b else t.(i) <- Some b in
+  List.iter (fun ((k, _) as b) -> put (hash_span k 0 (String.length k) land mask) b) bindings;
+  t
+
+let rec probe (t : 'a names) s i n what start slot : 'a =
+  match Array.unsafe_get t slot with
+  | None -> fail_at start ("unknown " ^ what)
+  | Some (k, v) when String.length k = n && holds s i k 0 -> v
+  | Some _ -> probe t s i n what start ((slot + 1) land (Array.length t - 1))
+
+(** The value bound to the string literal at the cursor, which moves
+    past it; [what] names the set in the error. *)
+let name c what (t : 'a names) : 'a =
+  let start = c.pos in
+  expect c '"';
+  let i = c.pos in
+  let j = plain_end c i in
+  c.pos <- j;
+  expect c '"';
+  probe t c.s i (j - i) what start (hash_span c.s i j land (Array.length t - 1))

@@ -147,13 +147,24 @@ let breaker_is_open t k =
       | Some n -> n >= t.breaker_limit
       | None -> false)
 
-(* Count one verification failure; [true] when this one trips the
-   breaker open. *)
-let note_failure t k =
-  locked t (fun () ->
-      let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.failures k) in
-      Hashtbl.replace t.failures k n;
-      n = t.breaker_limit)
+(* Count one verification failure; the one that trips the breaker open
+   is counted and reported. *)
+let note_failure t k ~file =
+  let tripped =
+    locked t (fun () ->
+        let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.failures k) in
+        Hashtbl.replace t.failures k n;
+        n = t.breaker_limit)
+  in
+  if tripped then begin
+    Obs.incr "serve.breaker_open";
+    Incident.record
+      (Incident.make ~kind:"breaker-open" ~file ~key:k
+         ~detail:
+           (Printf.sprintf "circuit breaker opened after %d verification failures"
+              t.breaker_limit)
+         ())
+  end
 
 let breaker_reset t k =
   locked t (fun () ->
@@ -172,16 +183,7 @@ let quarantine t dir k path ~file ~detail =
   Incident.record
     (Incident.make ~kind:"quarantine" ~file ~key:k
        ~detail:("corrupt cache blob quarantined: " ^ detail) ());
-  if note_failure t k then begin
-    Obs.incr "serve.breaker_open";
-    Incident.record
-      (Incident.make ~kind:"breaker-open" ~file ~key:k
-         ~detail:
-           (Printf.sprintf
-              "circuit breaker opened after %d verification failures"
-              t.breaker_limit)
-         ())
-  end
+  note_failure t k ~file
 
 (* Second chance for a quarantined blob: re-verify it (bounded per key)
    and move it back into the store if it is sound after all.  A blob
@@ -215,16 +217,7 @@ let try_readmit t dir k ~file =
             Obs.incr "serve.readmitted";
             Some bytes
         | Stale _ | Corrupt _ ->
-            if note_failure t k then begin
-              Obs.incr "serve.breaker_open";
-              Incident.record
-                (Incident.make ~kind:"breaker-open" ~file ~key:k
-                   ~detail:
-                     (Printf.sprintf
-                        "circuit breaker opened after %d verification failures"
-                        t.breaker_limit)
-                   ())
-            end;
+            note_failure t k ~file;
             None)
 
 (* A disk blob is served only if it still verifies: parses, carries the

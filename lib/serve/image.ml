@@ -23,7 +23,8 @@
 
     The loader is total: [load] returns a typed {!load_error} — wrong
     schema, checksum mismatch, torn write, malformed structure — and
-    never lets an exception escape.
+    never lets an exception escape.  It reads the payload typed, in the
+    canonical layout [save] writes, with no JSON tree in between.
 
     [/2] over [/1]: the payload records the degradation rung
     ([degraded]) the supervised service compiled the unit at ("" for a
@@ -35,7 +36,7 @@
     its installed program.
 
     [/4] over [/3]: the payload is stored as a JSON object, not as an
-    escaped JSON string, so a load parses it once; and it no longer
+    escaped JSON string, so a load reads it once; and it no longer
     carries the cold compile's remark journal or counter delta, which
     nothing read back. *)
 
@@ -259,49 +260,68 @@ let save (i : t) : string =
   String.concat ""
     [ envelope_head (Digest.to_hex (Digest.string payload)); payload; envelope_tail ]
 
-(* Decoding ------------------------------------------------------------- *)
+(* Decoding -------------------------------------------------------------
 
-exception Decode of string
+   The payload is read typed, straight off a {!Json.cursor}, in the
+   canonical layout [save] writes: fields in their fixed order, names
+   and separators as written.  Tags and opcode names are matched in
+   place ({!Json.name}), integers are read unboxed, and no [Json.t] is
+   built.  Anything else raises [Json.Parse_error]; [decode] then says
+   which kind of error it was.  A reader named after a value reads it
+   after a [","]; each constructor's fields are read in order, by
+   [let]. *)
 
-let fail fmt = Printf.ksprintf (fun s -> raise (Decode s)) fmt
-let dint = function Json.Int n -> n | _ -> fail "expected integer"
-let dstr = function Json.Str s -> s | _ -> fail "expected string"
-let darr = function Json.Arr xs -> xs | _ -> fail "expected array"
+let str = Json.string_lit
+let int = Json.int_lit
 
-let dfield obj name =
-  match obj with
-  | Json.Obj kvs -> (
-      match List.assoc_opt name kvs with
-      | Some v -> v
-      | None -> fail "missing field %S" name)
-  | _ -> fail "expected object"
+let next c f =
+  Json.expect c ',';
+  f c
 
-let float_of_bits_str s =
+let nstr c = next c str
+let nint c = next c int
+
+(* [[tag, ...]]: the tag's reader reads the rest of the elements. *)
+let tagged c what (readers : (Json.cursor -> 'a) Json.names) : 'a =
+  Json.expect c '[';
+  let read = Json.name c what readers in
+  let v = read c in
+  Json.expect c ']';
+  v
+
+let float_of_bits c s =
   match Int64.of_string_opt ("0x" ^ s) with
   | Some bits -> Int64.float_of_bits bits
-  | None -> fail "bad float bits %S" s
+  | None -> Json.fail_at c.Json.pos (Printf.sprintf "bad float bits %S" s)
 
-let prec_of_name = function
-  | "H" -> Sexp.Half
-  | "S" -> Sexp.Single
-  | "D" -> Sexp.Double
-  | "T" -> Sexp.Twice
-  | s -> fail "unknown float precision %S" s
+let precs = Json.names [ ("H", Sexp.Half); ("S", Sexp.Single); ("D", Sexp.Double); ("T", Sexp.Twice) ]
 
-let rec sexp_of_json (j : Json.t) : Sexp.t =
-  match darr j with
-  | [ Json.Str "y"; n ] -> Sexp.Sym (dstr n)
-  | [ Json.Str "i"; n ] -> Sexp.Int (dint n)
-  | [ Json.Str "b"; n ] -> Sexp.Big (dstr n)
-  | [ Json.Str "r"; n; d ] -> Sexp.Ratio (dint n, dint d)
-  | [ Json.Str "f"; bits; p ] ->
-      Sexp.Float (float_of_bits_str (dstr bits), prec_of_name (dstr p))
-  | [ Json.Str "s"; s ] -> Sexp.Str (dstr s)
-  | [ Json.Str "c"; n ] -> Sexp.Char (Char.chr (dint n land 0xff))
-  | Json.Str "l" :: xs -> Sexp.List (List.map sexp_of_json xs)
-  | [ Json.Str "d"; xs; t ] ->
-      Sexp.Dotted (List.map sexp_of_json (darr xs), sexp_of_json t)
-  | _ -> fail "bad s-expression encoding"
+let rec sexp c : Sexp.t = tagged c "s-expression kind" (Lazy.force sexps)
+
+and sexps =
+  lazy
+    (Json.names
+       [
+         ("y", fun c -> Sexp.Sym (nstr c));
+         ("i", fun c -> Sexp.Int (nint c));
+         ("b", fun c -> Sexp.Big (nstr c));
+         ("r", fun c -> let n = nint c in Sexp.Ratio (n, nint c));
+         ( "f",
+           fun c ->
+             let f = float_of_bits c (nstr c) in
+             Sexp.Float (f, next c (fun c -> Json.name c "precision" precs)) );
+         ("s", fun c -> Sexp.Str (nstr c));
+         ("c", fun c -> Sexp.Char (Char.chr (nint c land 0xff)));
+         ("l", fun c -> Sexp.List (Json.rest c sexp));
+         ("d", fun c -> let xs = next c (fun c -> Json.list c sexp) in Sexp.Dotted (xs, next c sexp));
+       ])
+
+(* The decoder of a field named by [name_of] over [all] of its values. *)
+let of_names what name_of all =
+  let t = Json.names (List.map (fun x -> (name_of x, x)) all) in
+  fun c ->
+    Json.expect c ',';
+    Json.name c what t
 
 let all_conds = Isa.[ EQ; NEQ; LSS; LEQ; GTR; GEQ ]
 let all_widths = Isa.[ S; D ]
@@ -320,150 +340,170 @@ let all_unops =
       FIX Ceiling; FIX Truncate; FIX Round; DATUM;
     ]
 
-let by_name what name_of all j =
-  let s = dstr j in
-  match List.find_opt (fun x -> name_of x = s) all with
-  | Some x -> x
-  | None -> fail "unknown %s %S" what s
+let cond = of_names "condition" Isa.cond_name all_conds
+let width = of_names "width" Isa.width_name all_widths
+let binop = of_names "binop" Isa.binop_name all_binops
+let unop = of_names "unop" Isa.unop_name all_unops
 
-let dcond j = by_name "condition" Isa.cond_name all_conds j
-let dwidth j = by_name "width" Isa.width_name all_widths j
-let dbinop j = by_name "binop" Isa.binop_name all_binops j
-let dunop j = by_name "unop" Isa.unop_name all_unops j
+let tag c =
+  let at = c.Json.pos + 1 in
+  let n = nint c in
+  match Tags.of_int n with t -> t | exception _ -> Json.fail_at at (Printf.sprintf "bad tag %d" n)
 
-let dtag j =
-  match Tags.of_int (dint j) with
-  | t -> t
-  | exception _ -> fail "bad tag %d" (dint j)
+let operands =
+  Json.names
+    [
+      ("R", fun c -> Isa.Reg (nint c));
+      ("I", fun c -> Isa.Imm (nint c));
+      ("M", fun c -> Isa.Mabs (nint c));
+      ("N", fun c -> let r = nint c in Isa.Ind (r, nint c));
+      ( "X",
+        fun c ->
+          let base = nint c in
+          let disp = nint c in
+          let index = nint c in
+          Isa.Idx { base; disp; index; shift = nint c } );
+      ("DI", fun c -> let r = nint c in let d = nint c in Isa.Defind (r, d, nint c));
+      ("DR", fun c -> let r = nint c in Isa.Defreg (r, nint c));
+      ("L", fun c -> Isa.Lab (nstr c));
+      ("DL", fun c -> let l = nstr c in Isa.Dlab (l, nint c));
+    ]
 
-let operand_of_json (j : Json.t) : Isa.operand =
-  match darr j with
-  | [ Json.Str "R"; r ] -> Isa.Reg (dint r)
-  | [ Json.Str "I"; v ] -> Isa.Imm (dint v)
-  | [ Json.Str "M"; v ] -> Isa.Mabs (dint v)
-  | [ Json.Str "N"; r; d ] -> Isa.Ind (dint r, dint d)
-  | [ Json.Str "X"; b; d; i; s ] ->
-      Isa.Idx { base = dint b; disp = dint d; index = dint i; shift = dint s }
-  | [ Json.Str "DI"; r; d; o ] -> Isa.Defind (dint r, dint d, dint o)
-  | [ Json.Str "DR"; r; o ] -> Isa.Defreg (dint r, dint o)
-  | [ Json.Str "L"; l ] -> Isa.Lab (dstr l)
-  | [ Json.Str "DL"; l; o ] -> Isa.Dlab (dstr l, dint o)
-  | _ -> fail "bad operand encoding"
+let targets = Json.names [ ("L", fun c -> Isa.L (nstr c)); ("A", fun c -> Isa.Abs (nint c)) ]
+let o c = next c (fun c -> tagged c "operand kind" operands)
+let t c = next c (fun c -> tagged c "target kind" targets)
 
-let target_of_json (j : Json.t) : Isa.target =
-  match darr j with
-  | [ Json.Str "L"; l ] -> Isa.L (dstr l)
-  | [ Json.Str "A"; n ] -> Isa.Abs (dint n)
-  | _ -> fail "bad target encoding"
+let instrs =
+  Json.names
+    Isa.
+      [
+        ("MOV", fun c -> let d = o c in Mov (d, o c));
+        ("MOVP", fun c -> let tg = tag c in let d = o c in Movp (tg, d, o c));
+        ("GETTAG", fun c -> let d = o c in Gettag (d, o c));
+        ("GETADDR", fun c -> let d = o c in Getaddr (d, o c));
+        ("SETTAG", fun c -> let tg = tag c in Settag (tg, o c));
+        ( "BIN",
+          fun c ->
+            let op = binop c in
+            let w = width c in
+            let d = o c in
+            let x = o c in
+            Bin (op, w, d, x, o c) );
+        ("UN", fun c -> let op = unop c in let w = width c in let d = o c in Un (op, w, d, o c));
+        ("JMP", fun c -> let k = cond c in let x = o c in let y = o c in Jmp (k, x, y, t c));
+        ("FJMP", fun c -> let k = cond c in let x = o c in let y = o c in Fjmp (k, x, y, t c));
+        ("JMPZ", fun c -> let k = cond c in let x = o c in Jmpz (k, x, t c));
+        ("JMPTAG", fun c -> let k = cond c in let x = o c in let tg = tag c in Jmptag (k, x, tg, t c));
+        ("JMPA", fun c -> Jmpa (t c));
+        ("JMPI", fun c -> Jmpi (o c));
+        ("JSP", fun c -> let r = nint c in Jsp (r, t c));
+        ("PUSH", fun c -> Push (o c));
+        ("POP", fun c -> Pop (o c));
+        ("ALLOCS", fun c -> let x = o c in Allocs (x, nint c));
+        ("CALL", fun c -> let f = o c in Call (f, nint c));
+        ("TCALL", fun c -> let f = o c in Tcall (f, nint c));
+        ("RET", fun _ -> Ret);
+        ("SVC", fun c -> Svc (register_svc (nstr c)));
+        ("VDOT", fun c -> let d = o c in let x = o c in let y = o c in Vdot (d, x, y, o c));
+        ("VADD", fun c -> let d = o c in let x = o c in let y = o c in Vadd (d, x, y, o c));
+        ("HALT", fun _ -> Halt);
+        ("NOP", fun _ -> Nop);
+      ]
 
-let instr_of_json (j : Json.t) : Isa.instr =
-  let o = operand_of_json and t = target_of_json in
-  match darr j with
-  | [ Json.Str "MOV"; d; x ] -> Isa.Mov (o d, o x)
-  | [ Json.Str "MOVP"; tag; d; x ] -> Isa.Movp (dtag tag, o d, o x)
-  | [ Json.Str "GETTAG"; d; x ] -> Isa.Gettag (o d, o x)
-  | [ Json.Str "GETADDR"; d; x ] -> Isa.Getaddr (o d, o x)
-  | [ Json.Str "SETTAG"; tag; d ] -> Isa.Settag (dtag tag, o d)
-  | [ Json.Str "BIN"; op; w; d; x; y ] ->
-      Isa.Bin (dbinop op, dwidth w, o d, o x, o y)
-  | [ Json.Str "UN"; op; w; d; x ] -> Isa.Un (dunop op, dwidth w, o d, o x)
-  | [ Json.Str "JMP"; c; x; y; tg ] -> Isa.Jmp (dcond c, o x, o y, t tg)
-  | [ Json.Str "FJMP"; c; x; y; tg ] -> Isa.Fjmp (dcond c, o x, o y, t tg)
-  | [ Json.Str "JMPZ"; c; x; tg ] -> Isa.Jmpz (dcond c, o x, t tg)
-  | [ Json.Str "JMPTAG"; c; x; tag; tg ] ->
-      Isa.Jmptag (dcond c, o x, dtag tag, t tg)
-  | [ Json.Str "JMPA"; tg ] -> Isa.Jmpa (t tg)
-  | [ Json.Str "JMPI"; x ] -> Isa.Jmpi (o x)
-  | [ Json.Str "JSP"; r; tg ] -> Isa.Jsp (dint r, t tg)
-  | [ Json.Str "PUSH"; x ] -> Isa.Push (o x)
-  | [ Json.Str "POP"; d ] -> Isa.Pop (o d)
-  | [ Json.Str "ALLOCS"; x; n ] -> Isa.Allocs (o x, dint n)
-  | [ Json.Str "CALL"; f; n ] -> Isa.Call (o f, dint n)
-  | [ Json.Str "TCALL"; f; n ] -> Isa.Tcall (o f, dint n)
-  | [ Json.Str "RET" ] -> Isa.Ret
-  | [ Json.Str "SVC"; name ] -> Isa.Svc (Isa.register_svc (dstr name))
-  | [ Json.Str "VDOT"; d; x; y; n ] -> Isa.Vdot (o d, o x, o y, o n)
-  | [ Json.Str "VADD"; d; x; y; n ] -> Isa.Vadd (o d, o x, o y, o n)
-  | [ Json.Str "HALT" ] -> Isa.Halt
-  | [ Json.Str "NOP" ] -> Isa.Nop
-  | _ -> fail "bad instruction encoding"
+let loc c =
+  Json.expect c '[';
+  let file = str c in
+  let line = nint c in
+  let col = nint c in
+  Json.expect c ']';
+  Loc.make ~file ~line ~col
 
-let loc_of_json (j : Json.t) : Loc.t =
-  match darr j with
-  | [ f; l; c ] -> Loc.make ~file:(dstr f) ~line:(dint l) ~col:(dint c)
-  | _ -> fail "bad location encoding"
+let data = Json.names [ ("w", fun c -> Asm.Word (nint c)); ("r", fun c -> Asm.Labref (nstr c)) ]
+let datum c = tagged c "datum kind" data
 
-let item_of_json (j : Json.t) : Asm.item =
-  match darr j with
-  | [ Json.Str "LB"; l ] -> Asm.Label (dstr l)
-  | [ Json.Str "IS"; i ] -> Asm.Instr (instr_of_json i)
-  | [ Json.Str "DA"; l; ds ] ->
-      Asm.Data
-        ( dstr l,
-          List.map
-            (fun d ->
-              match darr d with
-              | [ Json.Str "w"; w ] -> Asm.Word (dint w)
-              | [ Json.Str "r"; s ] -> Asm.Labref (dstr s)
-              | _ -> fail "bad datum encoding")
-            (darr ds) )
-  | [ Json.Str "CO"; s ] -> Asm.Comment (dstr s)
-  | [ Json.Str "MK"; node; loc ] ->
-      Asm.Mark
-        (dint node, match loc with Json.Null -> None | l -> Some (loc_of_json l))
-  | _ -> fail "bad program item encoding"
+let items =
+  Json.names
+    [
+      ("LB", fun c -> Asm.Label (nstr c));
+      ("IS", fun c -> Asm.Instr (next c (fun c -> tagged c "opcode" instrs)));
+      ("DA", fun c -> let l = nstr c in Asm.Data (l, next c (fun c -> Json.list c datum)));
+      ("CO", fun c -> Asm.Comment (nstr c));
+      ( "MK",
+        fun c ->
+          let node = nint c in
+          Json.expect c ',';
+          Asm.Mark (node, if Json.peek c = 'n' then Json.literal c "null" None else Some (loc c)) );
+    ]
 
-let worldref_of_json (j : Json.t) : Gen.worldref =
-  match darr j with
-  | [ Json.Str "nil" ] -> Rnil
-  | [ Json.Str "t" ] -> Rtrue
-  | [ Json.Str "const"; s ] -> Rconst (sexp_of_json s)
-  | [ Json.Str "sym"; n ] -> Rsym (dstr n)
-  | [ Json.Str "fun"; n ] -> Rfun_cell (dstr n)
-  | [ Json.Str "cell" ] -> Rfresh_cell
-  | _ -> fail "bad world reference encoding"
+let item c = tagged c "item kind" items
 
-let unit_of_json (j : Json.t) : Gen.compiled =
-  {
-    Gen.c_name = dstr (dfield j "name");
-    c_entry = dstr (dfield j "entry");
-    c_min_args = dint (dfield j "min");
-    c_max_args = dint (dfield j "max");
-    c_prog = List.map item_of_json (darr (dfield j "prog"));
-    c_fixups =
-      List.map
-        (fun f ->
-          match darr f with
-          | [ e; cell; n; mn; mx ] -> (dstr e, dint cell, dstr n, dint mn, dint mx)
-          | _ -> fail "bad fixup encoding")
-        (darr (dfield j "fixups"));
-    c_packing = [];
-    c_refs = List.map worldref_of_json (darr (dfield j "refs"));
-  }
+let fixup c =
+  Json.expect c '[';
+  let e = str c in
+  let cell = nint c in
+  let n = nstr c in
+  let mn = nint c in
+  let mx = nint c in
+  Json.expect c ']';
+  (e, cell, n, mn, mx)
 
-let action_of_json (j : Json.t) : action =
-  match darr j with
-  | [ Json.Str "defun"; u ] -> Convert.Defun (unit_of_json u)
-  | [ Json.Str "defmacro"; n; u ] -> Convert.Defmacro (dstr n, unit_of_json u)
-  | [ Json.Str "defvar"; n; u ] -> Convert.Defvar (dstr n, unit_of_json u)
-  | Json.Str "proclaim" :: ns -> Convert.Proclaim (List.map dstr ns)
-  | [ Json.Str "toplevel"; u ] -> Convert.Toplevel (unit_of_json u)
-  | _ -> fail "bad action encoding"
+let refs =
+  Json.names
+    Gen.
+      [
+        ("nil", fun _ -> Rnil);
+        ("t", fun _ -> Rtrue);
+        ("const", fun c -> Rconst (next c sexp));
+        ("sym", fun c -> Rsym (nstr c));
+        ("fun", fun c -> Rfun_cell (nstr c));
+        ("cell", fun _ -> Rfresh_cell);
+      ]
 
-let image_of_json (j : Json.t) : t =
-  {
-    i_file = dstr (dfield j "file");
-    i_key = dstr (dfield j "key");
-    i_flags = dstr (dfield j "flags");
-    i_degraded = dstr (dfield j "degraded");
-    i_actions = List.map action_of_json (darr (dfield j "actions"));
-  }
+let worldref c = tagged c "world reference" refs
+
+(* [name] (the field's quoted name and colon, after a ["{"] or [","])
+   and its [f]-read value. *)
+let field c name f =
+  Json.literal c name ();
+  f c
+
+let compiled c : Gen.compiled =
+  let c_name = field c "{\"name\":" str in
+  let c_entry = field c ",\"entry\":" str in
+  let c_min_args = field c ",\"min\":" int in
+  let c_max_args = field c ",\"max\":" int in
+  let c_prog = field c ",\"prog\":" (fun c -> Json.list c item) in
+  let c_fixups = field c ",\"fixups\":" (fun c -> Json.list c fixup) in
+  let c_refs = field c ",\"refs\":" (fun c -> Json.list c worldref) in
+  Json.expect c '}';
+  { Gen.c_name; c_entry; c_min_args; c_max_args; c_prog; c_fixups; c_packing = []; c_refs }
+
+let actions =
+  Json.names
+    Convert.
+      [
+        ("defun", fun c -> Defun (next c compiled));
+        ("defmacro", fun c -> let n = nstr c in Defmacro (n, next c compiled));
+        ("defvar", fun c -> let n = nstr c in Defvar (n, next c compiled));
+        ("proclaim", fun c -> Proclaim (Json.rest c str));
+        ("toplevel", fun c -> Toplevel (next c compiled));
+      ]
+
+let action c = tagged c "action kind" actions
+
+let image c : t =
+  let i_file = field c "{\"file\":" str in
+  let i_key = field c ",\"key\":" str in
+  let i_flags = field c ",\"flags\":" str in
+  let i_degraded = field c ",\"degraded\":" str in
+  let i_actions = field c ",\"actions\":" (fun c -> Json.list c action) in
+  Json.expect c '}';
+  if c.Json.pos <> c.Json.stop then Json.fail_at c.Json.pos "trailing garbage";
+  { i_file; i_key; i_flags; i_degraded; i_actions }
 
 (* [bytes] holds [lit] at offset [at]. *)
 let holds bytes at lit =
-  let n = String.length lit in
-  let rec from k = k = n || (String.unsafe_get bytes (at + k) = lit.[k] && from (k + 1)) in
-  at >= 0 && at + n <= String.length bytes && from 0
+  at >= 0 && at + String.length lit <= String.length bytes && Json.holds bytes at lit 0
 
 (* A blob that is not an envelope of ours: read as JSON only to say why. *)
 let decode_foreign bytes =
@@ -481,7 +521,10 @@ let decode_foreign bytes =
    an envelope but breaks this layout was cut or damaged mid-write; like
    a checksum mismatch it is [Corrupted], not [Bad_json]: the cache
    quarantines corruption but only deletes mere staleness.  The checksum
-   covers the payload slice, which is then parsed once, in place. *)
+   covers the payload slice, which is then read typed, in place.  Only
+   when that read fails is the slice parsed generically, to tell a
+   payload that is not JSON ([Bad_json]) from one of the wrong shape
+   ([Malformed]). *)
 let decode (bytes : string) : (t, load_error) result =
   let torn m = Error (Corrupted ("torn or truncated envelope: " ^ m)) in
   let schema_at = String.length schema_open in
@@ -505,11 +548,13 @@ let decode (bytes : string) : (t, load_error) result =
           if sum <> found then
             Error (Corrupted (Printf.sprintf "expected %s, found %s" sum found))
           else
-            match image_of_json (Json.parse_sub bytes ~pos:payload_at ~len:payload_len) with
+            match image (Json.cursor bytes ~pos:payload_at ~len:payload_len) with
             | img -> Ok img
-            | exception Decode m -> Error (Malformed m)
-            | exception Json.Parse_error m -> Error (Bad_json m)
-            | exception e -> Error (Malformed (Printexc.to_string e))
+            | exception e -> (
+                match (Json.parse_sub bytes ~pos:payload_at ~len:payload_len, e) with
+                | exception Json.Parse_error m -> Error (Bad_json m)
+                | _, Json.Parse_error m -> Error (Malformed m)
+                | _ -> Error (Malformed (Printexc.to_string e)))
 
 (* This domain's last successful decode.  A warm hit loads the string
    [Cache.find] verified, so its second decode is served from here.  Keyed

@@ -11,8 +11,11 @@
     compile, whose returned reading (the form with its units) is the
     {!Image} action.
 
-    Warm path: verify and decode the image, then [perform] each action
-    with loaders that install the unit it holds.  Because the recipe
+    Warm path: verify and decode the image, then {!replay} it: [perform]
+    each action with loaders that install the unit it holds, in a world
+    booted for that attempt alone, so nothing is snapshotted and a failed
+    replay is simply dropped ({!execute_in} is the transactional form,
+    for a caller that keeps its world).  Because the recipe
     replays the exact world-effect sequence of a from-source compile, the
     loaded code is byte-identical — same words, same addresses, same
     cycle counts, same annotate listing (rendered from the installed
@@ -77,6 +80,9 @@ type exec = { e_value : string; e_output : string; e_cycles : int }
 
 let cycles_of (c : C.t) : int = c.C.rt.Rt.cpu.Cpu.stats.Cpu.cycles
 
+let exec_of (c : C.t) (last : int) : exec =
+  { e_value = Rt.print_value c.C.rt last; e_output = Rt.output c.C.rt; e_cycles = cycles_of c }
+
 (* Run [f] under a cumulative cycle watchdog when a deadline is set.
    The budget covers every nested simulator run — macroexpanders, DEFVAR
    initializers, toplevel effects — so a unit cannot dodge it by
@@ -113,13 +119,7 @@ let compile_cold (cfg : cfg) ?(prepare = fun (_ : C.t) -> ()) ?fuel ?deadline
             v)
           c.C.rt.Rt.nil forms)
   in
-  let exec =
-    {
-      e_value = Rt.print_value c.C.rt last;
-      e_output = Rt.output c.C.rt;
-      e_cycles = cycles_of c;
-    }
-  in
+  let exec = exec_of c last in
   let img =
     {
       Image.i_file = file;
@@ -133,39 +133,43 @@ let compile_cold (cfg : cfg) ?(prepare = fun (_ : C.t) -> ()) ?fuel ?deadline
 
 (* Warm replay ---------------------------------------------------------- *)
 
-(** Replay a loaded image into an existing compiler's world and return
-    the final value word.  Transactional: if any action traps or raises
-    mid-replay, the world is thawed back to its state frozen before the
-    load ({!Rt.freeze}: static region, code store, obarray, macro table,
-    gensym counter), so a failed load is a clean no-op {e byte for byte}
-    and the caller can retry, e.g. fall back to a from-source compile,
-    against an unpolluted world: re-interning the same names lands at
-    the same static addresses and code origins.  Heap allocations made
-    by the partial replay are not rewound; they become unreachable
-    garbage once the static roots are restored. *)
+(** Replay a loaded image into [c]'s world: perform each action with
+    loaders that install the unit it holds, and return the final value
+    word.  Not transactional: an action that traps or raises leaves the
+    world with every effect of the actions before it. *)
+let replay (c : C.t) (img : Image.t) : int =
+  let load u = (u, C.install c u) in
+  List.fold_left
+    (fun _ a -> fst (C.perform c ~fn:load ~expr:load a))
+    c.C.rt.Rt.nil img.Image.i_actions
+
+(** [replay] into a live world the caller keeps.  Transactional: if any
+    action traps or raises mid-replay, the world is thawed back to its
+    state frozen before the load ({!Rt.freeze}: static region, code
+    store, obarray, macro table, gensym counter), so a failed load is a
+    clean no-op {e byte for byte} and the caller can retry, e.g. fall
+    back to a from-source compile, against an unpolluted world:
+    re-interning the same names lands at the same static addresses and
+    code origins.  Heap allocations made by the partial replay are not
+    rewound; they become unreachable garbage once the static roots are
+    restored. *)
 let execute_in (c : C.t) (img : Image.t) : int =
   let before = Rt.freeze c.C.rt in
-  try
-    let load u = (u, C.install c u) in
-    List.fold_left
-      (fun _ a -> fst (C.perform c ~fn:load ~expr:load a))
-      c.C.rt.Rt.nil img.Image.i_actions
+  try replay c img
   with e ->
     Rt.thaw c.C.rt before;
     raise e
 
-(** Replay a loaded image into a {e fresh} world. *)
+(** Replay a loaded image into a {e fresh} world, booted for this call
+    and dropped after it, so a failed replay needs no rollback and the
+    world is never snapshotted: each attempt of the retry ladder goes
+    through {!compile_file}, which boots its own. *)
 let execute (cfg : cfg) ?(prepare = fun (_ : C.t) -> ()) ?fuel ?deadline
     (img : Image.t) : exec =
   let c = compiler_of cfg in
   c.C.rt.Rt.fuel <- fuel;
   prepare c;
-  let last = under_deadline c deadline (fun () -> execute_in c img) in
-  {
-    e_value = Rt.print_value c.C.rt last;
-    e_output = Rt.output c.C.rt;
-    e_cycles = cycles_of c;
-  }
+  exec_of c (under_deadline c deadline (fun () -> replay c img))
 
 (* Service front door --------------------------------------------------- *)
 

@@ -5,7 +5,12 @@
 
    The profiler views run at two points.  A view naming the file [F]
    writes an export there (a temporary file); its digest covers stdout
-   followed by that file. *)
+   followed by that file.
+
+   [pin --images S1LC FILE...] pins the compile service's image bytes
+   instead: one [--serve-batch --serve-out DIR] run over all the files
+   per image point, then one line per image written: its MD5, the point
+   and the image's name. *)
 
 let points = [ []; [ "--no-tnbind" ]; [ "--cse"; "--peephole" ] ]
 let views = [ [ "--tns" ]; [ "--listing" ]; [ "--transcript" ] ]
@@ -46,9 +51,47 @@ let pin s1lc files (points, views) =
         points)
     views
 
+let image_points = [ []; [ "--cse" ]; [ "--no-tnbind" ] ]
+
+(* Run [prog args] with stdout and stderr discarded; its exit status. *)
+let run_quiet prog args =
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid = Unix.create_process prog (Array.of_list (prog :: args)) Unix.stdin null null in
+  Unix.close null;
+  match snd (Unix.waitpid [] pid) with
+  | Unix.WEXITED 0 -> ""
+  | Unix.WEXITED n -> Printf.sprintf " exit %d" n
+  | Unix.WSIGNALED n | Unix.WSTOPPED n -> Printf.sprintf " signal %d" n
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let pin_images s1lc files =
+  List.iter
+    (fun point ->
+      let dir = Filename.temp_dir "pin" ".images" in
+      let status = run_quiet s1lc (("--serve-batch" :: files) @ point @ [ "--serve-out"; dir ]) in
+      let point = if point = [] then "default" else String.concat " " point in
+      if status <> "" then Printf.printf "--serve-batch [%s]%s\n" point status;
+      Array.iter
+        (fun image ->
+          Printf.printf "%s [%s] %s\n"
+            (Digest.to_hex (Digest.file (Filename.concat dir image)))
+            point image)
+        (let names = Sys.readdir dir in
+         Array.sort compare names;
+         names);
+      rm_rf dir)
+    image_points
+
 let () =
   match Array.to_list Sys.argv with
+  | _ :: "--images" :: s1lc :: files -> pin_images s1lc files
   | _ :: s1lc :: files -> List.iter (pin s1lc files) [ (points, views); (profiler_points, profiler_views) ]
   | _ ->
-      prerr_endline "usage: pin S1LC FILE...";
+      prerr_endline "usage: pin [--images] S1LC FILE...";
       exit 2

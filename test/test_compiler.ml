@@ -659,7 +659,7 @@ let budgets =
     { b_test = "load allocation"; b_layer = "load"; b_span = "compile/load";
       b_per = "loaded unit"; b_bound = 561.; b_words = corpus_words };
     { b_test = "warm hit allocation"; b_layer = "serve"; b_span = "serve.";
-      b_per = "warm hit"; b_bound = 14180.; b_words = warm_hit_words };
+      b_per = "warm hit"; b_bound = 5690.; b_words = warm_hit_words };
   ]
 
 let test_budget b () =

@@ -392,6 +392,150 @@ let test_loader_rejects_corruption () =
   | Error e ->
       Alcotest.failf "unexpected error class: %s" (Image.load_error_to_string e)
 
+(* A synthetic image holding every constructor the codec knows: all 25
+   instructions, the 9 operand kinds and both targets, every binop,
+   unop, condition and width, every s-expression kind (a float's bit
+   pattern, a bignum, a ratio, a char, a dotted list and a string that
+   needs each kind of escape), every world reference, both kinds of
+   mark and datum, and every action kind. *)
+let every_constructor_image () : Image.t =
+  let module Isa = S1_machine.Isa in
+  let module Tags = S1_machine.Tags in
+  let module Convert = S1_frontend.Convert in
+  let escapes = "quote\" backslash\\ newline\n control\001 tab\t" in
+  let operands =
+    Isa.
+      [
+        Reg 3; Imm (-42); Mabs 0x10000000001; Ind (4, -8);
+        Idx { base = 1; disp = 2; index = 5; shift = 3 }; Defind (2, 16, -1); Defreg (6, 7);
+        Lab "L1"; Dlab ("L2", 9);
+      ]
+  in
+  let o k = List.nth operands (k mod List.length operands) in
+  let instrs =
+    Isa.
+      [
+        Mov (o 0, o 1); Movp (Tags.Fixnum, o 2, o 3); Gettag (o 4, o 5); Getaddr (o 6, o 7);
+        Settag (Tags.Ring 3, o 8); Jmp (EQ, o 0, o 1, L "L1"); Fjmp (NEQ, o 2, o 3, Abs 77);
+        Jmpz (LSS, o 4, L "L2"); Jmptag (LEQ, o 5, Tags.Symbol, Abs 0); Jmpa (L "L1");
+        Jmpi (o 6); Jsp (2, Abs 12); Push (o 7); Pop (o 8); Allocs (o 0, 3); Call (o 1, 2);
+        Tcall (o 2, 0); Ret; Svc (register_svc "TEST:CODEC"); Vdot (o 3, o 4, o 5, o 6);
+        Vadd (o 7, o 8, o 0, o 1); Halt; Nop;
+      ]
+    @ List.mapi (fun k op -> Isa.Bin (op, (if k mod 2 = 0 then Isa.S else Isa.D), o k, o (k + 1), o (k + 2))) Image.all_binops
+    @ List.mapi (fun k op -> Isa.Un (op, (if k mod 2 = 0 then Isa.D else Isa.S), o k, o (k + 3))) Image.all_unops
+    @ List.map (fun c -> Isa.Jmp (c, o 0, o 1, Isa.L "L1")) Image.all_conds
+  in
+  let sexp =
+    Sexp.List
+      [
+        Sexp.Sym "FOO"; Sexp.Int min_int; Sexp.Int max_int; Sexp.Big "123456789012345678901234567890";
+        Sexp.Ratio (-3, 7); Sexp.Float (0.1, Sexp.Double); Sexp.Float (-0.0, Sexp.Single);
+        Sexp.Float (1.5, Sexp.Half); Sexp.Float (1e300, Sexp.Twice); Sexp.Str escapes;
+        Sexp.Char 'x'; Sexp.Char '\n'; Sexp.List [];
+        Sexp.Dotted ([ Sexp.Int 1; Sexp.Sym "B" ], Sexp.Sym "C");
+      ]
+  in
+  let unit name =
+    {
+      Gen.c_name = name;
+      c_entry = name ^ "-ENTRY";
+      c_min_args = 1;
+      c_max_args = -1;
+      c_prog =
+        [ Asm.Label "L1"; Asm.Comment escapes; Asm.Mark (5, None);
+          Asm.Mark (6, Some (S1_loc.Loc.make ~file:"a \"b\".lisp" ~line:3 ~col:14)) ]
+        @ List.map (fun i -> Asm.Instr i) instrs
+        @ [ Asm.Label "L2"; Asm.Data ("D1", [ Asm.Word 0x7fff_ffff_ffff; Asm.Labref "L1"; Asm.Word (-1) ]);
+            Asm.Data ("D2", []) ];
+      c_fixups = [ ("L1", 0x10000000002, "G", 0, 2); ("L2", 3, "H", 1, -1) ];
+      c_packing = [];
+      c_refs =
+        Gen.[ Rnil; Rtrue; Rconst sexp; Rconst (Sexp.Str ""); Rsym "FOO"; Rfun_cell "BAR"; Rfresh_cell ];
+    }
+  in
+  {
+    Image.i_file = "dir/" ^ escapes;
+    i_key = "0123456789abcdef";
+    i_flags = "--cse";
+    i_degraded = "noopt";
+    i_actions =
+      Convert.
+        [
+          Proclaim []; Proclaim [ "*A*"; "*B*" ]; Defvar ("*A*", unit "V"); Defun (unit "F");
+          Defmacro ("M", unit "M"); Toplevel (unit "T");
+        ];
+  }
+
+let test_codec_covers_every_constructor () =
+  let img = every_constructor_image () in
+  let bytes = Image.save img in
+  Alcotest.(check bool) "load (save img) = Ok img" true (Image.load bytes = Ok img);
+  match Image.load (String.init (String.length bytes) (String.get bytes)) with
+  | Ok back -> Alcotest.(check string) "re-saving gives the same bytes" bytes (Image.save back)
+  | Error e -> Alcotest.fail (Image.load_error_to_string e)
+
+(* Every corpus program's image at every lattice point re-encodes to its
+   own bytes. *)
+let test_corpus_images_re_encode () =
+  List.iter
+    (fun (o : Oracle.config) ->
+      let cfg =
+        { Serve.sv_rules = o.Oracle.cfg_rules; sv_options = o.Oracle.cfg_options; sv_cse = o.Oracle.cfg_cse }
+      in
+      List.iter
+        (fun f ->
+          let src = read_file (Filename.concat corpus_dir f) in
+          let img, _ = Serve.compile_cold cfg ~file:f ~key:(Serve.key_of cfg src) src in
+          let bytes = Image.save img in
+          match Image.load bytes with
+          | Ok back ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s at %s re-encodes" f o.Oracle.cfg_name)
+                bytes (Image.save back)
+          | Error e ->
+              Alcotest.failf "%s at %s: %s" f o.Oracle.cfg_name (Image.load_error_to_string e))
+        (corpus_files ()))
+    Oracle.lattice
+
+(* A payload inside an envelope whose checksum is right: the loader's
+   error class says what is wrong with the payload itself. *)
+let enveloped payload =
+  Image.envelope_head (Digest.to_hex (Digest.string payload)) ^ payload ^ Image.envelope_tail
+
+let test_payload_errors_in_verified_envelope () =
+  let img, _ = cold_image () in
+  let bytes = Image.save img in
+  let head = String.length (Image.envelope_head (String.make 32 '0')) in
+  let payload = String.sub bytes head (String.length bytes - head - String.length Image.envelope_tail) in
+  Alcotest.(check bool) "the sample payload loads" true
+    (Result.is_ok (Image.load bytes) && Image.load (enveloped payload) = Image.load bytes);
+  let fields = match Json.parse payload with Json.Obj kvs -> kvs | _ -> Alcotest.fail "payload" in
+  let compact kvs = Json.to_string ~pretty:false (Json.Obj kvs) in
+  let malformed = function Image.Malformed _ -> true | _ -> false in
+  expect_error "not JSON" (enveloped "{\"file\":") (function Image.Bad_json _ -> true | _ -> false);
+  expect_error "unknown opcode"
+    (enveloped (Str.replace_first (Str.regexp_string "[\"IS\",[\"MOV\",") "[\"IS\",[\"FROB\"," payload))
+    malformed;
+  expect_error "missing field" (enveloped (compact (List.remove_assoc "degraded" fields))) malformed;
+  expect_error "fields out of order"
+    (enveloped (compact (List.assoc "key" fields |> fun k -> ("key", k) :: List.remove_assoc "key" fields)))
+    malformed;
+  expect_error "extra array element"
+    (enveloped
+       (compact
+          (List.map
+             (function
+               | "actions", Json.Arr (Json.Arr first :: rest) ->
+                   ("actions", Json.Arr (Json.Arr (first @ [ Json.Int 0 ]) :: rest))
+               | kv -> kv)
+             fields)))
+    malformed;
+  expect_error "trailing bytes after the payload object" (enveloped (payload ^ " \n")) malformed;
+  expect_error "whitespace inside the payload"
+    (enveloped (Json.to_string ~pretty:true (Json.Obj fields)))
+    malformed
+
 (* Cache keys ----------------------------------------------------------------- *)
 
 (* Flip each optimization-lattice axis in turn: every one must change
@@ -713,7 +857,7 @@ let test_warm_hit_decodes_once () =
   in
   Alcotest.(check bool)
     (Printf.sprintf "an equal copy decodes in full (%d minor words)" copy_words)
-    true (copy_words > 5_000);
+    true (copy_words > 1_000);
   Alcotest.(check bool) "to an equal image" true (copy = served && copy != served);
   let flipped = Bytes.of_string bytes in
   let i = Bytes.length flipped * 3 / 4 in
@@ -722,6 +866,25 @@ let test_warm_hit_decodes_once () =
   | Error (Image.Corrupted _) -> ()
   | Ok _ -> Alcotest.fail "a flipped payload byte was accepted"
   | Error e -> Alcotest.failf "unexpected error class: %s" (Image.load_error_to_string e)
+
+(* A warm replay that fails runs in a world booted for it alone: the
+   next hit on the same cache boots its own and prints the cold value. *)
+let test_failed_warm_replay_in_fresh_world () =
+  let dir = fresh_dir "failed-warm" in
+  let cache = Cache.create ~dir () in
+  let cold = Serve.compile_file ~cache Serve.default_cfg ~file:"<f>" sample_src in
+  let value r =
+    match r.Serve.r_exec with Some e -> e.Serve.e_value | None -> Oracle.outcome_string r.Serve.r_outcome
+  in
+  let failed = Serve.compile_file ~cache ~deadline:1 Serve.default_cfg ~file:"<f>" sample_src in
+  Alcotest.(check bool) "the deadline run hit" true failed.Serve.r_hit;
+  Alcotest.(check bool) "it crashed" true
+    (match failed.Serve.r_outcome with Oracle.Crash _ -> true | _ -> false);
+  Alcotest.(check bool) "on the deadline" true (failed.Serve.r_trap = Some Cpu.Deadline_expired);
+  let again = Serve.compile_file ~cache Serve.default_cfg ~file:"<f>" sample_src in
+  Alcotest.(check bool) "the next run hit" true again.Serve.r_hit;
+  Alcotest.(check string) "and prints the cold value" (value cold) (value again);
+  Alcotest.(check string) "which is the program's" "55" (value again)
 
 (* Instance scoping ----------------------------------------------------------- *)
 
@@ -849,6 +1012,12 @@ let () =
           Alcotest.test_case "rejects corruption" `Quick
             test_loader_rejects_corruption;
           Alcotest.test_case "envelope is plain JSON" `Quick test_envelope_is_plain_json;
+          Alcotest.test_case "codec covers every constructor" `Quick
+            test_codec_covers_every_constructor;
+          Alcotest.test_case "corpus images re-encode at every lattice point" `Slow
+            test_corpus_images_re_encode;
+          Alcotest.test_case "payload errors in a verified envelope" `Quick
+            test_payload_errors_in_verified_envelope;
         ] );
       ( "toplevel",
         [
@@ -885,6 +1054,8 @@ let () =
           Alcotest.test_case "store ignores a foreign temp file" `Quick
             test_store_ignores_foreign_temp_file;
           Alcotest.test_case "warm hit decodes once" `Quick test_warm_hit_decodes_once;
+          Alcotest.test_case "failed warm replay in a fresh world" `Quick
+            test_failed_warm_replay_in_fresh_world;
         ] );
       ( "scoping",
         [
