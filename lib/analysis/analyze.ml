@@ -6,32 +6,39 @@
     optimization) are actually executed in a complicated co-routining
     manner for efficiency" (§4.2).  The optimizer marks what it rewrites
     ([n_dirty]); {!update} then re-derives the bottom-up decorations
-    (environment, side effects, complexity) only on the spine above the
-    marks, keeps every other node's, and leaves the spine marked so the
-    optimizer's next sweep revisits exactly that region.  Back-pointers,
+    (side effects and complexity) only on the spine above the marks,
+    keeps every other node's, and leaves the spine marked so the
+    optimizer's next sweep revisits exactly that region.  The variables'
+    back-pointers (all the optimizer reads of the environment analysis),
     tail positions and binding annotation are recomputed over the whole
-    tree: they are cheap linear walks, and binding annotation is not
-    local.  Every decoration after an update is exactly what re-running
-    every analysis over the whole tree would leave. *)
+    tree: they are linear walks that allocate only what they record, and
+    binding annotation is not local.  Every decoration after an update is
+    exactly what re-running every analysis over the whole tree would
+    leave. *)
 
 open S1_ir
 open Node
 
+let rederive n =
+  Effects.node n;
+  Complexity.node n;
+  n.n_dirty <- true
+
 (* Re-derive the bottom-up decorations of every node whose subtree holds
-   a mark (every node when [all]), and mark it.  Returns whether [n]'s
-   subtree held one. *)
-let rec spine ~all (n : node) : bool =
-  let below = ref false in
-  iter_children (fun c -> if spine ~all c then below := true) n;
-  let below = !below in
-  if all || below || n.n_dirty then begin
-    Envan.node n;
-    Effects.node n;
-    Complexity.node n;
-    n.n_dirty <- true;
+   a mark, and mark it.  Returns whether [n]'s subtree held one. *)
+let rec spine n =
+  if fold_children spine_step false n || n.n_dirty then begin
+    rederive n;
     true
   end
   else false
+
+and spine_step below c = spine c || below
+
+(* The same over every node, postorder. *)
+let rec rederive_all n =
+  iter_children rederive_all n;
+  rederive n
 
 (** Re-analyse after the tree changed.  [restrategized] is what the
     previous update returned: lambdas whose strategy binding annotation
@@ -40,7 +47,7 @@ let rec spine ~all (n : node) : bool =
 let update ?(all = false) ~restrategized (root : node) : node list =
   Envan.backrefs root;
   List.iter (fun n -> n.n_dirty <- true) restrategized;
-  ignore (spine ~all root);
+  if all then rederive_all root else ignore (spine root);
   Tailan.run root;
   Binding.run root
 
@@ -50,7 +57,7 @@ let update ?(all = false) ~restrategized (root : node) : node list =
     with the spines above them. *)
 let reprice ~restrategized (root : node) : unit =
   List.iter (fun n -> n.n_dirty <- true) restrategized;
-  ignore (spine ~all:false root)
+  ignore (spine root)
 
 (** Analyse the whole tree from scratch. *)
 let refresh (root : node) : unit = ignore (update ~all:true ~restrategized:[] root)

@@ -11,10 +11,10 @@ open Node
 (* One node's estimate from its children's.  A lambda is priced by the
    strategy binding annotation gave it on the previous refresh (binding
    annotation runs after this pass). *)
+let add_node acc (c : node) = acc + c.n_complexity
+
 let node (n : node) : unit =
-  let kids = ref 0 in
-  iter_children (fun c -> kids := !kids + c.n_complexity) n;
-  let kids = !kids in
+  let kids = fold_children add_node 0 n in
   let own =
     match n.kind with
     | Term _ -> 1

@@ -20,31 +20,27 @@ let unknown_effects =
   { eff_alloc = true; eff_write = true; eff_unknown_call = true; eff_control = true;
     eff_special = true }
 
+let special_only = { no_effects with eff_special = true }
+let write_only = { no_effects with eff_write = true }
+let alloc_only = { no_effects with eff_alloc = true }
+let control_only = { no_effects with eff_control = true }
+
+let join_node acc (c : node) = join_effects acc c.n_effects
+
 (* One node's classification from its children's. *)
 let node (n : node) : unit =
-  let merged = ref no_effects in
-  iter_children (fun c -> merged := join_effects !merged c.n_effects) n;
-  let merged = !merged in
+  let merged = fold_children join_node no_effects n in
   let eff =
     match n.kind with
     | Term _ -> no_effects
-    | Var v ->
-        if v.v_special || v.v_binder = None then { no_effects with eff_special = true }
-        else no_effects
+    | Var v -> if v.v_special || v.v_binder = None then special_only else no_effects
     | Setq (v, _) ->
-        if v.v_special || v.v_binder = None then
-          join_effects merged { no_effects with eff_special = true }
-        else join_effects merged { no_effects with eff_write = true }
+        if v.v_special || v.v_binder = None then join_effects merged special_only
+        else join_effects merged write_only
     | Lambda l ->
         (* Only defaults evaluated at binding time contribute; the body
            runs later.  Closure creation may allocate. *)
-        let defaults_eff =
-          List.fold_left
-            (fun acc p ->
-              match p.p_default with Some d -> join_effects acc d.n_effects | None -> acc)
-            no_effects l.l_params
-        in
-        join_effects defaults_eff { no_effects with eff_alloc = true }
+        join_effects (fold_defaults join_node no_effects l.l_params) alloc_only
     | Call (f, _) -> (
         match f.kind with
         | Term (S1_sexp.Sexp.Sym fname) -> (
@@ -65,13 +61,11 @@ let node (n : node) : unit =
             (* Manifest lambda call: the body executes now. *)
             join_effects merged l.l_body.n_effects
         | _ -> join_effects merged unknown_effects)
-    | Go _ | Return _ -> join_effects merged { no_effects with eff_control = true }
-    | Catcher _ ->
-        (* the catch consumes control effects of its body *)
-        { merged with eff_control = false }
-    | Progbody _ ->
-        (* go/return targeting this body are internal *)
-        { merged with eff_control = false }
+    | Go _ | Return _ -> join_effects merged control_only
+    | Catcher _ | Progbody _ ->
+        (* the catch consumes control effects of its body; go/return
+           targeting a progbody are internal *)
+        if merged.eff_control then { merged with eff_control = false } else merged
     | If _ | Progn _ | Caseq _ -> merged
   in
   n.n_effects <- eff
@@ -104,10 +98,12 @@ let rec reads_anything (n : node) =
   | Setq _ -> true
   | Call ({ kind = Term (S1_sexp.Sexp.Sym fname); _ }, _) -> (
       match Prims.find fname with
-      | Some _ -> List.exists reads_anything (children n)
+      | Some _ -> any_child_reads n
       | None -> true)
   | Call _ -> true
-  | _ -> List.exists reads_anything (children n)
+  | _ -> any_child_reads n
+
+and any_child_reads n = fold_children (fun found c -> found || reads_anything c) false n
 
 (* Does evaluation store into any state another expression could
    observe: a SETQ (lexical or special), a special rebinding, or
@@ -115,27 +111,21 @@ let rec reads_anything (n : node) =
    this — it covers reads as well as writes of specials (and every
    free-variable reference) — so when only it is set we scan for the
    writing forms syntactically. *)
+let rec scan_writes (m : node) =
+  match m.kind with
+  | Setq (v, e') -> v.v_special || v.v_binder = None || scan_writes e'
+  | Lambda l ->
+      (* only binding-time defaults evaluate now; the body later *)
+      fold_defaults (fun found d -> found || scan_writes d) false l.l_params
+  | Call ({ kind = Lambda l; _ }, args) ->
+      (* an open-coded binding of a special rebinds it: a write *)
+      List.exists (fun p -> p.p_var.v_special) l.l_params
+      || List.exists scan_writes args || scan_writes l.l_body
+  | _ -> fold_children (fun found c -> found || scan_writes c) false m
+
 let writes_anything (n : node) =
   let e = n.n_effects in
-  e.eff_write || e.eff_unknown_call
-  || (e.eff_special
-     &&
-     let rec scan (m : node) =
-       match m.kind with
-       | Setq (v, e') -> v.v_special || v.v_binder = None || scan e'
-       | Lambda l ->
-           (* only binding-time defaults evaluate now; the body later *)
-           List.exists
-             (fun p -> match p.p_default with Some d -> scan d | None -> false)
-             l.l_params
-       | Call ({ kind = Lambda l; _ }, args) ->
-           (* an open-coded binding of a special rebinds it: a write *)
-           List.exists (fun p -> p.p_var.v_special) l.l_params
-           || List.exists scan args || scan l.l_body
-       | Call _ -> List.exists scan (children m)
-       | _ -> List.exists scan (children m)
-     in
-     scan n)
+  e.eff_write || e.eff_unknown_call || (e.eff_special && scan_writes n)
 
 (* May evaluation of [a] be exchanged with evaluation of [b]?  Reads
    exchange freely with reads; a write only exchanges with an

@@ -4,39 +4,35 @@
     within that subtree.  For each variable binding, attach a list of all
     referent nodes."
 
-    Fills [n_free] (variables read) and [n_written] (variables assigned)
-    one node at a time from its children's sets ({!node}), and rebuilds
-    every variable's back-pointer lists ([v_refs], [v_setqs],
-    [v_binder]) over the whole tree ({!backrefs}). *)
+    The optimizer asks its questions of a variable, not of a subtree: is
+    it bound, is it ever assigned, where is it read.  So the analysis
+    keeps only the back-pointer lists ([v_refs], [v_setqs], [v_binder]),
+    rebuilt over the whole tree by {!backrefs}; a subtree's read and
+    written sets are the variables whose lists point into it. *)
 
 open S1_ir
 open Node
 
-let union a b = List.fold_left (fun acc v -> if List.memq v acc then acc else v :: acc) a b
-let remove vs a = List.filter (fun v -> not (List.memq v vs)) a
+(* A variable's lists restart at its first occurrence in the walk; the
+   lists it had before are kept in [before] to be compared afterwards. *)
+let restart before v =
+  if not v.v_seen then begin
+    v.v_seen <- true;
+    before := (v, v.v_setqs, v.v_binder) :: !before;
+    v.v_refs <- [];
+    v.v_setqs <- []
+  end
 
-let node (n : node) : unit =
-  let free = ref [] and written = ref [] in
-  iter_children
-    (fun c ->
-      free := union !free c.n_free;
-      written := union !written c.n_written)
-    n;
-  let free = !free and written = !written in
-  match n.kind with
-  | Var v ->
-      n.n_free <- [ v ];
-      n.n_written <- []
-  | Setq (v, _) ->
-      n.n_free <- free;
-      n.n_written <- union [ v ] written
-  | Lambda l ->
-      let bound = List.map (fun p -> p.p_var) l.l_params in
-      n.n_free <- remove bound free;
-      n.n_written <- remove bound written
-  | _ ->
-      n.n_free <- free;
-      n.n_written <- written
+let rec bind before binder = function
+  | [] -> ()
+  | p :: ps ->
+      let v = p.p_var in
+      restart before v;
+      (match v.v_binder with Some b when b == binder -> () | _ -> v.v_binder <- Some binder);
+      bind before binder ps
+
+let same_binder a b =
+  match (a, b) with Some x, Some y -> x == y | None, None -> true | _ -> false
 
 (* Rebuild the back-pointers of every variable the tree mentions.  The
    optimizer reads a variable's facts at its references ([timeless]
@@ -45,37 +41,22 @@ let node (n : node) : unit =
    marked changed: the next refresh re-derives the subtrees above them
    and the next sweep revisits them. *)
 let backrefs (root : node) : unit =
-  let before : (int, var * node list * node option) Hashtbl.t = Hashtbl.create 16 in
-  (* a variable's lists restart at its first occurrence in the walk *)
-  let restart v =
-    if not (List.exists (fun (v', _, _) -> v' == v) (Hashtbl.find_all before v.v_id)) then begin
-      Hashtbl.add before v.v_id (v, v.v_setqs, v.v_binder);
-      v.v_refs <- [];
-      v.v_setqs <- []
-    end
-  in
+  let before = ref [] in
   iter
     (fun n ->
       match n.kind with
       | Var v ->
-          restart v;
+          restart before v;
           add_ref v n
       | Setq (v, _) ->
-          restart v;
+          restart before v;
           add_setq v n
-      | Lambda l ->
-          List.iter
-            (fun p ->
-              restart p.p_var;
-              p.p_var.v_binder <- Some n)
-            l.l_params
+      | Lambda l -> bind before n l.l_params
       | _ -> ())
     root;
-  let same_binder a b =
-    match (a, b) with Some x, Some y -> x == y | None, None -> true | _ -> false
-  in
-  Hashtbl.iter
-    (fun _ (v, setqs, binder) ->
+  List.iter
+    (fun (v, setqs, binder) ->
+      v.v_seen <- false;
       if not (List.equal ( == ) setqs v.v_setqs && same_binder binder v.v_binder) then
         mark_uses v)
-    before
+    !before

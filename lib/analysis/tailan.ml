@@ -10,7 +10,8 @@ open S1_ir
 open Node
 
 (* [mark n tail] : n is evaluated with [tail] truth within the current
-   function body. *)
+   function body.  The walk passes [tail] down as an argument, allocating
+   no closure per node. *)
 let rec mark (n : node) (tail : bool) : unit =
   n.n_tail <- tail;
   match n.kind with
@@ -20,15 +21,7 @@ let rec mark (n : node) (tail : bool) : unit =
       mark p false;
       mark x tail;
       mark y tail
-  | Progn xs ->
-      let rec go = function
-        | [] -> ()
-        | [ last ] -> mark last tail
-        | x :: rest ->
-            mark x false;
-            go rest
-      in
-      go xs
+  | Progn xs -> mark_progn xs tail
   | Lambda l ->
       List.iter (fun p -> Option.iter (fun d -> mark d false) p.p_default) l.l_params;
       (* a new function body: its last expression is in tail position of
@@ -68,8 +61,8 @@ let rec mark (n : node) (tail : bool) : unit =
           List.iter (fun a -> mark a false) args)
   | Caseq (key, clauses, default) ->
       mark key false;
-      List.iter (fun (_, body) -> mark body tail) clauses;
-      Option.iter (fun d -> mark d tail) default
+      mark_clauses clauses tail;
+      (match default with Some d -> mark d tail | None -> ())
   | Catcher (tag, body) ->
       mark tag false;
       (* the catch frame must be popped after the body: not a tail context *)
@@ -81,5 +74,20 @@ let rec mark (n : node) (tail : bool) : unit =
          we visited it; conservatively non-tail (the progbody epilogue
          may need to run) *)
       mark e false
+
+and mark_progn xs tail =
+  match xs with
+  | [] -> ()
+  | [ last ] -> mark last tail
+  | x :: rest ->
+      mark x false;
+      mark_progn rest tail
+
+and mark_clauses clauses tail =
+  match clauses with
+  | [] -> ()
+  | (_, body) :: rest ->
+      mark body tail;
+      mark_clauses rest tail
 
 let run (root : node) : unit = mark root true

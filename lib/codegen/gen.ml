@@ -1359,7 +1359,7 @@ let number_tree (root : node) =
     (match n.kind with
     | Lambda l when (not top) && (l.l_strategy = Full_closure || l.l_strategy = Toplevel) ->
         () (* separate function *)
-    | _ -> List.iter (fun c -> go c ~top:false) (children n));
+    | _ -> iter_children (fun c -> go c ~top:false) n);
     incr clock;
     Hashtbl.replace exit_ n.n_id !clock
   in
@@ -1378,7 +1378,7 @@ let has_unwind (root : node) =
     | _ -> ());
     match n.kind with
     | Lambda l when (not top) && (l.l_strategy = Full_closure || l.l_strategy = Toplevel) -> ()
-    | _ -> List.iter (fun c -> go c ~top:false) (children n)
+    | _ -> iter_children (fun c -> go c ~top:false) n
   in
   go root ~top:true;
   !found
@@ -1405,7 +1405,7 @@ let annotate ctx (fn_lam : lam) (body_root : node) =
     | _ -> ());
     match n.kind with
     | Lambda l when (not top) && (l.l_strategy = Full_closure || l.l_strategy = Toplevel) -> ()
-    | _ -> List.iter (fun c -> scan c ~top:false) (children n)
+    | _ -> iter_children (fun c -> scan c ~top:false) n
   in
   scan body_root ~top:true;
   let crosses_call first last = List.exists (fun t -> first < t && t < last) !call_ticks in
@@ -1485,7 +1485,7 @@ let annotate ctx (fn_lam : lam) (body_root : node) =
            "fresh float heap-boxed: pdl numbers disabled");
     match n.kind with
     | Lambda l when (not top) && (l.l_strategy = Full_closure || l.l_strategy = Toplevel) -> ()
-    | _ -> List.iter (fun c -> walk c ~top:false) (children n)
+    | _ -> iter_children (fun c -> walk c ~top:false) n
   in
   walk body_root ~top:true;
   (* A Jump local's calls are parameter-passing gotos that leave this

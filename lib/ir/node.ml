@@ -84,8 +84,20 @@ let no_effects =
   { eff_alloc = false; eff_write = false; eff_unknown_call = false; eff_control = false;
     eff_special = false }
 
+(* [b]'s effects are among [a]'s *)
+let covers a b =
+  (a.eff_alloc || not b.eff_alloc)
+  && (a.eff_write || not b.eff_write)
+  && (a.eff_unknown_call || not b.eff_unknown_call)
+  && (a.eff_control || not b.eff_control)
+  && (a.eff_special || not b.eff_special)
+
+(* An operand that covers the other is the join itself: the decorations
+   share effect records instead of copying one per join. *)
 let join_effects a b =
-  {
+  if covers a b then a
+  else if covers b a then b
+  else {
     eff_alloc = a.eff_alloc || b.eff_alloc;
     eff_write = a.eff_write || b.eff_write;
     eff_unknown_call = a.eff_unknown_call || b.eff_unknown_call;
@@ -103,6 +115,9 @@ type var = {
   mutable v_captured : bool;  (** referenced from an inner closure: heap-allocate *)
   mutable v_decl : rep option;  (** user type declaration, treated as advice (§2) *)
   mutable v_rep : rep;  (** chosen representation (representation analysis) *)
+  mutable v_seen : bool;
+      (** scratch flag of [Envan.backrefs]: met earlier in its
+          walk; false between calls *)
 }
 
 and node = {
@@ -111,9 +126,8 @@ and node = {
   mutable n_loc : S1_loc.Loc.t option;
       (** origin in the source text (provenance; stamped at conversion,
           inherited from the enclosing form by rewrite-created nodes) *)
-  (* --- analysis decorations --- *)
-  mutable n_free : var list;  (** variables read within the subtree *)
-  mutable n_written : var list;  (** variables assigned within the subtree *)
+  (* --- analysis decorations (Table 1's environment analysis lives in
+     each variable's back-pointers, not here) --- *)
   mutable n_effects : effects;
   mutable n_complexity : int;  (** object-code size estimate *)
   mutable n_tail : bool;  (** evaluated in tail position of its function *)
@@ -287,8 +301,6 @@ let mk kind =
     n_id = c.ct_node;
     kind;
     n_loc = c.ct_origin;
-    n_free = [];
-    n_written = [];
     n_effects = no_effects;
     n_complexity = 0;
     n_tail = false;
@@ -312,6 +324,7 @@ let mkvar ?(special = false) name =
     v_captured = false;
     v_decl = None;
     v_rep = POINTER;
+    v_seen = false;
   }
 
 let mk_pb items =
@@ -340,25 +353,60 @@ let is_constant n = match n.kind with Term _ -> true | _ -> false
 
 let constant_value n = match n.kind with Term s -> Some s | _ -> None
 
-let children n =
-  match n.kind with
-  | Term _ | Go _ -> []
-  | Var _ -> []
-  | If (p, x, y) -> [ p; x; y ]
-  | Lambda l ->
-      List.filter_map (fun p -> p.p_default) l.l_params @ [ l.l_body ]
-  | Call (f, args) -> f :: args
-  | Progn xs -> xs
-  | Setq (_, e) -> [ e ]
-  | Caseq (key, clauses, default) ->
-      (key :: List.map snd clauses) @ Option.to_list default
-  | Catcher (tag, body) -> [ tag; body ]
-  | Progbody pb ->
-      List.filter_map (function Ptag _ -> None | Pstmt s -> Some s) pb.pb_items
-  | Return e -> [ e ]
+(* Fold [f] over a node's children, in evaluation order, without
+   building a list: the tree walks run on every optimizer sweep.  With a
+   top-level [f], neither the fold nor its helpers allocate. *)
+let rec fold_defaults f acc = function
+  | [] -> acc
+  | { p_default = Some d; _ } :: ps -> fold_defaults f (f acc d) ps
+  | { p_default = None; _ } :: ps -> fold_defaults f acc ps
 
-(* [List.iter f (children n)] without building the list: the tree walks
-   run on every optimizer sweep. *)
+let rec fold_clauses f acc = function
+  | [] -> acc
+  | (_, body) :: cs -> fold_clauses f (f acc body) cs
+
+let rec fold_items f acc = function
+  | [] -> acc
+  | Ptag _ :: items -> fold_items f acc items
+  | Pstmt s :: items -> fold_items f (f acc s) items
+
+let fold_children f acc n =
+  match n.kind with
+  | Term _ | Go _ | Var _ -> acc
+  | If (p, x, y) -> f (f (f acc p) x) y
+  | Lambda l -> f (fold_defaults f acc l.l_params) l.l_body
+  | Call (fn, args) -> List.fold_left f (f acc fn) args
+  | Progn xs -> List.fold_left f acc xs
+  | Setq (_, e) | Return e -> f acc e
+  | Caseq (key, clauses, default) -> (
+      let acc = fold_clauses f (f acc key) clauses in
+      match default with Some d -> f acc d | None -> acc)
+  | Catcher (tag, body) -> f (f acc tag) body
+  | Progbody pb -> fold_items f acc pb.pb_items
+
+(* The same walk for effect.  It calls [f] directly: threading [f]
+   through the fold costs a second indirect call per child, and the
+   optimizer's sweeps and the code generator's walks run on this. *)
+let rec iter_defaults f = function
+  | [] -> ()
+  | { p_default = Some d; _ } :: ps ->
+      f d;
+      iter_defaults f ps
+  | { p_default = None; _ } :: ps -> iter_defaults f ps
+
+let rec iter_clauses f = function
+  | [] -> ()
+  | (_, body) :: cs ->
+      f body;
+      iter_clauses f cs
+
+let rec iter_items f = function
+  | [] -> ()
+  | Ptag _ :: items -> iter_items f items
+  | Pstmt s :: items ->
+      f s;
+      iter_items f items
+
 let iter_children f n =
   match n.kind with
   | Term _ | Go _ | Var _ -> ()
@@ -367,25 +415,31 @@ let iter_children f n =
       f x;
       f y
   | Lambda l ->
-      List.iter (fun p -> Option.iter f p.p_default) l.l_params;
+      iter_defaults f l.l_params;
       f l.l_body
   | Call (fn, args) ->
       f fn;
       List.iter f args
   | Progn xs -> List.iter f xs
   | Setq (_, e) | Return e -> f e
-  | Caseq (key, clauses, default) ->
+  | Caseq (key, clauses, default) -> (
       f key;
-      List.iter (fun (_, body) -> f body) clauses;
-      Option.iter f default
+      iter_clauses f clauses;
+      match default with Some d -> f d | None -> ())
   | Catcher (tag, body) ->
       f tag;
       f body
-  | Progbody pb -> List.iter (function Ptag _ -> () | Pstmt s -> f s) pb.pb_items
+  | Progbody pb -> iter_items f pb.pb_items
 
-let rec iter f n =
+(* Preorder; the fold threads [f] through as its accumulator, so no
+   closure is built per node. *)
+let rec iter_step f n =
   f n;
-  iter_children (iter f) n
+  fold_children iter_step f n
+
+let iter f n =
+  let (_ : node -> unit) = iter_step f n in
+  ()
 
 (* Fill missing provenance from the nearest located ancestor, so that by
    code-generation time every node maps to {e some} source line (nodes
@@ -396,11 +450,11 @@ let propagate_locs root =
     (match n.n_loc with
     | None -> n.n_loc <- inherited
     | Some _ -> ());
-    List.iter (go n.n_loc) (children n)
+    iter_children (go n.n_loc) n
   in
   go None root
 
-let rec size n = 1 + List.fold_left (fun acc c -> acc + size c) 0 (children n)
+let rec size n = fold_children (fun acc c -> acc + size c) 1 n
 
 (* One walk, allocating only its result: what a deep copy of the tree
    ({!Freshen.copy}) draws from each id well — a node per node, a

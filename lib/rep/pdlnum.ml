@@ -127,7 +127,7 @@ let rec okp reasons (n : node) (auth : int) (why : string) : unit =
 
 (* Bottom-up PDLNUMP: might this node deliver a freshly created number? *)
 let rec nump (n : node) : bool =
-  let kids_default () = List.iter (fun c -> ignore (nump c)) (children n) in
+  let kids_default () = iter_children (fun c -> ignore (nump c)) n in
   let v =
     match n.kind with
     | Term _ | Var _ | Go _ ->

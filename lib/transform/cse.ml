@@ -44,7 +44,7 @@ let candidates (root : node) =
           let prev = try Hashtbl.find occs key with Not_found -> [] in
           Hashtbl.replace occs key ((n, List.rev path) :: prev)
         end;
-        List.iter (fun c -> walk c path ~top:false) (children n))
+        iter_children (fun c -> walk c path ~top:false) n)
   in
   walk root [] ~top:true;
   occs
@@ -158,7 +158,7 @@ let report_missed (root : node) =
               let prev = try Hashtbl.find occs key with Not_found -> [] in
               Hashtbl.replace occs key (n :: prev)
           | _ -> ());
-          List.iter (fun c -> walk c ~top:false) (children n)
+          iter_children (fun c -> walk c ~top:false) n
     in
     walk root ~top:true;
     Hashtbl.fold (fun _ ns acc -> match ns with _ :: _ :: _ -> List.rev ns :: acc | _ -> acc)

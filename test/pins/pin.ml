@@ -13,7 +13,9 @@
    and the image's name. *)
 
 let points = [ []; [ "--no-tnbind" ]; [ "--cse"; "--peephole" ] ]
-let views = [ [ "--tns" ]; [ "--listing" ]; [ "--transcript" ] ]
+let views =
+  [ [ "--tns" ]; [ "--listing" ]; [ "--transcript" ]; [ "--stats" ];
+    [ "--remarks=passed,missed,analysis" ] ]
 let profiler_points = [ []; [ "--no-tnbind" ] ]
 
 let profiler_views =

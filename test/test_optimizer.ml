@@ -189,6 +189,133 @@ let test_genprog () =
     ]
     (parity sources)
 
+(* Decoration parity: every decoration an update leaves is what a
+   whole-tree refresh from the same state leaves (DESIGN.md, "The
+   refresh").  The optimizer's loop is driven as [Simplify.run] drives
+   it, and after every update (and the final reprice) the decorations
+   are snapshotted, the tree is refreshed, and the snapshot must not
+   change.  Complexity prices a lambda by the strategy it finds, so the
+   refresh starts from the strategies the update started from; the
+   sweep marks are restored after it.
+
+   The snapshot holds every node's effects, complexity and tail flag,
+   every variable's back-pointers in order, and every lambda's strategy
+   and captures.  It leaves out [v_captured]: binding annotation sets it
+   and never clears it, so a variable whose capturing closure was
+   rewritten away stays captured, and a refresh of the same tree can
+   only read back what it finds. *)
+type decoration =
+  | Dnode of int * Node.effects * int * bool
+  | Dvar of int * int list * int list * int option
+  | Dlam of Node.strategy * int list
+
+let decorations root =
+  let out = ref [] and seen = ref [] in
+  let ids = List.map (fun (n : Node.node) -> n.n_id) in
+  let var (v : Node.var) =
+    if not (List.memq v !seen) then begin
+      seen := v :: !seen;
+      let binder = Option.map (fun (b : Node.node) -> b.n_id) v.v_binder in
+      out := Dvar (v.v_id, ids v.v_refs, ids v.v_setqs, binder) :: !out
+    end
+  in
+  Node.iter
+    (fun n ->
+      out := Dnode (n.n_id, n.n_effects, n.n_complexity, n.n_tail) :: !out;
+      match n.kind with
+      | Var v | Setq (v, _) -> var v
+      | Lambda l ->
+          List.iter (fun (p : Node.param) -> var p.p_var) l.l_params;
+          out := Dlam (l.l_strategy, List.map (fun (v : Node.var) -> v.v_id) l.l_captures) :: !out
+      | _ -> ())
+    root;
+  List.rev !out
+
+let lambdas root =
+  let ls = ref [] in
+  Node.iter (fun n -> match n.kind with Lambda l -> ls := l :: !ls | _ -> ()) root;
+  !ls
+
+(* Run [step] (one update) and check its decorations against a refresh. *)
+let check_update label root step =
+  let strategies = List.map (fun (l : Node.lam) -> (l, l.l_strategy)) (lambdas root) in
+  let result = step () in
+  let updated = decorations root in
+  let dirty = ref [] in
+  Node.iter (fun n -> if n.n_dirty then dirty := n :: !dirty) root;
+  List.iter (fun ((l : Node.lam), s) -> l.l_strategy <- s) strategies;
+  S1_analysis.Analyze.refresh root;
+  let refreshed = decorations root in
+  Node.iter (fun n -> n.n_dirty <- false) root;
+  List.iter (fun (n : Node.node) -> n.n_dirty <- true) !dirty;
+  let rec first_diff i = function
+    | x :: xs, y :: ys -> if x = y then first_diff (i + 1) (xs, ys) else i
+    | _ -> i
+  in
+  if updated <> refreshed then
+    Alcotest.failf "%s: decoration %d after the update differs from a refresh's" label
+      (first_diff 0 (updated, refreshed));
+  result
+
+let drive label (cfg : Oracle.config) root =
+  let module Analyze = S1_analysis.Analyze in
+  let ctx = { Rules.cfg = cfg.Oracle.cfg_rules; ts = Transcript.create ~enabled:false () } in
+  let sweeps = ref 0 and fired = ref true and restrategized = ref [] in
+  let check step = check_update (Printf.sprintf "%s, sweep %d" label !sweeps) root step in
+  while !fired && !sweeps < Simplify.max_sweeps do
+    incr sweeps;
+    restrategized :=
+      check (fun () -> Analyze.update ~all:(!sweeps = 1) ~restrategized:!restrategized root);
+    fired := Simplify.sweep ctx root
+  done;
+  check (fun () ->
+      if !fired then ignore (Analyze.update ~restrategized:!restrategized root)
+      else Analyze.reprice ~restrategized:!restrategized root);
+  !sweeps
+
+(* Every unit of [src] at [cfg], converted from the world its earlier
+   forms built, driven before the world compiles it; the sweeps run. *)
+let decoration_parity (cfg : Oracle.config) (name, src) =
+  let c =
+    C.create ~options:cfg.Oracle.cfg_options ~rules:cfg.Oracle.cfg_rules
+      ~cse:cfg.Oracle.cfg_cse ()
+  in
+  c.C.rt.Rt.fuel <- Some Oracle.fuzz_fuel;
+  let specials = S1_interp.Interp.specials_pred c.C.rt
+  and macros = S1_interp.Interp.macros_pred c.C.rt in
+  let label = name ^ " @ " ^ cfg.Oracle.cfg_name in
+  let sweeps = ref 0 in
+  let run root = sweeps := !sweeps + drive label cfg root in
+  List.iter
+    (fun form ->
+      ignore
+        (C.perform c
+           ~fn:(fun f ->
+             run (snd (S1_frontend.Convert.defun ~specials ~macros f));
+             C.compile_defun c f)
+           ~expr:(fun e ->
+             let root = Node.lambda [] (S1_frontend.Convert.expression ~specials ~macros e) in
+             (match root.kind with Lambda l -> l.l_strategy <- Toplevel | _ -> ());
+             run root;
+             C.compile_expression c e)
+           (S1_frontend.Convert.toplevel form)))
+    (S1_sexp.Reader.parse_string src);
+  !sweeps
+
+let test_decorations () =
+  let sources =
+    corpus_sources ()
+    @ List.init 50 (fun i ->
+          let p = Genprog.generate ~seed:(5000 + i) in
+          (Printf.sprintf "genprog %d" p.Genprog.pr_seed, Genprog.render p))
+  in
+  let sweeps =
+    List.fold_left
+      (fun acc cfg -> List.fold_left (fun acc src -> acc + decoration_parity cfg src) acc sources)
+      0 Oracle.lattice
+  in
+  Alcotest.(check bool) "the optimizer swept" true (sweeps > 0)
+
 (* A firing rewrites the node's kind in place, and the rules after it in
    the table see the new kind during the same visit: beta turns this
    call into an IF, which if-constant then folds on the same node before
@@ -219,5 +346,6 @@ let () =
           Alcotest.test_case "corpus" `Quick test_corpus;
           Alcotest.test_case "genprog" `Quick test_genprog;
           Alcotest.test_case "kind change mid-visit" `Quick test_kind_change_mid_visit;
+          Alcotest.test_case "decorations after every update" `Quick test_decorations;
         ] );
     ]
