@@ -3,7 +3,8 @@
    prints one line per run: the MD5 of its stdout, the view, the point
    and the file, plus the exit status when it is not 0.
 
-   The profiler views run at two points.  A view naming the file [F]
+   The profiler views run at two points, and the listing and the TN
+   report also run with pdl numbers off and with special caching off.  A view naming the file [F]
    writes an export there (a temporary file); its digest covers stdout
    followed by that file.
 
@@ -20,6 +21,12 @@ let profiler_points = [ []; [ "--no-tnbind" ] ]
 
 let profiler_views =
   [ [ "--profile"; "--folded"; "F" ]; [ "--annotate" ]; [ "--trace-events"; "F" ] ]
+
+(* Annotation's pdl-slot, special-cache and jump-link order shows in the
+   listing and the TN report only where those features are on; these
+   points pin the text with each of them off. *)
+let feature_off_points = [ [ "--no-pdl" ]; [ "--no-cache-specials" ] ]
+let feature_off_views = [ [ "--listing" ]; [ "--tns" ] ]
 
 let run prog args =
   let ic = Unix.open_process_args_in prog (Array.of_list (prog :: args)) in
@@ -93,7 +100,9 @@ let pin_images s1lc files =
 let () =
   match Array.to_list Sys.argv with
   | _ :: "--images" :: s1lc :: files -> pin_images s1lc files
-  | _ :: s1lc :: files -> List.iter (pin s1lc files) [ (points, views); (profiler_points, profiler_views) ]
+  | _ :: s1lc :: files -> List.iter (pin s1lc files)
+        [ (points, views); (profiler_points, profiler_views);
+          (feature_off_points, feature_off_views) ]
   | _ ->
       prerr_endline "usage: pin [--images] S1LC FILE...";
       exit 2
