@@ -126,22 +126,39 @@ type jump_info = {
 type recipe = {
   mutable rc_refs : worldref list;
   mutable rc_n : int;
-  rc_named : (worldref, int) Hashtbl.t;
+  mutable rc_named : (worldref, int) Hashtbl.t option;  (* made by the first named request *)
 }
+
+(* The generator's int-keyed tables are made by their first entry: most
+   bodies put nothing in most of them. *)
+module Itbl = Hashtbl.Make (Int)
+
+let find tbl k = match tbl with None -> None | Some h -> Itbl.find_opt h k
+let mem tbl k = match tbl with None -> false | Some h -> Itbl.mem h k
+
+let added tbl k v =
+  match tbl with
+  | Some h ->
+      Itbl.replace h k v;
+      tbl
+  | None ->
+      let h = Itbl.create 8 in
+      Itbl.replace h k v;
+      Some h
 
 type fctx = {
   recipe : recipe;
   opt : options;
-  buf : Asm.item list ref;  (* reversed *)
+  buf : Asm.item list ref;  (* the unit's program, reversed: every body emits into it *)
   prefix : string;
   pool : Tn.pool;
-  var_tn : (int, Tn.tn) Hashtbl.t;
-  celled : (int, unit) Hashtbl.t;  (* captured+assigned vars: storage holds a cell *)
-  var_loc : (int, loc) Hashtbl.t;  (* filled after packing *)
+  mutable var_tn : Tn.tn Itbl.t option;
+      (* lexical var id -> its TN; its location follows from the TN's
+         storage once packed and from whether the var is celled *)
   env_layout : (int * int) list;  (* var id -> env slot of the current function *)
-  special_cache : (int, int) Hashtbl.t;  (* var id -> scratch slot *)
-  pdl_slot : (int, int) Hashtbl.t;  (* node id -> scratch slot *)
-  jumps : (int, jump_info) Hashtbl.t;  (* var id -> local function *)
+  mutable special_cache : int Itbl.t option;  (* var id -> scratch slot *)
+  mutable pdl_slot : int Itbl.t option;  (* node id -> scratch slot *)
+  mutable jumps : jump_info Itbl.t option;  (* var id -> local function *)
   mutable pb_env : (int * (string -> string) * string * int * int) list;
       (* (pb uid, tag->label, end label, bind depth, catch depth) *)
   mutable bind_depth : int;
@@ -171,9 +188,28 @@ let mark_node ctx (n : node) =
     ctx.last_mark <- n.n_id
   end
 
-let fresh_label ctx base =
+(* [a ^ b ^ c ^ d ^ string_of_int n] for [n >= 0], built as one string. *)
+let text_int a b c d n =
+  let rec digits n = if n < 10 then 1 else 1 + digits (n / 10) in
+  let la = String.length a and lb = String.length b and lc = String.length c in
+  let ld = String.length d and nd = digits n in
+  let t = Bytes.create (la + lb + lc + ld + nd) in
+  Bytes.blit_string a 0 t 0 la;
+  Bytes.blit_string b 0 t la lb;
+  Bytes.blit_string c 0 t (la + lb) lc;
+  Bytes.blit_string d 0 t (la + lb + lc) ld;
+  let rec fill i n =
+    Bytes.set t i (Char.unsafe_chr (48 + (n mod 10)));
+    if n >= 10 then fill (i - 1) (n / 10)
+  in
+  fill (Bytes.length t - 1) n;
+  Bytes.unsafe_to_string t
+
+(* [PREFIX-BASEn], [n] the unit's next label number; [name] extends the
+   base ([LOCAL-] then the function's name). *)
+let fresh_label ?(name = "") ctx base =
   incr ctx.counter;
-  Printf.sprintf "%s-%s%d" ctx.prefix base !(ctx.counter)
+  text_int ctx.prefix "-" base name !(ctx.counter)
 
 (* Ask the world for a word: record the request and answer its sentinel.
    Sentinels 0 and 1 are NIL and T, recorded up front for every unit.
@@ -183,13 +219,22 @@ let fresh_label ctx base =
 let request ctx r =
   let rc = ctx.recipe in
   let named = match r with Rsym _ | Rfun_cell _ -> true | _ -> false in
-  match if named then Hashtbl.find_opt rc.rc_named r else None with
+  match
+    match rc.rc_named with Some h when named -> Hashtbl.find_opt h r | _ -> None
+  with
   | Some i -> Asm.sentinel i
   | None ->
       let i = rc.rc_n in
       rc.rc_n <- i + 1;
       rc.rc_refs <- r :: rc.rc_refs;
-      if named then Hashtbl.add rc.rc_named r i;
+      if named then begin
+        match rc.rc_named with
+        | Some h -> Hashtbl.add h r i
+        | None ->
+            let h = Hashtbl.create 16 in
+            Hashtbl.add h r i;
+            rc.rc_named <- Some h
+      end;
       Asm.sentinel i
 
 let symbol_word ctx name = request ctx (Rsym name)
@@ -207,11 +252,6 @@ let a_reg = Isa.Reg Isa.a
 let r0 = Isa.Reg 0
 let r1 = Isa.Reg 1
 
-let loc_of_storage = function
-  | Tn.Sreg r -> Lreg r
-  | Tn.Sframe i -> Lframe i
-  | Tn.Sscratch i -> Lscratch i
-
 (* Direct operand for reading a variable location, when one exists. *)
 let read_operand = function
   | Lreg r -> Some (Isa.Reg r)
@@ -222,13 +262,25 @@ let read_operand = function
   | Lcellreg r -> Some (Isa.Defreg (r, 0))
   | Lenvcell _ -> None (* needs a two-step load *)
 
+(* A captured variable that is also assigned lives in a cell: its
+   storage holds the cell, and the value is the cell's car. *)
+let celled v = v.v_captured && v.v_setqs <> []
+
+(* The number of [l]'s parameters of one kind. *)
+let count_params kind (l : lam) =
+  List.fold_left (fun k p -> if p.p_kind = kind then k + 1 else k) 0 l.l_params
+
 let var_loc ctx v =
-  match Hashtbl.find_opt ctx.var_loc v.v_id with
-  | Some l -> l
+  match find ctx.var_tn v.v_id with
+  | Some tn -> (
+      match Tn.storage tn with
+      | Tn.Sreg r -> if celled v then Lcellreg r else Lreg r
+      | Tn.Sframe i -> if celled v then Lcellframe i else Lframe i
+      | Tn.Sscratch i -> Lscratch i)
   | None -> (
       match List.assoc_opt v.v_id ctx.env_layout with
       | Some slot ->
-          if v.v_captured && v.v_setqs <> [] then Lenvcell slot else Lenv slot
+          if celled v then Lenvcell slot else Lenv slot
       | None -> err "variable %s#%d has no location" v.v_name v.v_id)
 
 (* Dests ---------------------------------------------------------------------- *)
@@ -241,6 +293,9 @@ type dest =
 
 (* Representation coercions ---------------------------------------------------- *)
 
+let stack_boxes = Obs.counter "pdl.stack_boxes"
+let heap_boxes = Obs.counter "pdl.heap_boxes"
+
 (* Deliver a value currently available as operand [src] (with rep
    [from_]) to [dst] with rep [to_].  [pdl] is the scratch slot to use
    for raw->pointer conversion, if stack allocation was authorized. *)
@@ -249,14 +304,14 @@ let coerce ctx ~from_ ~to_ ?(pdl = -1) src dst =
   | f, t when f = t -> if src <> dst then emit ctx (Isa.Mov (dst, src))
   | (SWFLO | HWFLO), POINTER ->
       if ctx.opt.pdl_numbers && pdl >= 0 then begin
-        Obs.incr "pdl.stack_boxes";
+        Obs.add stack_boxes 1;
         emit ctx (Isa.Mov (Isa.Ind (Isa.tp, pdl), src));
         comment ctx "Install value for PDL-allocated number.";
         emit ctx (Isa.Movp (Tags.Single_flonum, dst, Isa.Ind (Isa.tp, pdl)));
         comment ctx "Pointer to PDL slot."
       end
       else begin
-        Obs.incr "pdl.heap_boxes";
+        Obs.add heap_boxes 1;
         if src <> r0 then emit ctx (Isa.Mov (r0, src));
         emit ctx (Isa.Svc Svc.single_flonum_cons);
         if dst <> r0 then emit ctx (Isa.Mov (dst, r0))
@@ -344,7 +399,7 @@ let simple_operand ctx (n : node) : Isa.operand option =
       | JUMP | NONE -> None
       | rep -> Some (constant_operand ctx c rep))
   | Var v when not (v.v_special || v.v_binder = None) -> (
-      match Hashtbl.find_opt ctx.jumps v.v_id with
+      match find ctx.jumps v.v_id with
       | Some _ -> None
       | None -> (
           let loc = var_loc ctx v in
@@ -364,10 +419,13 @@ let simple_operand ctx (n : node) : Isa.operand option =
   | Var v when (v.v_special || v.v_binder = None) && ctx.opt.cache_specials
                && not ctx.opt.checked -> (
       (* cached special read without the unbound check *)
-      match Hashtbl.find_opt ctx.special_cache v.v_id with
+      match find ctx.special_cache v.v_id with
       | Some slot when n.n_wantrep = POINTER -> Some (Isa.Defind (Isa.tp, slot, 0))
       | _ -> None)
   | _ -> None
+
+(* The scratch slot of [n]'s pdl number, or -1. *)
+let pdl_slot ctx (n : node) = match find ctx.pdl_slot n.n_id with Some s -> s | None -> -1
 
 (* Unchecked derefs are only valid for type-specific contexts; in checked
    mode a POINTER->SWFLO simple deref is still allowed for $F operators
@@ -393,7 +451,7 @@ let is_real_call ctx (n : node) =
   | Call ({ kind = Term (Sexp.Sym "FUNCALL"); _ }, _) -> true
   | Call ({ kind = Term (Sexp.Sym fname); _ }, args) ->
       not (is_inline_prim ctx fname (List.length args))
-  | Call ({ kind = Var v; _ }, _) -> not (Hashtbl.mem ctx.jumps v.v_id)
+  | Call ({ kind = Var v; _ }, _) -> not (mem ctx.jumps v.v_id)
   | Call _ -> true
   | Catcher _ -> true
   | _ -> false
@@ -449,7 +507,7 @@ let rec gen ctx (n : node) (dest : dest) : unit =
 (* Deliver an available operand carrying [n]'s ISREP to [dest] under
    [n]'s WANTREP. *)
 and deliver_operand ctx (n : node) (src : Isa.operand) (dest : dest) : unit =
-  let pdl = match Hashtbl.find_opt ctx.pdl_slot n.n_id with Some s -> s | None -> -1 in
+  let pdl = pdl_slot ctx n in
   match dest with
   | Ignore -> ()
   | To dst -> coerce ctx ~from_:n.n_isrep ~to_:n.n_wantrep ~pdl src dst
@@ -479,22 +537,19 @@ and gen_into ctx n (dst : Isa.operand) =
 (* Variables ----------------------------------------------------------------- *)
 
 and gen_var ctx n v dest =
-  if Hashtbl.mem ctx.jumps v.v_id then err "local function %s used as a value" v.v_name
+  if mem ctx.jumps v.v_id then err "local function %s used as a value" v.v_name
   else if v.v_special || v.v_binder = None then begin
-    (* dynamic reference *)
-    let sym = symbol_word ctx v.v_name in
-    (if ctx.opt.cache_specials && Hashtbl.mem ctx.special_cache v.v_id then begin
-       let slot = Hashtbl.find ctx.special_cache v.v_id in
-       emit ctx (Isa.Mov (r0, Isa.Defind (Isa.tp, slot, 0)))
-     end
-     else begin
-       emit ctx (Isa.Mov (r0, Isa.Imm sym));
-       emit ctx (Isa.Svc Svc.symbol_value)
-     end);
+    (* dynamic reference; the symbol word is requested only where it is
+       emitted (a cached special's was requested by the prologue's fill) *)
+    (match if ctx.opt.cache_specials then find ctx.special_cache v.v_id else None with
+    | Some slot -> emit ctx (Isa.Mov (r0, Isa.Defind (Isa.tp, slot, 0)))
+    | None ->
+        emit ctx (Isa.Mov (r0, Isa.Imm (symbol_word ctx v.v_name)));
+        emit ctx (Isa.Svc Svc.symbol_value));
     (if ctx.opt.checked then begin
        let ok = fresh_label ctx "BOUND" in
        emit ctx (Isa.Jmptag (Isa.NEQ, r0, Tags.Unbound, Isa.L ok));
-       emit ctx (Isa.Mov (r0, Isa.Imm sym));
+       emit ctx (Isa.Mov (r0, Isa.Imm (symbol_word ctx v.v_name)));
        emit ctx (Isa.Svc Svc.unbound_variable);
        emit_label ctx ok
      end);
@@ -515,16 +570,12 @@ and gen_var ctx n v dest =
 and write_var ctx v (src : Isa.operand) =
   (* [src] already carries v_rep *)
   if v.v_special || v.v_binder = None then begin
-    let sym = symbol_word ctx v.v_name in
-    if ctx.opt.cache_specials && Hashtbl.mem ctx.special_cache v.v_id then begin
-      let slot = Hashtbl.find ctx.special_cache v.v_id in
-      emit ctx (Isa.Mov (Isa.Defind (Isa.tp, slot, 0), src))
-    end
-    else begin
-      if src <> r1 then emit ctx (Isa.Mov (r1, src));
-      emit ctx (Isa.Mov (r0, Isa.Imm sym));
-      emit ctx (Isa.Svc Svc.set_symbol_value)
-    end
+    match if ctx.opt.cache_specials then find ctx.special_cache v.v_id else None with
+    | Some slot -> emit ctx (Isa.Mov (Isa.Defind (Isa.tp, slot, 0), src))
+    | None ->
+        if src <> r1 then emit ctx (Isa.Mov (r1, src));
+        emit ctx (Isa.Mov (r0, Isa.Imm (symbol_word ctx v.v_name)));
+        emit ctx (Isa.Svc Svc.set_symbol_value)
   end
   else
     let loc = var_loc ctx v in
@@ -646,7 +697,7 @@ and deliver_nil ctx dest =
 
 and finish_ret ctx (n : node) (src : Isa.operand) =
   (* coerce to POINTER in A, certify if potentially a pdl pointer *)
-  let pdl = match Hashtbl.find_opt ctx.pdl_slot n.n_id with Some s -> s | None -> -1 in
+  let pdl = pdl_slot ctx n in
   coerce ctx ~from_:n.n_isrep ~to_:POINTER ~pdl src a_reg;
   if maybe_unsafe ctx n || (n.n_isrep <> POINTER && pdl >= 0) then begin
     emit ctx (Isa.Mov (r0, a_reg));
@@ -718,8 +769,8 @@ and gen_call ctx n f args dest =
             emit_label ctx ok
           end)
         args dest
-  | Var v when Hashtbl.mem ctx.jumps v.v_id ->
-      gen_local_call ctx n (Hashtbl.find ctx.jumps v.v_id) args dest
+  | Var v when mem ctx.jumps v.v_id ->
+      gen_local_call ctx n (Itbl.find (Option.get ctx.jumps) v.v_id) args dest
   | _ ->
       gen_full_call ctx n
         (fun () ->
@@ -743,7 +794,7 @@ and gen_full_call ctx n (load_fn : unit -> unit) ?(fn_first = false) args dest =
             gen ctx arg (To rta);
             if arg.n_wantrep <> POINTER then begin
               let pdl =
-                match Hashtbl.find_opt ctx.pdl_slot arg.n_id with Some s -> s | None -> -1
+                pdl_slot ctx arg
               in
               coerce ctx ~from_:arg.n_wantrep ~to_:POINTER ~pdl rta rta
             end;
@@ -803,7 +854,7 @@ and gen_open_call ctx _n l args dest =
   List.iter2
     (fun p arg ->
       let v = p.p_var in
-      if (not (Hashtbl.mem ctx.jumps v.v_id)) && v.v_special then begin
+      if (not (mem ctx.jumps v.v_id)) && v.v_special then begin
         gen_into ctx arg r1;
         emit ctx (Isa.Push r1);
         deferred_specials := v :: !deferred_specials
@@ -812,7 +863,7 @@ and gen_open_call ctx _n l args dest =
   List.iter2
     (fun p arg ->
       let v = p.p_var in
-      if Hashtbl.mem ctx.jumps v.v_id then
+      if mem ctx.jumps v.v_id then
         (* a local function: no value computed here; its body is emitted
            at the end of this open call *)
         ()
@@ -822,8 +873,7 @@ and gen_open_call ctx _n l args dest =
       end
       else begin
         (* bind to storage; wrap in a cell if captured and assigned *)
-        let celled = v.v_captured && v.v_setqs <> [] in
-        if celled then begin
+        if celled v then begin
           gen_into ctx arg r0;
           emit ctx (Isa.Mov (r1, nil_operand));
           emit ctx (Isa.Svc Svc.cons);
@@ -853,7 +903,7 @@ and gen_open_call ctx _n l args dest =
   let local_lams =
     List.filter_map
       (fun (p, arg) ->
-        match (Hashtbl.find_opt ctx.jumps p.p_var.v_id, arg.kind) with
+        match (find ctx.jumps p.p_var.v_id, arg.kind) with
         | Some ji, Lambda al when al == ji.j_lam -> Some ji
         | _ -> None)
       (List.combine l.l_params args)
@@ -959,9 +1009,8 @@ and gen_closure ctx n l dest =
       (* fill slots from the current frame *)
       List.iteri
         (fun i v ->
-          let celled = v.v_captured && v.v_setqs <> [] in
           let value_op =
-            if celled then
+            if celled v then
               (* store the cell itself *)
               match var_loc ctx v with
               | Lcellframe s -> Some (Isa.Ind (Isa.fp, 1 + s))
@@ -1001,8 +1050,8 @@ and make_closure_code ctx (n : node) (l : lam) : int =
   let cell = request ctx Rfresh_cell in
   let env_layout = List.mapi (fun i v -> (v.v_id, i)) l.l_captures in
   ctx.pending := (entry, l, env_layout, (n.n_id, n.n_loc)) :: !(ctx.pending);
-  let nreq = List.length (List.filter (fun p -> p.p_kind = Required) l.l_params) in
-  let has_rest = List.exists (fun p -> p.p_kind = Rest) l.l_params in
+  let nreq = count_params Required l in
+  let has_rest = count_params Rest l > 0 in
   let nmax = if has_rest then -1 else List.length l.l_params in
   ctx.fixups := (entry, cell, l.l_name, nreq, nmax) :: !(ctx.fixups);
   cell
@@ -1065,7 +1114,7 @@ and gen_progbody ctx pb dest =
   let lend = fresh_label ctx "PBEND" in
   let tag_labels =
     List.filter_map
-      (function Ptag t -> Some (t, fresh_label ctx ("TAG-" ^ t)) | Pstmt _ -> None)
+      (function Ptag t -> Some (t, fresh_label ~name:t ctx "TAG-") | Pstmt _ -> None)
       pb.pb_items
   in
   let lookup t =
@@ -1348,46 +1397,139 @@ and gen_native_call ctx n fname args dest =
 (* Target annotation: create and pack TNs before emission                  *)
 (* ----------------------------------------------------------------------- *)
 
-(* Preorder interval numbering of a function body (not descending into
-   nested real closures, which are compiled separately). *)
-let number_tree (root : node) =
-  let enter = Hashtbl.create 64 and exit_ = Hashtbl.create 64 in
-  let clock = ref 0 in
-  let rec go n ~top =
-    incr clock;
-    Hashtbl.replace enter n.n_id !clock;
-    (match n.kind with
-    | Lambda l when (not top) && (l.l_strategy = Full_closure || l.l_strategy = Toplevel) ->
-        () (* separate function *)
-    | _ -> iter_children (fun c -> go c ~top:false) n);
-    incr clock;
-    Hashtbl.replace exit_ n.n_id !clock
-  in
-  go root ~top:true;
-  (enter, exit_, !clock)
+(* A nested real closure is a separate function, compiled on its own: the
+   walks below number its node but do not enter it.  A body's own root is
+   entered whatever it is. *)
+let separate ~top (n : node) =
+  match n.kind with
+  | Lambda l -> (not top) && (l.l_strategy = Full_closure || l.l_strategy = Toplevel)
+  | _ -> false
+
+let special_param p = p.p_var.v_special
 
 (* Does the subtree contain anything that unwinds dynamic state? *)
-let has_unwind (root : node) =
-  let found = ref false in
-  let rec go n ~top =
-    (match n.kind with
-    | Catcher _ -> found := true
-    | Lambda l when (not top) && (l.l_strategy = Full_closure || l.l_strategy = Toplevel) -> ()
-    | Lambda l ->
-        if List.exists (fun p -> p.p_var.v_special) l.l_params then found := true
-    | _ -> ());
-    match n.kind with
-    | Lambda l when (not top) && (l.l_strategy = Full_closure || l.l_strategy = Toplevel) -> ()
-    | _ -> iter_children (fun c -> go c ~top:false) n
-  in
-  go root ~top:true;
-  !found
+let rec unwinds ~top (n : node) =
+  match n.kind with
+  | Catcher _ -> true
+  | Lambda _ when separate ~top n -> false
+  | Lambda l when List.exists special_param l.l_params -> true
+  | _ -> fold_children unwinds_child false n
+
+and unwinds_child found c = found || unwinds ~top:false c
+
+(* Does [n] end a register lifetime?  Calls are counted before any local
+   function is known, so a call to one counts as a real call. *)
+let counts_as_call ctx (n : node) =
+  match n.kind with
+  | Call ({ kind = Var _; _ }, _) -> true
+  | Call _ | Catcher _ -> is_real_call ctx n
+  | _ -> false
+
+(* A lexical variable's TN, made where its binding is entered, with the
+   clock reading [first].  [seal] ends its lifetime. *)
+let add_var_tn ctx v ~first =
+  if not v.v_special then begin
+    let celled = celled v in
+    let pointer = celled || v.v_rep = POINTER in
+    (* provenance for packing remarks: the binding form's line, or the
+       first reference when the binder is synthetic *)
+    let loc =
+      match Option.bind v.v_binder (fun b -> b.n_loc) with
+      | Some l -> Some l
+      | None -> ( match v.v_refs with r :: _ -> r.n_loc | [] -> None)
+    in
+    let tn =
+      Tn.fresh ctx.pool ~pointer ?loc ~rep:(if celled then POINTER else v.v_rep) v.v_name
+    in
+    tn.Tn.tn_first <- first;
+    tn.Tn.tn_uses <- List.length v.v_refs + List.length v.v_setqs;
+    tn.Tn.tn_across_call <- v.v_captured;
+    ctx.var_tn <- added ctx.var_tn v.v_id tn
+  end
+
+(* End the lifetimes of the [k] newest TNs of [tns] at clock [last]; they
+   cross a call when one was entered inside the binding. *)
+let rec seal tns k ~last ~crossed =
+  if k > 0 then
+    match tns with
+    | tn :: rest ->
+        tn.Tn.tn_last <- last;
+        if crossed then tn.Tn.tn_across_call <- true;
+        seal rest (k - 1) ~last ~crossed
+    | [] -> ()
+
+(* The numbering walk's state: the preorder interval clock, which ticks
+   at each node's entry and exit, and the calls entered so far. *)
+type numbering = {
+  nb_ctx : fctx;
+  nb_cache_ok : bool;
+  nb_unwinds : bool;
+  mutable nb_clock : int;
+  mutable nb_calls : int;
+}
+
+(* One walk does all of annotation but the unwind test: it numbers the
+   body, makes each TN when its binding is entered (in preorder, so TN
+   ids, labels and slots come out in walk order) and ends its lifetime
+   when the binding is left, and gives out local-function links,
+   special-variable cache slots and pdl number slots. *)
+let rec number st ~top (n : node) =
+  let ctx = st.nb_ctx in
+  st.nb_clock <- st.nb_clock + 1;
+  let first = st.nb_clock in
+  if counts_as_call ctx n then st.nb_calls <- st.nb_calls + 1;
+  let calls = st.nb_calls and made = ctx.pool.Tn.next_id in
+  (match n.kind with
+  | Call ({ kind = Lambda l; _ }, args) when l.l_strategy = Open ->
+      List.iter2 (bind_open st ~first) l.l_params args
+  | (Var v | Setq (v, _))
+    when (v.v_special || v.v_binder = None) && st.nb_cache_ok && not (mem ctx.special_cache v.v_id)
+    ->
+      ctx.special_cache <- added ctx.special_cache v.v_id (Tn.alloc_scratch_slot ctx.pool 1)
+  | _ -> ());
+  (* pdl number slots: eligibility is the analysis' verdict; whether a
+     slot is actually allocated is the pdl_numbers option — keeping the
+     two apart lets --remarks show the same site as Passed under the
+     default configuration and Missed under --no-pdl *)
+  (if n.n_pdlokp >= 0 && S1_rep.Pdlnum.boxes_a_float n then
+     if ctx.opt.pdl_numbers then begin
+       ctx.pdl_slot <- added ctx.pdl_slot n.n_id (Tn.alloc_scratch_slot ctx.pool 1);
+       S1_obs.Remark.passed ~pass:"pdlnum" ~rule:"PDL-ALLOCATE" ~node:n.n_id ?loc:n.n_loc
+         "fresh float boxed on the stack (pdl number): lifetime bounded by a safe consumer"
+     end
+     else
+       S1_obs.Remark.missed ~pass:"pdlnum" ~rule:"PDL-ALLOCATE" ~node:n.n_id ?loc:n.n_loc
+         ~args:[ ("why", S1_obs.Remark.Str "pdl numbers disabled") ]
+         "fresh float heap-boxed: pdl numbers disabled");
+  let mine = ctx.pool.Tn.tns and k = ctx.pool.Tn.next_id - made in
+  if not (separate ~top n) then ignore (fold_children number_child st n : numbering);
+  st.nb_clock <- st.nb_clock + 1;
+  seal mine k ~last:st.nb_clock ~crossed:(st.nb_calls > calls)
+
+and number_child st c =
+  number st ~top:false c;
+  st
+
+(* One binding of an open call (a let): a local function gets its label
+   and, when it links Fast, a link slot; its parameters and every other
+   bound variable get TNs. *)
+and bind_open st ~first p arg =
+  let ctx = st.nb_ctx in
+  match arg.kind with
+  | Lambda al when al.l_strategy = Jump || al.l_strategy = Fast ->
+      let fast = al.l_strategy = Fast || st.nb_unwinds in
+      let link = if fast then Tn.alloc_scratch_slot ctx.pool 1 else -1 in
+      let label = fresh_label ~name:p.p_var.v_name ctx "LOCAL-" in
+      ctx.jumps <-
+        added ctx.jumps p.p_var.v_id
+          { j_label = label; j_lam = al; j_fast = fast; j_link_slot = link };
+      (* the local function's parameters are frame variables *)
+      List.iter (fun lp -> add_var_tn ctx lp.p_var ~first) al.l_params
+  | _ -> add_var_tn ctx p.p_var ~first
 
 let annotate ctx (fn_lam : lam) (body_root : node) =
-  let enter, exit_, max_clock = number_tree body_root in
   let fn_unwinds =
-    has_unwind body_root
-    || List.exists (fun p -> p.p_var.v_special) fn_lam.l_params
+    unwinds ~top:true body_root || List.exists special_param fn_lam.l_params
   in
   (* Entry caching of special-variable value cells is only sound when
      this function never changes the binding stack underneath the cache:
@@ -1395,109 +1537,27 @@ let annotate ctx (fn_lam : lam) (body_root : node) =
      CATCH can pop cells on a throw.  The paper's refinement recomputes
      caches at the smallest containing subtree; we conservatively fall
      back to per-access lookup in such functions. *)
-  let cache_ok = ctx.opt.cache_specials && not fn_unwinds in
-  (* collect real-call ticks *)
-  let call_ticks = ref [] in
-  let rec scan n ~top =
-    (match n.kind with
-    | (Call _ | Catcher _) when is_real_call ctx n ->
-        call_ticks := Hashtbl.find enter n.n_id :: !call_ticks
-    | _ -> ());
-    match n.kind with
-    | Lambda l when (not top) && (l.l_strategy = Full_closure || l.l_strategy = Toplevel) -> ()
-    | _ -> iter_children (fun c -> scan c ~top:false) n
-  in
-  scan body_root ~top:true;
-  let crosses_call first last = List.exists (fun t -> first < t && t < last) !call_ticks in
-  let add_var_tn v ~first ~last =
-    if v.v_special then ()
-    else begin
-      let celled = v.v_captured && v.v_setqs <> [] in
-      if celled then Hashtbl.replace ctx.celled v.v_id ();
-      let pointer = celled || v.v_rep = POINTER in
-      (* provenance for packing remarks: the binding form's line, or the
-         first reference when the binder is synthetic *)
-      let loc =
-        match Option.bind v.v_binder (fun b -> b.n_loc) with
-        | Some l -> Some l
-        | None -> ( match v.v_refs with r :: _ -> r.n_loc | [] -> None)
-      in
-      let tn =
-        Tn.fresh ctx.pool ~pointer ?loc ~rep:(if celled then POINTER else v.v_rep) v.v_name
-      in
-      tn.Tn.tn_first <- first;
-      tn.Tn.tn_last <- last;
-      tn.Tn.tn_uses <- List.length v.v_refs + List.length v.v_setqs;
-      tn.Tn.tn_across_call <- crosses_call first last || v.v_captured;
-      Hashtbl.replace ctx.var_tn v.v_id tn
-    end
+  let st =
+    { nb_ctx = ctx; nb_cache_ok = ctx.opt.cache_specials && not fn_unwinds;
+      nb_unwinds = fn_unwinds; nb_clock = 0; nb_calls = 0 }
   in
   (* the function's own parameters live for the whole body *)
-  List.iter (fun p -> add_var_tn p.p_var ~first:0 ~last:max_clock) fn_lam.l_params;
-  (* walk for open bindings, local functions, pdl sites, specials *)
-  let specials_seen = Hashtbl.create 8 in
-  let rec walk n ~top =
-    (match n.kind with
-    | Call ({ kind = Lambda l; _ }, args) when l.l_strategy = Open ->
-        let first = Hashtbl.find enter n.n_id and last = Hashtbl.find exit_ n.n_id in
-        List.iter2
-          (fun p arg ->
-            match arg.kind with
-            | Lambda al when al.l_strategy = Jump || al.l_strategy = Fast ->
-                let fast = al.l_strategy = Fast || fn_unwinds in
-                let link =
-                  if fast then Tn.alloc_scratch_slot ctx.pool 1 else -1
-                in
-                Hashtbl.replace ctx.jumps p.p_var.v_id
-                  { j_label = fresh_label ctx ("LOCAL-" ^ p.p_var.v_name);
-                    j_lam = al; j_fast = fast; j_link_slot = link };
-                (* the local function's parameters are frame variables *)
-                List.iter
-                  (fun lp -> add_var_tn lp.p_var ~first ~last)
-                  al.l_params
-            | _ -> add_var_tn p.p_var ~first ~last)
-          l.l_params args
-    | Var v when v.v_special || v.v_binder = None ->
-        if cache_ok && not (Hashtbl.mem specials_seen v.v_id) then begin
-          Hashtbl.replace specials_seen v.v_id ();
-          Hashtbl.replace ctx.special_cache v.v_id (Tn.alloc_scratch_slot ctx.pool 1)
-        end
-    | Setq (v, _) when v.v_special || v.v_binder = None ->
-        if cache_ok && not (Hashtbl.mem specials_seen v.v_id) then begin
-          Hashtbl.replace specials_seen v.v_id ();
-          Hashtbl.replace ctx.special_cache v.v_id (Tn.alloc_scratch_slot ctx.pool 1)
-        end
-    | _ -> ());
-    (* pdl number slots: eligibility is the analysis' verdict; whether a
-       slot is actually allocated is the pdl_numbers option — keeping the
-       two apart lets --remarks show the same site as Passed under the
-       default configuration and Missed under --no-pdl *)
-    (if n.n_pdlokp >= 0 && S1_rep.Pdlnum.boxes_a_float n then
-       if ctx.opt.pdl_numbers then begin
-         Hashtbl.replace ctx.pdl_slot n.n_id (Tn.alloc_scratch_slot ctx.pool 1);
-         S1_obs.Remark.passed ~pass:"pdlnum" ~rule:"PDL-ALLOCATE" ~node:n.n_id ?loc:n.n_loc
-           "fresh float boxed on the stack (pdl number): lifetime bounded by a safe \
-            consumer"
-       end
-       else
-         S1_obs.Remark.missed ~pass:"pdlnum" ~rule:"PDL-ALLOCATE" ~node:n.n_id ?loc:n.n_loc
-           ~args:[ ("why", S1_obs.Remark.Str "pdl numbers disabled") ]
-           "fresh float heap-boxed: pdl numbers disabled");
-    match n.kind with
-    | Lambda l when (not top) && (l.l_strategy = Full_closure || l.l_strategy = Toplevel) -> ()
-    | _ -> iter_children (fun c -> walk c ~top:false) n
-  in
-  walk body_root ~top:true;
+  List.iter (fun p -> add_var_tn ctx p.p_var ~first:0) fn_lam.l_params;
+  let params = ctx.pool.Tn.tns and k = ctx.pool.Tn.next_id in
+  number st ~top:true body_root;
+  seal params k ~last:st.nb_clock ~crossed:(st.nb_calls > 0);
   (* A Jump local's calls are parameter-passing gotos that leave this
      frame, legal only while the frame may tail-call; pdl slots forbid
      that (see [compile_body]), and whether the frame holds one is known
      only now that the walk is done.  Such locals link as Fast instead. *)
-  if Hashtbl.length ctx.pdl_slot > 0 then
-    Hashtbl.fold (fun id j acc -> if j.j_fast then acc else (id, j) :: acc) ctx.jumps []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.iter (fun (id, j) ->
-           Hashtbl.replace ctx.jumps id
-             { j with j_fast = true; j_link_slot = Tn.alloc_scratch_slot ctx.pool 1 });
+  (match (ctx.pdl_slot, ctx.jumps) with
+  | Some _, Some jumps ->
+      Itbl.fold (fun id j acc -> if j.j_fast then acc else (id, j) :: acc) jumps []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+      |> List.iter (fun (id, j) ->
+             Itbl.replace jumps id
+               { j with j_fast = true; j_link_slot = Tn.alloc_scratch_slot ctx.pool 1 })
+  | _ -> ());
   fn_unwinds
 
 (* ----------------------------------------------------------------------- *)
@@ -1511,20 +1571,18 @@ let annotate ctx (fn_lam : lam) (body_root : node) =
 let counter_global : int ref S1_par.Dls.t = S1_par.Dls.create (fun () -> ref 0)
 let reset_label_counter () = S1_par.Dls.get counter_global := 0
 
-let make_fctx recipe opt ~prefix ~env_layout ~fixups ~pending ~counter =
+let make_fctx recipe opt ~buf ~prefix ~env_layout ~fixups ~pending ~counter =
   {
     recipe;
     opt;
-    buf = ref [];
+    buf;
     prefix;
     pool = Tn.create_pool ();
-    var_tn = Hashtbl.create 16;
-    celled = Hashtbl.create 4;
-    var_loc = Hashtbl.create 16;
+    var_tn = None;
     env_layout;
-    special_cache = Hashtbl.create 4;
-    pdl_slot = Hashtbl.create 4;
-    jumps = Hashtbl.create 4;
+    special_cache = None;
+    pdl_slot = None;
+    jumps = None;
     pb_env = [];
     bind_depth = 0;
     catch_depth = 0;
@@ -1547,8 +1605,7 @@ let bind_param ctx (v : var) (src : Isa.operand) : int =
     1
   end
   else begin
-    let celled = v.v_captured && v.v_setqs <> [] in
-    if celled then begin
+    if celled v then begin
       emit ctx (Isa.Mov (r0, src));
       emit ctx (Isa.Mov (r1, nil_operand));
       emit ctx (Isa.Svc Svc.cons);
@@ -1586,8 +1643,7 @@ let bind_default ctx (p : param) : int =
     ctx.bind_depth <- ctx.bind_depth + 1
   end
   else begin
-    let celled = v.v_captured && v.v_setqs <> [] in
-    if celled then begin
+    if celled v then begin
       eval_default (fun d -> gen_into ctx d r0);
       emit ctx (Isa.Mov (r1, nil_operand));
       emit ctx (Isa.Svc Svc.cons);
@@ -1606,9 +1662,10 @@ let bind_default ctx (p : param) : int =
   end;
   if v.v_special then 1 else 0
 
-let compile_body recipe opt (guard : guard) ~packings ~prefix ~name ~env_layout ~fixups ~pending
-    ~counter ~origin:(origin_id, origin_loc) (l : lam) : Asm.item list =
-  let ctx = make_fctx recipe opt ~prefix ~env_layout ~fixups ~pending ~counter in
+(* Compile one body onto the unit's program [buf]. *)
+let compile_body recipe opt (guard : guard) ~buf ~packings ~prefix ~name ~env_layout ~fixups
+    ~pending ~counter ~origin:(origin_id, origin_loc) (l : lam) =
+  let ctx = make_fctx recipe opt ~buf ~prefix ~env_layout ~fixups ~pending ~counter in
   let fn_unwinds = annotate ctx l l.l_body in
   (* defaults can reference earlier parameters, so their code is part of
      the body for TN packing; conservatively extend with defaults *)
@@ -1630,23 +1687,9 @@ let compile_body recipe opt (guard : guard) ~packings ~prefix ~name ~env_layout 
   in
   Tn.count ctx.pool packing;
   packings := { pk_body = name; pk_tns = ctx.pool.Tn.tns; pk_result = packing } :: !packings;
-  Hashtbl.iter
-    (fun vid tn ->
-      let base = loc_of_storage (Tn.storage tn) in
-      let loc =
-        if Hashtbl.mem ctx.celled vid then
-          match base with
-          | Lframe i -> Lcellframe i
-          | Lreg r -> Lcellreg r
-          | other -> other
-        else base
-      in
-      Hashtbl.replace ctx.var_loc vid loc)
-    ctx.var_tn;
   let np = packing.Tn.r_pointer_slots and ns = packing.Tn.r_scratch_slots in
-  let nreq = List.length (List.filter (fun p -> p.p_kind = Required) l.l_params) in
-  let nopt = List.length (List.filter (fun p -> p.p_kind = Optional) l.l_params) in
-  let has_rest = List.exists (fun p -> p.p_kind = Rest) l.l_params in
+  let nreq = count_params Required l and nopt = count_params Optional l in
+  let has_rest = count_params Rest l > 0 in
   let nmax = nreq + nopt in
   (* entry *)
   emit_label ctx (prefix ^ "-ENTRY");
@@ -1654,8 +1697,10 @@ let compile_body recipe opt (guard : guard) ~packings ~prefix ~name ~env_layout 
      attributed to the function's own Lambda node *)
   ctx.buf := Asm.Mark (origin_id, origin_loc) :: !(ctx.buf);
   ctx.last_mark <- origin_id;
-  comment ctx (Printf.sprintf "%s: %d..%s args, %d pointer + %d scratch slots" name nreq
-                 (if has_rest then "N" else string_of_int nmax) np ns);
+  comment ctx
+    (String.concat ""
+       [ name; ": "; string_of_int nreq; ".."; (if has_rest then "N" else string_of_int nmax);
+         " args, "; string_of_int np; " pointer + "; string_of_int ns; " scratch slots" ]);
   (* argument-count checking *)
   if opt.checked then begin
     let ok = fresh_label ctx "ARGCOK" in
@@ -1677,21 +1722,21 @@ let compile_body recipe opt (guard : guard) ~packings ~prefix ~name ~env_layout 
   (* frame allocation *)
   if np > 0 then begin
     emit ctx (Isa.Allocs (nil_operand, np));
-    comment ctx (Printf.sprintf "Allocate %d words of pointer memory" np)
+    comment ctx (text_int "Allocate " "" "" "" np ^ " words of pointer memory")
   end;
   if ns > 0 then begin
     emit ctx (Isa.Allocs (Isa.Imm gc_stamp, ns));
-    comment ctx (Printf.sprintf "Allocate %d words scratch memory" ns)
+    comment ctx (text_int "Allocate " "" "" "" ns ^ " words scratch memory")
   end;
   emit ctx (Isa.Mov (Isa.Reg Isa.tp, Isa.Reg Isa.fp));
   emit ctx (Isa.Bin (Isa.ADD, Isa.S, Isa.Reg Isa.tp, Isa.Reg Isa.tp, Isa.Imm (np + 1)));
   comment ctx "Set up TP to point to temporaries";
   let specials_bound = ref 0 in
-  let params = Array.of_list l.l_params in
+  let params = l.l_params in
   let body_label = prefix ^ "-BODY" in
   (if (not has_rest) && nopt = 0 then
      (* fixed arity: arguments at M(FP - 5 - n + i) *)
-     Array.iteri
+     List.iteri
        (fun i p ->
          specials_bound :=
            !specials_bound + bind_param ctx p.p_var (Isa.Ind (Isa.fp, -5 - nreq + (i + 1))))
@@ -1699,7 +1744,9 @@ let compile_body recipe opt (guard : guard) ~packings ~prefix ~name ~env_layout 
    else if not has_rest then begin
      (* pure &optional: Table 4's dispatch on the argument count *)
      let tbl = fresh_label ctx "DISPATCH" in
-     let case_labels = List.init (nopt + 1) (fun i -> fresh_label ctx (Printf.sprintf "ARGS%d" (nreq + i))) in
+     let case_labels =
+       List.init (nopt + 1) (fun i -> fresh_label ctx ("ARGS" ^ string_of_int (nreq + i)))
+     in
      emit_data ctx tbl (List.map (fun l -> Asm.Labref l) case_labels);
      emit ctx (Isa.Mov (Isa.Reg Isa.t2, Isa.Dlab (tbl, 0)));
      emit ctx
@@ -1709,21 +1756,22 @@ let compile_body recipe opt (guard : guard) ~packings ~prefix ~name ~env_layout 
        (fun case lab ->
          let argc = nreq + case in
          emit_label ctx lab;
-         comment ctx (Printf.sprintf "Come here if %d arguments were supplied." argc);
+         comment ctx (text_int "Come here if " "" "" "" argc ^ " arguments were supplied.");
          (* copy the supplied arguments *)
-         Array.iteri
+         List.iteri
            (fun i p ->
              if i < argc then
                specials_bound :=
                  !specials_bound + bind_param ctx p.p_var (Isa.Ind (Isa.fp, -5 - argc + (i + 1))))
            params;
          (* defaults for the rest *)
-         Array.iteri
+         List.iteri
            (fun i p ->
              if i >= argc then begin
                comment ctx
-                 (Printf.sprintf "Calculate default value for parameter %d [%s]." (i + 1)
-                    p.p_var.v_name);
+                 (String.concat ""
+                    [ "Calculate default value for parameter "; string_of_int (i + 1); " [";
+                      p.p_var.v_name; "]." ]);
                specials_bound := !specials_bound + bind_default ctx p
              end)
            params;
@@ -1736,7 +1784,7 @@ let compile_body recipe opt (guard : guard) ~packings ~prefix ~name ~env_layout 
      emit ctx (Isa.Mov (Isa.Reg Isa.t2, Isa.Reg Isa.fp));
      emit ctx (Isa.Bin (Isa.SUB, Isa.S, Isa.Reg Isa.t2, Isa.Reg Isa.t2, Isa.Imm 5));
      emit ctx (Isa.Bin (Isa.SUB, Isa.S, Isa.Reg Isa.t2, Isa.Reg Isa.t2, Isa.Reg Isa.rta));
-     Array.iteri
+     List.iteri
        (fun i p ->
          match p.p_kind with
          | Required ->
@@ -1759,27 +1807,29 @@ let compile_body recipe opt (guard : guard) ~packings ~prefix ~name ~env_layout 
   emit_label ctx body_label;
   (* special-variable lookup caching (paper §4.4): fill each cache slot
      once, mapping var ids back to symbol names via the body's refs *)
-  let cache_fills = ref [] in
-  iter
-    (fun nd ->
-      match nd.kind with
-      | Var v | Setq (v, _) -> (
-          match Hashtbl.find_opt ctx.special_cache v.v_id with
-          | Some slot when not (List.mem_assoc slot !cache_fills) ->
-              cache_fills := (slot, v.v_name) :: !cache_fills
+  (match ctx.special_cache with
+  | None -> ()
+  | Some cache ->
+      let cache_fills = ref [] in
+      iter
+        (fun nd ->
+          match nd.kind with
+          | Var v | Setq (v, _) -> (
+              match Itbl.find_opt cache v.v_id with
+              | Some slot when not (List.mem_assoc slot !cache_fills) ->
+                  cache_fills := (slot, v.v_name) :: !cache_fills
+              | _ -> ())
           | _ -> ())
-      | _ -> ())
-    l.l_body;
-  List.iter
-    (fun (slot, name) ->
-      emit ctx (Isa.Mov (r0, Isa.Imm (symbol_word ctx name)));
-      emit ctx (Isa.Svc Svc.lookup_special);
-      emit ctx (Isa.Mov (Isa.Ind (Isa.tp, slot), r0));
-      comment ctx (Printf.sprintf "Cache value-cell pointer for special %s" name))
-    (List.rev !cache_fills);
+        l.l_body;
+      List.iter
+        (fun (slot, name) ->
+          emit ctx (Isa.Mov (r0, Isa.Imm (symbol_word ctx name)));
+          emit ctx (Isa.Svc Svc.lookup_special);
+          emit ctx (Isa.Mov (Isa.Ind (Isa.tp, slot), r0));
+          comment ctx ("Cache value-cell pointer for special " ^ name))
+        (List.rev !cache_fills));
   (* pdl slots or unwinding disable tail calls out of this frame *)
-  if Hashtbl.length ctx.pdl_slot > 0 || fn_unwinds || !specials_bound > 0 then
-    ctx.can_tail <- false;
+  if ctx.pdl_slot <> None || fn_unwinds || !specials_bound > 0 then ctx.can_tail <- false;
   (* the body *)
   if !specials_bound > 0 then begin
     gen ctx l.l_body (To a_reg);
@@ -1791,8 +1841,15 @@ let compile_body recipe opt (guard : guard) ~packings ~prefix ~name ~env_layout 
     emit ctx (Isa.Mov (a_reg, r0));
     emit ctx Isa.Ret
   end
-  else gen ctx l.l_body Ret;
-  List.rev !(ctx.buf)
+  else gen ctx l.l_body Ret
+
+let gen_functions = Obs.counter "gen.functions"
+let gen_instructions = Obs.counter "gen.instructions"
+
+let rec count_instrs k = function
+  | [] -> k
+  | Asm.Instr _ :: rest -> count_instrs (k + 1) rest
+  | _ :: rest -> count_instrs k rest
 
 let compile_function ?(options = default_options) (guard : guard) ~(name : string)
     (lam_node : node) : compiled =
@@ -1801,55 +1858,48 @@ let compile_function ?(options = default_options) (guard : guard) ~(name : strin
   | Lambda l ->
       let cg = S1_par.Dls.get counter_global in
       incr cg;
-      let prefix = Printf.sprintf "%s~%d" name !cg in
+      let prefix = text_int name "~" "" "" !cg in
       let fixups = ref [] and pending = ref [] and counter = ref 0 and packings = ref [] in
-      let recipe = { rc_refs = [ Rtrue; Rnil ]; rc_n = 2; rc_named = Hashtbl.create 16 } in
-      let main =
-        compile_body recipe options guard ~packings ~prefix ~name ~env_layout:[] ~fixups ~pending
-          ~counter ~origin:(lam_node.n_id, lam_node.n_loc) l
-      in
+      let recipe = { rc_refs = [ Rtrue; Rnil ]; rc_n = 2; rc_named = None } in
+      (* every body emits onto one reversed program *)
+      let buf = ref [] in
+      compile_body recipe options guard ~buf ~packings ~prefix ~name ~env_layout:[] ~fixups
+        ~pending ~counter ~origin:(lam_node.n_id, lam_node.n_loc) l;
       (* compile nested closures breadth-first; more may appear *)
-      let chunks = ref [ main ] in
       let rec drain () =
         match !pending with
         | [] -> ()
         | (entry, cl, env_layout, origin) :: rest ->
             pending := rest;
             incr cg;
-            let cprefix = Printf.sprintf "%s~C%d" name !cg in
-            let body =
-              compile_body recipe options guard ~packings ~prefix:cprefix ~name:cl.l_name
-                ~env_layout ~fixups ~pending ~counter ~origin cl
-            in
+            let cprefix = text_int name "~C" "" "" !cg in
             (* the closure's entry label is referenced by fixups: alias it *)
-            chunks := (Asm.Label entry :: body) :: !chunks;
+            buf := Asm.Label entry :: !buf;
+            compile_body recipe options guard ~buf ~packings ~prefix:cprefix ~name:cl.l_name
+              ~env_layout ~fixups ~pending ~counter ~origin cl;
             drain ()
       in
       drain ();
-      let nreq = List.length (List.filter (fun p -> p.p_kind = Required) l.l_params) in
-      let has_rest = List.exists (fun p -> p.p_kind = Rest) l.l_params in
-      let nmax = if has_rest then -1 else List.length l.l_params in
-      let prog = List.concat (List.rev !chunks) in
+      let nreq = count_params Required l in
+      let nmax = if count_params Rest l > 0 then -1 else List.length l.l_params in
+      let prog = List.rev !buf in
       let prog =
         if options.peephole then
           (* the unpeepholed program is always a correct fallback *)
           guard.guard ~pass:"peephole" ~fallback:(fun () -> prog) (fun () ->
               fst (Peephole.run prog))
         else begin
-          S1_obs.Remark.missed ~pass:"peephole" ~rule:"BRANCH-TENSION"
-            ~node:lam_node.n_id ?loc:lam_node.n_loc
-            ~args:[ ("fn", S1_obs.Remark.Str name) ]
-            (Printf.sprintf
-               "function %s not peephole-optimized: branch tensioning disabled" name);
+          if S1_obs.Remark.enabled () then
+            S1_obs.Remark.missed ~pass:"peephole" ~rule:"BRANCH-TENSION"
+              ~node:lam_node.n_id ?loc:lam_node.n_loc
+              ~args:[ ("fn", S1_obs.Remark.Str name) ]
+              (String.concat ""
+                 [ "function "; name; " not peephole-optimized: branch tensioning disabled" ]);
           prog
         end
       in
-      Obs.incr "gen.functions";
-      Obs.incr
-        ~n:
-          (List.length
-             (List.filter (function Asm.Instr _ -> true | _ -> false) prog))
-        "gen.instructions";
+      Obs.add gen_functions 1;
+      Obs.add gen_instructions (count_instrs 0 prog);
       {
         c_name = name;
         c_prog = prog;

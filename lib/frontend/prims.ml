@@ -360,13 +360,17 @@ let table =
     prim "DENOMINATOR" 1 1;
   ]
 
-let by_name : (string, t) Hashtbl.t =
-  let h = Hashtbl.create 128 in
-  List.iter (fun p -> Hashtbl.replace h p.name p) table;
+(* Keyed with [String.equal]: the analyses look a callee up at every call
+   node they re-derive, and the generic table would compare polymorphically. *)
+module By_name = Hashtbl.Make (String)
+
+let by_name : t By_name.t =
+  let h = By_name.create 128 in
+  List.iter (fun p -> By_name.replace h p.name p) table;
   h
 
-let find name = Hashtbl.find_opt by_name name
-let is_primitive name = Hashtbl.mem by_name name
+let find name = By_name.find_opt by_name name
+let is_primitive name = By_name.mem by_name name
 
 (* Which prim calls the code generator compiles inline, by name and
    arity.  Everything else goes through the runtime as a native call

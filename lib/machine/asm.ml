@@ -97,7 +97,7 @@ let assemble ?(reloc = no_relocation) mem ~org prog =
         | None ->
             err "undefined label %s" l;
             Isa.Abs 0)
-    | Isa.Abs a -> Isa.Abs a
+    | Isa.Abs _ as t -> t
   in
   let operand (o : Isa.operand) : Isa.operand =
     match o with
@@ -115,7 +115,8 @@ let assemble ?(reloc = no_relocation) mem ~org prog =
             Isa.Imm 0)
     | o -> relocate_operand reloc o
   in
-  (* Pass 2: resolve, validate, emit. *)
+  (* Pass 2: resolve, validate, emit.  An instruction with nothing to
+     resolve is kept as it is ({!Isa.map}). *)
   let instrs = Array.make n_instrs Isa.Nop in
   let words = ref 0 in
   let idx = ref 0 in

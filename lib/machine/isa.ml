@@ -162,47 +162,92 @@ let operand_words = function
   | Lab _ -> 1
   | Dlab _ -> 1
 
-let operands_of = function
-  | Mov (d, s) | Movp (_, d, s) | Gettag (d, s) | Getaddr (d, s) | Un (_, _, d, s) -> [ d; s ]
-  | Settag (_, d) -> [ d ]
-  | Bin (_, _, d, s1, s2) -> [ d; s1; s2 ]
-  | Jmp (_, s1, s2, _) | Fjmp (_, s1, s2, _) -> [ s1; s2 ]
-  | Jmpz (_, s, _) | Jmptag (_, s, _, _) -> [ s ]
-  | Jmpa _ | Jsp _ | Ret | Svc _ | Halt | Nop -> []
-  | Jmpi s | Push s | Pop s -> [ s ]
-  | Allocs (f, _) -> [ f ]
-  | Call (f, _) | Tcall (f, _) -> [ f ]
-  | Vdot (d, x, y, n) | Vadd (d, x, y, n) -> [ d; x; y; n ]
-
-let map ~operand:op ~target:tg = function
-  | Mov (d, s) -> Mov (op d, op s)
-  | Movp (t, d, s) -> Movp (t, op d, op s)
-  | Gettag (d, s) -> Gettag (op d, op s)
-  | Getaddr (d, s) -> Getaddr (op d, op s)
-  | Settag (t, d) -> Settag (t, op d)
-  | Bin (b, w, d, s1, s2) -> Bin (b, w, op d, op s1, op s2)
-  | Un (u, w, d, s) -> Un (u, w, op d, op s)
-  | Jmp (c, s1, s2, t) -> Jmp (c, op s1, op s2, tg t)
-  | Fjmp (c, s1, s2, t) -> Fjmp (c, op s1, op s2, tg t)
-  | Jmpz (c, s, t) -> Jmpz (c, op s, tg t)
-  | Jmptag (c, s, tag, t) -> Jmptag (c, op s, tag, tg t)
-  | Jmpa t -> Jmpa (tg t)
-  | Jmpi s -> Jmpi (op s)
-  | Jsp (r, t) -> Jsp (r, tg t)
-  | Push s -> Push (op s)
-  | Pop d -> Pop (op d)
-  | Allocs (f, n) -> Allocs (op f, n)
-  | Call (f, n) -> Call (op f, n)
-  | Tcall (f, n) -> Tcall (op f, n)
-  | Vdot (d, x, y, n) -> Vdot (op d, op x, op y, op n)
-  | Vadd (d, x, y, n) -> Vadd (op d, op x, op y, op n)
-  | (Ret | Svc _ | Halt | Nop) as i -> i
+(* [map] answers the instruction itself when every operand and target
+   maps to itself (physically): assembling a program whose operands need
+   no resolving rebuilds nothing. *)
+let map ~operand:op ~target:tg i =
+  match i with
+  | Mov (d, s) ->
+      let d' = op d and s' = op s in
+      if d' == d && s' == s then i else Mov (d', s')
+  | Movp (t, d, s) ->
+      let d' = op d and s' = op s in
+      if d' == d && s' == s then i else Movp (t, d', s')
+  | Gettag (d, s) ->
+      let d' = op d and s' = op s in
+      if d' == d && s' == s then i else Gettag (d', s')
+  | Getaddr (d, s) ->
+      let d' = op d and s' = op s in
+      if d' == d && s' == s then i else Getaddr (d', s')
+  | Settag (t, d) ->
+      let d' = op d in
+      if d' == d then i else Settag (t, d')
+  | Bin (b, w, d, s1, s2) ->
+      let d' = op d and s1' = op s1 and s2' = op s2 in
+      if d' == d && s1' == s1 && s2' == s2 then i else Bin (b, w, d', s1', s2')
+  | Un (u, w, d, s) ->
+      let d' = op d and s' = op s in
+      if d' == d && s' == s then i else Un (u, w, d', s')
+  | Jmp (c, s1, s2, t) ->
+      let s1' = op s1 and s2' = op s2 and t' = tg t in
+      if s1' == s1 && s2' == s2 && t' == t then i else Jmp (c, s1', s2', t')
+  | Fjmp (c, s1, s2, t) ->
+      let s1' = op s1 and s2' = op s2 and t' = tg t in
+      if s1' == s1 && s2' == s2 && t' == t then i else Fjmp (c, s1', s2', t')
+  | Jmpz (c, s, t) ->
+      let s' = op s and t' = tg t in
+      if s' == s && t' == t then i else Jmpz (c, s', t')
+  | Jmptag (c, s, tag, t) ->
+      let s' = op s and t' = tg t in
+      if s' == s && t' == t then i else Jmptag (c, s', tag, t')
+  | Jmpa t ->
+      let t' = tg t in
+      if t' == t then i else Jmpa t'
+  | Jmpi s ->
+      let s' = op s in
+      if s' == s then i else Jmpi s'
+  | Jsp (r, t) ->
+      let t' = tg t in
+      if t' == t then i else Jsp (r, t')
+  | Push s ->
+      let s' = op s in
+      if s' == s then i else Push s'
+  | Pop d ->
+      let d' = op d in
+      if d' == d then i else Pop d'
+  | Allocs (f, n) ->
+      let f' = op f in
+      if f' == f then i else Allocs (f', n)
+  | Call (f, n) ->
+      let f' = op f in
+      if f' == f then i else Call (f', n)
+  | Tcall (f, n) ->
+      let f' = op f in
+      if f' == f then i else Tcall (f', n)
+  | Vdot (d, x, y, n) ->
+      let d' = op d and x' = op x and y' = op y and n' = op n in
+      if d' == d && x' == x && y' == y && n' == n then i else Vdot (d', x', y', n')
+  | Vadd (d, x, y, n) ->
+      let d' = op d and x' = op x and y' = op y and n' = op n in
+      if d' == d && x' == x && y' == y && n' == n then i else Vadd (d', x', y', n')
+  | Ret | Svc _ | Halt | Nop -> i
 
 let words i =
   (* One base word; complex operands take an extension word each, but at
      most two extension words per instruction (the S-1's 1-3 word formats).
      Multi-operand pseudo-ops (CALL, VDOT) occupy up to 3 words. *)
-  let ext = List.fold_left (fun acc o -> acc + operand_words o) 0 (operands_of i) in
+  let w = operand_words in
+  let ext =
+    match i with
+    | Mov (d, s) | Movp (_, d, s) | Gettag (d, s) | Getaddr (d, s) | Un (_, _, d, s) -> w d + w s
+    | Settag (_, d) -> w d
+    | Bin (_, _, d, s1, s2) -> w d + w s1 + w s2
+    | Jmp (_, s1, s2, _) | Fjmp (_, s1, s2, _) -> w s1 + w s2
+    | Jmpz (_, s, _) | Jmptag (_, s, _, _) | Jmpi s | Push s | Pop s -> w s
+    | Allocs (f, _) | Call (f, _) | Tcall (f, _) -> w f
+    | Vdot (d, x, y, n) | Vadd (d, x, y, n) -> w d + w x + w y + w n
+    | Jmpa _ | Jsp _ | Ret | Svc _ | Halt | Nop -> 0
+  in
   1 + min 2 ext
 
 let operand_cycles = function

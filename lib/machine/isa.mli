@@ -147,7 +147,8 @@ val validate : instr -> (unit, string) result
 val map : operand:(operand -> operand) -> target:(target -> target) -> instr -> instr
 (** The instruction with every operand and branch target mapped: the one
     traversal of an instruction's operands, under assembly and the
-    relocation of a unit's program. *)
+    relocation of a unit's program.  When every operand and target maps
+    to itself (physically) the answer is the instruction itself. *)
 
 val words : instr -> int
 (** Instruction size in 36-bit words (1–3), from the operand complexity. *)

@@ -25,10 +25,12 @@ module Json = Json
 
 type span = {
   sp_path : string;  (** "compile/tnbind" *)
+  sp_name : string;  (** the last component of the path: "tnbind" *)
   sp_depth : int;
   mutable sp_count : int;
   mutable sp_ns : int;  (** accumulated wall nanoseconds *)
   mutable sp_alloc : int;  (** accumulated minor-heap words allocated *)
+  mutable sp_children : span list;  (** opened directly inside this one *)
 }
 
 type t = {
@@ -38,14 +40,15 @@ type t = {
          filled by {!add} *)
   spans : (string, span) Hashtbl.t;
   mutable span_order : string list;  (* reversed first-open order *)
-  mutable stack : string list;  (* current path components, innermost first *)
+  mutable roots : span list;  (* spans opened outside any other *)
+  mutable stack : span list;  (* the open spans, innermost first *)
 }
 
 let no_cell = ref 0
 
 let create () =
   { counters = Hashtbl.create 64; cells = [||]; spans = Hashtbl.create 32; span_order = [];
-    stack = [] }
+    roots = []; stack = [] }
 
 (* The registry all instrumentation points use: one per domain, so batch
    workers ([lib/serve]) measure their own compilations without
@@ -59,6 +62,7 @@ let reset ?(t = default ()) () =
   t.cells <- [||];
   Hashtbl.reset t.spans;
   t.span_order <- [];
+  t.roots <- [];
   t.stack <- []
 
 (* Monotonic time (CLOCK_MONOTONIC via bechamel's noalloc binding):
@@ -139,33 +143,68 @@ let diff ~(before : snapshot) ?(t = default ()) () : snapshot =
   in
   walk before (counters ~t ()) []
 
-let current_path t = String.concat "/" (List.rev t.stack)
-
 let span_at t path depth =
   match Hashtbl.find_opt t.spans path with
   | Some sp -> sp
   | None ->
-      let sp = { sp_path = path; sp_depth = depth; sp_count = 0; sp_ns = 0; sp_alloc = 0 } in
+      let name =
+        match String.rindex_opt path '/' with
+        | Some i -> String.sub path (i + 1) (String.length path - i - 1)
+        | None -> path
+      in
+      let sp =
+        { sp_path = path; sp_name = name; sp_depth = depth; sp_count = 0; sp_ns = 0;
+          sp_alloc = 0; sp_children = [] }
+      in
       Hashtbl.replace t.spans path sp;
       t.span_order <- path :: t.span_order;
       sp
 
+let rec find_child name = function
+  | [] -> None
+  | sp :: rest -> if String.equal sp.sp_name name then Some sp else find_child name rest
+
+(* The span [name] directly inside the innermost open span: found among
+   the parent's children once it has opened there, so only its first
+   opening builds and hashes the path. *)
+let child_span t name =
+  let siblings = match t.stack with parent :: _ -> parent.sp_children | [] -> t.roots in
+  match find_child name siblings with
+  | Some sp -> sp
+  | None ->
+      let sp =
+        match t.stack with
+        | parent :: _ -> span_at t (parent.sp_path ^ "/" ^ name) (parent.sp_depth + 1)
+        | [] -> span_at t name 0
+      in
+      (match t.stack with
+      | parent :: _ -> parent.sp_children <- sp :: parent.sp_children
+      | [] -> t.roots <- sp :: t.roots);
+      sp
+
+let close_span t sp ~global t0 w0 =
+  if global then Timeline.span_end sp.sp_path;
+  sp.sp_count <- sp.sp_count + 1;
+  sp.sp_ns <- sp.sp_ns + (now_ns () - t0);
+  sp.sp_alloc <- sp.sp_alloc + int_of_float (Gc.minor_words () -. w0);
+  t.stack <- List.tl t.stack
+
 let with_span ?(t = default ()) name f =
-  t.stack <- name :: t.stack;
-  let path = current_path t in
-  let sp = span_at t path (List.length t.stack - 1) in
+  let sp = child_span t name in
+  t.stack <- sp :: t.stack;
   let t0 = now_ns () and w0 = Gc.minor_words () in
   (* Only the global registry's spans feed the runtime event timeline;
      private registries (tests, ad-hoc measurement) stay silent. *)
-  if t == default () then Timeline.span_begin path;
-  Fun.protect
-    ~finally:(fun () ->
-      if t == default () then Timeline.span_end path;
-      sp.sp_count <- sp.sp_count + 1;
-      sp.sp_ns <- sp.sp_ns + (now_ns () - t0);
-      sp.sp_alloc <- sp.sp_alloc + int_of_float (Gc.minor_words () -. w0);
-      t.stack <- List.tl t.stack)
-    f
+  let global = t == default () in
+  if global then Timeline.span_begin sp.sp_path;
+  match f () with
+  | v ->
+      close_span t sp ~global t0 w0;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      close_span t sp ~global t0 w0;
+      Printexc.raise_with_backtrace e bt
 
 let spans ?(t = default ()) () =
   List.rev_map (fun path -> Hashtbl.find t.spans path) t.span_order

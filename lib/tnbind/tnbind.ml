@@ -114,17 +114,19 @@ let pack ?(naive = false) ?(registers = [ 14; 15; 16; 17; 18; 19; 8; 9; 10; 11 ]
   in
   let assignments : (int * tn) list ref = ref [] in
   let in_regs = ref 0 in
+  (* a decision's remark is built only while remarks are recorded *)
+  let remarks = Remark.enabled () in
+  let cost_args tn =
+    [
+      ("tn", Remark.Str tn.tn_name);
+      ("uses", Remark.Int tn.tn_uses);
+      ("lifetime", Remark.Int (tn.tn_last - tn.tn_first));
+    ]
+  in
   List.iter
     (fun tn ->
       if tn.tn_storage <> None then ()
       else begin
-        let cost_args =
-          [
-            ("tn", Remark.Str tn.tn_name);
-            ("uses", Remark.Int tn.tn_uses);
-            ("lifetime", Remark.Int (tn.tn_last - tn.tn_first));
-          ]
-        in
         let spill () =
           tn.tn_storage <-
             Some
@@ -143,13 +145,15 @@ let pack ?(naive = false) ?(registers = [ 14; 15; 16; 17; 18; 19; 8; 9; 10; 11 ]
               "lifetime crosses a call and registers are caller-destroyed"
             else "wider than one word"
           in
-          Remark.missed ~pass:"tnbind" ~rule:"TN-PACK" ?loc:tn.tn_loc ~args:cost_args
-            (Printf.sprintf "TN %s packed to memory: %s" tn.tn_name why);
+          if remarks then
+            Remark.missed ~pass:"tnbind" ~rule:"TN-PACK" ?loc:tn.tn_loc ~args:(cost_args tn)
+              (Printf.sprintf "TN %s packed to memory: %s" tn.tn_name why);
           spill ()
         end
         else if naive then begin
-          Remark.missed ~pass:"tnbind" ~rule:"TN-PACK" ?loc:tn.tn_loc ~args:cost_args
-            (Printf.sprintf "TN %s sent to the frame: TNBIND packing disabled" tn.tn_name);
+          if remarks then
+            Remark.missed ~pass:"tnbind" ~rule:"TN-PACK" ?loc:tn.tn_loc ~args:(cost_args tn)
+              (Printf.sprintf "TN %s sent to the frame: TNBIND packing disabled" tn.tn_name);
           spill ()
         end
         else begin
@@ -162,27 +166,30 @@ let pack ?(naive = false) ?(registers = [ 14; 15; 16; 17; 18; 19; 8; 9; 10; 11 ]
               tn.tn_storage <- Some (Sreg r);
               assignments := (r, tn) :: !assignments;
               incr in_regs;
-              Remark.passed ~pass:"tnbind" ~rule:"TN-PACK" ?loc:tn.tn_loc ~args:cost_args
-                (Printf.sprintf "TN %s won register %s" tn.tn_name
-                   (S1_machine.Isa.reg_name r))
+              if remarks then
+                Remark.passed ~pass:"tnbind" ~rule:"TN-PACK" ?loc:tn.tn_loc ~args:(cost_args tn)
+                  (Printf.sprintf "TN %s won register %s" tn.tn_name
+                     (S1_machine.Isa.reg_name r))
           | None ->
               (* the cost numbers that lost: every register is held by a
                  TN whose lifetime overlaps this one *)
-              let competitors =
-                List.length
-                  (List.filter (fun (_, tn') -> overlap tn tn') !assignments)
-              in
-              Remark.missed ~pass:"tnbind" ~rule:"TN-PACK" ?loc:tn.tn_loc
-                ~args:
-                  (cost_args
-                  @ [
-                      ("competitors", Remark.Int competitors);
-                      ("registers", Remark.Int (List.length registers));
-                    ])
-                (Printf.sprintf
-                   "TN %s lost the packing auction: all %d registers held by \
-                    overlapping higher-priority TNs"
-                   tn.tn_name (List.length registers));
+              if remarks then begin
+                let competitors =
+                  List.length
+                    (List.filter (fun (_, tn') -> overlap tn tn') !assignments)
+                in
+                Remark.missed ~pass:"tnbind" ~rule:"TN-PACK" ?loc:tn.tn_loc
+                  ~args:
+                    (cost_args tn
+                    @ [
+                        ("competitors", Remark.Int competitors);
+                        ("registers", Remark.Int (List.length registers));
+                      ])
+                  (Printf.sprintf
+                     "TN %s lost the packing auction: all %d registers held by \
+                      overlapping higher-priority TNs"
+                     tn.tn_name (List.length registers))
+              end;
               spill ()
         end
       end)
@@ -203,15 +210,21 @@ let unpack pool (pointer_slots, scratch_slots) =
   pool.n_pointer_slots <- pointer_slots;
   pool.n_scratch_slots <- scratch_slots
 
+let total = S1_obs.Obs.counter "tn.total"
+let in_registers = S1_obs.Obs.counter "tn.in_registers"
+let pointer_slots = S1_obs.Obs.counter "tn.pointer_slots"
+let scratch_slots = S1_obs.Obs.counter "tn.scratch_slots"
+let across_call = S1_obs.Obs.counter "tn.across_call"
+let count_across k tn = if tn.tn_across_call then k + 1 else k
+
 (** Count a body's final packing into the [tn.*] counters, once. *)
 let count pool r =
   let module Obs = S1_obs.Obs in
-  Obs.incr ~n:(List.length pool.tns) "tn.total";
-  Obs.incr ~n:r.r_in_registers "tn.in_registers";
-  Obs.incr ~n:r.r_pointer_slots "tn.pointer_slots";
-  Obs.incr ~n:r.r_scratch_slots "tn.scratch_slots";
-  Obs.incr ~n:(List.length (List.filter (fun tn -> tn.tn_across_call) pool.tns))
-    "tn.across_call"
+  Obs.add total (List.length pool.tns);
+  Obs.add in_registers r.r_in_registers;
+  Obs.add pointer_slots r.r_pointer_slots;
+  Obs.add scratch_slots r.r_scratch_slots;
+  Obs.add across_call (List.fold_left count_across 0 pool.tns)
 
 let storage tn =
   match tn.tn_storage with
