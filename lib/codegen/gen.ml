@@ -770,7 +770,7 @@ and gen_call ctx n f args dest =
           end)
         args dest
   | Var v when mem ctx.jumps v.v_id ->
-      gen_local_call ctx n (Itbl.find (Option.get ctx.jumps) v.v_id) args dest
+      gen_local_call ctx n (Option.get (find ctx.jumps v.v_id)) args dest
   | _ ->
       gen_full_call ctx n
         (fun () ->
@@ -793,9 +793,7 @@ and gen_full_call ctx n (load_fn : unit -> unit) ?(fn_first = false) args dest =
         | _ ->
             gen ctx arg (To rta);
             if arg.n_wantrep <> POINTER then begin
-              let pdl =
-                pdl_slot ctx arg
-              in
+              let pdl = pdl_slot ctx arg in
               coerce ctx ~from_:arg.n_wantrep ~to_:POINTER ~pdl rta rta
             end;
             emit ctx (Isa.Push rta)))
@@ -1722,11 +1720,11 @@ let compile_body recipe opt (guard : guard) ~buf ~packings ~prefix ~name ~env_la
   (* frame allocation *)
   if np > 0 then begin
     emit ctx (Isa.Allocs (nil_operand, np));
-    comment ctx (text_int "Allocate " "" "" "" np ^ " words of pointer memory")
+    comment ctx ("Allocate " ^ string_of_int np ^ " words of pointer memory")
   end;
   if ns > 0 then begin
     emit ctx (Isa.Allocs (Isa.Imm gc_stamp, ns));
-    comment ctx (text_int "Allocate " "" "" "" ns ^ " words scratch memory")
+    comment ctx ("Allocate " ^ string_of_int ns ^ " words scratch memory")
   end;
   emit ctx (Isa.Mov (Isa.Reg Isa.tp, Isa.Reg Isa.fp));
   emit ctx (Isa.Bin (Isa.ADD, Isa.S, Isa.Reg Isa.tp, Isa.Reg Isa.tp, Isa.Imm (np + 1)));
@@ -1756,7 +1754,7 @@ let compile_body recipe opt (guard : guard) ~buf ~packings ~prefix ~name ~env_la
        (fun case lab ->
          let argc = nreq + case in
          emit_label ctx lab;
-         comment ctx (text_int "Come here if " "" "" "" argc ^ " arguments were supplied.");
+         comment ctx ("Come here if " ^ string_of_int argc ^ " arguments were supplied.");
          (* copy the supplied arguments *)
          List.iteri
            (fun i p ->
@@ -1829,7 +1827,7 @@ let compile_body recipe opt (guard : guard) ~buf ~packings ~prefix ~name ~env_la
           comment ctx ("Cache value-cell pointer for special " ^ name))
         (List.rev !cache_fills));
   (* pdl slots or unwinding disable tail calls out of this frame *)
-  if ctx.pdl_slot <> None || fn_unwinds || !specials_bound > 0 then ctx.can_tail <- false;
+  if Option.is_some ctx.pdl_slot || fn_unwinds || !specials_bound > 0 then ctx.can_tail <- false;
   (* the body *)
   if !specials_bound > 0 then begin
     gen ctx l.l_body (To a_reg);
