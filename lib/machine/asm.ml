@@ -17,7 +17,7 @@ type image = {
   labels : (string * int) list;
   data_labels : (string * int) list;
   code_words : int;
-  marks : mark list;
+  marks : mark array;
 }
 
 exception Asm_error of string list
@@ -63,36 +63,45 @@ let relocate r prog =
       | (Label _ | Comment _ | Mark _) as it -> it)
     prog
 
+(* Code labels are keyed with [String.equal]: every label and every
+   branch to one is looked up here. *)
+module Labels = Hashtbl.Make (String)
+
+let no_mark = { m_addr = 0; m_node = -1; m_loc = None }
+
 let assemble ?(reloc = no_relocation) mem ~org prog =
   let errors = ref [] in
   let err fmt_str = Printf.ksprintf (fun s -> errors := s :: !errors) fmt_str in
-  (* Pass 1: lay out code indices and data blocks; collect provenance
-     marks at their absolute code addresses (the PC line map). *)
-  let code_labels = Hashtbl.create 16 in
-  let data_labels = Hashtbl.create 4 in
-  let marks = ref [] in
+  (* Pass 1: lay out code indices and data blocks; count the provenance
+     marks. *)
+  let code_labels = Labels.create 16 in
+  (* data blocks are few (an &optional dispatch table), newest first *)
+  let data_labels = ref [] in
+  let n_marks = ref 0 in
   let n_instrs =
     List.fold_left
       (fun idx item ->
         match item with
         | Label l ->
-            if Hashtbl.mem code_labels l then err "duplicate label %s" l;
-            Hashtbl.replace code_labels l (org + idx);
+            (* placing a label already placed leaves the count as it was *)
+            let placed = Labels.length code_labels in
+            Labels.replace code_labels l (org + idx);
+            if Labels.length code_labels = placed then err "duplicate label %s" l;
             idx
         | Instr _ -> idx + 1
         | Data (l, ws) ->
-            if Hashtbl.mem data_labels l then err "duplicate data label %s" l;
-            Hashtbl.replace data_labels l (Mem.alloc_static mem (List.length ws));
+            if List.mem_assoc l !data_labels then err "duplicate data label %s" l;
+            data_labels := (l, Mem.alloc_static mem (List.length ws)) :: !data_labels;
             idx
         | Comment _ -> idx
-        | Mark (node, loc) ->
-            marks := { m_addr = org + idx; m_node = node; m_loc = loc } :: !marks;
+        | Mark _ ->
+            incr n_marks;
             idx)
       0 prog
   in
   let target = function
     | Isa.L l -> (
-        match Hashtbl.find_opt code_labels l with
+        match Labels.find_opt code_labels l with
         | Some a -> Isa.Abs a
         | None ->
             err "undefined label %s" l;
@@ -102,28 +111,33 @@ let assemble ?(reloc = no_relocation) mem ~org prog =
   let operand (o : Isa.operand) : Isa.operand =
     match o with
     | Isa.Lab l -> (
-        match Hashtbl.find_opt code_labels l with
+        match Labels.find_opt code_labels l with
         | Some a -> Isa.Imm a
         | None ->
             err "undefined label %s in operand" l;
             Isa.Imm 0)
     | Isa.Dlab (l, off) -> (
-        match Hashtbl.find_opt data_labels l with
+        match List.assoc_opt l !data_labels with
         | Some a -> Isa.Imm (a + off)
         | None ->
             err "undefined data label %s in operand" l;
             Isa.Imm 0)
     | o -> relocate_operand reloc o
   in
-  (* Pass 2: resolve, validate, emit.  An instruction with nothing to
-     resolve is kept as it is ({!Isa.map}). *)
+  (* Pass 2: resolve, validate, emit, and place the marks at their
+     absolute code addresses (the PC line map).  An instruction with
+     nothing to resolve is kept as it is ({!Isa.map}). *)
   let instrs = Array.make n_instrs Isa.Nop in
+  let marks = Array.make !n_marks no_mark in
   let words = ref 0 in
-  let idx = ref 0 in
+  let idx = ref 0 and m = ref 0 in
   List.iter
     (fun item ->
       match item with
-      | Label _ | Comment _ | Mark _ -> ()
+      | Label _ | Comment _ -> ()
+      | Mark (node, loc) ->
+          marks.(!m) <- { m_addr = org + !idx; m_node = node; m_loc = loc };
+          incr m
       | Instr i ->
           let r = Isa.map ~operand ~target i in
           (match Isa.validate r with
@@ -133,14 +147,14 @@ let assemble ?(reloc = no_relocation) mem ~org prog =
           words := !words + Isa.words r;
           incr idx
       | Data (l, ws) ->
-          let base = Hashtbl.find data_labels l in
+          let base = List.assoc l !data_labels in
           List.iteri
             (fun i d ->
               let v =
                 match d with
                 | Word w -> relocate_word reloc w
                 | Labref lab -> (
-                    match Hashtbl.find_opt code_labels lab with
+                    match Labels.find_opt code_labels lab with
                     | Some a -> a
                     | None ->
                         err "undefined label %s in data block %s" lab l;
@@ -153,10 +167,10 @@ let assemble ?(reloc = no_relocation) mem ~org prog =
   {
     org;
     instrs;
-    labels = Hashtbl.fold (fun k v acc -> (k, v) :: acc) code_labels [];
-    data_labels = Hashtbl.fold (fun k v acc -> (k, v) :: acc) data_labels [];
+    labels = Labels.fold (fun k v acc -> (k, v) :: acc) code_labels [];
+    data_labels = !data_labels;
     code_words = !words;
-    marks = List.rev !marks;
+    marks;
   }
 
 let pp_item fmt = function

@@ -39,7 +39,7 @@ type image = {
   labels : (string * int) list;  (** code labels to absolute code addresses *)
   data_labels : (string * int) list;  (** data labels to memory addresses *)
   code_words : int;  (** total size in 36-bit words *)
-  marks : mark list;  (** the PC line map, ascending by address *)
+  marks : mark array;  (** the PC line map, ascending by address *)
 }
 
 exception Asm_error of string list
@@ -65,8 +65,8 @@ val relocate : relocation -> program -> program
     assembly resolves them with. *)
 
 val assemble : ?reloc:relocation -> Mem.t -> org:int -> program -> image
-(** Resolves labels and, under [reloc], sentinels while it rebuilds each
-    instruction.
+(** Resolves labels and, under [reloc], sentinels, rebuilding only the
+    instructions that hold one; every other instruction is kept as it is.
     @raise Asm_error listing every diagnostic. *)
 
 val pp_program : Format.formatter -> program -> unit

@@ -1260,10 +1260,8 @@ let load ?reloc cpu prog =
   ensure_capacity cpu n;
   Array.blit image.instrs 0 cpu.code cpu.code_len n;
   cpu.code_len <- cpu.code_len + n;
-  (match image.Asm.marks with
-  | [] -> ()
-  | marks ->
-      cpu.mark_segments <- (org, org + n, Array.of_list marks) :: cpu.mark_segments);
+  if Array.length image.Asm.marks > 0 then
+    cpu.mark_segments <- (org, org + n, image.Asm.marks) :: cpu.mark_segments;
   image
 
 (* The fetch loops re-read [cpu.ops] on every fetch: a service can load
