@@ -1415,8 +1415,8 @@ let rec unwinds ~top (n : node) =
 
 and unwinds_child found c = found || unwinds ~top:false c
 
-(* Does [n] end a register lifetime?  Calls are counted before any local
-   function is known, so a call to one counts as a real call. *)
+(* Does [n] end a register lifetime?  A call to a local function counts,
+   though it compiles to a JUMP or a JSP: the TN packings depend on it. *)
 let counts_as_call ctx (n : node) =
   match n.kind with
   | Call ({ kind = Var _; _ }, _) -> true

@@ -407,37 +407,18 @@ let report ~inline (root : node) : unit =
 (* Entry point -------------------------------------------------------------------- *)
 
 (* The closing census bumps one interned counter per representation and
-   kind ("rep.var.SWFIX", "rep.isrep.POINTER", ...), found by index. *)
-let rep_index = function
-  | SWFIX -> 0
-  | DWFIX -> 1
-  | HWFLO -> 2
-  | SWFLO -> 3
-  | DWFLO -> 4
-  | TWFLO -> 5
-  | HWCPLX -> 6
-  | SWCPLX -> 7
-  | DWCPLX -> 8
-  | TWCPLX -> 9
-  | POINTER -> 10
-  | BIT -> 11
-  | JUMP -> 12
-  | NONE -> 13
-
-let () = List.iteri (fun i r -> assert (rep_index r = i)) all_reps
-
+   kind ("rep.var.SWFIX", "rep.isrep.POINTER", ...), found by the rep. *)
 let rep_counters prefix =
-  Array.of_list (List.map (fun r -> S1_obs.Obs.counter (prefix ^ rep_name r)) all_reps)
+  List.map (fun r -> (r, S1_obs.Obs.counter (prefix ^ rep_name r))) all_reps
 
 let var_counters = rep_counters "rep.var."
 let isrep_counters = rep_counters "rep.isrep."
-
-let count_param p = S1_obs.Obs.add var_counters.(rep_index p.p_var.v_rep) 1
+let count_param p = S1_obs.Obs.add (List.assq p.p_var.v_rep var_counters) 1
 
 let count_reps n =
   match n.kind with
   | Lambda l -> List.iter count_param l.l_params
-  | _ -> if n.n_isrep <> NONE then S1_obs.Obs.add isrep_counters.(rep_index n.n_isrep) 1
+  | _ -> if n.n_isrep <> NONE then S1_obs.Obs.add (List.assq n.n_isrep isrep_counters) 1
 
 let run ?(inline = true) (root : node) : unit =
   S1_obs.Obs.with_span "repan" (fun () ->
