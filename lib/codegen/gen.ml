@@ -425,7 +425,7 @@ let simple_operand ctx (n : node) : Isa.operand option =
   | _ -> None
 
 (* The scratch slot of [n]'s pdl number, or -1. *)
-let pdl_slot ctx (n : node) = match find ctx.pdl_slot n.n_id with Some s -> s | None -> -1
+let pdl_slot_of ctx (n : node) = match find ctx.pdl_slot n.n_id with Some s -> s | None -> -1
 
 (* Unchecked derefs are only valid for type-specific contexts; in checked
    mode a POINTER->SWFLO simple deref is still allowed for $F operators
@@ -507,7 +507,7 @@ let rec gen ctx (n : node) (dest : dest) : unit =
 (* Deliver an available operand carrying [n]'s ISREP to [dest] under
    [n]'s WANTREP. *)
 and deliver_operand ctx (n : node) (src : Isa.operand) (dest : dest) : unit =
-  let pdl = pdl_slot ctx n in
+  let pdl = pdl_slot_of ctx n in
   match dest with
   | Ignore -> ()
   | To dst -> coerce ctx ~from_:n.n_isrep ~to_:n.n_wantrep ~pdl src dst
@@ -697,7 +697,7 @@ and deliver_nil ctx dest =
 
 and finish_ret ctx (n : node) (src : Isa.operand) =
   (* coerce to POINTER in A, certify if potentially a pdl pointer *)
-  let pdl = pdl_slot ctx n in
+  let pdl = pdl_slot_of ctx n in
   coerce ctx ~from_:n.n_isrep ~to_:POINTER ~pdl src a_reg;
   if maybe_unsafe ctx n || (n.n_isrep <> POINTER && pdl >= 0) then begin
     emit ctx (Isa.Mov (r0, a_reg));
@@ -793,7 +793,7 @@ and gen_full_call ctx n (load_fn : unit -> unit) ?(fn_first = false) args dest =
         | _ ->
             gen ctx arg (To rta);
             if arg.n_wantrep <> POINTER then begin
-              let pdl = pdl_slot ctx arg in
+              let pdl = pdl_slot_of ctx arg in
               coerce ctx ~from_:arg.n_wantrep ~to_:POINTER ~pdl rta rta
             end;
             emit ctx (Isa.Push rta)))
