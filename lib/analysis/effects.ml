@@ -51,7 +51,7 @@ let node (n : node) : unit =
                     eff_alloc = p.Prims.may_alloc;
                     eff_write = not p.Prims.pure;
                     eff_unknown_call = false;
-                    eff_control = fname = "THROW" || fname = "ERROR";
+                    eff_control = p.Prims.transfers_control;
                     eff_special = false;
                   }
                 in

@@ -434,15 +434,18 @@ let pdl_slot_of ctx (n : node) = match find ctx.pdl_slot n.n_id with Some s -> s
 
 (* Forward declaration style: the generators are mutually recursive. *)
 
-(* The name-and-arity table is shared with representation analysis
-   (Prims.inlinable): repan must predict exactly which calls deliver a
-   raw-rep inline result vs a tagged POINTER through the calling
-   convention. *)
-let is_inline_prim ctx fname nargs = ctx.opt.inline_prims && Prims.inlinable fname nargs
+(* The open-coded arities are the prim table's, shared with
+   representation analysis: repan must predict exactly which calls
+   deliver a raw-rep inline result vs a tagged POINTER through the
+   calling convention, so the table must list exactly the (name, arity)
+   pairs [gen_prim] emits inline. *)
+let is_inline_prim ctx fname nargs =
+  ctx.opt.inline_prims
+  && match Prims.find fname with Some p -> Prims.open_codes p nargs | None -> false
 
 (* Is this call compiled as a real machine CALL (clobbering registers)?
-   FUNCALL is in the inline-prim list (it never goes through a function
-   cell) but still expands to a %CALL, so it clobbers registers like any
+   FUNCALL is open-coded (it never goes through a function cell) but
+   still expands to a %CALL, so it clobbers registers like any
    other full call — found by the differential fuzzer as a DOTIMES
    counter kept in a register across a FUNCALL in the loop body. *)
 let is_real_call ctx (n : node) =
@@ -467,13 +470,14 @@ let rec maybe_unsafe ctx (n : node) =
   | Progn [] -> false
   | Progn xs -> maybe_unsafe ctx (List.nth xs (List.length xs - 1))
   | Call ({ kind = Lambda l; _ }, _) when l.l_strategy = Open -> maybe_unsafe ctx l.l_body
-  | Call ({ kind = Term (Sexp.Sym fname); _ }, _) ->
+  | Call ({ kind = Term (Sexp.Sym fname); _ }, _) -> (
       (* inline float ops may deliver pdl boxes; everything through the
          runtime returns safe heap pointers *)
-      is_inline_prim ctx fname 2 || is_inline_prim ctx fname 1
-      || (match Prims.find fname with
-         | Some { Prims.res_rep = Some (SWFLO | DWFLO | HWFLO); _ } -> true
-         | _ -> false)
+      match Prims.find fname with
+      | Some p ->
+          (ctx.opt.inline_prims && (Prims.open_codes p 2 || Prims.open_codes p 1))
+          || (match p.Prims.res_rep with Some (SWFLO | DWFLO | HWFLO) -> true | _ -> false)
+      | None -> false)
   | Call _ -> false (* returned values are certified safe by convention *)
   | Setq (v, _) -> not (v.v_special || v.v_binder = None)
   | Caseq (_, clauses, d) ->
@@ -754,21 +758,7 @@ and gen_call ctx n f args dest =
       gen_closure_call ctx n f l args dest
   | Term (Sexp.Sym fname) when is_inline_prim ctx fname (List.length args) ->
       gen_prim ctx n fname args dest
-  | Term (Sexp.Sym fname) ->
-      (* global function via its function cell *)
-      let cell = function_cell ctx fname in
-      gen_full_call ctx n
-        (fun () ->
-          emit ctx (Isa.Mov (t1, Isa.Mabs cell));
-          if ctx.opt.checked then begin
-            (* report the function's *name* when the cell is unbound *)
-            let ok = fresh_label ctx "FBOUND" in
-            emit ctx (Isa.Jmptag (Isa.NEQ, t1, Tags.Unbound, Isa.L ok));
-            emit ctx (Isa.Mov (r0, Isa.Imm (symbol_word ctx fname)));
-            emit ctx (Isa.Svc Svc.undefined_function);
-            emit_label ctx ok
-          end)
-        args dest
+  | Term (Sexp.Sym fname) -> gen_native_call ctx n fname args dest
   | Var v when mem ctx.jumps v.v_id ->
       gen_local_call ctx n (Option.get (find ctx.jumps v.v_id)) args dest
   | _ ->
@@ -1266,7 +1256,7 @@ and gen_prim ctx n fname args dest =
   | "LOG$F", [ a ] -> float_un Isa.FLOG a
   (* type-specific fixnum arithmetic *)
   | "+&", [ a; b ] -> float_bin Isa.ADD a b
-  | "+&", [ a ] | "*&", [ a ] | "-$F?", [ a ] -> gen ctx a dest
+  | "+&", [ a ] | "*&", [ a ] -> gen ctx a dest
   | "-&", [ a; b ] -> float_bin Isa.SUB a b
   | "-&", [ a ] ->
       gen_into ctx a rta;
@@ -1304,10 +1294,6 @@ and gen_prim ctx n fname args dest =
   | "MAX", [ a; b ] -> generic2 Svc.generic_max a b
   | "MAX", [ a ] | "MIN", [ a ] -> gen ctx a dest
   | "MIN", [ a; b ] -> generic2 Svc.generic_min a b
-  | "MOD", [ _; _ ] ->
-      (* a - b * floor(a/b): give it to the native *)
-      gen_native_call ctx n "MOD" args dest
-  | "REM", [ _; _ ] -> gen_native_call ctx n "REM" args dest
   | "1+", [ a ] ->
       gen_into ctx a r0;
       emit ctx (Isa.Mov (r1, Isa.Imm (Word.make_ptr ~tag:(Tags.to_int Tags.Fixnum) ~addr:1)));
@@ -1377,12 +1363,14 @@ and gen_prim ctx n fname args dest =
       gen_full_call ctx n (fun () -> gen_into ctx f t1) ~fn_first:true rest dest
   | _ -> gen_native_call ctx n fname args dest
 
+(* A call through a global function cell: a native or a user function. *)
 and gen_native_call ctx n fname args dest =
   let cell = function_cell ctx fname in
   gen_full_call ctx n
     (fun () ->
       emit ctx (Isa.Mov (t1, Isa.Mabs cell));
       if ctx.opt.checked then begin
+        (* report the function's *name* when the cell is unbound *)
         let ok = fresh_label ctx "FBOUND" in
         emit ctx (Isa.Jmptag (Isa.NEQ, t1, Tags.Unbound, Isa.L ok));
         emit ctx (Isa.Mov (r0, Isa.Imm (symbol_word ctx fname)));

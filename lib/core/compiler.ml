@@ -258,8 +258,8 @@ let guarded (c : t) ~pass ~stage (root : Node.node) (body : unit -> unit) : unit
     ~enter:(fun () ->
       let census = Node.census root in
       Node.reserve census;
-      (census, Node.open_trail (), S1_obs.Remark.mark ()))
-    ~recover:(fun (_, trail, remark_mark) ->
+      (census, Node.open_trail (), S1_obs.Remark.mark (), Transcript.mark c.journal))
+    ~recover:(fun (_, trail, remark_mark, journal_mark) ->
       Node.undo trail;
       (* analysis only ever sets [v_captured]: clear it so the refresh
          captures what the restored tree needs, not what the pass did *)
@@ -270,10 +270,11 @@ let guarded (c : t) ~pass ~stage (root : Node.node) (body : unit -> unit) : unit
           | _ -> ())
         root;
       S1_analysis.Analyze.refresh root;
-      (* the pass's remarks describe decisions on a tree that no longer
+      (* the pass's remarks and rewrites describe a tree that no longer
          exists: the rollback takes them too *)
-      S1_obs.Remark.drop_since remark_mark)
-    (fun (census, trail, _) ->
+      S1_obs.Remark.drop_since remark_mark;
+      Transcript.drop_since c.journal journal_mark)
+    (fun (census, trail, _, _) ->
       Node.with_budget ~trail ~pass (200_000 + (1_000 * census.Node.cn_nodes)) (fun () ->
           body ();
           c.pass_hook pass root);

@@ -5,8 +5,11 @@
     known to be free of side effects on constant operands", §5),
     associative/commutative canonicalization and identity-operand
     elimination, side-effects classification (which calls are to
-    "immutable mathematical functions", §7), and the representation
-    annotations of the type-specific operators (§6.2). *)
+    "immutable mathematical functions", §7), declared-type
+    specialization, the representation annotations of the type-specific
+    operators (§6.2), the pdl-number lifetime analysis (§6.3), and which
+    calls the code generator open-codes.  It is the only description of
+    a primitive: every pass reads a call's facts from one {!find}. *)
 
 module Sexp = S1_sexp.Sexp
 module N = S1_runtime.Numerics
@@ -15,15 +18,25 @@ open S1_ir
 
 type t = {
   name : string;
-  min_args : int;
-  max_args : int;  (** -1 = any *)
+  open_coded : (int * int) option;
+      (** the arities [lo, hi] Gen.gen_prim compiles inline ([hi = max_int]:
+          any number); every other call goes through the runtime as a
+          native call *)
   pure : bool;  (** free of observable side effects *)
   may_alloc : bool;  (** may allocate heap storage *)
+  timeless : bool;
+      (** reads no mutable storage: a call over timeless operands has the
+          same value whenever it is evaluated *)
+  stores_args : bool;  (** may let an argument pointer outlive the call *)
+  transfers_control : bool;  (** may leave by a non-local exit (THROW, ERROR) *)
   commutative : bool;
   associative : bool;
   identity : Sexp.t option;  (** two-sided identity element *)
   arg_rep : Node.rep option;  (** required operand representation (type-specific ops) *)
   res_rep : Node.rep option;  (** delivered representation *)
+  single_float : string option;
+      (** the single-float operator a call over declared single floats is
+          specialized to *)
   fold : (Sexp.t list -> Sexp.t option) option;  (** compile-time evaluation *)
 }
 
@@ -184,180 +197,203 @@ let fold_null = fold_not
 
 (* The table ------------------------------------------------------------- *)
 
-let prim ?(pure = true) ?(may_alloc = false) ?(commutative = false) ?(associative = false)
-    ?identity ?arg_rep ?res_rep ?fold name min_args max_args =
-  { name; min_args; max_args; pure; may_alloc; commutative; associative; identity; arg_rep;
-    res_rep; fold }
+let prim ?open_coded ?(pure = true) ?(may_alloc = false) ?(timeless = false)
+    ?(stores_args = false) ?(transfers_control = false) ?(commutative = false)
+    ?(associative = false) ?identity ?arg_rep ?res_rep ?single_float ?fold name =
+  { name; open_coded; pure; may_alloc; timeless; stores_args; transfers_control; commutative;
+    associative; identity; arg_rep; res_rep; single_float; fold }
+
+(* A one-operand single-float operator, compiled inline to one
+   instruction (SIN$F and COS$F scale their operand first). *)
+let flo1 name =
+  prim name ~open_coded:(1, 1) ~timeless:true ~may_alloc:true ~arg_rep:Node.SWFLO
+    ~res_rep:Node.SWFLO
 
 let table =
   [
     (* generic arithmetic: pure but may allocate results *)
-    prim "+" 0 (-1) ~may_alloc:true ~commutative:true ~associative:true
-      ~identity:(Sexp.Int 0) ~fold:(fold_nary_num N.add (N.of_int 0));
-    prim "*" 0 (-1) ~may_alloc:true ~commutative:true ~associative:true
-      ~identity:(Sexp.Int 1) ~fold:(fold_nary_num N.mul (N.of_int 1));
-    prim "-" 1 (-1) ~may_alloc:true ~fold:fold_sub;
-    prim "/" 1 (-1) ~may_alloc:true ~fold:fold_div;
-    prim "1+" 1 1 ~may_alloc:true ~fold:(fold_unary (fun n -> N.add n (N.of_int 1)));
-    prim "1-" 1 1 ~may_alloc:true ~fold:(fold_unary (fun n -> N.sub n (N.of_int 1)));
-    prim "<" 1 (-1) ~fold:(fold_chain ( < ));
-    prim "<=" 1 (-1) ~fold:(fold_chain ( <= ));
-    prim ">" 1 (-1) ~fold:(fold_chain ( > ));
-    prim ">=" 1 (-1) ~fold:(fold_chain ( >= ));
-    prim "=" 1 (-1) ~fold:fold_num_eq;
-    prim "/=" 2 2;
-    prim "MAX" 1 (-1) ~may_alloc:true ~commutative:true ~associative:true;
-    prim "MIN" 1 (-1) ~may_alloc:true ~commutative:true ~associative:true;
-    prim "ABS" 1 1 ~may_alloc:true ~fold:(fold_unary N.abs_);
-    prim "FLOOR" 1 2 ~may_alloc:true ~fold:(fold_rounding N.floor_);
-    prim "CEILING" 1 2 ~may_alloc:true ~fold:(fold_rounding N.ceiling_);
-    prim "TRUNCATE" 1 2 ~may_alloc:true ~fold:(fold_rounding N.truncate_);
-    prim "ROUND" 1 2 ~may_alloc:true ~fold:(fold_rounding N.round_);
-    prim "MOD" 2 2 ~may_alloc:true;
-    prim "REM" 2 2 ~may_alloc:true;
-    prim "GCD" 0 (-1) ~may_alloc:true ~commutative:true ~associative:true;
-    prim "ZEROP" 1 1 ~fold:(fold_pred N.zerop);
-    prim "PLUSP" 1 1 ~fold:(fold_pred N.plusp);
-    prim "MINUSP" 1 1 ~fold:(fold_pred N.minusp);
-    prim "ODDP" 1 1 ~fold:(fold_pred N.oddp);
-    prim "EVENP" 1 1 ~fold:(fold_pred N.evenp);
-    prim "SQRT" 1 1 ~may_alloc:true;
-    prim "SIN" 1 1 ~may_alloc:true;
-    prim "COS" 1 1 ~may_alloc:true;
-    prim "ATAN" 1 2 ~may_alloc:true;
-    prim "EXP" 1 1 ~may_alloc:true;
-    prim "LOG" 1 1 ~may_alloc:true;
-    prim "EXPT" 2 2 ~may_alloc:true ~fold:(guard (function
+    prim "+" ~open_coded:(1, 2) ~timeless:true ~single_float:"+$F" ~may_alloc:true
+      ~commutative:true ~associative:true ~identity:(Sexp.Int 0)
+      ~fold:(fold_nary_num N.add (N.of_int 0));
+    prim "*" ~open_coded:(1, 2) ~timeless:true ~single_float:"*$F" ~may_alloc:true
+      ~commutative:true ~associative:true ~identity:(Sexp.Int 1)
+      ~fold:(fold_nary_num N.mul (N.of_int 1));
+    prim "-" ~open_coded:(1, 2) ~timeless:true ~single_float:"-$F" ~may_alloc:true ~fold:fold_sub;
+    prim "/" ~open_coded:(2, 2) ~single_float:"/$F" ~may_alloc:true ~fold:fold_div;
+    prim "1+" ~open_coded:(1, 1) ~timeless:true ~may_alloc:true
+      ~fold:(fold_unary (fun n -> N.add n (N.of_int 1)));
+    prim "1-" ~open_coded:(1, 1) ~timeless:true ~may_alloc:true
+      ~fold:(fold_unary (fun n -> N.sub n (N.of_int 1)));
+    prim "<" ~open_coded:(2, 2) ~timeless:true ~single_float:"<$F" ~fold:(fold_chain ( < ));
+    prim "<=" ~open_coded:(2, 2) ~timeless:true ~fold:(fold_chain ( <= ));
+    prim ">" ~open_coded:(2, 2) ~timeless:true ~fold:(fold_chain ( > ));
+    prim ">=" ~open_coded:(2, 2) ~timeless:true ~fold:(fold_chain ( >= ));
+    prim "=" ~open_coded:(2, 2) ~timeless:true ~single_float:"=$F" ~fold:fold_num_eq;
+    prim "/=";
+    prim "MAX" ~open_coded:(1, 2) ~timeless:true ~single_float:"MAX$F" ~may_alloc:true
+      ~commutative:true ~associative:true;
+    prim "MIN" ~open_coded:(1, 2) ~timeless:true ~single_float:"MIN$F" ~may_alloc:true
+      ~commutative:true ~associative:true;
+    prim "ABS" ~timeless:true ~may_alloc:true ~fold:(fold_unary N.abs_);
+    prim "FLOOR" ~open_coded:(1, 1) ~may_alloc:true ~fold:(fold_rounding N.floor_);
+    prim "CEILING" ~open_coded:(1, 1) ~may_alloc:true ~fold:(fold_rounding N.ceiling_);
+    prim "TRUNCATE" ~open_coded:(1, 1) ~may_alloc:true ~fold:(fold_rounding N.truncate_);
+    prim "ROUND" ~open_coded:(1, 1) ~may_alloc:true ~fold:(fold_rounding N.round_);
+    prim "MOD" ~may_alloc:true;
+    prim "REM" ~may_alloc:true;
+    prim "GCD" ~may_alloc:true ~commutative:true ~associative:true;
+    prim "ZEROP" ~open_coded:(1, 1) ~timeless:true ~fold:(fold_pred N.zerop);
+    prim "PLUSP" ~timeless:true ~fold:(fold_pred N.plusp);
+    prim "MINUSP" ~timeless:true ~fold:(fold_pred N.minusp);
+    prim "ODDP" ~open_coded:(1, 1) ~timeless:true ~fold:(fold_pred N.oddp);
+    prim "EVENP" ~open_coded:(1, 1) ~timeless:true ~fold:(fold_pred N.evenp);
+    (* "immutable mathematical functions" (§7): timeless because they read
+       only immutable number boxes, and EQ is not guaranteed on numbers in
+       this dialect (§6.3), so fresh result boxes may be re-created freely *)
+    prim "SQRT" ~open_coded:(1, 1) ~timeless:true ~single_float:"SQRT$F" ~may_alloc:true;
+    prim "SIN" ~open_coded:(1, 1) ~timeless:true ~single_float:"SIN$F" ~may_alloc:true;
+    prim "COS" ~open_coded:(1, 1) ~timeless:true ~single_float:"COS$F" ~may_alloc:true;
+    prim "ATAN" ~open_coded:(2, 2) ~timeless:true ~single_float:"ATAN$F" ~may_alloc:true;
+    prim "EXP" ~open_coded:(1, 1) ~timeless:true ~single_float:"EXP$F" ~may_alloc:true;
+    prim "LOG" ~open_coded:(1, 1) ~timeless:true ~single_float:"LOG$F" ~may_alloc:true;
+    prim "EXPT" ~timeless:true ~may_alloc:true ~fold:(guard (function
       | [ a; b ] ->
           sexp_of_num (N.expt (Option.get (num_of_sexp a)) (Option.get (num_of_sexp b)))
       | _ -> None));
-    prim "FLOAT" 1 1 ~may_alloc:true;
+    prim "FLOAT" ~timeless:true ~may_alloc:true;
     (* type-specific single-float operators (§6.2): operands and results in
        raw machine form *)
-    prim "+$F" 1 (-1) ~may_alloc:true ~commutative:true ~associative:true
-      ~identity:(Sexp.Float (0.0, Sexp.Single)) ~arg_rep:Node.SWFLO ~res_rep:Node.SWFLO
-      ~fold:(fold_flo_nary N.add (N.Single 0.0));
-    prim "*$F" 1 (-1) ~may_alloc:true ~commutative:true ~associative:true
-      ~identity:(Sexp.Float (1.0, Sexp.Single)) ~arg_rep:Node.SWFLO ~res_rep:Node.SWFLO
-      ~fold:(fold_flo_nary N.mul (N.Single 1.0));
-    prim "-$F" 1 (-1) ~may_alloc:true ~arg_rep:Node.SWFLO ~res_rep:Node.SWFLO
-      ~fold:fold_flo_sub;
-    prim "/$F" 2 (-1) ~may_alloc:true ~arg_rep:Node.SWFLO ~res_rep:Node.SWFLO ~fold:fold_div;
-    prim "MAX$F" 1 (-1) ~may_alloc:true ~commutative:true ~associative:true ~arg_rep:Node.SWFLO
+    prim "+$F" ~open_coded:(2, 2) ~timeless:true ~may_alloc:true ~commutative:true
+      ~associative:true ~identity:(Sexp.Float (0.0, Sexp.Single)) ~arg_rep:Node.SWFLO
+      ~res_rep:Node.SWFLO ~fold:(fold_flo_nary N.add (N.Single 0.0));
+    prim "*$F" ~open_coded:(2, 2) ~timeless:true ~may_alloc:true ~commutative:true
+      ~associative:true ~identity:(Sexp.Float (1.0, Sexp.Single)) ~arg_rep:Node.SWFLO
+      ~res_rep:Node.SWFLO ~fold:(fold_flo_nary N.mul (N.Single 1.0));
+    prim "-$F" ~open_coded:(1, 2) ~timeless:true ~may_alloc:true ~arg_rep:Node.SWFLO
+      ~res_rep:Node.SWFLO ~fold:fold_flo_sub;
+    prim "/$F" ~open_coded:(2, 2) ~timeless:true ~may_alloc:true ~arg_rep:Node.SWFLO
+      ~res_rep:Node.SWFLO ~fold:fold_div;
+    prim "MAX$F" ~open_coded:(2, 2) ~timeless:true ~may_alloc:true ~commutative:true
+      ~associative:true ~arg_rep:Node.SWFLO ~res_rep:Node.SWFLO;
+    prim "MIN$F" ~open_coded:(2, 2) ~timeless:true ~may_alloc:true ~commutative:true
+      ~associative:true ~arg_rep:Node.SWFLO ~res_rep:Node.SWFLO;
+    flo1 "SQRT$F";
+    flo1 "SIN$F";
+    flo1 "COS$F";
+    flo1 "SINC$F";
+    flo1 "COSC$F";
+    flo1 "EXP$F";
+    flo1 "LOG$F";
+    prim "ATAN$F" ~open_coded:(2, 2) ~timeless:true ~may_alloc:true ~arg_rep:Node.SWFLO
       ~res_rep:Node.SWFLO;
-    prim "MIN$F" 1 (-1) ~may_alloc:true ~commutative:true ~associative:true ~arg_rep:Node.SWFLO
-      ~res_rep:Node.SWFLO;
-    prim "SQRT$F" 1 1 ~may_alloc:true ~arg_rep:Node.SWFLO ~res_rep:Node.SWFLO;
-    prim "SIN$F" 1 1 ~may_alloc:true ~arg_rep:Node.SWFLO ~res_rep:Node.SWFLO;
-    prim "COS$F" 1 1 ~may_alloc:true ~arg_rep:Node.SWFLO ~res_rep:Node.SWFLO;
-    prim "SINC$F" 1 1 ~may_alloc:true ~arg_rep:Node.SWFLO ~res_rep:Node.SWFLO;
-    prim "COSC$F" 1 1 ~may_alloc:true ~arg_rep:Node.SWFLO ~res_rep:Node.SWFLO;
-    prim "EXP$F" 1 1 ~may_alloc:true ~arg_rep:Node.SWFLO ~res_rep:Node.SWFLO;
-    prim "LOG$F" 1 1 ~may_alloc:true ~arg_rep:Node.SWFLO ~res_rep:Node.SWFLO;
-    prim "ATAN$F" 2 2 ~may_alloc:true ~arg_rep:Node.SWFLO ~res_rep:Node.SWFLO;
-    prim "<$F" 2 2 ~arg_rep:Node.SWFLO ~res_rep:Node.BIT;
-    prim "=$F" 2 2 ~arg_rep:Node.SWFLO ~res_rep:Node.BIT;
+    prim "<$F" ~open_coded:(2, 2) ~timeless:true ~arg_rep:Node.SWFLO ~res_rep:Node.BIT;
+    prim "=$F" ~open_coded:(2, 2) ~timeless:true ~arg_rep:Node.SWFLO ~res_rep:Node.BIT;
     (* type-specific fixnum operators *)
-    prim "+&" 1 (-1) ~commutative:true ~associative:true ~identity:(Sexp.Int 0)
-      ~arg_rep:Node.SWFIX ~res_rep:Node.SWFIX ~fold:(fold_fix_nary N.add (N.of_int 0));
-    prim "-&" 1 (-1) ~arg_rep:Node.SWFIX ~res_rep:Node.SWFIX ~fold:fold_fix_sub;
-    prim "*&" 1 (-1) ~commutative:true ~associative:true ~identity:(Sexp.Int 1)
-      ~arg_rep:Node.SWFIX ~res_rep:Node.SWFIX ~fold:(fold_fix_nary N.mul (N.of_int 1));
-    prim "<&" 2 2 ~arg_rep:Node.SWFIX ~res_rep:Node.BIT ~fold:(fold_chain ( < ));
-    prim "=&" 2 2 ~arg_rep:Node.SWFIX ~res_rep:Node.BIT ~fold:fold_num_eq;
+    prim "+&" ~open_coded:(1, 2) ~timeless:true ~commutative:true ~associative:true
+      ~identity:(Sexp.Int 0) ~arg_rep:Node.SWFIX ~res_rep:Node.SWFIX
+      ~fold:(fold_fix_nary N.add (N.of_int 0));
+    prim "-&" ~open_coded:(1, 2) ~timeless:true ~arg_rep:Node.SWFIX ~res_rep:Node.SWFIX
+      ~fold:fold_fix_sub;
+    prim "*&" ~open_coded:(1, 2) ~timeless:true ~commutative:true ~associative:true
+      ~identity:(Sexp.Int 1) ~arg_rep:Node.SWFIX ~res_rep:Node.SWFIX
+      ~fold:(fold_fix_nary N.mul (N.of_int 1));
+    prim "<&" ~open_coded:(2, 2) ~timeless:true ~arg_rep:Node.SWFIX ~res_rep:Node.BIT
+      ~fold:(fold_chain ( < ));
+    prim "=&" ~open_coded:(2, 2) ~timeless:true ~arg_rep:Node.SWFIX ~res_rep:Node.BIT
+      ~fold:fold_num_eq;
     (* list structure *)
-    prim "CONS" 2 2 ~may_alloc:true;
-    prim "LIST" 0 (-1) ~may_alloc:true;
-    prim "LIST*" 1 (-1) ~may_alloc:true;
-    prim "APPEND" 0 (-1) ~may_alloc:true;
-    prim "REVERSE" 1 1 ~may_alloc:true;
-    prim "CAR" 1 1 ~fold:fold_car;
-    prim "CDR" 1 1 ~fold:fold_cdr;
-    prim "CAAR" 1 1;
-    prim "CADR" 1 1;
-    prim "CDAR" 1 1;
-    prim "CDDR" 1 1;
-    prim "CADDR" 1 1;
-    prim "LENGTH" 1 1
+    prim "CONS" ~open_coded:(2, 2) ~stores_args:true ~may_alloc:true;
+    prim "LIST" ~stores_args:true ~may_alloc:true;
+    prim "LIST*" ~stores_args:true ~may_alloc:true;
+    prim "APPEND" ~stores_args:true ~may_alloc:true;
+    prim "REVERSE" ~stores_args:true ~may_alloc:true;
+    prim "CAR" ~open_coded:(1, 1) ~fold:fold_car;
+    prim "CDR" ~open_coded:(1, 1) ~fold:fold_cdr;
+    prim "CAAR";
+    prim "CADR";
+    prim "CDAR";
+    prim "CDDR";
+    prim "CADDR";
+    prim "LENGTH"
       ~fold:(guard (function
         | [ Sexp.List items ] -> Some (Sexp.Int (List.length items))
         | _ -> None));
-    prim "NTH" 2 2;
-    prim "NTHCDR" 2 2;
-    prim "LAST" 1 1;
-    prim "ASSOC" 2 2;
-    prim "ASSQ" 2 2;
-    prim "MEMBER" 2 2;
-    prim "MEMQ" 2 2;
-    prim "COPY-LIST" 1 1 ~may_alloc:true;
-    prim "NCONC" 0 (-1) ~pure:false;
-    prim "REMOVE" 2 2 ~may_alloc:true;
-    prim "COUNT" 2 2;
-    prim "POSITION" 2 2;
-    prim "SUBST" 3 3 ~may_alloc:true;
-    prim "SORT" 2 2 ~pure:false ~may_alloc:true;
-    prim "RPLACA" 2 2 ~pure:false;
-    prim "RPLACD" 2 2 ~pure:false;
+    prim "NTH";
+    prim "NTHCDR";
+    prim "LAST";
+    prim "ASSOC";
+    prim "ASSQ";
+    prim "MEMBER";
+    prim "MEMQ";
+    prim "COPY-LIST" ~may_alloc:true;
+    prim "NCONC" ~pure:false;
+    prim "REMOVE" ~may_alloc:true;
+    prim "COUNT";
+    prim "POSITION";
+    prim "SUBST" ~may_alloc:true;
+    prim "SORT" ~pure:false ~may_alloc:true;
+    prim "RPLACA" ~stores_args:true ~pure:false;
+    prim "RPLACD" ~stores_args:true ~pure:false;
     (* predicates *)
-    prim "NULL" 1 1 ~fold:fold_null;
-    prim "NOT" 1 1 ~fold:fold_not;
-    prim "ATOM" 1 1
+    prim "NULL" ~open_coded:(1, 1) ~timeless:true ~fold:fold_null;
+    prim "NOT" ~open_coded:(1, 1) ~timeless:true ~fold:fold_not;
+    prim "ATOM" ~timeless:true
       ~fold:(guard (function
         | [ Sexp.List (_ :: _) ] -> Some (bool_sexp false)
         | [ _ ] -> Some (bool_sexp true)
         | _ -> None));
-    prim "CONSP" 1 1;
-    prim "LISTP" 1 1;
-    prim "SYMBOLP" 1 1;
-    prim "NUMBERP" 1 1
+    prim "CONSP" ~timeless:true;
+    prim "LISTP" ~timeless:true;
+    prim "SYMBOLP" ~timeless:true;
+    prim "NUMBERP" ~timeless:true
       ~fold:(guard (fun args ->
           match args with [ a ] -> Some (bool_sexp (num_of_sexp a <> None)) | _ -> None));
-    prim "INTEGERP" 1 1;
-    prim "FLOATP" 1 1;
-    prim "RATIONALP" 1 1;
-    prim "COMPLEXP" 1 1;
-    prim "STRINGP" 1 1;
-    prim "VECTORP" 1 1;
-    prim "FUNCTIONP" 1 1;
-    prim "EQ" 2 2;
-    prim "EQL" 2 2;
-    prim "EQUAL" 2 2;
+    prim "INTEGERP" ~timeless:true;
+    prim "FLOATP" ~timeless:true;
+    prim "RATIONALP";
+    prim "COMPLEXP";
+    prim "STRINGP";
+    prim "VECTORP";
+    prim "FUNCTIONP";
+    prim "EQ" ~open_coded:(2, 2) ~timeless:true;
+    prim "EQL" ~open_coded:(2, 2) ~timeless:true;
+    prim "EQUAL" ~open_coded:(2, 2);
     (* symbols: reading is impure-ish (depends on dynamic state) *)
-    prim "SYMBOL-VALUE" 1 1 ~pure:false;
-    prim "SET" 2 2 ~pure:false;
-    prim "SYMBOL-FUNCTION" 1 1 ~pure:false;
-    prim "SYMBOL-NAME" 1 1 ~may_alloc:true;
-    prim "GENSYM" 0 1 ~pure:false;
-    prim "GET" 2 2 ~pure:false;
-    prim "PUTPROP" 3 3 ~pure:false;
+    prim "SYMBOL-VALUE" ~pure:false;
+    prim "SET" ~stores_args:true ~pure:false;
+    prim "SYMBOL-FUNCTION" ~pure:false;
+    prim "SYMBOL-NAME" ~may_alloc:true;
+    prim "GENSYM" ~pure:false;
+    prim "GET" ~pure:false;
+    prim "PUTPROP" ~stores_args:true ~pure:false;
     (* vectors: reads depend on mutable state *)
-    prim "MAKE-VECTOR" 1 2 ~pure:false ~may_alloc:true;
-    prim "VECTOR" 0 (-1) ~pure:false ~may_alloc:true;
-    prim "VECTOR-LENGTH" 1 1;
-    prim "AREF" 2 2 ~pure:false;
-    prim "ASET" 3 3 ~pure:false;
+    prim "MAKE-VECTOR" ~stores_args:true ~pure:false ~may_alloc:true;
+    prim "VECTOR" ~stores_args:true ~pure:false ~may_alloc:true;
+    prim "VECTOR-LENGTH";
+    prim "AREF" ~pure:false;
+    prim "ASET" ~stores_args:true ~pure:false;
     (* strings *)
-    prim "STRING=" 2 2;
-    prim "STRING-APPEND" 0 (-1) ~may_alloc:true;
-    prim "STRING-LENGTH" 1 1;
+    prim "STRING=";
+    prim "STRING-APPEND" ~may_alloc:true;
+    prim "STRING-LENGTH";
     (* control and io *)
-    prim "FUNCALL" 1 (-1) ~pure:false;
-    prim "APPLY" 2 (-1) ~pure:false;
-    prim "MAPCAR" 2 2 ~pure:false ~may_alloc:true;
-    prim "MAPC" 2 2 ~pure:false;
-    prim "REDUCE" 2 3 ~pure:false;
-    prim "IDENTITY" 1 1;
-    prim "ERROR" 1 (-1) ~pure:false;
-    prim "THROW" 2 2 ~pure:false;
-    prim "PRIN1" 1 1 ~pure:false;
-    prim "PRINC" 1 1 ~pure:false;
-    prim "PRINT" 1 1 ~pure:false;
-    prim "TERPRI" 0 0 ~pure:false;
-    prim "COMPLEX" 2 2 ~may_alloc:true;
-    prim "REALPART" 1 1;
-    prim "IMAGPART" 1 1;
-    prim "NUMERATOR" 1 1;
-    prim "DENOMINATOR" 1 1;
+    prim "FUNCALL" ~open_coded:(1, max_int) ~stores_args:true ~pure:false;
+    prim "APPLY" ~stores_args:true ~pure:false;
+    prim "MAPCAR" ~stores_args:true ~pure:false ~may_alloc:true;
+    prim "MAPC" ~stores_args:true ~pure:false;
+    prim "REDUCE" ~stores_args:true ~pure:false;
+    prim "IDENTITY" ~timeless:true;
+    prim "ERROR" ~transfers_control:true ~pure:false;
+    prim "THROW" ~open_coded:(2, 2) ~stores_args:true ~transfers_control:true ~pure:false;
+    prim "PRIN1" ~pure:false;
+    prim "PRINC" ~pure:false;
+    prim "PRINT" ~pure:false;
+    prim "TERPRI" ~pure:false;
+    prim "COMPLEX" ~may_alloc:true;
+    prim "REALPART";
+    prim "IMAGPART";
+    prim "NUMERATOR";
+    prim "DENOMINATOR";
   ]
 
 (* Keyed with [String.equal]: the analyses look a callee up at every call
@@ -372,28 +408,11 @@ let by_name : t By_name.t =
 let find name = By_name.find_opt by_name name
 let is_primitive name = By_name.mem by_name name
 
-(* Which prim calls the code generator compiles inline, by name and
-   arity.  Everything else goes through the runtime as a native call
-   whose result arrives as a tagged POINTER in A.  Representation
-   analysis must make the exact same judgement as the generator —
-   a 3-ary (- a b c) is a native call even with inlining on, and
-   claiming the table's raw SWFLO result rep for it made the pdl-number
-   path reinterpret the tagged result word as float bits (found by the
-   differential fuzzer) — so the table lives here, next to the prim
-   table, and both sides consult it. *)
-let inlinable fname nargs =
-  match fname with
-  | "+$F" | "-$F" | "*$F" | "/$F" | "MAX$F" | "MIN$F" | "ATAN$F" -> nargs = 2 || nargs = 1
-  | "SQRT$F" | "SINC$F" | "COSC$F" | "SIN$F" | "COS$F" | "EXP$F" | "LOG$F" -> nargs = 1
-  | "<$F" | "=$F" | "<&" | "=&" -> nargs = 2
-  | "+&" | "-&" | "*&" -> nargs = 2 || nargs = 1
-  | "+" | "-" | "*" | "/" | "MAX" | "MIN" | "MOD" | "REM" -> nargs = 2 || nargs = 1
-  | "<" | "<=" | ">" | ">=" | "=" -> nargs = 2
-  | "1+" | "1-" | "ZEROP" | "ODDP" | "EVENP" | "SQRT" | "SIN" | "COS" | "EXP" | "LOG" ->
-      nargs = 1
-  | "FLOOR" | "CEILING" | "TRUNCATE" | "ROUND" -> nargs = 1
-  | "CAR" | "CDR" | "NOT" | "NULL" -> nargs = 1
-  | "CONS" | "EQ" | "EQL" | "EQUAL" | "THROW" | "ATAN" -> nargs = 2
-  | "FUNCALL" -> nargs >= 1
-  | _ -> false
-
+(* Does the code generator compile this call inline at [nargs] arguments?
+   Representation analysis and TN packing must judge exactly as the
+   generator does: claiming the table's raw SWFLO result for a call that
+   is really a native one made the pdl-number path read the tagged
+   result word as float bits (found by the differential fuzzer for
+   3-ary [-]). *)
+let open_codes p nargs =
+  match p.open_coded with Some (lo, hi) -> lo <= nargs && nargs <= hi | None -> false

@@ -29,19 +29,34 @@ open Node
 module Prims = S1_frontend.Prims
 module Remark = S1_obs.Remark
 
-(* Primitives that store argument pointers into visible structure (or
-   otherwise let them outlive the call): their arguments must be safe. *)
-let unsafe_prims =
-  [ "CONS"; "LIST"; "LIST*"; "APPEND"; "REVERSE"; "RPLACA"; "RPLACD"; "ASET"; "VECTOR";
-    "MAKE-VECTOR"; "SET"; "PUTPROP"; "THROW"; "NREVERSE"; "MAPCAR"; "MAPC"; "REDUCE";
-    "FUNCALL"; "APPLY" ]
+(* Why a node's value may not be a pdl number: the consumer that lets it
+   escape the frame.  Only the PDL-ALLOCATE Missed remark renders one. *)
+type escape =
+  | Returned
+  | Stored_in of string  (** the special or captured variable assigned *)
+  | Bound_to of string  (** the special or captured variable bound *)
+  | Stored_by of string  (** the storing primitive *)
+  | Callee
+  | Tail_argument
+  | Crosses_catch
+  | Prog_statement
+  | Return_form
 
-let authorizes_args fname = not (List.mem fname unsafe_prims)
+let escape_text = function
+  | Returned -> "returned from the function"
+  | Stored_in v -> "stored into the special or captured variable " ^ v
+  | Bound_to v -> "bound to the captured or special variable " ^ v
+  | Stored_by f -> "argument to the storing primitive " ^ f
+  | Callee -> "callee position"
+  | Tail_argument -> "argument to a tail call (frame reclaimed first)"
+  | Crosses_catch -> "crosses a CATCH boundary"
+  | Prog_statement -> "PROG statement (control may GO out)"
+  | Return_form -> "returned via RETURN"
 
 (* Top-down: [auth] is the id of the authorizing node, or -1; [why]
    names the consumer responsible whenever [auth] is -1, and [reasons],
    when remarks are on, keeps it by node id for them. *)
-let rec okp reasons (n : node) (auth : int) (why : string) : unit =
+let rec okp reasons (n : node) (auth : int) (why : escape) : unit =
   n.n_pdlokp <- auth;
   (match reasons with Some t when auth < 0 -> Hashtbl.replace t n.n_id why | _ -> ());
   match n.kind with
@@ -49,9 +64,7 @@ let rec okp reasons (n : node) (auth : int) (why : string) : unit =
   | Setq (v, e) ->
       (* storing into a captured or special variable lets the pointer
          escape the frame *)
-      if v.v_special || v.v_captured then
-        okp reasons e (-1)
-          (Printf.sprintf "stored into the special or captured variable %s" v.v_name)
+      if v.v_special || v.v_captured then okp reasons e (-1) (Stored_in v.v_name)
       else okp reasons e auth why
   | If (p, x, y) ->
       (* "it always of itself authorizes the predicate computation to
@@ -75,7 +88,7 @@ let rec okp reasons (n : node) (auth : int) (why : string) : unit =
         (fun p -> Option.iter (fun d -> okp reasons d n.n_id why) p.p_default)
         l.l_params;
       (* returning from a function is not safe *)
-      okp reasons l.l_body (-1) "returned from the function"
+      okp reasons l.l_body (-1) Returned
   | Call ({ kind = Lambda l; _ }, args) when l.l_strategy = Open ->
       (* binding a local variable keeps the pointer in this frame: safe,
          authorized by the binding call as long as the variable is not
@@ -83,47 +96,40 @@ let rec okp reasons (n : node) (auth : int) (why : string) : unit =
       List.iter2
         (fun p a ->
           if p.p_var.v_captured || p.p_var.v_special then
-            okp reasons a (-1)
-              (Printf.sprintf "bound to the captured or special variable %s"
-                 p.p_var.v_name)
+            okp reasons a (-1) (Bound_to p.p_var.v_name)
           else okp reasons a n.n_id why)
         l.l_params args;
       okp reasons l.l_body auth why
   | Call (f, args) -> (
-      match f.kind with
-      | Term (Sexp.Sym fname) when S1_frontend.Prims.is_primitive fname ->
-          if authorizes_args fname then List.iter (fun arg -> okp reasons arg n.n_id why) args
-          else
-            List.iter
-              (fun arg ->
-                okp reasons arg (-1)
-                  (Printf.sprintf "argument to the storing primitive %s" fname))
-              args
-      | _ ->
-          okp reasons f (-1) "callee position";
+      let prim = match f.kind with Term (Sexp.Sym fname) -> Prims.find fname | _ -> None in
+      match prim with
+      | Some { Prims.stores_args = true; name; _ } ->
+          (* the primitive stores its arguments into visible structure (or
+             otherwise lets them outlive the call): they must be safe *)
+          let why = Stored_by name in
+          List.iter (fun arg -> okp reasons arg (-1) why) args
+      | Some _ -> List.iter (fun arg -> okp reasons arg n.n_id why) args
+      | None ->
+          okp reasons f (-1) Callee;
           (* "passing a pointer to a procedure is safe": arguments are
              valid for the callee's extent by convention — except for a
              tail call, whose frame (and pdl slots) are reclaimed before
              the callee runs *)
-          if n.n_tail then
-            List.iter
-              (fun arg ->
-                okp reasons arg (-1) "argument to a tail call (frame reclaimed first)")
-              args
+          if n.n_tail then List.iter (fun arg -> okp reasons arg (-1) Tail_argument) args
           else List.iter (fun arg -> okp reasons arg n.n_id why) args)
   | Caseq (key, clauses, default) ->
       okp reasons key n.n_id why;
       List.iter (fun (_, b) -> okp reasons b auth why) clauses;
       Option.iter (fun d -> okp reasons d auth why) default
   | Catcher (tag, body) ->
-      okp reasons tag (-1) "crosses a CATCH boundary";
-      okp reasons body (-1) "crosses a CATCH boundary"
+      okp reasons tag (-1) Crosses_catch;
+      okp reasons body (-1) Crosses_catch
   | Progbody pb ->
       List.iter
         (function
-          | Ptag _ -> () | Pstmt s -> okp reasons s (-1) "PROG statement (control may GO out)")
+          | Ptag _ -> () | Pstmt s -> okp reasons s (-1) Prog_statement)
         pb.pb_items
-  | Return e -> okp reasons e (-1) "returned via RETURN"
+  | Return e -> okp reasons e (-1) Return_form
 
 (* Bottom-up PDLNUMP: might this node deliver a freshly created number? *)
 let rec nump (n : node) : bool =
@@ -177,7 +183,7 @@ let run (root : node) : unit =
   S1_obs.Obs.with_span "pdlnum" (fun () ->
       (* node id -> why its PDLOKP is -1: the escaping consumer *)
       let reasons = if Remark.enabled () then Some (Hashtbl.create 64) else None in
-      okp reasons root (-1) "returned from the function";
+      okp reasons root (-1) Returned;
       ignore (nump root);
       (* nodes where both analyses agree a stack box would be legal: the
          code generator turns the POINTER-wanted numeric ones into pdl
@@ -194,7 +200,7 @@ let run (root : node) : unit =
               if boxes_a_float n && n.n_pdlokp < 0 then
                 let why =
                   match Hashtbl.find_opt reasons n.n_id with
-                  | Some w -> w
+                  | Some w -> escape_text w
                   | None -> "lifetime not bounded by a safe consumer"
                 in
                 Remark.missed ~pass:"pdlnum" ~rule:"PDL-ALLOCATE" ~node:n.n_id ?loc:n.n_loc

@@ -35,24 +35,25 @@ module Prims = S1_frontend.Prims
    the generator read the tagged word as a raw float (found by the
    differential fuzzer under --no-inline-prims). *)
 
-(* The representation a prim's result is delivered in when compiled
-   inline (generic prims deliver POINTER via the runtime).  Inline-ness
-   depends on arity as well as the global switch — a 3-ary (- a b c) is
-   a native call even with inlining on — so both judgements consult the
-   shared Prims.inlinable table the generator uses. *)
+(* The representations of a prim call's operands and result, when the
+   code generator compiles it inline (generic prims and native calls
+   take and deliver POINTERs via the runtime).  Inline-ness depends on
+   arity as well as the global switch — a 3-ary (- a b c) is a native
+   call even with inlining on — so it is read from the table's
+   open-coded range, the arities the generator emits inline. *)
 let prim_isrep ~inline fname ~nargs ~want =
-  if not (inline && Prims.inlinable fname nargs) then POINTER
+  if not inline then POINTER
   else
     match Prims.find fname with
-    | Some { Prims.res_rep = Some BIT; _ } -> if want = JUMP then JUMP else POINTER
-    | Some { Prims.res_rep = Some r; _ } -> r
+    | Some ({ Prims.res_rep = Some r; _ } as p) when Prims.open_codes p nargs ->
+        (match r with BIT -> if want = JUMP then JUMP else POINTER | r -> r)
     | _ -> POINTER
 
 let prim_argrep ~inline fname ~nargs =
-  if not (inline && Prims.inlinable fname nargs) then None
+  if not inline then None
   else
     match Prims.find fname with
-    | Some { Prims.arg_rep = Some r; _ } -> Some r
+    | Some p when Prims.open_codes p nargs -> p.Prims.arg_rep
     | _ -> None
 
 (* Top-down WANTREP --------------------------------------------------------- *)
@@ -315,8 +316,8 @@ let report ~inline (root : node) : unit =
         | Call ({ kind = Term (Sexp.Sym fname); _ }, args) -> (
             let nargs = List.length args in
             match Prims.find fname with
-            | Some { Prims.res_rep = Some r; _ } ->
-                if inline && Prims.inlinable fname nargs then
+            | Some ({ Prims.res_rep = Some r; _ } as p) ->
+                if inline && Prims.open_codes p nargs then
                   Remark.passed ~pass:"repan" ~rule:"OPEN-CODE" ~node:n.n_id ?loc:n.n_loc
                     ~args:[ ("fn", Remark.Str fname); ("rep", Remark.Str (rep_name r)) ]
                     (Printf.sprintf "%s compiles inline, delivering raw %s" fname

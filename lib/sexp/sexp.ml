@@ -60,19 +60,10 @@ and compare_lists xs ys =
 
 let sym s = Sym s
 let int n = Int n
-let flo f = Float (f, Single)
 let list xs = List xs
 let quote x = List [ Sym "QUOTE"; x ]
 let nil = List []
-let t_bool b = if b then Sym "T" else nil
 let is_nil = function List [] -> true | _ -> false
-
-let uncons = function
-  | List (x :: xs) -> Some (x, List xs)
-  | Dotted ([ x ], tl) -> Some (x, tl)
-  | Dotted (x :: xs, tl) -> Some (x, Dotted (xs, tl))
-  | _ -> None
-
 
 (* Printing ------------------------------------------------------------- *)
 

@@ -31,23 +31,13 @@ val compare : t -> t -> int
 
 val sym : string -> t
 val int : int -> t
-val flo : float -> t
 val list : t list -> t
 val quote : t -> t             (** [quote x] is [(quote x)] *)
-
-val t_bool : bool -> t
-(** [t_bool b] is the symbol [T] or the empty list [()] (Lisp NIL). *)
 
 val nil : t
 (** The empty list, Lisp's false. *)
 
 val is_nil : t -> bool
-
-(** {1 Accessors} *)
-
-val uncons : t -> (t * t) option
-(** [uncons s] views a (proper or dotted) nonempty list as car/cdr. *)
-
 
 val pp : Format.formatter -> t -> unit
 (** Pretty-print with standard Lisp conventions: quote sugar, upcased

@@ -79,10 +79,6 @@ let fresh pool ?(width = 1) ?(must_frame = false) ?loc ~pointer ~rep name =
   pool.tns <- tn :: pool.tns;
   tn
 
-let touch pool tn =
-  tn.tn_uses <- tn.tn_uses + 1;
-  tn.tn_last <- max tn.tn_last pool.clock
-
 let overlap a b = a.tn_first <= b.tn_last && b.tn_first <= a.tn_last
 
 (* Frame slot allocators. *)

@@ -89,18 +89,8 @@ let term_truth (s : Sexp.t) =
 
 (* A "timeless" expression can be evaluated at any time with the same
    result: constants, never-assigned lexical variables, and applications
-   of pure primitives that read no mutable storage. *)
-let timeless_prims =
-  [ "+"; "-"; "*"; "1+"; "1-"; "<"; "<="; ">"; ">="; "="; "ABS"; "MAX"; "MIN"; "ZEROP";
-    "PLUSP"; "MINUSP"; "ODDP"; "EVENP"; "NOT"; "NULL"; "EQ"; "EQL"; "ATOM"; "CONSP"; "LISTP";
-    "SYMBOLP"; "NUMBERP"; "INTEGERP"; "FLOATP"; "IDENTITY"; "<$F"; "=$F"; "<&"; "=&";
-    (* "immutable mathematical functions" (§7): they read only immutable
-       number boxes, and EQ is not guaranteed on numbers in this dialect
-       (§6.3), so fresh result boxes may be re-created freely *)
-    "SQRT"; "SIN"; "COS"; "EXP"; "LOG"; "ATAN"; "EXPT"; "FLOAT";
-    "+$F"; "-$F"; "*$F"; "/$F"; "SQRT$F"; "SIN$F"; "COS$F"; "SINC$F"; "COSC$F"; "EXP$F";
-    "LOG$F"; "ATAN$F"; "MAX$F"; "MIN$F"; "+&"; "-&"; "*&" ]
-
+   of primitives the table marks timeless (pure, reading no mutable
+   storage). *)
 let rec timeless (n : node) =
   match n.kind with
   | Term _ -> true
@@ -109,7 +99,8 @@ let rec timeless (n : node) =
      approximation (a dropped setq keeps blocking until re-analysis) —
      rules never remove setq nodes while introducing new references *)
   | Call ({ kind = Term (Sexp.Sym f); _ }, args) ->
-      List.mem f timeless_prims && List.for_all timeless args
+      (match Prims.find f with Some p -> p.Prims.timeless | None -> false)
+      && List.for_all timeless args
   | If (p, x, y) -> timeless p && timeless x && timeless y
   | _ -> false
 
@@ -568,32 +559,16 @@ let declared_rep (n : node) : rep option =
       match Prims.find f with Some { Prims.res_rep = Some r; _ } -> Some r | _ -> None)
   | _ -> None
 
-let specialized_name = function
-  | "+" -> Some "+$F"
-  | "-" -> Some "-$F"
-  | "*" -> Some "*$F"
-  | "/" -> Some "/$F"
-  | "MAX" -> Some "MAX$F"
-  | "MIN" -> Some "MIN$F"
-  | "SQRT" -> Some "SQRT$F"
-  | "SIN" -> Some "SIN$F"
-  | "COS" -> Some "COS$F"
-  | "EXP" -> Some "EXP$F"
-  | "LOG" -> Some "LOG$F"
-  | "ATAN" -> Some "ATAN$F"
-  | "<" -> Some "<$F"
-  | "=" -> Some "=$F"
-  | _ -> None
-
 let rule_type_specialize ctx (n : node) =
   if not ctx.cfg.typed_specialize then false
   else
     match n.kind with
     | Call ({ kind = Term (Sexp.Sym fname); _ }, args)
       when args <> [] && List.for_all (fun a -> declared_rep a = Some SWFLO) args -> (
-        match specialized_name fname with
-        | Some f' -> fire ctx "META-TYPE-SPECIALIZE" n (Call (term (Sexp.Sym f'), args))
-        | None -> false)
+        match Prims.find fname with
+        | Some { Prims.single_float = Some f'; _ } ->
+            fire ctx "META-TYPE-SPECIALIZE" n (Call (term (Sexp.Sym f'), args))
+        | _ -> false)
     | _ -> false
 
 (* ---------------------------------------------------------------- *)

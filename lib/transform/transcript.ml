@@ -66,6 +66,10 @@ let since t m =
     next_seq = t.next_seq;
   }
 
+(* Forget the events recorded since [m]: a rolled-back pass's rewrites
+   describe a tree that no longer exists. *)
+let drop_since t m = t.events <- List.filter (fun e -> e.ev_seq < m) t.events
+
 (** {1 The §7 text renderer} *)
 
 let pp fmt t =

@@ -10,6 +10,8 @@ module Rt = S1_runtime.Rt
 module Obj = S1_runtime.Obj
 module Cpu = S1_machine.Cpu
 module I = S1_interp.Interp
+module Prims = S1_frontend.Prims
+module Gen = S1_codegen.Gen
 
 let run ?options ?rules srcs =
   let c = C.create ?options ?rules () in
@@ -676,6 +678,36 @@ let test_budget b () =
     true
     (units > 0 && per <= b.b_bound)
 
+(* The prim table's open-coded arities are the ones the generator emits
+   inline: a call at any other arity goes through the callee's function
+   cell, and a call at an open-coded arity asks for no cell.  Rules are
+   off, so every call reaches the generator as written.  Representation
+   analysis reads the same range; a pair on which the two disagreed was
+   a miscompile (3-ary -, unary MAX$F). *)
+let test_open_coded_arities () =
+  let c = C.create ~rules:S1_transform.Rules.nothing () in
+  let wrong =
+    List.concat_map
+      (fun (p : Prims.t) ->
+        List.filter_map
+          (fun nargs ->
+            let params = List.init nargs (fun i -> Sexp.Sym (Printf.sprintf "A%d" i)) in
+            let form =
+              Sexp.List
+                [ Sexp.Sym "DEFUN"; Sexp.Sym "F"; Sexp.List params;
+                  Sexp.List (Sexp.Sym p.Prims.name :: params) ]
+            in
+            let unit_, _ = C.compile_defun c form in
+            let native = List.mem (Gen.Rfun_cell p.Prims.name) unit_.Gen.c_refs in
+            if native = Prims.open_codes p nargs then
+              Some (Printf.sprintf "%s/%d %s" p.Prims.name nargs
+                      (if native then "calls its native" else "has no native call"))
+            else None)
+          [ 0; 1; 2; 3 ])
+      Prims.table
+  in
+  Alcotest.(check (list string)) "open-coded exactly where the table says" [] wrong
+
 let () =
   Alcotest.run "compiler"
     [
@@ -700,6 +732,8 @@ let () =
           Alcotest.test_case "ablations preserve semantics" `Quick
             test_ablation_options_preserve_semantics;
           Alcotest.test_case "metacircular soak" `Quick test_metacircular_soak;
+          Alcotest.test_case "open-coded arities match the generator" `Quick
+            test_open_coded_arities;
         ]
         @ List.map (fun b -> Alcotest.test_case b.b_test `Quick (test_budget b)) budgets );
       ( "differential",

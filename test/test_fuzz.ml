@@ -233,6 +233,25 @@ let test_shrinker_minimizes_known_bug () =
   Alcotest.(check bool) "result still fails" true (still_fails shrunk);
   Alcotest.(check bool) "dropped the irrelevant forms" true (List.length shrunk <= 2)
 
+(* One-operand MAX$F, MIN$F, +$F and *$F have no inline template: the
+   generator calls their natives, which return a tagged pointer.  When
+   representation analysis took them for open-coded it claimed a raw
+   SWFLO result, and the outer +$F read the pointer as float bits. *)
+let test_unary_float_prims () =
+  List.iter
+    (fun op ->
+      let src = Printf.sprintf "(defun h (x) (+$F (%s x) 1.0)) (h 1.5)" op in
+      let forms = Reader.parse_string src in
+      Alcotest.(check string) (op ^ " interpreted") "2.5"
+        (Oracle.outcome_string (Oracle.run_interp forms));
+      match Oracle.check forms with
+      | [] -> ()
+      | d :: _ ->
+          Alcotest.failf "%s diverges at %s: interp %s, compiled %s" src d.Oracle.d_config
+            (Oracle.outcome_string d.Oracle.d_interp)
+            (Oracle.outcome_string d.Oracle.d_compiled))
+    [ "MAX$F"; "MIN$F"; "+$F"; "*$F" ]
+
 (* Corpus replay --------------------------------------------------------------- *)
 
 (* under `dune runtest` the cwd is the test sandbox (corpus/ is a dep);
@@ -309,6 +328,8 @@ let () =
           Alcotest.test_case "detects miscompilation" `Quick test_oracle_detects_miscompilation;
           Alcotest.test_case "interpreter heap exhaustion" `Quick test_interp_heap_exhaustion;
           Alcotest.test_case "pdl frame with a jump local" `Quick test_pdl_frame_jump_local;
+          Alcotest.test_case "unary float prims across the lattice" `Quick
+            test_unary_float_prims;
         ] );
       ( "shrinker",
         [

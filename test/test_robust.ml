@@ -12,6 +12,7 @@ module Rt = S1_runtime.Rt
 module Node = S1_ir.Node
 module Verify = S1_ir.Verify
 module Rules = S1_transform.Rules
+module Transcript = S1_transform.Transcript
 module C = S1_core.Compiler
 module Obs = S1_obs.Obs
 module Remark = S1_obs.Remark
@@ -155,6 +156,26 @@ let test_rollback_records_incident () =
   Alcotest.(check bool) "incident logged" true (c.C.incidents <> []);
   let i = List.hd (List.rev c.C.incidents) in
   Alcotest.(check string) "incident pass" "repan" i.C.i_pass
+
+(* A rolled-back pass's rewrites go with the tree they rewrote: after
+   simplify rolls back, the unit's transcript keeps none of its events
+   (without the fault it has two: META-SUBSTITUTE and
+   CONSIDER-REVERSING-ARGUMENTS). *)
+let test_rollback_drops_transcript () =
+  let form = List.hd (Reader.parse_string "(defun f (x) (let ((y 1)) (+ x y)))") in
+  let rules c =
+    List.map (fun e -> e.Transcript.ev_rule) (Transcript.events (snd (C.listing_of c form)))
+  in
+  Alcotest.(check (list string)) "rewrites without the fault"
+    [ "META-SUBSTITUTE"; "CONSIDER-REVERSING-ARGUMENTS" ] (rules (C.create ()));
+  let c = C.create () in
+  let faulted =
+    with_pass_hook c
+      (fun pass _ -> if pass = "simplify" then failwith "injected simplify fault")
+      (fun () -> rules c)
+  in
+  Alcotest.(check int) "one incident" 1 (List.length c.C.incidents);
+  Alcotest.(check (list string)) "rewrites after the rollback" [] faulted
 
 let test_strict_mode_escalates () =
   let c = C.create ~strict:true () in
@@ -617,6 +638,7 @@ let () =
           Alcotest.test_case "matches disabled pass" `Quick
             test_rollback_matches_disabled_pass;
           Alcotest.test_case "records incident" `Quick test_rollback_records_incident;
+          Alcotest.test_case "drops the pass's transcript" `Quick test_rollback_drops_transcript;
           Alcotest.test_case "strict escalates" `Quick test_strict_mode_escalates;
           Alcotest.test_case "restores the pre-pass tree" `Quick test_rollback_parity;
           Alcotest.test_case "generator pass faults" `Quick test_generator_pass_faults;
